@@ -2,7 +2,8 @@
 //!
 //! 1. the paper's four-case split with exact primitives vs. naive
 //!    per-sample numerical integration of the kernel;
-//! 2. the sorted `O(log n + k)` evaluation vs. the `Theta(n)` Algorithm 1
+//! 2. the sorted evaluation (`O(log n)` for the Epanechnikov kernel
+//!    through its prefix-moment table) vs. the `Theta(n)` Algorithm 1
 //!    linear scan;
 //! 3. the full-contribution counting shortcut (binary search) vs. paying
 //!    the CDF for every in-reach sample.

@@ -17,10 +17,11 @@
 //!    duplicate requests (repeated queries in a batch) are answered once
 //!    and copied.
 //!
-//! Only the *index resolution* is restructured. The per-strip CDF
-//! summations then run through [`crate::strips`] — the same canonical
-//! lane-width-independent arithmetic as the per-query path — so the batch
-//! result is **bit-identical** to calling
+//! Only the *index resolution* is restructured. Each term is then
+//! evaluated by the same code as the per-query path — the prefix-moment
+//! table of [`crate::moments`] for the Epanechnikov kernel, the canonical
+//! lane-width-independent strip arithmetic of [`crate::strips`] for the
+//! others — so the batch result is **bit-identical** to calling
 //! [`SelectivityEstimator::selectivity`] in a loop, an invariant the
 //! harness and the golden tests rely on, and which makes parallel chunked
 //! evaluation deterministic.
@@ -32,11 +33,11 @@
 use std::cell::RefCell;
 
 use selest_core::{BatchScratch, EstimateError, QueryDeadline, RangeQuery, SelectivityEstimator};
-use selest_simd::{configured_lanes, KahanSum, LaneMode};
+use selest_simd::{configured_lanes, LaneMode};
 
 use crate::boundary::BoundaryPolicy;
 use crate::estimator::KernelEstimator;
-use crate::strips::{bk_strip_sum, raw_term_sum, with_lane_kernel, LaneKernel};
+use crate::strips::{raw_term_sum, with_lane_kernel, LaneKernel};
 
 /// One `partition_point` request against the sorted sample, packed into a
 /// single sortable integer: bits 33.. hold the order-preserving image of
@@ -77,8 +78,9 @@ fn unpack_cut(key: CutKey) -> (f64, bool, usize) {
 }
 
 /// One raw-mass term of a query plan: the clipped integration bounds plus
-/// where its resolved cut indices start. `wide` terms (query at least two
-/// kernel reaches long) own four cuts, narrow terms two.
+/// where its resolved cut indices start. Moment-table terms and `wide`
+/// strip terms (query at least two kernel reaches long) own four cuts,
+/// narrow strip terms two.
 #[derive(Clone, Copy, Debug)]
 struct RawTerm {
     a: f64,
@@ -218,10 +220,25 @@ fn resolve_cuts(sorted: &[f64], cuts: &mut [CutKey], resolved: &mut Vec<u32>) {
 /// Push the cut requests of one raw-mass term, mirroring the boundary
 /// values `raw_mass` computes, and return the term.
 fn plan_raw_term(est: &KernelEstimator, a: f64, b: f64, cuts: &mut Vec<CutKey>) -> RawTerm {
+    let cut0 = cuts.len();
+    if est.moments().is_some() {
+        // F(b) - F(a): `<= c - h` counts the full ones, `< c + h` ends
+        // the strip of endpoint c.
+        let h = est.bandwidth();
+        cuts.push(pack_cut(a - h, true, cut0));
+        cuts.push(pack_cut(a + h, false, cut0 + 1));
+        cuts.push(pack_cut(b - h, true, cut0 + 2));
+        cuts.push(pack_cut(b + h, false, cut0 + 3));
+        return RawTerm {
+            a,
+            b,
+            wide: true,
+            cut0,
+        };
+    }
     let reach = est.kernel().support_radius() * est.bandwidth();
     let full_lo = a + reach;
     let full_hi = b - reach;
-    let cut0 = cuts.len();
     let wide = full_hi >= full_lo;
     cuts.push(pack_cut(a - reach, false, cut0));
     if wide {
@@ -234,9 +251,10 @@ fn plan_raw_term(est: &KernelEstimator, a: f64, b: f64, cuts: &mut Vec<CutKey>) 
     RawTerm { a, b, wide, cut0 }
 }
 
-/// Evaluate one raw-mass term from its resolved indices: the canonical
-/// un-normalized sum of [`crate::strips::raw_term_sum`] (the per-query
-/// path's `s * n`), monomorphized per kernel through [`LaneKernel`].
+/// Evaluate one strip-scanned raw-mass term from its resolved indices:
+/// the canonical un-normalized sum of [`crate::strips::raw_term_sum`] (the
+/// per-query path's `s * n`), monomorphized per kernel through
+/// [`LaneKernel`].
 #[inline]
 fn eval_raw_term<K: LaneKernel>(
     k: K,
@@ -244,9 +262,8 @@ fn eval_raw_term<K: LaneKernel>(
     inv_h: f64,
     mode: LaneMode,
     term: &RawTerm,
-    resolved: &[u32],
+    idx: &[u32],
 ) -> f64 {
-    let idx = &resolved[term.cut0..];
     if term.wide {
         raw_term_sum(
             k,
@@ -502,30 +519,36 @@ fn run_scan(
         return 0;
     }
 
-    // Boundary-kernel strip extents are query-independent.
-    let (bk_left_hi, bk_right_lo) = if boundary == BoundaryPolicy::BoundaryKernel {
-        (
-            est.samples().partition_point(|&x| x <= l + 2.0 * h),
-            est.samples().partition_point(|&x| x < r - 2.0 * h),
-        )
-    } else {
-        (0, 0)
-    };
-
     // Phase 3: evaluate each query in input order with the per-query
-    // path's arithmetic. The kernel dispatch is hoisted out of the strip
-    // loops (one monomorphization per kernel through `LaneKernel`), and
-    // the lane width is resolved once for the whole batch.
-    let mode = configured_lanes();
+    // path's arithmetic. Epanechnikov terms read the moment table; the
+    // other kernels dispatch once per batch to a monomorphized strip loop
+    // (through `LaneKernel`), with the lane width resolved once.
     let ctx = Phase3 {
         est,
         plans,
         terms,
         resolved,
-        bk_left_hi,
-        bk_right_lo,
     };
-    with_lane_kernel!(est.kernel(), k => ctx.run(k, mode, deadline, out))
+    let sorted = est.samples();
+    match est.moments() {
+        Some(table) => ctx.run(
+            |term, idx| {
+                let cuts = [idx[0], idx[1], idx[2], idx[3]].map(|i| i as usize);
+                table.raw_term(sorted, term.a, term.b, cuts)
+            },
+            deadline,
+            out,
+        ),
+        None => {
+            let inv_h = est.inv_bandwidth();
+            let mode = configured_lanes();
+            with_lane_kernel!(est.kernel(), k => ctx.run(
+                |term, idx| eval_raw_term(k, sorted, inv_h, mode, term, idx),
+                deadline,
+                out,
+            ))
+        }
+    }
 }
 
 /// Everything phase 3 needs, bundled so the per-kernel monomorphization
@@ -535,28 +558,24 @@ struct Phase3<'a> {
     plans: &'a [QueryPlan],
     terms: &'a [RawTerm],
     resolved: &'a [u32],
-    bk_left_hi: usize,
-    bk_right_lo: usize,
 }
 
 impl Phase3<'_> {
     /// Evaluate the planned queries in input order, polling the optional
-    /// deadline every [`DEADLINE_STRIDE`] slots. Returns the number of
-    /// slots written (the whole batch unless the deadline expired).
-    fn run<K: LaneKernel>(
+    /// deadline every [`DEADLINE_STRIDE`] slots; `eval` sums one raw term
+    /// (un-normalized) from its resolved cuts. Returns the number of slots
+    /// written (the whole batch unless the deadline expired).
+    fn run(
         &self,
-        k: K,
-        mode: LaneMode,
+        eval: impl Fn(&RawTerm, &[u32]) -> f64,
         deadline: Option<&QueryDeadline>,
         out: &mut [f64],
     ) -> usize {
         let est = self.est;
         let sorted = est.samples();
-        let domain = est.domain();
-        let (l, r) = (domain.lo(), domain.hi());
-        let inv_h = est.inv_bandwidth();
         let boundary = est.boundary_policy();
         let n = sorted.len() as f64;
+        let term = |t: &RawTerm| eval(t, &self.resolved[t.cut0..]);
         for (i, (plan, slot)) in self.plans.iter().zip(out.iter_mut()).enumerate() {
             if i % DEADLINE_STRIDE == 0 && i > 0 && deadline.is_some_and(|d| d.expired()) {
                 return i;
@@ -571,8 +590,8 @@ impl Phase3<'_> {
                     // and any mirrored queries, each normalized on its
                     // own.
                     let mut s = 0.0;
-                    for term in &self.terms[plan.term_lo..plan.term_hi] {
-                        s += eval_raw_term(k, sorted, inv_h, mode, term, self.resolved) / n;
+                    for t in &self.terms[plan.term_lo..plan.term_hi] {
+                        s += term(t) / n;
                     }
                     s
                 }
@@ -581,15 +600,18 @@ impl Phase3<'_> {
                     // re-scaling the interior raw_mass by n (a round
                     // trip the per-query path performs too), then
                     // divides once.
+                    let table = est
+                        .moments()
+                        .expect("boundary-kernel estimators are Epanechnikov");
                     let mut s = 0.0;
-                    for term in &self.terms[plan.term_lo..plan.term_hi] {
-                        s += (eval_raw_term(k, sorted, inv_h, mode, term, self.resolved) / n) * n;
+                    for t in &self.terms[plan.term_lo..plan.term_hi] {
+                        s += (term(t) / n) * n;
                     }
                     if let Some((v0, v1)) = plan.bk_left {
-                        s += bk_strip_sum(&sorted[..self.bk_left_hi], v0, v1, l, inv_h, true);
+                        s += table.boundary_strip(sorted, v0, v1, true);
                     }
                     if let Some((v0, v1)) = plan.bk_right {
-                        s += bk_strip_sum(&sorted[self.bk_right_lo..], v0, v1, r, inv_h, false);
+                        s += table.boundary_strip(sorted, v0, v1, false);
                     }
                     s / n
                 }
@@ -599,11 +621,6 @@ impl Phase3<'_> {
         self.plans.len()
     }
 }
-
-// Silence "unused" for KahanSum which the strips module re-exports through
-// raw_term_sum's implementation (kept here for doc linkage).
-#[allow(unused_imports)]
-use KahanSum as _KahanSumDocAnchor;
 
 #[cfg(test)]
 mod tests {
@@ -646,114 +663,6 @@ mod tests {
         let mut resolved = Vec::new();
         resolve_cuts(sorted, cuts, &mut resolved);
         resolved
-    }
-
-    #[test]
-    #[ignore = "manual profiling aid"]
-    fn profile_batch_phases() {
-        use std::time::Instant;
-        let data = selest_data::PaperFile::Normal { p: 20 }.generate_scaled(20);
-        let sample = selest_data::sample_without_replacement(data.values(), 1_000, 7);
-        let qs = selest_data::QueryFile::generate(&data, 0.01, 200, 3)
-            .queries()
-            .to_vec();
-        let domain = data.domain();
-        use crate::bandwidth::BandwidthSelector as _;
-        let h =
-            crate::bandwidth::DirectPlugIn::two_stage().bandwidth(&sample, KernelFn::Epanechnikov);
-        let est = KernelEstimator::new(
-            &sample,
-            domain,
-            KernelFn::Epanechnikov,
-            h,
-            BoundaryPolicy::Reflection,
-        );
-        eprintln!("h = {h}, reach = {}", est.kernel().support_radius() * h);
-        let reps = 2000;
-        let mut out = vec![0.0; qs.len()];
-        let mut scratch = BatchScratch::new();
-        selectivity_batch_into(&est, &qs, &mut scratch, &mut out);
-        let t = Instant::now();
-        for _ in 0..reps {
-            selectivity_batch_into(&est, &qs, &mut scratch, &mut out);
-        }
-        eprintln!(
-            "full batch: {:.1}us",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-        // Phase breakdown with the same scratch.
-        let ks = scratch.get_or_default::<KernelScratch>();
-        let KernelScratch {
-            plans,
-            terms,
-            cuts,
-            resolved,
-            ..
-        } = ks;
-        let t = Instant::now();
-        for _ in 0..reps {
-            plans.clear();
-            terms.clear();
-            cuts.clear();
-            for q in &qs {
-                let a = q.a().max(domain.lo());
-                let b = q.b().min(domain.hi());
-                if b >= a {
-                    terms.push(plan_raw_term(&est, a, b, cuts));
-                }
-            }
-        }
-        eprintln!(
-            "phase1 plan: {:.1}us",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-        let mut cuts2 = cuts.clone();
-        let t = Instant::now();
-        for _ in 0..reps {
-            cuts2.copy_from_slice(cuts);
-            resolve_cuts(est.samples(), &mut cuts2, resolved);
-        }
-        eprintln!(
-            "phase2 resolve: {:.1}us",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-        let inv_h = est.inv_bandwidth();
-        let t = Instant::now();
-        let mut acc = 0.0;
-        for _ in 0..reps {
-            for term in terms.iter() {
-                acc += eval_raw_term(
-                    crate::strips::EpanechnikovLanes,
-                    est.samples(),
-                    inv_h,
-                    selest_simd::LaneMode::X8,
-                    term,
-                    resolved,
-                );
-            }
-        }
-        eprintln!(
-            "phase3 eval ({} terms): {:.1}us   (acc {acc})",
-            terms.len(),
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-        let t = Instant::now();
-        for _ in 0..reps {
-            for term in terms.iter() {
-                acc += eval_raw_term(
-                    crate::strips::EpanechnikovLanes,
-                    est.samples(),
-                    inv_h,
-                    selest_simd::LaneMode::Scalar,
-                    term,
-                    resolved,
-                );
-            }
-        }
-        eprintln!(
-            "phase3 eval scalar: {:.1}us   (acc {acc})",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
     }
 
     #[test]

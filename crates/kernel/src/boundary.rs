@@ -101,20 +101,38 @@ mod tests {
     use super::*;
     use selest_math::simpson;
 
+    /// Simonoff–Dong boundary kernels are second order at every edge
+    /// distance: unit mass and a vanishing first moment for each `q` on a
+    /// grid over `[0, 1]`, for `K^(l)` on `[-1, q]` and its mirror `K^(r)`
+    /// on `[-q, 1]`. The integrands are polynomials of degree <= 3, which
+    /// Simpson's rule integrates exactly up to rounding.
     #[test]
-    fn left_kernel_integrates_to_one_for_every_shape() {
-        for &q in &[0.0, 0.2, 0.5, 0.8, 1.0] {
-            let mass = simpson(|u| left_boundary_kernel(u, q), -1.0, q, 4_000);
-            assert!((mass - 1.0).abs() < 1e-9, "q={q}: mass {mass}");
+    fn boundary_kernels_have_unit_mass_and_zero_first_moment() {
+        for i in 0..=40 {
+            let q = i as f64 / 40.0;
+            let left = |k: i32| simpson(|u| u.powi(k) * left_boundary_kernel(u, q), -1.0, q, 64);
+            let right = |k: i32| simpson(|u| u.powi(k) * right_boundary_kernel(u, q), -q, 1.0, 64);
+            assert!(
+                (left(0) - 1.0).abs() < 1e-12,
+                "K^(l) mass at q={q}: {}",
+                left(0)
+            );
+            assert!(
+                left(1).abs() < 1e-12,
+                "K^(l) first moment at q={q}: {}",
+                left(1)
+            );
+            assert!(
+                (right(0) - 1.0).abs() < 1e-12,
+                "K^(r) mass at q={q}: {}",
+                right(0)
+            );
+            assert!(
+                right(1).abs() < 1e-12,
+                "K^(r) first moment at q={q}: {}",
+                right(1)
+            );
         }
-    }
-
-    #[test]
-    fn left_kernel_at_q_one_is_not_epanechnikov_but_integrates_right() {
-        // At q = 1 the Simonoff–Dong kernel has full support [-1, 1] and
-        // unit mass; its first moment also vanishes there.
-        let first = simpson(|u| u * left_boundary_kernel(u, 1.0), -1.0, 1.0, 4_000);
-        assert!(first.abs() < 1e-9, "first moment {first}");
     }
 
     #[test]

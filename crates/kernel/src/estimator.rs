@@ -10,10 +10,14 @@
 //! whose kernel lies entirely inside `[a, b]` contribute exactly one,
 //! samples out of reach contribute zero, and only the boundary strips
 //! `[a - h, a + h]` and `[b - h, b + h]` need the primitive. Keeping the
-//! sample set sorted turns both the full-contribution count and the strip
-//! scans into binary searches, realizing the `O(log n + k)` evaluation the
-//! paper sketches; [`KernelEstimator::selectivity_linear`] retains the
-//! `Theta(n)` Algorithm 1 for cross-checking and for the ablation bench.
+//! sample set sorted turns the full-contribution count into binary
+//! searches, realizing the `O(log n + k)` evaluation the paper sketches,
+//! where `k` is the number of samples in the strips. For the paper's
+//! Epanechnikov kernel a prefix-moment table ([`crate::moments`]) then
+//! sums each strip in `O(1)`, so a query costs `O(log n)` under every
+//! boundary policy; the other kernels scan their strips.
+//! [`KernelEstimator::selectivity_linear`] retains the `Theta(n)`
+//! Algorithm 1 for cross-checking and for the ablation bench.
 //!
 //! Note: Algorithm 1 as printed has a sign typo in its third case
 //! (`s += F((b - X[i])/h) - 0.5`); the contribution of a sample in the
@@ -31,7 +35,8 @@ use selest_simd::{configured_lanes, LaneMode};
 
 use crate::boundary::{left_boundary_kernel, BoundaryPolicy};
 use crate::kernels::KernelFn;
-use crate::strips::{bk_strip_sum, raw_term_sum, with_lane_kernel};
+use crate::moments::MomentTable;
+use crate::strips::{raw_term_sum, with_lane_kernel};
 
 /// Kernel selectivity / density estimator over a sorted sample set.
 ///
@@ -65,6 +70,9 @@ pub struct KernelEstimator {
     inv_h: f64,
     domain: Domain,
     boundary: BoundaryPolicy,
+    /// Epanechnikov only: the prefix moments that sum a strip in `O(1)`,
+    /// built once and shared by clones.
+    moments: Option<Arc<MomentTable>>,
 }
 
 impl KernelEstimator {
@@ -150,6 +158,15 @@ impl KernelEstimator {
             sorted[0],
             sorted.last().expect("nonempty")
         );
+        let moments = (kernel == KernelFn::Epanechnikov).then(|| {
+            Arc::new(MomentTable::build(
+                &sorted,
+                domain.lo(),
+                domain.hi(),
+                bandwidth,
+                boundary == BoundaryPolicy::BoundaryKernel,
+            ))
+        });
         KernelEstimator {
             sorted,
             kernel,
@@ -157,6 +174,7 @@ impl KernelEstimator {
             inv_h: 1.0 / bandwidth,
             domain,
             boundary,
+            moments,
         }
     }
 
@@ -168,6 +186,12 @@ impl KernelEstimator {
     /// The cached reciprocal bandwidth `1/h` used by every strip loop.
     pub(crate) fn inv_bandwidth(&self) -> f64 {
         self.inv_h
+    }
+
+    /// The prefix-moment table, present exactly for the Epanechnikov
+    /// kernel.
+    pub(crate) fn moments(&self) -> Option<&MomentTable> {
+        self.moments.as_deref()
     }
 
     /// The kernel function `K`.
@@ -191,24 +215,37 @@ impl KernelEstimator {
     }
 
     /// Untreated selectivity mass of `[a, b]` over the real line — the raw
-    /// equation (6), `O(log n + k)` via the sorted sample. The strip
-    /// arithmetic lives in [`crate::strips`], shared verbatim with the
-    /// batch merge scan, so per-query and batch answers are bit-identical
-    /// by construction (and identical for every `SELEST_LANES` mode).
+    /// equation (6). Epanechnikov terms are `F(b) - F(a)` from four cut
+    /// lookups and the moment table, `O(log n)`; the other kernels scan
+    /// their strips with the arithmetic of [`crate::strips`]. Either way
+    /// the code is shared verbatim with the batch merge scan, so per-query
+    /// and batch answers are bit-identical by construction (and identical
+    /// for every `SELEST_LANES` mode).
     fn raw_mass(&self, a: f64, b: f64, mode: LaneMode) -> f64 {
         debug_assert!(a <= b);
         let n = self.sorted.len() as f64;
+        let xs = &self.sorted[..];
+        if let Some(table) = self.moments() {
+            let h = self.h;
+            let cuts = [
+                xs.partition_point(|&x| x <= a - h),
+                xs.partition_point(|&x| x < a + h),
+                xs.partition_point(|&x| x <= b - h),
+                xs.partition_point(|&x| x < b + h),
+            ];
+            return table.raw_term(xs, a, b, cuts) / n;
+        }
         let reach = self.kernel.support_radius() * self.h;
         // Samples in [a + reach, b - reach] contribute exactly 1.
         let full_lo = a + reach;
         let full_hi = b - reach;
         let wide = full_hi >= full_lo;
-        let i0 = self.sorted.partition_point(|&x| x < a - reach);
-        let i3 = self.sorted.partition_point(|&x| x <= b + reach);
+        let i0 = xs.partition_point(|&x| x < a - reach);
+        let i3 = xs.partition_point(|&x| x <= b + reach);
         let (i1, i2) = if wide {
             (
-                self.sorted.partition_point(|&x| x < full_lo),
-                self.sorted.partition_point(|&x| x <= full_hi),
+                xs.partition_point(|&x| x < full_lo),
+                xs.partition_point(|&x| x <= full_hi),
             )
         } else {
             // Query narrower than the kernel reach: the strips overlap and
@@ -216,7 +253,7 @@ impl KernelEstimator {
             (0, 0)
         };
         let s = with_lane_kernel!(self.kernel, k => raw_term_sum(
-            k, &self.sorted, a, b, self.inv_h, mode, wide, i0, i1, i2, i3,
+            k, xs, a, b, self.inv_h, mode, wide, i0, i1, i2, i3,
         ));
         s / n
     }
@@ -235,12 +272,16 @@ impl KernelEstimator {
 
     /// Boundary-kernel selectivity (Epanechnikov interior). `a <= b`, both
     /// inside the domain. The accumulation order (interior, left strip,
-    /// right strip) and the shared [`bk_strip_sum`] helper are mirrored
-    /// exactly by the batch path's boundary-kernel arm.
+    /// right strip) is mirrored exactly by the batch path's boundary-kernel
+    /// arm, and both sum the edge strips through
+    /// [`MomentTable::boundary_strip`].
     fn boundary_kernel_mass(&self, a: f64, b: f64, mode: LaneMode) -> f64 {
         let (l, r) = (self.domain.lo(), self.domain.hi());
         let h = self.h;
         let n = self.sorted.len() as f64;
+        let table = self
+            .moments()
+            .expect("boundary-kernel estimators are Epanechnikov");
         let mut s = 0.0;
 
         // Interior piece: x in [a, b] intersected with [l + h, r - h].
@@ -251,22 +292,18 @@ impl KernelEstimator {
         }
 
         // Left strip piece: x in [a, b] ∩ [l, l + h), in v = (x - l)/h
-        // coordinates. Only samples with (X_i - l)/h <= 2 can be reached.
+        // coordinates.
         let la = a.max(l);
         let lb = b.min(l + h);
         if lb > la {
-            let (v0, v1) = ((la - l) / h, (lb - l) / h);
-            let hi_idx = self.sorted.partition_point(|&x| x <= l + 2.0 * h);
-            s += bk_strip_sum(&self.sorted[..hi_idx], v0, v1, l, self.inv_h, true);
+            s += table.boundary_strip(&self.sorted, (la - l) / h, (lb - l) / h, true);
         }
 
         // Right strip piece, by mirroring the domain: m(x) = l + r - x.
         let ra = a.max(r - h);
         let rb = b.min(r);
         if rb > ra {
-            let (v0, v1) = ((r - rb) / h, (r - ra) / h);
-            let lo_idx = self.sorted.partition_point(|&x| x < r - 2.0 * h);
-            s += bk_strip_sum(&self.sorted[lo_idx..], v0, v1, r, self.inv_h, false);
+            s += table.boundary_strip(&self.sorted, (r - rb) / h, (r - ra) / h, false);
         }
         s / n
     }

@@ -8,10 +8,11 @@
 //! * [`KernelFn`] — the Epanechnikov kernel of the paper plus six others,
 //!   each with an exact CDF so range-query estimation never integrates
 //!   numerically;
-//! * [`KernelEstimator`] — Algorithm 1 with the `O(log n + k)`
-//!   sorted-sample evaluation, under three [`BoundaryPolicy`] options
-//!   (untreated, reflection, Simonoff–Dong boundary kernels in closed
-//!   form);
+//! * [`KernelEstimator`] — Algorithm 1 over the sorted sample, `O(log n)`
+//!   per query for the Epanechnikov kernel through prefix-moment tables
+//!   (`O(log n + k)` strip scans for the others), under three
+//!   [`BoundaryPolicy`] options (untreated, reflection, Simonoff–Dong
+//!   boundary kernels in closed form);
 //! * [`bandwidth`] — the smoothing-parameter rules of Section 4: normal
 //!   scale, direct plug-in, and least-squares cross-validation;
 //! * [`KernelEstimator2d`] — the product-kernel extension to 2-D rectangle
@@ -25,6 +26,7 @@ pub mod boundary;
 pub mod estimator;
 pub mod kde;
 pub mod kernels;
+mod moments;
 pub mod multidim;
 pub mod ndim;
 mod strips;

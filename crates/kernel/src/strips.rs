@@ -1,8 +1,11 @@
-//! The canonical strip arithmetic shared by every kernel evaluation path.
+//! The canonical strip arithmetic shared by every strip-scanning kernel
+//! evaluation path.
 //!
-//! Both the per-query estimator ([`crate::estimator`]) and the batched
-//! merge scan ([`crate::batch`]) reduce to the same inner job: given a
-//! boundary strip of the sorted sample, accumulate
+//! The Epanechnikov kernel sums its strips from a prefix-moment table
+//! ([`crate::moments`]) and never reaches this module. For every other
+//! kernel, both the per-query estimator ([`crate::estimator`]) and the
+//! batched merge scan ([`crate::batch`]) reduce to the same inner job:
+//! given a boundary strip of the sorted sample, accumulate
 //!
 //! ```text
 //! sum_i  CDF((b - X_i) * inv_h) - CDF((a - X_i) * inv_h)
@@ -106,13 +109,13 @@ pub(crate) trait LaneKernel: Copy {
 
 /// Dispatch a `KernelFn` to its zero-sized [`LaneKernel`], monomorphizing
 /// `$body` per kernel so strip loops compile with direct calls and real
-/// lane code instead of an enum match per sample.
+/// lane code instead of an enum match per sample. Epanechnikov estimators
+/// sum their strips from the moment table and never dispatch here.
 macro_rules! with_lane_kernel {
     ($kernel:expr, $k:ident => $body:expr) => {
         match $kernel {
             $crate::kernels::KernelFn::Epanechnikov => {
-                let $k = $crate::strips::EpanechnikovLanes;
-                $body
+                unreachable!("Epanechnikov strips are summed from the moment table")
             }
             $crate::kernels::KernelFn::Uniform => {
                 let $k = $crate::strips::UniformLanes;
@@ -172,47 +175,6 @@ macro_rules! select_guards_8 {
         let r = F64x8::select($t.le(F64x8::splat(-1.0)), F64x8::splat(0.0), $p);
         F64x8::select($t.ge(F64x8::splat(1.0)), F64x8::splat(1.0), r)
     }};
-}
-
-/// The paper's kernel: `cdf(t) = 0.5 + (3t - t^3)/4` inside the support.
-/// Branchless lane form: evaluate the polynomial everywhere, then blend in
-/// the saturation plateaus. Outside `(-1, 1)` the `t <= -1` / `t >= 1`
-/// blends reproduce the scalar guard ladder exactly (the conditions are
-/// disjoint), so every lane equals `KernelFn::Epanechnikov.cdf`.
-#[derive(Clone, Copy)]
-pub(crate) struct EpanechnikovLanes;
-
-impl LaneKernel for EpanechnikovLanes {
-    #[inline(always)]
-    fn cdf1(self, t: f64) -> f64 {
-        KernelFn::Epanechnikov.cdf(t)
-    }
-
-    #[inline(always)]
-    fn cdf4(self, t: F64x4) -> F64x4 {
-        let p = F64x4::splat(0.5) + F64x4::splat(0.25) * (F64x4::splat(3.0) * t - t * t * t);
-        select_guards_4!(t, p)
-    }
-
-    #[inline(always)]
-    fn cdf8(self, t: F64x8) -> F64x8 {
-        let p = F64x8::splat(0.5) + F64x8::splat(0.25) * (F64x8::splat(3.0) * t - t * t * t);
-        select_guards_8!(t, p)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn cdf_pd(self, t: __m256d) -> __m256d {
-        let t3 = _mm256_mul_pd(_mm256_mul_pd(t, t), t);
-        let p = _mm256_add_pd(
-            _mm256_set1_pd(0.5),
-            _mm256_mul_pd(
-                _mm256_set1_pd(0.25),
-                _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(3.0), t), t3),
-            ),
-        );
-        guards_pd(t, p)
-    }
 }
 
 /// Box kernel: scalar is `((t + 1) * 0.5).clamp(0, 1)`; the lane form
@@ -613,194 +575,6 @@ pub(crate) fn raw_term_sum<K: LaneKernel>(
     acc.value()
 }
 
-/// Boundary-kernel strip contribution in normalized edge coordinates:
-/// `sum_i Int_{v0}^{v1} K^(edge)(v - c_i, v) dv` over the samples that can
-/// reach the strip, where `c_i` is the sample's distance to the edge in
-/// bandwidths. Identical for every lane mode (no [`LaneMode`] parameter),
-/// shared by the per-query and batch paths.
-///
-/// The naive form calls [`left_boundary_integral`] per sample — two `ln`s
-/// and four divisions each. But the integral has exactly three regimes in
-/// `c`, and the sorted strip makes them contiguous ranges:
-///
-/// * `c <= 1 + lo0` (`lo0 = max(v0, 0)`): the clipped integration window
-///   `[lo0, hi]` does not depend on the sample at all, so
-///   `primitive(hi) - primitive(lo0)` collapses to the quadratic
-///   `k0 + k1*c + k2*c^2` with per-*call* constants — the two `ln`s and
-///   every division hoist out of the loop and the sweep vectorizes;
-/// * `1 + lo0 < c < 1 + hi`: the window is `[c - 1, hi]` and
-///   `primitive(c - 1)` simplifies to `-3 ln c - 9`, leaving one `ln` per
-///   sample over a band at most one query-width wide;
-/// * `c >= 1 + hi`: the window is empty — skipped entirely instead of
-///   computed to zero.
-///
-/// The regime boundaries are found by binary search with the *same*
-/// `c`-predicate the per-sample evaluation uses, so the split is exact.
-/// The quadratic sweep uses the canonical 8-slot lane accumulation (tree
-/// collapse at the end, element-wise tail), with a portable and an AVX2
-/// execution that are bit-identical by the same argument as `add_strip`.
-pub(crate) fn bk_strip_sum(xs: &[f64], v0: f64, v1: f64, edge: f64, inv_h: f64, left: bool) -> f64 {
-    debug_assert!((-1e-12..=1.0 + 1e-12).contains(&v0) && v0 <= v1 + 1e-12 && v1 <= 1.0 + 1e-12);
-    let lo0 = v0.max(0.0);
-    let hi = v1.min(1.0);
-    if hi <= lo0 {
-        return 0.0;
-    }
-    let c1 = 1.0 + lo0;
-    let c2 = 1.0 + hi;
-    let c_of = |x: f64| {
-        if left {
-            (x - edge) * inv_h
-        } else {
-            (edge - x) * inv_h
-        }
-    };
-
-    // Per-call constants for the fixed-window quadratic
-    //   e(c) = -3 (ln wh - ln wl) - (6 + 12c)(1/wh - 1/wl)
-    //          + (6c + 3c^2)(1/wh^2 - 1/wl^2)
-    //        = k0 + k1 c + k2 c^2.
-    let wh = 1.0 + hi;
-    let wl = 1.0 + lo0;
-    let iwh = 1.0 / wh;
-    let iwl = 1.0 / wl;
-    let d1 = iwh - iwl;
-    let d2 = iwh * iwh - iwl * iwl;
-    let k0 = -3.0 * (wh.ln() - wl.ln()) - 6.0 * d1;
-    let k1 = 6.0 * d2 - 12.0 * d1;
-    let k2 = 3.0 * d2;
-
-    // Moving-window constants: e2(c) = kh0 + kh1 c + kh2 c^2 + 3 ln c,
-    // from primitive(hi) - (-3 ln c - 9).
-    let iwh2 = iwh * iwh;
-    let kh0 = -3.0 * wh.ln() - 6.0 * iwh + 9.0;
-    let kh1 = 6.0 * iwh2 - 12.0 * iwh;
-    let kh2 = 3.0 * iwh2;
-
-    // A left strip is sorted by ascending c, a right strip by descending
-    // c: locate the quadratic range and the transition band accordingly.
-    let (quad, band) = if left {
-        let p1 = xs.partition_point(|&x| c_of(x) <= c1);
-        let p2 = xs.partition_point(|&x| c_of(x) < c2);
-        (&xs[..p1], &xs[p1..p2])
-    } else {
-        let p2 = xs.partition_point(|&x| c_of(x) >= c2);
-        let p1 = xs.partition_point(|&x| c_of(x) > c1);
-        (&xs[p1..], &xs[p2..p1])
-    };
-
-    let mut s = bk_quad_sum(quad, edge, inv_h, left, k0, k1, k2);
-    for &x in band {
-        let c = c_of(x);
-        s += ((kh0 + kh1 * c) + kh2 * (c * c)) + 3.0 * c.ln();
-    }
-    s
-}
-
-/// The vectorizable regime of [`bk_strip_sum`]: `sum (k0 + k1 c + k2 c^2)`
-/// over a contiguous sample range, canonical 8-slot accumulation.
-fn bk_quad_sum(xs: &[f64], edge: f64, inv_h: f64, left: bool, k0: f64, k1: f64, k2: f64) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: guarded by runtime AVX2 detection.
-        return unsafe { bk_quad_sum_avx2(xs, edge, inv_h, left, k0, k1, k2) };
-    }
-    bk_quad_sum_portable(xs, edge, inv_h, left, k0, k1, k2)
-}
-
-fn bk_quad_sum_portable(
-    xs: &[f64],
-    edge: f64,
-    inv_h: f64,
-    left: bool,
-    k0: f64,
-    k1: f64,
-    k2: f64,
-) -> f64 {
-    let mut lanes = [0.0f64; 8];
-    let mut chunks = xs.chunks_exact(8);
-    for c in chunks.by_ref() {
-        for (lj, &x) in lanes.iter_mut().zip(c) {
-            let c = if left {
-                (x - edge) * inv_h
-            } else {
-                (edge - x) * inv_h
-            };
-            *lj += (k0 + k1 * c) + k2 * (c * c);
-        }
-    }
-    let mut s = F64x8(lanes).hsum_tree();
-    for &x in chunks.remainder() {
-        let c = if left {
-            (x - edge) * inv_h
-        } else {
-            (edge - x) * inv_h
-        };
-        s += (k0 + k1 * c) + k2 * (c * c);
-    }
-    s
-}
-
-/// AVX2 twin of [`bk_quad_sum_portable`]: same lane slots, same collapse
-/// tree, same tail — identical bits.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn bk_quad_sum_avx2(
-    xs: &[f64],
-    edge: f64,
-    inv_h: f64,
-    left: bool,
-    k0: f64,
-    k1: f64,
-    k2: f64,
-) -> f64 {
-    let ev = _mm256_set1_pd(edge);
-    let ihv = _mm256_set1_pd(inv_h);
-    let k0v = _mm256_set1_pd(k0);
-    let k1v = _mm256_set1_pd(k1);
-    let k2v = _mm256_set1_pd(k2);
-    let mut acc_lo = _mm256_setzero_pd();
-    let mut acc_hi = _mm256_setzero_pd();
-    let mut chunks = xs.chunks_exact(8);
-    for c in chunks.by_ref() {
-        let x0 = _mm256_loadu_pd(c.as_ptr());
-        let x1 = _mm256_loadu_pd(c.as_ptr().add(4));
-        let c0 = if left {
-            _mm256_mul_pd(_mm256_sub_pd(x0, ev), ihv)
-        } else {
-            _mm256_mul_pd(_mm256_sub_pd(ev, x0), ihv)
-        };
-        let c4 = if left {
-            _mm256_mul_pd(_mm256_sub_pd(x1, ev), ihv)
-        } else {
-            _mm256_mul_pd(_mm256_sub_pd(ev, x1), ihv)
-        };
-        let e0 = _mm256_add_pd(
-            _mm256_add_pd(k0v, _mm256_mul_pd(k1v, c0)),
-            _mm256_mul_pd(k2v, _mm256_mul_pd(c0, c0)),
-        );
-        let e4 = _mm256_add_pd(
-            _mm256_add_pd(k0v, _mm256_mul_pd(k1v, c4)),
-            _mm256_mul_pd(k2v, _mm256_mul_pd(c4, c4)),
-        );
-        acc_lo = _mm256_add_pd(acc_lo, e0);
-        acc_hi = _mm256_add_pd(acc_hi, e4);
-    }
-    let mut lanes = [0.0f64; 8];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc_lo);
-    _mm256_storeu_pd(lanes.as_mut_ptr().add(4), acc_hi);
-    let mut s = F64x8(lanes).hsum_tree();
-    for &x in chunks.remainder() {
-        let c = if left {
-            (x - edge) * inv_h
-        } else {
-            (edge - x) * inv_h
-        };
-        s += (k0 + k1 * c) + k2 * (c * c);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,7 +631,6 @@ mod tests {
                 }
             }
         }
-        sweep(EpanechnikovLanes, KernelFn::Epanechnikov);
         sweep(UniformLanes, KernelFn::Uniform);
         sweep(TriangularLanes, KernelFn::Triangular);
         sweep(BiweightLanes, KernelFn::Biweight);
@@ -878,58 +651,12 @@ mod tests {
             let (a, b, inv_h) = (4.2, 6.9, 1.0 / 0.8);
             let run = |mode| {
                 let mut acc = KahanSum::new();
-                add_strip(&mut acc, EpanechnikovLanes, &xs, a, b, inv_h, mode);
+                add_strip(&mut acc, BiweightLanes, &xs, a, b, inv_h, mode);
                 acc.value()
             };
             let scalar = run(LaneMode::Scalar);
             assert_eq!(scalar.to_bits(), run(LaneMode::X4).to_bits(), "n={n} x4");
             assert_eq!(scalar.to_bits(), run(LaneMode::X8).to_bits(), "n={n} x8");
-        }
-    }
-
-    /// The regioned boundary-strip sum must agree with the naive
-    /// per-sample [`left_boundary_integral`] loop it replaced, for both
-    /// edges and windows that exercise all three `c`-regimes (including
-    /// empty ones).
-    #[test]
-    fn bk_strip_sum_matches_naive_integral_loop() {
-        use crate::boundary::left_boundary_integral;
-        let h = 2.0;
-        let inv_h = 1.0 / h;
-        // Samples spread across [edge, edge + 2h] and beyond: c in [0, 2.5].
-        let edge = 10.0;
-        let xs: Vec<f64> = (0..173).map(|i| edge + i as f64 * 5.0 / 172.0).collect();
-        let right_edge = 30.0;
-        let xs_r: Vec<f64> = (0..173)
-            .map(|i| right_edge - 5.0 + i as f64 * 5.0 / 172.0)
-            .collect();
-        for &(v0, v1) in &[
-            (0.0, 1.0),
-            (0.0, 0.02),
-            (0.3, 0.35),
-            (0.9, 1.0),
-            (0.0, 0.0),
-            (0.45, 0.45),
-            (0.1, 0.9),
-        ] {
-            let fast = bk_strip_sum(&xs, v0, v1, edge, inv_h, true);
-            let naive: f64 = xs
-                .iter()
-                .map(|&x| left_boundary_integral(v0, v1, (x - edge) * inv_h))
-                .sum();
-            assert!(
-                (fast - naive).abs() <= 1e-11 * (1.0 + naive.abs()),
-                "left v0={v0} v1={v1}: fast {fast} vs naive {naive}"
-            );
-            let fast_r = bk_strip_sum(&xs_r, v0, v1, right_edge, inv_h, false);
-            let naive_r: f64 = xs_r
-                .iter()
-                .map(|&x| left_boundary_integral(v0, v1, (right_edge - x) * inv_h))
-                .sum();
-            assert!(
-                (fast_r - naive_r).abs() <= 1e-11 * (1.0 + naive_r.abs()),
-                "right v0={v0} v1={v1}: fast {fast_r} vs naive {naive_r}"
-            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! Integration tests for the sharded serving engine (`store::serving`).
 //!
-//! Two guarantees are pinned from the outside, through the public facade:
+//! Three guarantees are pinned from the outside, through the public facade:
 //!
 //! 1. **No torn reads under concurrent publication.** Reader threads
 //!    hammer a [`ServingEngine`] while a background publisher alternates
@@ -14,6 +14,9 @@
 //!    cache wholesale (never-stale), and an adversarial stream of
 //!    all-distinct queries cannot grow the cache beyond its fixed slot
 //!    count.
+//! 3. **Serving adds nothing to the estimate.** Boundary-kernel columns
+//!    over the paper's files answer through the engine bit-for-bit like a
+//!    kernel estimator built directly from the column's sample.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -630,4 +633,74 @@ fn overload_chaos_every_estimate_is_valid_or_a_typed_refusal() {
         health.shards.iter().all(|s| s.in_flight == 0),
         "in-flight gauges return to zero on every outcome"
     );
+}
+
+// -------------------------------------------------------------------------
+// 3. Boundary-kernel columns serve the direct estimator's bits
+// -------------------------------------------------------------------------
+
+/// The kernel columns of the serving benchmark — the paper files n(20),
+/// e(20), arap1 and iw under the catalog's Epanechnikov boundary-kernel
+/// estimator — answer through a `ServingEngine`, batch and single-query,
+/// bit-for-bit like a `KernelEstimator` built directly from the column's
+/// retained sample and its direct plug-in bandwidth.
+#[test]
+fn boundary_kernel_columns_serve_the_direct_estimator_bit_for_bit() {
+    use selest::kernel::{BandwidthSelector, DirectPlugIn};
+    use selest::{
+        BoundaryPolicy, KernelEstimator, KernelFn, PaperFile, QueryFile, SelectivityEstimator,
+    };
+
+    let files = [
+        PaperFile::Normal { p: 20 },
+        PaperFile::Exponential { p: 20 },
+        PaperFile::Arapahoe1,
+        PaperFile::InstanceWeight,
+    ];
+    let config = AnalyzeConfig::default();
+    for file in files {
+        let data = file.generate();
+        let d = data.domain();
+        let mut rel = Relation::new("paper");
+        rel.add_column(Column::new("v", d, data.values().to_vec()));
+        let rel = Arc::new(rel);
+
+        let engine = ServingEngine::with_defaults();
+        let report = engine.rebuild_and_publish(&rel, &config, &TryConfig::default());
+        assert!(report.failed_shards.is_empty());
+
+        let mut catalog = StatisticsCatalog::new();
+        catalog.try_analyze_jobs(&rel, &config, 1);
+        let stats = catalog.statistics("paper", "v").expect("column analyzed");
+        let h = DirectPlugIn::two_stage()
+            .bandwidth(&stats.sample, KernelFn::Epanechnikov)
+            .min(0.5 * d.width());
+        let direct = KernelEstimator::new(
+            &stats.sample,
+            d,
+            KernelFn::Epanechnikov,
+            h,
+            BoundaryPolicy::BoundaryKernel,
+        );
+
+        let mut qs = QueryFile::generate(&data, 0.01, 64, 7).queries().to_vec();
+        qs.extend_from_slice(QueryFile::generate(&data, 0.2, 64, 8).queries());
+        let w = d.width();
+        for frac in [1e-4, 0.01, 0.3] {
+            qs.push(RangeQuery::new(d.lo(), d.lo() + frac * w));
+            qs.push(RangeQuery::new(d.hi() - frac * w, d.hi()));
+        }
+        qs.push(RangeQuery::new(d.lo(), d.hi()));
+
+        let mut scratch = ServingScratch::new();
+        let mut out = Vec::new();
+        engine.estimate_batch_into("paper", "v", &qs, &mut scratch, &mut out);
+        for (q, served) in qs.iter().zip(&out) {
+            let want = direct.selectivity(q).to_bits();
+            let served = served.as_ref().expect("valid queries are answered");
+            assert_eq!(served.to_bits(), want, "{} batch {q}", file.name());
+            let single = engine.try_estimate("paper", "v", q).expect("answered");
+            assert_eq!(single.to_bits(), want, "{} single {q}", file.name());
+        }
+    }
 }

@@ -5,9 +5,13 @@
 //! are *performance* knobs: every combination must produce byte-identical
 //! estimates. This file sweeps lanes ∈ {scalar, 4, 8} × jobs ∈ {1, 7} over
 //! four data shapes — uniform, normal, Zipf, and the TIGER (Arapahoe)
-//! simulacrum — for both kernel-smoothing boundary policies, and pins the
-//! per-query bits plus the aggregated `ErrorStats` against the
-//! scalar/1-worker reference.
+//! simulacrum — and pins the per-query bits plus the aggregated
+//! `ErrorStats` against the scalar/1-worker reference. The estimators are
+//! the paper's Epanechnikov kernel under boundary kernels and reflection
+//! (summed from its prefix-moment table, so lane-independent by
+//! construction) plus two that still scan their strips lane by lane:
+//! Biweight with reflection (a polynomial lane CDF) and Gaussian untreated
+//! (the per-lane scalar fallback).
 //!
 //! A proptest at the end pins the branchless binary search (the building
 //! block every grid lookup ends in) against `slice::partition_point`.
@@ -66,15 +70,20 @@ fn workloads() -> Vec<Workload> {
 
 fn estimators(w: &Workload) -> Vec<(String, KernelEstimator)> {
     let h = w.domain.width() / 48.0;
-    [BoundaryPolicy::BoundaryKernel, BoundaryPolicy::Reflection]
-        .into_iter()
-        .map(|policy| {
-            (
-                format!("{}/{policy:?}", w.name),
-                KernelEstimator::new(&w.sample, w.domain, KernelFn::Epanechnikov, h, policy),
-            )
-        })
-        .collect()
+    [
+        (KernelFn::Epanechnikov, BoundaryPolicy::BoundaryKernel),
+        (KernelFn::Epanechnikov, BoundaryPolicy::Reflection),
+        (KernelFn::Biweight, BoundaryPolicy::Reflection),
+        (KernelFn::Gaussian, BoundaryPolicy::NoTreatment),
+    ]
+    .into_iter()
+    .map(|(kernel, policy)| {
+        (
+            format!("{}/{}/{policy:?}", w.name, kernel.name()),
+            KernelEstimator::new(&w.sample, w.domain, kernel, h, policy),
+        )
+    })
+    .collect()
 }
 
 /// The whole sweep runs in one test: the lane and jobs overrides are
