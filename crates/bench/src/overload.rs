@@ -58,7 +58,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use selest_core::{QueryDeadline, RangeQuery, SelectivityEstimator, UniformEstimator};
+use selest_core::{RangeQuery, SelectivityEstimator, UniformEstimator};
 use selest_data::PaperFile;
 use selest_store::{
     AnalyzeConfig, Column, EstimatorKind, OverloadOptions, Relation, ServeRung, ServedEstimate,
@@ -308,7 +308,7 @@ fn run_overload(
                     for i in 0..ops_per_client {
                         let b = (t * 7 + i) % w.batches.len();
                         let batch = &w.batches[b];
-                        let d = QueryDeadline::after(Duration::from_micros(slo_us as u64));
+                        let d = selest_par::Deadline::after(Duration::from_micros(slo_us as u64));
                         let started = Instant::now();
                         engine.estimate_batch_with(
                             "overload",

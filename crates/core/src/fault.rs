@@ -7,8 +7,9 @@
 //! path. [`EstimateError`] is the typed vocabulary for everything that can
 //! go wrong between a raw sample and a served selectivity; the `try_*`
 //! constructors across the workspace return it instead of panicking, and
-//! the store's `ResilientEstimator` consumes it to walk its degradation
-//! ladder (kernel → histogram → sampling → uniform).
+//! the store's catalog and serving engine consume it: a column whose build
+//! fails is quarantined to the uniform floor, and a serving-time fault
+//! answers from that floor and charges the column's circuit breaker.
 
 use crate::domain::Domain;
 
@@ -137,6 +138,15 @@ pub enum EstimateError {
 }
 
 impl EstimateError {
+    /// The typed refusal for an expired request deadline, stamped with
+    /// the elapsed time observed *now* and the deadline's budget.
+    pub fn deadline_exceeded(deadline: &selest_par::Deadline) -> Self {
+        EstimateError::DeadlineExceeded {
+            elapsed_us: deadline.elapsed_us(),
+            budget_us: deadline.budget_us(),
+        }
+    }
+
     /// Attach file-path context to persistence errors: fills the `path` of
     /// a [`EstimateError::CorruptEntry`] produced by an in-memory decode.
     /// Other variants pass through unchanged.
@@ -298,8 +308,8 @@ pub fn sanitize_sample(sample: &[f64], domain: &Domain) -> (Vec<f64>, SampleAudi
 ///
 /// The legacy estimators (`assert!`-heavy construction, bandwidth
 /// selectors) predate the fallible API; this is the containment boundary
-/// that turns their panics into typed errors the degradation ladder can
-/// act on. The panic hook is left untouched — callers who want quiet
+/// that turns their panics into typed errors the catalog bulkhead and the
+/// serving engine's floor can act on. The panic hook is left untouched — callers who want quiet
 /// logs should silence it themselves; the store's chaos tests do.
 pub fn catch_fault<T>(
     stage: FaultStage,
@@ -465,6 +475,20 @@ mod tests {
         for (e, needle) in cases {
             let s = e.to_string();
             assert!(s.contains(needle), "{s:?} should contain {needle:?}");
+        }
+    }
+
+    #[test]
+    fn deadline_refusal_carries_the_budget() {
+        let wall = selest_par::Deadline::after(std::time::Duration::from_millis(200));
+        match EstimateError::deadline_exceeded(&wall) {
+            EstimateError::DeadlineExceeded { budget_us, .. } => assert_eq!(budget_us, 200_000),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        let manual = selest_par::Deadline::already_expired();
+        match EstimateError::deadline_exceeded(&manual) {
+            EstimateError::DeadlineExceeded { budget_us, .. } => assert_eq!(budget_us, 0),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
 }

@@ -26,7 +26,8 @@ use crate::traits::SelectivityEstimator;
 const MIN_BASE_SELECTIVITY: f64 = 1e-9;
 
 /// Per-bucket multiplicative corrections over a domain — the learning core
-/// shared by [`FeedbackEstimator`] and the store's resilient serving layer.
+/// shared by [`FeedbackEstimator`] and the store's per-column drift
+/// monitors (the catalog's feedback grids and the durable store's journal).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrectionGrid {
     domain: Domain,

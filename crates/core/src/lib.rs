@@ -20,7 +20,6 @@
 //! [`SelectivityEstimator`] and return distribution selectivities.
 
 pub mod confidence;
-pub mod deadline;
 pub mod domain;
 pub mod ecdf;
 pub mod errors;
@@ -36,7 +35,6 @@ pub mod traits;
 pub mod uniform;
 
 pub use confidence::{wald_interval, wilson_interval, ConfidenceInterval};
-pub use deadline::QueryDeadline;
 pub use domain::Domain;
 pub use ecdf::Ecdf;
 pub use errors::{absolute_error, integrated_squared_error, relative_error, ErrorStats};

@@ -1,8 +1,8 @@
 //! The shared per-column preparation substrate (DESIGN.md §10).
 //!
-//! The paper's experiments — and the catalog's ANALYZE, and the
-//! ResilientEstimator degradation ladder — build a whole *suite* of
-//! estimators over the same attribute sample. Every constructor in the
+//! The paper's experiments — and the catalog's ANALYZE, and the serving
+//! snapshot's brownout rung — build a whole *suite* of estimators over
+//! the same attribute sample. Every constructor in the
 //! workspace historically re-copied and re-sorted that sample on its own:
 //! k estimators cost k·O(n log n) sorts plus k copies. [`PreparedColumn`]
 //! is the one immutable artifact they can all borrow from instead:
@@ -23,7 +23,7 @@
 //! time, a test at fixture setup. Estimator constructors never prepare;
 //! their `from_prepared` paths only borrow (`&PreparedColumn`), bumping
 //! the inner `Arc`s when they need to retain the sorted sample. Sharing
-//! across entries, suites, and the fallback ladder goes through
+//! across entries, suites, and the serving rungs goes through
 //! `Arc<PreparedColumn>`.
 //!
 //! Invariants: the sample is non-empty and NaN-free (preparation sorts,

@@ -17,24 +17,23 @@
 
 use std::any::Any;
 
-use crate::deadline::QueryDeadline;
+use selest_par::Deadline;
 
 /// Caller-owned, estimator-typed scratch space for the `_into` batch APIs.
 ///
-/// Create one per serving thread (or per resilient ladder / harness
-/// worker), reuse it across calls. `Default`/`new` make an empty bag; no
+/// Create one per serving thread (or per harness worker), reuse it across
+/// calls. `Default`/`new` make an empty bag; no
 /// allocation happens until an estimator first asks for its buffers.
 ///
 /// Besides the typed buffers, the bag carries the request's optional
-/// [`QueryDeadline`]: the serving engine sets it before a fallible batch
-/// call and clears it after, so deadline-aware estimators (the kernel
-/// merge scan, the resilient ladder) can cancel cooperatively without the
-/// trait surface changing. Estimators that never look at it are
+/// [`Deadline`]: the serving engine sets it before a fallible batch call
+/// and clears it after, so deadline-aware estimators (the kernel merge
+/// scan) can cancel cooperatively without the trait surface changing. Estimators that never look at it are
 /// unaffected.
 #[derive(Default)]
 pub struct BatchScratch {
     slot: Option<Box<dyn Any + Send>>,
-    deadline: Option<QueryDeadline>,
+    deadline: Option<Deadline>,
 }
 
 impl BatchScratch {
@@ -49,7 +48,7 @@ impl BatchScratch {
     /// Arm the request deadline for the next batch call. The caller is
     /// responsible for clearing it afterwards ([`Self::clear_deadline`]);
     /// a stale deadline would cut the *next* request's batch short.
-    pub fn set_deadline(&mut self, deadline: QueryDeadline) {
+    pub fn set_deadline(&mut self, deadline: Deadline) {
         self.deadline = Some(deadline);
     }
 
@@ -61,7 +60,7 @@ impl BatchScratch {
     /// The armed request deadline, if any. Deadline-aware estimators read
     /// (and clone — it is an `Arc`-backed flag) this at the start of a
     /// batch call.
-    pub fn deadline(&self) -> Option<&QueryDeadline> {
+    pub fn deadline(&self) -> Option<&Deadline> {
         self.deadline.as_ref()
     }
 
@@ -150,13 +149,13 @@ mod tests {
     fn deadline_slot_arms_and_disarms() {
         let mut scratch = BatchScratch::new();
         assert!(scratch.deadline().is_none());
-        scratch.set_deadline(crate::deadline::QueryDeadline::manual());
+        scratch.set_deadline(Deadline::manual());
         assert!(scratch.deadline().is_some());
         assert!(!scratch.deadline().expect("armed").expired());
         scratch.clear_deadline();
         assert!(scratch.deadline().is_none());
         // clear() drops an armed deadline along with the buffers.
-        scratch.set_deadline(crate::deadline::QueryDeadline::already_expired());
+        scratch.set_deadline(Deadline::already_expired());
         scratch.clear();
         assert!(scratch.deadline().is_none());
     }

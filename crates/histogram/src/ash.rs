@@ -126,7 +126,10 @@ impl SelectivityEstimator for AverageShiftedHistogram {
             let overlap = (b.min(cell_hi) - a.max(cell_lo)).max(0.0);
             s += w * overlap / self.delta;
         }
-        s / self.n_samples as f64
+        // Summing the cell overlaps can round a hair past 1; a
+        // selectivity is a probability, as the kernel and hybrid
+        // estimators also guarantee.
+        (s / self.n_samples as f64).clamp(0.0, 1.0)
     }
 
     fn domain(&self) -> Domain {
@@ -181,6 +184,24 @@ mod tests {
                 ash.selectivity(&q),
                 ewh.selectivity(&q)
             );
+        }
+    }
+
+    #[test]
+    fn rounding_never_pushes_a_selectivity_past_one() {
+        // Three points in a domain of 1 000: without the clamp, the overlap
+        // sum of a query covering them all rounds to 1 + 2^-52 at k = 7.
+        let d = Domain::new(0.0, 1_000.0);
+        for k in 1..=32 {
+            let ash = AverageShiftedHistogram::new(&[10.0, 20.0, 30.0], d, k, 10);
+            for i in 0..=400 {
+                let s = ash.selectivity(&RangeQuery::new(0.0, 2.5 * i as f64));
+                assert!(
+                    (0.0..=1.0).contains(&s),
+                    "k={k} [0, {}]: {s}",
+                    2.5 * i as f64
+                );
+            }
         }
     }
 

@@ -32,7 +32,8 @@
 
 use std::cell::RefCell;
 
-use selest_core::{BatchScratch, EstimateError, QueryDeadline, RangeQuery, SelectivityEstimator};
+use selest_core::{BatchScratch, EstimateError, RangeQuery, SelectivityEstimator};
+use selest_par::Deadline;
 use selest_simd::{configured_lanes, LaneMode};
 
 use crate::boundary::BoundaryPolicy;
@@ -397,7 +398,7 @@ pub(crate) fn try_selectivity_batch_into(
                 } else {
                     deadline
                         .as_ref()
-                        .map(|d| Err(d.error()))
+                        .map(|d| Err(EstimateError::deadline_exceeded(d)))
                         .expect("a short scan only happens under a deadline")
                 };
             }
@@ -409,7 +410,7 @@ pub(crate) fn try_selectivity_batch_into(
             out.extend(queries.iter().map(|q| {
                 q.validate()?;
                 if let Some(d) = deadline.as_ref().filter(|d| d.expired()) {
-                    return Err(d.error());
+                    return Err(EstimateError::deadline_exceeded(d));
                 }
                 let v = selest_core::catch_fault(
                     selest_core::FaultStage::Estimate,
@@ -444,7 +445,7 @@ fn run_scan(
     terms: &mut Vec<RawTerm>,
     cuts: &mut Vec<CutKey>,
     resolved: &mut Vec<u32>,
-    deadline: Option<&QueryDeadline>,
+    deadline: Option<&Deadline>,
     out: &mut [f64],
 ) -> usize {
     // Checkpoint: refuse to plan at all on an already-spent budget.
@@ -568,7 +569,7 @@ impl Phase3<'_> {
     fn run(
         &self,
         eval: impl Fn(&RawTerm, &[u32]) -> f64,
-        deadline: Option<&QueryDeadline>,
+        deadline: Option<&Deadline>,
         out: &mut [f64],
     ) -> usize {
         let est = self.est;
@@ -967,7 +968,7 @@ mod tests {
         let mut qs = queries();
         qs.insert(3, RangeQuery::unchecked(9.0, 4.0));
         let mut scratch = BatchScratch::new();
-        scratch.set_deadline(selest_core::QueryDeadline::already_expired());
+        scratch.set_deadline(Deadline::already_expired());
         let mut tried = Vec::new();
         est.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
         assert_eq!(tried.len(), qs.len());
@@ -1007,7 +1008,7 @@ mod tests {
         let qs = queries();
         let plain = est.selectivity_batch(&qs);
         let mut scratch = BatchScratch::new();
-        scratch.set_deadline(selest_core::QueryDeadline::manual());
+        scratch.set_deadline(Deadline::manual());
         let mut tried = Vec::new();
         est.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
         for (i, (slot, want)) in tried.iter().zip(&plain).enumerate() {

@@ -199,17 +199,36 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A cooperative execution budget shared by every worker of a batch.
+/// A cooperative execution budget shared by every worker of a batch — and
+/// by every layer of a serving request, down to the kernel merge scan.
 ///
 /// Workers poll it between tasks and between retry attempts; long-running
 /// task closures may poll it themselves via [`Deadline::expired`]. Expiry
 /// never interrupts a running attempt — tasks are never killed mid-write —
 /// it only stops *new* work, so the batch drains quickly and returns
 /// partial results.
-#[derive(Debug, Clone, Default)]
+///
+/// Besides the shared trip flag, a deadline remembers when it started and
+/// what its wall-clock budget was, so an expiry can be reported with both
+/// numbers ([`Deadline::elapsed_us`], [`Deadline::budget_us`]). Cloning is
+/// cheap and shares the flag: expire one clone and every holder sees it.
+#[derive(Debug, Clone)]
 pub struct Deadline {
     at: Option<Instant>,
     tripped: Arc<AtomicBool>,
+    started: Instant,
+    budget: Option<Duration>,
+}
+
+impl Default for Deadline {
+    fn default() -> Self {
+        Deadline {
+            at: None,
+            tripped: Arc::default(),
+            started: Instant::now(),
+            budget: None,
+        }
+    }
 }
 
 impl Deadline {
@@ -220,9 +239,12 @@ impl Deadline {
 
     /// Expire `budget` from now.
     pub fn after(budget: Duration) -> Self {
+        let started = Instant::now();
         Deadline {
-            at: Some(Instant::now() + budget),
-            ..Deadline::default()
+            at: Some(started + budget),
+            tripped: Arc::default(),
+            started,
+            budget: Some(budget),
         }
     }
 
@@ -248,6 +270,18 @@ impl Deadline {
     /// Whether the budget is spent.
     pub fn expired(&self) -> bool {
         self.tripped.load(Ordering::Acquire) || self.at.is_some_and(|at| Instant::now() >= at)
+    }
+
+    /// Microseconds since the deadline was created.
+    pub fn elapsed_us(&self) -> u64 {
+        self.started.elapsed().as_micros() as u64
+    }
+
+    /// The wall-clock budget in microseconds (`0` for deadlines without
+    /// one: [`Deadline::never`], [`Deadline::manual`],
+    /// [`Deadline::already_expired`]).
+    pub fn budget_us(&self) -> u64 {
+        self.budget.map_or(0, |b| b.as_micros() as u64)
     }
 }
 
@@ -1043,6 +1077,27 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         let e = out.slots[0].as_ref().expect_err("always fails");
         assert_eq!(e.attempts, 3);
+    }
+
+    #[test]
+    fn manual_deadline_trips_every_clone_and_has_no_budget() {
+        let d = Deadline::manual();
+        let c = d.clone();
+        assert!(!d.expired() && !c.expired());
+        c.expire();
+        assert!(d.expired() && c.expired());
+        assert_eq!(d.budget_us(), 0);
+        assert!(Deadline::already_expired().expired());
+        assert!(!Deadline::never().expired());
+    }
+
+    #[test]
+    fn wall_clock_deadline_reports_its_budget() {
+        let d = Deadline::after(Duration::from_millis(200));
+        assert!(!d.expired(), "200ms budget cannot expire instantly");
+        assert_eq!(d.budget_us(), 200_000);
+        assert!(d.elapsed_us() < 200_000);
+        assert!(Deadline::after(Duration::ZERO).expired());
     }
 
     #[test]

@@ -183,8 +183,8 @@ pub struct ColumnStatistics {
     /// [`EstimatorKind::Uniform`], which needs no sample, and for entries
     /// rebuilt from possibly-dirty persisted evidence via
     /// [`StatisticsCatalog::try_import`]). Holding it here lets later
-    /// consumers — resilience ladders, ad-hoc estimator builds — reuse the
-    /// one sort ANALYZE already paid for.
+    /// consumers — the serving snapshot's brownout rung, ad-hoc estimator
+    /// builds — reuse the one sort ANALYZE already paid for.
     pub prepared: Option<Arc<PreparedColumn>>,
     /// Live incremental substrate (reservoir column + quantile sketch +
     /// feedback grid), present only for entries built by
@@ -290,8 +290,7 @@ pub fn build_estimator_from_prepared(
 /// sample first (dropping NaN, ±Inf, and out-of-domain values), reports
 /// what was dropped, and converts any construction panic of the legacy
 /// estimators into a typed [`EstimateError`] instead of crashing the
-/// caller. This is the construction entry point of the degradation ladder
-/// (see [`crate::resilient`]).
+/// caller.
 pub fn try_build_estimator_from_sample(
     sample: &[f64],
     domain: selest_core::Domain,
@@ -312,10 +311,9 @@ pub fn try_build_estimator_from_sample(
 }
 
 /// Fallible estimator construction over an already-prepared column: the
-/// construction entry point of the degradation ladder (see
-/// [`crate::resilient`]), which prepares the sanitized sample once and
-/// then tries every rung against the same shared substrate. The sample
-/// behind `col` is assumed sanitized; construction panics and non-finite
+/// construction entry point of ANALYZE and of the serving snapshot's
+/// brownout rung, both of which build over the same shared substrate. The
+/// sample behind `col` is assumed sanitized; construction panics and non-finite
 /// full-domain probes come back as typed errors.
 pub fn try_build_estimator_from_prepared(
     col: &Arc<PreparedColumn>,
@@ -346,7 +344,24 @@ pub struct StatisticsCatalog {
     /// stale one from an earlier successful ANALYZE, which keeps
     /// serving); a later successful build clears the record. BTreeMap so
     /// health reports list columns in a stable order.
-    quarantine: BTreeMap<(String, String), crate::resilient::BuildFailure>,
+    quarantine: BTreeMap<(String, String), BuildFailure>,
+}
+
+/// Feedback buckets of the per-column drift monitor. Public so the durable
+/// store can rebuild journaled correction grids with the exact same
+/// geometry.
+pub const DRIFT_BUCKETS: usize = 16;
+/// Learning rate of the drift monitor (shared with the durable store for
+/// the same reason).
+pub const DRIFT_ALPHA: f64 = 0.3;
+
+/// Why a bulkheaded build gave up on a column.
+#[derive(Debug, Clone)]
+pub struct BuildFailure {
+    /// The estimator kind that could not be built.
+    pub kind: EstimatorKind,
+    /// Why.
+    pub error: EstimateError,
 }
 
 /// One column quarantined by a bulkheaded ANALYZE or import.
@@ -357,7 +372,7 @@ pub struct QuarantinedColumn {
     /// Column name.
     pub column: String,
     /// The kind that failed to build, and why.
-    pub failure: crate::resilient::BuildFailure,
+    pub failure: BuildFailure,
 }
 
 /// Point-in-time health of the whole catalog: how many columns serve,
@@ -575,11 +590,7 @@ fn try_incremental_statistics(
             incremental: Some(IncrementalState {
                 column: incremental,
                 sketch,
-                grid: CorrectionGrid::new(
-                    domain,
-                    crate::resilient::DRIFT_BUCKETS,
-                    crate::resilient::DRIFT_ALPHA,
-                ),
+                grid: CorrectionGrid::new(domain, DRIFT_BUCKETS, DRIFT_ALPHA),
                 updates_since_refresh: 0,
                 refreshes: 0,
             }),
@@ -699,7 +710,7 @@ impl StatisticsCatalog {
     /// column builds in a panic-isolated engine task, and a poisoned
     /// column — degenerate sample, panicking constructor, even a panic
     /// escaping the per-column containment — is quarantined with its
-    /// [`crate::resilient::BuildFailure`] instead of aborting the batch.
+    /// [`BuildFailure`] instead of aborting the batch.
     /// The surviving columns form a servable partial catalog whose
     /// exported evidence is byte-identical to what a fault-free ANALYZE
     /// of just those columns would produce.
@@ -776,7 +787,7 @@ impl StatisticsCatalog {
             };
             self.quarantine.insert(
                 key,
-                crate::resilient::BuildFailure {
+                BuildFailure {
                     kind: config.kind,
                     error,
                 },
@@ -805,24 +816,6 @@ impl StatisticsCatalog {
                 self.quarantine.insert(key, failure);
             }
         }
-    }
-
-    /// Consume the catalog into its entries, sorted by `(relation,
-    /// column)`, plus its quarantine records in the same order. The
-    /// serving snapshot builder takes ownership this way so each entry's
-    /// estimator `Box` can move into an `Arc` without a rebuild or copy.
-    #[allow(clippy::type_complexity)]
-    pub fn into_sorted_entries(
-        self,
-    ) -> (
-        Vec<ColumnStatistics>,
-        Vec<((String, String), crate::resilient::BuildFailure)>,
-    ) {
-        let mut entries: Vec<ColumnStatistics> = self.entries.into_values().collect();
-        entries.sort_by(|a, b| {
-            (a.relation.as_ref(), a.column.as_ref()).cmp(&(b.relation.as_ref(), b.column.as_ref()))
-        });
-        (entries, self.quarantine.into_iter().collect())
     }
 
     /// Snapshot catalog health: servable entry count plus every column a
@@ -957,7 +950,7 @@ impl StatisticsCatalog {
             };
             self.quarantine.insert(
                 key.clone(),
-                crate::resilient::BuildFailure {
+                BuildFailure {
                     kind: e.kind,
                     error: err.clone(),
                 },
@@ -1008,7 +1001,7 @@ impl StatisticsCatalog {
             };
             self.quarantine.insert(
                 key,
-                crate::resilient::BuildFailure {
+                BuildFailure {
                     kind: config.kind,
                     error,
                 },
@@ -1119,7 +1112,7 @@ impl StatisticsCatalog {
                             Err(error) => {
                                 self.quarantine.insert(
                                     key.clone(),
-                                    crate::resilient::BuildFailure {
+                                    BuildFailure {
                                         kind: stats.kind,
                                         error,
                                     },
@@ -1250,11 +1243,7 @@ impl StatisticsCatalog {
                     // Corrections were learned against the replaced
                     // estimator; they do not transfer (same contract as
                     // durable publish resetting the feedback journal).
-                    state.grid = CorrectionGrid::new(
-                        domain,
-                        crate::resilient::DRIFT_BUCKETS,
-                        crate::resilient::DRIFT_ALPHA,
-                    );
+                    state.grid = CorrectionGrid::new(domain, DRIFT_BUCKETS, DRIFT_ALPHA);
                     self.quarantine.remove(&key);
                     report.refreshed.push((key.0, key.1, reason));
                     continue;
@@ -1264,7 +1253,7 @@ impl StatisticsCatalog {
             };
             self.quarantine.insert(
                 key.clone(),
-                crate::resilient::BuildFailure {
+                BuildFailure {
                     kind,
                     error: error.clone(),
                 },
@@ -1367,11 +1356,7 @@ impl StatisticsCatalog {
                 incremental: Some(IncrementalState {
                     column,
                     sketch,
-                    grid: CorrectionGrid::new(
-                        domain,
-                        crate::resilient::DRIFT_BUCKETS,
-                        crate::resilient::DRIFT_ALPHA,
-                    ),
+                    grid: CorrectionGrid::new(domain, DRIFT_BUCKETS, DRIFT_ALPHA),
                     updates_since_refresh: checkpoint.updates_since_refresh,
                     refreshes: 0,
                 }),

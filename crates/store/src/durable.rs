@@ -23,9 +23,10 @@
 //! fsync file → fsync dir → rename → fsync dir), and the `MANIFEST`
 //! rename is the single commit point: a crash anywhere leaves the store
 //! byte-identical to either the pre-commit or post-commit state, never a
-//! torn hybrid. [`DurableStore::open`] walks a **recovery ladder**
-//! mirroring `ResilientEstimator`'s philosophy — active generation →
-//! journal replay → previous good generation → quarantine-and-rebuild —
+//! torn hybrid. [`DurableStore::open`] walks a **recovery ladder** that,
+//! like the serving engine's rungs, always ends somewhere servable —
+//! active generation → journal replay → previous good generation →
+//! quarantine-and-rebuild —
 //! and reports every step in a typed [`RecoveryReport`]. The write path
 //! is hardened by consulting a [`CrashPlan`] at each I/O boundary, so the
 //! chaos suite can simulate a crash at every point and assert recovery.
@@ -41,11 +42,10 @@ use selest_core::{CorrectionGrid, Domain, RangeQuery};
 use selest_core::incremental::{IncrementalColumn, IncrementalParts, ReservoirParts};
 use selest_data::{GkParts, GkSketch};
 
-use crate::catalog::{SketchCheckpoint, StatisticsCatalog};
+use crate::catalog::{SketchCheckpoint, StatisticsCatalog, DRIFT_ALPHA, DRIFT_BUCKETS};
 use crate::faultinject::{CrashPlan, CrashPoint};
 use crate::online::OnlineSelectivity;
 use crate::persist::{self, fnv1a64, kind_token, parse_kind, PersistedStatistics};
-use crate::resilient::{DRIFT_ALPHA, DRIFT_BUCKETS};
 
 /// Manifest header line.
 const MANIFEST_HEADER: &str = "selest-manifest v1";

@@ -24,16 +24,15 @@ pub mod persist;
 pub mod planner;
 pub mod query;
 pub mod relation;
-pub mod resilient;
 pub mod serving;
 pub mod staleness;
 
 pub use catalog::{
     build_estimator, build_estimator_from_prepared, build_estimator_from_sample,
     try_build_estimator_from_prepared, try_build_estimator_from_sample, AnalyzeConfig,
-    CatalogHealthReport, ColumnDelta, ColumnStatistics, EstimatorKind, IncrementalState,
-    QuarantinedColumn, RefreshReport, SketchCheckpoint, StatisticsCatalog, UpdateReport,
-    SKETCH_EPSILON,
+    BuildFailure, CatalogHealthReport, ColumnDelta, ColumnStatistics, EstimatorKind,
+    IncrementalState, QuarantinedColumn, RefreshReport, SketchCheckpoint, StatisticsCatalog,
+    UpdateReport, SKETCH_EPSILON,
 };
 pub use conjunctive::{CorrelationModel, PairStatistics};
 pub use durable::{
@@ -55,9 +54,8 @@ pub use planner::{
 };
 pub use query::{ChosenPath, Database, Explanation, QueryResult, RangePredicate, SelectQuery};
 pub use relation::{Column, Relation};
-pub use resilient::{BuildFailure, HealthReport, ResilientEstimator};
 pub use serving::{
-    BreakerHealth, CacheStats, CatalogSnapshot, EstimateCache, ServeRung, ServedEstimate,
+    route, BreakerHealth, CacheStats, CatalogSnapshot, EstimateCache, ServeRung, ServedEstimate,
     ServingColumn, ServingEngine, ServingHealthReport, ServingOptions, ServingPublishReport,
     ServingScratch, ShardHealth, StaleRepublishReport,
 };

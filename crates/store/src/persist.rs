@@ -596,8 +596,8 @@ mod tests {
             }
             other => panic!("expected a caught build panic, got {:?}", other.err()),
         }
-        // The sampling rung digests the same evidence fine — that is the
-        // degradation ladder's next stop.
+        // The sampling kind digests the same evidence fine — a rebuild
+        // under a cheaper kind is the way back to real statistics.
         e.kind = EstimatorKind::Sampling;
         assert!(e.try_rebuild().is_ok());
     }

@@ -29,34 +29,45 @@
 //!
 //! # Serving under overload
 //!
-//! The engine degrades instead of falling over, in four layers (see
+//! The engine degrades instead of falling over. Every column carries
+//! three pre-built rungs — its primary estimator, an optional cheap
+//! brownout rung, and the uniform floor — and one routing decision,
+//! [`route`], picks the rung that answers a batch's cache misses (see
 //! [`crate::overload`] for the control machinery):
 //!
-//! * **Deadlines** — callers may attach a [`QueryDeadline`] to a request
+//! * **Deadlines** — callers may attach a [`Deadline`] to a request
 //!   ([`ServingEngine::try_estimate_with`] /
-//!   [`ServingEngine::estimate_batch_with`]); it rides inside the
-//!   [`BatchScratch`] to the estimator, which cancels cooperatively at
-//!   its checkpoints. Expired work comes back as typed
-//!   [`EstimateError::DeadlineExceeded`] slots; finished slots keep their
-//!   unhurried bits (partial results, never hurried arithmetic).
+//!   [`ServingEngine::estimate_batch_with`]). An expired one refuses
+//!   before any work; a live one rides inside the [`BatchScratch`] to the
+//!   rung, which cancels cooperatively at its checkpoints. Expired work
+//!   comes back as typed [`EstimateError::DeadlineExceeded`] slots;
+//!   finished slots keep their unhurried bits (partial results, never
+//!   hurried arithmetic).
 //! * **Adaptive shedding** — each shard folds its request latencies into
 //!   an EWMA; above SLO pressure 1 the [`ShedController`] refuses
 //!   admissions probabilistically (seeded, replayable), stamping
 //!   [`EstimateError::Overloaded`] with a `retry_after_us` drain hint.
 //!   The fixed `admission_limit` remains as the hard ceiling.
-//! * **Circuit breakers** — every serving column carries a
-//!   [`ColumnBreaker`]; consecutive estimator failures (panics,
-//!   non-finite answers, deadline timeouts) trip it open and the column
-//!   serves its uniform floor without touching the primary, half-open
-//!   probes on a seeded call-count backoff deciding recovery. Breaker
-//!   state survives republishes (grafted by column name at publish).
 //! * **Brownout** — under SLO pressure the engine's [`LoadTier`] moves
-//!   `Normal → Brownout → Shed`; in brownout, cache misses are answered
-//!   by a cheaper pre-built rung (equi-depth or sampling, the paper's own
-//!   cost ranking) instead of the preferred estimator. Cache *hits* still
-//!   serve full precision, and brownout answers are never cached, so the
-//!   cache holds only full-precision values and every response is tagged
-//!   ([`ServeRung`]) with what produced it.
+//!   `Normal → Brownout → Shed`; off `Normal`, [`route`] sends misses to
+//!   the column's brownout rung (equi-depth or sampling, the paper's own
+//!   cost ranking) when it has one, without consulting the breaker.
+//! * **Circuit breakers** — otherwise [`route`] asks the column's
+//!   [`ColumnBreaker`]: open routes to the floor without touching the
+//!   primary; closed or half-open (a probe on a seeded call-count
+//!   backoff) routes to the primary. Consecutive primary failures
+//!   (panics, non-finite answers, deadline timeouts) trip it. Breaker
+//!   state survives republishes (grafted by column name at publish).
+//!
+//! Whichever rung answers, one rule finishes every slot: a non-finite
+//! answer or a fault is answered by the floor; each answered slot is
+//! counted exactly once (`brownout_served`, `floor_served`,
+//! `deadline_refused`, or none for a full-precision answer); and only
+//! primary answers enter the cache, so the cache holds full-precision
+//! values only and cache hits always serve [`ServeRung::Full`]. Every
+//! response is tagged ([`ServeRung`]) with what produced it.
+//! [`ServingEngine::try_estimate_with`] is a batch of one through the
+//! same code.
 
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
@@ -66,13 +77,14 @@ use std::time::Instant;
 
 use selest_core::fault::{catch_fault, EstimateError, FaultStage};
 use selest_core::{
-    BatchScratch, Domain, QueryDeadline, RangeQuery, SelectivityEstimator, UniformEstimator,
+    BatchScratch, Domain, PreparedColumn, RangeQuery, SelectivityEstimator, UniformEstimator,
 };
-use selest_par::{shard_for, ShardPool, TryConfig};
+use selest_par::{shard_for, Deadline, ShardPool, TryConfig};
 
 use crate::catalog::{
     try_build_estimator_from_prepared, try_build_estimator_from_sample, AnalyzeConfig,
-    CatalogHealthReport, EstimatorKind, QuarantinedColumn, RefreshReport, StatisticsCatalog,
+    CatalogHealthReport, ColumnStatistics, EstimatorKind, QuarantinedColumn, RefreshReport,
+    StatisticsCatalog,
 };
 use crate::durable::DurableStore;
 use crate::overload::{
@@ -80,7 +92,6 @@ use crate::overload::{
     TierController,
 };
 use crate::relation::Relation;
-use crate::resilient::ResilientEstimator;
 use crate::staleness::StalenessPolicy;
 
 /// One servable column inside a [`CatalogSnapshot`].
@@ -96,7 +107,7 @@ pub struct ServingColumn {
     /// Cheaper pre-built rung served on cache misses in brownout (`None`
     /// when the primary is already cheap — histograms, sampling, uniform).
     brownout: Option<Arc<dyn SelectivityEstimator + Send + Sync>>,
-    /// The ladder floor: uniform over the column domain. Never fails.
+    /// The floor rung: uniform over the column domain. Never fails.
     floor: Arc<dyn SelectivityEstimator + Send + Sync>,
     /// Per-column circuit breaker. Re-seeded (or state-grafted) by the
     /// engine at publish time; the construction default only matters for
@@ -113,7 +124,7 @@ fn degradation_rungs(
     kind: EstimatorKind,
     domain: Domain,
     sample: &[f64],
-    prepared: Option<&Arc<selest_core::PreparedColumn>>,
+    prepared: Option<&Arc<PreparedColumn>>,
 ) -> (
     Option<Arc<dyn SelectivityEstimator + Send + Sync>>,
     Arc<dyn SelectivityEstimator + Send + Sync>,
@@ -172,25 +183,65 @@ impl ServingColumn {
         domain: Domain,
         sample: Arc<[f64]>,
     ) -> Self {
-        let (brownout, floor) = degradation_rungs(kind, domain, &sample, None);
+        let names = (relation.into(), column.into());
+        Self::assemble(names, Some(estimator), n_rows, kind, domain, sample, None)
+    }
+
+    /// Serve a catalog entry, sharing its names, estimator and evidence.
+    fn from_statistics(st: &ColumnStatistics) -> Self {
+        Self::assemble(
+            (Arc::clone(&st.relation), Arc::clone(&st.column)),
+            Some(Arc::clone(&st.estimator)),
+            st.n_rows,
+            st.kind,
+            st.domain,
+            Arc::clone(&st.sample),
+            st.prepared.as_ref(),
+        )
+    }
+
+    /// The one place a column is put together: derive its brownout rung
+    /// and floor from `kind` and the evidence (the prepared column when
+    /// there is one, so no sample is re-sorted). A `primary` of `None`
+    /// marks a quarantined column, whose floor serves as its primary.
+    fn assemble(
+        (relation, column): (Arc<str>, Arc<str>),
+        primary: Option<Arc<dyn SelectivityEstimator + Send + Sync>>,
+        n_rows: usize,
+        kind: EstimatorKind,
+        domain: Domain,
+        sample: Arc<[f64]>,
+        prepared: Option<&Arc<PreparedColumn>>,
+    ) -> Self {
+        let (brownout, floor) = degradation_rungs(kind, domain, &sample, prepared);
         ServingColumn {
-            relation: relation.into(),
-            column: column.into(),
-            estimator,
+            relation,
+            column,
+            quarantined: primary.is_none(),
+            estimator: primary.unwrap_or_else(|| Arc::clone(&floor)),
             n_rows,
             kind,
             domain,
             sample,
-            quarantined: false,
             brownout,
             floor,
-            breaker: Arc::new(ColumnBreaker::new(
-                OverloadOptions::default().breaker_threshold,
-                OverloadOptions::default().breaker_cooldown_calls,
-                OverloadOptions::default().seed,
-            )),
+            breaker: default_breaker(),
         }
     }
+
+    /// The pre-built estimator behind `rung`. [`route`] picks
+    /// [`ServeRung::Brownout`] only for columns that have that rung.
+    fn rung(&self, rung: ServeRung) -> &(dyn SelectivityEstimator + Send + Sync) {
+        match rung {
+            ServeRung::Full => self.estimator.as_ref(),
+            ServeRung::Brownout => self
+                .brownout
+                .as_deref()
+                .expect("route picks brownout only when the rung exists"),
+            ServeRung::Floor => self.floor.as_ref(),
+        }
+    }
+
     /// Relation name.
     pub fn relation(&self) -> &str {
         &self.relation
@@ -223,8 +274,8 @@ impl ServingColumn {
     }
 
     /// Whether this column is serving degraded (its ANALYZE was
-    /// quarantined, so the uniform rung of the degradation ladder
-    /// answers instead of real statistics).
+    /// quarantined, so its uniform floor serves as the primary instead of
+    /// real statistics).
     pub fn quarantined(&self) -> bool {
         self.quarantined
     }
@@ -269,22 +320,20 @@ impl CatalogSnapshot {
     /// relation there is no trustworthy domain to degrade over; see
     /// [`CatalogSnapshot::from_catalog_for`].
     pub fn from_catalog(catalog: StatisticsCatalog, generation: u64) -> Self {
-        Self::build(None, catalog, generation)
+        Self::freeze(None, &catalog, generation)
     }
 
     /// Freeze a catalog into a snapshot, degrading quarantined columns of
-    /// `relation` instead of dropping them: each gets a
-    /// [`ResilientEstimator`] ladder built over an empty sample, whose
-    /// every sampled rung fails to build and whose uniform floor — the
-    /// bottom rung of the PR 5 degradation ladder — therefore serves.
-    /// Reads of a quarantined column keep answering (uniformly) rather
-    /// than erroring, exactly as a sticky full demotion would.
+    /// `relation` instead of dropping them: each serves its uniform floor
+    /// (over the relation's column domain) as its primary, tagged
+    /// [`ServeRung::Full`]. Reads of a quarantined column keep answering
+    /// (uniformly) rather than erroring.
     pub fn from_catalog_for(
         relation: &Relation,
         catalog: StatisticsCatalog,
         generation: u64,
     ) -> Self {
-        Self::build(Some(relation), catalog, generation)
+        Self::freeze(Some(relation), &catalog, generation)
     }
 
     /// Freeze a *shared view* of the catalog into a snapshot without
@@ -295,96 +344,31 @@ impl CatalogSnapshot {
     /// incremental substrate — quarantined columns have no serving entry,
     /// as in [`CatalogSnapshot::from_catalog`].
     pub fn from_catalog_ref(catalog: &StatisticsCatalog, generation: u64) -> Self {
-        let mut columns: Vec<ServingColumn> = catalog
-            .iter()
-            .map(|st| {
-                let (brownout, floor) =
-                    degradation_rungs(st.kind, st.domain, &st.sample, st.prepared.as_ref());
-                ServingColumn {
-                    relation: Arc::clone(&st.relation),
-                    column: Arc::clone(&st.column),
-                    estimator: Arc::clone(&st.estimator),
-                    n_rows: st.n_rows,
-                    kind: st.kind,
-                    domain: st.domain,
-                    sample: Arc::clone(&st.sample),
-                    quarantined: false,
-                    brownout,
-                    floor,
-                    breaker: default_breaker(),
-                }
-            })
-            .collect();
-        columns.sort_by(|a, b| {
-            (a.relation.as_ref(), a.column.as_ref()).cmp(&(b.relation.as_ref(), b.column.as_ref()))
-        });
-        CatalogSnapshot {
-            generation,
-            columns,
-            quarantined: catalog.health().quarantined,
-        }
+        Self::freeze(None, catalog, generation)
     }
 
-    fn build(relation: Option<&Relation>, catalog: StatisticsCatalog, generation: u64) -> Self {
-        let (entries, quarantine) = catalog.into_sorted_entries();
-        let mut columns: Vec<ServingColumn> = entries
-            .into_iter()
-            .map(|st| {
-                let (brownout, floor) =
-                    degradation_rungs(st.kind, st.domain, &st.sample, st.prepared.as_ref());
-                ServingColumn {
-                    relation: st.relation,
-                    column: st.column,
-                    estimator: st.estimator,
-                    n_rows: st.n_rows,
-                    kind: st.kind,
-                    domain: st.domain,
-                    sample: st.sample,
-                    quarantined: false,
-                    brownout,
-                    floor,
-                    breaker: default_breaker(),
-                }
-            })
-            .collect();
-        let mut quarantined = Vec::with_capacity(quarantine.len());
-        for ((rel, col), failure) in quarantine {
-            if let Some(r) = relation {
-                if r.name() == rel {
-                    if let Some(c) = r.column(&col) {
-                        let ladder = ResilientEstimator::build(&[], c.domain(), failure.kind);
-                        let (brownout, floor) =
-                            degradation_rungs(EstimatorKind::Uniform, c.domain(), &[], None);
-                        columns.push(ServingColumn {
-                            relation: rel.as_str().into(),
-                            column: col.as_str().into(),
-                            estimator: Arc::new(ladder),
-                            n_rows: c.len(),
-                            kind: EstimatorKind::Uniform,
-                            domain: c.domain(),
-                            sample: Vec::new().into(),
-                            quarantined: true,
-                            brownout,
-                            floor,
-                            breaker: default_breaker(),
-                        });
-                    }
+    fn freeze(relation: Option<&Relation>, catalog: &StatisticsCatalog, generation: u64) -> Self {
+        let mut columns: Vec<ServingColumn> =
+            catalog.iter().map(ServingColumn::from_statistics).collect();
+        let quarantined = catalog.health().quarantined;
+        if let Some(r) = relation {
+            for q in quarantined.iter().filter(|q| q.relation == r.name()) {
+                if let Some(c) = r.column(&q.column) {
+                    columns.push(ServingColumn::assemble(
+                        (q.relation.as_str().into(), q.column.as_str().into()),
+                        None,
+                        c.len(),
+                        EstimatorKind::Uniform,
+                        c.domain(),
+                        Vec::new().into(),
+                        None,
+                    ));
                 }
             }
-            quarantined.push(QuarantinedColumn {
-                relation: rel,
-                column: col,
-                failure,
-            });
         }
-        columns.sort_by(|a, b| {
-            (a.relation.as_ref(), a.column.as_ref()).cmp(&(b.relation.as_ref(), b.column.as_ref()))
-        });
-        CatalogSnapshot {
-            generation,
-            columns,
-            quarantined,
-        }
+        let mut snapshot = Self::from_columns(columns, generation);
+        snapshot.quarantined = quarantined;
+        snapshot
     }
 
     /// Assemble a snapshot from hand-built columns (sorted here), chiefly
@@ -755,7 +739,7 @@ pub struct ServingHealthReport {
     pub breakers: Vec<BreakerHealth>,
 }
 
-/// Which rung of the degradation ladder produced a served estimate.
+/// Which of a column's pre-built rungs produced a served estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeRung {
     /// The column's primary estimator (or the cache, which holds only
@@ -764,8 +748,25 @@ pub enum ServeRung {
     /// The cheap brownout rung (equi-depth/sampling): bounded-error,
     /// served under SLO pressure.
     Brownout,
-    /// The uniform floor: the breaker is open or the primary failed.
+    /// The uniform floor: the breaker is open or the routed rung failed.
     Floor,
+}
+
+/// The serving path's one routing decision: which of a column's rungs
+/// answers a batch's cache misses. Brownout is decided first — off
+/// [`LoadTier::Normal`], a column with a brownout rung serves it and the
+/// primary is never consulted, so its breaker is neither asked nor
+/// charged. Otherwise the breaker decides: open routes to the floor,
+/// closed or half-open (a probe) to the primary. Asking the breaker
+/// ticks its call-count cooldown clock, the only state this touches.
+pub fn route(tier: LoadTier, brownout_rung_present: bool, breaker: &ColumnBreaker) -> ServeRung {
+    if tier != LoadTier::Normal && brownout_rung_present {
+        return ServeRung::Brownout;
+    }
+    match breaker.route() {
+        BreakerRoute::Floor => ServeRung::Floor,
+        BreakerRoute::Primary | BreakerRoute::Probe => ServeRung::Full,
+    }
 }
 
 /// A served estimate: the value plus the rung that produced it, so
@@ -824,15 +825,20 @@ pub struct ServingScratch {
     batch: BatchScratch,
     miss_queries: Vec<RangeQuery>,
     miss_slots: Vec<usize>,
-    miss_values: Vec<f64>,
     miss_tried: Vec<Result<f64, EstimateError>>,
     served: Vec<Result<ServedEstimate, EstimateError>>,
 }
 
 impl ServingScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        ServingScratch {
+            batch: BatchScratch::new(),
+            miss_queries: Vec::new(),
+            miss_slots: Vec::new(),
+            miss_tried: Vec::new(),
+            served: Vec::new(),
+        }
     }
 }
 
@@ -846,6 +852,9 @@ type TlSnapshots = Vec<(u64, u64, Arc<CatalogSnapshot>)>;
 
 thread_local! {
     static SNAPSHOTS: RefCell<TlSnapshots> = const { RefCell::new(Vec::new()) };
+    /// The scratch [`ServingEngine::try_estimate_with`] serves its batch
+    /// of one through, warm after the thread's first request.
+    static SINGLE_SCRATCH: RefCell<ServingScratch> = const { RefCell::new(ServingScratch::new()) };
 }
 
 /// How many engines one thread caches snapshots for before evicting the
@@ -1014,7 +1023,7 @@ impl ServingEngine {
     /// on the worker that owns them, merge the per-shard catalogs (shards
     /// partition the columns, so the merged catalog is bit-identical to a
     /// sequential ANALYZE for every shard count), degrade quarantined
-    /// columns to the uniform ladder floor, and publish atomically.
+    /// columns to their uniform floor, and publish atomically.
     ///
     /// Safe to call from a background thread while readers serve: they
     /// keep the old snapshot until the swap, then see the new one whole.
@@ -1197,11 +1206,12 @@ impl ServingEngine {
 
     /// Serve one estimate: validate, look up the column in the current
     /// snapshot, pass admission control, probe the cache, and fall
-    /// through to the estimator on a miss (filling the cache). The value
-    /// is bit-identical to the sequential path — cached or not — whenever
-    /// the engine is healthy; under brownout, an open breaker, or a
-    /// primary failure the value may come from a degraded rung (use
-    /// [`ServingEngine::try_estimate_with`] to see which).
+    /// through to the routed rung on a miss (filling the cache from the
+    /// primary). The value is bit-identical to the sequential path —
+    /// cached or not — whenever the engine is healthy; under brownout, an
+    /// open breaker, or a primary failure the value may come from a
+    /// degraded rung (use [`ServingEngine::try_estimate_with`] to see
+    /// which).
     pub fn try_estimate(
         &self,
         relation: &str,
@@ -1212,113 +1222,40 @@ impl ServingEngine {
             .map(|s| s.value)
     }
 
-    /// Serve one estimate with full overload semantics: an optional
-    /// deadline (checked before any work; expired requests refuse with
-    /// [`EstimateError::DeadlineExceeded`]), brownout routing, the
-    /// column's circuit breaker, and a rung tag on the answer.
-    ///
-    /// Cache hits always serve [`ServeRung::Full`] — a cached value was
-    /// produced by the primary, and answering it costs nothing worth
-    /// degrading. Degraded answers (brownout or floor) are never written
-    /// into the cache, so the cache holds full-precision values only.
+    /// Serve one estimate with full overload semantics: a batch of one
+    /// through [`ServingEngine::estimate_batch_with`] on a thread-local
+    /// scratch, so it shares every rule of the batch path — including a
+    /// live deadline reaching the estimator's cooperative checkpoints —
+    /// and allocates nothing once the thread is warm.
     pub fn try_estimate_with(
         &self,
         relation: &str,
         column: &str,
         q: &RangeQuery,
-        deadline: Option<&QueryDeadline>,
+        deadline: Option<&Deadline>,
     ) -> Result<ServedEstimate, EstimateError> {
-        q.validate()?;
-        if let Some(d) = deadline.filter(|d| d.expired()) {
-            self.deadline_refused.fetch_add(1, Ordering::Relaxed);
-            return Err(d.error());
-        }
-        let snap = self.snapshot();
-        let (idx, col) = snap
-            .find(relation, column)
-            .ok_or_else(|| Self::missing(relation, column))?;
-        let shard = shard_for(relation, column, self.shards());
-        let _guard = self.admit(shard)?;
-        let started = Instant::now();
-        let generation = snap.generation();
-        if let Some(v) = self.cache.get(generation, idx, &col.domain, q) {
-            self.note_latency(shard, started);
-            return Ok(ServedEstimate {
-                value: v,
-                rung: ServeRung::Full,
-            });
-        }
-        // Brownout is decided *before* the breaker: when the tier routes
-        // to the cheap rung the primary is never consulted, so its
-        // breaker must not be charged either way.
-        if self.overload.brownout && self.tier.tier() != LoadTier::Normal {
-            if let Some(b) = col.brownout.as_deref() {
-                let served =
-                    catch_fault(FaultStage::Estimate, AssertUnwindSafe(|| b.selectivity(q)))
-                        .ok()
-                        .filter(|v| v.is_finite())
-                        .map(|value| {
-                            self.brownout_served.fetch_add(1, Ordering::Relaxed);
-                            ServedEstimate {
-                                value,
-                                rung: ServeRung::Brownout,
-                            }
-                        })
-                        .unwrap_or_else(|| {
-                            self.floor_served.fetch_add(1, Ordering::Relaxed);
-                            ServedEstimate {
-                                value: col.floor.selectivity(q),
-                                rung: ServeRung::Floor,
-                            }
-                        });
-                self.note_latency(shard, started);
-                return Ok(served);
-            }
-        }
-        let route = col.breaker.route();
-        if route == BreakerRoute::Floor {
-            self.floor_served.fetch_add(1, Ordering::Relaxed);
-            let served = ServedEstimate {
-                value: col.floor.selectivity(q),
-                rung: ServeRung::Floor,
-            };
-            self.note_latency(shard, started);
-            return Ok(served);
-        }
-        let tried = catch_fault(
-            FaultStage::Estimate,
-            AssertUnwindSafe(|| col.estimator.selectivity(q)),
+        // Taken, not borrowed: a re-entrant call (an estimator serving
+        // through the engine) gets a fresh scratch instead of a panic.
+        let mut scratch = SINGLE_SCRATCH.take();
+        let mut served = std::mem::take(&mut scratch.served);
+        self.estimate_batch_with(
+            relation,
+            column,
+            std::slice::from_ref(q),
+            deadline,
+            &mut scratch,
+            &mut served,
         );
-        let served = match tried {
-            Ok(v) if v.is_finite() => {
-                col.breaker.on_success();
-                self.cache.insert(generation, idx, &col.domain, q, v);
-                ServedEstimate {
-                    value: v,
-                    rung: ServeRung::Full,
-                }
-            }
-            // Panic or non-finite: charge the breaker, absorb into the
-            // floor — an estimate request never surfaces a poisoned
-            // primary while the floor can answer.
-            _ => {
-                col.breaker.on_failure();
-                self.floor_served.fetch_add(1, Ordering::Relaxed);
-                ServedEstimate {
-                    value: col.floor.selectivity(q),
-                    rung: ServeRung::Floor,
-                }
-            }
-        };
-        self.note_latency(shard, started);
-        Ok(served)
+        let slot = served.pop().expect("one slot per query");
+        scratch.served = served;
+        SINGLE_SCRATCH.set(scratch);
+        slot
     }
 
     /// Serve a whole batch against one column, allocation-free once
     /// `scratch` is warm: invalid queries come back as per-slot errors,
     /// cache hits answer directly, and the misses are compacted and
-    /// evaluated through the estimator's amortized
-    /// [`SelectivityEstimator::selectivity_batch_into`] kernel — so the
+    /// evaluated through the estimator's amortized batch kernel — so the
     /// mixed hit/miss result is still bit-identical to the sequential
     /// batch path (the workspace contract makes batch and per-query
     /// evaluation interchangeable at the bit level).
@@ -1341,22 +1278,30 @@ impl ServingEngine {
         scratch.served = served;
     }
 
-    /// Serve a whole batch with full overload semantics: the optional
-    /// `deadline` rides inside the scratch's [`BatchScratch`] to the
-    /// estimator (which cancels cooperatively mid-scan), brownout routes
-    /// misses to the cheap rung, the column breaker gates the primary,
-    /// and every answered slot is tagged with the rung that produced it.
+    /// Serve a whole batch with full overload semantics. Invalid queries
+    /// answer `InvalidQuery`; an already-expired `deadline` refuses every
+    /// valid slot before any work. Cache hits serve [`ServeRung::Full`];
+    /// the misses go, in one batch call, to the rung [`route`] picks, with
+    /// the deadline armed in the scratch's [`BatchScratch`] so the rung
+    /// can cancel cooperatively mid-scan. Each miss slot then ends one
+    /// way, whichever rung answered:
     ///
-    /// Slot semantics: invalid queries answer `InvalidQuery`; an expired
-    /// deadline answers `DeadlineExceeded` in every slot the estimator
-    /// did not finish — finished slots keep their full-precision bits
-    /// (cooperative cancellation never hurries arithmetic).
+    /// * a finite answer serves, tagged with the rung (and is cached only
+    ///   if the rung is the primary);
+    /// * `DeadlineExceeded` refuses the slot — finished slots keep their
+    ///   unhurried bits, and degrading an unfinished one would hand back a
+    ///   worse answer than the caller's budget asked for;
+    /// * anything else (a fault, a non-finite answer, a panic of the whole
+    ///   call) is answered by the floor.
+    ///
+    /// Only the primary charges the breaker: once per faulted slot, once
+    /// for a whole-call panic or a timeout, otherwise a success.
     pub fn estimate_batch_with(
         &self,
         relation: &str,
         column: &str,
         queries: &[RangeQuery],
-        deadline: Option<&QueryDeadline>,
+        deadline: Option<&Deadline>,
         scratch: &mut ServingScratch,
         out: &mut Vec<Result<ServedEstimate, EstimateError>>,
     ) {
@@ -1370,7 +1315,7 @@ impl ServingEngine {
         if let Some(d) = deadline.filter(|d| d.expired()) {
             let mut refused = 0u64;
             for slot in out.iter_mut().filter(|s| s.is_ok()) {
-                *slot = Err(d.error());
+                *slot = Err(EstimateError::deadline_exceeded(d));
                 refused += 1;
             }
             self.deadline_refused.fetch_add(refused, Ordering::Relaxed);
@@ -1415,165 +1360,107 @@ impl ServingEngine {
                 }
             }
         }
-        if scratch.miss_queries.is_empty() {
-            self.note_latency(shard, started);
-            return;
+        if !scratch.miss_queries.is_empty() {
+            let brownout = self.overload.brownout && col.brownout.is_some();
+            let rung = route(self.tier.tier(), brownout, &col.breaker);
+            self.serve_misses(&snap, idx, rung, deadline, scratch, out);
         }
-        // Brownout: the whole miss set goes to the cheap rung in one
-        // batch call (its own scratch deadline stays unarmed — the rung
-        // is cheap by construction). The primary's breaker is untouched:
-        // it was never consulted.
-        if self.overload.brownout && self.tier.tier() != LoadTier::Normal {
-            if let Some(b) = col.brownout.as_deref() {
-                scratch.miss_values.clear();
-                scratch.miss_values.resize(scratch.miss_queries.len(), 0.0);
-                let queries_ref = &scratch.miss_queries;
-                let batch = &mut scratch.batch;
-                let values = &mut scratch.miss_values;
-                let tried = catch_fault(
-                    FaultStage::Estimate,
-                    AssertUnwindSafe(|| b.selectivity_batch_into(queries_ref, batch, values)),
-                );
-                match tried {
-                    Ok(()) => {
-                        self.brownout_served
-                            .fetch_add(scratch.miss_slots.len() as u64, Ordering::Relaxed);
-                        for ((&i, q), &v) in scratch
-                            .miss_slots
-                            .iter()
-                            .zip(&scratch.miss_queries)
-                            .zip(&scratch.miss_values)
-                        {
-                            out[i] = if v.is_finite() {
-                                Ok(ServedEstimate {
-                                    value: v,
-                                    rung: ServeRung::Brownout,
-                                })
-                            } else {
-                                self.floor_served.fetch_add(1, Ordering::Relaxed);
-                                Ok(ServedEstimate {
-                                    value: col.floor.selectivity(q),
-                                    rung: ServeRung::Floor,
-                                })
-                            };
-                        }
-                    }
-                    Err(_) => {
-                        self.floor_served
-                            .fetch_add(scratch.miss_slots.len() as u64, Ordering::Relaxed);
-                        for (&i, q) in scratch.miss_slots.iter().zip(&scratch.miss_queries) {
-                            out[i] = Ok(ServedEstimate {
-                                value: col.floor.selectivity(q),
-                                rung: ServeRung::Floor,
-                            });
-                        }
-                    }
-                }
-                self.note_latency(shard, started);
-                return;
-            }
-        }
-        // Breaker open: the primary is not consulted; the floor answers
-        // every miss.
-        if col.breaker.route() == BreakerRoute::Floor {
-            self.floor_served
-                .fetch_add(scratch.miss_slots.len() as u64, Ordering::Relaxed);
-            for (&i, q) in scratch.miss_slots.iter().zip(&scratch.miss_queries) {
-                out[i] = Ok(ServedEstimate {
-                    value: col.floor.selectivity(q),
-                    rung: ServeRung::Floor,
-                });
-            }
-            self.note_latency(shard, started);
-            return;
-        }
-        // Primary (or half-open probe): run the fallible batch kernel
-        // with the deadline armed in the scratch, panic-contained.
-        scratch.miss_tried.clear();
-        scratch
-            .miss_tried
-            .resize(scratch.miss_queries.len(), Ok(f64::NAN));
+        self.note_latency(shard, started);
+    }
+
+    /// Answer a batch's compacted cache misses from `rung` and finish
+    /// every slot by the one rule of [`ServingEngine::estimate_batch_with`].
+    fn serve_misses(
+        &self,
+        snap: &CatalogSnapshot,
+        idx: usize,
+        rung: ServeRung,
+        deadline: Option<&Deadline>,
+        scratch: &mut ServingScratch,
+        out: &mut [Result<ServedEstimate, EstimateError>],
+    ) {
+        let col = &snap.columns[idx];
         if let Some(d) = deadline {
             scratch.batch.set_deadline(d.clone());
         }
-        let queries_ref = &scratch.miss_queries;
-        let batch = &mut scratch.batch;
-        let tried_slots = &mut scratch.miss_tried;
-        let est = col.estimator.as_ref();
+        let est = col.rung(rung);
+        let (queries, batch, tried) = (
+            &scratch.miss_queries,
+            &mut scratch.batch,
+            &mut scratch.miss_tried,
+        );
         let call = catch_fault(
             FaultStage::Estimate,
-            AssertUnwindSafe(|| est.try_selectivity_batch_into(queries_ref, batch, tried_slots)),
+            AssertUnwindSafe(|| est.try_selectivity_batch_into(queries, batch, tried)),
         );
         scratch.batch.clear_deadline();
-        match call {
-            Ok(()) => {
-                let mut failures = 0u32;
-                let mut timed_out = false;
-                let mut refused = 0u64;
-                for ((&i, q), tried) in scratch
-                    .miss_slots
-                    .iter()
-                    .zip(&scratch.miss_queries)
-                    .zip(&scratch.miss_tried)
-                {
-                    out[i] = match tried {
-                        Ok(v) if v.is_finite() => {
-                            self.cache.insert(generation, idx, &col.domain, q, *v);
-                            Ok(ServedEstimate {
-                                value: *v,
-                                rung: ServeRung::Full,
-                            })
-                        }
-                        Err(e @ EstimateError::DeadlineExceeded { .. }) => {
-                            // A timed-out slot is a refusal, not a value:
-                            // degrading it to the floor would hand back a
-                            // worse answer than the caller's budget asked
-                            // for. One timeout charges the breaker once
-                            // (the slow call, not each unfinished slot).
-                            timed_out = true;
-                            refused += 1;
-                            Err(e.clone())
-                        }
-                        // Invalid queries were filtered before compaction,
-                        // so any other error is a primary failure: floor
-                        // the slot and charge the breaker.
-                        _ => {
-                            failures += 1;
-                            Ok(ServedEstimate {
-                                value: col.floor.selectivity(q),
-                                rung: ServeRung::Floor,
-                            })
-                        }
-                    };
-                }
-                self.deadline_refused.fetch_add(refused, Ordering::Relaxed);
-                self.floor_served
-                    .fetch_add(failures as u64, Ordering::Relaxed);
-                if failures > 0 {
-                    for _ in 0..failures {
-                        col.breaker.on_failure();
+        // After a whole-call panic no slot's result can be trusted.
+        let tried: &[_] = if call.is_ok() {
+            &scratch.miss_tried
+        } else {
+            &[]
+        };
+        // Every slot is counted once: by its rung if that rung answered,
+        // as floored if it faulted, as refused if its deadline expired.
+        let (mut faulted, mut refused) = (0u64, 0u64);
+        for (k, (&i, q)) in scratch
+            .miss_slots
+            .iter()
+            .zip(&scratch.miss_queries)
+            .enumerate()
+        {
+            out[i] = match tried.get(k) {
+                Some(Ok(v)) if v.is_finite() => {
+                    if rung == ServeRung::Full {
+                        self.cache.insert(snap.generation, idx, &col.domain, q, *v);
                     }
-                } else if timed_out {
-                    col.breaker.on_failure();
-                } else {
-                    col.breaker.on_success();
+                    Ok(ServedEstimate { value: *v, rung })
                 }
-            }
-            // The whole batch call panicked (a fault the per-slot path
-            // could not contain): one breaker charge, floor every miss.
-            Err(_) => {
-                col.breaker.on_failure();
-                self.floor_served
-                    .fetch_add(scratch.miss_slots.len() as u64, Ordering::Relaxed);
-                for (&i, q) in scratch.miss_slots.iter().zip(&scratch.miss_queries) {
-                    out[i] = Ok(ServedEstimate {
+                Some(Err(e @ EstimateError::DeadlineExceeded { .. })) => {
+                    refused += 1;
+                    Err(e.clone())
+                }
+                _ => {
+                    faulted += 1;
+                    Ok(ServedEstimate {
                         value: col.floor.selectivity(q),
                         rung: ServeRung::Floor,
-                    });
+                    })
                 }
+            };
+        }
+        let answered = scratch.miss_slots.len() as u64 - refused - faulted;
+        let (brownout, floored) = match rung {
+            ServeRung::Full => (0, faulted),
+            ServeRung::Brownout => (answered, faulted),
+            ServeRung::Floor => (0, faulted + answered),
+        };
+        for (counter, n) in [
+            (&self.brownout_served, brownout),
+            (&self.floor_served, floored),
+            (&self.deadline_refused, refused),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.note_latency(shard, started);
+        if rung == ServeRung::Full {
+            // One charge per faulted slot; a whole-call panic or a
+            // timeout is one slow or broken call, charged once.
+            let charges = if call.is_err() {
+                1
+            } else if faulted > 0 {
+                faulted
+            } else {
+                u64::from(refused > 0)
+            };
+            if charges == 0 {
+                col.breaker.on_success();
+            }
+            for _ in 0..charges {
+                col.breaker.on_failure();
+            }
+        }
     }
 
     /// Point-in-time engine health: serving generation and epoch, publish
@@ -2044,6 +1931,86 @@ mod tests {
         })
     }
 
+    /// The counter identity of the serving path: every valid slot is
+    /// counted exactly once — as a full-precision answer (tagged `Full`,
+    /// counted by the caller), or in `brownout_served`, `floor_served` or
+    /// `deadline_refused`.
+    fn assert_counted_once(engine: &ServingEngine, full: u64, valid: u64) {
+        let h = engine.health();
+        assert_eq!(
+            full + h.brownout_served + h.floor_served + h.deadline_refused,
+            valid,
+            "full {full}, brownout {}, floor {}, refused {}",
+            h.brownout_served,
+            h.floor_served,
+            h.deadline_refused
+        );
+    }
+
+    /// How many answered slots of a batch carry `rung`.
+    fn tagged(served: &[Result<ServedEstimate, EstimateError>], rung: ServeRung) -> u64 {
+        served
+            .iter()
+            .filter(|s| s.as_ref().is_ok_and(|s| s.rung == rung))
+            .count() as u64
+    }
+
+    #[test]
+    fn route_decides_brownout_before_the_breaker() {
+        let breaker = ColumnBreaker::new(1, 1_000, 7);
+        assert_eq!(route(LoadTier::Normal, true, &breaker), ServeRung::Full);
+        assert_eq!(route(LoadTier::Brownout, false, &breaker), ServeRung::Full);
+        breaker.on_failure();
+        assert_eq!(breaker.state(), BreakerState::Open);
+        assert_eq!(route(LoadTier::Normal, true, &breaker), ServeRung::Floor);
+        assert_eq!(route(LoadTier::Shed, false, &breaker), ServeRung::Floor);
+        // Off `Normal`, a column with a brownout rung serves it even while
+        // its breaker is open: the primary is not in the decision at all.
+        assert_eq!(
+            route(LoadTier::Brownout, true, &breaker),
+            ServeRung::Brownout
+        );
+        assert_eq!(route(LoadTier::Shed, true, &breaker), ServeRung::Brownout);
+    }
+
+    #[test]
+    fn non_finite_brownout_answers_floor_and_counts_once_on_both_paths() {
+        let engine = scripted_engine();
+        let d = Domain::new(0.0, 100.0);
+        let mut col = ServingColumn::new(
+            "t",
+            "k",
+            Arc::new(UniformEstimator::new(d)),
+            1_000,
+            EstimatorKind::Kernel,
+            d,
+            Vec::new().into(),
+        );
+        col.brownout = Some(Arc::new(FailingEstimator::new(
+            d,
+            FailureMode::Return(f64::NAN),
+        )));
+        engine.publish_snapshot(CatalogSnapshot::from_columns(vec![col], 0));
+        let shard = shard_for("t", "k", engine.shards());
+        engine.observe_shard_latency(shard, 1.5 * engine.overload.slo_us);
+        assert_eq!(engine.load_tier(), LoadTier::Brownout);
+        let uniform = UniformEstimator::new(d);
+        let q = RangeQuery::new(10.0, 30.0);
+        let s = engine.try_estimate_with("t", "k", &q, None).unwrap();
+        assert_eq!(s.rung, ServeRung::Floor);
+        assert_eq!(s.value.to_bits(), uniform.selectivity(&q).to_bits());
+        assert_counted_once(&engine, 0, 1);
+        let qs: Vec<RangeQuery> = (0..8)
+            .map(|i| RangeQuery::new(i as f64, i as f64 + 40.0))
+            .collect();
+        let mut served = Vec::new();
+        engine.estimate_batch_with("t", "k", &qs, None, &mut ServingScratch::new(), &mut served);
+        assert_eq!(tagged(&served, ServeRung::Floor), 8);
+        let h = engine.health();
+        assert_eq!((h.brownout_served, h.floor_served), (0, 9));
+        assert_counted_once(&engine, 0, 9);
+    }
+
     fn failing_snapshot(mode: FailureMode) -> (CatalogSnapshot, Domain) {
         let d = Domain::new(0.0, 100.0);
         let col = ServingColumn::new(
@@ -2100,6 +2067,13 @@ mod tests {
             assert_eq!(health.breakers[0].state, BreakerState::Closed);
             assert_eq!(health.breakers[0].trips, 1);
             assert_eq!(health.floor_served, 4);
+            assert_counted_once(&engine, 4, 8);
+            // The closed breaker lets a batch through to the primary.
+            let mut served = Vec::new();
+            let mut scratch = ServingScratch::new();
+            engine.estimate_batch_with("t", "bad", &qs, None, &mut scratch, &mut served);
+            assert_eq!(tagged(&served, ServeRung::Full), 8);
+            assert_counted_once(&engine, 12, 16);
             rungs
         };
         // Breaker transitions are counted in calls, not wall time: two
@@ -2135,6 +2109,19 @@ mod tests {
         let health = engine.health();
         assert!(health.breakers[0].trips >= 2, "probe failure must re-trip");
         assert_eq!(health.shards.iter().map(|s| s.in_flight).sum::<usize>(), 0);
+        assert_counted_once(&engine, 0, 6);
+        // The batch path floors every slot the same way.
+        let mut served = Vec::new();
+        engine.estimate_batch_with(
+            "t",
+            "bad",
+            &qs,
+            None,
+            &mut ServingScratch::new(),
+            &mut served,
+        );
+        assert_eq!(tagged(&served, ServeRung::Floor), 6);
+        assert_counted_once(&engine, 0, 12);
     }
 
     #[test]
@@ -2177,10 +2164,12 @@ mod tests {
         }
         assert_eq!(engine.cache().stats().inserts, inserts_before);
         assert_eq!(engine.health().brownout_served, 2);
+        assert_counted_once(&engine, 2, 4);
         // The batch path agrees slot for slot.
         let mut scratch = ServingScratch::new();
         let mut served = Vec::new();
         engine.estimate_batch_with("serve", "a", &qs, None, &mut scratch, &mut served);
+        assert_counted_once(&engine, 2 + tagged(&served, ServeRung::Full), 4 + 8);
         for (q, slot) in qs.iter().zip(&served) {
             let s = slot.as_ref().unwrap();
             if q.bounds_bits() == q_hit.bounds_bits() {
@@ -2216,7 +2205,7 @@ mod tests {
             qs[2] = RangeQuery::unchecked(9.0, 1.0);
             qs
         };
-        let d = QueryDeadline::already_expired();
+        let d = Deadline::already_expired();
         match engine.try_estimate_with("serve", "b", &qs[0], Some(&d)) {
             Err(EstimateError::DeadlineExceeded { budget_us, .. }) => {
                 assert_eq!(budget_us, 0)
@@ -2237,8 +2226,9 @@ mod tests {
             }
         }
         assert_eq!(engine.health().deadline_refused, 6);
+        assert_counted_once(&engine, 0, 6);
         // An unexpired deadline is bit-transparent.
-        let live = QueryDeadline::after(std::time::Duration::from_secs(3_600));
+        let live = Deadline::after(std::time::Duration::from_secs(3_600));
         let mut served_live = Vec::new();
         engine.estimate_batch_with(
             "serve",

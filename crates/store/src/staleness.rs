@@ -11,7 +11,7 @@
 //! * **tombstone debt** — the reservoir and sketch describe the insert
 //!   stream only, so deletes bias them by at most the tombstone
 //!   fraction; cap it;
-//! * **drift alarm** — the `resilient` drift monitor's
+//! * **drift alarm** — the catalog drift monitor's
 //!   [`CorrectionGrid`](selest_core::CorrectionGrid) reports how far
 //!   observed selectivities have pulled away from the serving estimator
 //!   (`max |correction − 1|`), once enough observations back the signal.

@@ -1,17 +1,20 @@
 //! Chaos tests: deterministic seeded fault injection against the serving
-//! path. The contract under test is the degradation ladder's promise —
+//! path. The contract under test is the serving engine's promise —
 //! *every* query gets a finite selectivity in `[0, 1]`, no panic crosses
-//! the resilience boundary, and the health counters tell the truth about
-//! what was absorbed.
+//! the engine, and the health counters tell the truth about what was
+//! absorbed (floored slots, breaker trips, quarantined columns).
 
-use std::sync::Once;
+use std::sync::{Arc, Once};
 
-use selest_core::{Domain, RangeQuery};
+use selest_core::fault::EstimateError;
+use selest_core::{Domain, RangeQuery, SelectivityEstimator, UniformEstimator};
 use selest_store::catalog::{AnalyzeConfig, EstimatorKind, StatisticsCatalog};
 use selest_store::faultinject::{FailingEstimator, FailureMode, FaultInjector};
 use selest_store::persist;
-use selest_store::resilient::ResilientEstimator;
-use selest_store::{try_plan_range_query, Column, Relation};
+use selest_store::{
+    try_plan_range_query, BreakerState, CatalogSnapshot, Column, OverloadOptions, Relation,
+    ServeRung, ServedEstimate, ServingColumn, ServingEngine, ServingOptions, ServingScratch,
+};
 
 /// Injected panics are expected here; keep them out of the test output.
 fn silence_panics() {
@@ -30,18 +33,76 @@ fn workload(domain: &Domain, n: usize) -> Vec<RangeQuery> {
         .collect()
 }
 
-fn assert_serves_everything(est: &ResilientEstimator, domain: &Domain, label: &str) {
-    for q in workload(domain, 200) {
-        let s = est.try_selectivity(&q).expect("serving path must answer");
-        assert!(
-            s.is_finite() && (0.0..=1.0).contains(&s),
-            "{label}: {q} got selectivity {s}"
-        );
-    }
+/// An engine whose load tier never leaves `Normal` (no wall-clock latency
+/// observation) and whose breakers trip after `breaker_threshold`
+/// consecutive primary faults.
+fn engine(breaker_threshold: u32) -> ServingEngine {
+    ServingEngine::new(ServingOptions {
+        shards: 1,
+        overload: OverloadOptions {
+            auto_observe: false,
+            breaker_threshold,
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+}
+
+/// Serve the 200-query workload against `t.x` as one batch, asserting
+/// every slot answers with a finite selectivity in `[0, 1]`.
+fn assert_serves_everything(
+    engine: &ServingEngine,
+    domain: &Domain,
+    label: &str,
+) -> Vec<ServedEstimate> {
+    let qs = workload(domain, 200);
+    let mut out = Vec::new();
+    engine.estimate_batch_with("t", "x", &qs, None, &mut ServingScratch::new(), &mut out);
+    qs.iter()
+        .zip(out)
+        .map(|(q, slot)| {
+            let s = slot.unwrap_or_else(|e| panic!("{label}: {q} refused: {e}"));
+            assert!(
+                s.value.is_finite() && (0.0..=1.0).contains(&s.value),
+                "{label}: {q} got selectivity {}",
+                s.value
+            );
+            s
+        })
+        .collect()
+}
+
+/// ANALYZE column `t.x` holding `sample` through the catalog bulkhead and
+/// publish it the way production does, quarantined columns degraded to
+/// their uniform floor.
+fn analyzed(sample: &[f64], domain: Domain, config: &AnalyzeConfig) -> (Relation, ServingEngine) {
+    let mut relation = Relation::new("t");
+    relation.add_column(Column::new_unchecked("x", domain, sample.to_vec()));
+    let mut catalog = StatisticsCatalog::new();
+    catalog.try_analyze(&relation, config);
+    let engine = engine(5);
+    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&relation, catalog, 0));
+    (relation, engine)
+}
+
+/// Publish `primary` as the estimator of a cheap-kind column `t.x` (no
+/// brownout rung) behind the engine.
+fn publish_primary(engine: &ServingEngine, primary: Arc<FailingEstimator>, domain: Domain) {
+    let column = ServingColumn::new(
+        "t",
+        "x",
+        primary,
+        1_000,
+        EstimatorKind::Sampling,
+        domain,
+        Vec::new().into(),
+    );
+    engine.publish_snapshot(CatalogSnapshot::from_columns(vec![column], 0));
 }
 
 #[test]
 fn every_kind_survives_poisoned_samples_at_every_severity() {
+    silence_panics();
     let domain = Domain::new(0.0, 1_000.0);
     let base: Vec<f64> = (0..2_000)
         .map(|i| domain.lerp((i as f64 + 0.5) / 2_000.0))
@@ -50,27 +111,40 @@ fn every_kind_survives_poisoned_samples_at_every_severity() {
         for (seed, fraction) in [(1u64, 0.05), (2, 0.25), (3, 0.75), (4, 1.0)] {
             let mut sample = base.clone();
             let report = FaultInjector::new(seed).corrupt_sample(&mut sample, &domain, fraction);
-            let est = ResilientEstimator::build(&sample, domain, kind);
+            // The reservoir keeps the whole column, so the audit sees
+            // every corrupted value.
+            let config = AnalyzeConfig {
+                kind,
+                sample_size: sample.len(),
+                ..Default::default()
+            };
+            let (relation, engine) = analyzed(&sample, domain, &config);
             let label = format!("{kind:?} seed {seed} fraction {fraction}");
-            assert_serves_everything(&est, &domain, &label);
+            assert_serves_everything(&engine, &domain, &label);
 
             // The audit must account exactly for the damage present in the
             // corrupted sample (injections can overwrite each other, so we
             // count the sample, not the injection attempts).
-            let h = est.health();
             let non_finite = sample.iter().filter(|v| !v.is_finite()).count();
             let out_of_domain = sample
                 .iter()
                 .filter(|v| v.is_finite() && !domain.contains(**v))
                 .count();
             assert!(report.total() >= non_finite + out_of_domain, "{label}");
-            if kind != EstimatorKind::Uniform {
-                assert_eq!(h.sample_audit.non_finite, non_finite, "{label}");
-                assert_eq!(h.sample_audit.out_of_domain, out_of_domain, "{label}");
-                assert_eq!(
-                    h.sample_audit.kept,
-                    sample.len() - non_finite - out_of_domain
-                );
+            let audit = StatisticsCatalog::new().try_analyze_column(&relation, "x", &config);
+            match audit {
+                Ok(audit) if kind != EstimatorKind::Uniform => {
+                    assert_eq!(audit.non_finite, non_finite, "{label}");
+                    assert_eq!(audit.out_of_domain, out_of_domain, "{label}");
+                    assert_eq!(audit.kept, sample.len() - non_finite - out_of_domain);
+                }
+                Ok(_) => {}
+                // Nothing survived sanitization: the column quarantined
+                // and the floor served it above.
+                Err(e) => {
+                    assert_eq!(e, EstimateError::EmptySample, "{label}");
+                    assert_eq!(non_finite + out_of_domain, sample.len(), "{label}");
+                }
             }
         }
     }
@@ -78,6 +152,7 @@ fn every_kind_survives_poisoned_samples_at_every_severity() {
 
 #[test]
 fn fully_poisoned_sample_degrades_to_uniform_and_reports_it() {
+    silence_panics();
     let domain = Domain::new(0.0, 100.0);
     let mut sample = vec![50.0; 500];
     // fraction 1.0 with repeated overwrites still leaves only garbage and
@@ -89,87 +164,111 @@ fn fully_poisoned_sample_degrades_to_uniform_and_reports_it() {
             *v = f64::NAN;
         }
     });
-    let est = ResilientEstimator::build(&sample, domain, EstimatorKind::Kernel);
-    let h = est.health();
-    assert_eq!(h.rungs, 1, "only the uniform rung can build");
+    let config = AnalyzeConfig {
+        kind: EstimatorKind::Kernel,
+        ..Default::default()
+    };
+    let (_, engine) = analyzed(&sample, domain, &config);
+    let health = engine.health();
     assert_eq!(
-        h.build_failures, 4,
-        "kernel, maxdiff, equidepth, sampling all fail"
+        health.catalog.quarantined.len(),
+        1,
+        "the column quarantines"
     );
-    assert_eq!(h.active_rung, "Uniform");
-    assert_serves_everything(&est, &domain, "fully poisoned");
+    let failure = &health.catalog.quarantined[0].failure;
+    assert_eq!(failure.kind, EstimatorKind::Kernel);
+    assert_eq!(failure.error, EstimateError::EmptySample);
+    let snap = engine.snapshot();
+    let (_, col) = snap.find("t", "x").expect("degraded entry serves");
+    assert!(col.quarantined());
+    assert_eq!(col.kind(), EstimatorKind::Uniform);
+    let uniform = UniformEstimator::new(domain);
+    for (q, s) in workload(&domain, 200).iter().zip(assert_serves_everything(
+        &engine,
+        &domain,
+        "fully poisoned",
+    )) {
+        assert_eq!(s.rung, ServeRung::Full, "the floor is the primary");
+        assert_eq!(s.value.to_bits(), uniform.selectivity(q).to_bits());
+    }
 }
 
 #[test]
-fn estimator_panics_never_cross_the_resilience_boundary() {
+fn estimator_panics_never_cross_the_serving_engine() {
     silence_panics();
     let domain = Domain::new(0.0, 100.0);
-    // Top rung panics immediately, second rung returns garbage, third
-    // returns out-of-range values: the ladder must walk through all of
-    // them and still answer from uniform.
-    let est = ResilientEstimator::from_estimators(
-        vec![
-            Box::new(FailingEstimator::new(domain, FailureMode::PanicAlways)),
-            Box::new(FailingEstimator::new(domain, FailureMode::Return(f64::NAN))),
-            Box::new(FailingEstimator::new(
-                domain,
-                FailureMode::Return(f64::INFINITY),
-            )),
-        ],
-        domain,
-    );
-    let q = RangeQuery::new(0.0, 50.0);
-    let s = est.try_selectivity(&q).expect("must answer");
-    assert_eq!(s, 0.5, "uniform bottom rung answers");
-    let h = est.health();
-    assert_eq!(h.estimate_faults, 3, "one fault per broken rung");
-    assert_eq!(h.active_rung, "Uniform");
-    assert_eq!(h.fallback_depth, 3);
-    // Sticky demotion: the broken rungs are not retried.
-    let _ = est.try_selectivity(&q).unwrap();
-    assert_eq!(est.health().estimate_faults, 3);
+    // A primary that panics, one that returns garbage, one that returns
+    // an infinity: each must be absorbed by the floor, charge its
+    // breaker, and — once the breaker is open — not be consulted again.
+    for mode in [
+        FailureMode::PanicAlways,
+        FailureMode::Return(f64::NAN),
+        FailureMode::Return(f64::INFINITY),
+    ] {
+        let engine = engine(1);
+        let primary = Arc::new(FailingEstimator::new(domain, mode));
+        publish_primary(&engine, Arc::clone(&primary), domain);
+        let q = RangeQuery::new(0.0, 50.0);
+        let s = engine
+            .try_estimate_with("t", "x", &q, None)
+            .expect("must answer");
+        assert_eq!((s.value, s.rung), (0.5, ServeRung::Floor), "{mode:?}");
+        let health = engine.health();
+        assert_eq!(health.breakers[0].trips, 1, "{mode:?}: one fault charged");
+        assert_eq!(health.breakers[0].state, BreakerState::Open);
+        let s = engine.try_estimate_with("t", "x", &q, None).unwrap();
+        assert_eq!(s.rung, ServeRung::Floor, "{mode:?}");
+        assert_eq!(
+            primary.calls(),
+            1,
+            "{mode:?}: an open breaker skips the primary"
+        );
+        assert_eq!(engine.health().floor_served, 2);
+    }
 }
 
 #[test]
-fn repeated_faults_quarantine_to_uniform_with_accurate_counters() {
+fn repeated_faults_open_the_breaker_with_accurate_counters() {
     silence_panics();
     let domain = Domain::new(0.0, 10.0);
-    let est = ResilientEstimator::from_estimators(
-        vec![Box::new(FailingEstimator::new(
-            domain,
-            FailureMode::PanicAlways,
-        ))],
-        domain,
-    )
-    .with_quarantine_threshold(1);
+    let engine = engine(1);
+    let primary = Arc::new(FailingEstimator::new(domain, FailureMode::PanicAlways));
+    publish_primary(&engine, Arc::clone(&primary), domain);
     let q = RangeQuery::new(0.0, 5.0);
-    assert_eq!(est.try_selectivity(&q).unwrap(), 0.5);
-    assert!(est.is_quarantined());
-    let h = est.health();
-    assert!(h.quarantined);
-    assert_eq!(h.estimate_faults, 1);
-    assert_eq!(h.served, 1);
-    assert_serves_everything(&est, &domain, "quarantined entry");
+    assert_eq!(engine.try_estimate("t", "x", &q).unwrap(), 0.5);
+    let health = engine.health();
+    assert_eq!(health.breakers[0].state, BreakerState::Open);
+    assert_eq!(health.breakers[0].trips, 1);
+    assert_eq!(health.floor_served, 1);
+    // The open breaker floors the whole next batch without a call.
+    let served = assert_serves_everything(&engine, &domain, "open breaker");
+    assert!(served.iter().all(|s| s.rung == ServeRung::Floor));
+    assert_eq!(primary.calls(), 1);
+    assert_eq!(engine.health().floor_served, 201);
 }
 
 #[test]
 fn healthy_rung_after_warmup_panics_mid_serving() {
     silence_panics();
     let domain = Domain::new(0.0, 100.0);
-    let est = ResilientEstimator::from_estimators(
-        vec![Box::new(FailingEstimator::new(
-            domain,
-            FailureMode::PanicAfter(50),
-        ))],
-        domain,
-    );
-    // The first 50 queries come from the healthy top rung, the rest fall
-    // through to uniform — all of them must be finite and in range.
-    assert_serves_everything(&est, &domain, "mid-flight failure");
-    let h = est.health();
-    assert_eq!(h.estimate_faults, 1, "exactly the one mid-flight panic");
-    assert_eq!(h.active_rung, "Uniform");
-    assert_eq!(h.served, 200);
+    let engine = engine(5);
+    let primary = Arc::new(FailingEstimator::new(domain, FailureMode::PanicAfter(50)));
+    publish_primary(&engine, primary, domain);
+    // The first 50 queries come from the healthy primary, the rest from
+    // the floor — all of them must be finite and in range.
+    let served = assert_serves_everything(&engine, &domain, "mid-flight failure");
+    for (i, s) in served.iter().enumerate() {
+        let rung = if i < 50 {
+            ServeRung::Full
+        } else {
+            ServeRung::Floor
+        };
+        assert_eq!(s.rung, rung, "slot {i}");
+    }
+    let health = engine.health();
+    assert_eq!(health.floor_served, 150);
+    assert_eq!(health.breakers[0].trips, 1, "the primary died once");
+    assert_eq!(health.breakers[0].state, BreakerState::Open);
 }
 
 /// Build a small two-column catalog and persist it.

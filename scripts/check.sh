@@ -32,6 +32,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> store/core/par tests (unit tests and crates/store/tests/chaos.rs)"
+# The root `cargo test -q` runs only the root package. The serving router,
+# breaker, brownout, deadline and quarantine tests, and the store chaos
+# suite, live in these crates.
+cargo test -q -p selest-store -p selest-core -p selest-par
+
 echo "==> selbench tests (the benchmark builds against the workspace crates)"
 cargo test --release --manifest-path selbench/Cargo.toml
 

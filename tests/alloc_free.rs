@@ -10,17 +10,24 @@
 //!   caller-provided-buffer variants;
 //! - the `Vec`-returning `selectivity_batch` performs at most **one**
 //!   allocation per call: the output vector its signature requires. All
-//!   working buffers come from the warm per-thread scratch.
+//!   working buffers come from the warm per-thread scratch;
+//! - the serving engine over a kernel column — `estimate_batch_into` with
+//!   a warm `ServingScratch`, and `try_estimate` (a batch of one through a
+//!   thread-local scratch) — performs **zero** heap allocations per call,
+//!   on cache misses and on cache hits.
 //!
 //! Everything runs inside a single `#[test]` — the counter is
 //! process-global, and cargo runs sibling tests on concurrent threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
+use selest::store::{EstimatorKind, OverloadOptions, ServingColumn};
 use selest::{
-    equi_depth, equi_width, BatchScratch, BoundaryPolicy, HybridEstimator, KernelEstimator,
-    KernelFn, PaperFile, QueryFile, SamplingEstimator, SelectivityEstimator,
+    equi_depth, equi_width, BatchScratch, BoundaryPolicy, CatalogSnapshot, HybridEstimator,
+    KernelEstimator, KernelFn, PaperFile, QueryFile, SamplingEstimator, SelectivityEstimator,
+    ServingEngine, ServingOptions, ServingScratch,
 };
 
 struct CountingAlloc;
@@ -156,5 +163,72 @@ fn batch_path_is_allocation_free_after_warmup() {
             "{name}: selectivity_batch allocated {n} times (only the output Vec is allowed)"
         );
         drop(answers);
+    }
+
+    // The serving engine over a kernel column. An SLO far above any
+    // latency keeps the load tier at `Normal`, so every miss reaches the
+    // kernel primary while latency observation stays on.
+    let kernel = KernelEstimator::new(
+        &sample,
+        domain,
+        KernelFn::Epanechnikov,
+        h,
+        BoundaryPolicy::BoundaryKernel,
+    );
+    let column = ServingColumn::new(
+        "t",
+        "k",
+        Arc::new(kernel),
+        data.len(),
+        EstimatorKind::Kernel,
+        domain,
+        sample.clone().into(),
+    );
+    let engine = ServingEngine::new(ServingOptions {
+        shards: 1,
+        overload: OverloadOptions {
+            slo_us: 1e12,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    engine.publish_snapshot(CatalogSnapshot::from_columns(vec![column], 1));
+    let (batch_warm, rest) = queries.split_at(50);
+    let (batch_cold, singles) = rest.split_at(50);
+    let mut serving = ServingScratch::new();
+    let mut served = Vec::new();
+    // Warm-up: thread-local snapshot entry, serving and kernel scratch
+    // for a 50-query batch, and the single path's thread-local scratch.
+    engine.estimate_batch_into("t", "k", batch_warm, &mut serving, &mut served);
+    engine.try_estimate("t", "k", &singles[0]).expect("served");
+    let stats = engine.cache().stats();
+    for (pass, expect_misses) in [("miss", true), ("hit", false)] {
+        let (n, ()) = allocs_during(|| {
+            engine.estimate_batch_into("t", "k", batch_cold, &mut serving, &mut served);
+        });
+        assert_eq!(n, 0, "engine batch ({pass} pass) allocated {n} times");
+        assert!(served.iter().all(|s| s.is_ok()));
+        let after = engine.cache().stats();
+        if expect_misses {
+            assert!(after.misses > stats.misses, "first pass must miss");
+        } else {
+            assert!(after.hits > stats.hits, "second pass must hit");
+        }
+    }
+    for q in &singles[1..12] {
+        let before = engine.cache().stats();
+        let (n, miss) = allocs_during(|| engine.try_estimate("t", "k", q));
+        assert_eq!(n, 0, "try_estimate (miss) allocated {n} times");
+        let (n, hit) = allocs_during(|| engine.try_estimate("t", "k", q));
+        assert_eq!(n, 0, "try_estimate (hit) allocated {n} times");
+        assert_eq!(
+            miss.expect("served").to_bits(),
+            hit.expect("served").to_bits()
+        );
+        let after = engine.cache().stats();
+        assert_eq!(
+            (after.misses, after.hits),
+            (before.misses + 1, before.hits + 1)
+        );
     }
 }

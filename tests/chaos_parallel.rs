@@ -5,7 +5,7 @@
 //! repro command, not a flake (`scripts/chaos_sweep.sh` sweeps seeds and
 //! prints exactly that command). Three guarantees are pinned across the
 //! engine (`try_map_chunks`), the estimator API (`try_selectivity_batch`),
-//! and the catalog bulkhead (`try_analyze`):
+//! the serving engine's rungs, and the catalog bulkhead (`try_analyze`):
 //!
 //! 1. surviving results are bit-identical to a fault-free run for any
 //!    worker count (jobs ∈ {1, 2, 7});
@@ -20,8 +20,9 @@ use selest::par::{
     parallel_chunks_jobs, try_map_chunks, Deadline, RetryPolicy, TaskFault, TryConfig,
 };
 use selest::store::{
-    AnalyzeConfig, Column, EstimatorKind, FailureMode, FaultInjector, Relation, ResilientEstimator,
-    StatisticsCatalog,
+    AnalyzeConfig, BreakerState, CatalogSnapshot, Column, EstimatorKind, FailingEstimator,
+    FailureMode, FaultInjector, Relation, ServeRung, ServedEstimate, ServingColumn, ServingEngine,
+    ServingHealthReport, ServingScratch, StatisticsCatalog,
 };
 use selest::{
     BoundaryPolicy, Domain, EstimateError, KernelEstimator, KernelFn, RangeQuery,
@@ -258,31 +259,65 @@ fn kernel_try_batch_survivors_match_fault_free_batch() {
 }
 
 // -------------------------------------------------------------------------
-// 5. Degradation ladder: a seeded panicking rung degrades, batch completes
+// 5. Serving rungs: a seeded panicking primary floors, batch completes
 // -------------------------------------------------------------------------
+
+/// Serve one batch from `failing`, published as the primary of a
+/// cheap-kind column (no brownout rung) through the production engine.
+fn serve_through_engine(
+    failing: FailingEstimator,
+    d: Domain,
+    qs: &[RangeQuery],
+) -> (
+    Vec<Result<ServedEstimate, EstimateError>>,
+    ServingHealthReport,
+) {
+    let column = ServingColumn::new(
+        "chaos",
+        "x",
+        std::sync::Arc::new(failing),
+        1_000,
+        EstimatorKind::Sampling,
+        d,
+        Vec::new().into(),
+    );
+    let engine = ServingEngine::with_defaults();
+    engine.publish_snapshot(CatalogSnapshot::from_columns(vec![column], 1));
+    let mut out = Vec::new();
+    engine.estimate_batch_with("chaos", "x", qs, None, &mut ServingScratch::new(), &mut out);
+    (out, engine.health())
+}
 
 #[test]
 fn panicking_rung_degrades_mid_batch_and_every_query_still_answers() {
     let d = Domain::new(0.0, 1000.0);
     let failing = FaultInjector::new(chaos_seed()).panicking_estimator(d, 10);
-    assert!(matches!(
-        failing_mode_of(&failing.name()),
-        Some(FailureMode::PanicAfter(_))
-    ));
-    let est = ResilientEstimator::from_estimators(vec![Box::new(failing)], d);
+    let Some(FailureMode::PanicAfter(healthy)) = failing_mode_of(&failing.name()) else {
+        panic!("seeded draw must be a PanicAfter estimator");
+    };
     let qs = queries(40);
-    let out = est.try_selectivity_batch(&qs);
+    let (out, health) = serve_through_engine(failing, d, &qs);
     assert_eq!(out.len(), qs.len());
-    for (q, slot) in qs.iter().zip(&out) {
-        // Both rungs (failing-but-healthy and uniform) serve the uniform
-        // overlap, so every answer is the overlap fraction regardless of
-        // where in the batch the rung died.
-        let v = slot.as_ref().expect("ladder always answers valid queries");
-        assert!((v - q.width() / 1000.0).abs() < 1e-12);
+    for (i, (q, slot)) in qs.iter().zip(&out).enumerate() {
+        // The primary (while healthy) and the floor both serve the
+        // uniform overlap, so every answer is the overlap fraction
+        // regardless of where in the batch the primary died.
+        let s = slot
+            .as_ref()
+            .expect("the engine always answers valid queries");
+        assert!((s.value - q.width() / 1000.0).abs() < 1e-12);
+        let rung = if i < healthy {
+            ServeRung::Full
+        } else {
+            ServeRung::Floor
+        };
+        assert_eq!(s.rung, rung, "slot {i} of a primary healthy for {healthy}");
     }
-    let h = est.health();
-    assert_eq!(h.estimate_faults, 1, "exactly one panic, absorbed");
-    assert_eq!(h.active_rung, "Uniform");
+    assert_eq!(health.floor_served, (qs.len() - healthy) as u64);
+    // The faults are charged to the column's breaker, which trips once
+    // and then absorbs the rest of the batch.
+    assert_eq!(health.breakers[0].trips, 1, "exactly one trip charged");
+    assert_eq!(health.breakers[0].state, BreakerState::Open);
 }
 
 /// Parse the `FailureMode` back out of a `FailingEstimator` name — just
@@ -354,12 +389,12 @@ fn bulkheaded_analyze_quarantines_the_poisoned_column_and_serves_the_rest() {
 fn seeded_chaos_run_completes_batch_and_catalog_with_typed_faults() {
     let d = Domain::new(0.0, 1000.0);
     let mut inj = FaultInjector::new(chaos_seed());
-    // One panicking estimator in a batch...
+    // One panicking estimator in a served batch...
     let failing = inj.panicking_estimator(d, 3);
-    let ladder = ResilientEstimator::from_estimators(vec![Box::new(failing)], d);
-    let qs = queries(30);
-    let answers = ladder.try_selectivity_batch(&qs);
+    let (answers, health) = serve_through_engine(failing, d, &queries(30));
     assert!(answers.iter().all(|s| s.is_ok()), "batch completes");
+    assert!(health.floor_served > 0, "the dead primary's slots floor");
+    assert_eq!(health.breakers[0].trips, 1, "and charge its breaker");
     // ...and one fully poisoned column in an ANALYZE, same seed.
     let poisoned = full_garbage(300, chaos_seed());
     let mut relation = Relation::new("t");

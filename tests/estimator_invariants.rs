@@ -158,8 +158,42 @@ proptest! {
 // Resilient serving path: adversarial samples must degrade, never crash.
 // ---------------------------------------------------------------------------
 
-use selest_store::catalog::EstimatorKind;
-use selest_store::resilient::ResilientEstimator;
+use selest_store::{
+    AnalyzeConfig, CatalogSnapshot, Column, EstimatorKind, OverloadOptions, Relation,
+    ServingEngine, ServingOptions, StatisticsCatalog,
+};
+
+/// Serve `kind` over a column holding `sample` the way production does:
+/// bulkheaded catalog ANALYZE, a snapshot that degrades a quarantined
+/// column to its uniform floor, and the serving engine (one shard, no
+/// wall-clock load tiers, so every answer comes from the column's own
+/// statistics or its floor).
+fn served(sample: &[f64], kind: EstimatorKind) -> ServingEngine {
+    let mut relation = Relation::new("adv");
+    relation.add_column(Column::new_unchecked(
+        "x",
+        Domain::new(LO, HI),
+        sample.to_vec(),
+    ));
+    let mut catalog = StatisticsCatalog::new();
+    catalog.try_analyze(
+        &relation,
+        &AnalyzeConfig {
+            kind,
+            ..Default::default()
+        },
+    );
+    let engine = ServingEngine::new(ServingOptions {
+        shards: 1,
+        overload: OverloadOptions {
+            auto_observe: false,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&relation, catalog, 0));
+    engine
+}
 
 /// Deterministic worst-case samples: every degenerate shape the ANALYZE
 /// pipeline can encounter.
@@ -188,16 +222,15 @@ fn adversarial_samples() -> Vec<(&'static str, Vec<f64>)> {
 
 #[test]
 fn resilient_path_survives_every_kind_on_every_adversarial_sample() {
-    let domain = Domain::new(LO, HI);
     for kind in EstimatorKind::ALL {
         for (label, sample) in adversarial_samples() {
-            let est = ResilientEstimator::build(&sample, domain, kind);
+            let engine = served(&sample, kind);
             // Finite, in [0, 1], and monotone in the query upper bound.
             let mut prev = 0.0;
             for i in 0..=80 {
                 let b = LO + (HI - LO) * i as f64 / 80.0;
-                let s = est
-                    .try_selectivity(&RangeQuery::new(LO, b))
+                let s = engine
+                    .try_estimate("adv", "x", &RangeQuery::new(LO, b))
                     .expect("resilient path must answer");
                 assert!(
                     s.is_finite() && (0.0..=1.0).contains(&s),
@@ -210,9 +243,11 @@ fn resilient_path_survives_every_kind_on_every_adversarial_sample() {
                 prev = s.max(prev);
             }
             // Health must be reportable, and the full-domain mass sane.
-            let h = est.health();
-            assert!(h.rungs >= 1, "{kind:?}/{label}");
-            let full = est.try_selectivity(&RangeQuery::new(LO, HI)).unwrap();
+            let h = engine.health();
+            assert_eq!(h.breakers.len(), 1, "{kind:?}/{label}: column serves");
+            let full = engine
+                .try_estimate("adv", "x", &RangeQuery::new(LO, HI))
+                .unwrap();
             assert!(
                 (0.0..=1.0).contains(&full),
                 "{kind:?}/{label}: full mass {full}"
@@ -244,11 +279,9 @@ proptest! {
     #[test]
     fn resilient_estimates_are_probabilities_under_dirty_samples(
         samples in dirty_sample_strategy(), a in 0.0f64..1_000.0, w in 0.0f64..500.0) {
-        let domain = Domain::new(LO, HI);
         let q = RangeQuery::new(a, (a + w).min(HI));
         for kind in EstimatorKind::ALL {
-            let est = ResilientEstimator::build(&samples, domain, kind);
-            let s = est.try_selectivity(&q).expect("must answer");
+            let s = served(&samples, kind).try_estimate("adv", "x", &q).expect("must answer");
             prop_assert!(s.is_finite() && (0.0..=1.0).contains(&s),
                 "{kind:?}: selectivity {s} on dirty sample");
         }
@@ -257,13 +290,12 @@ proptest! {
     #[test]
     fn resilient_estimates_are_monotone_under_dirty_samples(
         samples in dirty_sample_strategy(), a in 0.0f64..500.0, w in 1.0f64..250.0) {
-        let domain = Domain::new(LO, HI);
         let inner = RangeQuery::new(a, (a + w).min(HI));
         let outer = RangeQuery::new((a - 50.0).max(LO), (a + w + 100.0).min(HI));
         for kind in EstimatorKind::ALL {
-            let est = ResilientEstimator::build(&samples, domain, kind);
-            let si = est.try_selectivity(&inner).expect("inner");
-            let so = est.try_selectivity(&outer).expect("outer");
+            let engine = served(&samples, kind);
+            let si = engine.try_estimate("adv", "x", &inner).expect("inner");
+            let so = engine.try_estimate("adv", "x", &outer).expect("outer");
             prop_assert!(so >= si - 1e-9,
                 "{kind:?}: outer {so} < inner {si} on dirty sample");
         }

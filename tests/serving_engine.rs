@@ -7,8 +7,8 @@
 //!    clean and poisoned rebuilds of the same relation. Every batch a
 //!    reader observes must be bit-identical to a sequential evaluation of
 //!    *one* published snapshot — never a hybrid of two generations — and
-//!    quarantined columns must serve the PR 5 uniform ladder floor, not
-//!    an error and not stale kernel estimates.
+//!    quarantined columns must serve their uniform floor, not an error
+//!    and not stale kernel estimates.
 //! 2. **The estimate cache is an invisible optimization.** Warm results
 //!    repeat cold results bit-for-bit, a snapshot swap invalidates the
 //!    cache wholesale (never-stale), and an adversarial stream of
@@ -16,7 +16,9 @@
 //!    count.
 //! 3. **Serving adds nothing to the estimate.** Boundary-kernel columns
 //!    over the paper's files answer through the engine bit-for-bit like a
-//!    kernel estimator built directly from the column's sample.
+//!    kernel estimator built directly from the column's sample, and the
+//!    single-query path is the one-slot batch path — same bits, same rung,
+//!    same counters.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -474,7 +476,8 @@ fn overload_columns(fail_calls: usize) -> Vec<selest::store::ServingColumn> {
 /// exercised by plain `cargo test`).
 #[test]
 fn overload_chaos_every_estimate_is_valid_or_a_typed_refusal() {
-    use selest::core::{EstimateError, QueryDeadline};
+    use selest::core::EstimateError;
+    use selest::par::Deadline;
     use selest::store::{OverloadOptions, ServeRung};
     use std::time::Duration;
 
@@ -554,8 +557,8 @@ fn overload_chaos_every_estimate_is_valid_or_a_typed_refusal() {
                     for i in 0..ops {
                         let name = names[(t + i) % names.len()];
                         // Alternate unhurried and deadline-armed batches.
-                        let d = (i % 2 == 1)
-                            .then(|| QueryDeadline::after(Duration::from_micros(slo_us)));
+                        let d =
+                            (i % 2 == 1).then(|| Deadline::after(Duration::from_micros(slo_us)));
                         engine.estimate_batch_with(
                             "chaos",
                             name,
@@ -701,6 +704,89 @@ fn boundary_kernel_columns_serve_the_direct_estimator_bit_for_bit() {
             assert_eq!(served.to_bits(), want, "{} batch {q}", file.name());
             let single = engine.try_estimate("paper", "v", q).expect("answered");
             assert_eq!(single.to_bits(), want, "{} single {q}", file.name());
+        }
+    }
+}
+
+/// `try_estimate_with` is a batch of one through `estimate_batch_with`.
+/// On the kernel column of each serve-cold paper file — with no deadline
+/// and with an unexpired manual one — a single request answers the same
+/// value bits and rung tag as a one-slot batch on a twin engine and as
+/// the snapshot's estimator called directly, and moves the admission and
+/// cache counters by exactly the same amounts (each query is asked twice,
+/// so both cache misses and cache hits are covered).
+#[test]
+fn single_query_path_is_the_one_slot_batch_path() {
+    use selest::par::Deadline;
+    use selest::store::{OverloadOptions, ServeRung, ServingHealthReport};
+    use selest::{PaperFile, QueryFile};
+
+    let admitted = |h: &ServingHealthReport| h.shards.iter().map(|s| s.admitted).sum::<u64>();
+    let files = [
+        PaperFile::Normal { p: 20 },
+        PaperFile::Exponential { p: 20 },
+        PaperFile::Arapahoe1,
+        PaperFile::InstanceWeight,
+    ];
+    for file in files {
+        let data = file.generate();
+        let d = data.domain();
+        let mut rel = Relation::new("paper");
+        rel.add_column(Column::new("v", d, data.values().to_vec()));
+        let mut catalog = StatisticsCatalog::new();
+        catalog.try_analyze_jobs(&rel, &AnalyzeConfig::default(), 1);
+        let mut qs = QueryFile::generate(&data, 0.01, 24, 7).queries().to_vec();
+        qs.extend_from_slice(QueryFile::generate(&data, 0.2, 24, 8).queries());
+        qs.push(RangeQuery::new(d.lo(), d.hi()));
+        for deadline in [None, Some(Deadline::manual())] {
+            // Twin engines over the same statistics; no wall-clock load
+            // tiers, so both serve every miss from the primary.
+            let twin = || {
+                let engine = ServingEngine::new(ServingOptions {
+                    overload: OverloadOptions {
+                        auto_observe: false,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                });
+                engine.publish_snapshot(CatalogSnapshot::from_catalog_ref(&catalog, 0));
+                engine
+            };
+            let (single, batch) = (twin(), twin());
+            let snap = single.snapshot();
+            let (_, col) = snap.find("paper", "v").expect("column serves");
+            let mut scratch = ServingScratch::new();
+            let mut out = Vec::new();
+            for q in qs.iter().chain(&qs) {
+                let label = format!("{} {q} deadline={}", file.name(), deadline.is_some());
+                let one = single
+                    .try_estimate_with("paper", "v", q, deadline.as_ref())
+                    .expect("valid queries are answered");
+                batch.estimate_batch_with(
+                    "paper",
+                    "v",
+                    std::slice::from_ref(q),
+                    deadline.as_ref(),
+                    &mut scratch,
+                    &mut out,
+                );
+                let slot = out[0].as_ref().expect("valid queries are answered");
+                assert_eq!(one.rung, ServeRung::Full, "{label}");
+                assert_eq!(slot.rung, one.rung, "{label}");
+                assert_eq!(slot.value.to_bits(), one.value.to_bits(), "{label}");
+                let direct = col.estimator().selectivity(q);
+                assert_eq!(one.value.to_bits(), direct.to_bits(), "{label}");
+                let (hs, hb) = (single.health(), batch.health());
+                assert_eq!(admitted(&hs), admitted(&hb), "{label}");
+                let (cs, cb) = (hs.cache, hb.cache);
+                assert_eq!(
+                    (cs.hits, cs.misses, cs.inserts, cs.conflicts),
+                    (cb.hits, cb.misses, cb.inserts, cb.conflicts),
+                    "{label}"
+                );
+            }
+            let hits = single.cache().stats().hits;
+            assert!(hits >= qs.len() as u64 / 2, "{}: repeats hit", file.name());
         }
     }
 }
