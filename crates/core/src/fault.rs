@@ -111,6 +111,16 @@ pub enum EstimateError {
         /// Column name.
         column: String,
     },
+    /// A statistics entry cannot be written: its relation or column name
+    /// is empty or contains whitespace, which the line-oriented statistics
+    /// format uses as its field separator. Raised before any file is
+    /// touched.
+    UnpersistableName {
+        /// Relation name.
+        relation: String,
+        /// Column name.
+        column: String,
+    },
     /// A persisted statistics entry failed validation (checksum, field
     /// grammar, or value sanity); `line` is 1-based in the stats file.
     CorruptEntry {
@@ -235,6 +245,13 @@ impl core::fmt::Display for EstimateError {
             }
             EstimateError::MissingStatistics { relation, column } => {
                 write!(f, "no statistics for {relation}.{column}; run ANALYZE")
+            }
+            EstimateError::UnpersistableName { relation, column } => {
+                write!(
+                    f,
+                    "cannot persist statistics for {relation:?}.{column:?}: \
+                     names must be nonempty and contain no whitespace"
+                )
             }
             EstimateError::CorruptEntry {
                 path,
@@ -438,6 +455,13 @@ mod tests {
                     column: "c".into(),
                 },
                 "run ANALYZE",
+            ),
+            (
+                EstimateError::UnpersistableName {
+                    relation: "orders 2024".into(),
+                    column: "c".into(),
+                },
+                "\"orders 2024\".\"c\": names must be nonempty and contain no whitespace",
             ),
             (
                 EstimateError::TaskAbandoned {

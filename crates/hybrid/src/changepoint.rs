@@ -10,7 +10,7 @@
 //! such alternative).
 
 use selest_core::Domain;
-use selest_math::{normal_density_derivative, robust_scale_sorted};
+use selest_math::{normal_density_derivative_const, robust_scale_sorted};
 
 /// A strategy for locating change points of the underlying density from a
 /// sorted sample.
@@ -130,7 +130,7 @@ impl SecondDerivativeDetector {
                         {
                             if c > 0.0 {
                                 let xj = l + (j as f64 + 0.5) * delta;
-                                sum += c * normal_density_derivative(2, (center - xj) / g);
+                                sum += c * normal_density_derivative_const::<2>((center - xj) / g);
                             }
                         }
                     }
@@ -139,7 +139,7 @@ impl SecondDerivativeDetector {
                         let hi = sorted.partition_point(|&v| v <= center + reach);
                         sum += sorted[lo..hi]
                             .iter()
-                            .map(|&v| normal_density_derivative(2, (center - v) / g))
+                            .map(|&v| normal_density_derivative_const::<2>((center - v) / g))
                             .sum::<f64>();
                     }
                 }
@@ -290,6 +290,25 @@ mod tests {
         let mut v: Vec<f64> = (0..900).map(|i| 50.0 * (i as f64 + 0.5) / 900.0).collect();
         v.extend((0..100).map(|i| 50.0 + 50.0 * (i as f64 + 0.5) / 100.0));
         v
+    }
+
+    #[test]
+    fn second_derivative_curve_bits_are_pinned() {
+        // FNV-1a over the bits of every (x, f'') grid point, captured
+        // before the phi'' sum took its order as a compile-time constant:
+        // the detector's curve must not move by one bit.
+        let curve = SecondDerivativeDetector::default()
+            .second_derivative_grid(&step_sample(), &Domain::new(0.0, 100.0));
+        assert_eq!(curve.len(), 512);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (x, d) in &curve {
+            for w in [x.to_bits(), d.to_bits()] {
+                h ^= w;
+                h = h.wrapping_mul(0x1_0000_0000_01b3);
+            }
+        }
+        assert_eq!(curve[200].1.to_bits(), 0xbe13_67ba_a461_1704);
+        assert_eq!(h, 0x935e_06cf_a8c1_6345);
     }
 
     #[test]

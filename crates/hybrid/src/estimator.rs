@@ -93,7 +93,8 @@ pub struct HybridEstimator {
 
 impl HybridEstimator {
     /// Build with the default configuration (second-derivative change
-    /// points, boundary kernels, per-bin normal scale bandwidths).
+    /// points, boundary kernels, Epanechnikov kernels with per-bin
+    /// two-stage direct plug-in bandwidths).
     pub fn new(samples: &[f64], domain: Domain) -> Self {
         Self::with_config(samples, domain, &HybridConfig::default())
     }

@@ -51,13 +51,80 @@ use crate::stats::robust_scale;
 /// `r`-th derivative of the standard normal density:
 /// `phi^(r)(x) = (-1)^r He_r(x) phi(x)` with the probabilists' Hermite
 /// polynomial `He_r`.
+#[inline]
 pub fn normal_density_derivative(r: usize, x: f64) -> f64 {
     let sign = if r.is_multiple_of(2) { 1.0 } else { -1.0 };
     sign * hermite_prob(r, x) * normal_pdf(x)
 }
 
+/// [`normal_density_derivative`] with the order a compile-time constant.
+/// It runs the same recurrence, which the compiler then fully unrolls:
+/// the same floating-point operations in the same order, so the result is
+/// bit-identical to the runtime-order call. The change-point detector's
+/// `phi''` sum calls this form; the functional scans below use the
+/// pair-weight equivalent.
+#[inline]
+pub fn normal_density_derivative_const<const R: usize>(x: f64) -> f64 {
+    normal_density_derivative(R, x)
+}
+
+/// Weight of one unordered pair at scaled distance `t` in the functional
+/// sums: `phi^(r)(t) + phi^(r)(-t)`.
+///
+/// For even `r` this is evaluated as `2 phi^(r)(t)`, one density
+/// derivative instead of two, with the same bits: every operation
+/// building `He_r(x)` and `exp(-x^2 / 2)` is sign-symmetric under
+/// round-to-nearest (negating `x` negates or keeps each intermediate
+/// exactly; an odd-order intermediate that rounds to exactly zero is `+0`
+/// for both signs, and the next step subtracts a nonzero term from it),
+/// so `phi^(r)(-t)` has exactly the bits of `phi^(r)(t)`, and `v + v` and
+/// `2 v` are the same exact doubling.
+#[inline]
+fn pair_weight(r: usize, t: f64) -> f64 {
+    if r.is_multiple_of(2) {
+        2.0 * normal_density_derivative(r, t)
+    } else {
+        normal_density_derivative(r, t) + normal_density_derivative(r, -t)
+    }
+}
+
+/// [`pair_weight`] with the order a compile-time constant.
+#[inline]
+fn pair_weight_const<const R: usize>(t: f64) -> f64 {
+    pair_weight(R, t)
+}
+
+/// Evaluate `$body` with `$w` bound to the pair weight of order `$r`:
+/// a compile-time-order function for the orders the plug-in recursions
+/// use (2, 4, 6), so the scan is monomorphized with its Hermite
+/// recurrence unrolled, and the runtime-order weight for any other order.
+/// The order is resolved once, at scan entry.
+macro_rules! with_pair_weight {
+    ($r:expr, $w:ident => $body:expr) => {
+        match $r {
+            2 => {
+                let $w = pair_weight_const::<2>;
+                $body
+            }
+            4 => {
+                let $w = pair_weight_const::<4>;
+                $body
+            }
+            6 => {
+                let $w = pair_weight_const::<6>;
+                $body
+            }
+            r => {
+                let $w = move |t: f64| pair_weight(r, t);
+                $body
+            }
+        }
+    };
+}
+
 /// Probabilists' Hermite polynomial `He_r(x)` by the three-term recurrence
 /// `He_{n+1}(x) = x He_n(x) - n He_{n-1}(x)`.
+#[inline]
 fn hermite_prob(r: usize, x: f64) -> f64 {
     match r {
         0 => 1.0,
@@ -237,7 +304,10 @@ const PSI_CHUNK: usize = 256;
 /// pairs with `X_j - X_i <= T_r * g` (see [`psi_window_radius`]); each
 /// fixed 256-index chunk of `i` keeps a Kahan-compensated partial, and
 /// partials merge in chunk order — the result is bit-identical for every
-/// `jobs` value, including 1.
+/// `jobs` value, including 1. Each unordered pair contributes
+/// `phi^(r)(t) + phi^(r)(-t)`, evaluated as `2 phi^(r)(t)` for even `r`
+/// (the same bits), with the order a compile-time constant for `r` in
+/// {2, 4, 6}.
 pub fn estimate_psi_windowed_jobs(sorted: &[f64], r: usize, g: f64, jobs: usize) -> f64 {
     assert!(!sorted.is_empty(), "estimate_psi on empty sample");
     assert!(g > 0.0, "estimate_psi needs a positive pilot bandwidth");
@@ -251,6 +321,24 @@ pub fn estimate_psi_windowed_jobs(sorted: &[f64], r: usize, g: f64, jobs: usize)
     // chunked computation is identical either way, so this threshold
     // cannot change the result.
     let jobs = if n < 2_048 { 1 } else { jobs };
+    let mut sum =
+        with_pair_weight!(r, weight => windowed_pair_sum(sorted, g, radius, jobs, weight));
+    sum += n as f64 * normal_density_derivative(r, 0.0);
+    sum / (n as f64 * n as f64 * g.powi(r as i32 + 1))
+}
+
+/// The off-diagonal part of [`estimate_psi_windowed_jobs`]: the sum of
+/// `weight((X_j - X_i) / g)` over pairs `i < j` no farther apart than
+/// `radius`, Kahan-compensated per fixed chunk of `i` and merged in chunk
+/// order.
+fn windowed_pair_sum(
+    sorted: &[f64],
+    g: f64,
+    radius: f64,
+    jobs: usize,
+    weight: impl Fn(f64) -> f64 + Sync,
+) -> f64 {
+    let n = sorted.len();
     let starts: Vec<usize> = (0..n).step_by(PSI_CHUNK).collect();
     let partials = selest_par::parallel_map_jobs(&starts, jobs, |&start| {
         let end = (start + PSI_CHUNK).min(n);
@@ -263,8 +351,7 @@ pub fn estimate_psi_windowed_jobs(sorted: &[f64], r: usize, g: f64, jobs: usize)
                 if d > radius {
                     break;
                 }
-                let t = d / g;
-                let term = normal_density_derivative(r, t) + normal_density_derivative(r, -t);
+                let term = weight(d / g);
                 // Kahan-compensated accumulation; comp holds how much the
                 // last addition overshot, so the finish subtracts it.
                 let y = term - comp;
@@ -275,9 +362,7 @@ pub fn estimate_psi_windowed_jobs(sorted: &[f64], r: usize, g: f64, jobs: usize)
         }
         sum - comp
     });
-    let mut sum = crate::stats::kahan_sum(partials);
-    sum += n as f64 * normal_density_derivative(r, 0.0);
-    sum / (n as f64 * n as f64 * g.powi(r as i32 + 1))
+    crate::stats::kahan_sum(partials)
 }
 
 /// Linear-binned (Wand-style) functional estimator: spread each sample
@@ -327,7 +412,24 @@ pub fn estimate_psi_binned(samples: &[f64], r: usize, g: f64, bins: usize) -> f6
     // Lag 0 pairs all grid mass with itself (this reproduces the naive
     // diagonal to O((delta/g)^2), since each sample's self-pair weight
     // w^2 + (1-w)^2 + 2w(1-w) telescopes to 1).
-    let mut sum = counts.iter().map(|c| c * c).sum::<f64>() * normal_density_derivative(r, 0.0);
+    let diagonal = counts.iter().map(|c| c * c).sum::<f64>() * normal_density_derivative(r, 0.0);
+    let sum = with_pair_weight!(r, weight => binned_lag_sum(&counts, diagonal, delta, g, max_lag, weight));
+    sum / norm
+}
+
+/// The lag sweep of [`estimate_psi_binned`]: starting from the lag-0
+/// term `diagonal`, add `a_l weight(l delta / g)` for every lag
+/// `1..=max_lag` with nonzero `a_l = sum_k c_k c_{k+l}`, Kahan-compensated.
+fn binned_lag_sum(
+    counts: &[f64],
+    diagonal: f64,
+    delta: f64,
+    g: f64,
+    max_lag: usize,
+    weight: impl Fn(f64) -> f64,
+) -> f64 {
+    let bins = counts.len();
+    let mut sum = diagonal;
     let mut comp = 0.0f64;
     for lag in 1..=max_lag {
         let mut a = 0.0f64;
@@ -338,14 +440,14 @@ pub fn estimate_psi_binned(samples: &[f64], r: usize, g: f64, bins: usize) -> f6
             continue;
         }
         let t = lag as f64 * delta / g;
-        let term = a * (normal_density_derivative(r, t) + normal_density_derivative(r, -t));
+        let term = a * weight(t);
         // Kahan recurrence: comp holds the overshoot of the last addition.
         let y = term - comp;
         let s = sum + y;
         comp = (s - sum) - y;
         sum = s;
     }
-    (sum - comp) / norm
+    sum - comp
 }
 
 /// AMSE-optimal pilot bandwidth for estimating `psi_r` with a Gaussian
@@ -541,6 +643,103 @@ mod tests {
             assert!((hermite_prob(4, x) - he4).abs() < 1e-10);
             let he6 = f64::powi(x, 6) - 15.0 * f64::powi(x, 4) + 45.0 * x * x - 15.0;
             assert!((hermite_prob(6, x) - he6).abs() < 1e-8);
+        }
+    }
+
+    /// Scaled distances the pair loops can meet: zero, subnormals, a
+    /// log-spaced sweep from 1e-300 to 40, a dense linear sweep of
+    /// [0, 40], and every window cutoff with its neighbouring floats.
+    fn pair_distance_grid() -> Vec<f64> {
+        let mut ts = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+        ];
+        ts.push(f64::MIN_POSITIVE);
+        let (lo, hi) = (1e-300f64.ln(), 40f64.ln());
+        let steps = 20_000;
+        ts.extend((0..=steps).map(|k| (lo + (hi - lo) * k as f64 / steps as f64).exp()));
+        ts.extend((0..=40_000).map(|k| k as f64 * 1e-3));
+        for r in 0..=8 {
+            let t = psi_window_radius(r);
+            ts.extend([
+                t,
+                f64::from_bits(t.to_bits() - 1),
+                f64::from_bits(t.to_bits() + 1),
+            ]);
+        }
+        ts
+    }
+
+    #[test]
+    fn even_order_pair_weight_is_bit_identical_to_the_literal_sum() {
+        for r in (0..=8).step_by(2) {
+            for t in pair_distance_grid() {
+                for t in [t, -t] {
+                    let literal =
+                        normal_density_derivative(r, t) + normal_density_derivative(r, -t);
+                    assert_eq!(
+                        pair_weight(r, t).to_bits(),
+                        literal.to_bits(),
+                        "r={r} t={t:e}: 2*phi {:e} vs phi(t)+phi(-t) {literal:e}",
+                        pair_weight(r, t)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compile_time_orders_are_bit_identical_to_the_runtime_recurrence() {
+        fn check<const R: usize>() {
+            for t in pair_distance_grid() {
+                for t in [t, -t] {
+                    assert_eq!(
+                        normal_density_derivative_const::<R>(t).to_bits(),
+                        normal_density_derivative(R, t).to_bits(),
+                        "phi^({R})({t:e})"
+                    );
+                    assert_eq!(
+                        pair_weight_const::<R>(t).to_bits(),
+                        pair_weight(R, t).to_bits(),
+                        "pair weight of order {R} at {t:e}"
+                    );
+                }
+            }
+        }
+        check::<0>();
+        check::<1>();
+        check::<2>();
+        check::<3>();
+        check::<4>();
+        check::<5>();
+        check::<6>();
+        check::<7>();
+        check::<8>();
+    }
+
+    #[test]
+    fn scans_dispatch_to_the_same_bits_as_the_runtime_weight() {
+        let xs = clustered_sample(700);
+        for r in [2usize, 4, 6] {
+            for g in [0.3, 3.0, 45.0] {
+                let radius = psi_window_radius(r) * g;
+                let dispatched = with_pair_weight!(r, w => windowed_pair_sum(&xs, g, radius, 1, w));
+                let runtime = windowed_pair_sum(&xs, g, radius, 1, |t| pair_weight(r, t));
+                assert_eq!(
+                    dispatched.to_bits(),
+                    runtime.to_bits(),
+                    "windowed r={r} g={g}"
+                );
+            }
+        }
+        let counts: Vec<f64> = (0..300).map(|k| ((k * 7919) % 13) as f64 * 0.25).collect();
+        for r in [2usize, 4, 6] {
+            let dispatched =
+                with_pair_weight!(r, w => binned_lag_sum(&counts, 1.5, 0.7, 2.0, 250, w));
+            let runtime = binned_lag_sum(&counts, 1.5, 0.7, 2.0, 250, |t| pair_weight(r, t));
+            assert_eq!(dispatched.to_bits(), runtime.to_bits(), "binned r={r}");
         }
     }
 

@@ -19,9 +19,9 @@ pub mod stats;
 
 pub use functionals::{
     default_psi_bins, estimate_psi, estimate_psi_binned, estimate_psi_naive, estimate_psi_windowed,
-    estimate_psi_windowed_jobs, normal_density_derivative, pilot_bandwidth, psi_normal_scale,
-    psi_plug_in, psi_plug_in_sorted, psi_plug_in_with, psi_window_radius, PsiStrategy,
-    PSI_MAX_BINS,
+    estimate_psi_windowed_jobs, normal_density_derivative, normal_density_derivative_const,
+    pilot_bandwidth, psi_normal_scale, psi_plug_in, psi_plug_in_sorted, psi_plug_in_with,
+    psi_window_radius, PsiStrategy, PSI_MAX_BINS,
 };
 
 pub use optimize::{bisect, brent_min, golden_section_min};

@@ -105,6 +105,7 @@ fn erfc_cf(x: f64) -> f64 {
 }
 
 /// Density of the standard normal distribution at `x`.
+#[inline]
 pub fn normal_pdf(x: f64) -> f64 {
     (-0.5 * x * x).exp() / SQRT_2PI
 }

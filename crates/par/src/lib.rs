@@ -46,15 +46,20 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Process-wide worker-count override; 0 means "not set".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Number of hardware threads the host offers (at least 1).
+/// Number of hardware threads the host offers (at least 1), probed once
+/// per process: [`std::thread::available_parallelism`] re-reads the
+/// cgroup quota files on every call (tens of microseconds on Linux), and
+/// estimator construction resolves its worker count several times per
+/// column.
 pub fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Install a process-wide worker-count override (the `--jobs N` flag).
@@ -755,15 +760,26 @@ impl ShardPool {
     /// A pool with one standing worker per shard (`shards >= 1`).
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "ShardPool needs at least one shard");
+        // Every worker finishes its start-up before `new` returns: thread
+        // start and the first blocking receive allocate per-thread state,
+        // and a caller counting allocations around later, unrelated calls
+        // must not see that work land in its window.
+        let started = Arc::new(std::sync::Barrier::new(shards + 1));
         let workers = (0..shards)
             .map(|s| {
                 let (tx, rx) = std::sync::mpsc::channel::<PoolJob>();
                 let executed = Arc::new(AtomicUsize::new(0));
                 let panicked = Arc::new(AtomicUsize::new(0));
                 let (exec, panics) = (Arc::clone(&executed), Arc::clone(&panicked));
+                let ready = Arc::clone(&started);
                 let handle = std::thread::Builder::new()
                     .name(format!("selest-shard-{s}"))
                     .spawn(move || {
+                        // Nothing can be queued yet (`new` still holds the
+                        // only sender), so this takes the blocking path
+                        // once and times out.
+                        let _ = rx.recv_timeout(Duration::from_millis(1));
+                        ready.wait();
                         while let Ok(job) = rx.recv() {
                             match job {
                                 PoolJob::Stop => break,
@@ -790,6 +806,7 @@ impl ShardPool {
                 }
             })
             .collect();
+        started.wait();
         ShardPool { workers }
     }
 
@@ -958,10 +975,17 @@ mod tests {
 
     #[test]
     fn jobs_override_takes_priority() {
+        let probed = available_workers();
+        assert!(probed >= 1);
         set_jobs(3);
         assert_eq!(configured_jobs(), 3);
+        // The override is read on every call; only the hardware probe is
+        // cached.
+        set_jobs(5);
+        assert_eq!(configured_jobs(), 5);
         set_jobs(0);
         assert!(configured_jobs() >= 1);
+        assert_eq!(available_workers(), probed);
     }
 
     #[test]

@@ -1477,7 +1477,10 @@ impl DurableStore {
 
     /// Publish freshly ANALYZE'd entries as a new generation. The
     /// feedback state resets — corrections learned against the old
-    /// statistics do not transfer to new ones.
+    /// statistics do not transfer to new ones. An entry whose relation or
+    /// column name is empty or contains whitespace is refused with
+    /// [`EstimateError::UnpersistableName`] before any file is written, and
+    /// the store stays on its current generation.
     pub fn publish(&mut self, entries: Vec<PersistedStatistics>) -> Result<u64, EstimateError> {
         let gen = self.active + 1;
         let mut report = RecoveryReport::new(RecoveryRung::Active);
@@ -1831,6 +1834,7 @@ impl DurableStore {
         feedback: FeedbackState,
         report: &mut RecoveryReport,
     ) -> Result<(), EstimateError> {
+        persist::check_names(&entries)?;
         let stats_text = persist::encode(&entries);
         let feedback_text = encode_feedback(&feedback);
         let spath = self.stats_path(generation);

@@ -52,9 +52,9 @@ pub const HEADER_V2: &str = "selest-statistics v2";
 /// couple of refcount bumps).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistedStatistics {
-    /// Relation name (no whitespace).
+    /// Relation name (nonempty, no whitespace).
     pub relation: Arc<str>,
-    /// Column name (no whitespace).
+    /// Column name (nonempty, no whitespace).
     pub column: Arc<str>,
     /// Estimator kind to rebuild.
     pub kind: EstimatorKind,
@@ -131,21 +131,81 @@ fn entry_lines(e: &PersistedStatistics) -> (String, String) {
         e.domain.lo(),
         e.domain.hi()
     );
-    let mut sample = format!("sample {}", e.sample.len());
-    for v in e.sample.iter() {
-        let _ = write!(sample, " {v}");
+    let mut sample = String::with_capacity(16 + 8 * e.sample.len());
+    let _ = write!(sample, "sample {}", e.sample.len());
+    for &v in e.sample.iter() {
+        sample.push(' ');
+        push_sample_value(&mut sample, v);
     }
     (stat, sample)
 }
 
+/// Append `v` to `line` byte for byte as `{v}` prints it. Integer-valued
+/// samples — every sample of the paper's data files, which are quantized
+/// to `[0, 2^p - 1]` — skip the float formatter: for a finite integer
+/// below 2^53 in magnitude, other than -0.0 (which `{v}` prints as `-0`),
+/// `f64` `Display` prints exactly the integer's decimal digits, which are
+/// written here directly.
+fn push_sample_value(line: &mut String, v: f64) {
+    // 2^53: below it the cast to i64 truncates exactly, so the round trip
+    // through i64 is the identity precisely on integers.
+    const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+    if v.abs() < EXACT_INTEGERS && (v as i64) as f64 == v && !(v == 0.0 && v.is_sign_negative()) {
+        if v < 0.0 {
+            line.push('-');
+        }
+        let mut m = (v as i64).unsigned_abs();
+        let mut digits = [0u8; 16]; // 2^53 has 16 digits
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (m % 10) as u8;
+            m /= 10;
+            if m == 0 {
+                break;
+            }
+        }
+        line.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    } else {
+        let _ = write!(line, "{v}");
+    }
+}
+
+/// Whether `name` can be a field of a `stat` line: the format separates
+/// fields with whitespace, so a name must be nonempty and hold none.
+fn persistable_name(name: &str) -> bool {
+    !name.is_empty() && !name.contains(char::is_whitespace)
+}
+
+/// Refuse, with a typed [`EstimateError::UnpersistableName`], any entry
+/// [`encode`] could not write. The durable writers call this before they
+/// touch a file.
+pub(crate) fn check_names(entries: &[PersistedStatistics]) -> Result<(), EstimateError> {
+    match entries
+        .iter()
+        .find(|e| !persistable_name(&e.relation) || !persistable_name(&e.column))
+    {
+        Some(e) => Err(EstimateError::UnpersistableName {
+            relation: e.relation.to_string(),
+            column: e.column.to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Serialize a set of statistics entries in the v2 (checksummed) format.
+///
+/// Panics on an empty relation or column name or one containing
+/// whitespace; the fallible writers ([`save_to_path`],
+/// `DurableStore::publish`) return [`EstimateError::UnpersistableName`]
+/// for such entries instead.
 pub fn encode(entries: &[PersistedStatistics]) -> String {
     let mut out = String::from(HEADER_V2);
     out.push('\n');
     for e in entries {
         assert!(
-            !e.relation.contains(char::is_whitespace) && !e.column.contains(char::is_whitespace),
-            "relation/column names must not contain whitespace"
+            persistable_name(&e.relation) && persistable_name(&e.column),
+            "relation/column names must be nonempty and contain no whitespace"
         );
         let (stat, sample) = entry_lines(e);
         let check = fnv1a64(format!("{stat}\n{sample}\n").as_bytes());
@@ -443,8 +503,11 @@ pub(crate) fn fsync_dir(dir: &Path) -> Result<(), EstimateError> {
 /// rename itself survives power loss — without it, some filesystems may
 /// forget the new name entirely). A crash at any point leaves either the
 /// old file or the new one — never a torn mix. Failures come back as
-/// typed [`EstimateError::Io`] values naming the path and operation.
+/// typed [`EstimateError::Io`] values naming the path and operation; an
+/// entry whose name is empty or contains whitespace is refused with
+/// [`EstimateError::UnpersistableName`] before any file is created.
 pub fn save_to_path(path: &Path, entries: &[PersistedStatistics]) -> Result<(), EstimateError> {
+    check_names(entries)?;
     write_atomic_durably(path, encode(entries).as_bytes())
 }
 
@@ -528,6 +591,73 @@ mod tests {
             let _ = writeln!(out, "{stat}\n{sample}");
         }
         out
+    }
+
+    /// Edge values of the integer fast path plus `count` pseudo-random
+    /// bit patterns and integers of every magnitude.
+    fn encoder_probe_values(count: u64) -> Vec<f64> {
+        let two53 = 9_007_199_254_740_992.0f64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1_048_575.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            -(two53 - 1.0),
+            -two53,
+            -(two53 + 2.0),
+            0.5,
+            -2.5,
+            1e15,
+            1e16,
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut x = 0x005e_1ec7_u64;
+        for _ in 0..count {
+            x = crate::overload::splitmix64(x);
+            values.push(f64::from_bits(x));
+            // Integers up to 2^63 in magnitude, both signs.
+            values.push(((x as i64) >> (x % 64)) as f64);
+        }
+        values
+    }
+
+    #[test]
+    fn integer_fast_path_prints_exactly_what_display_prints() {
+        for v in encoder_probe_values(50_000) {
+            let mut fast = String::new();
+            push_sample_value(&mut fast, v);
+            assert_eq!(fast, format!("{v}"), "bits {:#018x}", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn encoded_samples_round_trip_bit_for_bit() {
+        let sample: Vec<f64> = encoder_probe_values(5_000);
+        let e = PersistedStatistics {
+            sample: sample.clone().into(),
+            ..entry()
+        };
+        let back = decode(&encode(std::slice::from_ref(&e))).expect("decode");
+        let got: Vec<u64> = back[0].sample.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = sample
+            .iter()
+            // Display prints every NaN as `NaN`; parsing yields the
+            // canonical quiet NaN.
+            .map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits())
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

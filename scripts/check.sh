@@ -32,11 +32,21 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> store/core/par tests (unit tests and crates/store/tests/chaos.rs)"
+echo "==> crate tests (store/core/par/math/hybrid/kernel unit tests and crates/store/tests/chaos.rs)"
 # The root `cargo test -q` runs only the root package. The serving router,
 # breaker, brownout, deadline and quarantine tests, and the store chaos
-# suite, live in these crates.
-cargo test -q -p selest-store -p selest-core -p selest-par
+# suite, live in the first three crates; the density functionals, the
+# change-point detector and the kernel moment tables (with their
+# bit-identity tests) live in the last three.
+cargo test -q -p selest-store -p selest-core -p selest-par \
+    -p selest-math -p selest-hybrid -p selest-kernel
+
+echo "==> bit-identity pins in an optimized build"
+# The compile-time Hermite orders are only unrolled with optimization, so
+# the pinned build-publish bits (tests/build_engine.rs) and the math and
+# change-point bit-identity tests also run against release code.
+cargo test --release -q --test build_engine
+cargo test --release -q -p selest-math -p selest-hybrid --lib
 
 echo "==> selbench tests (the benchmark builds against the workspace crates)"
 cargo test --release --manifest-path selbench/Cargo.toml

@@ -377,3 +377,71 @@ fn online_scan_resumes_from_the_last_durable_checkpoint() {
     assert!(catalog.statistics("t", "v").is_some());
     assert!(catalog.statistics("t", "w").is_some());
 }
+
+// -------------------------------------------------------------------------
+// 5. Names the format cannot hold are refused before any write
+// -------------------------------------------------------------------------
+
+/// Every file name in `dir` with its bytes, sorted by name.
+fn dir_snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|e| {
+            let e = e.expect("entry");
+            let bytes = std::fs::read(e.path()).expect("read file");
+            (e.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn unpersistable_names_are_refused_and_the_store_keeps_its_generation() {
+    let dir = scratch("whitespace-names");
+    let (mut store, _) = DurableStore::open(&dir).expect("open");
+    store.publish(catalog(1, 1).export()).expect("gen 1");
+    let (stats, feedback) = store.export_bytes();
+    let before = dir_snapshot(&dir);
+
+    for (relation_name, column_name) in [("orders 2024", "v"), ("orders", "unit\tprice"), ("", "v")]
+    {
+        let mut rel = Relation::new(relation_name);
+        rel.add_column(Column::new(column_name, Domain::new(0.0, 1000.0), rows(3)));
+        let mut cat = StatisticsCatalog::new();
+        cat.analyze_jobs(&rel, &config(), 1);
+        match store.publish(cat.export()) {
+            Err(EstimateError::UnpersistableName { relation, column }) => {
+                assert_eq!(
+                    (relation.as_str(), column.as_str()),
+                    (relation_name, column_name)
+                );
+            }
+            other => panic!("expected UnpersistableName, got {other:?}"),
+        }
+        let target = dir.join("orders.stats");
+        assert!(matches!(
+            selest::store::persist::save_to_path(&target, &cat.export()),
+            Err(EstimateError::UnpersistableName { .. })
+        ));
+        assert!(!target.exists(), "a refused save must not create its file");
+    }
+
+    assert_eq!(store.active_generation(), 1);
+    assert_eq!(store.export_bytes(), (stats, feedback));
+    assert_eq!(
+        dir_snapshot(&dir),
+        before,
+        "a refused publish wrote to the store"
+    );
+    let report = fsck(&dir);
+    assert!(
+        report.healthy,
+        "fsck after refused publish: {:?}",
+        report.findings
+    );
+    assert_eq!(report.active, Some(1));
+    // The store still takes well-formed work.
+    assert_eq!(store.compact().expect("compact"), 2);
+    assert!(fsck(&dir).healthy);
+}
