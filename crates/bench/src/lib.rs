@@ -2,12 +2,8 @@
 //! files, samples, and query sets so every bench measures computation, not
 //! setup noise.
 
-use selest_core::{Domain, RangeQuery};
+use selest_core::RangeQuery;
 use selest_data::{sample_without_replacement, DataFile, PaperFile, QueryFile};
-
-pub mod ingest;
-pub mod overload;
-pub mod serving;
 
 /// A reduced n(20)-style fixture: data, 1 000-record sample, 1 % queries.
 pub struct Fixture {
@@ -32,11 +28,6 @@ pub fn fixture(file: PaperFile) -> Fixture {
     }
 }
 
-/// The fixture's domain.
-pub fn domain(f: &Fixture) -> Domain {
-    f.data.domain()
-}
-
 /// Sum of selectivities over the fixture's queries — the standard "answer
 /// the whole query file" workload benched for each estimator.
 ///
@@ -52,38 +43,10 @@ pub fn total_selectivity<E: selest_core::SelectivityEstimator + ?Sized>(
     selest_math::kahan_sum(queries.iter().map(|q| est.selectivity(q)))
 }
 
-/// Batched counterpart of [`total_selectivity`]: same Kahan reduction over
-/// [`selest_core::SelectivityEstimator::selectivity_batch`]. Bit-identical
-/// to [`total_selectivity`] for conforming batch overrides.
-pub fn total_selectivity_batch<E: selest_core::SelectivityEstimator + ?Sized>(
-    est: &E,
-    queries: &[RangeQuery],
-) -> f64 {
-    selest_math::kahan_sum(est.selectivity_batch(queries))
-}
-
-/// Allocation-free counterpart of [`total_selectivity_batch`]: answers
-/// land in the caller's reusable buffers via
-/// [`selest_core::SelectivityEstimator::selectivity_batch_into`], so a
-/// warm timing loop measures pure estimation. Bit-identical to both other
-/// strategies for conforming overrides.
-pub fn total_selectivity_batch_into<E: selest_core::SelectivityEstimator + ?Sized>(
-    est: &E,
-    queries: &[RangeQuery],
-    scratch: &mut selest_core::BatchScratch,
-    out: &mut Vec<f64>,
-) -> f64 {
-    out.clear();
-    out.resize(queries.len(), 0.0);
-    est.selectivity_batch_into(queries, scratch, out);
-    selest_math::kahan_sum(out.iter().copied())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use selest_core::SelectivityEstimator;
-    use selest_kernel::{BoundaryPolicy, KernelEstimator, KernelFn};
 
     /// Manual profiling aid for the histogram seq row: times the dyn
     /// dispatch loop, the concrete loop, and the lookup alone.
@@ -119,25 +82,5 @@ mod tests {
         }
         let plain_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
         eprintln!("dyn+kahan {dyn_us:.2}us  concrete+kahan {conc_us:.2}us  concrete+plainsum {plain_us:.2}us  (acc {acc})");
-    }
-
-    #[test]
-    fn checksum_is_identical_for_both_evaluation_strategies() {
-        let f = fixture(PaperFile::Normal { p: 15 });
-        let est = KernelEstimator::new(
-            &f.sample,
-            f.data.domain(),
-            KernelFn::Epanechnikov,
-            f.data.domain().width() / 64.0,
-            BoundaryPolicy::Reflection,
-        );
-        let seq = total_selectivity(&est, &f.queries);
-        let batch = total_selectivity_batch(&est, &f.queries);
-        assert_eq!(seq.to_bits(), batch.to_bits());
-        assert!(seq.is_finite() && seq > 0.0);
-        // Spot-check the reduction itself against a plain loop of the
-        // identical per-query values.
-        let naive = selest_math::kahan_sum(f.queries.iter().map(|q| est.selectivity(q)));
-        assert_eq!(seq.to_bits(), naive.to_bits());
     }
 }

@@ -7,7 +7,7 @@
 //! selest estimate n(20) kernel 100000 200000 [--scale 10] [--sample 2000]
 //! selest repro fig12 [--quick] [--csv DIR]
 //! selest snapshot /var/lib/selest n(20) [--scale 10]
-//! selest ingest --bench [--smoke]
+//! selest serve --status [/var/lib/selest]
 //! selest fsck /var/lib/selest [--repair]
 //! selest methods
 //! ```
@@ -255,9 +255,13 @@ fn cmd_snapshot(args: &[String]) {
 /// store at DIR when given, else the empty snapshot) and print its
 /// overload-facing health — load tier, per-shard pressure/shed counters,
 /// and every column breaker — the same report a long-lived process would
-/// expose.
-fn cmd_serve_status(args: &[String]) {
+/// expose. `--status` is the only mode; without it the command prints
+/// its usage and exits 2.
+fn cmd_serve(args: &[String]) {
     use selest::store::DurableStore;
+    if !args.iter().any(|a| a == "--status") {
+        die("serve: run `selest serve --status [DIR]`");
+    }
     let engine = selest::ServingEngine::with_defaults();
     if let Some(dir) = args.iter().find(|a| !a.starts_with("--")) {
         match DurableStore::open(std::path::Path::new(dir.as_str())) {
@@ -293,42 +297,6 @@ fn cmd_serve_status(args: &[String]) {
             b.relation, b.column, b.state, b.trips
         );
     }
-}
-
-fn cmd_serve(args: &[String]) {
-    if args.iter().any(|a| a == "--status") {
-        return cmd_serve_status(args);
-    }
-    if !args.iter().any(|a| a == "--bench") {
-        die("serve: run `selest serve --bench [--overload]` or `selest serve --status [DIR]`");
-    }
-    if args.iter().any(|a| a == "--overload") {
-        let opts = bench::overload::OverloadBenchOptions {
-            smoke: args.iter().any(|a| a == "--smoke"),
-            out: flag_value(args, "--out").unwrap_or_else(|| "BENCH_PR10.json".to_owned()),
-            seed: flag_value(args, "--seed")
-                .map(|s| s.parse().unwrap_or_else(|_| die("bad --seed")))
-                .unwrap_or(0x0005_E1E5_70AD),
-        };
-        bench::overload::run_overload_bench(&opts);
-        return;
-    }
-    let opts = bench::serving::ServingBenchOptions {
-        smoke: args.iter().any(|a| a == "--smoke"),
-        out: flag_value(args, "--out").unwrap_or_else(|| "BENCH_PR8.json".to_owned()),
-    };
-    bench::serving::run_serving_bench(&opts);
-}
-
-fn cmd_ingest(args: &[String]) {
-    if !args.iter().any(|a| a == "--bench") {
-        die("ingest: only the benchmark driver is wired so far; run `selest ingest --bench`");
-    }
-    let opts = bench::ingest::IngestBenchOptions {
-        smoke: args.iter().any(|a| a == "--smoke"),
-        out: flag_value(args, "--out").unwrap_or_else(|| "BENCH_PR9.json".to_owned()),
-    };
-    bench::ingest::run_ingest_bench(&opts);
 }
 
 fn print_fsck(report: &selest::store::FsckReport) {
@@ -440,7 +408,6 @@ fn main() {
         Some("repro") => cmd_repro(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("ingest") => cmd_ingest(&args[1..]),
         Some("fsck") => cmd_fsck(&args[1..]),
         Some("methods") => {
             for m in METHODS {
@@ -455,9 +422,7 @@ fn main() {
             println!("  selest estimate <file> <method> <a> <b> [--scale K] [--sample N]");
             println!("  selest repro [ids...] [--quick] [--jobs N] [--csv DIR]");
             println!("  selest snapshot <dir> [files...] [--scale K] [--sample N]");
-            println!("  selest serve --bench [--overload] [--smoke] [--out FILE] [--seed N]");
             println!("  selest serve --status [DIR]");
-            println!("  selest ingest --bench [--smoke] [--out FILE]");
             println!("  selest fsck <dir> [--repair]");
             println!("  selest methods");
             println!();

@@ -9,14 +9,25 @@
 //! 2. `harness::evaluate` produces bit-identical `ErrorStats` regardless
 //!    of the worker count, so `repro --jobs N` output never depends on
 //!    the machine it ran on.
+//! 3. On the criterion fixtures (n(20) and u(20) at scale 20, 1 000-value
+//!    sample, 200 queries at 1 %), every estimator answers the query file
+//!    with pinned Kahan-checksum bits through the per-query loop,
+//!    `selectivity_batch` and `selectivity_batch_into`, at every SIMD lane
+//!    width.
 
+use selest::core::BatchScratch;
+use selest::data::sample_without_replacement;
 use selest::experiments::harness::{evaluate, evaluate_jobs};
-use selest::kernel::{AdaptiveBoundary, BandwidthSelector, NormalScale};
+use selest::histogram::{BinRule, NormalScaleBins};
+use selest::kernel::{AdaptiveBoundary, BandwidthSelector, DirectPlugIn, NormalScale};
+use selest::math::kahan_sum;
 use selest::{
     equi_depth, equi_width, max_diff, v_optimal, AdaptiveKernelEstimator, AverageShiftedHistogram,
     BoundaryPolicy, Domain, ExactSelectivity, HybridEstimator, KernelEstimator, KernelFn,
-    RangeQuery, SamplingEstimator, SelectivityEstimator, UniformEstimator, WaveletHistogram,
+    PaperFile, QueryFile, RangeQuery, SamplingEstimator, SelectivityEstimator, UniformEstimator,
+    WaveletHistogram,
 };
+use selest_simd::{set_lanes, LaneMode};
 
 const LO: f64 = 0.0;
 const HI: f64 = 1_000.0;
@@ -194,5 +205,114 @@ fn parallel_evaluate_is_bit_identical_for_every_estimator_and_worker_count() {
             ambient.mean_relative_error().to_bits(),
             "{name}: evaluate() drifted from evaluate_jobs(.., 1)"
         );
+    }
+}
+
+/// Query-file checksum bits per `(fixture, estimator)`: the Kahan sum of
+/// the 200 per-query selectivities, as `f64::to_bits`. The `-naive` rows
+/// take their bandwidth from the O(n^2) plug-in functionals, the others
+/// from the fast path; both pairs are pinned, so neither can drift.
+const PINNED_QUERY_FILE_BITS: [(&str, &str, u64); 20] = [
+    ("n(20)", "sampling", 4616564542723736994),
+    ("n(20)", "ewh-ns", 4616543680362983501),
+    ("n(20)", "edh-ns", 4616491794011333782),
+    ("n(20)", "mdh-ns", 4616259875111383445),
+    ("n(20)", "ash-ns", 4616534717332087127),
+    ("n(20)", "kernel-bk-dpi2", 4616479675081843307),
+    ("n(20)", "kernel-refl-dpi2", 4616479675081843307),
+    ("n(20)", "kernel-bk-dpi2-naive", 4616479691194467509),
+    ("n(20)", "kernel-refl-dpi2-naive", 4616479691194467509),
+    ("n(20)", "hybrid", 4616513157739073896),
+    ("u(20)", "sampling", 4611782845819376370),
+    ("u(20)", "ewh-ns", 4611707609441849218),
+    ("u(20)", "edh-ns", 4611710645733506387),
+    ("u(20)", "mdh-ns", 4611627648304693746),
+    ("u(20)", "ash-ns", 4611695334616986627),
+    ("u(20)", "kernel-bk-dpi2", 4611718079069384712),
+    ("u(20)", "kernel-refl-dpi2", 4611692408884373775),
+    ("u(20)", "kernel-bk-dpi2-naive", 4611718082916577445),
+    ("u(20)", "kernel-refl-dpi2-naive", 4611692412924320486),
+    ("u(20)", "hybrid", 4611740162694723183),
+];
+
+/// The estimator a pinned row names, built the way the paper configures it.
+fn fixture_estimator(name: &str, sample: &[f64], domain: Domain) -> Box<dyn SelectivityEstimator> {
+    let k = NormalScaleBins.bins(sample, &domain);
+    let kernel = |selector: DirectPlugIn, policy: BoundaryPolicy| {
+        let mut h = selector.bandwidth(sample, KernelFn::Epanechnikov);
+        if policy == BoundaryPolicy::BoundaryKernel {
+            h = h.min(0.5 * domain.width());
+        }
+        Box::new(KernelEstimator::new(
+            sample,
+            domain,
+            KernelFn::Epanechnikov,
+            h,
+            policy,
+        )) as Box<dyn SelectivityEstimator>
+    };
+    match name {
+        "sampling" => Box::new(SamplingEstimator::new(sample, domain)),
+        "ewh-ns" => Box::new(equi_width(sample, domain, k)),
+        "edh-ns" => Box::new(equi_depth(sample, domain, k)),
+        "mdh-ns" => Box::new(max_diff(sample, domain, k)),
+        "ash-ns" => Box::new(AverageShiftedHistogram::new(sample, domain, k, 10)),
+        "kernel-bk-dpi2" => kernel(DirectPlugIn::two_stage(), BoundaryPolicy::BoundaryKernel),
+        "kernel-refl-dpi2" => kernel(DirectPlugIn::two_stage(), BoundaryPolicy::Reflection),
+        "kernel-bk-dpi2-naive" => kernel(
+            DirectPlugIn::two_stage_naive(),
+            BoundaryPolicy::BoundaryKernel,
+        ),
+        "kernel-refl-dpi2-naive" => {
+            kernel(DirectPlugIn::two_stage_naive(), BoundaryPolicy::Reflection)
+        }
+        "hybrid" => Box::new(HybridEstimator::new(sample, domain)),
+        other => panic!("no estimator row {other}"),
+    }
+}
+
+#[test]
+fn fixture_query_file_checksums_are_pinned_for_every_estimator_and_path() {
+    let mut scratch = BatchScratch::new();
+    let mut out = Vec::new();
+    for file in [PaperFile::Normal { p: 20 }, PaperFile::Uniform { p: 20 }] {
+        let data = file.generate_scaled(20);
+        let sample = sample_without_replacement(data.values(), 1_000, 7);
+        let queries = QueryFile::generate(&data, 0.01, 200, 3).queries().to_vec();
+        let rows = PINNED_QUERY_FILE_BITS
+            .iter()
+            .filter(|(fixture, _, _)| *fixture == data.name());
+        for &(fixture, name, pinned) in rows {
+            let est = fixture_estimator(name, &sample, data.domain());
+            let seq = kahan_sum(queries.iter().map(|q| est.selectivity(q)));
+            assert_eq!(
+                seq.to_bits(),
+                pinned,
+                "{fixture} {name}: per-query checksum {seq}"
+            );
+            let batch = kahan_sum(est.selectivity_batch(&queries));
+            assert_eq!(
+                batch.to_bits(),
+                pinned,
+                "{fixture} {name}: batch checksum {batch}"
+            );
+            // Lane widths are a process-wide performance knob: every width
+            // must reproduce the pinned bits through the allocation-free
+            // path.
+            for mode in LaneMode::ALL {
+                set_lanes(Some(mode));
+                out.clear();
+                out.resize(queries.len(), 0.0);
+                est.selectivity_batch_into(&queries, &mut scratch, &mut out);
+                set_lanes(None);
+                let into = kahan_sum(out.iter().copied());
+                assert_eq!(
+                    into.to_bits(),
+                    pinned,
+                    "{fixture} {name}: batch_into checksum {into} at lanes={}",
+                    mode.label()
+                );
+            }
+        }
     }
 }
