@@ -1,14 +1,11 @@
 //! Benches for the extension modules: wavelet histogram, adaptive kernel,
-//! n-dimensional product kernels, 2-D LSCV, and the store's query layer.
+//! and 2-D LSCV.
 
 use bench::{fixture, total_selectivity};
 use criterion::{criterion_group, criterion_main, Criterion};
-use selest_core::Domain;
 use selest_data::PaperFile;
 use selest_histogram::WaveletHistogram;
-use selest_kernel::{
-    lscv_score_2d, AdaptiveBoundary, AdaptiveKernelEstimator, BoxQuery, KernelFn, NdKernelEstimator,
-};
+use selest_kernel::{lscv_score_2d, AdaptiveBoundary, AdaptiveKernelEstimator, KernelFn};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -51,23 +48,6 @@ fn bench(c: &mut Criterion) {
     );
     g.bench_function("adaptive_kernel_answer_200_queries", |b| {
         b.iter(|| black_box(total_selectivity(&ad, &f.queries)))
-    });
-
-    // 3-D product kernel: box-query latency.
-    let pts3: Vec<Vec<f64>> = (0..1_000)
-        .map(|i| {
-            vec![
-                100.0 * ((i as f64 + 0.5) * 0.414_213_562_4).fract(),
-                100.0 * ((i as f64 + 0.5) * 0.732_050_807_6).fract(),
-                100.0 * ((i as f64 + 0.5) * 0.236_067_977_5).fract(),
-            ]
-        })
-        .collect();
-    let doms = vec![Domain::new(0.0, 100.0); 3];
-    let nd = NdKernelEstimator::with_scott_rule(&pts3, doms, KernelFn::Epanechnikov);
-    let bq = BoxQuery::new(vec![(10.0, 40.0), (20.0, 60.0), (30.0, 80.0)]);
-    g.bench_function("ndim3_box_query", |b| {
-        b.iter(|| black_box(nd.selectivity(black_box(&bq))))
     });
 
     // 2-D LSCV score: one evaluation of the O(n * window) objective.

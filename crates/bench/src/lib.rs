@@ -31,10 +31,8 @@ pub fn fixture(file: PaperFile) -> Fixture {
 /// Sum of selectivities over the fixture's queries — the standard "answer
 /// the whole query file" workload benched for each estimator.
 ///
-/// Kahan-compensated so the checksum is stable when the same per-query
-/// values arrive from a different evaluation strategy (per-query loop vs.
-/// the batched merge scan): both paths produce identical per-query values
-/// in identical order, and the compensated sum keeps the reduction from
+/// Kahan-compensated, like the pinned query-file checksums of the
+/// workspace tests, so the compensated sum keeps the reduction from
 /// magnifying rounding differences into checksum noise.
 pub fn total_selectivity<E: selest_core::SelectivityEstimator + ?Sized>(
     est: &E,

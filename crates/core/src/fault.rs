@@ -86,8 +86,8 @@ pub enum EstimateError {
     },
     /// The request's end-to-end deadline expired before the estimate
     /// completed. Cooperative: the serving path polls the deadline at
-    /// checkpoints (admission, between merge-scan phases, between batch
-    /// slots) and abandons only the *remaining* work, so a batch returns
+    /// checkpoints (admission, and every 16 valid slots of the fallible
+    /// batch) and abandons only the *remaining* work, so a batch returns
     /// partial results — finished slots keep their bit-exact values and
     /// unfinished slots carry this error.
     DeadlineExceeded {

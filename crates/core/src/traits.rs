@@ -5,14 +5,18 @@ use crate::fault::{catch_fault, EstimateError, FaultStage};
 use crate::query::RangeQuery;
 use crate::scratch::BatchScratch;
 
-/// One query through the fault-isolated path: validate, catch panics,
-/// reject non-finite answers. Shared by the `try_*` default methods so the
-/// Vec-returning and caller-provided-output variants cannot drift apart.
-fn try_single<E: SelectivityEstimator + ?Sized>(
+/// How many valid slots the fallible batch default evaluates between
+/// deadline polls. Small enough that an expired budget is noticed within
+/// a few microseconds of work, large enough that the atomic load never
+/// shows up in profiles.
+const DEADLINE_STRIDE: usize = 16;
+
+/// One valid query through the fault-isolated path: catch panics, reject
+/// non-finite answers.
+fn isolated<E: SelectivityEstimator + ?Sized>(
     est: &E,
     q: &RangeQuery,
 ) -> Result<f64, EstimateError> {
-    q.validate()?;
     let v = catch_fault(
         FaultStage::Estimate,
         std::panic::AssertUnwindSafe(|| est.selectivity(q)),
@@ -35,14 +39,10 @@ pub trait SelectivityEstimator {
     fn selectivity(&self, q: &RangeQuery) -> f64;
 
     /// Estimated selectivities for a whole batch of queries, in input
-    /// order.
-    ///
-    /// The default simply loops over [`SelectivityEstimator::selectivity`];
-    /// estimators whose evaluation cost can be amortized across a batch
-    /// (e.g. the sorted-sample kernel estimator's merge scan) override
-    /// this. Overrides MUST return bit-identical values to the per-query
-    /// path — batch evaluation is an execution strategy, never a different
-    /// estimator.
+    /// order: a loop over [`SelectivityEstimator::selectivity`]. Batches
+    /// are an execution convenience, never a different estimator — every
+    /// batch entry point answers each query through `selectivity`, so a
+    /// batch is bit-identical to the per-query path by construction.
     fn selectivity_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
         queries.iter().map(|q| self.selectivity(q)).collect()
     }
@@ -55,24 +55,18 @@ pub trait SelectivityEstimator {
     /// [`EstimateError::Panicked`], a NaN/±Inf answer as
     /// [`EstimateError::NonFiniteEstimate`] — and every other slot holds
     /// exactly the value the infallible path would have produced.
-    ///
-    /// Overrides (e.g. the kernel merge scan) MUST keep successful slots
-    /// bit-identical to the per-query path, like `selectivity_batch`.
     fn try_selectivity_batch(&self, queries: &[RangeQuery]) -> Vec<Result<f64, EstimateError>> {
-        queries.iter().map(|q| try_single(self, q)).collect()
+        let mut out = Vec::with_capacity(queries.len());
+        self.try_selectivity_batch_into(queries, &mut BatchScratch::new(), &mut out);
+        out
     }
 
     /// Allocation-free batch estimation: write the estimates for `queries`
     /// into the caller-provided `out` slice (which must have exactly
-    /// `queries.len()` elements), using `scratch` for any working buffers.
-    ///
-    /// Semantically identical to [`SelectivityEstimator::selectivity_batch`]
-    /// — same values, same bits — but after the first call on a given
-    /// estimator type the warm `scratch` makes the call perform **zero
-    /// heap allocations**. The default ignores `scratch` and loops over
-    /// [`SelectivityEstimator::selectivity`]; estimators that override
-    /// `selectivity_batch` should override this with the same engine so
-    /// both entry points share one implementation.
+    /// `queries.len()` elements). Same values, same bits as
+    /// [`SelectivityEstimator::selectivity_batch`], with zero heap
+    /// allocations. The infallible contract has no partial-result
+    /// channel, so it ignores a deadline armed in `scratch`.
     fn selectivity_batch_into(
         &self,
         queries: &[RangeQuery],
@@ -96,15 +90,34 @@ pub trait SelectivityEstimator {
     /// `out`'s existing capacity (error values may still allocate — errors
     /// are the cold path). Same per-slot semantics as
     /// [`SelectivityEstimator::try_selectivity_batch`].
+    ///
+    /// A [`selest_par::Deadline`] armed in `scratch` cancels the batch
+    /// cooperatively: it is polled before the first valid slot and then
+    /// every 16 valid slots. Once it has expired, every remaining valid
+    /// slot reports [`EstimateError::DeadlineExceeded`]; slots already
+    /// evaluated keep their bits, and invalid queries keep
+    /// [`EstimateError::InvalidQuery`].
     fn try_selectivity_batch_into(
         &self,
         queries: &[RangeQuery],
         scratch: &mut BatchScratch,
         out: &mut Vec<Result<f64, EstimateError>>,
     ) {
-        let _ = scratch;
+        let deadline = scratch.deadline();
+        let mut valid = 0usize;
+        let mut expired = None;
         out.clear();
-        out.extend(queries.iter().map(|q| try_single(self, q)));
+        out.extend(queries.iter().map(|q| {
+            q.validate()?;
+            if expired.is_none() && valid.is_multiple_of(DEADLINE_STRIDE) {
+                expired = deadline.filter(|d| d.expired());
+            }
+            valid += 1;
+            match expired {
+                Some(d) => Err(EstimateError::deadline_exceeded(d)),
+                None => isolated(self, q),
+            }
+        }));
     }
 
     /// The attribute domain this estimator was built over.
@@ -147,35 +160,12 @@ pub trait DensityEstimator {
     }
 }
 
-/// The blanket impls forward every batch entry point, so wrapping an
-/// estimator in `&`/`Box` never silently falls back to the per-query
-/// defaults (losing an override's amortization or scratch reuse).
+/// The blanket impls forward the per-query entry points; the batch
+/// defaults then loop over the forwarded `selectivity`.
 macro_rules! forward_selectivity_estimator {
     () => {
         fn selectivity(&self, q: &RangeQuery) -> f64 {
             (**self).selectivity(q)
-        }
-        fn selectivity_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
-            (**self).selectivity_batch(queries)
-        }
-        fn try_selectivity_batch(&self, queries: &[RangeQuery]) -> Vec<Result<f64, EstimateError>> {
-            (**self).try_selectivity_batch(queries)
-        }
-        fn selectivity_batch_into(
-            &self,
-            queries: &[RangeQuery],
-            scratch: &mut BatchScratch,
-            out: &mut [f64],
-        ) {
-            (**self).selectivity_batch_into(queries, scratch, out)
-        }
-        fn try_selectivity_batch_into(
-            &self,
-            queries: &[RangeQuery],
-            scratch: &mut BatchScratch,
-            out: &mut Vec<Result<f64, EstimateError>>,
-        ) {
-            (**self).try_selectivity_batch_into(queries, scratch, out)
         }
         fn domain(&self) -> Domain {
             (**self).domain()

@@ -1,8 +1,6 @@
 //! Shared experiment machinery: scaling, evaluation, and report rendering.
 
-use std::cell::RefCell;
-
-use selest_core::{BatchScratch, ErrorStats, ExactSelectivity, RangeQuery, SelectivityEstimator};
+use selest_core::{ErrorStats, ExactSelectivity, RangeQuery, SelectivityEstimator};
 
 /// How large to run an experiment.
 #[derive(Debug, Clone, Copy)]
@@ -49,27 +47,17 @@ const EVAL_CHUNK: usize = 64;
 /// Evaluate an estimator's MRE (and friends) over a query file against the
 /// exact instance counts.
 ///
-/// Runs on the batch-estimation engine: the query file is split into
-/// fixed-size chunks, each chunk is answered with
-/// [`SelectivityEstimator::selectivity_batch`] (the kernel estimator's
-/// sorted merge scan, a plain loop elsewhere) on one of
-/// [`selest_par::configured_jobs`] workers, and the per-chunk accumulators
-/// are merged in chunk order. The result is bit-identical to the
-/// single-threaded per-query loop for every worker count.
+/// The query file is split into fixed-size chunks, each chunk is answered
+/// query by query on one of [`selest_par::configured_jobs`] workers, and
+/// the per-chunk accumulators are merged in chunk order. The result is
+/// bit-identical to the single-threaded per-query loop for every worker
+/// count.
 pub fn evaluate<E: SelectivityEstimator + Sync + ?Sized>(
     estimator: &E,
     queries: &[RangeQuery],
     exact: &ExactSelectivity,
 ) -> ErrorStats {
     evaluate_jobs(estimator, queries, exact, selest_par::configured_jobs())
-}
-
-thread_local! {
-    /// Per-worker batch scratch and output buffer: each evaluation worker
-    /// reuses its buffers across chunks, so a warm harness run performs no
-    /// per-chunk heap allocation on the estimation path.
-    static EVAL_SCRATCH: RefCell<(BatchScratch, Vec<f64>)> =
-        const { RefCell::new((BatchScratch::new(), Vec::new())) };
 }
 
 /// [`evaluate`] with an explicit worker count (primarily for determinism
@@ -82,18 +70,12 @@ pub fn evaluate_jobs<E: SelectivityEstimator + Sync + ?Sized>(
 ) -> ErrorStats {
     let n = exact.total();
     let chunks = selest_par::parallel_chunks_jobs(queries, EVAL_CHUNK, jobs, |chunk| {
-        EVAL_SCRATCH.with(|cell| {
-            let (scratch, sels) = &mut *cell.borrow_mut();
-            sels.clear();
-            sels.resize(chunk.len(), 0.0);
-            estimator.selectivity_batch_into(chunk, scratch, sels);
-            let mut stats = ErrorStats::new();
-            for (q, &sel) in chunk.iter().zip(sels.iter()) {
-                let truth = exact.count(q) as f64;
-                stats.record(truth, sel * n as f64);
-            }
-            stats
-        })
+        let mut stats = ErrorStats::new();
+        for q in chunk {
+            let truth = exact.count(q) as f64;
+            stats.record(truth, estimator.selectivity(q) * n as f64);
+        }
+        stats
     });
     ErrorStats::from_ordered_chunks(chunks)
 }

@@ -28,15 +28,12 @@
 
 use std::sync::Arc;
 
-use selest_core::{
-    BatchScratch, DensityEstimator, Domain, PreparedColumn, RangeQuery, SelectivityEstimator,
-};
-use selest_simd::{configured_lanes, LaneMode};
+use selest_core::{DensityEstimator, Domain, PreparedColumn, RangeQuery, SelectivityEstimator};
 
 use crate::boundary::{left_boundary_kernel, BoundaryPolicy};
 use crate::kernels::KernelFn;
 use crate::moments::MomentTable;
-use crate::strips::{raw_term_sum, with_lane_kernel};
+use crate::strips::raw_term_sum;
 
 /// Kernel selectivity / density estimator over a sorted sample set.
 ///
@@ -65,8 +62,7 @@ pub struct KernelEstimator {
     sorted: Arc<[f64]>,
     kernel: KernelFn,
     h: f64,
-    /// Cached `1/h`: the strip loops multiply instead of dividing (PR 7's
-    /// canonical arithmetic — a division would serialize the lane pipeline).
+    /// Cached `1/h`: the strip loops multiply instead of dividing.
     inv_h: f64,
     domain: Domain,
     boundary: BoundaryPolicy,
@@ -183,11 +179,6 @@ impl KernelEstimator {
         self.h
     }
 
-    /// The cached reciprocal bandwidth `1/h` used by every strip loop.
-    pub(crate) fn inv_bandwidth(&self) -> f64 {
-        self.inv_h
-    }
-
     /// The prefix-moment table, present exactly for the Epanechnikov
     /// kernel.
     pub(crate) fn moments(&self) -> Option<&MomentTable> {
@@ -217,11 +208,8 @@ impl KernelEstimator {
     /// Untreated selectivity mass of `[a, b]` over the real line — the raw
     /// equation (6). Epanechnikov terms are `F(b) - F(a)` from four cut
     /// lookups and the moment table, `O(log n)`; the other kernels scan
-    /// their strips with the arithmetic of [`crate::strips`]. Either way
-    /// the code is shared verbatim with the batch merge scan, so per-query
-    /// and batch answers are bit-identical by construction (and identical
-    /// for every `SELEST_LANES` mode).
-    fn raw_mass(&self, a: f64, b: f64, mode: LaneMode) -> f64 {
+    /// their strips with the arithmetic of [`crate::strips`].
+    fn raw_mass(&self, a: f64, b: f64) -> f64 {
         debug_assert!(a <= b);
         let n = self.sorted.len() as f64;
         let xs = &self.sorted[..];
@@ -252,10 +240,7 @@ impl KernelEstimator {
             // no sample can contribute a full one.
             (0, 0)
         };
-        let s = with_lane_kernel!(self.kernel, k => raw_term_sum(
-            k, xs, a, b, self.inv_h, mode, wide, i0, i1, i2, i3,
-        ));
-        s / n
+        raw_term_sum(self.kernel, xs, a, b, self.inv_h, wide, i0, i1, i2, i3) / n
     }
 
     /// Untreated density at `x` over the real line.
@@ -271,11 +256,10 @@ impl KernelEstimator {
     }
 
     /// Boundary-kernel selectivity (Epanechnikov interior). `a <= b`, both
-    /// inside the domain. The accumulation order (interior, left strip,
-    /// right strip) is mirrored exactly by the batch path's boundary-kernel
-    /// arm, and both sum the edge strips through
+    /// inside the domain. Accumulates the interior, left strip and right
+    /// strip in that order; the edge strips come from
     /// [`MomentTable::boundary_strip`].
-    fn boundary_kernel_mass(&self, a: f64, b: f64, mode: LaneMode) -> f64 {
+    fn boundary_kernel_mass(&self, a: f64, b: f64) -> f64 {
         let (l, r) = (self.domain.lo(), self.domain.hi());
         let h = self.h;
         let n = self.sorted.len() as f64;
@@ -288,7 +272,7 @@ impl KernelEstimator {
         let x1 = a.max(l + h);
         let x2 = b.min(r - h);
         if x2 > x1 {
-            s += self.raw_mass(x1, x2, mode) * n;
+            s += self.raw_mass(x1, x2) * n;
         }
 
         // Left strip piece: x in [a, b] ∩ [l, l + h), in v = (x - l)/h
@@ -364,61 +348,6 @@ impl KernelEstimator {
 }
 
 impl SelectivityEstimator for KernelEstimator {
-    /// Batched evaluation via the sorted-query merge scan: all
-    /// `partition_point` boundary lookups are amortized into one forward
-    /// pass over the sorted sample (see [`crate::batch`]); the result is
-    /// bit-identical to a per-query [`Self::selectivity`] loop.
-    fn selectivity_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
-        crate::batch::selectivity_batch(self, queries)
-    }
-
-    /// Fault-isolated batch: degenerate queries are rejected up front
-    /// (the merge scan packs cut values into integer keys and requires
-    /// finite bounds), the surviving subset runs through the same merge
-    /// scan as [`Self::selectivity_batch`] — so `Ok` slots stay
-    /// bit-identical to the infallible path — and if the scan itself
-    /// panics the batch falls back to the per-query default so one
-    /// poisoned evaluation cannot take down its neighbours.
-    fn try_selectivity_batch(
-        &self,
-        queries: &[RangeQuery],
-    ) -> Vec<Result<f64, selest_core::EstimateError>> {
-        let mut out = Vec::new();
-        crate::batch::with_thread_scratch(|scratch| {
-            crate::batch::try_selectivity_batch_into(self, queries, scratch, &mut out)
-        });
-        out
-    }
-
-    /// Allocation-free merge scan: same engine as
-    /// [`Self::selectivity_batch`], but the plans/cuts/resolved-index
-    /// buffers live in the caller's `scratch` and the answers land in
-    /// `out` — zero heap allocations once the scratch is warm.
-    fn selectivity_batch_into(
-        &self,
-        queries: &[RangeQuery],
-        scratch: &mut BatchScratch,
-        out: &mut [f64],
-    ) {
-        assert_eq!(
-            queries.len(),
-            out.len(),
-            "selectivity_batch_into needs one output slot per query"
-        );
-        crate::batch::selectivity_batch_into(self, queries, scratch, out);
-    }
-
-    /// Fault-isolated, allocation-conscious batch: the semantics of
-    /// [`Self::try_selectivity_batch`] writing into a reusable `out`.
-    fn try_selectivity_batch_into(
-        &self,
-        queries: &[RangeQuery],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<Result<f64, selest_core::EstimateError>>,
-    ) {
-        crate::batch::try_selectivity_batch_into(self, queries, scratch, out);
-    }
-
     fn selectivity(&self, q: &RangeQuery) -> f64 {
         let (l, r) = (self.domain.lo(), self.domain.hi());
         let a = q.a().max(l);
@@ -426,23 +355,22 @@ impl SelectivityEstimator for KernelEstimator {
         if b < a {
             return 0.0;
         }
-        let mode = configured_lanes();
         let est = match self.boundary {
-            BoundaryPolicy::NoTreatment => self.raw_mass(a, b, mode),
+            BoundaryPolicy::NoTreatment => self.raw_mass(a, b),
             BoundaryPolicy::Reflection => {
                 // Reflecting the boundary-strip samples is equivalent to
                 // also evaluating the raw estimator on the mirrored query.
-                let mut s = self.raw_mass(a, b, mode);
+                let mut s = self.raw_mass(a, b);
                 let reach = self.kernel.support_radius() * self.h;
                 if a < l + reach {
-                    s += self.raw_mass(2.0 * l - b, 2.0 * l - a, mode);
+                    s += self.raw_mass(2.0 * l - b, 2.0 * l - a);
                 }
                 if b > r - reach {
-                    s += self.raw_mass(2.0 * r - b, 2.0 * r - a, mode);
+                    s += self.raw_mass(2.0 * r - b, 2.0 * r - a);
                 }
                 s
             }
-            BoundaryPolicy::BoundaryKernel => self.boundary_kernel_mass(a, b, mode),
+            BoundaryPolicy::BoundaryKernel => self.boundary_kernel_mass(a, b),
         };
         est.clamp(0.0, 1.0)
     }

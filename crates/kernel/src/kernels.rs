@@ -126,9 +126,9 @@ impl KernelFn {
                 } else if t >= 1.0 {
                     1.0
                 } else {
-                    // Explicit power chain (t3 = t2*t, t5 = t3*t2), spelled
-                    // identically in the lane forms of `crate::strips` so
-                    // scalar and SIMD evaluation agree bit-for-bit.
+                    // Explicit power chain (t3 = t2*t, t5 = t3*t2): the
+                    // pinned query-file checksums depend on this exact
+                    // association.
                     let t2 = t * t;
                     let t3 = t2 * t;
                     let t5 = t3 * t2;
@@ -141,7 +141,7 @@ impl KernelFn {
                 } else if t >= 1.0 {
                     1.0
                 } else {
-                    // Same power chain as the lane forms; see Biweight.
+                    // Explicit power chain; see Biweight.
                     let t2 = t * t;
                     let t3 = t2 * t;
                     let t5 = t3 * t2;

@@ -21,14 +21,12 @@
 
 pub mod adaptive;
 pub mod bandwidth;
-mod batch;
 pub mod boundary;
 pub mod estimator;
 pub mod kde;
 pub mod kernels;
 mod moments;
 pub mod multidim;
-pub mod ndim;
 mod strips;
 
 pub use adaptive::{AdaptiveBoundary, AdaptiveKernelEstimator};
@@ -40,4 +38,3 @@ pub use boundary::BoundaryPolicy;
 pub use estimator::KernelEstimator;
 pub use kernels::KernelFn;
 pub use multidim::{lscv_score_2d, lscv_score_2d_jobs, Boundary2d, KernelEstimator2d, RectQuery};
-pub use ndim::{BoxQuery, NdKernelEstimator};

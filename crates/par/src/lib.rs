@@ -205,7 +205,8 @@ impl Default for RetryPolicy {
 }
 
 /// A cooperative execution budget shared by every worker of a batch — and
-/// by every layer of a serving request, down to the kernel merge scan.
+/// by every layer of a serving request, down to the estimator's batch
+/// loop.
 ///
 /// Workers poll it between tasks and between retry attempts; long-running
 /// task closures may poll it themselves via [`Deadline::expired`]. Expiry

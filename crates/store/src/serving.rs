@@ -39,7 +39,7 @@
 //!   ([`ServingEngine::try_estimate_with`] /
 //!   [`ServingEngine::estimate_batch_with`]). An expired one refuses
 //!   before any work; a live one rides inside the [`BatchScratch`] to the
-//!   rung, which cancels cooperatively at its checkpoints. Expired work
+//!   rung's fallible batch, which polls it every 16 valid slots. Expired work
 //!   comes back as typed [`EstimateError::DeadlineExceeded`] slots;
 //!   finished slots keep their unhurried bits (partial results, never
 //!   hurried arithmetic).
@@ -1255,10 +1255,9 @@ impl ServingEngine {
     /// Serve a whole batch against one column, allocation-free once
     /// `scratch` is warm: invalid queries come back as per-slot errors,
     /// cache hits answer directly, and the misses are compacted and
-    /// evaluated through the estimator's amortized batch kernel — so the
-    /// mixed hit/miss result is still bit-identical to the sequential
-    /// batch path (the workspace contract makes batch and per-query
-    /// evaluation interchangeable at the bit level).
+    /// evaluated through the estimator's batch path — so the mixed
+    /// hit/miss result is still bit-identical to the sequential batch path
+    /// (every batch entry point answers each query through `selectivity`).
     pub fn estimate_batch_into(
         &self,
         relation: &str,

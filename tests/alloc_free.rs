@@ -2,15 +2,14 @@
 //! allocation-free after warm-up.
 //!
 //! A wrapping `#[global_allocator]` tallies every `alloc`/`realloc`/
-//! `alloc_zeroed`; the test warms each estimator's scratch once, then
+//! `alloc_zeroed`; the test warms each estimator's output buffers once, then
 //! asserts:
 //!
 //! - `selectivity_batch_into` and `try_selectivity_batch_into` perform
 //!   **zero** heap allocations per call — the whole point of the
 //!   caller-provided-buffer variants;
 //! - the `Vec`-returning `selectivity_batch` performs at most **one**
-//!   allocation per call: the output vector its signature requires. All
-//!   working buffers come from the warm per-thread scratch;
+//!   allocation per call: the output vector its signature requires;
 //! - the serving engine over a kernel column — `estimate_batch_into` with
 //!   a warm `ServingScratch`, and `try_estimate` (a batch of one through a
 //!   thread-local scratch) — performs **zero** heap allocations per call,
@@ -114,8 +113,7 @@ fn batch_path_is_allocation_free_after_warmup() {
     for (name, est) in &estimators {
         let est = est.as_ref();
 
-        // Warm-up: first calls may size the scratch (and, for the kernel
-        // merge scan, materialize its typed sub-scratch).
+        // Warm-up: first calls may grow `try_out` to the batch size.
         est.selectivity_batch_into(&queries, &mut scratch, &mut out);
         try_out.clear();
         try_out.resize(queries.len(), Ok(0.0));
@@ -197,8 +195,8 @@ fn batch_path_is_allocation_free_after_warmup() {
     let (batch_cold, singles) = rest.split_at(50);
     let mut serving = ServingScratch::new();
     let mut served = Vec::new();
-    // Warm-up: thread-local snapshot entry, serving and kernel scratch
-    // for a 50-query batch, and the single path's thread-local scratch.
+    // Warm-up: thread-local snapshot entry, serving scratch for a
+    // 50-query batch, and the single path's thread-local scratch.
     engine.estimate_batch_into("t", "k", batch_warm, &mut serving, &mut served);
     engine.try_estimate("t", "k", &singles[0]).expect("served");
     let stats = engine.cache().stats();

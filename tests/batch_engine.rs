@@ -1,19 +1,23 @@
 //! Cross-crate contract tests for the batch-estimation engine.
 //!
-//! Two guarantees are pinned here, at the workspace level, over every
+//! Four guarantees are pinned here, at the workspace level, over every
 //! estimator the facade exports:
 //!
 //! 1. `selectivity_batch` returns bit-identical values to the per-query
-//!    `selectivity` loop — including the kernel estimator's sorted-query
-//!    merge-scan override.
+//!    `selectivity` loop.
 //! 2. `harness::evaluate` produces bit-identical `ErrorStats` regardless
 //!    of the worker count, so `repro --jobs N` output never depends on
 //!    the machine it ran on.
 //! 3. On the criterion fixtures (n(20) and u(20) at scale 20, 1 000-value
-//!    sample, 200 queries at 1 %), every estimator answers the query file
-//!    with pinned Kahan-checksum bits through the per-query loop,
-//!    `selectivity_batch` and `selectivity_batch_into`, at every SIMD lane
-//!    width.
+//!    sample, 200 queries at 1 %), every estimator — and every
+//!    strip-scanned kernel, untreated and reflected — answers the query
+//!    file with pinned Kahan-checksum bits through the per-query loop,
+//!    `selectivity_batch` and `selectivity_batch_into`.
+//! 4. A deadline armed in the `BatchScratch` cancels the fallible batch
+//!    the same way for every estimator: finished slots keep their bits,
+//!    the rest report `DeadlineExceeded`, invalid queries `InvalidQuery`.
+
+use std::cell::Cell;
 
 use selest::core::BatchScratch;
 use selest::data::sample_without_replacement;
@@ -21,13 +25,13 @@ use selest::experiments::harness::{evaluate, evaluate_jobs};
 use selest::histogram::{BinRule, NormalScaleBins};
 use selest::kernel::{AdaptiveBoundary, BandwidthSelector, DirectPlugIn, NormalScale};
 use selest::math::kahan_sum;
+use selest::par::Deadline;
 use selest::{
     equi_depth, equi_width, max_diff, v_optimal, AdaptiveKernelEstimator, AverageShiftedHistogram,
-    BoundaryPolicy, Domain, ExactSelectivity, HybridEstimator, KernelEstimator, KernelFn,
-    PaperFile, QueryFile, RangeQuery, SamplingEstimator, SelectivityEstimator, UniformEstimator,
-    WaveletHistogram,
+    BoundaryPolicy, Domain, EstimateError, ExactSelectivity, HybridEstimator, KernelEstimator,
+    KernelFn, PaperFile, QueryFile, RangeQuery, SamplingEstimator, SelectivityEstimator,
+    UniformEstimator, WaveletHistogram,
 };
-use selest_simd::{set_lanes, LaneMode};
 
 const LO: f64 = 0.0;
 const HI: f64 = 1_000.0;
@@ -54,7 +58,7 @@ fn sample() -> Vec<f64> {
 }
 
 /// Query mix: interior, straddling, degenerate, out-of-support, and
-/// full-domain ranges — everything the merge scan has to order correctly.
+/// full-domain ranges.
 fn queries() -> Vec<RangeQuery> {
     let mut qs = Vec::new();
     for i in 0..60 {
@@ -235,6 +239,42 @@ const PINNED_QUERY_FILE_BITS: [(&str, &str, u64); 20] = [
     ("u(20)", "hybrid", 4611740162694723183),
 ];
 
+/// Query-file checksum bits of the strip-scanned kernels per `(fixture,
+/// kernel, policy)`, each at its own normal-scale bandwidth. Every kernel
+/// but Epanechnikov sums its boundary strips element by element, so these
+/// rows pin that reduction's bits the way the rows above pin the
+/// moment-table path.
+const PINNED_STRIP_KERNEL_BITS: [(&str, KernelFn, BoundaryPolicy, u64); 24] = {
+    use BoundaryPolicy::{NoTreatment as Nt, Reflection as Refl};
+    use KernelFn::{Biweight, Cosine, Gaussian, Triangular, Triweight, Uniform};
+    [
+        ("n(20)", Uniform, Nt, 4616473447994931041),
+        ("n(20)", Uniform, Refl, 4616473447994931041),
+        ("n(20)", Triangular, Nt, 4616481911737532456),
+        ("n(20)", Triangular, Refl, 4616481911737532456),
+        ("n(20)", Biweight, Nt, 4616480291309426547),
+        ("n(20)", Biweight, Refl, 4616480291309426547),
+        ("n(20)", Triweight, Nt, 4616480321841729589),
+        ("n(20)", Triweight, Refl, 4616480321841729589),
+        ("n(20)", Cosine, Nt, 4616479924516281165),
+        ("n(20)", Cosine, Refl, 4616479924516281165),
+        ("n(20)", Gaussian, Nt, 4616480112936922865),
+        ("n(20)", Gaussian, Refl, 4616480112936922865),
+        ("u(20)", Uniform, Nt, 4611001113474427823),
+        ("u(20)", Uniform, Refl, 4611676221328436847),
+        ("u(20)", Triangular, Nt, 4611076278443330417),
+        ("u(20)", Triangular, Refl, 4611689195440401345),
+        ("u(20)", Biweight, Nt, 4611064354060497514),
+        ("u(20)", Biweight, Refl, 4611688506695857483),
+        ("u(20)", Triweight, Nt, 4611070952435285018),
+        ("u(20)", Triweight, Refl, 4611688937666117403),
+        ("u(20)", Cosine, Nt, 4611055380258768762),
+        ("u(20)", Cosine, Refl, 4611687944474632422),
+        ("u(20)", Gaussian, Nt, 4611089761709450418),
+        ("u(20)", Gaussian, Refl, 4611690274915910998),
+    ]
+};
+
 /// The estimator a pinned row names, built the way the paper configures it.
 fn fixture_estimator(name: &str, sample: &[f64], domain: Domain) -> Box<dyn SelectivityEstimator> {
     let k = NormalScaleBins.bins(sample, &domain);
@@ -277,13 +317,30 @@ fn fixture_query_file_checksums_are_pinned_for_every_estimator_and_path() {
     let mut out = Vec::new();
     for file in [PaperFile::Normal { p: 20 }, PaperFile::Uniform { p: 20 }] {
         let data = file.generate_scaled(20);
+        let domain = data.domain();
         let sample = sample_without_replacement(data.values(), 1_000, 7);
         let queries = QueryFile::generate(&data, 0.01, 200, 3).queries().to_vec();
         let rows = PINNED_QUERY_FILE_BITS
             .iter()
-            .filter(|(fixture, _, _)| *fixture == data.name());
-        for &(fixture, name, pinned) in rows {
-            let est = fixture_estimator(name, &sample, data.domain());
+            .filter(|(fixture, _, _)| *fixture == data.name())
+            .map(|&(_, name, pinned)| {
+                (
+                    name.to_string(),
+                    fixture_estimator(name, &sample, domain),
+                    pinned,
+                )
+            });
+        let strip_rows = PINNED_STRIP_KERNEL_BITS
+            .iter()
+            .filter(|(fixture, ..)| *fixture == data.name())
+            .map(|&(_, kernel, policy, pinned)| {
+                let h = NormalScale.bandwidth(&sample, kernel);
+                let est = KernelEstimator::new(&sample, domain, kernel, h, policy);
+                let name = format!("kernel-{}-{}-ns", kernel.name(), policy.label());
+                (name, Box::new(est) as Box<dyn SelectivityEstimator>, pinned)
+            });
+        for (name, est, pinned) in rows.chain(strip_rows) {
+            let fixture = data.name();
             let seq = kahan_sum(queries.iter().map(|q| est.selectivity(q)));
             assert_eq!(
                 seq.to_bits(),
@@ -296,22 +353,180 @@ fn fixture_query_file_checksums_are_pinned_for_every_estimator_and_path() {
                 pinned,
                 "{fixture} {name}: batch checksum {batch}"
             );
-            // Lane widths are a process-wide performance knob: every width
-            // must reproduce the pinned bits through the allocation-free
-            // path.
-            for mode in LaneMode::ALL {
-                set_lanes(Some(mode));
-                out.clear();
-                out.resize(queries.len(), 0.0);
-                est.selectivity_batch_into(&queries, &mut scratch, &mut out);
-                set_lanes(None);
-                let into = kahan_sum(out.iter().copied());
-                assert_eq!(
-                    into.to_bits(),
-                    pinned,
-                    "{fixture} {name}: batch_into checksum {into} at lanes={}",
-                    mode.label()
-                );
+            out.clear();
+            out.resize(queries.len(), 0.0);
+            est.selectivity_batch_into(&queries, &mut scratch, &mut out);
+            let into = kahan_sum(out.iter().copied());
+            assert_eq!(
+                into.to_bits(),
+                pinned,
+                "{fixture} {name}: batch_into checksum {into}"
+            );
+        }
+    }
+}
+
+/// The estimators the deadline contract is checked over: a kernel, a
+/// max-diff histogram and the hybrid.
+fn deadline_estimators(samples: &[f64]) -> Vec<(&'static str, Box<dyn SelectivityEstimator>)> {
+    let domain = Domain::new(LO, HI);
+    vec![
+        (
+            "kernel-refl",
+            Box::new(KernelEstimator::new(
+                samples,
+                domain,
+                KernelFn::Epanechnikov,
+                25.0,
+                BoundaryPolicy::Reflection,
+            )) as _,
+        ),
+        ("mdh", Box::new(max_diff(samples, domain, 16)) as _),
+        (
+            "hybrid",
+            Box::new(HybridEstimator::new(samples, domain)) as _,
+        ),
+    ]
+}
+
+/// The query mix with one degenerate query, which must keep its own
+/// error class under any deadline.
+fn queries_with_invalid() -> Vec<RangeQuery> {
+    let mut qs = queries();
+    qs.insert(3, RangeQuery::unchecked(9.0, 4.0));
+    qs
+}
+
+/// A spent deadline in the scratch turns every valid slot into a typed
+/// `DeadlineExceeded` (validation errors keep their own class), and the
+/// infallible path ignores the deadline entirely.
+#[test]
+fn expired_deadline_yields_typed_refusals_not_garbage() {
+    let samples = sample();
+    let qs = queries_with_invalid();
+    let good = queries();
+    for (name, est) in deadline_estimators(&samples) {
+        let mut scratch = BatchScratch::new();
+        scratch.set_deadline(Deadline::already_expired());
+        let mut tried = Vec::new();
+        est.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
+        assert_eq!(tried.len(), qs.len());
+        for (i, slot) in tried.iter().enumerate() {
+            match slot {
+                Err(EstimateError::DeadlineExceeded { .. }) if i != 3 => {}
+                Err(EstimateError::InvalidQuery { .. }) if i == 3 => {}
+                other => panic!("{name} slot {i}: expected a typed refusal, got {other:?}"),
+            }
+        }
+        // The infallible contract has no partial-result channel: a stale
+        // armed deadline must not bend its answers.
+        let mut good_out = vec![0.0; good.len()];
+        est.selectivity_batch_into(&good, &mut scratch, &mut good_out);
+        for (i, (got, q)) in good_out.iter().zip(&good).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                est.selectivity(q).to_bits(),
+                "{name} query {i}"
+            );
+        }
+    }
+}
+
+/// An armed but unexpired deadline is free: the try path's `Ok` slots
+/// stay bit-identical to the per-query path.
+#[test]
+fn unexpired_deadline_is_bit_transparent() {
+    let samples = sample();
+    let qs = queries();
+    for (name, est) in deadline_estimators(&samples) {
+        let mut scratch = BatchScratch::new();
+        scratch.set_deadline(Deadline::manual());
+        let mut tried = Vec::new();
+        est.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
+        assert_eq!(tried.len(), qs.len());
+        for (i, (slot, q)) in tried.iter().zip(&qs).enumerate() {
+            assert_eq!(
+                slot.as_ref().expect("unexpired deadline").to_bits(),
+                est.selectivity(q).to_bits(),
+                "{name} query {i}"
+            );
+        }
+    }
+}
+
+/// Trips a manual deadline during its `trip_at`-th evaluation.
+struct TripAfter<'a> {
+    inner: &'a dyn SelectivityEstimator,
+    deadline: Deadline,
+    calls: Cell<usize>,
+    trip_at: usize,
+}
+
+impl SelectivityEstimator for TripAfter<'_> {
+    fn selectivity(&self, q: &RangeQuery) -> f64 {
+        self.calls.set(self.calls.get() + 1);
+        if self.calls.get() == self.trip_at {
+            self.deadline.expire();
+        }
+        self.inner.selectivity(q)
+    }
+    fn domain(&self) -> Domain {
+        self.inner.domain()
+    }
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+}
+
+/// A deadline that expires mid-batch is noticed at the next poll (every
+/// 16 valid slots): the slots evaluated before it keep their exact bits,
+/// every later valid slot is `DeadlineExceeded`, and the invalid query
+/// stays `InvalidQuery` on either side of the cut.
+#[test]
+fn deadline_expiring_mid_batch_keeps_finished_slots_bit_identical() {
+    const STRIDE: usize = 16;
+    let samples = sample();
+    for invalid_at in [3, 40] {
+        let mut qs = queries();
+        qs.insert(invalid_at, RangeQuery::unchecked(9.0, 4.0));
+        let n_valid = qs.len() - 1;
+        for (name, est) in deadline_estimators(&samples) {
+            for trip_at in [1, 5, 16, 17, 33, n_valid] {
+                let deadline = Deadline::manual();
+                let tripping = TripAfter {
+                    inner: est.as_ref(),
+                    deadline: deadline.clone(),
+                    calls: Cell::new(0),
+                    trip_at,
+                };
+                let mut scratch = BatchScratch::new();
+                scratch.set_deadline(deadline);
+                let mut tried = Vec::new();
+                tripping.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
+                assert_eq!(tried.len(), qs.len());
+                let finished = trip_at.div_ceil(STRIDE) * STRIDE;
+                assert_eq!(tripping.calls.get(), finished.min(n_valid));
+                let mut valid = 0;
+                for (i, (slot, q)) in tried.iter().zip(&qs).enumerate() {
+                    let label = format!("{name} trip_at={trip_at} slot {i}");
+                    if i == invalid_at {
+                        assert!(
+                            matches!(slot, Err(EstimateError::InvalidQuery { .. })),
+                            "{label}: {slot:?}"
+                        );
+                        continue;
+                    }
+                    if valid < finished {
+                        let got = slot.as_ref().expect("finished before the poll");
+                        assert_eq!(got.to_bits(), est.selectivity(q).to_bits(), "{label}");
+                    } else {
+                        assert!(
+                            matches!(slot, Err(EstimateError::DeadlineExceeded { .. })),
+                            "{label}: {slot:?}"
+                        );
+                    }
+                    valid += 1;
+                }
             }
         }
     }

@@ -1,17 +1,14 @@
-//! Workspace-level determinism contract for the SIMD serving kernels.
+//! Workspace-level determinism contract for the kernel serving path.
 //!
-//! The lane-width override (`SELEST_LANES` / [`selest_simd::set_lanes`])
-//! and the worker-count override (`SELEST_JOBS` / [`selest_par::set_jobs`])
-//! are *performance* knobs: every combination must produce byte-identical
-//! estimates. This file sweeps lanes ∈ {scalar, 4, 8} × jobs ∈ {1, 7} over
-//! four data shapes — uniform, normal, Zipf, and the TIGER (Arapahoe)
-//! simulacrum — and pins the per-query bits plus the aggregated
-//! `ErrorStats` against the scalar/1-worker reference. The estimators are
-//! the paper's Epanechnikov kernel under boundary kernels and reflection
-//! (summed from its prefix-moment table, so lane-independent by
-//! construction) plus two that still scan their strips lane by lane:
-//! Biweight with reflection (a polynomial lane CDF) and Gaussian untreated
-//! (the per-lane scalar fallback).
+//! The worker-count override (`SELEST_JOBS` / [`selest_par::set_jobs`]) is
+//! a *performance* knob: every worker count must produce byte-identical
+//! estimates. This file sweeps jobs ∈ {1, 7} over four data shapes —
+//! uniform, normal, Zipf, and the TIGER (Arapahoe) simulacrum — and pins
+//! the per-query bits, the batch bits and the aggregated `ErrorStats`
+//! against the 1-worker reference. The estimators are the paper's
+//! Epanechnikov kernel under boundary kernels and reflection (summed from
+//! its prefix-moment table) plus two that scan their strips: Biweight with
+//! reflection and Gaussian untreated.
 //!
 //! A proptest at the end pins the branchless binary search (the building
 //! block every grid lookup ends in) against `slice::partition_point`.
@@ -26,7 +23,6 @@ use selest::{
     BoundaryPolicy, DataFile, Domain, ExactSelectivity, KernelEstimator, KernelFn, PaperFile,
     QueryFile, RangeQuery, SelectivityEstimator,
 };
-use selest_simd::LaneMode;
 
 /// One prepared workload: name, sample, domain, queries, exact answers.
 struct Workload {
@@ -86,14 +82,13 @@ fn estimators(w: &Workload) -> Vec<(String, KernelEstimator)> {
     .collect()
 }
 
-/// The whole sweep runs in one test: the lane and jobs overrides are
-/// process-global, so interleaving with other tests would race.
+/// The whole sweep runs in one test: the jobs override is process-global,
+/// so interleaving with other tests would race.
 #[test]
-fn lane_and_jobs_sweep_is_byte_identical() {
+fn jobs_sweep_is_byte_identical() {
     struct ResetOnDrop;
     impl Drop for ResetOnDrop {
         fn drop(&mut self) {
-            selest_simd::set_lanes(None);
             selest_par::set_jobs(0);
         }
     }
@@ -101,18 +96,12 @@ fn lane_and_jobs_sweep_is_byte_identical() {
 
     for w in workloads() {
         for (label, est) in estimators(&w) {
-            // Reference: scalar lanes, one worker.
-            selest_simd::set_lanes(Some(LaneMode::Scalar));
+            // Reference: one worker.
             selest_par::set_jobs(1);
             let ref_seq: Vec<u64> = w
                 .queries
                 .iter()
                 .map(|q| est.selectivity(q).to_bits())
-                .collect();
-            let ref_batch: Vec<u64> = est
-                .selectivity_batch(&w.queries)
-                .iter()
-                .map(|s| s.to_bits())
                 .collect();
             let ref_stats = evaluate(&est, &w.queries, &w.exact);
             assert!(
@@ -120,45 +109,33 @@ fn lane_and_jobs_sweep_is_byte_identical() {
                 "{label}: reference evaluation recorded nothing"
             );
 
-            for lanes in LaneMode::ALL {
-                for jobs in [1usize, 7] {
-                    selest_simd::set_lanes(Some(lanes));
-                    selest_par::set_jobs(jobs);
-                    let got: Vec<u64> = est
-                        .selectivity_batch(&w.queries)
-                        .iter()
-                        .map(|s| s.to_bits())
-                        .collect();
-                    assert_eq!(
-                        got, ref_batch,
-                        "{label}: batch bits differ at lanes={lanes:?} jobs={jobs}"
-                    );
-                    let seq: Vec<u64> = w
-                        .queries
-                        .iter()
-                        .map(|q| est.selectivity(q).to_bits())
-                        .collect();
-                    assert_eq!(
-                        seq, ref_seq,
-                        "{label}: per-query bits differ at lanes={lanes:?} jobs={jobs}"
-                    );
-                    let stats = evaluate(&est, &w.queries, &w.exact);
-                    assert_eq!(
-                        stats.mean_absolute_error().to_bits(),
-                        ref_stats.mean_absolute_error().to_bits(),
-                        "{label}: mean abs error drifts at lanes={lanes:?} jobs={jobs}"
-                    );
-                    assert_eq!(
-                        stats.mean_relative_error().to_bits(),
-                        ref_stats.mean_relative_error().to_bits(),
-                        "{label}: mean rel error drifts at lanes={lanes:?} jobs={jobs}"
-                    );
-                    assert_eq!(
-                        stats.rms_relative_error().to_bits(),
-                        ref_stats.rms_relative_error().to_bits(),
-                        "{label}: rms rel error drifts at lanes={lanes:?} jobs={jobs}"
-                    );
-                }
+            for jobs in [1usize, 7] {
+                selest_par::set_jobs(jobs);
+                let got: Vec<u64> = est
+                    .selectivity_batch(&w.queries)
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                assert_eq!(
+                    got, ref_seq,
+                    "{label}: batch bits differ from per-query at jobs={jobs}"
+                );
+                let stats = evaluate(&est, &w.queries, &w.exact);
+                assert_eq!(
+                    stats.mean_absolute_error().to_bits(),
+                    ref_stats.mean_absolute_error().to_bits(),
+                    "{label}: mean abs error drifts at jobs={jobs}"
+                );
+                assert_eq!(
+                    stats.mean_relative_error().to_bits(),
+                    ref_stats.mean_relative_error().to_bits(),
+                    "{label}: mean rel error drifts at jobs={jobs}"
+                );
+                assert_eq!(
+                    stats.rms_relative_error().to_bits(),
+                    ref_stats.rms_relative_error().to_bits(),
+                    "{label}: rms rel error drifts at jobs={jobs}"
+                );
             }
         }
     }
