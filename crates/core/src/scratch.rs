@@ -55,7 +55,7 @@ mod tests {
     fn deadline_slot_arms_and_disarms() {
         let mut scratch = BatchScratch::new();
         assert!(scratch.deadline().is_none());
-        scratch.set_deadline(Deadline::manual());
+        scratch.set_deadline(Deadline::never());
         assert!(scratch.deadline().is_some());
         assert!(!scratch.deadline().expect("armed").expired());
         scratch.clear_deadline();

@@ -1,10 +1,10 @@
 //! Dependency-free execution runtime for batch workloads.
 //!
-//! Everything in the workspace that answers a query file — the experiment
-//! harness, the oracle searches, the bench harness — funnels its fan-out
-//! through this crate. The design constraint is *determinism*: a run with
-//! eight workers must produce bit-identical results to a run with one.
-//! Two rules enforce that:
+//! Everything in the workspace that fans work out — the experiment
+//! harness, the oracle searches, the catalog's ANALYZE, the serving
+//! engine's sharded rebuilds — funnels it through this crate. The design
+//! constraint is *determinism*: a run with eight workers must produce
+//! bit-identical results to a run with one. Two rules enforce that:
 //!
 //! 1. **Fixed chunk boundaries.** [`parallel_chunks`] splits the input at
 //!    positions derived only from the input length and the requested chunk
@@ -19,8 +19,9 @@
 //! `*_jobs` argument, a process-wide [`set_jobs`] override (the `--jobs N`
 //! CLI flag), the `SELEST_JOBS` environment variable, and finally
 //! [`std::thread::available_parallelism`]. Workers are plain
-//! [`std::thread::scope`] threads: no pools persist between calls and no
-//! dependencies are pulled in.
+//! [`std::thread::scope`] threads: no pools persist between calls, no
+//! thread outlives the call that spawned it, and no dependencies are
+//! pulled in.
 //!
 //! # Fault tolerance
 //!
@@ -29,20 +30,17 @@
 //! * the **infallible** API ([`parallel_map`], [`parallel_chunks`]) keeps
 //!   its historical contract — a panicking task eventually panics the
 //!   caller — and is a thin wrapper over the fallible core;
-//! * the **fallible** API ([`try_map_chunks`], [`try_for_chunks`],
-//!   [`try_parallel_map`]) isolates every task behind `catch_unwind` and
-//!   returns one `Result<T, TaskError>` per slot. A panic poisons *its
-//!   slot*, never the batch: every other slot still carries the value a
-//!   fault-free run would have produced, bit for bit, because chunk
-//!   boundaries and merge order never depend on which tasks failed.
+//! * the **fallible** API ([`try_parallel_map`]) isolates every task
+//!   behind `catch_unwind` and returns one `Result<U, TaskError>` per
+//!   item. A panic poisons *its slot*, never the batch: every other slot
+//!   still carries the value a fault-free run would have produced, bit for
+//!   bit, because the merge order never depends on which tasks failed.
+//!   Chunked fallible work maps over `items.chunks(size)`.
 //!
-//! Failed tasks can be retried in place ([`RetryPolicy`]; bounded
-//! attempts, no wall-clock backoff, so a rerun of the same inputs is
-//! reproducible) and the whole batch can run under a cooperative
-//! [`Deadline`]: workers check the shared budget between tasks and
-//! attempts, and on expiry the engine returns the finished slots plus a
-//! typed [`TaskFault::Deadline`] error per unfinished slot instead of
-//! hanging.
+//! Each task runs once. The whole batch can run under a cooperative
+//! [`Deadline`]: workers check the shared budget before starting each
+//! task, and on expiry the engine returns the finished slots plus a typed
+//! [`TaskFault::Deadline`] error per unstarted slot instead of hanging.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -94,17 +92,15 @@ pub fn configured_jobs() -> usize {
 /// What went wrong with one task of a fallible batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskFault {
-    /// The task panicked on its last permitted attempt; the captured
-    /// payload (and source location when the panic hook saw one) is the
-    /// bug report.
+    /// The task panicked; the captured payload (and source location when
+    /// the panic hook saw one) is the bug report.
     Panicked {
         /// Panic payload, best effort (`&str` / `String` payloads are
         /// captured verbatim).
         message: String,
     },
-    /// The shared [`Deadline`] expired before the task could run (or
-    /// finish retrying); the batch returns partial results instead of
-    /// hanging.
+    /// The shared [`Deadline`] expired before the task could start; the
+    /// batch returns partial results instead of hanging.
     Deadline,
     /// Engine invariant breach: the ordered reduction found a slot no
     /// worker claimed. Unreachable by construction — surfaced as a typed
@@ -120,22 +116,16 @@ pub struct TaskError {
     pub fault: TaskFault,
     /// Index of the task (= output slot) that failed.
     pub task: usize,
-    /// Item bounds `[lo, hi)` of the chunk the task covered, when the
-    /// batch was chunked (`None` for per-item maps).
-    pub bounds: Option<(usize, usize)>,
-    /// Execution attempts consumed (0 when the deadline expired before
-    /// the first attempt started).
+    /// Whether the task started: 1 if it ran (and panicked), 0 when the
+    /// deadline expired before it could start.
     pub attempts: usize,
-    /// Wall time spent inside the task across all attempts.
+    /// Wall time spent inside the task.
     pub elapsed: Duration,
 }
 
 impl core::fmt::Display for TaskError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "task {}", self.task)?;
-        if let Some((lo, hi)) = self.bounds {
-            write!(f, " [items {lo}..{hi}]")?;
-        }
         match &self.fault {
             TaskFault::Panicked { message } => write!(
                 f,
@@ -158,61 +148,15 @@ impl core::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
-/// Bounded in-place retry for fallible batches. Retries re-run the task
-/// immediately on the same worker — no wall-clock backoff — so a rerun of
-/// the same inputs and seeds reproduces the same attempt sequence. The
-/// `seed` does not perturb scheduling (chunk boundaries and merge order
-/// are fixed regardless); it tags the run and is meant to be threaded
-/// from the chaos harness so a failing report carries its repro seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per task (>= 1); 1 means "no retry".
-    pub max_attempts: usize,
-    /// Seed identifying the (chaos) schedule this run belongs to.
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// No retries: one attempt per task.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            seed: 0,
-        }
-    }
-
-    /// Up to `max_attempts` total attempts per task.
-    pub fn attempts(max_attempts: usize) -> Self {
-        assert!(max_attempts >= 1, "a task needs at least one attempt");
-        RetryPolicy {
-            max_attempts,
-            seed: 0,
-        }
-    }
-
-    /// Tag the policy with a chaos seed (recorded for reproducibility;
-    /// scheduling is deterministic with or without it).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
 /// A cooperative execution budget shared by every worker of a batch — and
 /// by every layer of a serving request, down to the estimator's batch
 /// loop.
 ///
-/// Workers poll it between tasks and between retry attempts; long-running
-/// task closures may poll it themselves via [`Deadline::expired`]. Expiry
-/// never interrupts a running attempt — tasks are never killed mid-write —
-/// it only stops *new* work, so the batch drains quickly and returns
-/// partial results.
+/// Workers poll it before starting each task; long-running task closures
+/// may poll it themselves via [`Deadline::expired`]. Expiry never
+/// interrupts a running task — tasks are never killed mid-write — it only
+/// stops *new* work, so the batch drains quickly and returns partial
+/// results.
 ///
 /// Besides the shared trip flag, a deadline remembers when it started and
 /// what its wall-clock budget was, so an expiry can be reported with both
@@ -238,7 +182,9 @@ impl Default for Deadline {
 }
 
 impl Deadline {
-    /// No budget: the batch runs to completion.
+    /// No wall-clock budget: the batch runs to completion unless some
+    /// holder trips it by hand with [`Deadline::expire`] — the
+    /// deterministic way chaos tests cut a batch at an exact task.
     pub fn never() -> Self {
         Deadline::default()
     }
@@ -254,12 +200,6 @@ impl Deadline {
         }
     }
 
-    /// A deadline only [`Deadline::expire`] trips — the deterministic
-    /// variant chaos tests use to cut a batch at an exact task.
-    pub fn manual() -> Self {
-        Deadline::default()
-    }
-
     /// A deadline that is already expired (no task will start).
     pub fn already_expired() -> Self {
         let d = Deadline::default();
@@ -268,7 +208,7 @@ impl Deadline {
     }
 
     /// Trip the deadline now; every worker observes it before claiming
-    /// its next task or attempt.
+    /// its next task.
     pub fn expire(&self) {
         self.tripped.store(true, Ordering::Release);
     }
@@ -284,8 +224,7 @@ impl Deadline {
     }
 
     /// The wall-clock budget in microseconds (`0` for deadlines without
-    /// one: [`Deadline::never`], [`Deadline::manual`],
-    /// [`Deadline::already_expired`]).
+    /// one: [`Deadline::never`], [`Deadline::already_expired`]).
     pub fn budget_us(&self) -> u64 {
         self.budget.map_or(0, |b| b.as_micros() as u64)
     }
@@ -296,8 +235,6 @@ impl Deadline {
 pub struct TryConfig {
     /// Worker count; 0 means [`configured_jobs`].
     pub jobs: usize,
-    /// Per-task retry policy.
-    pub retry: RetryPolicy,
     /// Shared execution budget.
     pub deadline: Deadline,
 }
@@ -311,55 +248,10 @@ impl TryConfig {
         }
     }
 
-    /// Replace the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Replace the deadline.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
         self
-    }
-}
-
-/// The outcome of a fallible batch: one `Result` per task, in input
-/// order. Successful slots are bit-identical to the values an infallible
-/// (or single-worker) run would have produced — failures never perturb
-/// their neighbours.
-#[derive(Debug)]
-pub struct TryOutcome<U> {
-    /// Per-task results, in input order.
-    pub slots: Vec<Result<U, TaskError>>,
-    /// Whether any slot was abandoned because the [`Deadline`] expired.
-    pub deadline_hit: bool,
-}
-
-impl<U> TryOutcome<U> {
-    /// Whether every task produced a value.
-    pub fn is_complete(&self) -> bool {
-        self.slots.iter().all(|s| s.is_ok())
-    }
-
-    /// Number of successful slots.
-    pub fn ok_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_ok()).count()
-    }
-
-    /// Number of failed slots.
-    pub fn err_count(&self) -> usize {
-        self.slots.len() - self.ok_count()
-    }
-
-    /// The failed slots' errors, in task order.
-    pub fn errors(&self) -> impl Iterator<Item = &TaskError> {
-        self.slots.iter().filter_map(|s| s.as_ref().err())
-    }
-
-    /// All values if the batch completed, else the first error.
-    pub fn into_complete(self) -> Result<Vec<U>, TaskError> {
-        self.slots.into_iter().collect()
     }
 }
 
@@ -423,58 +315,37 @@ fn run_isolated<U>(task: impl FnOnce() -> U) -> Result<U, String> {
 // The fallible core
 // ---------------------------------------------------------------------------
 
-/// Run one task to completion under the retry policy and deadline.
-/// Returns `None` only when the deadline expired before the first attempt.
+/// Run task `i` once under the deadline: not at all if the deadline has
+/// already expired, otherwise with its panic captured into the slot.
 fn drive_task<U>(
     i: usize,
     cfg: &TryConfig,
-    bounds: Option<(usize, usize)>,
     task: &(impl Fn(usize) -> U + Sync),
 ) -> Result<U, TaskError> {
     let started = Instant::now();
-    let mut attempts = 0usize;
-    loop {
-        if cfg.deadline.expired() {
-            return Err(TaskError {
-                fault: TaskFault::Deadline,
-                task: i,
-                bounds,
-                attempts,
-                elapsed: started.elapsed(),
-            });
-        }
-        attempts += 1;
-        match run_isolated(|| task(i)) {
-            Ok(v) => return Ok(v),
-            Err(message) => {
-                if attempts >= cfg.retry.max_attempts.max(1) {
-                    return Err(TaskError {
-                        fault: TaskFault::Panicked { message },
-                        task: i,
-                        bounds,
-                        attempts,
-                        elapsed: started.elapsed(),
-                    });
-                }
-                // Retry immediately: no wall-clock backoff, so reruns of
-                // the same inputs walk the same attempt sequence.
-            }
-        }
+    if cfg.deadline.expired() {
+        return Err(TaskError {
+            fault: TaskFault::Deadline,
+            task: i,
+            attempts: 0,
+            elapsed: Duration::ZERO,
+        });
     }
+    run_isolated(|| task(i)).map_err(|message| TaskError {
+        fault: TaskFault::Panicked { message },
+        task: i,
+        attempts: 1,
+        elapsed: started.elapsed(),
+    })
 }
 
 /// Shared fallible engine: evaluate `task(0..n)` with work-stealing over
-/// an atomic cursor, panic isolation, retries, and a cooperative
-/// deadline; scatter results back into input order. Slots the deadline
-/// prevented from running carry [`TaskFault::Deadline`]; the (by
-/// construction unreachable) unclaimed-slot case carries
-/// [`TaskFault::SlotNeverFilled`] instead of panicking.
-fn try_run_indexed<U, F>(
-    n: usize,
-    cfg: &TryConfig,
-    bounds_of: impl Fn(usize) -> Option<(usize, usize)> + Sync,
-    task: F,
-) -> TryOutcome<U>
+/// an atomic cursor, panic isolation, and a cooperative deadline; scatter
+/// results back into input order. Slots the deadline prevented from
+/// running carry [`TaskFault::Deadline`]; the (by construction
+/// unreachable) unclaimed-slot case carries [`TaskFault::SlotNeverFilled`]
+/// instead of panicking.
+fn try_run_indexed<U, F>(n: usize, cfg: &TryConfig, task: F) -> Vec<Result<U, TaskError>>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
@@ -489,7 +360,7 @@ where
     slots.resize_with(n, || None);
     if workers <= 1 {
         for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(drive_task(i, cfg, bounds_of(i), &task));
+            *slot = Some(drive_task(i, cfg, &task));
         }
     } else {
         let cursor = AtomicUsize::new(0);
@@ -503,7 +374,7 @@ where
                             if i >= n {
                                 break;
                             }
-                            local.push((i, drive_task(i, cfg, bounds_of(i), &task)));
+                            local.push((i, drive_task(i, cfg, &task)));
                         }
                         local
                     })
@@ -519,34 +390,18 @@ where
             slots[i] = Some(r);
         }
     }
-    let mut deadline_hit = false;
-    let slots: Vec<Result<U, TaskError>> = slots
+    slots
         .into_iter()
         .enumerate()
         .map(|(i, slot)| {
-            let r = slot.unwrap_or(Err(TaskError {
+            slot.unwrap_or(Err(TaskError {
                 fault: TaskFault::SlotNeverFilled,
                 task: i,
-                bounds: bounds_of(i),
                 attempts: 0,
                 elapsed: Duration::ZERO,
-            }));
-            if matches!(
-                r,
-                Err(TaskError {
-                    fault: TaskFault::Deadline,
-                    ..
-                })
-            ) {
-                deadline_hit = true;
-            }
-            r
+            }))
         })
-        .collect();
-    TryOutcome {
-        slots,
-        deadline_hit,
-    }
+        .collect()
 }
 
 /// Fixed chunk bounds `[lo, hi)` of chunk `c` for the given input length.
@@ -555,57 +410,18 @@ fn chunk_bounds(len: usize, chunk_size: usize, c: usize) -> (usize, usize) {
     ((lo).min(len), (lo + chunk_size).min(len))
 }
 
-/// Fallible sibling of [`parallel_chunks`]: split `items` into fixed
-/// `chunk_size` chunks, apply `f` to each chunk on the worker pool with
-/// panic isolation, and return one `Result` per chunk in chunk order.
-/// Chunk boundaries depend only on `items.len()` and `chunk_size`, so the
-/// surviving slots are bit-identical to a fault-free run for any worker
-/// count.
-pub fn try_map_chunks<T, U, F>(
-    items: &[T],
-    chunk_size: usize,
-    cfg: &TryConfig,
-    f: F,
-) -> TryOutcome<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> U + Sync,
-{
-    assert!(chunk_size > 0, "try_map_chunks needs a positive chunk size");
-    let n_chunks = items.len().div_ceil(chunk_size);
-    try_run_indexed(
-        n_chunks,
-        cfg,
-        |c| Some(chunk_bounds(items.len(), chunk_size, c)),
-        |c| {
-            let (lo, hi) = chunk_bounds(items.len(), chunk_size, c);
-            f(&items[lo..hi])
-        },
-    )
-}
-
-/// Side-effecting sibling of [`try_map_chunks`]: run `f` over each fixed
-/// chunk for its effects, reporting per-chunk success/failure. Useful
-/// when the chunk writes its results somewhere else (a catalog, a file)
-/// and the caller only needs the fault map.
-pub fn try_for_chunks<T, F>(items: &[T], chunk_size: usize, cfg: &TryConfig, f: F) -> TryOutcome<()>
-where
-    T: Sync,
-    F: Fn(&[T]) + Sync,
-{
-    try_map_chunks(items, chunk_size, cfg, |chunk| f(chunk))
-}
-
 /// Fallible sibling of [`parallel_map`]: apply `f` to every item with
-/// panic isolation, one `Result` per item in input order.
-pub fn try_parallel_map<T, U, F>(items: &[T], cfg: &TryConfig, f: F) -> TryOutcome<U>
+/// panic isolation under `cfg`'s worker count and deadline, one `Result`
+/// per item in input order. Successful slots are bit-identical to the
+/// values a fault-free (or single-worker) run would have produced —
+/// failures never perturb their neighbours.
+pub fn try_parallel_map<T, U, F>(items: &[T], cfg: &TryConfig, f: F) -> Vec<Result<U, TaskError>>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    try_run_indexed(items.len(), cfg, |_| None, |i| f(&items[i]))
+    try_run_indexed(items.len(), cfg, |i| f(&items[i]))
 }
 
 // ---------------------------------------------------------------------------
@@ -668,7 +484,7 @@ where
     })
 }
 
-/// Infallible engine: one attempt per task, no deadline, and any task
+/// Infallible engine: no deadline, and any task
 /// failure — captured panic or engine invariant breach — re-raised on the
 /// caller with the typed error's report as the payload.
 fn run_indexed<U, F>(n: usize, jobs: usize, task: F) -> Vec<U>
@@ -676,20 +492,14 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let cfg = TryConfig {
-        jobs: jobs.max(1),
-        retry: RetryPolicy::none(),
-        deadline: Deadline::never(),
-    };
-    try_run_indexed(n, &cfg, |_| None, task)
-        .slots
+    try_run_indexed(n, &TryConfig::jobs(jobs.max(1)), task)
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|e| panic!("selest-par worker panicked: {e}")))
         .collect()
 }
 
 // ---------------------------------------------------------------------------
-// Shard pool: fixed long-lived workers with deterministic ownership
+// Deterministic shard placement
 // ---------------------------------------------------------------------------
 
 /// FNV-1a over `bytes` — the workspace's deterministic, dependency-free
@@ -704,8 +514,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The shard that owns a `(relation, column)` key in a pool of `shards`
-/// workers. Pure function of the names and the shard count: every
+/// The shard that owns a `(relation, column)` key among `shards` shards.
+/// Pure function of the names and the shard count: every
 /// process, thread, and run agrees on the owner, so per-shard state
 /// (admission counters, health, build ownership) never needs a
 /// coordination step. The `\u{1f}` separator keeps `("ab","c")` and
@@ -720,209 +530,6 @@ pub fn shard_for(relation: &str, column: &str, shards: usize) -> usize {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (h % shards as u64) as usize
-}
-
-enum PoolJob {
-    Run(Box<dyn FnOnce() + Send + 'static>),
-    Stop,
-}
-
-struct PoolWorker {
-    tx: std::sync::mpsc::Sender<PoolJob>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    executed: Arc<AtomicUsize>,
-    panicked: Arc<AtomicUsize>,
-}
-
-/// A fixed set of long-lived worker threads, one per shard.
-///
-/// Where the batch engine above spins up scoped threads per call, a
-/// serving process wants *standing* workers with stable ownership:
-/// shard `s` of the pool executes every job submitted for shard `s`, in
-/// submission order, for the lifetime of the pool. That gives three
-/// properties the scoped engine cannot:
-///
-/// * **Deterministic placement** — a column's rebuild always runs on the
-///   worker [`shard_for`] names, so per-shard health counters attribute
-///   faults to a stable owner.
-/// * **Bulkheading** — a panicking job is captured on its worker (counted
-///   in [`ShardPool::panics`]) and the worker survives to run the next
-///   job; one shard's fault never stalls its siblings.
-/// * **Ordered execution within a shard** — jobs on one shard never
-///   reorder, so a shard's builds apply in submission order.
-///
-/// Jobs are `'static`: callers share input via `Arc` (the catalog's
-/// column samples and prepared substrates already are).
-pub struct ShardPool {
-    workers: Vec<PoolWorker>,
-}
-
-impl ShardPool {
-    /// A pool with one standing worker per shard (`shards >= 1`).
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "ShardPool needs at least one shard");
-        // Every worker finishes its start-up before `new` returns: thread
-        // start and the first blocking receive allocate per-thread state,
-        // and a caller counting allocations around later, unrelated calls
-        // must not see that work land in its window.
-        let started = Arc::new(std::sync::Barrier::new(shards + 1));
-        let workers = (0..shards)
-            .map(|s| {
-                let (tx, rx) = std::sync::mpsc::channel::<PoolJob>();
-                let executed = Arc::new(AtomicUsize::new(0));
-                let panicked = Arc::new(AtomicUsize::new(0));
-                let (exec, panics) = (Arc::clone(&executed), Arc::clone(&panicked));
-                let ready = Arc::clone(&started);
-                let handle = std::thread::Builder::new()
-                    .name(format!("selest-shard-{s}"))
-                    .spawn(move || {
-                        // Nothing can be queued yet (`new` still holds the
-                        // only sender), so this takes the blocking path
-                        // once and times out.
-                        let _ = rx.recv_timeout(Duration::from_millis(1));
-                        ready.wait();
-                        while let Ok(job) = rx.recv() {
-                            match job {
-                                PoolJob::Stop => break,
-                                PoolJob::Run(f) => {
-                                    // Counted at pick-up, not completion: a
-                                    // job may hand its result to a waiting
-                                    // caller from inside `f`, and the
-                                    // counter must already cover any job
-                                    // whose result somebody observed.
-                                    exec.fetch_add(1, Ordering::Relaxed);
-                                    if run_isolated(f).is_err() {
-                                        panics.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn shard worker");
-                PoolWorker {
-                    tx,
-                    handle: Some(handle),
-                    executed,
-                    panicked,
-                }
-            })
-            .collect();
-        started.wait();
-        ShardPool { workers }
-    }
-
-    /// Number of shards (= standing workers).
-    pub fn shards(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Jobs worker `shard` has picked up (including panicked ones). The
-    /// count covers every job whose result a caller has already received:
-    /// it is incremented before the job body runs, so it can never lag a
-    /// completed [`ShardPool::run_sharded`].
-    pub fn executed(&self, shard: usize) -> usize {
-        self.workers[shard].executed.load(Ordering::Relaxed)
-    }
-
-    /// Jobs worker `shard` captured a panic from.
-    pub fn panics(&self, shard: usize) -> usize {
-        self.workers[shard].panicked.load(Ordering::Relaxed)
-    }
-
-    /// Fire-and-forget: run `job` on worker `shard % shards`, after every
-    /// job already queued there. A panic inside `job` is captured and
-    /// counted; the worker survives.
-    pub fn submit(&self, shard: usize, job: impl FnOnce() + Send + 'static) {
-        let w = &self.workers[shard % self.workers.len()];
-        w.tx.send(PoolJob::Run(Box::new(job)))
-            .expect("shard worker alive while pool alive");
-    }
-
-    /// Run `task(i, item)` for every item on the worker that owns it
-    /// (`shard_of(i, &item) % shards`), returning results in input order.
-    ///
-    /// Items sharing a shard execute sequentially in input order on that
-    /// shard's worker; distinct shards run concurrently. Each item is
-    /// panic-isolated: a captured panic fills its slot with a
-    /// [`TaskFault::Panicked`] error and its siblings complete untouched,
-    /// mirroring the fallible batch engine's contract. The blocking wait
-    /// collects exactly one result per item, so the call returns when the
-    /// last owner finishes.
-    pub fn run_sharded<T, R>(
-        &self,
-        items: Vec<T>,
-        shard_of: impl Fn(usize, &T) -> usize,
-        task: impl Fn(usize, T) -> R + Send + Sync + 'static,
-    ) -> Vec<Result<R, TaskError>>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-    {
-        let n = items.len();
-        let task = Arc::new(task);
-        let (out_tx, out_rx) = std::sync::mpsc::channel::<(usize, Duration, Result<R, String>)>();
-        for (i, item) in items.into_iter().enumerate() {
-            let shard = shard_of(i, &item);
-            let task = Arc::clone(&task);
-            let out_tx = out_tx.clone();
-            // The job captures its own panic (so the error reaches the
-            // caller's slot with its message); charge the owning worker's
-            // panic counter by hand since its outer capture never trips.
-            let panicked = Arc::clone(&self.workers[shard % self.workers.len()].panicked);
-            self.submit(shard, move || {
-                let started = Instant::now();
-                let result = run_isolated(|| task(i, item));
-                if result.is_err() {
-                    panicked.fetch_add(1, Ordering::Relaxed);
-                }
-                // A dropped receiver just discards the result; the pool
-                // must not fault because a caller gave up waiting.
-                let _ = out_tx.send((i, started.elapsed(), result));
-            });
-        }
-        drop(out_tx);
-        let mut slots: Vec<Option<Result<R, TaskError>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let Ok((i, elapsed, result)) = out_rx.recv() else {
-                break;
-            };
-            slots[i] = Some(result.map_err(|message| TaskError {
-                fault: TaskFault::Panicked { message },
-                task: i,
-                bounds: None,
-                attempts: 1,
-                elapsed,
-            }));
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or(Err(TaskError {
-                    fault: TaskFault::SlotNeverFilled,
-                    task: i,
-                    bounds: None,
-                    attempts: 0,
-                    elapsed: Duration::ZERO,
-                }))
-            })
-            .collect()
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        for w in &self.workers {
-            // The worker may already be gone if its thread was killed with
-            // the process; a failed send is not worth propagating in Drop.
-            let _ = w.tx.send(PoolJob::Stop);
-        }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1025,22 +632,21 @@ mod tests {
     }
 
     #[test]
-    fn try_map_chunks_isolates_panics_per_chunk() {
+    fn try_parallel_map_isolates_panics_per_chunk() {
         let items: Vec<usize> = (0..100).collect();
+        let chunks: Vec<&[usize]> = items.chunks(16).collect();
         let fault_free = parallel_chunks_jobs(&items, 16, 1, |c| c.iter().sum::<usize>());
         for jobs in [1, 2, 8] {
-            let out = try_map_chunks(&items, 16, &TryConfig::jobs(jobs), |c| {
+            let out = try_parallel_map(&chunks, &TryConfig::jobs(jobs), |c| {
                 assert!(c[0] != 32, "chunk bomb");
                 c.iter().sum::<usize>()
             });
-            assert_eq!(out.slots.len(), 7);
-            assert_eq!(out.err_count(), 1, "jobs={jobs}");
-            assert!(!out.deadline_hit);
-            for (i, slot) in out.slots.iter().enumerate() {
+            assert_eq!(out.len(), 7);
+            assert_eq!(out.iter().filter(|s| s.is_err()).count(), 1, "jobs={jobs}");
+            for (i, slot) in out.iter().enumerate() {
                 if i == 2 {
                     let e = slot.as_ref().expect_err("chunk 2 panics");
                     assert_eq!(e.task, 2);
-                    assert_eq!(e.bounds, Some((32, 48)));
                     assert_eq!(e.attempts, 1);
                     match &e.fault {
                         TaskFault::Panicked { message } => {
@@ -1057,56 +663,8 @@ mod tests {
     }
 
     #[test]
-    fn try_for_chunks_reports_side_effect_faults() {
-        let items: Vec<usize> = (0..40).collect();
-        let hits = AtomicUsize::new(0);
-        let out = try_for_chunks(&items, 10, &TryConfig::jobs(2), |c| {
-            assert!(c[0] != 20, "no third chunk");
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(out.ok_count(), 3);
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-        assert_eq!(out.errors().next().expect("one error").task, 2);
-    }
-
-    #[test]
-    fn retry_policy_recovers_transient_faults() {
-        let items: Vec<usize> = (0..32).collect();
-        let failures = AtomicUsize::new(0);
-        let cfg = TryConfig::jobs(2).with_retry(RetryPolicy::attempts(3).with_seed(42));
-        let out = try_map_chunks(&items, 8, &cfg, |c| {
-            // Chunk 1 fails twice, then succeeds.
-            if c[0] == 8 && failures.fetch_add(1, Ordering::Relaxed) < 2 {
-                panic!("transient");
-            }
-            c.len()
-        });
-        assert!(out.is_complete(), "{:?}", out.slots);
-        assert_eq!(
-            failures.load(Ordering::Relaxed),
-            3,
-            "2 failures + 1 success"
-        );
-        assert_eq!(out.slots[1].as_ref().unwrap(), &8);
-    }
-
-    #[test]
-    fn retry_budget_is_bounded() {
-        let items: Vec<usize> = (0..8).collect();
-        let calls = AtomicUsize::new(0);
-        let cfg = TryConfig::jobs(1).with_retry(RetryPolicy::attempts(3));
-        let out = try_map_chunks(&items, 8, &cfg, |_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            panic!("always")
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        let e = out.slots[0].as_ref().expect_err("always fails");
-        assert_eq!(e.attempts, 3);
-    }
-
-    #[test]
-    fn manual_deadline_trips_every_clone_and_has_no_budget() {
-        let d = Deadline::manual();
+    fn hand_tripped_deadline_trips_every_clone_and_has_no_budget() {
+        let d = Deadline::never();
         let c = d.clone();
         assert!(!d.expired() && !c.expired());
         c.expire();
@@ -1128,41 +686,42 @@ mod tests {
     #[test]
     fn expired_deadline_abandons_everything() {
         let items: Vec<usize> = (0..64).collect();
+        let chunks: Vec<&[usize]> = items.chunks(8).collect();
         let cfg = TryConfig::jobs(4).with_deadline(Deadline::already_expired());
         let ran = AtomicUsize::new(0);
-        let out = try_map_chunks(&items, 8, &cfg, |c| {
+        let out = try_parallel_map(&chunks, &cfg, |c| {
             ran.fetch_add(1, Ordering::Relaxed);
             c.len()
         });
         assert_eq!(ran.load(Ordering::Relaxed), 0, "no task starts");
-        assert!(out.deadline_hit);
-        assert_eq!(out.err_count(), 8);
-        for e in out.errors() {
+        assert_eq!(out.len(), 8);
+        for slot in &out {
+            let e = slot.as_ref().expect_err("abandoned");
             assert_eq!(e.fault, TaskFault::Deadline);
             assert_eq!(e.attempts, 0);
         }
     }
 
     #[test]
-    fn manual_deadline_returns_partial_results() {
+    fn hand_tripped_deadline_returns_partial_results() {
         let items: Vec<usize> = (0..80).collect();
-        let deadline = Deadline::manual();
+        let chunks: Vec<&[usize]> = items.chunks(10).collect();
+        let deadline = Deadline::never();
         let trip = deadline.clone();
         let cfg = TryConfig::jobs(1).with_deadline(deadline);
-        let out = try_map_chunks(&items, 10, &cfg, |c| {
+        let out = try_parallel_map(&chunks, &cfg, |c| {
             if c[0] == 30 {
                 trip.expire();
             }
             c.iter().sum::<usize>()
         });
-        assert!(out.deadline_hit);
         // Single worker: chunks 0..=3 ran (the tripping chunk finishes —
         // cooperative expiry never kills a running task), 4.. abandoned.
         let fault_free = parallel_chunks_jobs(&items, 10, 1, |c| c.iter().sum::<usize>());
         for (i, expected) in fault_free.iter().enumerate().take(4) {
-            assert_eq!(out.slots[i].as_ref().expect("ran"), expected);
+            assert_eq!(out[i].as_ref().expect("ran"), expected);
         }
-        for slot in &out.slots[4..8] {
+        for slot in &out[4..8] {
             assert_eq!(
                 slot.as_ref().expect_err("abandoned").fault,
                 TaskFault::Deadline
@@ -1177,13 +736,16 @@ mod tests {
             assert!(x % 7 != 3, "bad residue");
             x * x
         });
-        assert_eq!(out.err_count(), 3, "items 3, 10, 17");
-        for (i, slot) in out.slots.iter().enumerate() {
+        assert_eq!(
+            out.iter().filter(|s| s.is_err()).count(),
+            3,
+            "items 3, 10, 17"
+        );
+        for (i, slot) in out.iter().enumerate() {
             match slot {
                 Ok(v) => assert_eq!(*v, (i * i) as i64),
                 Err(e) => {
                     assert_eq!(e.task, i);
-                    assert_eq!(e.bounds, None);
                     assert_eq!(i % 7, 3);
                 }
             }
@@ -1197,19 +759,16 @@ mod tests {
                 message: "boom".into(),
             },
             task: 3,
-            bounds: Some((30, 40)),
-            attempts: 2,
+            attempts: 1,
             elapsed: Duration::from_millis(5),
         };
         let text = e.to_string();
         assert!(text.contains("task 3"), "{text}");
-        assert!(text.contains("items 30..40"), "{text}");
-        assert!(text.contains("2 attempt(s)"), "{text}");
+        assert!(text.contains("1 attempt(s)"), "{text}");
         assert!(text.contains("boom"), "{text}");
         let d = TaskError {
             fault: TaskFault::Deadline,
             task: 0,
-            bounds: None,
             attempts: 0,
             elapsed: Duration::ZERO,
         };
@@ -1217,7 +776,6 @@ mod tests {
         let s = TaskError {
             fault: TaskFault::SlotNeverFilled,
             task: 9,
-            bounds: None,
             attempts: 0,
             elapsed: Duration::ZERO,
         };
@@ -1225,15 +783,22 @@ mod tests {
     }
 
     #[test]
-    fn into_complete_collects_or_fails() {
+    fn complete_batches_collect_and_failures_name_their_task() {
         let items: Vec<usize> = (0..10).collect();
-        let ok = try_map_chunks(&items, 5, &TryConfig::jobs(2), |c| c.len());
-        assert_eq!(ok.into_complete().expect("complete"), vec![5, 5]);
-        let bad = try_map_chunks(&items, 5, &TryConfig::jobs(2), |c| {
-            assert!(c[0] != 5, "late bomb");
-            c.len()
-        });
-        assert_eq!(bad.into_complete().expect_err("chunk 1 fails").task, 1);
+        let chunks: Vec<&[usize]> = items.chunks(5).collect();
+        let ok: Result<Vec<usize>, TaskError> =
+            try_parallel_map(&chunks, &TryConfig::jobs(2), |c| c.len())
+                .into_iter()
+                .collect();
+        assert_eq!(ok.expect("complete"), vec![5, 5]);
+        let bad: Result<Vec<usize>, TaskError> =
+            try_parallel_map(&chunks, &TryConfig::jobs(2), |c| {
+                assert!(c[0] != 5, "late bomb");
+                c.len()
+            })
+            .into_iter()
+            .collect();
+        assert_eq!(bad.expect_err("chunk 1 fails").task, 1);
     }
 
     #[test]
@@ -1255,75 +820,5 @@ mod tests {
             "separator keeps split points distinct"
         );
         assert_ne!(shard_for("ab", "c", 1 << 16), shard_for("a", "bc", 1 << 16));
-    }
-
-    #[test]
-    fn shard_pool_orders_within_a_shard_and_returns_input_order() {
-        let pool = ShardPool::new(3);
-        let items: Vec<usize> = (0..50).collect();
-        let log: Arc<std::sync::Mutex<Vec<usize>>> = Arc::default();
-        let log2 = Arc::clone(&log);
-        let out = pool.run_sharded(
-            items,
-            |_, &x| x % 3,
-            move |_, x| {
-                if x % 3 == 1 {
-                    log2.lock().unwrap().push(x);
-                }
-                x * 10
-            },
-        );
-        let values: Vec<usize> = out.into_iter().map(|r| r.expect("no faults")).collect();
-        assert_eq!(values, (0..50).map(|x| x * 10).collect::<Vec<_>>());
-        // Shard 1 saw its items in submission order.
-        let seen = log.lock().unwrap().clone();
-        assert_eq!(seen, (0..50).filter(|x| x % 3 == 1).collect::<Vec<_>>());
-        assert_eq!((0..3).map(|s| pool.executed(s)).sum::<usize>(), 50);
-        assert_eq!((0..3).map(|s| pool.panics(s)).sum::<usize>(), 0);
-    }
-
-    #[test]
-    fn shard_pool_isolates_panics_and_workers_survive() {
-        let pool = ShardPool::new(2);
-        let out = pool.run_sharded(
-            (0..10).collect::<Vec<usize>>(),
-            |_, &x| x % 2,
-            |_, x| {
-                assert!(x != 3, "bomb on item 3");
-                x + 1
-            },
-        );
-        for (i, slot) in out.iter().enumerate() {
-            if i == 3 {
-                let err = slot.as_ref().expect_err("item 3 panicked");
-                assert_eq!(err.task, 3);
-                match &err.fault {
-                    TaskFault::Panicked { message } => {
-                        assert!(message.contains("bomb on item 3"), "{message}")
-                    }
-                    other => panic!("expected panic fault, got {other:?}"),
-                }
-            } else {
-                assert_eq!(*slot.as_ref().expect("healthy item"), i + 1);
-            }
-        }
-        assert_eq!(pool.panics(0) + pool.panics(1), 1);
-        // The owning worker survived its panic: the same pool keeps serving.
-        let again = pool.run_sharded((0..4).collect::<Vec<usize>>(), |_, &x| x, |_, x| x);
-        assert!(again.into_iter().all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn shard_pool_submit_runs_after_queued_jobs() {
-        let pool = ShardPool::new(1);
-        let (tx, rx) = std::sync::mpsc::channel::<usize>();
-        for i in 0..5 {
-            let tx = tx.clone();
-            pool.submit(0, move || {
-                let _ = tx.send(i);
-            });
-        }
-        let order: Vec<usize> = (0..5).map(|_| rx.recv().unwrap()).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 }

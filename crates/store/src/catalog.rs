@@ -200,45 +200,6 @@ impl ColumnStatistics {
     }
 }
 
-/// Build the configured estimator over a sample of the column.
-pub fn build_estimator(
-    column: &Column,
-    config: &AnalyzeConfig,
-) -> Box<dyn SelectivityEstimator + Send + Sync> {
-    assert!(
-        config.sample_size > 0,
-        "ANALYZE needs a positive sample size"
-    );
-    let domain = column.domain();
-    if config.kind == EstimatorKind::Uniform {
-        return Box::new(UniformEstimator::new(domain));
-    }
-    let sample = reservoir_sample(
-        column.values().iter().copied(),
-        config.sample_size,
-        config.seed,
-    );
-    build_estimator_from_sample(&sample, domain, config.kind)
-}
-
-/// Build an estimator of the given kind directly from a retained sample —
-/// the rebuild path of `persist` and the core of [`build_estimator`].
-///
-/// Prepares the column once (one sort, no intermediate copy) and
-/// delegates to [`build_estimator_from_prepared`]; results are
-/// bit-identical to the historical per-estimator construction.
-pub fn build_estimator_from_sample(
-    sample: &[f64],
-    domain: selest_core::Domain,
-    kind: EstimatorKind,
-) -> Box<dyn SelectivityEstimator + Send + Sync> {
-    if kind == EstimatorKind::Uniform {
-        return Box::new(UniformEstimator::new(domain));
-    }
-    assert!(!sample.is_empty(), "ANALYZE of an empty column");
-    build_estimator_from_prepared(&PreparedColumn::prepare(sample, domain), kind)
-}
-
 /// Build an estimator of the given kind over a prepared column: every
 /// kind reads the shared sorted slice / ECDF / summary instead of
 /// re-sorting and re-scanning its own copy of the sample. Building the
@@ -286,11 +247,14 @@ pub fn build_estimator_from_prepared(
     }
 }
 
-/// Fallible variant of [`build_estimator_from_sample`]: sanitizes the
-/// sample first (dropping NaN, ±Inf, and out-of-domain values), reports
-/// what was dropped, and converts any construction panic of the legacy
-/// estimators into a typed [`EstimateError`] instead of crashing the
-/// caller.
+/// Build an estimator of the given kind from a retained sample — the
+/// rebuild path of `persist` and of [`StatisticsCatalog::try_import`]:
+/// sanitizes the sample first (dropping NaN, ±Inf, and out-of-domain
+/// values), reports what was dropped, prepares the column once, and
+/// converts any construction panic into a typed [`EstimateError`] instead
+/// of crashing the caller. On a clean sample the estimator is
+/// bit-identical to [`build_estimator_from_prepared`] over the same
+/// sample.
 pub fn try_build_estimator_from_sample(
     sample: &[f64],
     domain: selest_core::Domain,
@@ -409,50 +373,14 @@ fn task_error_to_estimate_error(e: selest_par::TaskError) -> EstimateError {
     }
 }
 
-/// Assemble a [`ColumnStatistics`] entry from a drawn sample: prepare the
-/// column once, build the configured estimator over the shared substrate,
-/// and retain both the evidence and the substrate. The one place every
-/// infallible ANALYZE/import path funnels through.
-fn column_statistics_from_sample(
-    relation: Arc<str>,
-    column: Arc<str>,
-    sample: Arc<[f64]>,
-    domain: selest_core::Domain,
-    kind: EstimatorKind,
-    n_rows: usize,
-) -> ColumnStatistics {
-    let (estimator, prepared): (Arc<dyn SelectivityEstimator + Send + Sync>, _) =
-        if kind == EstimatorKind::Uniform {
-            (Arc::new(UniformEstimator::new(domain)), None)
-        } else {
-            assert!(!sample.is_empty(), "ANALYZE of an empty column");
-            let col = Arc::new(PreparedColumn::prepare(&sample, domain));
-            (
-                Arc::from(build_estimator_from_prepared(&col, kind)),
-                Some(col),
-            )
-        };
-    ColumnStatistics {
-        relation,
-        column,
-        estimator,
-        n_rows,
-        sample_size: sample.len(),
-        kind,
-        sample,
-        domain,
-        prepared,
-        incremental: None,
-    }
-}
-
 /// Fallible core of per-column ANALYZE: draw the reservoir sample,
 /// sanitize it, build the configured estimator over a fresh
 /// [`PreparedColumn`], and hand back the assembled entry plus the
-/// sanitization audit — every failure as a typed error. The bulkheaded
-/// batch paths additionally run this inside an isolated engine task so
-/// even an uncontained panic cannot take the sibling columns down.
-fn try_column_statistics(
+/// sanitization audit — every failure as a typed error. The one place
+/// every ANALYZE funnels through; the bulkheaded batch paths additionally
+/// run it inside an isolated engine task so even an uncontained panic
+/// cannot take the sibling columns down.
+pub(crate) fn try_column_statistics(
     relation_name: &str,
     column: &Column,
     config: &AnalyzeConfig,
@@ -605,40 +533,6 @@ impl StatisticsCatalog {
         Self::default()
     }
 
-    /// ANALYZE one column of a relation, replacing any previous entry.
-    pub fn analyze_column(
-        &mut self,
-        relation: &Relation,
-        column_name: &str,
-        config: &AnalyzeConfig,
-    ) {
-        let column = relation
-            .column(column_name)
-            .unwrap_or_else(|| panic!("no column {column_name} in {}", relation.name()));
-        let sample = if config.kind == EstimatorKind::Uniform {
-            Vec::new()
-        } else {
-            reservoir_sample(
-                column.values().iter().copied(),
-                config.sample_size,
-                config.seed,
-            )
-        };
-        let key = (relation.name().to_owned(), column_name.to_owned());
-        self.quarantine.remove(&key);
-        self.entries.insert(
-            key,
-            column_statistics_from_sample(
-                relation.name().into(),
-                column_name.into(),
-                sample.into(),
-                column.domain(),
-                config.kind,
-                column.len(),
-            ),
-        );
-    }
-
     /// Fallible ANALYZE of one column: a missing column, a sample that
     /// sanitizes to nothing, or a panicking constructor comes back as a
     /// typed [`EstimateError`] (leaving any previous entry intact) instead
@@ -663,57 +557,20 @@ impl StatisticsCatalog {
         Ok(audit)
     }
 
-    /// ANALYZE every column of a relation, building per-column estimators
-    /// across [`selest_par::configured_jobs`] workers. See
-    /// [`StatisticsCatalog::analyze_jobs`].
-    pub fn analyze(&mut self, relation: &Relation, config: &AnalyzeConfig) {
-        self.analyze_jobs(relation, config, selest_par::configured_jobs());
-    }
-
-    /// ANALYZE every column of a relation with an explicit worker count.
+    /// ANALYZE every column of a relation, replacing previous entries,
+    /// across [`selest_par::configured_jobs`] workers.
     ///
-    /// Each column's sample draw and estimator build is independent (the
-    /// reservoir seed is per-column-fixed by `config.seed`), so the builds
-    /// fan out over the worker pool; results are inserted in the
-    /// relation's column order, making the catalog identical — including
-    /// every serialized byte of its exported evidence — for any `jobs`
-    /// value or `SELEST_JOBS` setting.
-    pub fn analyze_jobs(&mut self, relation: &Relation, config: &AnalyzeConfig, jobs: usize) {
-        let columns = relation.columns();
-        let built = selest_par::parallel_map_jobs(columns, jobs, |column| {
-            let sample = if config.kind == EstimatorKind::Uniform {
-                Vec::new()
-            } else {
-                reservoir_sample(
-                    column.values().iter().copied(),
-                    config.sample_size,
-                    config.seed,
-                )
-            };
-            column_statistics_from_sample(
-                relation.name().into(),
-                column.name().into(),
-                sample.into(),
-                column.domain(),
-                config.kind,
-                column.len(),
-            )
-        });
-        for (column, stats) in columns.iter().zip(built) {
-            let key = (relation.name().to_owned(), column.name().to_owned());
-            self.quarantine.remove(&key);
-            self.entries.insert(key, stats);
-        }
-    }
-
-    /// Bulkheaded ANALYZE: like [`StatisticsCatalog::analyze`], but each
-    /// column builds in a panic-isolated engine task, and a poisoned
+    /// Each column builds in a panic-isolated engine task, and a poisoned
     /// column — degenerate sample, panicking constructor, even a panic
     /// escaping the per-column containment — is quarantined with its
-    /// [`BuildFailure`] instead of aborting the batch.
-    /// The surviving columns form a servable partial catalog whose
-    /// exported evidence is byte-identical to what a fault-free ANALYZE
-    /// of just those columns would produce.
+    /// [`BuildFailure`] instead of aborting the batch. The surviving
+    /// columns form a servable partial catalog whose exported evidence is
+    /// byte-identical to what a fault-free ANALYZE of just those columns
+    /// would produce. Each column's sample draw and build is independent
+    /// (the reservoir seed is fixed by `config.seed`) and results land in
+    /// the relation's column order, so the catalog — every serialized
+    /// byte of its exported evidence included — is identical for any
+    /// worker count or `SELEST_JOBS` setting.
     pub fn try_analyze(
         &mut self,
         relation: &Relation,
@@ -733,10 +590,9 @@ impl StatisticsCatalog {
     }
 
     /// [`StatisticsCatalog::try_analyze`] with full engine control:
-    /// worker count, retry policy (a transiently-failing build can
-    /// recover without quarantine), and execution deadline (columns the
-    /// deadline abandons quarantine as
-    /// [`EstimateError::TaskAbandoned`] and can be re-analyzed later).
+    /// worker count and execution deadline (columns the deadline abandons
+    /// quarantine as [`EstimateError::TaskAbandoned`] and can be
+    /// re-analyzed later).
     pub fn try_analyze_with(
         &mut self,
         relation: &Relation,
@@ -768,9 +624,9 @@ impl StatisticsCatalog {
             Some(column) => try_column_statistics(relation.name(), column, config),
             None => Err(EstimateError::EmptySample), // name resolved below
         });
-        // Quarantine decisions happen in column order for every worker
-        // count, like the insertions of the infallible path.
-        for ((name, column), slot) in column_names.iter().zip(&columns).zip(outcome.slots) {
+        // Insertions and quarantine decisions happen in column order for
+        // every worker count.
+        for ((name, column), slot) in column_names.iter().zip(&columns).zip(outcome) {
             let key = (relation.name().to_owned(), (*name).to_owned());
             let error = match (column, slot) {
                 (None, _) => EstimateError::UnknownColumn {
@@ -886,34 +742,16 @@ impl StatisticsCatalog {
     /// out over [`selest_par::configured_jobs`] workers; the catalog ends
     /// up identical for every worker count because each estimator depends
     /// only on its own entry and insertions happen in entry order.
-    pub fn import(&mut self, entries: Vec<crate::persist::PersistedStatistics>) {
-        let built = selest_par::parallel_map(&entries, |e| {
-            column_statistics_from_sample(
-                Arc::clone(&e.relation),
-                Arc::clone(&e.column),
-                Arc::clone(&e.sample),
-                e.domain,
-                e.kind,
-                e.n_rows,
-            )
-        });
-        for (e, stats) in entries.into_iter().zip(built) {
-            let key = (e.relation.to_string(), e.column.to_string());
-            self.quarantine.remove(&key);
-            self.entries.insert(key, stats);
-        }
-    }
-
-    /// Fault-tolerant import: entries whose estimator cannot be rebuilt
-    /// (degenerate evidence from a lenient decode, a panicking
-    /// constructor) are skipped, quarantined in the health report, and
-    /// reported as `(relation, column, error)` instead of aborting the
-    /// whole load — the recovery counterpart of
-    /// `persist::decode_lenient`. Each rebuild runs in a panic-isolated
-    /// engine task (the bulkhead of [`StatisticsCatalog::try_analyze`]),
-    /// so even a panic escaping the per-entry containment only loses that
-    /// entry; failures are reported in entry order regardless of worker
-    /// count.
+    ///
+    /// Entries whose estimator cannot be rebuilt (degenerate evidence
+    /// from a lenient decode, a panicking constructor) are skipped,
+    /// quarantined in the health report, and reported as `(relation,
+    /// column, error)` instead of aborting the whole load — the recovery
+    /// counterpart of `persist::decode_lenient`. Each rebuild runs in a
+    /// panic-isolated engine task (the bulkhead of
+    /// [`StatisticsCatalog::try_analyze`]), so even a panic escaping the
+    /// per-entry containment only loses that entry; failures are reported
+    /// in entry order regardless of worker count.
     pub fn try_import(
         &mut self,
         entries: Vec<crate::persist::PersistedStatistics>,
@@ -923,7 +761,7 @@ impl StatisticsCatalog {
             try_build_estimator_from_sample(&e.sample, e.domain, e.kind)
         });
         let mut failures = Vec::new();
-        for (e, slot) in entries.into_iter().zip(outcome.slots) {
+        for (e, slot) in entries.into_iter().zip(outcome) {
             let key = (e.relation.to_string(), e.column.to_string());
             let err = match slot {
                 Ok(Ok((estimator, _audit))) => {
@@ -988,7 +826,7 @@ impl StatisticsCatalog {
         let outcome = selest_par::try_parallel_map(&columns, engine, |column| {
             try_incremental_statistics(relation.name(), column, config)
         });
-        for (column, slot) in columns.iter().zip(outcome.slots) {
+        for (column, slot) in columns.iter().zip(outcome) {
             let key = (relation.name().to_owned(), column.name().to_owned());
             let error = match slot {
                 Ok(Ok((stats, _audit))) => {
@@ -1056,7 +894,7 @@ impl StatisticsCatalog {
             Ok((state, audit))
         });
         let mut report = UpdateReport::default();
-        for (delta, slot) in deltas.iter().zip(outcome.slots) {
+        for (delta, slot) in deltas.iter().zip(outcome) {
             match slot {
                 Ok(Ok((state, audit))) => {
                     let key = (relation.to_owned(), delta.column.clone());
@@ -1227,7 +1065,7 @@ impl StatisticsCatalog {
             selest_par::try_parallel_map(&work, engine, |(_, _, snapshot, sketch, kind)| {
                 try_build_incremental_estimator(snapshot, sketch, *kind)
             });
-        for ((key, reason, snapshot, _, kind), slot) in work.into_iter().zip(outcome.slots) {
+        for ((key, reason, snapshot, _, kind), slot) in work.into_iter().zip(outcome) {
             let error = match slot {
                 Ok(Ok(estimator)) => {
                     let entry = self.entries.get_mut(&key).expect("refreshed entry exists");
@@ -1409,7 +1247,7 @@ mod tests {
     fn analyze_builds_statistics_for_every_column() {
         let r = skewed_relation();
         let mut cat = StatisticsCatalog::new();
-        cat.analyze(&r, &AnalyzeConfig::default());
+        assert!(cat.try_analyze(&r, &AnalyzeConfig::default()).is_healthy());
         assert_eq!(cat.len(), 1);
         let st = cat.statistics("skew", "v").expect("stats exist");
         assert_eq!(st.n_rows, 10_000);
@@ -1432,8 +1270,10 @@ mod tests {
                 seed: 7,
                 ..Default::default()
             };
-            let est = build_estimator(c, &cfg);
-            let rows = est.estimate_count(&q, c.len());
+            let mut cat = StatisticsCatalog::new();
+            cat.try_analyze_column(&r, "v", &cfg)
+                .expect("clean column builds");
+            let rows = cat.statistics("skew", "v").unwrap().estimate_rows(&q);
             let err = (rows - truth).abs() / truth;
             if kind == EstimatorKind::Uniform {
                 assert!(err > 0.5, "uniform should be badly off, err {err}");
@@ -1447,7 +1287,7 @@ mod tests {
     fn analyze_replaces_previous_entry() {
         let r = skewed_relation();
         let mut cat = StatisticsCatalog::new();
-        cat.analyze(
+        cat.try_analyze(
             &r,
             &AnalyzeConfig {
                 kind: EstimatorKind::Uniform,
@@ -1458,7 +1298,7 @@ mod tests {
             cat.statistics("skew", "v").unwrap().kind,
             EstimatorKind::Uniform
         );
-        cat.analyze(
+        cat.try_analyze(
             &r,
             &AnalyzeConfig {
                 kind: EstimatorKind::Hybrid,
@@ -1476,7 +1316,7 @@ mod tests {
     fn estimate_rows_scales_with_relation_size() {
         let r = skewed_relation();
         let mut cat = StatisticsCatalog::new();
-        cat.analyze(
+        cat.try_analyze(
             &r,
             &AnalyzeConfig {
                 kind: EstimatorKind::Sampling,
@@ -1500,7 +1340,7 @@ mod tests {
     fn catalog_export_import_round_trips() {
         let r = skewed_relation();
         let mut cat = StatisticsCatalog::new();
-        cat.analyze(
+        cat.try_analyze(
             &r,
             &AnalyzeConfig {
                 kind: EstimatorKind::EquiWidth,
@@ -1509,21 +1349,14 @@ mod tests {
         );
         let text = crate::persist::encode(&cat.export());
         let mut restored = StatisticsCatalog::new();
-        restored.import(crate::persist::decode(&text).expect("decode"));
+        let failures = restored.try_import(crate::persist::decode(&text).expect("decode"));
+        assert!(failures.is_empty(), "{failures:?}");
         let a = cat.statistics("skew", "v").unwrap();
         let b = restored.statistics("skew", "v").unwrap();
         assert_eq!(a.n_rows, b.n_rows);
         assert_eq!(a.kind, b.kind);
         let q = RangeQuery::new(0.0, 100.0);
         assert_eq!(a.estimate_rows(&q), b.estimate_rows(&q));
-    }
-
-    #[test]
-    #[should_panic(expected = "no column nope")]
-    fn analyzing_a_missing_column_panics() {
-        let r = skewed_relation();
-        let mut cat = StatisticsCatalog::new();
-        cat.analyze_column(&r, "nope", &AnalyzeConfig::default());
     }
 
     #[test]
@@ -1665,7 +1498,7 @@ mod tests {
         survivors.add_column(Column::new("a", d, clean.clone()));
         survivors.add_column(Column::new("z", d, clean));
         let mut reference = StatisticsCatalog::new();
-        reference.analyze(&survivors, &cfg);
+        assert!(reference.try_analyze(&survivors, &cfg).is_healthy());
         let (a, b) = (faulted.export(), reference.export());
         assert_eq!(
             crate::persist::encode(&a),

@@ -8,12 +8,14 @@
 //! 2-D product-kernel estimator built from the same sample, so the planner
 //! can quantify exactly what the independence assumption costs.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use selest_core::{RangeQuery, SelectivityEstimator};
 use selest_kernel::{Boundary2d, KernelEstimator2d, KernelFn, RectQuery};
 
-use crate::catalog::{build_estimator, AnalyzeConfig};
+use crate::catalog::{try_column_statistics, AnalyzeConfig};
 use crate::relation::Relation;
 
 /// How a conjunctive predicate's selectivity is estimated.
@@ -27,8 +29,8 @@ pub enum CorrelationModel {
 
 /// ANALYZE output for a column pair.
 pub struct PairStatistics {
-    marginal_x: Box<dyn SelectivityEstimator + Send + Sync>,
-    marginal_y: Box<dyn SelectivityEstimator + Send + Sync>,
+    marginal_x: Arc<dyn SelectivityEstimator + Send + Sync>,
+    marginal_y: Arc<dyn SelectivityEstimator + Send + Sync>,
     joint: KernelEstimator2d,
     n_rows: usize,
 }
@@ -36,7 +38,14 @@ pub struct PairStatistics {
 impl PairStatistics {
     /// ANALYZE two columns of a relation jointly: row-aligned sample pairs
     /// feed the 2-D kernel estimator; the configured 1-D estimator kind is
-    /// built per column for the independence model.
+    /// built per column for the independence model, through the same
+    /// bulkheaded per-column build as [`crate::StatisticsCatalog::try_analyze`].
+    ///
+    /// # Panics
+    ///
+    /// If either column is missing, the columns differ in length, the
+    /// relation has fewer than two rows, or a marginal cannot be built
+    /// (the panic carries the build's typed error).
     pub fn analyze(relation: &Relation, col_x: &str, col_y: &str, config: &AnalyzeConfig) -> Self {
         let x = relation
             .column(col_x)
@@ -67,9 +76,13 @@ impl PairStatistics {
             KernelFn::Epanechnikov,
             Boundary2d::Reflection,
         );
+        let marginal = |c| match try_column_statistics(relation.name(), c, config) {
+            Ok((stats, _audit)) => stats.estimator,
+            Err(e) => panic!("ANALYZE of {}.{}: {e}", relation.name(), c.name()),
+        };
         PairStatistics {
-            marginal_x: build_estimator(x, config),
-            marginal_y: build_estimator(y, config),
+            marginal_x: marginal(x),
+            marginal_y: marginal(y),
             joint,
             n_rows: x.len(),
         }

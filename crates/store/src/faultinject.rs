@@ -143,7 +143,8 @@ impl FaultInjector {
 
     /// A seeded transiently-failing estimator: panics on its first drawn
     /// `1..=max_failures` calls, then serves correctly forever — the
-    /// damage class a bounded retry policy is designed to absorb.
+    /// damage class a circuit breaker's half-open probe must detect as
+    /// healed.
     pub fn transient_estimator(&mut self, domain: Domain, max_failures: usize) -> FailingEstimator {
         assert!(max_failures > 0, "a transient fault fails at least once");
         let failures = self.rng.random_range(1..=max_failures);
@@ -317,7 +318,7 @@ pub enum FailureMode {
     /// Serve correctly for `n` calls, then panic forever.
     PanicAfter(usize),
     /// Panic on the first `n` calls, then serve correctly forever — a
-    /// transient fault that a bounded retry policy can ride out.
+    /// transient fault a circuit breaker's half-open probe recovers from.
     FailFirst(usize),
     /// Stall every call for this long before serving correctly — a slow
     /// task for exercising cooperative deadlines.

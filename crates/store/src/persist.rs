@@ -67,15 +67,8 @@ pub struct PersistedStatistics {
 }
 
 impl PersistedStatistics {
-    /// Rebuild the estimator from the persisted evidence. Panics on
-    /// degenerate evidence; the serving path uses
-    /// [`PersistedStatistics::try_rebuild`].
-    pub fn rebuild(&self) -> Box<dyn SelectivityEstimator + Send + Sync> {
-        crate::catalog::build_estimator_from_sample(&self.sample, self.domain, self.kind)
-    }
-
-    /// Panic-free rebuild: sanitizes the sample and converts construction
-    /// failures into typed errors.
+    /// Rebuild the estimator from the persisted evidence: sanitizes the
+    /// sample and converts construction failures into typed errors.
     pub fn try_rebuild(
         &self,
     ) -> Result<Box<dyn SelectivityEstimator + Send + Sync>, EstimateError> {
@@ -685,8 +678,8 @@ mod tests {
         let e = entry();
         let text = encode(std::slice::from_ref(&e));
         let back = decode(&text).expect("decode");
-        let est_a = e.rebuild();
-        let est_b = back[0].rebuild();
+        let est_a = e.try_rebuild().expect("clean evidence rebuilds");
+        let est_b = back[0].try_rebuild().expect("clean evidence rebuilds");
         for (a, b) in [(0.0, 100.0), (250.0, 600.0), (990.0, 1_000.0)] {
             let q = RangeQuery::new(a, b);
             assert_eq!(est_a.selectivity(&q), est_b.selectivity(&q), "[{a},{b}]");
@@ -697,7 +690,7 @@ mod tests {
     fn rebuild_reproduces_the_original_estimator() {
         // Persist -> rebuild must equal building directly from the sample.
         let e = entry();
-        let rebuilt = e.rebuild();
+        let rebuilt = e.try_rebuild().expect("clean evidence rebuilds");
         let direct = selest_histogram::equi_width(
             &e.sample,
             e.domain,

@@ -177,7 +177,7 @@ mod tests {
         let mut r = Relation::new("t");
         r.add_column(Column::new("v", d, values));
         let mut cat = StatisticsCatalog::new();
-        cat.analyze(
+        cat.try_analyze(
             &r,
             &AnalyzeConfig {
                 kind,

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use selest_core::RangeQuery;
 
-use crate::catalog::{AnalyzeConfig, StatisticsCatalog};
+use crate::catalog::{AnalyzeConfig, CatalogHealthReport, StatisticsCatalog};
 use crate::conjunctive::{CorrelationModel, PairStatistics};
 use crate::index::SortedIndex;
 use crate::planner::{FETCH_COST_PER_ROW, INDEX_PROBE_COST, SCAN_COST_PER_ROW};
@@ -149,13 +149,16 @@ impl Database {
         );
     }
 
-    /// ANALYZE every column of a relation.
-    pub fn analyze(&mut self, relation: &str, config: &AnalyzeConfig) {
+    /// ANALYZE every column of a relation through the catalog's
+    /// bulkheaded build ([`StatisticsCatalog::try_analyze`]): a column
+    /// that cannot be built is quarantined, not fatal, and the returned
+    /// health report names it.
+    pub fn analyze(&mut self, relation: &str, config: &AnalyzeConfig) -> CatalogHealthReport {
         let rel = self
             .relations
             .get(relation)
             .unwrap_or_else(|| panic!("no relation {relation}"));
-        self.catalog.analyze(rel, config);
+        self.catalog.try_analyze(rel, config)
     }
 
     /// ANALYZE a column pair jointly (enables the 2-D correlation model

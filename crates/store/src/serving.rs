@@ -13,8 +13,8 @@
 //!   state read path is one `Acquire` load of the epoch and a thread-local
 //!   lookup; the mutex is touched only on the first read after a publish.
 //!   Writers build a full replacement snapshot off to the side (through
-//!   the bulkheaded ANALYZE of PR 5, sharded over a [`ShardPool`]) and
-//!   swap it in with a strictly increasing generation number.
+//!   the bulkheaded ANALYZE, one scoped worker per shard) and swap it in
+//!   with a strictly increasing generation number.
 //! * **Estimate cache** ([`EstimateCache`]) — a fixed-size direct-mapped
 //!   array of seqlock slots keyed by *quantized* query bounds but guarded
 //!   by *exact* ones: [`RangeQuery::quantized_key`] picks the slot,
@@ -79,7 +79,7 @@ use selest_core::fault::{catch_fault, EstimateError, FaultStage};
 use selest_core::{
     BatchScratch, Domain, PreparedColumn, RangeQuery, SelectivityEstimator, UniformEstimator,
 };
-use selest_par::{shard_for, Deadline, ShardPool, TryConfig};
+use selest_par::{shard_for, try_parallel_map, Deadline, TryConfig};
 
 use crate::catalog::{
     try_build_estimator_from_prepared, try_build_estimator_from_sample, AnalyzeConfig,
@@ -639,9 +639,10 @@ impl EstimateCache {
 /// Construction-time knobs of a [`ServingEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
-    /// Worker shards: columns are assigned by [`shard_for`] and each
-    /// shard gets one standing rebuild worker plus its own admission
-    /// counter. Must be at least 1.
+    /// Shards: columns are assigned by [`shard_for`]; each shard has its
+    /// own admission counter and shed controller, and
+    /// [`ServingEngine::rebuild_and_publish`] builds each shard's columns
+    /// on one scoped worker of its own. Must be at least 1.
     pub shards: usize,
     /// Per-shard admission limit: concurrent estimate calls beyond this
     /// are refused with [`EstimateError::Overloaded`] instead of queuing
@@ -667,11 +668,14 @@ impl Default for ServingOptions {
     }
 }
 
-/// Per-shard serving counters plus the shard's shed controller.
+/// Per-shard serving and rebuild counters plus the shard's shed
+/// controller.
 struct ShardState {
     in_flight: AtomicUsize,
     admitted: AtomicU64,
     rejected: AtomicU64,
+    rebuild_jobs: AtomicUsize,
+    rebuild_panics: AtomicUsize,
     shed_ctl: ShedController,
 }
 
@@ -686,9 +690,10 @@ pub struct ShardHealth {
     pub rejected: u64,
     /// Calls currently in flight.
     pub in_flight: usize,
-    /// Background rebuild jobs this shard's worker executed.
+    /// Background rebuild jobs run for this shard (one per
+    /// [`ServingEngine::rebuild_and_publish`] that gave it columns).
     pub rebuild_jobs: usize,
-    /// Rebuild jobs that panicked (contained by the worker's isolation).
+    /// Rebuild jobs that panicked (contained by the engine's isolation).
     pub rebuild_panics: usize,
     /// Smoothed request latency (microseconds; 0 = no history yet).
     pub ewma_us: f64,
@@ -881,7 +886,6 @@ pub struct ServingEngine {
     epoch: AtomicU64,
     current: Mutex<Arc<CatalogSnapshot>>,
     cache: EstimateCache,
-    pool: ShardPool,
     shard_states: Vec<ShardState>,
     admission_limit: usize,
     publishes: AtomicU64,
@@ -902,12 +906,13 @@ impl ServingEngine {
             epoch: AtomicU64::new(0),
             current: Mutex::new(Arc::new(CatalogSnapshot::empty())),
             cache: EstimateCache::new(options.cache_bits, options.quantize_bits),
-            pool: ShardPool::new(options.shards),
             shard_states: (0..options.shards)
                 .map(|s| ShardState {
                     in_flight: AtomicUsize::new(0),
                     admitted: AtomicU64::new(0),
                     rejected: AtomicU64::new(0),
+                    rebuild_jobs: AtomicUsize::new(0),
+                    rebuild_panics: AtomicUsize::new(0),
                     // Stream-split the seed so sibling shards draw
                     // independent (but replayable) shed sequences.
                     shed_ctl: ShedController::new(
@@ -1017,58 +1022,59 @@ impl ServingEngine {
         self.publish_snapshot(CatalogSnapshot::from_catalog(catalog, 0))
     }
 
-    /// Background rebuild: shard `relation`'s columns across the engine's
-    /// standing workers ([`shard_for`] assignment — deterministic, no
-    /// coordination), run the bulkheaded ANALYZE of each shard's columns
-    /// on the worker that owns them, merge the per-shard catalogs (shards
-    /// partition the columns, so the merged catalog is bit-identical to a
-    /// sequential ANALYZE for every shard count), degrade quarantined
-    /// columns to their uniform floor, and publish atomically.
+    /// Background rebuild: shard `relation`'s columns ([`shard_for`]
+    /// assignment — deterministic, no coordination), run the bulkheaded
+    /// ANALYZE of each shard's columns on a scoped worker of its own,
+    /// merge the per-shard catalogs (shards partition the columns, so the
+    /// merged catalog is bit-identical to a sequential ANALYZE for every
+    /// shard count), degrade quarantined columns to their uniform floor,
+    /// and publish atomically.
+    ///
+    /// `engine`'s deadline applies to each shard's per-column builds, not
+    /// to the shard fan-out: every shard runs, and columns the deadline
+    /// abandons quarantine as [`EstimateError::TaskAbandoned`].
     ///
     /// Safe to call from a background thread while readers serve: they
     /// keep the old snapshot until the swap, then see the new one whole.
     pub fn rebuild_and_publish(
         &self,
-        relation: &Arc<Relation>,
+        relation: &Relation,
         config: &AnalyzeConfig,
         engine: &TryConfig,
     ) -> ServingPublishReport {
         let shards = self.shards();
-        let mut groups: Vec<Vec<String>> = vec![Vec::new(); shards];
+        let mut groups: Vec<Vec<&str>> = vec![Vec::new(); shards];
         for c in relation.columns() {
-            groups[shard_for(relation.name(), c.name(), shards)].push(c.name().to_owned());
+            groups[shard_for(relation.name(), c.name(), shards)].push(c.name());
         }
-        let items: Vec<(usize, Vec<String>)> = groups
+        let items: Vec<(usize, Vec<&str>)> = groups
             .into_iter()
             .enumerate()
             .filter(|(_, g)| !g.is_empty())
             .collect();
-        let shard_of_item: Vec<usize> = items.iter().map(|(s, _)| *s).collect();
-        let rel = Arc::clone(relation);
-        let config_copy = *config;
-        // Each shard worker analyzes its columns single-threaded: the
-        // shard fan-out *is* the parallelism, and per-column builds are
-        // already independent, so nesting another pool gains nothing.
+        // Each shard analyzes its columns single-threaded: the shard
+        // fan-out *is* the parallelism, and per-column builds are already
+        // independent, so nesting another fan-out gains nothing.
         let per_shard = TryConfig {
             jobs: 1,
             ..engine.clone()
         };
-        let results = self.pool.run_sharded(
-            items,
-            |_, (shard, _)| *shard,
-            move |_, (_, names)| {
-                let mut cat = StatisticsCatalog::new();
-                let names: Vec<&str> = names.iter().map(String::as_str).collect();
-                cat.try_analyze_columns_with(&rel, &names, &config_copy, &per_shard);
-                cat
-            },
-        );
+        let results = try_parallel_map(&items, &TryConfig::jobs(shards), |(_, names)| {
+            let mut cat = StatisticsCatalog::new();
+            cat.try_analyze_columns_with(relation, names, config, &per_shard);
+            cat
+        });
         let mut merged = StatisticsCatalog::new();
         let mut failed_shards = Vec::new();
-        for (i, slot) in results.into_iter().enumerate() {
+        for ((shard, _), slot) in items.iter().zip(results) {
+            let state = &self.shard_states[*shard];
+            state.rebuild_jobs.fetch_add(1, Ordering::Relaxed);
             match slot {
                 Ok(cat) => merged.merge(cat),
-                Err(e) => failed_shards.push((shard_of_item[i], e.to_string())),
+                Err(e) => {
+                    state.rebuild_panics.fetch_add(1, Ordering::Relaxed);
+                    failed_shards.push((*shard, e.to_string()));
+                }
             }
         }
         let snapshot = CatalogSnapshot::from_catalog_for(relation, merged, 0);
@@ -1482,8 +1488,8 @@ impl ServingEngine {
                     admitted: st.admitted.load(Ordering::Relaxed),
                     rejected: st.rejected.load(Ordering::Relaxed),
                     in_flight: st.in_flight.load(Ordering::Acquire),
-                    rebuild_jobs: self.pool.executed(s),
-                    rebuild_panics: self.pool.panics(s),
+                    rebuild_jobs: st.rebuild_jobs.load(Ordering::Relaxed),
+                    rebuild_panics: st.rebuild_panics.load(Ordering::Relaxed),
                     ewma_us: st.shed_ctl.ewma_us(),
                     pressure: st.shed_ctl.pressure(),
                     shed: st.shed_ctl.shed_count(),
@@ -1539,7 +1545,7 @@ mod tests {
 
     fn analyzed(relation: &Relation, kind: EstimatorKind) -> StatisticsCatalog {
         let mut cat = StatisticsCatalog::new();
-        cat.analyze(
+        cat.try_analyze(
             relation,
             &AnalyzeConfig {
                 kind,
@@ -1736,10 +1742,49 @@ mod tests {
                     );
                 }
             }
-            // The shard workers actually did the builds.
+            // One rebuild job per shard that owns a column, none panicked.
             let health = engine.health();
-            let jobs: usize = health.shards.iter().map(|s| s.rebuild_jobs).sum();
-            assert!(jobs >= 1, "shard workers must have run the builds");
+            for s in &health.shards {
+                let owns = r
+                    .columns()
+                    .iter()
+                    .any(|c| shard_for("serve", c.name(), shards) == s.shard);
+                assert_eq!(s.rebuild_jobs, usize::from(owns), "shards={shards}");
+                assert_eq!(s.rebuild_panics, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn expired_engine_deadline_abandons_columns_not_shards() {
+        // The caller's deadline rides on each shard's per-column builds,
+        // never on the shard fan-out: every shard runs and reports its
+        // columns as abandoned, and no shard counts as failed.
+        let r = test_relation();
+        let engine = ServingEngine::new(ServingOptions {
+            shards: 4,
+            ..Default::default()
+        });
+        let expired = TryConfig::jobs(1).with_deadline(Deadline::already_expired());
+        let report = engine.rebuild_and_publish(&r, &AnalyzeConfig::default(), &expired);
+        assert!(
+            report.failed_shards.is_empty(),
+            "{:?}",
+            report.failed_shards
+        );
+        assert_eq!(report.health.quarantined.len(), r.columns().len());
+        let snap = engine.snapshot();
+        for c in r.columns() {
+            let (_, col) = snap.find("serve", c.name()).expect("degraded entry");
+            assert!(col.quarantined(), "{} serves its floor", c.name());
+        }
+        for q in &report.health.quarantined {
+            assert!(
+                matches!(q.failure.error, EstimateError::TaskAbandoned { .. }),
+                "{}: {:?}",
+                q.column,
+                q.failure.error
+            );
         }
     }
 

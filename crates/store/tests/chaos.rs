@@ -284,7 +284,7 @@ fn persisted_catalog() -> (Relation, String) {
     r.add_column(Column::new("dense", domain, dense));
     r.add_column(Column::new("wide", domain, wide));
     let mut cat = StatisticsCatalog::new();
-    cat.analyze(
+    cat.try_analyze(
         &r,
         &AnalyzeConfig {
             kind: EstimatorKind::MaxDiff,

@@ -41,13 +41,14 @@ fn main() {
     );
     for kind in EstimatorKind::ALL {
         let mut catalog = StatisticsCatalog::new();
-        catalog.analyze(
+        let health = catalog.try_analyze(
             &sales,
             &AnalyzeConfig {
                 kind,
                 ..Default::default()
             },
         );
+        assert!(health.is_healthy(), "{:?}", health.quarantined);
         let mut total = 0.0;
         let mut worst: f64 = 1.0;
         let (mut idx_scans, mut seq_scans) = (0usize, 0usize);

@@ -62,13 +62,14 @@ fn main() {
     let mut rel = Relation::new("events");
     rel.add_column(Column::new("ts", domain, data.values().to_vec()));
     let mut catalog = StatisticsCatalog::new();
-    catalog.analyze(
+    let health = catalog.try_analyze(
         &rel,
         &AnalyzeConfig {
             kind: EstimatorKind::Kernel,
             ..Default::default()
         },
     );
+    assert!(health.is_healthy(), "{:?}", health.quarantined);
     let text = encode_statistics(&catalog.export());
     println!(
         "\npersisted catalog: {} bytes of evidence for {} column(s)",
@@ -76,7 +77,9 @@ fn main() {
         catalog.len()
     );
     let mut restored = StatisticsCatalog::new();
-    restored.import(decode_statistics(&text).expect("well-formed statistics file"));
+    let failures =
+        restored.try_import(decode_statistics(&text).expect("well-formed statistics file"));
+    assert!(failures.is_empty(), "{failures:?}");
     let q = RangeQuery::new(0.0, 0.05 * w);
     let before = catalog
         .statistics("events", "ts")

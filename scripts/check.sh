@@ -24,22 +24,12 @@ cargo fmt --check --manifest-path selbench/Cargo.toml
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> crate tests (store/core/par/data/math/hybrid/kernel/simd/histogram unit tests and crate test suites)"
-# The root `cargo test -q` runs only the root package. The serving router,
-# breaker, brownout, deadline and quarantine tests, and the store chaos
-# suite, live in the first three crates; the GK merge-order and
-# zero-update snapshot property tests (crates/data/tests/
-# incremental_stats.rs) in selest-data; the density functionals, the
-# change-point detector and the kernel moment tables (with their
-# bit-identity tests) in the next three; the compensated sum, branchless
-# search and grid-index tests in selest-simd; the histogram builders and
-# their CDF-difference serving path in selest-histogram.
-cargo test -q -p selest-store -p selest-core -p selest-par -p selest-data \
-    -p selest-math -p selest-hybrid -p selest-kernel -p selest-simd \
-    -p selest-histogram
+echo "==> cargo test -q --workspace"
+# Every package of the workspace: the root package's integration tests
+# (tests/*.rs), every crate's unit tests and crate test suites
+# (crates/*/tests), and the doc tests. A new crate is covered without
+# editing this line.
+cargo test -q --workspace
 
 echo "==> bit-identity pins in an optimized build"
 # The compile-time Hermite orders are only unrolled with optimization, so

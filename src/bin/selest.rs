@@ -55,6 +55,28 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     })
 }
 
+/// `--scale K` (default 1): how many times the paper's file size to
+/// generate. Must be a positive integer.
+fn scale_flag(args: &[String]) -> usize {
+    let Some(v) = flag_value(args, "--scale") else {
+        return 1;
+    };
+    match v.parse() {
+        Ok(k) if k > 0 => k,
+        _ => die(&format!("--scale needs a positive integer, got {v:?}")),
+    }
+}
+
+/// `--sample N` (default 2000): the sample size estimators are built
+/// from. Must be an integer; `estimate` also requires at least 2 rows,
+/// the fewest any method's bin rule or bandwidth can work with.
+fn sample_flag(args: &[String]) -> usize {
+    flag_value(args, "--sample").map_or(2_000, |v| {
+        v.parse()
+            .unwrap_or_else(|_| die(&format!("--sample needs an integer, got {v:?}")))
+    })
+}
+
 fn build_method(method: &str, sample: &[f64], data: &DataFile) -> Box<dyn SelectivityEstimator> {
     let domain = data.domain();
     let k = NormalScaleBins.bins(sample, &domain);
@@ -90,9 +112,7 @@ fn cmd_data(args: &[String]) {
     let name = args
         .first()
         .unwrap_or_else(|| die("data: missing file name"));
-    let scale: usize =
-        flag_value(args, "--scale").map_or(1, |v| v.parse().unwrap_or_else(|_| die("bad --scale")));
-    let data = parse_paper_file(name).generate_scaled(scale);
+    let data = parse_paper_file(name).generate_scaled(scale_flag(args));
     let summary = selest::math::Summary::of(data.values());
     println!("file      {}", data.name());
     println!("domain    {}", data.domain());
@@ -120,10 +140,11 @@ fn cmd_estimate(args: &[String]) {
     if b < a {
         die("range end below range start");
     }
-    let scale: usize =
-        flag_value(args, "--scale").map_or(1, |v| v.parse().unwrap_or_else(|_| die("bad --scale")));
-    let n_sample: usize = flag_value(args, "--sample")
-        .map_or(2_000, |v| v.parse().unwrap_or_else(|_| die("bad --sample")));
+    let scale = scale_flag(args);
+    let n_sample = sample_flag(args);
+    if n_sample < 2 {
+        die(&format!("--sample needs at least 2 rows, got {n_sample}"));
+    }
     let data = parse_paper_file(data_name).generate_scaled(scale);
     let exact = ExactSelectivity::new(data.values(), data.domain());
     let sample = sample_without_replacement(data.values(), n_sample.min(data.len()), 42);
@@ -200,10 +221,8 @@ fn cmd_snapshot(args: &[String]) {
     let dir = args
         .first()
         .unwrap_or_else(|| die("snapshot: missing store directory"));
-    let scale: usize =
-        flag_value(args, "--scale").map_or(1, |v| v.parse().unwrap_or_else(|_| die("bad --scale")));
-    let sample_size: usize = flag_value(args, "--sample")
-        .map_or(2_000, |v| v.parse().unwrap_or_else(|_| die("bad --sample")));
+    let scale = scale_flag(args);
+    let sample_size = sample_flag(args);
     let mut names: Vec<String> = Vec::new();
     let mut i = 1;
     while i < args.len() {
@@ -226,7 +245,22 @@ fn cmd_snapshot(args: &[String]) {
         let data = parse_paper_file(name).generate_scaled(scale);
         let mut relation = Relation::new(data.name());
         relation.add_column(Column::new("value", data.domain(), data.values().to_vec()));
-        catalog.analyze(&relation, &config);
+        catalog.try_analyze(&relation, &config);
+    }
+    // A column that cannot be built stops the snapshot before anything
+    // is published: a generation missing a requested column would
+    // silently serve less than was asked for.
+    let health = catalog.health();
+    if !health.is_healthy() {
+        let failed: Vec<String> = health
+            .quarantined
+            .iter()
+            .map(|q| format!("{}.{}: {}", q.relation, q.column, q.failure.error))
+            .collect();
+        die(&format!(
+            "snapshot: ANALYZE failed, nothing published\n  {}",
+            failed.join("\n  ")
+        ));
     }
     let (mut store, report) = DurableStore::open(std::path::Path::new(dir))
         .unwrap_or_else(|e| die(&format!("open store {dir}: {e}")));

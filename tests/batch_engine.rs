@@ -440,7 +440,7 @@ fn unexpired_deadline_is_bit_transparent() {
     let qs = queries();
     for (name, est) in deadline_estimators(&samples) {
         let mut scratch = BatchScratch::new();
-        scratch.set_deadline(Deadline::manual());
+        scratch.set_deadline(Deadline::never());
         let mut tried = Vec::new();
         est.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
         assert_eq!(tried.len(), qs.len());
@@ -492,7 +492,7 @@ fn deadline_expiring_mid_batch_keeps_finished_slots_bit_identical() {
         let n_valid = qs.len() - 1;
         for (name, est) in deadline_estimators(&samples) {
             for trip_at in [1, 5, 16, 17, 33, n_valid] {
-                let deadline = Deadline::manual();
+                let deadline = Deadline::never();
                 let tripping = TripAfter {
                     inner: est.as_ref(),
                     deadline: deadline.clone(),

@@ -247,7 +247,9 @@ fn catalog_build_is_byte_identical_for_any_worker_count() {
         };
         let build = |jobs: usize| {
             let mut catalog = StatisticsCatalog::new();
-            catalog.analyze_jobs(&relation, &config, jobs);
+            assert!(catalog
+                .try_analyze_jobs(&relation, &config, jobs)
+                .is_healthy());
             catalog
         };
         let baseline = build(1);
@@ -332,7 +334,7 @@ fn build_publish_catalog() -> StatisticsCatalog {
         relation.add_column(Column::new(name, data.domain(), data.values().to_vec()));
     }
     let mut catalog = StatisticsCatalog::new();
-    catalog.analyze_jobs(
+    let health = catalog.try_analyze_jobs(
         &relation,
         &AnalyzeConfig {
             kind: selest::store::EstimatorKind::Hybrid,
@@ -340,6 +342,7 @@ fn build_publish_catalog() -> StatisticsCatalog {
         },
         1,
     );
+    assert!(health.is_healthy(), "{:?}", health.quarantined);
     catalog
 }
 

@@ -4,21 +4,17 @@
 //! `0xC0FFEE`) through the seeded `FaultInjector`, so a failing seed is a
 //! repro command, not a flake (`scripts/chaos_sweep.sh` sweeps seeds and
 //! prints exactly that command). Three guarantees are pinned across the
-//! engine (`try_map_chunks`), the estimator API (`try_selectivity_batch`),
-//! the serving engine's rungs, and the catalog bulkhead (`try_analyze`):
+//! engine (`try_parallel_map` over fixed chunks), the estimator API
+//! (`try_selectivity_batch`), the serving engine's rungs, and the catalog
+//! bulkhead (`try_analyze`):
 //!
 //! 1. surviving results are bit-identical to a fault-free run for any
 //!    worker count (jobs ∈ {1, 2, 7});
 //! 2. faulted work surfaces typed errors / quarantine records, never a
 //!    process abort;
-//! 3. transient faults heal under the bounded retry policy, and slow
-//!    tasks abandoned by a deadline come back as partial results.
+//! 3. tasks abandoned by a deadline come back as partial results.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use selest::par::{
-    parallel_chunks_jobs, try_map_chunks, Deadline, RetryPolicy, TaskFault, TryConfig,
-};
+use selest::par::{parallel_chunks_jobs, try_parallel_map, Deadline, TaskFault, TryConfig};
 use selest::store::{
     AnalyzeConfig, BreakerState, CatalogSnapshot, Column, EstimatorKind, FailingEstimator,
     FailureMode, FaultInjector, Relation, ServeRung, ServedEstimate, ServingColumn, ServingEngine,
@@ -105,8 +101,9 @@ fn poisoned_chunks_are_isolated_and_survivors_are_bit_identical() {
     let victims = FaultInjector::new(chaos_seed()).fault_plan(n_chunks, 3);
     // Fault-free reference, per chunk.
     let reference = parallel_chunks_jobs(&items, CHUNK, 1, chunk_stat);
+    let chunks: Vec<&[f64]> = items.chunks(CHUNK).collect();
     for jobs in JOBS {
-        let outcome = try_map_chunks(&items, CHUNK, &TryConfig::jobs(jobs), |chunk| {
+        let outcome = try_parallel_map(&chunks, &TryConfig::jobs(jobs), |chunk| {
             // Recover the chunk index from the slice's position in the
             // backing array: chunk boundaries are fixed by construction.
             let c = (chunk.as_ptr() as usize - items.as_ptr() as usize)
@@ -114,9 +111,8 @@ fn poisoned_chunks_are_isolated_and_survivors_are_bit_identical() {
             assert!(!victims.contains(&c), "injected chunk failure (chunk {c})");
             chunk_stat(chunk)
         });
-        assert!(!outcome.deadline_hit);
-        assert_eq!(outcome.slots.len(), n_chunks, "jobs={jobs}");
-        for (c, slot) in outcome.slots.iter().enumerate() {
+        assert_eq!(outcome.len(), n_chunks, "jobs={jobs}");
+        for (c, slot) in outcome.iter().enumerate() {
             if victims.contains(&c) {
                 let err = slot.as_ref().expect_err("victim chunk must fail");
                 assert_eq!(err.task, c);
@@ -135,59 +131,7 @@ fn poisoned_chunks_are_isolated_and_survivors_are_bit_identical() {
 }
 
 // -------------------------------------------------------------------------
-// 2. Engine: transient faults heal under the bounded retry policy
-// -------------------------------------------------------------------------
-
-#[test]
-fn transient_chunk_faults_succeed_under_retry() {
-    let items = data(200);
-    let n_chunks = items.len().div_ceil(CHUNK);
-    let mut inj = FaultInjector::new(chaos_seed());
-    let victims = inj.fault_plan(n_chunks, 2);
-    let reference = parallel_chunks_jobs(&items, CHUNK, 1, chunk_stat);
-    for jobs in JOBS {
-        // Each victim chunk fails on its first attempt, then serves.
-        let attempts: Vec<AtomicUsize> = (0..n_chunks).map(|_| AtomicUsize::new(0)).collect();
-        let cfg =
-            TryConfig::jobs(jobs).with_retry(RetryPolicy::attempts(2).with_seed(chaos_seed()));
-        let outcome = try_map_chunks(&items, CHUNK, &cfg, |chunk| {
-            let c = (chunk.as_ptr() as usize - items.as_ptr() as usize)
-                / (CHUNK * std::mem::size_of::<f64>());
-            let attempt = attempts[c].fetch_add(1, Ordering::Relaxed);
-            assert!(
-                !(victims.contains(&c) && attempt == 0),
-                "injected transient failure (chunk {c}, attempt {attempt})"
-            );
-            chunk_stat(chunk)
-        });
-        assert!(
-            outcome.is_complete(),
-            "jobs={jobs}: retry should absorb every transient fault"
-        );
-        for (c, slot) in outcome.slots.iter().enumerate() {
-            assert_eq!(slot.as_ref().unwrap().to_bits(), reference[c].to_bits());
-        }
-        for &c in &victims {
-            assert_eq!(attempts[c].load(Ordering::Relaxed), 2, "one retry each");
-        }
-        // Without the retry budget the same faults are terminal.
-        let attempts: Vec<AtomicUsize> = (0..n_chunks).map(|_| AtomicUsize::new(0)).collect();
-        let outcome = try_map_chunks(&items, CHUNK, &TryConfig::jobs(jobs), |chunk| {
-            let c = (chunk.as_ptr() as usize - items.as_ptr() as usize)
-                / (CHUNK * std::mem::size_of::<f64>());
-            let attempt = attempts[c].fetch_add(1, Ordering::Relaxed);
-            assert!(
-                !(victims.contains(&c) && attempt == 0),
-                "injected transient failure (chunk {c}, attempt {attempt})"
-            );
-            chunk_stat(chunk)
-        });
-        assert_eq!(outcome.err_count(), victims.len());
-    }
-}
-
-// -------------------------------------------------------------------------
-// 3. Engine: slow tasks under a deadline return partial results
+// 2. Engine: slow tasks under a deadline return partial results
 // -------------------------------------------------------------------------
 
 #[test]
@@ -197,23 +141,25 @@ fn expired_deadline_returns_typed_partial_results_not_a_hang() {
         .slow_estimator(Domain::new(0.0, 1000.0), 200)
         .name(); // draw consumed; the estimator itself is exercised below
     assert!(slow.starts_with("Failing(Slow("));
+    let chunks: Vec<&[f64]> = items.chunks(CHUNK).collect();
     for jobs in JOBS {
         let cfg = TryConfig::jobs(jobs).with_deadline(Deadline::already_expired());
-        let outcome = try_map_chunks(&items, CHUNK, &cfg, chunk_stat);
-        assert!(outcome.deadline_hit);
-        assert_eq!(outcome.ok_count(), 0);
-        for err in outcome.errors() {
+        let outcome = try_parallel_map(&chunks, &cfg, |c| chunk_stat(c));
+        assert_eq!(outcome.len(), chunks.len());
+        for slot in &outcome {
+            let err = slot.as_ref().expect_err("no chunk runs after expiry");
             assert!(matches!(err.fault, TaskFault::Deadline));
             assert_eq!(err.attempts, 0, "no attempt started after expiry");
         }
         // A live deadline on the same workload completes in full.
         let cfg = TryConfig::jobs(jobs).with_deadline(Deadline::never());
-        assert!(try_map_chunks(&items, CHUNK, &cfg, chunk_stat).is_complete());
+        let outcome = try_parallel_map(&chunks, &cfg, |c| chunk_stat(c));
+        assert!(outcome.iter().all(Result::is_ok));
     }
 }
 
 // -------------------------------------------------------------------------
-// 4. Estimator API: try_selectivity_batch isolates poisoned queries
+// 3. Estimator API: try_selectivity_batch isolates poisoned queries
 // -------------------------------------------------------------------------
 
 #[test]
@@ -259,7 +205,7 @@ fn kernel_try_batch_survivors_match_fault_free_batch() {
 }
 
 // -------------------------------------------------------------------------
-// 5. Serving rungs: a seeded panicking primary floors, batch completes
+// 4. Serving rungs: a seeded panicking primary floors, batch completes
 // -------------------------------------------------------------------------
 
 /// Serve one batch from `failing`, published as the primary of a
@@ -331,7 +277,7 @@ fn failing_mode_of(name: &str) -> Option<FailureMode> {
 }
 
 // -------------------------------------------------------------------------
-// 6. Catalog bulkhead: poisoned column quarantined, survivors byte-identical
+// 5. Catalog bulkhead: poisoned column quarantined, survivors byte-identical
 // -------------------------------------------------------------------------
 
 #[test]
@@ -356,7 +302,7 @@ fn bulkheaded_analyze_quarantines_the_poisoned_column_and_serves_the_rest() {
     survivors.add_column(Column::new("a", d, clean_a));
     survivors.add_column(Column::new("b", d, clean_b));
     let mut reference = StatisticsCatalog::new();
-    reference.analyze(&survivors, &cfg);
+    assert!(reference.try_analyze(&survivors, &cfg).is_healthy());
     let reference_bytes = selest::store::encode_statistics(&reference.export());
     for jobs in JOBS {
         let mut cat = StatisticsCatalog::new();
@@ -382,7 +328,7 @@ fn bulkheaded_analyze_quarantines_the_poisoned_column_and_serves_the_rest() {
 }
 
 // -------------------------------------------------------------------------
-// 7. Acceptance: one chaos run drives estimator + catalog faults together
+// 6. Acceptance: one chaos run drives estimator + catalog faults together
 // -------------------------------------------------------------------------
 
 #[test]

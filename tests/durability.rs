@@ -81,7 +81,9 @@ fn config() -> AnalyzeConfig {
 /// the catalog (deterministic for every `jobs`).
 fn catalog(variant: u64, jobs: usize) -> StatisticsCatalog {
     let mut cat = StatisticsCatalog::new();
-    cat.analyze_jobs(&relation(variant), &config(), jobs);
+    assert!(cat
+        .try_analyze_jobs(&relation(variant), &config(), jobs)
+        .is_healthy());
     cat
 }
 
@@ -409,7 +411,7 @@ fn unpersistable_names_are_refused_and_the_store_keeps_its_generation() {
         let mut rel = Relation::new(relation_name);
         rel.add_column(Column::new(column_name, Domain::new(0.0, 1000.0), rows(3)));
         let mut cat = StatisticsCatalog::new();
-        cat.analyze_jobs(&rel, &config(), 1);
+        assert!(cat.try_analyze_jobs(&rel, &config(), 1).is_healthy());
         match store.publish(cat.export()) {
             Err(EstimateError::UnpersistableName { relation, column }) => {
                 assert_eq!(

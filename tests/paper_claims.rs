@@ -167,13 +167,14 @@ fn store_analyze_plan_execute_end_to_end() {
     rel.add_column(Column::new("a", data.domain(), data.values().to_vec()));
     let index = SortedIndex::build(rel.column("a").unwrap());
     let mut catalog = StatisticsCatalog::new();
-    catalog.analyze(
+    let health = catalog.try_analyze(
         &rel,
         &AnalyzeConfig {
             kind: EstimatorKind::Kernel,
             ..Default::default()
         },
     );
+    assert!(health.is_healthy(), "{:?}", health.quarantined);
 
     let w = data.domain().width();
     let mut total_regret = 0.0;

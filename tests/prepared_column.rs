@@ -250,7 +250,7 @@ fn catalog_evidence_is_byte_identical_for_any_worker_count() {
             .iter()
             .map(|&jobs| {
                 let mut cat = StatisticsCatalog::new();
-                cat.analyze_jobs(&rel, &config, jobs);
+                assert!(cat.try_analyze_jobs(&rel, &config, jobs).is_healthy());
                 encode_statistics(&cat.export())
             })
             .collect();
@@ -267,10 +267,11 @@ fn catalog_round_trips_byte_identically_through_import() {
         ..Default::default()
     };
     let mut cat = StatisticsCatalog::new();
-    cat.analyze(&rel, &config);
+    assert!(cat.try_analyze(&rel, &config).is_healthy());
     let text = encode_statistics(&cat.export());
     let mut restored = StatisticsCatalog::new();
-    restored.import(selest::store::decode_statistics(&text).expect("decode"));
+    let failures = restored.try_import(selest::store::decode_statistics(&text).expect("decode"));
+    assert!(failures.is_empty(), "{failures:?}");
     assert_eq!(
         text,
         encode_statistics(&restored.export()),

@@ -787,7 +787,7 @@ fn single_query_path_is_the_one_slot_batch_path() {
         let mut qs = QueryFile::generate(&data, 0.01, 24, 7).queries().to_vec();
         qs.extend_from_slice(QueryFile::generate(&data, 0.2, 24, 8).queries());
         qs.push(RangeQuery::new(d.lo(), d.hi()));
-        for deadline in [None, Some(Deadline::manual())] {
+        for deadline in [None, Some(Deadline::never())] {
             // Twin engines over the same statistics; no wall-clock load
             // tiers, so both serve every miss from the primary.
             let twin = || {
