@@ -13,9 +13,9 @@
 //! sample set sorted turns the full-contribution count into binary
 //! searches, realizing the `O(log n + k)` evaluation the paper sketches,
 //! where `k` is the number of samples in the strips. For the paper's
-//! Epanechnikov kernel a prefix-moment table ([`crate::moments`]) then
-//! sums each strip in `O(1)`, so a query costs `O(log n)` under every
-//! boundary policy; the other kernels scan their strips.
+//! Epanechnikov kernel a prefix-moment table (the private `moments`
+//! module) then sums each strip in `O(1)`, so a query costs `O(log n)`
+//! under every boundary policy; the other kernels scan their strips.
 //! [`KernelEstimator::selectivity_linear`] retains the `Theta(n)`
 //! Algorithm 1 for cross-checking and for the ablation bench.
 //!

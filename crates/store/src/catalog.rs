@@ -744,11 +744,11 @@ impl StatisticsCatalog {
     /// only on its own entry and insertions happen in entry order.
     ///
     /// Entries whose estimator cannot be rebuilt (degenerate evidence
-    /// from a lenient decode, a panicking constructor) are skipped,
+    /// that passed its checksum, a panicking constructor) are skipped,
     /// quarantined in the health report, and reported as `(relation,
-    /// column, error)` instead of aborting the whole load — the recovery
-    /// counterpart of `persist::decode_lenient`. Each rebuild runs in a
-    /// panic-isolated engine task (the bulkhead of
+    /// column, error)` instead of aborting the whole load: one bad entry
+    /// costs one column's statistics, not the catalog. Each rebuild runs
+    /// in a panic-isolated engine task (the bulkhead of
     /// [`StatisticsCatalog::try_analyze`]), so even a panic escaping the
     /// per-entry containment only loses that entry; failures are reported
     /// in entry order regardless of worker count.

@@ -45,7 +45,7 @@ use selest_data::{GkParts, GkSketch};
 use crate::catalog::{SketchCheckpoint, StatisticsCatalog, DRIFT_ALPHA, DRIFT_BUCKETS};
 use crate::faultinject::{CrashPlan, CrashPoint};
 use crate::online::OnlineSelectivity;
-use crate::persist::{self, fnv1a64, kind_token, parse_kind, PersistedStatistics};
+use crate::persist::{self, checksum, corrupt, kind_token, Fields, PersistedStatistics};
 
 /// Manifest header line.
 const MANIFEST_HEADER: &str = "selest-manifest v1";
@@ -307,11 +307,7 @@ impl FeedbackState {
             }
             JournalRecord::Sketch(cp) => {
                 domain_of(&cp.relation, &cp.column)?;
-                // Both substrate halves must reconstruct — the same
-                // validation a restore pays, so a record that folds here
-                // can never fail later.
-                GkSketch::from_parts(cp.sketch.clone())?;
-                IncrementalColumn::from_parts(cp.column_state.clone())?;
+                validate_sketch(cp)?;
                 self.sketches
                     .insert((cp.relation.clone(), cp.column.clone()), cp.clone());
                 Ok(())
@@ -547,54 +543,6 @@ fn write_atomic_crashable(
     fsync_dir(&parent)
 }
 
-fn corrupt(path: &Path, line: usize, message: String) -> EstimateError {
-    EstimateError::CorruptEntry {
-        path: Some(path.display().to_string()),
-        line: line.max(1),
-        offset: 0,
-        message,
-    }
-}
-
-fn parse_f64(path: &Path, line: usize, what: &str, tok: &str) -> Result<f64, EstimateError> {
-    tok.parse::<f64>()
-        .map_err(|_| corrupt(path, line, format!("bad {what}: {tok:?}")))
-}
-
-fn parse_usize(path: &Path, line: usize, what: &str, tok: &str) -> Result<usize, EstimateError> {
-    tok.parse::<usize>()
-        .map_err(|_| corrupt(path, line, format!("bad {what}: {tok:?}")))
-}
-
-fn parse_u64(path: &Path, line: usize, what: &str, tok: &str) -> Result<u64, EstimateError> {
-    tok.parse::<u64>()
-        .map_err(|_| corrupt(path, line, format!("bad {what}: {tok:?}")))
-}
-
-fn parse_hex(path: &Path, line: usize, what: &str, tok: &str) -> Result<u64, EstimateError> {
-    u64::from_str_radix(tok, 16).map_err(|_| corrupt(path, line, format!("bad {what}: {tok:?}")))
-}
-
-fn next_tok<'a>(
-    path: &Path,
-    line: usize,
-    what: &str,
-    it: &mut std::str::SplitWhitespace<'a>,
-) -> Result<&'a str, EstimateError> {
-    it.next()
-        .ok_or_else(|| corrupt(path, line, format!("missing {what}")))
-}
-
-fn next_field<'a>(
-    path: &Path,
-    line: usize,
-    what: &str,
-    it: &mut std::str::SplitN<'a, char>,
-) -> Result<&'a str, EstimateError> {
-    it.next()
-        .ok_or_else(|| corrupt(path, line, format!("missing {what}")))
-}
-
 /// Parsed MANIFEST content.
 struct Manifest {
     active: u64,
@@ -604,75 +552,36 @@ struct Manifest {
 
 fn encode_manifest(active: u64, stats_fnv: u64, feedback_fnv: u64) -> String {
     let body = format!("{MANIFEST_HEADER}\nactive {active} {stats_fnv:016x} {feedback_fnv:016x}");
-    format!("{body}\ncheck {:016x}\n", fnv1a64(body.as_bytes()))
+    format!("{body}\ncheck {:016x}\n", checksum(body.as_bytes()))
 }
 
-fn decode_manifest(path: &Path, text: &str) -> Result<Manifest, EstimateError> {
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| corrupt(path, 1, "empty manifest".to_owned()))?;
+fn decode_manifest(text: &str) -> Result<Manifest, EstimateError> {
+    let lines: Vec<&str> = text.lines().collect();
+    let line = |k: usize| {
+        lines
+            .get(k)
+            .copied()
+            .ok_or_else(|| corrupt(k + 1, "manifest truncated"))
+    };
+    let header = line(0)?;
     if header != MANIFEST_HEADER {
-        return Err(corrupt(path, 1, format!("bad manifest header {header:?}")));
+        return Err(corrupt(1, format!("bad manifest header {header:?}")));
     }
-    let active_line = lines
-        .next()
-        .ok_or_else(|| corrupt(path, 2, "manifest truncated before active line".to_owned()))?;
-    let check_line = lines
-        .next()
-        .ok_or_else(|| corrupt(path, 3, "manifest truncated before check line".to_owned()))?;
-    let body = format!("{header}\n{active_line}");
-    let mut it = check_line.split_whitespace();
-    if next_tok(path, 3, "check tag", &mut it)? != "check" {
-        return Err(corrupt(path, 3, "manifest check line malformed".to_owned()));
+    let active_line = line(1)?;
+    let mut check = Fields::new(line(2)?, 3);
+    check.tag("check")?;
+    if check.hex("manifest checksum")? != checksum(format!("{header}\n{active_line}").as_bytes()) {
+        return Err(corrupt(3, "manifest checksum mismatch"));
     }
-    let want = parse_hex(
-        path,
-        3,
-        "manifest checksum",
-        next_tok(path, 3, "checksum", &mut it)?,
-    )?;
-    if want != fnv1a64(body.as_bytes()) {
-        return Err(corrupt(path, 3, "manifest checksum mismatch".to_owned()));
-    }
-    let mut it = active_line.split_whitespace();
-    if next_tok(path, 2, "active tag", &mut it)? != "active" {
-        return Err(corrupt(
-            path,
-            2,
-            "manifest active line malformed".to_owned(),
-        ));
-    }
-    let active = parse_u64(
-        path,
-        2,
-        "generation",
-        next_tok(path, 2, "generation", &mut it)?,
-    )?;
-    let stats_fnv = parse_hex(
-        path,
-        2,
-        "stats checksum",
-        next_tok(path, 2, "stats checksum", &mut it)?,
-    )?;
-    let feedback_fnv = parse_hex(
-        path,
-        2,
-        "feedback checksum",
-        next_tok(path, 2, "feedback checksum", &mut it)?,
-    )?;
-    if it.next().is_some() {
-        return Err(corrupt(
-            path,
-            2,
-            "trailing tokens on active line".to_owned(),
-        ));
-    }
-    Ok(Manifest {
-        active,
-        stats_fnv,
-        feedback_fnv,
-    })
+    let mut f = Fields::new(active_line, 2);
+    f.tag("active")?;
+    let manifest = Manifest {
+        active: f.parse("generation")?,
+        stats_fnv: f.hex("stats checksum")?,
+        feedback_fnv: f.hex("feedback checksum")?,
+    };
+    f.end()?;
+    Ok(manifest)
 }
 
 /// Encode everything after `sketch <relation> <column>` in a checkpoint
@@ -715,136 +624,42 @@ fn encode_sketch_fields(cp: &SketchCheckpoint) -> String {
 }
 
 /// Decode the fields [`encode_sketch_fields`] wrote (the tag, relation,
-/// and column have already been consumed from `it`).
+/// and column have already been consumed from `f`).
 fn decode_sketch_fields(
-    path: &Path,
-    line: usize,
+    f: &mut Fields<'_>,
     relation: String,
     column: String,
-    it: &mut std::str::SplitWhitespace<'_>,
 ) -> Result<SketchCheckpoint, EstimateError> {
-    let kind = parse_kind(next_tok(path, line, "estimator kind", it)?)
-        .map_err(|m| corrupt(path, line, m))?;
-    let updates_since_refresh = parse_u64(
-        path,
-        line,
-        "updates since refresh",
-        next_tok(path, line, "updates since refresh", it)?,
-    )?;
-    let epsilon = parse_f64(path, line, "epsilon", next_tok(path, line, "epsilon", it)?)?;
-    let n = parse_u64(
-        path,
-        line,
-        "sketch n",
-        next_tok(path, line, "sketch n", it)?,
-    )?;
-    let tombstones = parse_u64(
-        path,
-        line,
-        "sketch tombstones",
-        next_tok(path, line, "sketch tombstones", it)?,
-    )?;
-    let entry_count = parse_usize(
-        path,
-        line,
-        "sketch entry count",
-        next_tok(path, line, "sketch entry count", it)?,
-    )?;
-    let mut entries = Vec::with_capacity(entry_count.min(1 << 20));
-    for j in 0..entry_count {
-        let missing = |_| {
-            corrupt(
-                path,
-                line,
-                format!("sketch wants {entry_count} entries, found {j}"),
-            )
-        };
-        let v = parse_f64(
-            path,
-            line,
-            "entry v",
-            next_tok(path, line, "entry v", it).map_err(missing)?,
-        )?;
-        let g = parse_u64(
-            path,
-            line,
-            "entry g",
-            next_tok(path, line, "entry g", it).map_err(missing)?,
-        )?;
-        let d = parse_u64(
-            path,
-            line,
-            "entry delta",
-            next_tok(path, line, "entry delta", it).map_err(missing)?,
-        )?;
-        entries.push((v, g, d));
-    }
-    let lo = parse_f64(path, line, "domain lo", next_tok(path, line, "lo", it)?)?;
-    let hi = parse_f64(path, line, "domain hi", next_tok(path, line, "hi", it)?)?;
-    let capacity = parse_usize(
-        path,
-        line,
-        "reservoir capacity",
-        next_tok(path, line, "capacity", it)?,
-    )?;
-    let seed = parse_u64(path, line, "seed", next_tok(path, line, "seed", it)?)?;
-    let next_index = parse_u64(
-        path,
-        line,
-        "next index",
-        next_tok(path, line, "next index", it)?,
-    )?;
-    let seen = parse_u64(path, line, "seen", next_tok(path, line, "seen", it)?)?;
-    let live_rows = parse_u64(
-        path,
-        line,
-        "live rows",
-        next_tok(path, line, "live rows", it)?,
-    )?;
-    let inserted = parse_u64(
-        path,
-        line,
-        "inserted",
-        next_tok(path, line, "inserted", it)?,
-    )?;
-    let deleted = parse_u64(path, line, "deleted", next_tok(path, line, "deleted", it)?)?;
-    let pending = parse_u64(path, line, "pending", next_tok(path, line, "pending", it)?)?;
-    let slot_count = parse_usize(
-        path,
-        line,
-        "slot count",
-        next_tok(path, line, "slot count", it)?,
-    )?;
-    let mut slots = Vec::with_capacity(slot_count.min(1 << 20));
-    for j in 0..slot_count {
-        let missing = |_| {
-            corrupt(
-                path,
-                line,
-                format!("reservoir wants {slot_count} slots, found {j}"),
-            )
-        };
-        let key = parse_u64(
-            path,
-            line,
-            "slot key",
-            next_tok(path, line, "slot key", it).map_err(missing)?,
-        )?;
-        let index = parse_u64(
-            path,
-            line,
-            "slot index",
-            next_tok(path, line, "slot index", it).map_err(missing)?,
-        )?;
-        let value = parse_f64(
-            path,
-            line,
-            "slot value",
-            next_tok(path, line, "slot value", it).map_err(missing)?,
-        )?;
-        slots.push((key, index, value));
-    }
-    let domain = Domain::try_new(lo, hi).map_err(|e| e.with_path(path))?;
+    let kind = f.kind()?;
+    let updates_since_refresh = f.parse("updates since refresh")?;
+    let epsilon = f.parse("epsilon")?;
+    let n = f.parse("sketch n")?;
+    let tombstones = f.parse("sketch tombstones")?;
+    let count = f.parse("sketch entry count")?;
+    let entries = f.repeat(count, "sketch entries", |f| {
+        Ok((
+            f.parse("entry v")?,
+            f.parse("entry g")?,
+            f.parse("entry delta")?,
+        ))
+    })?;
+    let domain = f.domain()?;
+    let capacity = f.parse("reservoir capacity")?;
+    let seed = f.parse("seed")?;
+    let next_index = f.parse("next index")?;
+    let seen = f.parse("seen")?;
+    let live_rows = f.parse("live rows")?;
+    let inserted = f.parse("inserted")?;
+    let deleted = f.parse("deleted")?;
+    let pending = f.parse("pending")?;
+    let count = f.parse("slot count")?;
+    let slots = f.repeat(count, "reservoir slots", |f| {
+        Ok((
+            f.parse("slot key")?,
+            f.parse("slot index")?,
+            f.parse("slot value")?,
+        ))
+    })?;
     Ok(SketchCheckpoint {
         relation,
         column,
@@ -873,14 +688,28 @@ fn decode_sketch_fields(
     })
 }
 
+/// The `online` line, the same in the feedback file and the journal.
+fn encode_online(relation: &str, column: &str, cp: &OnlineCheckpoint) -> String {
+    format!(
+        "online {relation} {column} {} {} {} {} {}",
+        cp.a, cp.b, cp.seen, cp.matched, cp.skipped_nonfinite
+    )
+}
+
+/// Decode the fields [`encode_online`] wrote after the relation and
+/// column.
+fn decode_online(f: &mut Fields<'_>) -> Result<OnlineCheckpoint, EstimateError> {
+    Ok(OnlineCheckpoint {
+        a: f.parse("query a")?,
+        b: f.parse("query b")?,
+        seen: f.parse("seen")?,
+        matched: f.parse("matched")?,
+        skipped_nonfinite: f.parse("skipped")?,
+    })
+}
+
 fn encode_feedback(state: &FeedbackState) -> String {
-    let mut out = String::new();
-    out.push_str(FEEDBACK_HEADER);
-    out.push('\n');
-    let push_checked = |line: String, out: &mut String| {
-        let _ = writeln!(out, "{line}");
-        let _ = writeln!(out, "check {:016x}", fnv1a64(line.as_bytes()));
-    };
+    let mut lines = Vec::new();
     for ((rel, col), grid) in &state.grids {
         let mut line = format!(
             "grid {rel} {col} {} {} {} {} {}",
@@ -893,200 +722,87 @@ fn encode_feedback(state: &FeedbackState) -> String {
         for c in grid.corrections() {
             let _ = write!(line, " {c}");
         }
-        push_checked(line, &mut out);
+        lines.push(line);
     }
     for ((rel, col), alarm) in &state.alarms {
-        push_checked(
-            format!("alarm {rel} {col} {} {}", alarm.count, alarm.last_drift),
-            &mut out,
-        );
+        lines.push(format!(
+            "alarm {rel} {col} {} {}",
+            alarm.count, alarm.last_drift
+        ));
     }
     for ((rel, col), cp) in &state.online {
-        push_checked(
-            format!(
-                "online {rel} {col} {} {} {} {} {}",
-                cp.a, cp.b, cp.seen, cp.matched, cp.skipped_nonfinite
-            ),
-            &mut out,
-        );
+        lines.push(encode_online(rel, col, cp));
     }
     for ((rel, col), cp) in &state.sketches {
-        push_checked(
-            format!("sketch {rel} {col} {}", encode_sketch_fields(cp)),
-            &mut out,
-        );
+        lines.push(format!("sketch {rel} {col} {}", encode_sketch_fields(cp)));
+    }
+    let mut out = format!("{FEEDBACK_HEADER}\n");
+    for line in lines {
+        let _ = writeln!(out, "{line}\ncheck {:016x}", checksum(line.as_bytes()));
     }
     out
 }
 
-fn decode_feedback(path: &Path, text: &str) -> Result<FeedbackState, EstimateError> {
+fn decode_feedback(text: &str) -> Result<FeedbackState, EstimateError> {
     let mut lines = text.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| corrupt(path, 1, "empty feedback file".to_owned()))?;
-    if header != FEEDBACK_HEADER {
-        return Err(corrupt(path, 1, format!("bad feedback header {header:?}")));
+    match lines.next() {
+        Some((_, header)) if header == FEEDBACK_HEADER => {}
+        Some((_, header)) => return Err(corrupt(1, format!("bad feedback header {header:?}"))),
+        None => return Err(corrupt(1, "empty feedback file")),
     }
     let mut state = FeedbackState::default();
     while let Some((i, payload)) = lines.next() {
-        let line_no = i + 1;
-        let (ci, check) = lines
-            .next()
-            .ok_or_else(|| corrupt(path, line_no + 1, "missing check line".to_owned()))?;
-        let mut cit = check.split_whitespace();
-        if next_tok(path, ci + 1, "check tag", &mut cit)? != "check" {
-            return Err(corrupt(path, ci + 1, "expected check line".to_owned()));
+        let line = i + 1;
+        let mut check = Fields::new(lines.next().map_or("", |(_, c)| c), line + 1);
+        check.tag("check")?;
+        if check.hex("checksum")? != checksum(payload.as_bytes()) {
+            return Err(corrupt(line, "feedback checksum mismatch"));
         }
-        let want = parse_hex(
-            path,
-            ci + 1,
-            "checksum",
-            next_tok(path, ci + 1, "checksum", &mut cit)?,
-        )?;
-        if want != fnv1a64(payload.as_bytes()) {
-            return Err(corrupt(
-                path,
-                line_no,
-                "feedback checksum mismatch".to_owned(),
-            ));
-        }
-        let mut it = payload.split_whitespace();
-        let tag = next_tok(path, line_no, "record tag", &mut it)?;
-        let rel = next_tok(path, line_no, "relation", &mut it)?.to_owned();
-        let col = next_tok(path, line_no, "column", &mut it)?.to_owned();
+        let mut f = Fields::new(payload, line);
+        let tag = f.next("record tag")?;
+        let key = (f.next("relation")?.to_owned(), f.next("column")?.to_owned());
         match tag {
             "grid" => {
-                let lo = parse_f64(
-                    path,
-                    line_no,
-                    "domain lo",
-                    next_tok(path, line_no, "lo", &mut it)?,
-                )?;
-                let hi = parse_f64(
-                    path,
-                    line_no,
-                    "domain hi",
-                    next_tok(path, line_no, "hi", &mut it)?,
-                )?;
-                let alpha = parse_f64(
-                    path,
-                    line_no,
-                    "alpha",
-                    next_tok(path, line_no, "alpha", &mut it)?,
-                )?;
-                let obs = parse_usize(
-                    path,
-                    line_no,
-                    "observations",
-                    next_tok(path, line_no, "observations", &mut it)?,
-                )?;
-                let k = parse_usize(
-                    path,
-                    line_no,
-                    "bucket count",
-                    next_tok(path, line_no, "bucket count", &mut it)?,
-                )?;
-                let mut corrections = Vec::with_capacity(k);
-                for j in 0..k {
-                    let tok = next_tok(path, line_no, "correction", &mut it).map_err(|_| {
-                        corrupt(
-                            path,
-                            line_no,
-                            format!("grid wants {k} corrections, found {j}"),
-                        )
-                    })?;
-                    corrections.push(parse_f64(path, line_no, "correction", tok)?);
-                }
-                let domain = Domain::try_new(lo, hi).map_err(|e| e.with_path(path))?;
-                let grid = CorrectionGrid::from_parts(domain, corrections, alpha, obs)
-                    .map_err(|e| e.with_path(path))?;
-                state.grids.insert((rel, col), grid);
+                let domain = f.domain()?;
+                let alpha = f.parse("alpha")?;
+                let observations = f.parse("observations")?;
+                let count = f.parse("bucket count")?;
+                let corrections = f.repeat(count, "grid corrections", |f| f.parse("correction"))?;
+                let grid = CorrectionGrid::from_parts(domain, corrections, alpha, observations)?;
+                state.grids.insert(key, grid);
             }
             "alarm" => {
-                let count = parse_usize(
-                    path,
-                    line_no,
-                    "alarm count",
-                    next_tok(path, line_no, "count", &mut it)?,
-                )?;
-                let last = parse_f64(
-                    path,
-                    line_no,
-                    "alarm drift",
-                    next_tok(path, line_no, "drift", &mut it)?,
-                )?;
-                if !last.is_finite() || last < 0.0 {
-                    return Err(corrupt(path, line_no, format!("bad alarm drift {last}")));
+                let count = f.parse("alarm count")?;
+                let last_drift: f64 = f.parse("alarm drift")?;
+                if !last_drift.is_finite() || last_drift < 0.0 {
+                    return Err(corrupt(line, format!("bad alarm drift {last_drift}")));
                 }
-                state.alarms.insert(
-                    (rel, col),
-                    DriftAlarm {
-                        count,
-                        last_drift: last,
-                    },
-                );
+                state.alarms.insert(key, DriftAlarm { count, last_drift });
             }
             "online" => {
-                let a = parse_f64(
-                    path,
-                    line_no,
-                    "query a",
-                    next_tok(path, line_no, "a", &mut it)?,
-                )?;
-                let b = parse_f64(
-                    path,
-                    line_no,
-                    "query b",
-                    next_tok(path, line_no, "b", &mut it)?,
-                )?;
-                let seen = parse_usize(
-                    path,
-                    line_no,
-                    "seen",
-                    next_tok(path, line_no, "seen", &mut it)?,
-                )?;
-                let matched = parse_usize(
-                    path,
-                    line_no,
-                    "matched",
-                    next_tok(path, line_no, "matched", &mut it)?,
-                )?;
-                let skipped = parse_usize(
-                    path,
-                    line_no,
-                    "skipped",
-                    next_tok(path, line_no, "skipped", &mut it)?,
-                )?;
-                let cp = OnlineCheckpoint {
-                    a,
-                    b,
-                    seen,
-                    matched,
-                    skipped_nonfinite: skipped,
-                };
-                cp.resume().map_err(|e| e.with_path(path))?;
-                state.online.insert((rel, col), cp);
+                let cp = decode_online(&mut f)?;
+                cp.resume()?;
+                state.online.insert(key, cp);
             }
             "sketch" => {
-                let cp = decode_sketch_fields(path, line_no, rel.clone(), col.clone(), &mut it)?;
-                GkSketch::from_parts(cp.sketch.clone()).map_err(|e| e.with_path(path))?;
-                IncrementalColumn::from_parts(cp.column_state.clone())
-                    .map_err(|e| e.with_path(path))?;
-                state.sketches.insert((rel, col), cp);
+                let cp = decode_sketch_fields(&mut f, key.0.clone(), key.1.clone())?;
+                validate_sketch(&cp)?;
+                state.sketches.insert(key, cp);
             }
-            other => {
-                return Err(corrupt(
-                    path,
-                    line_no,
-                    format!("unknown record tag {other:?}"),
-                ))
-            }
+            other => return Err(corrupt(line, format!("unknown record tag {other:?}"))),
         }
-        if it.next().is_some() {
-            return Err(corrupt(path, line_no, "trailing tokens".to_owned()));
-        }
+        f.end()?;
     }
     Ok(state)
+}
+
+/// Both substrate halves of a sketch checkpoint must reconstruct — the
+/// same validation a restore pays, so a checkpoint accepted here can
+/// never fail later.
+fn validate_sketch(cp: &SketchCheckpoint) -> Result<(), EstimateError> {
+    GkSketch::from_parts(cp.sketch.clone())?;
+    IncrementalColumn::from_parts(cp.column_state.clone())?;
+    Ok(())
 }
 
 fn encode_record_payload(rec: &JournalRecord) -> String {
@@ -1112,7 +828,17 @@ fn encode_record_payload(rec: &JournalRecord) -> String {
             seen,
             matched,
             skipped_nonfinite,
-        } => format!("online {relation} {column} {a} {b} {seen} {matched} {skipped_nonfinite}"),
+        } => encode_online(
+            relation,
+            column,
+            &OnlineCheckpoint {
+                a: *a,
+                b: *b,
+                seen: *seen,
+                matched: *matched,
+                skipped_nonfinite: *skipped_nonfinite,
+            },
+        ),
         JournalRecord::Sketch(cp) => format!(
             "sketch {} {} {}",
             cp.relation,
@@ -1122,62 +848,41 @@ fn encode_record_payload(rec: &JournalRecord) -> String {
     }
 }
 
-fn decode_record_payload(
-    path: &Path,
-    line: usize,
-    payload: &str,
-) -> Result<JournalRecord, EstimateError> {
-    let mut it = payload.split_whitespace();
-    let tag = next_tok(path, line, "record tag", &mut it)?;
-    let relation = next_tok(path, line, "relation", &mut it)?.to_owned();
-    let column = next_tok(path, line, "column", &mut it)?.to_owned();
+fn decode_record_payload(line: usize, payload: &str) -> Result<JournalRecord, EstimateError> {
+    let mut f = Fields::new(payload, line);
+    let tag = f.next("record tag")?;
+    let relation = f.next("relation")?.to_owned();
+    let column = f.next("column")?.to_owned();
     let rec = match tag {
         "obs" => JournalRecord::Observation {
             relation,
             column,
-            a: parse_f64(path, line, "a", next_tok(path, line, "a", &mut it)?)?,
-            b: parse_f64(path, line, "b", next_tok(path, line, "b", &mut it)?)?,
-            base: parse_f64(path, line, "base", next_tok(path, line, "base", &mut it)?)?,
-            truth: parse_f64(path, line, "truth", next_tok(path, line, "truth", &mut it)?)?,
+            a: f.parse("a")?,
+            b: f.parse("b")?,
+            base: f.parse("base")?,
+            truth: f.parse("truth")?,
         },
         "drift" => JournalRecord::DriftAlarm {
             relation,
             column,
-            drift: parse_f64(path, line, "drift", next_tok(path, line, "drift", &mut it)?)?,
+            drift: f.parse("drift")?,
         },
-        "online" => JournalRecord::OnlineCheckpoint {
-            relation,
-            column,
-            a: parse_f64(path, line, "a", next_tok(path, line, "a", &mut it)?)?,
-            b: parse_f64(path, line, "b", next_tok(path, line, "b", &mut it)?)?,
-            seen: parse_usize(path, line, "seen", next_tok(path, line, "seen", &mut it)?)?,
-            matched: parse_usize(
-                path,
-                line,
-                "matched",
-                next_tok(path, line, "matched", &mut it)?,
-            )?,
-            skipped_nonfinite: parse_usize(
-                path,
-                line,
-                "skipped",
-                next_tok(path, line, "skipped", &mut it)?,
-            )?,
-        },
-        "sketch" => {
-            JournalRecord::Sketch(decode_sketch_fields(path, line, relation, column, &mut it)?)
+        "online" => {
+            let cp = decode_online(&mut f)?;
+            JournalRecord::OnlineCheckpoint {
+                relation,
+                column,
+                a: cp.a,
+                b: cp.b,
+                seen: cp.seen,
+                matched: cp.matched,
+                skipped_nonfinite: cp.skipped_nonfinite,
+            }
         }
-        other => {
-            return Err(corrupt(
-                path,
-                line,
-                format!("unknown journal tag {other:?}"),
-            ))
-        }
+        "sketch" => JournalRecord::Sketch(decode_sketch_fields(&mut f, relation, column)?),
+        other => return Err(corrupt(line, format!("unknown journal tag {other:?}"))),
     };
-    if it.next().is_some() {
-        return Err(corrupt(path, line, "trailing tokens".to_owned()));
-    }
+    f.end()?;
     Ok(rec)
 }
 
@@ -1186,7 +891,7 @@ fn encode_record_line(rec: &JournalRecord) -> String {
     format!(
         "rec {} {:016x} {}\n",
         payload.len(),
-        fnv1a64(payload.as_bytes()),
+        checksum(payload.as_bytes()),
         payload
     )
 }
@@ -1205,7 +910,7 @@ struct JournalScan {
     midfile_corrupt: Option<EstimateError>,
 }
 
-fn scan_journal(path: &Path, text: &str) -> Result<JournalScan, EstimateError> {
+fn scan_journal(text: &str) -> Result<JournalScan, EstimateError> {
     let mut pos = 0usize;
     let mut lines: Vec<(usize, &str, bool)> = Vec::new(); // (start, content, complete)
     for piece in text.split_inclusive('\n') {
@@ -1214,69 +919,42 @@ fn scan_journal(path: &Path, text: &str) -> Result<JournalScan, EstimateError> {
         pos += piece.len();
     }
     let Some(&(_, header, header_complete)) = lines.first() else {
-        return Err(corrupt(path, 1, "empty journal".to_owned()));
+        return Err(corrupt(1, "empty journal"));
     };
-    let mut it = header.split_whitespace();
-    let tag: String = it.by_ref().take(2).collect::<Vec<_>>().join(" ");
-    if tag != JOURNAL_HEADER || !header_complete {
-        return Err(corrupt(path, 1, format!("bad journal header {header:?}")));
+    if !header_complete {
+        return Err(corrupt(1, format!("journal header {header:?} is torn")));
     }
-    if next_tok(path, 1, "gen tag", &mut it)? != "gen" {
-        return Err(corrupt(path, 1, "journal header missing gen".to_owned()));
+    let mut h = Fields::new(header, 1);
+    for tag in JOURNAL_HEADER.split(' ').chain(["gen"]) {
+        h.tag(tag)?;
     }
-    let gen = parse_u64(
-        path,
-        1,
-        "generation",
-        next_tok(path, 1, "generation", &mut it)?,
-    )?;
-    if it.next().is_some() {
-        return Err(corrupt(
-            path,
-            1,
-            "trailing tokens in journal header".to_owned(),
-        ));
-    }
+    let gen = h.parse("generation")?;
+    h.end()?;
 
     let parse_line = |idx: usize, content: &str| -> Result<JournalRecord, EstimateError> {
-        let line_no = idx + 1;
-        // Exactly four space-separated fields; the payload may itself
-        // contain spaces, so split at most three times.
-        let mut it = content.splitn(4, ' ');
-        if next_field(path, line_no, "rec tag", &mut it)? != "rec" {
-            return Err(corrupt(path, line_no, "expected rec line".to_owned()));
-        }
-        let len = parse_usize(
-            path,
-            line_no,
-            "payload length",
-            next_field(path, line_no, "length", &mut it)?,
-        )?;
-        let want = parse_hex(
-            path,
-            line_no,
-            "checksum",
-            next_field(path, line_no, "checksum", &mut it)?,
-        )?;
-        let payload = it.next().unwrap_or("");
+        let line = idx + 1;
+        // `rec <len> <checksum> <payload>`: the payload holds spaces of
+        // its own, so the head is the first three space-separated fields.
+        let mut parts = content.splitn(4, ' ');
+        let head = parts.by_ref().take(3).collect::<Vec<_>>().join(" ");
+        let payload = parts.next().unwrap_or("");
+        let mut f = Fields::new(&head, line);
+        f.tag("rec")?;
+        let len: usize = f.parse("payload length")?;
+        let want = f.hex("checksum")?;
         if payload.len() != len {
             return Err(corrupt(
-                path,
-                line_no,
+                line,
                 format!(
                     "payload length mismatch: header {len}, found {}",
                     payload.len()
                 ),
             ));
         }
-        if fnv1a64(payload.as_bytes()) != want {
-            return Err(corrupt(
-                path,
-                line_no,
-                "record checksum mismatch".to_owned(),
-            ));
+        if checksum(payload.as_bytes()) != want {
+            return Err(corrupt(line, "record checksum mismatch"));
         }
-        decode_record_payload(path, line_no, payload)
+        decode_record_payload(line, payload)
     };
 
     let mut records = Vec::new();
@@ -1290,7 +968,7 @@ fn scan_journal(path: &Path, text: &str) -> Result<JournalScan, EstimateError> {
         let parsed = if complete {
             parse_line(idx, content)
         } else {
-            Err(corrupt(path, idx + 1, "record missing newline".to_owned()))
+            Err(corrupt(idx + 1, "record missing newline"))
         };
         match parsed {
             Ok(rec) => {
@@ -1352,6 +1030,84 @@ fn list_generations(dir: &Path) -> Result<Vec<u64>, EstimateError> {
     Ok(gens)
 }
 
+// The store's reads. Recovery (`DurableStore::open`) and `fsck` both go
+// through these, so every check on disk has one implementation; none of
+// them modifies the directory.
+
+/// A store file as text, `None` when it does not exist. Bytes outside
+/// UTF-8 are damage like any other (a [`EstimateError::CorruptEntry`]);
+/// every other failure is an [`EstimateError::Io`].
+fn read_text(path: &Path) -> Result<Option<String>, EstimateError> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            Err(corrupt(1, e.to_string()).with_path(path))
+        }
+        Err(e) => Err(io_error(path, "read", e)),
+    }
+}
+
+/// The verified `MANIFEST`, `None` when there is none.
+fn read_manifest(dir: &Path) -> Result<Option<Manifest>, EstimateError> {
+    let path = dir.join(MANIFEST_FILE);
+    read_text(&path)?
+        .map(|text| decode_manifest(&text).map_err(|e| e.with_path(&path)))
+        .transpose()
+}
+
+/// One generation as read from disk.
+struct Generation {
+    entries: Vec<PersistedStatistics>,
+    /// The feedback state, or why the feedback file is unusable: damage
+    /// there costs the learned feedback, not the statistics.
+    feedback: Result<FeedbackState, EstimateError>,
+}
+
+/// Read generation `generation`. With a manifest the whole-file checksums
+/// are verified first; without one (the previous-generation hunt) the
+/// per-entry and per-line checksums carry the verification. Damaged stats
+/// fail the read.
+fn read_generation(
+    dir: &Path,
+    generation: u64,
+    manifest: Option<&Manifest>,
+) -> Result<Generation, EstimateError> {
+    let read = |name: String, want: Option<u64>| {
+        let path = dir.join(name);
+        let text = read_text(&path)?.ok_or_else(|| EstimateError::Io {
+            path: path.display().to_string(),
+            op: "read".to_owned(),
+            message: "file missing".to_owned(),
+        })?;
+        match want {
+            Some(want) if checksum(text.as_bytes()) != want => {
+                Err(corrupt(1, "checksum mismatch vs manifest").with_path(&path))
+            }
+            _ => Ok((path, text)),
+        }
+    };
+    let (spath, stats) = read(gen_stats_name(generation), manifest.map(|m| m.stats_fnv))?;
+    let entries = persist::decode(&stats).map_err(|e| e.with_path(&spath))?;
+    let feedback = read(
+        gen_feedback_name(generation),
+        manifest.map(|m| m.feedback_fnv),
+    )
+    .and_then(|(fpath, text)| decode_feedback(&text).map_err(|e| e.with_path(&fpath)));
+    Ok(Generation { entries, feedback })
+}
+
+/// The scanned journal, `None` when there is none.
+fn read_journal(dir: &Path) -> Result<Option<JournalScan>, EstimateError> {
+    let path = dir.join(JOURNAL_FILE);
+    let Some(text) = read_text(&path)? else {
+        return Ok(None);
+    };
+    let mut scan = scan_journal(&text).map_err(|e| e.with_path(&path))?;
+    scan.midfile_corrupt = scan.midfile_corrupt.map(|e| e.with_path(&path));
+    Ok(Some(scan))
+}
+
 impl DurableStore {
     /// Open (or create) the store at `dir` with default retention and no
     /// crash injection, running the recovery ladder.
@@ -1380,15 +1136,12 @@ impl DurableStore {
         store.sweep_tmp_debris(&mut report)?;
 
         let manifest_path = store.manifest_path();
-        let manifest = match std::fs::read_to_string(&manifest_path) {
-            Ok(text) => Some(decode_manifest(&manifest_path, &text)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Bit rot took the file outside UTF-8 entirely: corrupt,
-                // not absent — the ladder handles it like a bad decode.
-                Some(Err(corrupt(&manifest_path, 1, e.to_string())))
-            }
-            Err(e) => return Err(io_error(&manifest_path, "read", e)),
+        let manifest = match read_manifest(dir) {
+            Ok(manifest) => manifest.map(Ok),
+            // Damage (bit rot outside UTF-8 included): the ladder below
+            // takes over.
+            Err(e @ EstimateError::CorruptEntry { .. }) => Some(Err(e)),
+            Err(e) => return Err(e),
         };
         let gens = list_generations(dir)?;
 
@@ -1640,10 +1393,8 @@ impl DurableStore {
         }
     }
 
-    /// Load a generation's entries + feedback. With a manifest the
-    /// whole-file checksums are verified too; without one the per-entry
-    /// (and per-line) checksums carry the verification. A damaged
-    /// feedback file degrades to an empty state (`true` in the result);
+    /// [`read_generation`] for recovery: a damaged feedback file is
+    /// quarantined and degrades to an empty state (`true` in the result);
     /// damaged stats fail the load.
     fn load_generation(
         &self,
@@ -1651,48 +1402,12 @@ impl DurableStore {
         manifest: Option<&Manifest>,
         report: &mut RecoveryReport,
     ) -> Result<(Vec<PersistedStatistics>, FeedbackState, bool), EstimateError> {
-        let spath = self.stats_path(generation);
-        let stext = std::fs::read_to_string(&spath).map_err(|e| io_error(&spath, "read", e))?;
-        if let Some(m) = manifest {
-            if fnv1a64(stext.as_bytes()) != m.stats_fnv {
-                return Err(corrupt(
-                    &spath,
-                    1,
-                    "snapshot checksum does not match manifest".to_owned(),
-                ));
-            }
-        }
-        let entries = persist::decode(&stext).map_err(|e| e.with_path(&spath))?;
-        let fpath = self.feedback_path(generation);
-        let feedback = match std::fs::read_to_string(&fpath) {
-            Ok(ftext) => {
-                let fnv_ok = manifest.is_none_or(|m| fnv1a64(ftext.as_bytes()) == m.feedback_fnv);
-                if fnv_ok {
-                    match decode_feedback(&fpath, &ftext) {
-                        Ok(state) => Some(state),
-                        Err(e) => {
-                            report.errors.push(e);
-                            None
-                        }
-                    }
-                } else {
-                    report.errors.push(corrupt(
-                        &fpath,
-                        1,
-                        "feedback checksum does not match manifest".to_owned(),
-                    ));
-                    None
-                }
-            }
-            Err(e) => {
-                report.errors.push(io_error(&fpath, "read", e));
-                None
-            }
-        };
+        let Generation { entries, feedback } = read_generation(&self.dir, generation, manifest)?;
         match feedback {
-            Some(state) => Ok((entries, state, false)),
-            None => {
-                self.quarantine_if_exists(&fpath, report);
+            Ok(state) => Ok((entries, state, false)),
+            Err(e) => {
+                report.errors.push(e);
+                self.quarantine_if_exists(&self.feedback_path(generation), report);
                 Ok((entries, FeedbackState::default(), true))
             }
         }
@@ -1749,34 +1464,23 @@ impl DurableStore {
     /// repairing it in place (truncate a torn tail, reset a stale or
     /// corrupt journal) so `fsck` passes afterward.
     fn recover_journal(&mut self, report: &mut RecoveryReport) -> Result<(), EstimateError> {
-        let jpath = self.journal_path();
-        let text = match std::fs::read_to_string(&jpath) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return self.reset_journal();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Non-UTF-8 bit rot: corrupt beyond salvage, discard.
-                report.errors.push(corrupt(&jpath, 1, e.to_string()));
+        let scan = match read_journal(&self.dir) {
+            Ok(Some(scan)) if scan.gen == self.active => scan,
+            Ok(Some(_)) => {
+                // Left over from before the last commit: its records are
+                // already folded into the active feedback file.
                 report.journal_stale = true;
                 return self.reset_journal();
             }
-            Err(e) => return Err(io_error(&jpath, "read", e)),
-        };
-        let scan = match scan_journal(&jpath, &text) {
-            Ok(s) => s,
-            Err(e) => {
+            Ok(None) => return self.reset_journal(),
+            Err(e @ EstimateError::CorruptEntry { .. }) => {
+                // An unusable header or non-UTF-8 bit rot: discard.
                 report.errors.push(e);
                 report.journal_stale = true;
                 return self.reset_journal();
             }
+            Err(e) => return Err(e),
         };
-        if scan.gen != self.active {
-            // Left over from before the last commit: its records are
-            // already folded into the active feedback file.
-            report.journal_stale = true;
-            return self.reset_journal();
-        }
         if let Some(e) = scan.midfile_corrupt {
             // Damage with valid records after it: the valid prefix cannot
             // be trusted either (the file was rewritten or bit-rotted,
@@ -1798,6 +1502,7 @@ impl DurableStore {
         self.journal_records = scan.records.len();
         if scan.torn_tail {
             report.journal_truncated = true;
+            let jpath = self.journal_path();
             let f = std::fs::OpenOptions::new()
                 .write(true)
                 .open(&jpath)
@@ -1854,8 +1559,8 @@ impl DurableStore {
         )?;
         let manifest = encode_manifest(
             generation,
-            fnv1a64(stats_text.as_bytes()),
-            fnv1a64(feedback_text.as_bytes()),
+            checksum(stats_text.as_bytes()),
+            checksum(feedback_text.as_bytes()),
         );
         write_atomic_crashable(&mut self.plan, &mpath, manifest.as_bytes(), MANIFEST_SITES)?;
         // Commit point passed.
@@ -1895,7 +1600,8 @@ impl DurableStore {
 
 /// Read-only integrity check of a store directory: verifies the
 /// manifest, the active generation's checksums, the feedback file, and
-/// the journal, without modifying anything. Repair is spelled
+/// the journal through the same reads [`DurableStore::open`] recovers
+/// with, without modifying anything. Repair is spelled
 /// [`DurableStore::open`] — run it and `fsck` again.
 pub fn fsck(dir: &Path) -> FsckReport {
     let mut report = FsckReport {
@@ -1928,22 +1634,16 @@ pub fn fsck(dir: &Path) -> FsckReport {
             }
         }
     }
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let manifest = match std::fs::read_to_string(&manifest_path) {
-        Ok(text) => match decode_manifest(&manifest_path, &text) {
-            Ok(m) => Some(m),
-            Err(e) => {
-                report.findings.push(e.to_string());
-                None
-            }
-        },
-        Err(e) => {
-            report.findings.push(format!("manifest unreadable: {e}"));
-            None
+    let m = match read_manifest(dir) {
+        Ok(Some(m)) => m,
+        Ok(None) => {
+            report.findings.push("manifest missing".to_owned());
+            return report;
         }
-    };
-    let Some(m) = manifest else {
-        return report;
+        Err(e) => {
+            report.findings.push(e.to_string());
+            return report;
+        }
     };
     report.active = Some(m.active);
     for g in &report.generations {
@@ -1954,73 +1654,40 @@ pub fn fsck(dir: &Path) -> FsckReport {
             ));
         }
     }
-    let spath = dir.join(gen_stats_name(m.active));
-    match std::fs::read_to_string(&spath) {
-        Ok(text) => {
-            if fnv1a64(text.as_bytes()) != m.stats_fnv {
-                report
-                    .findings
-                    .push(format!("{} checksum mismatch vs manifest", spath.display()));
-            } else if let Err(e) = persist::decode(&text) {
-                report.findings.push(e.with_path(&spath).to_string());
+    match read_generation(dir, m.active, Some(&m)).and_then(|g| g.feedback) {
+        Ok(feedback) => {
+            for ((rel, col), cp) in &feedback.sketches {
+                sketch_pressure.insert((rel.clone(), col.clone()), cp.updates_since_refresh);
             }
         }
-        Err(e) => report
-            .findings
-            .push(format!("active snapshot unreadable: {e}")),
+        Err(e) => report.findings.push(e.to_string()),
     }
-    let fpath = dir.join(gen_feedback_name(m.active));
-    match std::fs::read_to_string(&fpath) {
-        Ok(text) => {
-            if fnv1a64(text.as_bytes()) != m.feedback_fnv {
-                report
-                    .findings
-                    .push(format!("{} checksum mismatch vs manifest", fpath.display()));
-            } else {
-                match decode_feedback(&fpath, &text) {
-                    Ok(state) => {
-                        for ((rel, col), cp) in &state.sketches {
-                            sketch_pressure
-                                .insert((rel.clone(), col.clone()), cp.updates_since_refresh);
-                        }
-                    }
-                    Err(e) => report.findings.push(e.to_string()),
+    match read_journal(dir) {
+        Ok(Some(scan)) => {
+            report.journal_records = scan.records.len();
+            for rec in &scan.records {
+                if let JournalRecord::Sketch(cp) = rec {
+                    sketch_pressure.insert(
+                        (cp.relation.clone(), cp.column.clone()),
+                        cp.updates_since_refresh,
+                    );
                 }
+            }
+            if scan.gen != m.active {
+                report.findings.push(format!(
+                    "journal generation {} does not match active {}",
+                    scan.gen, m.active
+                ));
+            }
+            if scan.torn_tail {
+                report.findings.push("journal has a torn tail".to_owned());
+            }
+            if let Some(e) = scan.midfile_corrupt {
+                report.findings.push(e.to_string());
             }
         }
-        Err(e) => report
-            .findings
-            .push(format!("active feedback unreadable: {e}")),
-    }
-    let jpath = dir.join(JOURNAL_FILE);
-    match std::fs::read_to_string(&jpath) {
-        Ok(text) => match scan_journal(&jpath, &text) {
-            Ok(scan) => {
-                report.journal_records = scan.records.len();
-                for rec in &scan.records {
-                    if let JournalRecord::Sketch(cp) = rec {
-                        sketch_pressure.insert(
-                            (cp.relation.clone(), cp.column.clone()),
-                            cp.updates_since_refresh,
-                        );
-                    }
-                }
-                if scan.gen != m.active {
-                    report.findings.push(format!(
-                        "journal generation {} does not match active {}",
-                        scan.gen, m.active
-                    ));
-                }
-                if scan.torn_tail {
-                    report.findings.push("journal has a torn tail".to_owned());
-                }
-                if let Some(e) = scan.midfile_corrupt {
-                    report.findings.push(e.to_string());
-                }
-            }
-            Err(e) => report.findings.push(e.to_string()),
-        },
-        Err(e) => report.findings.push(format!("journal unreadable: {e}")),
+        Ok(None) => report.findings.push("journal missing".to_owned()),
+        Err(e) => report.findings.push(e.to_string()),
     }
     report.sketch_columns = sketch_pressure.len();
     report.sketch_pending_updates = sketch_pressure.values().sum();
@@ -2293,9 +1960,66 @@ mod tests {
         }
         store.append(&obs("t", "w", 0.125)).expect("append w");
         let encoded = encode_feedback(store.feedback());
-        let decoded = decode_feedback(Path::new("mem"), &encoded).expect("decode");
+        let decoded = decode_feedback(&encoded).expect("decode");
         assert_eq!(&decoded, store.feedback());
         assert_eq!(encode_feedback(&decoded), encoded, "fixed point");
+    }
+
+    #[test]
+    fn feedback_bucket_count_from_the_file_cannot_exhaust_memory() {
+        // A well-checksummed grid line claiming 2^40 buckets: the decoder
+        // must refuse it, not reserve 8 TiB for the corrections.
+        let line = "grid r c 0 1 0.5 0 1099511627776";
+        let text = format!(
+            "{FEEDBACK_HEADER}\n{line}\ncheck {:016x}\n",
+            checksum(line.as_bytes())
+        );
+        match decode_feedback(&text) {
+            Err(EstimateError::CorruptEntry { line, message, .. }) => {
+                assert_eq!(line, 2);
+                assert!(message.contains("wants 1099511627776"), "{message}");
+            }
+            other => panic!("expected CorruptEntry, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn open_errors_name_the_file_line_and_byte_offset() {
+        let dir = scratch("sited");
+        let (mut store, _) = DurableStore::open(&dir).expect("open");
+        store
+            .publish(vec![entry("t", "v"), entry("t", "w")])
+            .expect("publish");
+        drop(store);
+        // Without a manifest, the previous-generation hunt decodes the
+        // snapshot and reports where it is damaged: the first entry's
+        // sample-length header, past the file header (line > 1, offset > 0).
+        std::fs::remove_file(dir.join(MANIFEST_FILE)).expect("remove manifest");
+        let spath = dir.join(gen_stats_name(1));
+        let damaged =
+            std::fs::read_to_string(&spath)
+                .expect("read")
+                .replacen("sample 50", "sample 999", 1);
+        std::fs::write(&spath, &damaged).expect("damage");
+        let (_, report) = DurableStore::open(&dir).expect("recover");
+        // The empty generation 0 is the rung below.
+        assert_eq!(report.rung, RecoveryRung::PreviousGeneration);
+        let sited = report.errors.iter().find_map(|e| match e {
+            EstimateError::CorruptEntry {
+                path: Some(p),
+                line,
+                offset,
+                ..
+            } if p.ends_with("gen-000001.stats") => Some((*line, *offset)),
+            _ => None,
+        });
+        let (line, offset) = sited.expect("a sited error for the damaged snapshot");
+        assert_eq!(line, 3, "header, stat line, then the sample line");
+        assert_eq!(
+            damaged[..offset].matches('\n').count(),
+            line - 1,
+            "offset {offset} does not start line {line}"
+        );
     }
 
     #[test]

@@ -1,39 +1,29 @@
-//! Persistence for ANALYZE results — the `pg_statistic` of this toy store.
+//! The statistics format — the `pg_statistic` of this toy store.
 //!
 //! What a database durably stores after ANALYZE is not the estimator
 //! object but the *evidence*: the sample, the method, and the relation
 //! metadata; estimators are rebuilt deterministically on load. The format
 //! is a self-describing line-oriented text format (no external
-//! serialization dependency). Version 2 adds a per-entry FNV-1a checksum
-//! so bit rot is detected at the damaged entry, not smeared across the
-//! whole catalog:
+//! serialization dependency) with a per-entry checksum, so bit rot is
+//! detected at the damaged entry, not smeared across the whole catalog:
 //!
 //! ```text
 //! selest-statistics v2
 //! stat <relation> <column> <kind> <n_rows> <domain_lo> <domain_hi>
 //! sample <len> v1 v2 ... vlen
-//! check <fnv1a64-hex-of-the-two-lines-above>
+//! check <checksum-hex-of-the-two-lines-above>
 //! ```
 //!
-//! Version 1 files (no `check` lines) still load. Durability hardening:
-//!
-//! * [`save_to_path`] writes atomically with full durability ordering —
-//!   temp file in the same directory, fsync file, fsync parent dir,
-//!   rename, fsync parent dir again — so a crash mid-save leaves the
-//!   previous file intact (never torn), and a crash *after* the rename
-//!   cannot lose the new name to an unsynced directory; failures are
-//!   typed [`EstimateError::Io`] values naming the path and operation;
-//! * [`decode`] is strict and reports the 1-based line and byte offset of
-//!   the first problem; it never panics and never silently truncates;
-//!   the `*_from_path` loaders additionally stamp the file path onto
-//!   every corruption error so `fsck` output names the exact site;
-//! * [`decode_lenient`] recovers per entry: damaged entries are skipped
-//!   and reported, intact entries still load — one flipped bit costs one
-//!   column's statistics, not the catalog.
+//! This module is the in-memory codec: [`encode`] and the strict
+//! [`decode`], which never panics, never silently drops an entry, and
+//! reports the 1-based line and byte offset of the first problem. Files
+//! reach and leave disk only through
+//! [`DurableStore`](crate::durable::DurableStore), which writes them
+//! atomically as generation snapshots, verifies them against its
+//! `MANIFEST` checksums, and stamps the file path onto every decode error.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 
 use selest_core::fault::EstimateError;
@@ -41,9 +31,7 @@ use selest_core::{Domain, SelectivityEstimator};
 
 use crate::catalog::EstimatorKind;
 
-/// Header of the legacy checksum-free format.
-pub const HEADER_V1: &str = "selest-statistics v1";
-/// Header of the current checksummed format.
+/// Header of the statistics format.
 pub const HEADER_V2: &str = "selest-statistics v2";
 
 /// One persisted statistics entry: everything needed to rebuild the
@@ -77,8 +65,11 @@ impl PersistedStatistics {
     }
 }
 
-/// 64-bit FNV-1a — the dependency-free checksum guarding each entry.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The checksum of every file the store writes. It is FNV-1a with the
+/// 64-bit offset basis but a multiplier of 2^48 + 0x1b3, where FNV's
+/// prime (and `selest_par::fnv1a_64`) has 2^40 + 0x1b3. The checksums
+/// already on disk were computed with it, so the formats keep it.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -100,7 +91,7 @@ pub(crate) fn kind_token(kind: EstimatorKind) -> &'static str {
     }
 }
 
-pub(crate) fn parse_kind(token: &str) -> Result<EstimatorKind, String> {
+fn parse_kind(token: &str) -> Result<EstimatorKind, String> {
     Ok(match token {
         "uniform" => EstimatorKind::Uniform,
         "sampling" => EstimatorKind::Sampling,
@@ -132,7 +123,6 @@ fn entry_lines(e: &PersistedStatistics) -> (String, String) {
     }
     (stat, sample)
 }
-
 /// Append `v` to `line` byte for byte as `{v}` prints it. Integer-valued
 /// samples — every sample of the paper's data files, which are quantized
 /// to `[0, 2^p - 1]` — skip the float formatter: for a finite integer
@@ -186,12 +176,11 @@ pub(crate) fn check_names(entries: &[PersistedStatistics]) -> Result<(), Estimat
     }
 }
 
-/// Serialize a set of statistics entries in the v2 (checksummed) format.
+/// Serialize a set of statistics entries.
 ///
 /// Panics on an empty relation or column name or one containing
-/// whitespace; the fallible writers ([`save_to_path`],
-/// `DurableStore::publish`) return [`EstimateError::UnpersistableName`]
-/// for such entries instead.
+/// whitespace; `DurableStore::publish` returns
+/// [`EstimateError::UnpersistableName`] for such entries instead.
 pub fn encode(entries: &[PersistedStatistics]) -> String {
     let mut out = String::from(HEADER_V2);
     out.push('\n');
@@ -201,24 +190,114 @@ pub fn encode(entries: &[PersistedStatistics]) -> String {
             "relation/column names must be nonempty and contain no whitespace"
         );
         let (stat, sample) = entry_lines(e);
-        let check = fnv1a64(format!("{stat}\n{sample}\n").as_bytes());
+        let check = checksum(format!("{stat}\n{sample}\n").as_bytes());
         let _ = writeln!(out, "{stat}\n{sample}\ncheck {check:016x}");
     }
     out
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Version {
-    V1,
-    V2,
-}
-
-fn corrupt(line: usize, message: impl Into<String>) -> EstimateError {
+/// A [`EstimateError::CorruptEntry`] at 1-based `line` with no path or
+/// offset yet; file readers stamp those on.
+pub(crate) fn corrupt(line: usize, message: impl Into<String>) -> EstimateError {
     EstimateError::CorruptEntry {
         path: None,
         line: line.max(1),
         offset: 0,
         message: message.into(),
+    }
+}
+
+/// The whitespace-separated fields of one line, consumed in order. Every
+/// failure is a [`corrupt`] error at the line, naming the field.
+pub(crate) struct Fields<'a> {
+    line: usize,
+    it: std::str::SplitWhitespace<'a>,
+}
+
+impl<'a> Fields<'a> {
+    pub(crate) fn new(text: &'a str, line: usize) -> Self {
+        Fields {
+            line,
+            it: text.split_whitespace(),
+        }
+    }
+
+    /// The next token, or a "missing `what`" error.
+    pub(crate) fn next(&mut self, what: &str) -> Result<&'a str, EstimateError> {
+        self.it
+            .next()
+            .ok_or_else(|| corrupt(self.line, format!("missing {what}")))
+    }
+
+    /// The next token, which must be exactly `tag`.
+    pub(crate) fn tag(&mut self, tag: &str) -> Result<(), EstimateError> {
+        match self.next(tag)? {
+            t if t == tag => Ok(()),
+            t => Err(corrupt(self.line, format!("expected {tag:?}, got {t:?}"))),
+        }
+    }
+
+    /// The next token parsed as a `T`.
+    pub(crate) fn parse<T: FromStr>(&mut self, what: &str) -> Result<T, EstimateError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let tok = self.next(what)?;
+        tok.parse()
+            .map_err(|e| corrupt(self.line, format!("bad {what} {tok:?}: {e}")))
+    }
+
+    /// The next token as a hexadecimal checksum.
+    pub(crate) fn hex(&mut self, what: &str) -> Result<u64, EstimateError> {
+        let tok = self.next(what)?;
+        u64::from_str_radix(tok, 16)
+            .map_err(|e| corrupt(self.line, format!("bad {what} {tok:?}: {e}")))
+    }
+
+    /// The next token as an estimator kind.
+    pub(crate) fn kind(&mut self) -> Result<EstimatorKind, EstimateError> {
+        parse_kind(self.next("kind")?).map_err(|m| corrupt(self.line, m))
+    }
+
+    /// A domain from the next two tokens.
+    pub(crate) fn domain(&mut self) -> Result<Domain, EstimateError> {
+        let (lo, hi) = (self.parse("domain lo")?, self.parse("domain hi")?);
+        Domain::try_new(lo, hi).map_err(|e| corrupt(self.line, format!("invalid domain: {e}")))
+    }
+
+    /// `count` values of `what`, read one `parse` at a time.
+    pub(crate) fn repeat<T>(
+        &mut self,
+        count: usize,
+        what: &str,
+        mut parse: impl FnMut(&mut Self) -> Result<T, EstimateError>,
+    ) -> Result<Vec<T>, EstimateError> {
+        // The count comes from the file: cap the reservation so a damaged
+        // count cannot ask the allocator for more than the line holds.
+        let mut out = Vec::with_capacity(count.min(1 << 20));
+        for found in 0..count {
+            if self.at_end() {
+                return Err(corrupt(
+                    self.line,
+                    format!("{what}: wants {count}, found {found}"),
+                ));
+            }
+            out.push(parse(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Whether every token has been consumed.
+    fn at_end(&self) -> bool {
+        self.it.clone().next().is_none()
+    }
+
+    /// Require that the line holds no further token.
+    pub(crate) fn end(mut self) -> Result<(), EstimateError> {
+        match self.it.next() {
+            None => Ok(()),
+            Some(extra) => Err(corrupt(self.line, format!("trailing token {extra:?}"))),
+        }
     }
 }
 
@@ -246,123 +325,55 @@ fn stamp_offset(mut e: EstimateError, offsets: &[usize], text_len: usize) -> Est
     e
 }
 
-/// Parse one entry starting at `lines[i]` (a non-empty line). Returns the
-/// entry and the index just past it. Errors carry the 1-based line number
-/// of the offending line.
-fn parse_entry(
-    lines: &[&str],
-    i: usize,
-    version: Version,
-) -> Result<(PersistedStatistics, usize), EstimateError> {
+/// Parse the entry whose `stat` line is `lines[i]` (a non-empty line).
+/// Returns the entry and the index just past it. Errors carry the 1-based
+/// line number of the offending line.
+fn parse_entry(lines: &[&str], i: usize) -> Result<(PersistedStatistics, usize), EstimateError> {
+    let line = |k: usize| {
+        lines
+            .get(k)
+            .copied()
+            .ok_or_else(|| corrupt(k + 1, "truncated file"))
+    };
     let stat_line = lines[i];
-    let lineno = i + 1;
-    let mut parts = stat_line.split_whitespace();
-    if parts.next() != Some("stat") {
-        return Err(corrupt(
-            lineno,
-            format!("expected 'stat' line, got {stat_line:?}"),
-        ));
-    }
-    let relation = parts
-        .next()
-        .ok_or_else(|| corrupt(lineno, "missing relation"))?
-        .to_owned();
-    let column = parts
-        .next()
-        .ok_or_else(|| corrupt(lineno, "missing column"))?
-        .to_owned();
-    let kind = parse_kind(
-        parts
-            .next()
-            .ok_or_else(|| corrupt(lineno, "missing kind"))?,
-    )
-    .map_err(|m| corrupt(lineno, m))?;
-    let n_rows: usize = parts
-        .next()
-        .ok_or_else(|| corrupt(lineno, "missing n_rows"))?
-        .parse()
-        .map_err(|e| corrupt(lineno, format!("bad n_rows: {e}")))?;
-    let lo: f64 = parts
-        .next()
-        .ok_or_else(|| corrupt(lineno, "missing domain lo"))?
-        .parse()
-        .map_err(|e| corrupt(lineno, format!("bad domain lo: {e}")))?;
-    let hi: f64 = parts
-        .next()
-        .ok_or_else(|| corrupt(lineno, "missing domain hi"))?
-        .parse()
-        .map_err(|e| corrupt(lineno, format!("bad domain hi: {e}")))?;
-    if let Some(extra) = parts.next() {
-        return Err(corrupt(
-            lineno,
-            format!("trailing token {extra:?} on 'stat' line"),
-        ));
-    }
-    let domain =
-        Domain::try_new(lo, hi).map_err(|e| corrupt(lineno, format!("invalid domain: {e}")))?;
+    let mut stat = Fields::new(stat_line, i + 1);
+    stat.tag("stat")?;
+    let relation = stat.next("relation")?;
+    let column = stat.next("column")?;
+    let kind = stat.kind()?;
+    let n_rows = stat.parse("n_rows")?;
+    let domain = stat.domain()?;
+    stat.end()?;
 
-    let sample_line = *lines
-        .get(i + 1)
-        .ok_or_else(|| corrupt(lineno + 1, "missing 'sample' line (truncated file?)"))?;
-    let sample_lineno = i + 2;
-    let mut sp = sample_line.split_whitespace();
-    if sp.next() != Some("sample") {
-        return Err(corrupt(
-            sample_lineno,
-            format!("expected 'sample' line, got {sample_line:?}"),
-        ));
+    let sample_line = line(i + 1)?;
+    let mut sample = Fields::new(sample_line, i + 2);
+    sample.tag("sample")?;
+    let len: usize = sample.parse("sample length")?;
+    let mut values = Vec::new();
+    while !sample.at_end() {
+        values.push(sample.parse::<f64>("sample value")?);
     }
-    let len: usize = sp
-        .next()
-        .ok_or_else(|| corrupt(sample_lineno, "missing sample length"))?
-        .parse()
-        .map_err(|e| corrupt(sample_lineno, format!("bad sample length: {e}")))?;
-    let sample: Vec<f64> = sp
-        .map(|t| {
-            t.parse::<f64>()
-                .map_err(|e| corrupt(sample_lineno, format!("bad sample value {t:?}: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    if sample.len() != len {
+    if values.len() != len {
         return Err(corrupt(
-            sample_lineno,
+            i + 2,
             format!(
                 "sample length mismatch: header says {len}, found {}",
-                sample.len()
+                values.len()
             ),
         ));
     }
 
-    let next = match version {
-        Version::V1 => i + 2,
-        Version::V2 => {
-            let check_line = *lines
-                .get(i + 2)
-                .ok_or_else(|| corrupt(lineno + 2, "missing 'check' line (truncated file?)"))?;
-            let check_lineno = i + 3;
-            let mut cp = check_line.split_whitespace();
-            if cp.next() != Some("check") {
-                return Err(corrupt(
-                    check_lineno,
-                    format!("expected 'check' line, got {check_line:?}"),
-                ));
-            }
-            let stored = u64::from_str_radix(
-                cp.next()
-                    .ok_or_else(|| corrupt(check_lineno, "missing checksum"))?,
-                16,
-            )
-            .map_err(|e| corrupt(check_lineno, format!("bad checksum: {e}")))?;
-            let actual = fnv1a64(format!("{stat_line}\n{sample_line}\n").as_bytes());
-            if stored != actual {
-                return Err(corrupt(
-                    check_lineno,
-                    format!("checksum mismatch: stored {stored:016x}, computed {actual:016x}"),
-                ));
-            }
-            i + 3
-        }
-    };
+    let check_line = line(i + 2)?;
+    let mut check = Fields::new(check_line, i + 3);
+    check.tag("check")?;
+    let stored = check.hex("checksum")?;
+    let actual = checksum(format!("{stat_line}\n{sample_line}\n").as_bytes());
+    if stored != actual {
+        return Err(corrupt(
+            i + 3,
+            format!("checksum mismatch: stored {stored:016x}, computed {actual:016x}"),
+        ));
+    }
     Ok((
         PersistedStatistics {
             relation: relation.into(),
@@ -370,29 +381,24 @@ fn parse_entry(
             kind,
             n_rows,
             domain,
-            sample: sample.into(),
+            sample: values.into(),
         },
-        next,
+        i + 3,
     ))
 }
 
-fn parse_header(lines: &[&str]) -> Result<Version, EstimateError> {
-    match lines.first() {
-        Some(&h) if h == HEADER_V1 => Ok(Version::V1),
-        Some(&h) if h == HEADER_V2 => Ok(Version::V2),
-        Some(&h) => Err(corrupt(1, format!("bad header: {h:?}"))),
-        None => Err(corrupt(1, "empty statistics file")),
-    }
-}
-
-/// Parse a serialized statistics file (v1 or v2), strictly: the first
-/// damaged entry aborts the load with the 1-based line number of the
+/// Parse a serialized statistics file, strictly: the first damaged entry
+/// aborts the load with the 1-based line number and byte offset of the
 /// problem. Never panics, never silently drops an entry.
 pub fn decode(text: &str) -> Result<Vec<PersistedStatistics>, EstimateError> {
     let lines: Vec<&str> = text.lines().collect();
     let offsets = line_offsets(text);
     let stamp = |e| stamp_offset(e, &offsets, text.len());
-    let version = parse_header(&lines).map_err(stamp)?;
+    match lines.first() {
+        Some(&h) if h == HEADER_V2 => {}
+        Some(&h) => return Err(stamp(corrupt(1, format!("bad header: {h:?}")))),
+        None => return Err(stamp(corrupt(1, "empty statistics file"))),
+    }
     let mut entries = Vec::new();
     let mut i = 1;
     while i < lines.len() {
@@ -400,155 +406,11 @@ pub fn decode(text: &str) -> Result<Vec<PersistedStatistics>, EstimateError> {
             i += 1;
             continue;
         }
-        let (entry, next) = parse_entry(&lines, i, version).map_err(stamp)?;
+        let (entry, next) = parse_entry(&lines, i).map_err(stamp)?;
         entries.push(entry);
         i = next;
     }
     Ok(entries)
-}
-
-/// Outcome of a lenient decode: the entries that survived and one error
-/// per entry that did not.
-#[derive(Debug)]
-pub struct DecodeReport {
-    /// Entries that validated.
-    pub entries: Vec<PersistedStatistics>,
-    /// One [`EstimateError::CorruptEntry`] per damaged entry, in file
-    /// order.
-    pub errors: Vec<EstimateError>,
-}
-
-/// Parse a statistics file, skipping damaged entries instead of aborting:
-/// after an error, scanning resumes at the next `stat` line. A header that
-/// does not parse still fails the whole file — with no version there is no
-/// grammar to recover in.
-pub fn decode_lenient(text: &str) -> Result<DecodeReport, EstimateError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let offsets = line_offsets(text);
-    let stamp = |e| stamp_offset(e, &offsets, text.len());
-    let version = parse_header(&lines).map_err(stamp)?;
-    let mut report = DecodeReport {
-        entries: Vec::new(),
-        errors: Vec::new(),
-    };
-    let mut i = 1;
-    while i < lines.len() {
-        if lines[i].trim().is_empty() {
-            i += 1;
-            continue;
-        }
-        match parse_entry(&lines, i, version) {
-            Ok((entry, next)) => {
-                report.entries.push(entry);
-                i = next;
-            }
-            Err(e) => {
-                report.errors.push(stamp(e));
-                // Resume at the next plausible entry start.
-                i += 1;
-                while i < lines.len() && !lines[i].starts_with("stat ") {
-                    i += 1;
-                }
-            }
-        }
-    }
-    Ok(report)
-}
-
-pub(crate) fn temp_sibling(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-/// Lower an `io::Error` onto the typed vocabulary with path + operation
-/// context.
-pub(crate) fn io_error(path: &Path, op: &str, e: std::io::Error) -> EstimateError {
-    EstimateError::Io {
-        path: path.display().to_string(),
-        op: op.to_owned(),
-        message: e.to_string(),
-    }
-}
-
-/// The directory whose entry table holds `path` (the thing a rename
-/// mutates, and therefore the thing that needs an fsync of its own).
-pub(crate) fn parent_dir(path: &Path) -> PathBuf {
-    match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    }
-}
-
-/// fsync a directory so a completed rename (or a freshly created file's
-/// entry) survives power loss. On filesystems where directories cannot be
-/// opened for sync this degrades to a typed error, never a panic.
-pub(crate) fn fsync_dir(dir: &Path) -> Result<(), EstimateError> {
-    let d = std::fs::File::open(dir).map_err(|e| io_error(dir, "open parent dir", e))?;
-    d.sync_all()
-        .map_err(|e| io_error(dir, "fsync parent dir", e))
-}
-
-/// Atomically persist `entries` to `path` with the full durability
-/// ordering: encode to a temp file in the same directory, fsync the file,
-/// fsync the parent directory (so the temp entry is durable before it is
-/// committed), rename over the target, and fsync the parent again (so the
-/// rename itself survives power loss — without it, some filesystems may
-/// forget the new name entirely). A crash at any point leaves either the
-/// old file or the new one — never a torn mix. Failures come back as
-/// typed [`EstimateError::Io`] values naming the path and operation; an
-/// entry whose name is empty or contains whitespace is refused with
-/// [`EstimateError::UnpersistableName`] before any file is created.
-pub fn save_to_path(path: &Path, entries: &[PersistedStatistics]) -> Result<(), EstimateError> {
-    check_names(entries)?;
-    write_atomic_durably(path, encode(entries).as_bytes())
-}
-
-/// The write→fsync→rename→fsync-dir sequence shared by [`save_to_path`]
-/// and the durable store's generation/manifest writers.
-pub(crate) fn write_atomic_durably(path: &Path, bytes: &[u8]) -> Result<(), EstimateError> {
-    let tmp = temp_sibling(path);
-    let parent = parent_dir(path);
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_error(&tmp, "create temp", e))?;
-        f.write_all(bytes)
-            .map_err(|e| io_error(&tmp, "write temp", e))?;
-        f.sync_all().map_err(|e| io_error(&tmp, "fsync temp", e))?;
-        drop(f);
-        fsync_dir(&parent)?;
-        std::fs::rename(&tmp, path).map_err(|e| io_error(path, "rename temp over target", e))?;
-        fsync_dir(&parent)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// Load and strictly decode a statistics file; read failures surface as
-/// [`EstimateError::Io`] and decode failures as
-/// [`EstimateError::CorruptEntry`] carrying the file path and the
-/// line/byte offset of the damage.
-pub fn load_from_path(path: &Path) -> Result<Vec<PersistedStatistics>, EstimateError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_error(path, "read", e))?;
-    decode(&text).map_err(|e| e.with_path(path))
-}
-
-/// Load with per-entry recovery; only an unreadable file or an unusable
-/// header fails the call. Per-entry errors carry the file path and the
-/// line/byte offset of each corruption site.
-pub fn load_lenient_from_path(path: &Path) -> Result<DecodeReport, EstimateError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_error(path, "read", e))?;
-    decode_lenient(&text)
-        .map(|mut report| {
-            report.errors = report
-                .errors
-                .into_iter()
-                .map(|e| e.with_path(path))
-                .collect();
-            report
-        })
-        .map_err(|e| e.with_path(path))
 }
 
 #[cfg(test)]
@@ -573,17 +435,6 @@ mod tests {
             kind: EstimatorKind::Kernel,
             ..entry()
         }
-    }
-
-    /// The v1 rendering of an entry set, for backward-compat tests.
-    fn encode_v1(entries: &[PersistedStatistics]) -> String {
-        let mut out = String::from(HEADER_V1);
-        out.push('\n');
-        for e in entries {
-            let (stat, sample) = entry_lines(e);
-            let _ = writeln!(out, "{stat}\n{sample}");
-        }
-        out
     }
 
     /// Edge values of the integer fast path plus `count` pseudo-random
@@ -663,17 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load() {
-        let entries = vec![entry(), second_entry()];
-        let text = encode_v1(&entries);
-        let back = decode(&text).expect("v1 decode");
-        assert_eq!(back, entries);
-        let report = decode_lenient(&text).expect("v1 lenient decode");
-        assert_eq!(report.entries, entries);
-        assert!(report.errors.is_empty());
-    }
-
-    #[test]
     fn rebuilt_estimators_answer_identically() {
         let e = entry();
         let text = encode(std::slice::from_ref(&e));
@@ -738,39 +578,45 @@ mod tests {
         };
         expect_line("not a statistics file", 1, "bad header");
         expect_line("", 1, "empty");
-        expect_line("selest-statistics v1\nstat only three", 2, "missing kind");
+        // The checksum-free v1 format is no longer read.
         expect_line(
-            "selest-statistics v1\nstat r c warp 10 0 1\nsample 1 1",
+            "selest-statistics v1\nstat r c kernel 10 0 1\nsample 0",
+            1,
+            "bad header",
+        );
+        expect_line("selest-statistics v2\nstat only three", 2, "missing kind");
+        expect_line(
+            "selest-statistics v2\nstat r c warp 10 0 1\nsample 1 1",
             2,
             "unknown estimator kind",
         );
         expect_line(
-            "selest-statistics v1\nstat r c kernel 10 0 1\nsample 3 1 2",
+            "selest-statistics v2\nstat r c kernel 10 0 1\nsample 3 1 2",
             3,
             "length mismatch",
         );
         expect_line(
-            "selest-statistics v1\nstat r c kernel 10 0 1",
+            "selest-statistics v2\nstat r c kernel 10 0 1",
             3,
             "truncated",
         );
         expect_line(
-            "selest-statistics v1\nstat r c kernel ten 0 1\nsample 0",
+            "selest-statistics v2\nstat r c kernel ten 0 1\nsample 0",
             2,
             "bad n_rows",
         );
         expect_line(
-            "selest-statistics v1\nstat r c kernel 10 5 1\nsample 0",
+            "selest-statistics v2\nstat r c kernel 10 5 1\nsample 0",
             2,
             "invalid domain",
         );
         expect_line(
-            "selest-statistics v1\nstat r c kernel 10 0 1\nsample 1 oops",
+            "selest-statistics v2\nstat r c kernel 10 0 1\nsample 1 oops",
             3,
             "bad sample value",
         );
         expect_line(
-            "selest-statistics v1\nstat r c kernel 10 0 1 extra\nsample 0",
+            "selest-statistics v2\nstat r c kernel 10 0 1 extra\nsample 0",
             2,
             "trailing token",
         );
@@ -779,8 +625,8 @@ mod tests {
     #[test]
     fn bitflips_fail_the_checksum() {
         let text = encode(&[entry()]);
-        // Flip one digit inside the sample payload: v1 would silently load
-        // a wrong value; v2 must refuse the entry.
+        // Flip one digit inside the sample payload: without the checksum
+        // it would load as a wrong value; the entry must be refused.
         let flipped = text.replacen(" 495 ", " 496 ", 1);
         assert_ne!(flipped, text, "fixture value must appear in the sample");
         match decode(&flipped) {
@@ -800,123 +646,8 @@ mod tests {
     }
 
     #[test]
-    fn lenient_decode_skips_only_the_damaged_entry() {
-        let good = vec![entry(), second_entry()];
-        let mut text = encode(&good);
-        // Corrupt the first entry's checksum line.
-        text = text.replacen("check ", "check 0deadbeef", 1);
-        let report = decode_lenient(&text).expect("header is fine");
-        assert_eq!(report.entries.len(), 1, "second entry must survive");
-        assert_eq!(&*report.entries[0].column, "day");
-        assert_eq!(report.errors.len(), 1);
-        match &report.errors[0] {
-            EstimateError::CorruptEntry { message, .. } => {
-                assert!(
-                    message.contains("checksum") || message.contains("bad checksum"),
-                    "{message:?}"
-                );
-            }
-            other => panic!("expected CorruptEntry, got {other:?}"),
-        }
-    }
-
-    /// Scratch space under the workspace target dir (kept out of /tmp so
-    /// test artifacts stay inside the repository checkout).
-    fn scratch_dir() -> PathBuf {
-        PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/persist-test"
-        ))
-    }
-
-    #[test]
-    fn save_is_atomic_and_leaves_no_temp_file() {
-        let dir = scratch_dir();
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("stats.txt");
-        let first = vec![entry()];
-        save_to_path(&path, &first).expect("save");
-        assert_eq!(load_from_path(&path).expect("load"), first);
-        assert!(
-            !temp_sibling(&path).exists(),
-            "temp file must be renamed away"
-        );
-        // Overwrite with new content: readers see old-or-new, never torn.
-        let second = vec![entry(), second_entry()];
-        save_to_path(&path, &second).expect("re-save");
-        assert_eq!(load_from_path(&path).expect("reload"), second);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn lenient_load_recovers_from_on_disk_damage() {
-        let dir = scratch_dir();
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("damaged.txt");
-        let mut text = encode(&[entry(), second_entry()]);
-        text = text.replacen("sample 200", "sample 999", 1); // break entry 1
-        std::fs::write(&path, &text).expect("write");
-        let report = load_lenient_from_path(&path).expect("lenient load");
-        assert_eq!(report.entries.len(), 1);
-        assert_eq!(report.errors.len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn empty_catalog_round_trips() {
         let text = encode(&[]);
         assert_eq!(decode(&text).expect("decode"), Vec::new());
-    }
-
-    #[test]
-    fn load_errors_name_the_file_line_and_byte_offset() {
-        let dir = scratch_dir();
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("sited.txt");
-        let text = encode(&[entry(), second_entry()]);
-        // Damage the first entry's sample-length header so the reported
-        // site sits past the file header (line > 1, offset > 0).
-        let damaged = text.replacen("sample 200", "sample 999", 1);
-        let damage_line = 3; // header, stat line, then the sample line
-        std::fs::write(&path, &damaged).expect("write");
-        match load_from_path(&path) {
-            Err(EstimateError::CorruptEntry {
-                path: Some(p),
-                line,
-                offset,
-                ..
-            }) => {
-                assert!(p.ends_with("sited.txt"), "path context missing: {p}");
-                assert_eq!(line, damage_line);
-                // The offset must point at the start of the reported line.
-                assert_eq!(
-                    damaged[..offset].matches('\n').count(),
-                    line - 1,
-                    "offset {offset} does not start line {line}"
-                );
-            }
-            other => panic!("expected sited CorruptEntry, got {other:?}"),
-        }
-        let report = load_lenient_from_path(&path).expect("lenient");
-        assert_eq!(report.errors.len(), 1);
-        match &report.errors[0] {
-            EstimateError::CorruptEntry { path: Some(p), .. } => {
-                assert!(p.ends_with("sited.txt"));
-            }
-            other => panic!("expected sited CorruptEntry, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_from_missing_file_is_a_typed_io_error() {
-        let path = scratch_dir().join("no-such-file.txt");
-        match load_from_path(&path) {
-            Err(EstimateError::Io { path: p, op, .. }) => {
-                assert!(p.ends_with("no-such-file.txt"), "{p}");
-                assert_eq!(op, "read");
-            }
-            other => panic!("expected Io error, got {other:?}"),
-        }
     }
 }

@@ -313,10 +313,22 @@ fn damaged_statistics_files_never_panic_the_loader() {
         // truncated result.
         match persist::decode(&damaged) {
             Ok(entries) => {
-                // A flip that survives the checksum must still rebuild
-                // into a serving estimator or produce a typed error.
-                for e in &entries {
-                    let _ = e.try_rebuild();
+                // A flip that survives the checksum must still import:
+                // each entry rebuilds into a serving estimator or comes
+                // back as a typed failure.
+                let mut cat = StatisticsCatalog::new();
+                let failures = cat.try_import(entries);
+                for (_rel, _col, err) in &failures {
+                    let _ = err.to_string(); // typed, displayable
+                }
+                for col in ["dense", "wide"] {
+                    if let Some(st) = cat.statistics("t", col) {
+                        let s = st.estimator.selectivity(&RangeQuery::new(0.0, 500.0));
+                        assert!(
+                            s.is_finite() && (0.0..=1.0).contains(&s),
+                            "seed {seed} {col}"
+                        );
+                    }
                 }
             }
             Err(e) => {
@@ -327,23 +339,6 @@ fn damaged_statistics_files_never_panic_the_loader() {
                 );
             }
         }
-        // Lenient decode: whatever survives must import and serve.
-        if let Ok(report) = persist::decode_lenient(&damaged) {
-            let mut cat = StatisticsCatalog::new();
-            let failures = cat.try_import(report.entries);
-            for (_rel, _col, err) in &failures {
-                let _ = err.to_string(); // typed, displayable
-            }
-            for col in ["dense", "wide"] {
-                if let Some(st) = cat.statistics("t", col) {
-                    let s = st.estimator.selectivity(&RangeQuery::new(0.0, 500.0));
-                    assert!(
-                        s.is_finite() && (0.0..=1.0).contains(&s),
-                        "seed {seed} {col}"
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -352,11 +347,10 @@ fn planner_answers_or_errors_cleanly_after_catalog_damage() {
     let (r, text) = persisted_catalog();
     for seed in 0..50u64 {
         let damaged = FaultInjector::new(seed).truncate_text(&text);
-        let Ok(report) = persist::decode_lenient(&damaged) else {
-            continue;
-        };
+        // A file that fails to decode leaves the catalog empty, and the
+        // planner must say so.
         let mut cat = StatisticsCatalog::new();
-        let _ = cat.try_import(report.entries);
+        let _ = cat.try_import(persist::decode(&damaged).unwrap_or_default());
         for col in ["dense", "wide"] {
             for q in workload(&Domain::new(0.0, 1_000.0), 20) {
                 match try_plan_range_query(&cat, &r, col, &q) {
@@ -382,20 +376,13 @@ fn planner_answers_or_errors_cleanly_after_catalog_damage() {
 #[test]
 fn chaos_runs_are_reproducible() {
     // The whole suite above relies on seeded determinism; spot-check it
-    // end to end: same seed, same damage, same surviving entries.
+    // end to end: same seed, same damage, same decode outcome.
     let (_r, text) = persisted_catalog();
-    let survivors = |seed: u64| -> Vec<String> {
+    let outcome = |seed: u64| {
         let damaged = FaultInjector::new(seed).truncate_text(&text);
-        match persist::decode_lenient(&damaged) {
-            Ok(report) => report
-                .entries
-                .into_iter()
-                .map(|e| e.column.to_string())
-                .collect(),
-            Err(_) => Vec::new(),
-        }
+        persist::decode(&damaged)
     };
     for seed in [3u64, 17, 40021] {
-        assert_eq!(survivors(seed), survivors(seed), "seed {seed}");
+        assert_eq!(outcome(seed), outcome(seed), "seed {seed}");
     }
 }

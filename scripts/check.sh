@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, test suite, and zero-warning
-# clippy. Run from anywhere; operates on the workspace root.
+# Full verification gate: release build, test suite, zero-warning docs
+# and zero-warning clippy. Run from anywhere; operates on the workspace
+# root.
 #
 #   scripts/check.sh
 #
@@ -41,6 +42,12 @@ cargo test --release -q -p selest-math -p selest-hybrid --lib
 
 echo "==> selbench tests (the benchmark builds against the workspace crates)"
 cargo test --release --manifest-path selbench/Cargo.toml
+
+echo "==> cargo doc (intra-doc links must resolve)"
+# A dangling or private intra-doc link is a warning, and warnings fail the
+# gate. The vendored stand-ins for external crates are not documented.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+    --exclude proptest --exclude rand --exclude criterion
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
