@@ -2,11 +2,11 @@
 //! Blohsfeld, Korus & Seeger (SIGMOD 1999). See DESIGN.md §2 for the
 //! experiment index and EXPERIMENTS.md for paper-vs-measured results.
 //!
-//! Run everything with the bundled binary:
+//! Run everything through the `selest` binary's `repro` command:
 //!
 //! ```text
-//! cargo run --release -p selest-experiments --bin repro -- all
-//! cargo run --release -p selest-experiments --bin repro -- --quick fig12
+//! cargo run --release -- repro all
+//! cargo run --release -- repro fig12 --quick
 //! ```
 
 pub mod context;

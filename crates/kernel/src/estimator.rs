@@ -17,7 +17,7 @@
 //! module) then sums each strip in `O(1)`, so a query costs `O(log n)`
 //! under every boundary policy; the other kernels scan their strips.
 //! [`KernelEstimator::selectivity_linear`] retains the `Theta(n)`
-//! Algorithm 1 for cross-checking and for the ablation bench.
+//! Algorithm 1 as the reference the tests check the fast path against.
 //!
 //! Note: Algorithm 1 as printed has a sign typo in its third case
 //! (`s += F((b - X[i])/h) - 0.5`); the contribution of a sample in the
@@ -318,8 +318,8 @@ impl KernelEstimator {
     }
 
     /// The paper's Algorithm 1: `Theta(n)` linear scan with the four-case
-    /// split (untreated boundaries). Kept for cross-validation against the
-    /// sorted fast path and for the ablation benchmark.
+    /// split (untreated boundaries). Kept as the reference the tests check
+    /// the sorted fast path against.
     pub fn selectivity_linear(&self, q: &RangeQuery) -> f64 {
         let (a, b) = (q.a().max(self.domain.lo()), q.b().min(self.domain.hi()));
         if b < a {

@@ -47,7 +47,7 @@ echo "==> cargo doc (intra-doc links must resolve)"
 # A dangling or private intra-doc link is a warning, and warnings fail the
 # gate. The vendored stand-ins for external crates are not documented.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
-    --exclude proptest --exclude rand --exclude criterion
+    --exclude proptest --exclude rand
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -67,8 +67,5 @@ echo "==> crash-recovery gate (fixed-seed durability tests under SELEST_JOBS=1 a
 # scripts/chaos_sweep.sh --crash widens the seed coverage on demand.
 SELEST_JOBS=1 cargo test -q --test durability
 SELEST_JOBS=7 cargo test -q --test durability
-
-echo "==> criterion targets build (crates/bench)"
-cargo build -p bench --all-targets
 
 echo "==> all checks passed"

@@ -5,7 +5,7 @@
 //! ```text
 //! selest data n(20) [--scale 10]
 //! selest estimate n(20) kernel 100000 200000 [--scale 10] [--sample 2000]
-//! selest repro fig12 [--quick] [--csv DIR]
+//! selest repro fig12 [--quick] [--jobs N] [--csv DIR]
 //! selest snapshot /var/lib/selest n(20) [--scale 10]
 //! selest serve --status [/var/lib/selest]
 //! selest fsck /var/lib/selest [--repair]
@@ -137,9 +137,7 @@ fn cmd_estimate(args: &[String]) {
     let method = &args[1];
     let a: f64 = args[2].parse().unwrap_or_else(|_| die("bad range start"));
     let b: f64 = args[3].parse().unwrap_or_else(|_| die("bad range end"));
-    if b < a {
-        die("range end below range start");
-    }
+    let q = RangeQuery::try_new(a, b).unwrap_or_else(|e| die(&format!("estimate: {e}")));
     let scale = scale_flag(args);
     let n_sample = sample_flag(args);
     if n_sample < 2 {
@@ -149,7 +147,6 @@ fn cmd_estimate(args: &[String]) {
     let exact = ExactSelectivity::new(data.values(), data.domain());
     let sample = sample_without_replacement(data.values(), n_sample.min(data.len()), 42);
     let est = build_method(method, &sample, &data);
-    let q = RangeQuery::new(a, b);
     let sel = est.selectivity(&q);
     let rows = est.estimate_count(&q, data.len());
     let truth = exact.count(&q);
@@ -171,43 +168,53 @@ fn cmd_estimate(args: &[String]) {
     );
 }
 
+/// `selest repro [ids...] [--quick] [--jobs N] [--csv DIR]`: every id and
+/// flag is checked before any experiment runs. Reports go to stdout in
+/// request order, byte-identical for every `--jobs`; each experiment's
+/// compute time goes to stderr.
 fn cmd_repro(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir = flag_value(args, "--csv");
-    if let Some(jobs) = flag_value(args, "--jobs") {
-        match jobs.parse::<usize>() {
-            Ok(n) if n > 0 => selest::par::set_jobs(n),
-            _ => die(&format!("--jobs needs a positive integer, got {jobs:?}")),
+    let mut scale = Scale::paper();
+    let mut csv_dir: Option<&str> = None;
+    let mut ids: Vec<&str> = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--quick" => scale = Scale::quick(),
+            "--csv" => csv_dir = Some(it.next().unwrap_or_else(|| die("--csv needs a value"))),
+            "--jobs" => {
+                let jobs = it.next().unwrap_or_else(|| die("--jobs needs a value"));
+                match jobs.parse::<usize>() {
+                    Ok(n) if n > 0 => selest::par::set_jobs(n),
+                    _ => die(&format!("--jobs needs a positive integer, got {jobs:?}")),
+                }
+            }
+            flag if flag.starts_with('-') => die(&format!(
+                "repro: unknown flag {flag:?}; known: --quick, --csv DIR, --jobs N"
+            )),
+            id if id == "all" || ALL_EXPERIMENTS.contains(&id) => ids.push(id),
+            id => die(&format!(
+                "repro: unknown experiment {id:?}; known: all, {}",
+                ALL_EXPERIMENTS.join(", ")
+            )),
         }
     }
-    let scale = if quick {
-        Scale::quick()
-    } else {
-        Scale::paper()
-    };
-    // Positional args are experiment ids; skip flags and their values.
-    let mut ids: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--csv" | "--jobs" => i += 1, // skip the flag's value too
-            other if !other.starts_with("--") => ids.push(other.to_owned()),
-            _ => {}
-        }
-        i += 1;
+    if ids.is_empty() || ids.contains(&"all") {
+        ids = ALL_EXPERIMENTS.to_vec();
     }
-    if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = ALL_EXPERIMENTS.iter().map(|s| (*s).to_string()).collect();
-    }
-    if let Some(dir) = &csv_dir {
+    if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("create {dir}: {e}")));
     }
     // Experiments fan out on the batch-estimation engine; the ordered
     // merge keeps stdout byte-identical for every worker count.
-    let reports = selest::par::parallel_map(&ids, |id| run_experiment(id, &scale));
+    let reports = selest::par::parallel_map(&ids, |id| {
+        let started = std::time::Instant::now();
+        let report = run_experiment(id, &scale);
+        eprintln!("  [{id} computed in {:.1?}]", started.elapsed());
+        report
+    });
     for report in &reports {
         println!("{report}");
-        if let Some(dir) = &csv_dir {
+        if let Some(dir) = csv_dir {
             let path = format!("{dir}/{}.csv", report.id);
             std::fs::write(&path, report.to_csv())
                 .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
@@ -289,8 +296,8 @@ fn cmd_snapshot(args: &[String]) {
 /// store at DIR when given, else the empty snapshot) and print its
 /// overload-facing health — load tier, per-shard pressure/shed counters,
 /// and every column breaker — the same report a long-lived process would
-/// expose. `--status` is the only mode; without it the command prints
-/// its usage and exits 2.
+/// expose. `--status` is the only mode; without it, or with a DIR that
+/// does not exist, the command prints an error and exits 2.
 fn cmd_serve(args: &[String]) {
     use selest::store::DurableStore;
     if !args.iter().any(|a| a == "--status") {
@@ -298,7 +305,12 @@ fn cmd_serve(args: &[String]) {
     }
     let engine = selest::ServingEngine::with_defaults();
     if let Some(dir) = args.iter().find(|a| !a.starts_with("--")) {
-        match DurableStore::open(std::path::Path::new(dir.as_str())) {
+        // Opening creates a store; a status report must not.
+        let path = std::path::Path::new(dir);
+        if !path.is_dir() {
+            die(&format!("serve: no store directory {dir}"));
+        }
+        match DurableStore::open(path) {
             Ok((store, _)) => {
                 let (generation, failures) = engine.load_durable(&store);
                 println!("store       {dir} (generation {generation})");

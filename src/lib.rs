@@ -42,7 +42,7 @@
 //! | [`hybrid`] | `selest-hybrid` | change-point detection + the hybrid estimator |
 //! | [`par`] | `selest-par` | deterministic scoped-thread execution runtime (batch fan-out, `SELEST_JOBS`) |
 //! | [`store`] | `selest-store` | column store, ANALYZE catalog, cost-based planner, online aggregation |
-//! | [`experiments`] | `selest-experiments` | one runner per paper figure/table (`repro` binary) |
+//! | [`experiments`] | `selest-experiments` | one runner per paper figure/table (`selest repro`) |
 
 pub use selest_core as core;
 pub use selest_data as data;

@@ -6,9 +6,9 @@
 //! 1. `selectivity_batch` returns bit-identical values to the per-query
 //!    `selectivity` loop.
 //! 2. `harness::evaluate` produces bit-identical `ErrorStats` regardless
-//!    of the worker count, so `repro --jobs N` output never depends on
-//!    the machine it ran on.
-//! 3. On the criterion fixtures (n(20) and u(20) at scale 20, 1 000-value
+//!    of the worker count, so `selest repro --jobs N` output never
+//!    depends on the machine it ran on.
+//! 3. On the pinned fixtures (n(20) and u(20) at scale 20, 1 000-value
 //!    sample, 200 queries at 1 %), every estimator — and every
 //!    strip-scanned kernel, untreated and reflected — answers the query
 //!    file with pinned Kahan-checksum bits through the per-query loop,

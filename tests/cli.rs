@@ -1,6 +1,8 @@
-//! The `selest` binary's input-error contract: a bad flag or a column
-//! ANALYZE cannot build prints `error: …` and exits 2 — never a panic
-//! (exit 101), and never a half-written store.
+//! The `selest` binary's input-error contract: a bad flag, an unknown
+//! experiment id, a non-finite range bound, a missing store directory or a
+//! column ANALYZE cannot build prints `error: …` and exits 2 — never a
+//! panic (exit 101), and never a half-written store. Also: `selest repro`
+//! prints the same bytes for every worker count.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -78,4 +80,48 @@ fn zero_scale_is_an_input_error() {
         !dir.exists(),
         "a rejected snapshot must not create its store"
     );
+}
+
+#[test]
+fn estimate_rejects_non_finite_bounds() {
+    for (a, b) in [("1", "nan"), ("-inf", "inf"), ("5", "1")] {
+        let stderr = assert_input_error(&["estimate", "n(20)", "kernel", a, b]);
+        assert!(stderr.contains("invalid query"), "({a}, {b}): {stderr}");
+    }
+}
+
+#[test]
+fn repro_rejects_unknown_ids_and_flags_before_any_work() {
+    let stderr = assert_input_error(&["repro", "nosuch"]);
+    assert!(stderr.contains("\"nosuch\""), "{stderr}");
+    let stderr = assert_input_error(&["repro", "tab02", "--quik"]);
+    assert!(stderr.contains("--quik"), "{stderr}");
+    for args in [
+        vec!["repro", "tab02", "--jobs", "0"],
+        vec!["repro", "tab02", "--csv"],
+    ] {
+        assert_input_error(&args);
+    }
+}
+
+#[test]
+fn repro_stdout_is_byte_identical_for_every_worker_count() {
+    let run = |jobs: &str| {
+        let out = selest(&["repro", "tab02", "--quick", "--jobs", jobs]);
+        assert!(out.status.success(), "--jobs {jobs}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("[tab02 computed in"), "{stderr}");
+        out.stdout
+    };
+    let one = run("1");
+    assert!(!one.is_empty());
+    assert_eq!(one, run("2"));
+}
+
+#[test]
+fn serve_status_of_a_missing_store_creates_nothing() {
+    let dir = store_dir("serve-missing");
+    let stderr = assert_input_error(&["serve", "--status", dir.to_str().unwrap()]);
+    assert!(stderr.contains(dir.to_str().unwrap()), "{stderr}");
+    assert!(!dir.exists(), "a status report must not create its store");
 }

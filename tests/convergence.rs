@@ -2,7 +2,8 @@
 //! sampling converges at `O(n^-1/2)`, the adaptive equi-width histogram's
 //! MISE at `O(n^-2/3)`, and the kernel estimator's at `O(n^-4/5)` — so on
 //! log-log axes the ISE-vs-n slopes must order sampling > histogram >
-//! kernel (less negative to more negative).
+//! kernel (less negative to more negative) — and the uniform guarantee a
+//! sample gives every range query at once.
 
 use rand::SeedableRng;
 use selest::core::integrated_squared_error;
@@ -121,4 +122,77 @@ fn sampling_error_shrinks_at_root_n() {
         (2.2..8.0).contains(&ratio),
         "sampling error ratio {ratio} (errors {errors:?})"
     );
+}
+
+/// Exact sup over all ranges `[a, b]` of `|σ̂ − σ|` between a sample and
+/// the file it was drawn from. A range's error is `D(b) − D(a⁻)` with
+/// `D = F̂ − F`, and `D` only moves at breakpoints, so the sup is
+/// `max D − min D` over every sample value `s` (`D(s⁻)` and `D(s)`) and
+/// `D = 0` outside the data. Between two sample values `F̂` is flat and `F`
+/// rises, so these are the extremes of `D`; `F` comes from the sorted file.
+fn sup_range_error(sorted_file: &[f64], mut sample: Vec<f64>) -> f64 {
+    sample.sort_by(f64::total_cmp);
+    let (big_n, n) = (sorted_file.len() as f64, sample.len() as f64);
+    let (mut max_d, mut min_d) = (0.0f64, 0.0f64);
+    let mut i = 0;
+    while i < sample.len() {
+        let s = sample[i];
+        let j = i + sample[i..].partition_point(|&v| v <= s);
+        let below = sorted_file.partition_point(|&v| v < s) as f64 / big_n;
+        let at_or_below = sorted_file.partition_point(|&v| v <= s) as f64 / big_n;
+        for d in [i as f64 / n - below, j as f64 / n - at_or_below] {
+            max_d = max_d.max(d);
+            min_d = min_d.min(d);
+        }
+        i = j;
+    }
+    max_d - min_d
+}
+
+/// The sampling guarantee behind the catalog's 2 000-row samples. 1-D
+/// ranges have VC-dimension 2, and the DKW inequality bounds
+/// `P(sup |F̂ − F| > t) ≤ 2·exp(−2nt²)`; every range error is a difference
+/// of two `D` values, so `P(sup over ranges |σ̂ − σ| > 2t) ≤ δ` at
+/// `t = sqrt(ln(2/δ) / 2n)`. Both samplers (the catalog ANALYZE's
+/// reservoir and the experiments' partial Fisher–Yates) must exceed `2t`
+/// on at most `δ` of 200 seeded samples of each file.
+#[test]
+fn every_range_is_within_the_dkw_bound_for_both_samplers() {
+    use selest::data::{reservoir_sample, sample_without_replacement};
+    use selest::PaperFile;
+
+    const N: usize = 2_000;
+    const SAMPLES: u64 = 200;
+    const DELTA: f64 = 0.05;
+    let t = ((2.0 / DELTA).ln() / (2.0 * N as f64)).sqrt();
+    let allowed = (DELTA * SAMPLES as f64) as usize;
+    for file in [
+        PaperFile::Uniform { p: 20 },
+        PaperFile::Normal { p: 20 },
+        PaperFile::Exponential { p: 20 },
+    ] {
+        let data = file.generate();
+        let mut sorted = data.values().to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let check = |sampler: &str, draw: &dyn Fn(u64) -> Vec<f64>| {
+            let errors: Vec<f64> = (0..SAMPLES)
+                .map(|seed| sup_range_error(&sorted, draw(seed)))
+                .collect();
+            let exceeding = errors.iter().filter(|&&e| e > 2.0 * t).count();
+            let worst = errors.iter().copied().fold(0.0, f64::max);
+            assert!(
+                exceeding <= allowed,
+                "{} / {sampler}: {exceeding} of {SAMPLES} samples exceed 2t = {:.4} \
+                 (allowed {allowed}, worst {worst:.4})",
+                file.name(),
+                2.0 * t
+            );
+        };
+        check("reservoir_sample", &|seed| {
+            reservoir_sample(data.values().iter().copied(), N, seed)
+        });
+        check("sample_without_replacement", &|seed| {
+            sample_without_replacement(data.values(), N, seed)
+        });
+    }
 }
