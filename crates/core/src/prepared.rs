@@ -8,8 +8,7 @@
 //! is the one immutable artifact they can all borrow from instead:
 //!
 //! * the sample in its **original order** (the order Kahan-compensated
-//!   statistics consume — preserving it is what keeps `from_prepared`
-//!   construction bit-identical to the legacy paths);
+//!   statistics consume, so a summary's bits do not depend on the sort);
 //! * the **ascending sort** of the sample, held by an [`Ecdf`] and shared
 //!   via `Arc` so estimators borrow it without copying;
 //! * the column [`Domain`];
@@ -20,18 +19,19 @@
 //!
 //! Ownership model: whoever draws the sample prepares it, exactly once —
 //! the catalog at ANALYZE time, the experiment context at fixture-build
-//! time, a test at fixture setup. Estimator constructors never prepare;
-//! their `from_prepared` paths only borrow (`&PreparedColumn`), bumping
-//! the inner `Arc`s when they need to retain the sorted sample. Sharing
-//! across entries, suites, and the serving rungs goes through
+//! time, a test at fixture setup. Each estimator, bin rule and bandwidth
+//! rule is implemented once, over a borrowed `&PreparedColumn`, bumping
+//! the inner `Arc`s when it needs to retain the sorted sample; its slice
+//! entry point only prepares the slice and delegates. Sharing across
+//! entries, suites, and the serving rungs goes through
 //! `Arc<PreparedColumn>`.
 //!
 //! Invariants: the sample is non-empty and NaN-free (preparation sorts,
 //! which rejects NaN); `sorted` is the stable ascending sort of `values`;
 //! `domain` is the column's declared domain — *membership of every sample
-//! point in it is deliberately not checked here*, so each estimator's own
-//! domain assertion (and its exact panic message) still fires on the
-//! legacy and prepared paths alike.
+//! point in it is deliberately not checked here*: each estimator asserts
+//! it with its own panic message, and the bandwidth selectors, which never
+//! read the domain, can prepare a slice over any domain.
 
 use std::sync::Arc;
 use std::sync::OnceLock;

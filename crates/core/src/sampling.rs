@@ -28,26 +28,12 @@ pub struct SamplingEstimator {
 
 impl SamplingEstimator {
     /// Build from a sample set (unsorted). Panics on an empty sample;
-    /// serving paths use [`SamplingEstimator::try_new`] instead.
+    /// serving paths build from a sanitized, prepared column instead.
     pub fn new(samples: &[f64], domain: Domain) -> Self {
         SamplingEstimator {
             ecdf: Ecdf::new(samples),
             domain,
         }
-    }
-
-    /// Fallible constructor: sanitizes the sample (dropping NaN, ±Inf, and
-    /// out-of-domain values) and errors on an empty remainder instead of
-    /// panicking.
-    pub fn try_new(samples: &[f64], domain: Domain) -> Result<Self, crate::fault::EstimateError> {
-        let (clean, _audit) = crate::fault::sanitize_sample(samples, &domain);
-        if clean.is_empty() {
-            return Err(crate::fault::EstimateError::EmptySample);
-        }
-        Ok(SamplingEstimator {
-            ecdf: Ecdf::new(&clean),
-            domain,
-        })
     }
 
     /// Build from a prepared column, borrowing its shared sorted sample

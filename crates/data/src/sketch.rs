@@ -19,9 +19,10 @@
 //!   store's staleness policy caps [`GkSketch::tombstone_fraction`]
 //!   before the insert-only quantiles drift too far from the live data.
 //! * [`GkSketch::rank_error_bound`] exposes the *realized* bound
-//!   `ceil(max(g+δ)/2)` so callers can assert the `≤ εn` guarantee
-//!   instead of trusting the clamp; the `_with_bound` query variants
-//!   return it alongside their answers.
+//!   `max(⌊εn⌋, max(g+δ) − ⌊εn⌋)` that the quantile search meets, so
+//!   callers can assert the `≤ ⌈εn⌉` guarantee instead of trusting the
+//!   clamp; the `_with_bound` query variants return it alongside their
+//!   answers.
 //! * [`GkSketch::to_parts`] / [`GkSketch::from_parts`] serialize the
 //!   summary for the durable journal, with restore-side validation that
 //!   rejects state no live sketch could have reached.
@@ -268,17 +269,21 @@ impl GkSketch {
         self.compress();
     }
 
-    /// The *realized* rank-error bound of this summary: every rank query
-    /// is answered within `ceil(max(g+δ)/2)` ranks. The GK invariant
-    /// keeps this at `≤ εn` for a single-stream sketch and `≤ 2εn` after
-    /// merges — callers assert against it instead of trusting the clamp.
+    /// The *realized* rank-error bound of this summary's answers,
+    /// `max(⌊εn⌋, max(g+δ) − ⌊εn⌋)`: a query returns the entry before the
+    /// first whose maximum rank exceeds its target plus `⌊εn⌋`, so its rank
+    /// is at most `⌊εn⌋` above the target and less than `max(g+δ) − ⌊εn⌋`
+    /// below. The GK invariant `max(g+δ) ≤ ⌊2εn⌋` keeps this `≤ ⌈εn⌉` for a
+    /// single-stream sketch; callers assert `2εn` after merges.
     pub fn rank_error_bound(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| e.g + e.delta)
-            .max()
-            .unwrap_or(0)
-            .div_ceil(2)
+        let widest = self.entries.iter().fold(0, |m, e| m.max(e.g + e.delta));
+        let slack = self.search_slack();
+        slack.max(widest.saturating_sub(slack))
+    }
+
+    /// `⌊εn⌋`: how far past its target rank a quantile search may look.
+    fn search_slack(&self) -> u64 {
+        (self.epsilon * self.n as f64) as u64
     }
 
     /// The ε-approximate `q`-quantile (`q` in `[0, 1]`). Panics on an empty
@@ -298,7 +303,7 @@ impl GkSketch {
         assert!(self.n > 0, "quantile of an empty sketch");
         let bound = self.rank_error_bound();
         let target = (q * self.n as f64).ceil() as u64;
-        let slack = (self.epsilon * self.n as f64) as u64;
+        let slack = self.search_slack();
         let mut r_min = 0u64;
         for (i, e) in self.entries.iter().enumerate() {
             r_min += e.g;

@@ -15,7 +15,7 @@
 //! comparison.
 
 use selest_core::{Domain, PreparedColumn};
-use selest_math::{psi_plug_in, psi_plug_in_sorted, robust_scale, PsiStrategy};
+use selest_math::{psi_plug_in_sorted, PsiStrategy};
 
 /// `(24 sqrt(pi))^(1/3)`, the constant of equation (8); also known as
 /// Scott's rule constant 3.4908.
@@ -43,16 +43,19 @@ pub fn width_to_bins(h: f64, domain: &Domain) -> usize {
 }
 
 /// A rule choosing the number of equi-width bins from the sample.
+///
+/// Each rule has one implementation, [`BinRule::bins_prepared`], over a
+/// [`PreparedColumn`]: it reads the column's shared sorted slice, cached
+/// summary and domain. [`BinRule::bins`] only prepares the slice and
+/// delegates.
 pub trait BinRule {
-    /// Number of bins for this sample over this domain.
-    fn bins(&self, samples: &[f64], domain: &Domain) -> usize;
+    /// Number of bins for a prepared column over its domain.
+    fn bins_prepared(&self, col: &PreparedColumn) -> usize;
 
-    /// Number of bins from a prepared column. The default delegates to
-    /// [`BinRule::bins`] over the column's original-order sample; rules
-    /// that sort or compute order statistics override it to reuse the
-    /// column's shared sorted slice and cached summary, bit-identically.
-    fn bins_prepared(&self, col: &PreparedColumn) -> usize {
-        self.bins(col.values(), &col.domain())
+    /// Number of bins for this sample over this domain: prepares the
+    /// sample and calls [`BinRule::bins_prepared`].
+    fn bins(&self, samples: &[f64], domain: &Domain) -> usize {
+        self.bins_prepared(&PreparedColumn::prepare(samples, *domain))
     }
 
     /// Short name used in experiment output (`"h-NS"`, ...).
@@ -64,14 +67,6 @@ pub trait BinRule {
 pub struct NormalScaleBins;
 
 impl BinRule for NormalScaleBins {
-    fn bins(&self, samples: &[f64], domain: &Domain) -> usize {
-        assert!(samples.len() >= 2, "normal scale rule needs >= 2 samples");
-        let s = robust_scale(samples);
-        assert!(s > 0.0, "normal scale rule: sample is constant");
-        let h = normal_scale_bin_constant() * s * (samples.len() as f64).powf(-1.0 / 3.0);
-        width_to_bins(h, domain)
-    }
-
     fn bins_prepared(&self, col: &PreparedColumn) -> usize {
         assert!(col.len() >= 2, "normal scale rule needs >= 2 samples");
         let s = col.summary().robust_scale;
@@ -102,14 +97,6 @@ impl PlugInBins {
 }
 
 impl BinRule for PlugInBins {
-    fn bins(&self, samples: &[f64], domain: &Domain) -> usize {
-        assert!(samples.len() >= 2, "plug-in rule needs >= 2 samples");
-        let r_f_prime = -psi_plug_in(samples, 2, self.stages);
-        assert!(r_f_prime > 0.0, "R(f') estimate must be positive");
-        let h = optimal_bin_width(samples.len(), r_f_prime);
-        width_to_bins(h, domain)
-    }
-
     fn bins_prepared(&self, col: &PreparedColumn) -> usize {
         assert!(col.len() >= 2, "plug-in rule needs >= 2 samples");
         let psi = psi_plug_in_sorted(
@@ -138,9 +125,8 @@ impl BinRule for PlugInBins {
 pub struct SturgesBins;
 
 impl BinRule for SturgesBins {
-    fn bins(&self, samples: &[f64], _domain: &Domain) -> usize {
-        assert!(!samples.is_empty(), "Sturges' rule needs samples");
-        (samples.len() as f64).log2().ceil() as usize + 1
+    fn bins_prepared(&self, col: &PreparedColumn) -> usize {
+        (col.len() as f64).log2().ceil() as usize + 1
     }
 
     fn name(&self) -> String {
@@ -153,16 +139,6 @@ impl BinRule for SturgesBins {
 pub struct FreedmanDiaconisBins;
 
 impl BinRule for FreedmanDiaconisBins {
-    fn bins(&self, samples: &[f64], domain: &Domain) -> usize {
-        assert!(samples.len() >= 2, "Freedman-Diaconis needs >= 2 samples");
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-        let iqr = selest_math::interquartile_range(&sorted);
-        assert!(iqr > 0.0, "Freedman-Diaconis: IQR is zero");
-        let h = 2.0 * iqr * (samples.len() as f64).powf(-1.0 / 3.0);
-        width_to_bins(h, domain)
-    }
-
     fn bins_prepared(&self, col: &PreparedColumn) -> usize {
         assert!(col.len() >= 2, "Freedman-Diaconis needs >= 2 samples");
         let iqr = selest_math::interquartile_range(col.sorted());
@@ -181,7 +157,7 @@ impl BinRule for FreedmanDiaconisBins {
 pub struct FixedBins(pub usize);
 
 impl BinRule for FixedBins {
-    fn bins(&self, _samples: &[f64], _domain: &Domain) -> usize {
+    fn bins_prepared(&self, _col: &PreparedColumn) -> usize {
         assert!(self.0 >= 1, "FixedBins must be at least 1");
         self.0
     }

@@ -17,18 +17,36 @@ use crate::bins::BinnedHistogram;
 /// between the extreme samples and the domain edges (the paper requires
 /// bins to partition the *complete* attribute domain).
 pub fn equi_depth(samples: &[f64], domain: Domain, k: usize) -> BinnedHistogram {
-    assert!(k >= 1, "equi_depth needs at least one bin");
-    assert!(!samples.is_empty(), "equi_depth needs samples");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-    from_sorted(&sorted, domain, k)
+    equi_depth_prepared(&PreparedColumn::prepare(samples, domain), k)
 }
 
 /// [`equi_depth`] over a prepared column: consumes the shared sorted slice
-/// directly — no copy, no re-sort. Bit-identical to the unsorted entry
-/// point over the same sample.
+/// directly — no copy, no re-sort.
 pub fn equi_depth_prepared(col: &PreparedColumn, k: usize) -> BinnedHistogram {
-    from_sorted(col.sorted(), col.domain(), k)
+    let (sorted, domain) = (col.sorted(), col.domain());
+    assert!(k >= 1, "equi_depth needs at least one bin");
+    assert!(
+        domain.contains(sorted[0]) && domain.contains(*sorted.last().expect("nonempty")),
+        "samples outside domain {domain}"
+    );
+    let n = sorted.len();
+    let mut boundaries = Vec::with_capacity(k + 1);
+    boundaries.push(domain.lo());
+    for j in 1..k {
+        // Upper edge of the j-th depth slice: the ceil(j*n/k)-th order
+        // statistic.
+        let rank = (j * n).div_ceil(k).clamp(1, n);
+        boundaries.push(sorted[rank - 1]);
+    }
+    boundaries.push(domain.hi());
+    // Guard against quantiles below lo (impossible) or above hi (impossible
+    // since samples are inside the domain); enforce monotonicity exactly.
+    for i in 1..boundaries.len() {
+        if boundaries[i] < boundaries[i - 1] {
+            boundaries[i] = boundaries[i - 1];
+        }
+    }
+    BinnedHistogram::new(boundaries, depth_counts(n, k), domain, "EDH")
 }
 
 /// Build an equi-depth histogram from *pre-computed* quantile boundaries —
@@ -71,34 +89,6 @@ fn depth_counts(n: usize, k: usize) -> Vec<u32> {
         prev_rank = rank;
     }
     counts
-}
-
-/// Quantile-boundary construction over an already-sorted sample.
-fn from_sorted(sorted: &[f64], domain: Domain, k: usize) -> BinnedHistogram {
-    assert!(k >= 1, "equi_depth needs at least one bin");
-    assert!(!sorted.is_empty(), "equi_depth needs samples");
-    assert!(
-        domain.contains(sorted[0]) && domain.contains(*sorted.last().expect("nonempty")),
-        "samples outside domain {domain}"
-    );
-    let n = sorted.len();
-    let mut boundaries = Vec::with_capacity(k + 1);
-    boundaries.push(domain.lo());
-    for j in 1..k {
-        // Upper edge of the j-th depth slice: the ceil(j*n/k)-th order
-        // statistic.
-        let rank = (j * n).div_ceil(k).clamp(1, n);
-        boundaries.push(sorted[rank - 1]);
-    }
-    boundaries.push(domain.hi());
-    // Guard against quantiles below lo (impossible) or above hi (impossible
-    // since samples are inside the domain); enforce monotonicity exactly.
-    for i in 1..boundaries.len() {
-        if boundaries[i] < boundaries[i - 1] {
-            boundaries[i] = boundaries[i - 1];
-        }
-    }
-    BinnedHistogram::new(boundaries, depth_counts(n, k), domain, "EDH")
 }
 
 #[cfg(test)]

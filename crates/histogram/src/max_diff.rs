@@ -18,23 +18,14 @@ use crate::bins::BinnedHistogram;
 /// Fewer than `k` bins result when the sample has fewer than `k` distinct
 /// values.
 pub fn max_diff(samples: &[f64], domain: Domain, k: usize) -> BinnedHistogram {
-    assert!(k >= 1, "max_diff needs at least one bin");
-    assert!(!samples.is_empty(), "max_diff needs samples");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-    from_sorted(&sorted, domain, k)
+    max_diff_prepared(&PreparedColumn::prepare(samples, domain), k)
 }
 
 /// [`max_diff`] over a prepared column: reads the shared sorted slice —
-/// no copy, no re-sort. Bit-identical to the unsorted entry point.
+/// no copy, no re-sort.
 pub fn max_diff_prepared(col: &PreparedColumn, k: usize) -> BinnedHistogram {
-    from_sorted(col.sorted(), col.domain(), k)
-}
-
-/// Gap-cut construction over an already-sorted sample.
-fn from_sorted(sorted: &[f64], domain: Domain, k: usize) -> BinnedHistogram {
+    let (sorted, domain) = (col.sorted(), col.domain());
     assert!(k >= 1, "max_diff needs at least one bin");
-    assert!(!sorted.is_empty(), "max_diff needs samples");
     assert!(
         domain.contains(sorted[0]) && domain.contains(*sorted.last().expect("nonempty")),
         "samples outside domain {domain}"

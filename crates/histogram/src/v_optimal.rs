@@ -18,34 +18,15 @@ use crate::bins::BinnedHistogram;
 /// (256 is plenty for n = 2 000 samples; raise it for exactness on small
 /// samples).
 pub fn v_optimal(samples: &[f64], domain: Domain, k: usize, max_points: usize) -> BinnedHistogram {
-    assert!(k >= 1, "v_optimal needs at least one bin");
-    assert!(max_points >= k, "max_points must be at least k");
-    assert!(!samples.is_empty(), "v_optimal needs samples");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-    from_sorted(&sorted, domain, k, max_points)
+    v_optimal_prepared(&PreparedColumn::prepare(samples, domain), k, max_points)
 }
 
 /// [`v_optimal`] over a prepared column: the DP consumes the shared sorted
-/// slice — no copy, no re-sort. Bit-identical to the unsorted entry point.
+/// slice — no copy, no re-sort.
 pub fn v_optimal_prepared(col: &PreparedColumn, k: usize, max_points: usize) -> BinnedHistogram {
-    v_optimal_from_sorted(col.sorted(), col.domain(), k, max_points)
-}
-
-fn v_optimal_from_sorted(
-    sorted: &[f64],
-    domain: Domain,
-    k: usize,
-    max_points: usize,
-) -> BinnedHistogram {
+    let (sorted, domain) = (col.sorted(), col.domain());
     assert!(k >= 1, "v_optimal needs at least one bin");
     assert!(max_points >= k, "max_points must be at least k");
-    assert!(!sorted.is_empty(), "v_optimal needs samples");
-    from_sorted(sorted, domain, k, max_points)
-}
-
-/// DP construction over an already-sorted sample.
-fn from_sorted(sorted: &[f64], domain: Domain, k: usize, max_points: usize) -> BinnedHistogram {
     assert!(
         domain.contains(sorted[0]) && domain.contains(*sorted.last().expect("nonempty")),
         "samples outside domain {domain}"

@@ -8,9 +8,8 @@
 //! layer removes the uniform-within-bin assumption that limits histograms —
 //! the combination wins on the spiky real data files (Figure 12).
 
-use selest_core::{DensityEstimator, Domain, RangeQuery, SelectivityEstimator};
+use selest_core::{DensityEstimator, Domain, PreparedColumn, RangeQuery, SelectivityEstimator};
 use selest_kernel::{BandwidthSelector, BoundaryPolicy, DirectPlugIn, KernelEstimator, KernelFn};
-use selest_math::robust_scale;
 
 use crate::changepoint::{ChangePointDetector, SecondDerivativeDetector};
 
@@ -101,42 +100,25 @@ impl HybridEstimator {
 
     /// Build with an explicit configuration.
     pub fn with_config(samples: &[f64], domain: Domain, config: &HybridConfig) -> Self {
-        assert!(!samples.is_empty(), "HybridEstimator needs samples");
-        assert!(
-            (0.0..0.5).contains(&config.min_bin_fraction),
-            "min_bin_fraction out of [0, 0.5): {}",
-            config.min_bin_fraction
-        );
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-        Self::from_sorted(&sorted, domain, config)
+        Self::from_prepared_with_config(&PreparedColumn::prepare(samples, domain), config)
     }
 
     /// [`HybridEstimator::new`] over a prepared column: change-point
     /// detection, bin counting, and per-bin fits all read the column's
-    /// shared sorted slice — no copy, no re-sort. Bit-identical to the
-    /// unsorted entry points.
-    pub fn from_prepared(col: &selest_core::PreparedColumn) -> Self {
+    /// shared sorted slice — no copy, no re-sort.
+    pub fn from_prepared(col: &PreparedColumn) -> Self {
         Self::from_prepared_with_config(col, &HybridConfig::default())
     }
 
-    /// [`HybridEstimator::with_config`] over a prepared column.
-    pub fn from_prepared_with_config(
-        col: &selest_core::PreparedColumn,
-        config: &HybridConfig,
-    ) -> Self {
-        assert!(!col.is_empty(), "HybridEstimator needs samples");
+    /// [`HybridEstimator::with_config`] over a prepared column: the
+    /// change-point partition, the bin merge, and one kernel fit per bin.
+    pub fn from_prepared_with_config(col: &PreparedColumn, config: &HybridConfig) -> Self {
         assert!(
             (0.0..0.5).contains(&config.min_bin_fraction),
             "min_bin_fraction out of [0, 0.5): {}",
             config.min_bin_fraction
         );
-        Self::from_sorted(col.sorted(), col.domain(), config)
-    }
-
-    /// Change-point partition, bin merge, and per-bin fits over an
-    /// already-sorted sample.
-    fn from_sorted(sorted: &[f64], domain: Domain, config: &HybridConfig) -> Self {
+        let (sorted, domain) = (col.sorted(), col.domain());
         assert!(
             domain.contains(sorted[0]) && domain.contains(*sorted.last().expect("nonempty")),
             "samples outside domain {domain}"
@@ -209,28 +191,29 @@ impl HybridEstimator {
         }
     }
 
+    /// `bin_samples` is the bin's slice of the sorted sample; a bin worth
+    /// a kernel is prepared once, and its robust scale, bandwidth and
+    /// estimator all read that one preparation.
     fn fit_bin(bin_samples: &[f64], lo: f64, hi: f64, config: &HybridConfig) -> BinModel {
         if bin_samples.len() < 8 {
             return BinModel::Uniform;
         }
-        let scale = robust_scale(bin_samples);
-        if scale <= 0.0 {
+        let col = PreparedColumn::prepare(bin_samples, Domain::new(lo, hi));
+        if col.summary().robust_scale <= 0.0 {
             return BinModel::PointMass(bin_samples[0]);
         }
-        let bin_domain = Domain::new(lo, hi);
-        let mut h = config.bandwidth.bandwidth(bin_samples, config.kernel);
+        let mut h = config.bandwidth.bandwidth_prepared(&col, config.kernel);
         // Respect the per-bin sub-domain: boundary kernels need
         // h <= width/2, and any larger h oversmooths a bin this narrow.
-        let cap = 0.5 * bin_domain.width();
+        let cap = 0.5 * col.domain().width();
         if h > cap {
             h = cap;
         }
         if h <= 0.0 {
             return BinModel::Uniform;
         }
-        BinModel::Kernel(KernelEstimator::new(
-            bin_samples,
-            bin_domain,
+        BinModel::Kernel(KernelEstimator::from_prepared(
+            &col,
             config.kernel,
             h,
             config.boundary,

@@ -13,7 +13,7 @@
 //! regions get narrow kernels, samples in sparse tails wide ones. Range
 //! queries still evaluate in closed form per sample.
 
-use selest_core::{DensityEstimator, Domain, RangeQuery, SelectivityEstimator};
+use selest_core::{DensityEstimator, Domain, PreparedColumn, RangeQuery, SelectivityEstimator};
 
 use crate::kernels::KernelFn;
 
@@ -50,45 +50,31 @@ impl AdaptiveKernelEstimator {
         alpha: f64,
         boundary: AdaptiveBoundary,
     ) -> Self {
-        assert!(!samples.is_empty(), "AdaptiveKernelEstimator needs samples");
-        assert!(
-            h0.is_finite() && h0 > 0.0,
-            "pilot bandwidth must be positive"
-        );
-        assert!((0.0..=1.0).contains(&alpha), "alpha out of [0,1]: {alpha}");
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-        Self::from_sorted(&sorted, domain, kernel, h0, alpha, boundary)
+        Self::from_prepared(
+            &PreparedColumn::prepare(samples, domain),
+            kernel,
+            h0,
+            alpha,
+            boundary,
+        )
     }
 
     /// [`AdaptiveKernelEstimator::new`] over a prepared column: the pilot
     /// pass reads the column's shared sorted slice directly — no copy, no
-    /// re-sort. Bit-identical to the unsorted entry point.
+    /// re-sort.
     pub fn from_prepared(
-        col: &selest_core::PreparedColumn,
+        col: &PreparedColumn,
         kernel: KernelFn,
         h0: f64,
         alpha: f64,
         boundary: AdaptiveBoundary,
     ) -> Self {
-        assert!(!col.is_empty(), "AdaptiveKernelEstimator needs samples");
         assert!(
             h0.is_finite() && h0 > 0.0,
             "pilot bandwidth must be positive"
         );
         assert!((0.0..=1.0).contains(&alpha), "alpha out of [0,1]: {alpha}");
-        Self::from_sorted(col.sorted(), col.domain(), kernel, h0, alpha, boundary)
-    }
-
-    /// Pilot pass and assembly over an already-sorted sample.
-    fn from_sorted(
-        sorted: &[f64],
-        domain: Domain,
-        kernel: KernelFn,
-        h0: f64,
-        alpha: f64,
-        boundary: AdaptiveBoundary,
-    ) -> Self {
+        let (sorted, domain) = (col.sorted(), col.domain());
         assert!(
             domain.contains(sorted[0]) && domain.contains(*sorted.last().expect("nonempty")),
             "samples outside domain {domain}"

@@ -18,23 +18,27 @@
 //!   score, a fully data-driven unbiased risk estimate.
 //! * [`FixedBandwidth`] pins `h`, for oracle searches and experiments.
 
-use selest_core::PreparedColumn;
-use selest_math::{brent_min, psi_plug_in_sorted, psi_plug_in_with, robust_scale, PsiStrategy};
+use selest_core::{Domain, PreparedColumn};
+use selest_math::{brent_min, psi_plug_in_sorted, PsiStrategy};
 
 use crate::kernels::KernelFn;
 
 /// A rule that chooses the bandwidth `h` from the sample set.
+///
+/// Each selector has one implementation,
+/// [`BandwidthSelector::bandwidth_prepared`], over a [`PreparedColumn`]:
+/// it reads the column's shared sorted slice and cached summary.
+/// [`BandwidthSelector::bandwidth`] only prepares the slice and delegates.
 pub trait BandwidthSelector {
-    /// Compute the bandwidth for the given sample and kernel.
-    fn bandwidth(&self, samples: &[f64], kernel: KernelFn) -> f64;
+    /// Compute the bandwidth for a prepared column and kernel.
+    fn bandwidth_prepared(&self, col: &PreparedColumn, kernel: KernelFn) -> f64;
 
-    /// Bandwidth from a prepared column. The default delegates to
-    /// [`BandwidthSelector::bandwidth`] over the column's original-order
-    /// sample; selectors that sort or compute order statistics override it
-    /// to reuse the column's shared sorted slice and cached summary,
-    /// bit-identically.
-    fn bandwidth_prepared(&self, col: &PreparedColumn, kernel: KernelFn) -> f64 {
-        self.bandwidth(col.values(), kernel)
+    /// Compute the bandwidth for the given sample and kernel: prepares the
+    /// sample and calls [`BandwidthSelector::bandwidth_prepared`].
+    fn bandwidth(&self, samples: &[f64], kernel: KernelFn) -> f64 {
+        // No selector reads the domain, and preparation does not check
+        // membership, so any domain serves; the unit interval is used.
+        self.bandwidth_prepared(&PreparedColumn::prepare(samples, Domain::unit()), kernel)
     }
 
     /// Short name used in experiment output (`"h-NS"`, `"h-DPI2"`, ...).
@@ -87,16 +91,6 @@ pub fn amise(kernel: KernelFn, h: f64, n: usize, r_f_second: f64) -> f64 {
 pub struct NormalScale;
 
 impl BandwidthSelector for NormalScale {
-    fn bandwidth(&self, samples: &[f64], kernel: KernelFn) -> f64 {
-        assert!(samples.len() >= 2, "normal scale rule needs >= 2 samples");
-        let s = robust_scale(samples);
-        assert!(
-            s > 0.0,
-            "normal scale rule: sample is constant, no scale to estimate"
-        );
-        normal_scale_constant(kernel) * s * (samples.len() as f64).powf(-0.2)
-    }
-
     fn bandwidth_prepared(&self, col: &PreparedColumn, kernel: KernelFn) -> f64 {
         assert!(col.len() >= 2, "normal scale rule needs >= 2 samples");
         let s = col.summary().robust_scale;
@@ -154,19 +148,6 @@ impl DirectPlugIn {
 }
 
 impl BandwidthSelector for DirectPlugIn {
-    fn bandwidth(&self, samples: &[f64], kernel: KernelFn) -> f64 {
-        assert!(samples.len() >= 2, "plug-in rule needs >= 2 samples");
-        let psi4 = psi_plug_in_with(
-            samples,
-            4,
-            self.stages,
-            self.strategy,
-            selest_par::configured_jobs(),
-        );
-        assert!(psi4 > 0.0, "psi_4 estimate must be positive, got {psi4}");
-        amise_optimal_bandwidth(kernel, samples.len(), psi4)
-    }
-
     fn bandwidth_prepared(&self, col: &PreparedColumn, kernel: KernelFn) -> f64 {
         assert!(col.len() >= 2, "plug-in rule needs >= 2 samples");
         let psi4 = psi_plug_in_sorted(
@@ -267,21 +248,11 @@ pub fn lscv_score_jobs(sorted: &[f64], kernel: KernelFn, h: f64, jobs: usize) ->
 }
 
 impl BandwidthSelector for Lscv {
-    fn bandwidth(&self, samples: &[f64], kernel: KernelFn) -> f64 {
-        let pivot = NormalScale.bandwidth(samples, kernel);
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-        // Search log h over [pivot/16, 4*pivot]: undersmoothing is the
-        // typical LSCV failure mode, so the bracket reaches far down.
-        let lo = (pivot / 16.0).ln();
-        let hi = (4.0 * pivot).ln();
-        let res = brent_min(|lh| lscv_score(&sorted, kernel, lh.exp()), lo, hi, 1e-4);
-        res.x.exp()
-    }
-
     fn bandwidth_prepared(&self, col: &PreparedColumn, kernel: KernelFn) -> f64 {
         let pivot = NormalScale.bandwidth_prepared(col, kernel);
         let sorted = col.sorted();
+        // Search log h over [pivot/16, 4*pivot]: undersmoothing is the
+        // typical LSCV failure mode, so the bracket reaches far down.
         let lo = (pivot / 16.0).ln();
         let hi = (4.0 * pivot).ln();
         let res = brent_min(|lh| lscv_score(sorted, kernel, lh.exp()), lo, hi, 1e-4);
@@ -298,7 +269,7 @@ impl BandwidthSelector for Lscv {
 pub struct FixedBandwidth(pub f64);
 
 impl BandwidthSelector for FixedBandwidth {
-    fn bandwidth(&self, _samples: &[f64], _kernel: KernelFn) -> f64 {
+    fn bandwidth_prepared(&self, _col: &PreparedColumn, _kernel: KernelFn) -> f64 {
         assert!(self.0 > 0.0, "FixedBandwidth must be positive");
         self.0
     }
@@ -311,7 +282,7 @@ impl BandwidthSelector for FixedBandwidth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selest_math::normal_quantile;
+    use selest_math::{normal_quantile, robust_scale};
 
     fn normal_sample(n: usize, sigma: f64) -> Vec<f64> {
         (1..=n)

@@ -72,13 +72,9 @@ pub struct KernelEstimator {
 }
 
 impl KernelEstimator {
-    /// Build an estimator from a sample set.
-    ///
-    /// Panics if the sample is empty, the bandwidth is not positive and
-    /// finite, a sample lies outside the domain, or — for
-    /// [`BoundaryPolicy::BoundaryKernel`] — the kernel is not Epanechnikov
-    /// (the Simonoff–Dong family is derived for it) or the bandwidth
-    /// exceeds half the domain (the boundary strips would overlap).
+    /// Build an estimator from a sample set: prepares the sample and calls
+    /// [`KernelEstimator::from_prepared`], so it panics as that does and,
+    /// through [`PreparedColumn::prepare`], on an empty or NaN sample.
     pub fn new(
         samples: &[f64],
         domain: Domain,
@@ -86,7 +82,29 @@ impl KernelEstimator {
         bandwidth: f64,
         boundary: BoundaryPolicy,
     ) -> Self {
-        assert!(!samples.is_empty(), "KernelEstimator needs samples");
+        Self::from_prepared(
+            &PreparedColumn::prepare(samples, domain),
+            kernel,
+            bandwidth,
+            boundary,
+        )
+    }
+
+    /// Build from a prepared column, borrowing its shared sorted sample
+    /// (a ref-count bump — no copy, no re-sort).
+    ///
+    /// Panics if the bandwidth is not positive and finite, a sample lies
+    /// outside the domain, or — for [`BoundaryPolicy::BoundaryKernel`] —
+    /// the kernel is not Epanechnikov (the Simonoff–Dong family is derived
+    /// for it) or the bandwidth exceeds half the domain (the boundary
+    /// strips would overlap).
+    pub fn from_prepared(
+        col: &PreparedColumn,
+        kernel: KernelFn,
+        bandwidth: f64,
+        boundary: BoundaryPolicy,
+    ) -> Self {
+        let domain = col.domain();
         assert!(
             bandwidth.is_finite() && bandwidth > 0.0,
             "bandwidth must be positive and finite, got {bandwidth}"
@@ -104,50 +122,7 @@ impl KernelEstimator {
                 domain.width()
             );
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-        Self::from_sorted_arc(sorted.into(), domain, kernel, bandwidth, boundary)
-    }
-
-    /// Build from a prepared column, borrowing its shared sorted sample
-    /// (a ref-count bump — no copy, no re-sort). Same panics as
-    /// [`KernelEstimator::new`], and bit-identical results over the same
-    /// sample.
-    pub fn from_prepared(
-        col: &PreparedColumn,
-        kernel: KernelFn,
-        bandwidth: f64,
-        boundary: BoundaryPolicy,
-    ) -> Self {
-        assert!(!col.is_empty(), "KernelEstimator needs samples");
-        assert!(
-            bandwidth.is_finite() && bandwidth > 0.0,
-            "bandwidth must be positive and finite, got {bandwidth}"
-        );
-        if boundary == BoundaryPolicy::BoundaryKernel {
-            assert!(
-                kernel == KernelFn::Epanechnikov,
-                "boundary kernels are derived for the Epanechnikov kernel, not {}",
-                kernel.name()
-            );
-            assert!(
-                bandwidth <= 0.5 * col.domain().width(),
-                "bandwidth {bandwidth} exceeds half the domain width {}; \
-                 the boundary strips would overlap",
-                col.domain().width()
-            );
-        }
-        Self::from_sorted_arc(col.sorted_arc(), col.domain(), kernel, bandwidth, boundary)
-    }
-
-    /// Domain check and assembly over an already-sorted shared sample.
-    fn from_sorted_arc(
-        sorted: Arc<[f64]>,
-        domain: Domain,
-        kernel: KernelFn,
-        bandwidth: f64,
-        boundary: BoundaryPolicy,
-    ) -> Self {
+        let sorted = col.sorted_arc();
         assert!(
             domain.contains(sorted[0]) && domain.contains(*sorted.last().expect("nonempty")),
             "samples outside the domain {domain}: range [{}, {}]",

@@ -46,7 +46,7 @@
 //!   rather than silently degrade.
 
 use crate::special::normal_pdf;
-use crate::stats::robust_scale;
+use crate::stats::robust_scale_sorted_jobs;
 
 /// `r`-th derivative of the standard normal density:
 /// `phi^(r)(x) = (-1)^r He_r(x) phi(x)` with the probabilists' Hermite
@@ -485,9 +485,7 @@ pub fn psi_plug_in(samples: &[f64], r: usize, stages: usize) -> f64 {
 }
 
 /// [`psi_plug_in`] with an explicit pairwise-sum strategy and worker
-/// count. The sample is sorted once (or binned once per stage) and reused
-/// across all recursion stages, so the per-stage cost is the strategy's
-/// scan cost alone.
+/// count: sorts the sample once and calls [`psi_plug_in_sorted`].
 pub fn psi_plug_in_with(
     samples: &[f64],
     r: usize,
@@ -495,89 +493,19 @@ pub fn psi_plug_in_with(
     strategy: PsiStrategy,
     jobs: usize,
 ) -> f64 {
-    assert!(samples.len() >= 2, "psi_plug_in needs at least two samples");
-    let sigma = robust_scale(samples);
-    assert!(
-        sigma > 0.0,
-        "psi_plug_in: sample scale is zero (constant sample); no functional estimate possible"
-    );
-    let strategy = match strategy {
-        PsiStrategy::Auto if samples.len() < AUTO_BINNED_MIN_N => PsiStrategy::Windowed,
-        other => other,
-    };
-    // One sort shared by every stage of the recursion (the windowed path
-    // needs it; the other paths fix their own summation order internally).
-    let eval: Box<dyn Fn(usize, f64) -> f64 + '_> = match strategy {
-        PsiStrategy::Naive => Box::new(|order, g| estimate_psi_naive(samples, order, g)),
-        PsiStrategy::Windowed => {
-            let mut sorted = samples.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-            Box::new(move |order, g| estimate_psi_windowed_jobs(&sorted, order, g, jobs))
-        }
-        PsiStrategy::Binned { bins } => {
-            Box::new(move |order, g| estimate_psi_binned(samples, order, g, bins))
-        }
-        PsiStrategy::Auto => {
-            // Binned with a per-stage grid: the pilot bandwidth differs at
-            // each recursion stage, and the grid-spacing rule tracks it.
-            // When no affordable grid can meet the g/10 spacing target —
-            // heavy tails or an extreme outlier inflate range/g — the
-            // stage falls back to the exact windowed scan, which needs the
-            // sorted copy. The choice depends only on the sample and the
-            // stage bandwidth, never the worker count, so dispatch stays
-            // deterministic across SELEST_JOBS.
-            let mut sorted = samples.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
-            let range = sorted[sorted.len() - 1] - sorted[0];
-            Box::new(move |order, g| match default_psi_bins(range, g) {
-                Some(bins) => estimate_psi_binned(&sorted, order, g, bins),
-                None => estimate_psi_windowed_jobs(&sorted, order, g, jobs),
-            })
-        }
-    };
-    plug_in_recursion(samples.len(), sigma, r, stages, &*eval)
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample set"));
+    psi_plug_in_sorted(samples, &sorted, r, stages, strategy, jobs)
 }
 
-/// The plug-in refinement recursion shared by [`psi_plug_in_with`] and
-/// [`psi_plug_in_sorted`]: anchor at the normal scale value of
+/// The plug-in recursion over a sample whose ascending sort is at hand
+/// (a prepared column): anchor at the normal scale value of
 /// `psi_{r+2*stages}`, then walk the orders down, estimating each with the
-/// AMSE-optimal pilot bandwidth of the previous stage.
-fn plug_in_recursion(
-    n: usize,
-    sigma: f64,
-    r: usize,
-    stages: usize,
-    eval: &dyn Fn(usize, f64) -> f64,
-) -> f64 {
-    let mut psi = psi_normal_scale(r + 2 * stages, sigma);
-    let mut order = r + 2 * stages;
-    while order > r {
-        order -= 2;
-        let g = pilot_bandwidth(order, psi, n);
-        psi = eval(order, g);
-        // A stage can produce a wrong-signed estimate on pathological
-        // samples; fall back to the normal scale anchor for that order so
-        // the recursion stays well-defined.
-        let expected_sign = if (order / 2).is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        };
-        if psi * expected_sign <= 0.0 {
-            psi = psi_normal_scale(order, sigma);
-        }
-    }
-    psi
-}
-
-/// [`psi_plug_in_with`] over a sample whose ascending sort is already at
-/// hand (a prepared column): skips the per-call re-sort while reproducing
-/// [`psi_plug_in_with`] bit for bit. Each strategy consumes exactly the
-/// input order the unsorted entry point feeds it — `values` (original
-/// order) for [`PsiStrategy::Naive`] and explicit [`PsiStrategy::Binned`],
-/// `sorted` for [`PsiStrategy::Windowed`] and [`PsiStrategy::Auto`] — so
-/// the summation order, and therefore every bit of the result, is
-/// unchanged.
+/// AMSE-optimal pilot bandwidth of the previous stage. Every stage shares
+/// the one sort. Each strategy reads a fixed input order — `values` for
+/// [`PsiStrategy::Naive`] and explicit [`PsiStrategy::Binned`], `sorted`
+/// for [`PsiStrategy::Windowed`] and [`PsiStrategy::Auto`] — which fixes
+/// the summation order and so every bit of the result.
 ///
 /// `sorted` must be the ascending sort of `values`.
 pub fn psi_plug_in_sorted(
@@ -594,7 +522,7 @@ pub fn psi_plug_in_sorted(
         sorted.len(),
         "psi_plug_in_sorted: length mismatch"
     );
-    let sigma = crate::stats::robust_scale_sorted_jobs(values, sorted, jobs);
+    let sigma = robust_scale_sorted_jobs(values, sorted, jobs);
     assert!(
         sigma > 0.0,
         "psi_plug_in: sample scale is zero (constant sample); no functional estimate possible"
@@ -603,23 +531,42 @@ pub fn psi_plug_in_sorted(
         PsiStrategy::Auto if values.len() < AUTO_BINNED_MIN_N => PsiStrategy::Windowed,
         other => other,
     };
-    let eval: Box<dyn Fn(usize, f64) -> f64 + '_> = match strategy {
-        PsiStrategy::Naive => Box::new(|order, g| estimate_psi_naive(values, order, g)),
-        PsiStrategy::Windowed => {
-            Box::new(move |order, g| estimate_psi_windowed_jobs(sorted, order, g, jobs))
-        }
-        PsiStrategy::Binned { bins } => {
-            Box::new(move |order, g| estimate_psi_binned(values, order, g, bins))
-        }
-        PsiStrategy::Auto => {
-            let range = sorted[sorted.len() - 1] - sorted[0];
-            Box::new(move |order, g| match default_psi_bins(range, g) {
+    let n = values.len();
+    let range = sorted[n - 1] - sorted[0];
+    let mut psi = psi_normal_scale(r + 2 * stages, sigma);
+    let mut order = r + 2 * stages;
+    while order > r {
+        order -= 2;
+        let g = pilot_bandwidth(order, psi, n);
+        psi = match strategy {
+            PsiStrategy::Naive => estimate_psi_naive(values, order, g),
+            PsiStrategy::Windowed => estimate_psi_windowed_jobs(sorted, order, g, jobs),
+            PsiStrategy::Binned { bins } => estimate_psi_binned(values, order, g, bins),
+            // Binned with a per-stage grid: the pilot bandwidth differs at
+            // each stage, and the grid-spacing rule tracks it. When no
+            // affordable grid can meet the g/10 spacing target — heavy
+            // tails or an extreme outlier inflate range/g — the stage falls
+            // back to the exact windowed scan. The choice depends only on
+            // the sample and the stage bandwidth, never the worker count,
+            // so dispatch stays deterministic across SELEST_JOBS.
+            PsiStrategy::Auto => match default_psi_bins(range, g) {
                 Some(bins) => estimate_psi_binned(sorted, order, g, bins),
                 None => estimate_psi_windowed_jobs(sorted, order, g, jobs),
-            })
+            },
+        };
+        // A stage can produce a wrong-signed estimate on pathological
+        // samples; fall back to the normal scale anchor for that order so
+        // the recursion stays well-defined.
+        let expected_sign = if (order / 2).is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        };
+        if psi * expected_sign <= 0.0 {
+            psi = psi_normal_scale(order, sigma);
         }
-    };
-    plug_in_recursion(values.len(), sigma, r, stages, &*eval)
+    }
+    psi
 }
 
 #[cfg(test)]

@@ -30,5 +30,5 @@ pub use special::{erf, erfc, ln_gamma, normal_cdf, normal_pdf, normal_quantile, 
 pub use stats::{
     interquartile_range, kahan_sum, kahan_sum_jobs, mean, mean_jobs, median, quantile,
     robust_scale, robust_scale_sorted, robust_scale_sorted_jobs, stddev, stddev_jobs, variance,
-    variance_jobs, Summary,
+    variance_jobs,
 };

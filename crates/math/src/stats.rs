@@ -164,37 +164,6 @@ pub fn robust_scale_sorted_jobs(values: &[f64], sorted: &[f64], jobs: usize) -> 
     }
 }
 
-/// Five-number-plus summary of a sample, used by dataset reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    pub count: usize,
-    pub min: f64,
-    pub max: f64,
-    pub mean: f64,
-    pub stddev: f64,
-    pub median: f64,
-    pub iqr: f64,
-}
-
-impl Summary {
-    /// Compute the summary of an arbitrary (unsorted) sample.
-    /// Panics on fewer than two values.
-    pub fn of(values: &[f64]) -> Self {
-        assert!(values.len() >= 2, "Summary::of needs at least two values");
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("Summary::of: NaN in sample"));
-        Summary {
-            count: values.len(),
-            min: sorted[0],
-            max: *sorted.last().expect("nonempty"),
-            mean: mean(values),
-            stddev: stddev(values),
-            median: median(&sorted),
-            iqr: interquartile_range(&sorted),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,18 +234,6 @@ mod tests {
     #[test]
     fn robust_scale_constant_sample_is_zero() {
         assert_eq!(robust_scale(&[3.0, 3.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn summary_fields_are_consistent() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let s = Summary::of(&xs);
-        assert_eq!(s.count, 8);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 9.0);
-        assert!((s.mean - 3.875).abs() < 1e-15);
-        assert!(s.median >= s.min && s.median <= s.max);
-        assert!(s.iqr >= 0.0);
     }
 
     #[test]

@@ -35,10 +35,12 @@ cargo test -q --workspace
 echo "==> bit-identity pins in an optimized build"
 # The compile-time Hermite orders are only unrolled with optimization, so
 # the pinned build-publish bits (tests/build_engine.rs), the pinned
-# query-file checksums (tests/batch_engine.rs) and the math and
-# change-point bit-identity tests also run against release code.
-cargo test --release -q --test build_engine --test batch_engine
-cargo test --release -q -p selest-math -p selest-hybrid --lib
+# query-file checksums (tests/batch_engine.rs), the raw-vs-prepared
+# equivalence pins (tests/prepared_column.rs and the kernel and histogram
+# unit tests) and the math and change-point bit-identity tests also run
+# against release code.
+cargo test --release -q --test build_engine --test batch_engine --test prepared_column
+cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram --lib
 
 echo "==> selbench tests (the benchmark builds against the workspace crates)"
 cargo test --release --manifest-path selbench/Cargo.toml

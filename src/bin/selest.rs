@@ -12,25 +12,91 @@
 //! selest methods
 //! ```
 
+use std::ops::RangeInclusive;
+
 use selest::data::sample_without_replacement;
 use selest::experiments::{run_experiment, Scale, ALL_EXPERIMENTS};
-use selest::kernel::{BandwidthSelector, DirectPlugIn};
+use selest::histogram::{BinRule, NormalScaleBins};
+use selest::store::build_estimator_from_prepared;
 use selest::{
-    core::wilson_interval, equi_depth, equi_width, max_diff, AverageShiftedHistogram,
-    BoundaryPolicy, DataFile, ExactSelectivity, HybridEstimator, KernelEstimator, KernelFn,
-    PaperFile, RangeQuery, SamplingEstimator, SelectivityEstimator, StatisticsCatalog,
-    UniformEstimator, WaveletHistogram,
+    core::wilson_interval, EstimatorKind, ExactSelectivity, PaperFile, PreparedColumn, RangeQuery,
+    SelectivityEstimator, StatisticsCatalog, WaveletHistogram,
 };
-use selest_histogram::{BinRule, NormalScaleBins};
 
-const METHODS: [&str; 9] = [
-    "uniform", "sampling", "ewh", "edh", "mdh", "ash", "wavelet", "kernel", "hybrid",
+/// Every method `estimate` builds, with the catalog kind that builds it;
+/// `None` marks `wavelet`, the one method the catalog does not build.
+const METHODS: [(&str, Option<EstimatorKind>); 9] = [
+    ("uniform", Some(EstimatorKind::Uniform)),
+    ("sampling", Some(EstimatorKind::Sampling)),
+    ("ewh", Some(EstimatorKind::EquiWidth)),
+    ("edh", Some(EstimatorKind::EquiDepth)),
+    ("mdh", Some(EstimatorKind::MaxDiff)),
+    ("ash", Some(EstimatorKind::Ash)),
+    ("wavelet", None),
+    ("kernel", Some(EstimatorKind::Kernel)),
+    ("hybrid", Some(EstimatorKind::Hybrid)),
 ];
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("try: selest --help");
     std::process::exit(2)
+}
+
+/// A subcommand's arguments, checked by [`parse_args`]: the positionals
+/// in order, and each flag given with its value (`""` for a switch).
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// The value given for `flag`, if the flag was given.
+    fn flag(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+}
+
+/// Check subcommand `cmd`'s arguments before it does any work. `known`
+/// lists its flags, a flag that takes a value with the value's name
+/// (`"--scale K"`, `"--quick"`); `positionals` is how many other
+/// arguments it takes. An unknown flag, a flag without its value or a
+/// wrong number of positionals exits 2.
+fn parse_args<'a>(
+    cmd: &str,
+    args: &'a [String],
+    known: &[&str],
+    positionals: RangeInclusive<usize>,
+) -> Args<'a> {
+    let mut parsed = Args {
+        positional: Vec::new(),
+        flags: Vec::new(),
+    };
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            parsed.positional.push(arg);
+            continue;
+        }
+        let Some(spec) = known.iter().find(|k| k.split(' ').next() == Some(arg)) else {
+            die(&format!(
+                "{cmd}: unknown flag {arg:?}; known: {}",
+                known.join(", ")
+            ))
+        };
+        let value = if spec.contains(' ') {
+            it.next()
+                .unwrap_or_else(|| die(&format!("{arg} needs a value")))
+        } else {
+            ""
+        };
+        parsed.flags.push((arg, value));
+    }
+    let n = parsed.positional.len();
+    if !positionals.contains(&n) {
+        die(&format!("{cmd}: wrong number of arguments ({n})"));
+    }
+    parsed
 }
 
 fn parse_paper_file(name: &str) -> PaperFile {
@@ -47,18 +113,10 @@ fn parse_paper_file(name: &str) -> PaperFile {
         })
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-            .clone()
-    })
-}
-
 /// `--scale K` (default 1): how many times the paper's file size to
 /// generate. Must be a positive integer.
-fn scale_flag(args: &[String]) -> usize {
-    let Some(v) = flag_value(args, "--scale") else {
+fn scale_flag(args: &Args) -> usize {
+    let Some(v) = args.flag("--scale") else {
         return 1;
     };
     match v.parse() {
@@ -70,50 +128,18 @@ fn scale_flag(args: &[String]) -> usize {
 /// `--sample N` (default 2000): the sample size estimators are built
 /// from. Must be an integer; `estimate` also requires at least 2 rows,
 /// the fewest any method's bin rule or bandwidth can work with.
-fn sample_flag(args: &[String]) -> usize {
-    flag_value(args, "--sample").map_or(2_000, |v| {
+fn sample_flag(args: &Args) -> usize {
+    args.flag("--sample").map_or(2_000, |v| {
         v.parse()
             .unwrap_or_else(|_| die(&format!("--sample needs an integer, got {v:?}")))
     })
 }
 
-fn build_method(method: &str, sample: &[f64], data: &DataFile) -> Box<dyn SelectivityEstimator> {
-    let domain = data.domain();
-    let k = NormalScaleBins.bins(sample, &domain);
-    match method {
-        "uniform" => Box::new(UniformEstimator::new(domain)),
-        "sampling" => Box::new(SamplingEstimator::new(sample, domain)),
-        "ewh" => Box::new(equi_width(sample, domain, k)),
-        "edh" => Box::new(equi_depth(sample, domain, k)),
-        "mdh" => Box::new(max_diff(sample, domain, k)),
-        "ash" => Box::new(AverageShiftedHistogram::new(sample, domain, k, 10)),
-        "wavelet" => Box::new(WaveletHistogram::build(sample, domain, 10, 4 * k)),
-        "kernel" => {
-            let h = DirectPlugIn::two_stage()
-                .bandwidth(sample, KernelFn::Epanechnikov)
-                .min(0.5 * domain.width());
-            Box::new(KernelEstimator::new(
-                sample,
-                domain,
-                KernelFn::Epanechnikov,
-                h,
-                BoundaryPolicy::BoundaryKernel,
-            ))
-        }
-        "hybrid" => Box::new(HybridEstimator::new(sample, domain)),
-        other => die(&format!(
-            "unknown method {other:?}; known: {}",
-            METHODS.join(", ")
-        )),
-    }
-}
-
 fn cmd_data(args: &[String]) {
-    let name = args
-        .first()
-        .unwrap_or_else(|| die("data: missing file name"));
-    let data = parse_paper_file(name).generate_scaled(scale_flag(args));
-    let summary = selest::math::Summary::of(data.values());
+    let args = parse_args("data", args, &["--scale K"], 1..=1);
+    let data = parse_paper_file(args.positional[0]).generate_scaled(scale_flag(&args));
+    let col = PreparedColumn::prepare(data.values(), data.domain());
+    let summary = col.summary();
     println!("file      {}", data.name());
     println!("domain    {}", data.domain());
     println!("records   {}", data.len());
@@ -130,23 +156,33 @@ fn cmd_data(args: &[String]) {
 }
 
 fn cmd_estimate(args: &[String]) {
-    if args.len() < 4 {
-        die("estimate: need <file> <method> <a> <b>");
-    }
-    let data_name = &args[0];
-    let method = &args[1];
-    let a: f64 = args[2].parse().unwrap_or_else(|_| die("bad range start"));
-    let b: f64 = args[3].parse().unwrap_or_else(|_| die("bad range end"));
+    let args = parse_args("estimate", args, &["--scale K", "--sample N"], 4..=4);
+    let [data_name, method, a, b] = args.positional[..] else {
+        unreachable!("parse_args checked the count")
+    };
+    let Some(&(_, kind)) = METHODS.iter().find(|(name, _)| *name == method) else {
+        let names = METHODS.map(|(name, _)| name).join(", ");
+        die(&format!("unknown method {method:?}; known: {names}"))
+    };
+    let a: f64 = a.parse().unwrap_or_else(|_| die("bad range start"));
+    let b: f64 = b.parse().unwrap_or_else(|_| die("bad range end"));
     let q = RangeQuery::try_new(a, b).unwrap_or_else(|e| die(&format!("estimate: {e}")));
-    let scale = scale_flag(args);
-    let n_sample = sample_flag(args);
+    let scale = scale_flag(&args);
+    let n_sample = sample_flag(&args);
     if n_sample < 2 {
         die(&format!("--sample needs at least 2 rows, got {n_sample}"));
     }
     let data = parse_paper_file(data_name).generate_scaled(scale);
     let exact = ExactSelectivity::new(data.values(), data.domain());
     let sample = sample_without_replacement(data.values(), n_sample.min(data.len()), 42);
-    let est = build_method(method, &sample, &data);
+    let col = PreparedColumn::prepare(&sample, data.domain());
+    let est: Box<dyn SelectivityEstimator> = match kind {
+        Some(kind) => build_estimator_from_prepared(&col, kind),
+        None => {
+            let k = NormalScaleBins.bins_prepared(&col);
+            Box::new(WaveletHistogram::from_prepared(&col, 10, 4 * k))
+        }
+    };
     let sel = est.selectivity(&q);
     let rows = est.estimate_count(&q, data.len());
     let truth = exact.count(&q);
@@ -173,34 +209,37 @@ fn cmd_estimate(args: &[String]) {
 /// request order, byte-identical for every `--jobs`; each experiment's
 /// compute time goes to stderr.
 fn cmd_repro(args: &[String]) {
-    let mut scale = Scale::paper();
-    let mut csv_dir: Option<&str> = None;
-    let mut ids: Vec<&str> = Vec::new();
-    let mut it = args.iter().map(String::as_str);
-    while let Some(arg) = it.next() {
-        match arg {
-            "--quick" => scale = Scale::quick(),
-            "--csv" => csv_dir = Some(it.next().unwrap_or_else(|| die("--csv needs a value"))),
-            "--jobs" => {
-                let jobs = it.next().unwrap_or_else(|| die("--jobs needs a value"));
-                match jobs.parse::<usize>() {
-                    Ok(n) if n > 0 => selest::par::set_jobs(n),
-                    _ => die(&format!("--jobs needs a positive integer, got {jobs:?}")),
-                }
-            }
-            flag if flag.starts_with('-') => die(&format!(
-                "repro: unknown flag {flag:?}; known: --quick, --csv DIR, --jobs N"
-            )),
-            id if id == "all" || ALL_EXPERIMENTS.contains(&id) => ids.push(id),
-            id => die(&format!(
+    let args = parse_args(
+        "repro",
+        args,
+        &["--quick", "--csv DIR", "--jobs N"],
+        0..=usize::MAX,
+    );
+    for &id in &args.positional {
+        if id != "all" && !ALL_EXPERIMENTS.contains(&id) {
+            die(&format!(
                 "repro: unknown experiment {id:?}; known: all, {}",
                 ALL_EXPERIMENTS.join(", ")
-            )),
+            ));
         }
     }
-    if ids.is_empty() || ids.contains(&"all") {
-        ids = ALL_EXPERIMENTS.to_vec();
+    if let Some(jobs) = args.flag("--jobs") {
+        match jobs.parse::<usize>() {
+            Ok(n) if n > 0 => selest::par::set_jobs(n),
+            _ => die(&format!("--jobs needs a positive integer, got {jobs:?}")),
+        }
     }
+    let scale = if args.flag("--quick").is_some() {
+        Scale::quick()
+    } else {
+        Scale::paper()
+    };
+    let csv_dir = args.flag("--csv");
+    let ids = if args.positional.is_empty() || args.positional.contains(&"all") {
+        ALL_EXPERIMENTS.to_vec()
+    } else {
+        args.positional
+    };
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("create {dir}: {e}")));
     }
@@ -225,21 +264,16 @@ fn cmd_repro(args: &[String]) {
 fn cmd_snapshot(args: &[String]) {
     use selest::store::{Column, DurableStore, Relation};
 
-    let dir = args
-        .first()
-        .unwrap_or_else(|| die("snapshot: missing store directory"));
-    let scale = scale_flag(args);
-    let sample_size = sample_flag(args);
-    let mut names: Vec<String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" | "--sample" => i += 1, // skip the flag's value too
-            other if !other.starts_with("--") => names.push(other.to_owned()),
-            _ => {}
-        }
-        i += 1;
-    }
+    let args = parse_args(
+        "snapshot",
+        args,
+        &["--scale K", "--sample N"],
+        1..=usize::MAX,
+    );
+    let dir = args.positional[0];
+    let scale = scale_flag(&args);
+    let sample_size = sample_flag(&args);
+    let mut names: Vec<String> = args.positional[1..].iter().map(|n| n.to_string()).collect();
     if names.is_empty() {
         names = PaperFile::all().iter().map(|f| f.name()).collect();
     }
@@ -300,11 +334,12 @@ fn cmd_snapshot(args: &[String]) {
 /// does not exist, the command prints an error and exits 2.
 fn cmd_serve(args: &[String]) {
     use selest::store::DurableStore;
-    if !args.iter().any(|a| a == "--status") {
+    let args = parse_args("serve", args, &["--status"], 0..=1);
+    if args.flag("--status").is_none() {
         die("serve: run `selest serve --status [DIR]`");
     }
     let engine = selest::ServingEngine::with_defaults();
-    if let Some(dir) = args.iter().find(|a| !a.starts_with("--")) {
+    if let Some(dir) = args.positional.first() {
         // Opening creates a store; a status report must not.
         let path = std::path::Path::new(dir);
         if !path.is_dir() {
@@ -370,11 +405,10 @@ fn print_fsck(report: &selest::store::FsckReport) {
 fn cmd_fsck(args: &[String]) {
     use selest::store::{fsck, DurableStore};
 
-    let dir = args
-        .first()
-        .unwrap_or_else(|| die("fsck: missing store directory"));
+    let args = parse_args("fsck", args, &["--repair"], 1..=1);
+    let dir = args.positional[0];
     let path = std::path::Path::new(dir);
-    let repair = args.iter().any(|a| a == "--repair");
+    let repair = args.flag("--repair").is_some();
     let report = fsck(path);
     print_fsck(&report);
     if report.healthy {
@@ -456,8 +490,9 @@ fn main() {
         Some("serve") => cmd_serve(&args[1..]),
         Some("fsck") => cmd_fsck(&args[1..]),
         Some("methods") => {
-            for m in METHODS {
-                println!("{m}");
+            parse_args("methods", &args[1..], &[], 0..=0);
+            for (name, _) in METHODS {
+                println!("{name}");
             }
         }
         Some("--help") | Some("-h") | None => {
@@ -474,7 +509,7 @@ fn main() {
             println!();
             println!("data files: u(15) u(20) n(10) n(15) n(20) e(15) e(20) arap1 arap2");
             println!("            rr1(12) rr1(22) rr2(12) rr2(22) iw");
-            println!("methods:    {}", METHODS.join(" "));
+            println!("methods:    {}", METHODS.map(|(name, _)| name).join(" "));
             println!("experiments: {}", ALL_EXPERIMENTS.join(" "));
         }
         Some(other) => die(&format!("unknown command {other:?}")),

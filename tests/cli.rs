@@ -1,8 +1,10 @@
-//! The `selest` binary's input-error contract: a bad flag, an unknown
+//! The `selest` binary's input-error contract: a bad or unknown flag, a
+//! flag missing its value, a wrong number of positionals, an unknown
 //! experiment id, a non-finite range bound, a missing store directory or a
-//! column ANALYZE cannot build prints `error: …` and exits 2 — never a
-//! panic (exit 101), and never a half-written store. Also: `selest repro`
-//! prints the same bytes for every worker count.
+//! column ANALYZE cannot build prints `error: …` and exits 2 before any
+//! work — never a panic (exit 101), and never a half-written store. Also:
+//! `selest repro` prints the same bytes for every worker count, and
+//! `selest repro all` reproduces the committed `results/` byte for byte.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -124,4 +126,78 @@ fn serve_status_of_a_missing_store_creates_nothing() {
     let stderr = assert_input_error(&["serve", "--status", dir.to_str().unwrap()]);
     assert!(stderr.contains(dir.to_str().unwrap()), "{stderr}");
     assert!(!dir.exists(), "a status report must not create its store");
+}
+
+#[test]
+fn estimate_rejects_unknown_flags_and_extra_positionals() {
+    let stderr = assert_input_error(&[
+        "estimate", "n(20)", "kernel", "1000", "200000", "--sampel", "5",
+    ]);
+    assert!(stderr.contains("--sampel"), "{stderr}");
+    for args in [
+        vec!["estimate", "n(20)", "kernel", "1000", "200000", "7"],
+        vec!["estimate", "n(20)", "kernel", "1000", "200000", "--sample"],
+    ] {
+        assert_input_error(&args);
+    }
+}
+
+#[test]
+fn data_rejects_unknown_flags_and_extra_positionals() {
+    let stderr = assert_input_error(&["data", "n(20)", "--scael", "3"]);
+    assert!(stderr.contains("--scael"), "{stderr}");
+    assert_input_error(&["data", "n(20)", "u(15)"]);
+}
+
+#[test]
+fn fsck_rejects_an_unknown_flag_before_touching_the_store() {
+    let dir = store_dir("fsck-typo");
+    let stderr = assert_input_error(&["fsck", dir.to_str().unwrap(), "--repiar"]);
+    assert!(stderr.contains("--repiar"), "{stderr}");
+    assert!(!dir.exists(), "a rejected fsck must not create its store");
+}
+
+#[test]
+fn snapshot_rejects_an_unknown_flag_and_publishes_nothing() {
+    let dir = store_dir("snapshot-typo");
+    let stderr = assert_input_error(&["snapshot", dir.to_str().unwrap(), "u(15)", "--verbose"]);
+    assert!(stderr.contains("--verbose"), "{stderr}");
+    let generations = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    assert_eq!(
+        generations, 0,
+        "a rejected snapshot must leave no generation"
+    );
+}
+
+/// `results/` holds the stdout of `selest repro all` (`repro.txt`) and
+/// the CSV of every experiment; a change that moves any figure must
+/// regenerate them.
+#[test]
+fn repro_all_reproduces_the_committed_results_byte_for_byte() {
+    let dir = store_dir("repro-all");
+    let out = selest(&["repro", "all", "--csv", dir.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let committed = std::fs::read(results.join("repro.txt")).expect("read results/repro.txt");
+    assert!(
+        out.stdout == committed,
+        "stdout of `selest repro all` differs from results/repro.txt"
+    );
+    let mut csvs = 0;
+    for entry in std::fs::read_dir(&results).expect("list results/") {
+        let path = entry.expect("results/ entry").path();
+        if path.extension().is_some_and(|e| e == "csv") {
+            let name = path.file_name().unwrap();
+            let produced = std::fs::read(dir.join(name))
+                .unwrap_or_else(|e| panic!("{name:?} was not produced: {e}"));
+            assert!(
+                produced == std::fs::read(&path).unwrap(),
+                "{name:?} differs from results/"
+            );
+            csvs += 1;
+        }
+    }
+    let produced = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(csvs, produced, "results/ must hold every CSV repro writes");
+    assert!(csvs > 0);
 }

@@ -196,3 +196,80 @@ fn every_range_is_within_the_dkw_bound_for_both_samplers() {
         });
     }
 }
+
+/// Distance from `target` to the ranks `value` occupies in `sorted`,
+/// `[#{< value} + 1, #{≤ value}]`; zero when the target is one of them.
+fn rank_miss(sorted: &[f64], value: f64, target: u64) -> u64 {
+    let lt = sorted.partition_point(|&v| v < value) as u64;
+    let le = sorted.partition_point(|&v| v <= value) as u64;
+    if target <= lt {
+        lt + 1 - target
+    } else {
+        target.saturating_sub(le)
+    }
+}
+
+/// The Greenwald–Khanna guarantee the catalog's equi-depth boundaries
+/// rest on, checked on the paper's files: a single-stream sketch at
+/// `SKETCH_EPSILON` answers each of the 99 percentiles and each interior
+/// boundary of a 64-bin equi-depth histogram within its reported
+/// `rank_error_bound` of the target rank `⌈q·n⌉`, and that bound is at
+/// most `⌈εn⌉`. Sorted inserts are GK's adversarial orders, so each file
+/// goes in file order, ascending and descending.
+#[test]
+fn gk_sketch_answers_within_its_reported_rank_bound_on_the_paper_files() {
+    use selest::data::GkSketch;
+    use selest::store::SKETCH_EPSILON;
+    use selest::PaperFile;
+
+    const BINS: usize = 64;
+    for file in [
+        PaperFile::Uniform { p: 20 },
+        PaperFile::Arapahoe1,
+        PaperFile::RailRiver1 { p: 22 },
+        PaperFile::InstanceWeight,
+    ] {
+        let data = file.generate();
+        let domain = data.domain();
+        let mut sorted = data.values().to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let cap = (SKETCH_EPSILON * n as f64).ceil() as u64;
+        let descending: Vec<f64> = sorted.iter().rev().copied().collect();
+        for (order, stream) in [
+            ("file order", data.values()),
+            ("ascending", &sorted[..]),
+            ("descending", &descending[..]),
+        ] {
+            let mut sketch = GkSketch::new(SKETCH_EPSILON);
+            for &v in stream {
+                sketch.insert(v);
+            }
+            let label = format!("{} {order}", file.name());
+            let bound = sketch.rank_error_bound();
+            assert!(bound <= cap, "{label}: bound {bound} exceeds ⌈εn⌉ = {cap}");
+            for p in 1..100 {
+                let q = p as f64 / 100.0;
+                let (value, reported) = sketch.quantile_with_bound(q);
+                assert_eq!(reported, bound, "{label}: q = {q}");
+                let target = (q * n as f64).ceil() as u64;
+                let miss = rank_miss(&sorted, value, target);
+                assert!(
+                    miss <= bound,
+                    "{label}: quantile {q} misses rank {target} by {miss} (bound {bound})"
+                );
+            }
+            let (boundaries, reported) =
+                sketch.equi_depth_boundaries_with_bound(BINS, domain.lo(), domain.hi());
+            assert_eq!(reported, bound, "{label}: boundaries");
+            for (j, &value) in boundaries.iter().enumerate().take(BINS).skip(1) {
+                let target = (j * n).div_ceil(BINS) as u64;
+                let miss = rank_miss(&sorted, value, target);
+                assert!(
+                    miss <= bound,
+                    "{label}: boundary {j}/{BINS} misses rank {target} by {miss} (bound {bound})"
+                );
+            }
+        }
+    }
+}
