@@ -3,7 +3,7 @@
 //! paper's estimators play inside a query optimizer (its opening
 //! motivation, from System R onward).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use selest_core::fault::{catch_fault, sanitize_sample, EstimateError, FaultStage, SampleAudit};
@@ -106,6 +106,25 @@ pub struct IncrementalState {
 }
 
 impl IncrementalState {
+    /// The one way a state is made (incremental ANALYZE, refresh, restore):
+    /// always with an empty feedback grid, since corrections learned
+    /// against a replaced estimator do not transfer.
+    fn new(
+        column: IncrementalColumn,
+        sketch: GkSketch,
+        updates_since_refresh: u64,
+        refreshes: u64,
+    ) -> Self {
+        let grid = CorrectionGrid::new(column.domain(), DRIFT_BUCKETS, DRIFT_ALPHA);
+        IncrementalState {
+            column,
+            sketch,
+            grid,
+            updates_since_refresh,
+            refreshes,
+        }
+    }
+
     /// The freshness evidence the [`StalenessPolicy`] judges.
     pub fn signal(&self) -> StalenessSignal {
         StalenessSignal {
@@ -133,7 +152,8 @@ pub struct ColumnDelta {
 /// What [`StatisticsCatalog::try_apply_updates`] did, per column.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateReport {
-    /// Columns whose whole batch absorbed, with the absorption audit.
+    /// Columns whose whole batch absorbed, with the absorption audit
+    /// summed over the column's deltas.
     pub applied: Vec<(String, UpdateAudit)>,
     /// Columns whose batch was rejected (typed reason); their state is
     /// untouched — the batch is atomic per column.
@@ -179,12 +199,11 @@ pub struct ColumnStatistics {
     pub sample: Arc<[f64]>,
     /// The column domain at ANALYZE time.
     pub domain: selest_core::Domain,
-    /// The prepared substrate the estimator was built from (`None` for
-    /// [`EstimatorKind::Uniform`], which needs no sample, and for entries
-    /// rebuilt from possibly-dirty persisted evidence via
-    /// [`StatisticsCatalog::try_import`]). Holding it here lets later
-    /// consumers — the serving snapshot's brownout rung, ad-hoc estimator
-    /// builds — reuse the one sort ANALYZE already paid for.
+    /// The prepared substrate the estimator was built from: the sanitized
+    /// sample, sorted once. Every entry but a [`EstimatorKind::Uniform`]
+    /// one (which needs no sample) carries it, so later consumers — the
+    /// serving snapshot's brownout rung, ad-hoc estimator builds — reuse
+    /// the one sort the build already paid for.
     pub prepared: Option<Arc<PreparedColumn>>,
     /// Live incremental substrate (reservoir column + quantile sketch +
     /// feedback grid), present only for entries built by
@@ -194,11 +213,44 @@ pub struct ColumnStatistics {
 }
 
 impl ColumnStatistics {
+    /// The one constructor of a catalog entry. `estimator` was built over
+    /// `prepared`, whose clean sample (in draw order, shared) is the
+    /// evidence the entry exports, so a rebuild from disk sees exactly
+    /// what the estimator was built from.
+    fn new(
+        (relation, column): (Arc<str>, Arc<str>),
+        kind: EstimatorKind,
+        n_rows: usize,
+        domain: selest_core::Domain,
+        estimator: BoxedEstimator,
+        prepared: Option<Arc<PreparedColumn>>,
+        incremental: Option<IncrementalState>,
+    ) -> Self {
+        let sample: Arc<[f64]> = prepared
+            .as_ref()
+            .map_or_else(|| Vec::new().into(), |col| col.values_arc());
+        ColumnStatistics {
+            relation,
+            column,
+            estimator: Arc::from(estimator),
+            n_rows,
+            sample_size: sample.len(),
+            kind,
+            sample,
+            domain,
+            prepared,
+            incremental,
+        }
+    }
+
     /// Estimated number of rows matching the range predicate.
     pub fn estimate_rows(&self, q: &RangeQuery) -> f64 {
         self.estimator.estimate_count(q, self.n_rows)
     }
 }
+
+/// A built estimator as construction returns it.
+type BoxedEstimator = Box<dyn SelectivityEstimator + Send + Sync>;
 
 /// Build an estimator of the given kind over a prepared column: every
 /// kind reads the shared sorted slice / ECDF / summary instead of
@@ -247,31 +299,46 @@ pub fn build_estimator_from_prepared(
     }
 }
 
-/// Build an estimator of the given kind from a retained sample — the
-/// rebuild path of `persist` and of [`StatisticsCatalog::try_import`]:
-/// sanitizes the sample first (dropping NaN, ±Inf, and out-of-domain
-/// values), reports what was dropped, prepares the column once, and
-/// converts any construction panic into a typed [`EstimateError`] instead
-/// of crashing the caller. On a clean sample the estimator is
-/// bit-identical to [`build_estimator_from_prepared`] over the same
-/// sample.
-pub fn try_build_estimator_from_sample(
+/// The fault boundary of every estimator construction: run `build`,
+/// then probe the full-domain query inside the same boundary — a
+/// constructor that "succeeds" but cannot answer it is as broken as one
+/// that panics. Panics and non-finite probes come back as typed errors.
+fn try_probed(
+    domain: selest_core::Domain,
+    build: impl FnOnce() -> Box<dyn SelectivityEstimator + Send + Sync> + std::panic::UnwindSafe,
+) -> Result<Box<dyn SelectivityEstimator + Send + Sync>, EstimateError> {
+    let (est, probe) = catch_fault(FaultStage::Build, move || {
+        let est = build();
+        let probe = est.selectivity(&RangeQuery::new(domain.lo(), domain.hi()));
+        (est, probe)
+    })?;
+    if !probe.is_finite() {
+        return Err(EstimateError::NonFiniteEstimate { value: probe });
+    }
+    Ok(est)
+}
+
+/// Build `kind` from a raw sample, drawn by ANALYZE or read back by
+/// import: drop NaN, ±Inf and out-of-domain values, prepare the rest once
+/// and build over it. Hands back the estimator, the prepared column
+/// (`None` for [`EstimatorKind::Uniform`], which needs no sample) and the
+/// sanitization audit.
+fn try_build_sanitized(
     sample: &[f64],
     domain: selest_core::Domain,
     kind: EstimatorKind,
-) -> Result<(Box<dyn SelectivityEstimator + Send + Sync>, SampleAudit), EstimateError> {
-    if kind == EstimatorKind::Uniform {
-        // Uniform needs no sample; still audit so callers see the damage.
-        let (_, audit) = sanitize_sample(sample, &domain);
-        return Ok((Box::new(UniformEstimator::new(domain)), audit));
-    }
+) -> Result<(BoxedEstimator, Option<Arc<PreparedColumn>>, SampleAudit), EstimateError> {
     let (clean, audit) = sanitize_sample(sample, &domain);
+    if kind == EstimatorKind::Uniform {
+        // Uniform needs no sample; the audit still shows the damage.
+        return Ok((Box::new(UniformEstimator::new(domain)), None, audit));
+    }
     if clean.is_empty() {
         return Err(EstimateError::EmptySample);
     }
     let col = Arc::new(PreparedColumn::prepare(&clean, domain));
     let est = try_build_estimator_from_prepared(&col, kind)?;
-    Ok((est, audit))
+    Ok((est, Some(col), audit))
 }
 
 /// Fallible estimator construction over an already-prepared column: the
@@ -283,31 +350,27 @@ pub fn try_build_estimator_from_prepared(
     col: &Arc<PreparedColumn>,
     kind: EstimatorKind,
 ) -> Result<Box<dyn SelectivityEstimator + Send + Sync>, EstimateError> {
-    let domain = col.domain();
     let col = Arc::clone(col);
-    let (est, probe) = catch_fault(FaultStage::Build, move || {
-        let est = build_estimator_from_prepared(&col, kind);
-        // Probe inside the same fault boundary: a constructor that
-        // "succeeds" but cannot answer the full-domain query is as broken
-        // as one that panics.
-        let probe = est.selectivity(&RangeQuery::new(domain.lo(), domain.hi()));
-        (est, probe)
-    })?;
-    if !probe.is_finite() {
-        return Err(EstimateError::NonFiniteEstimate { value: probe });
-    }
-    Ok(est)
+    try_probed(col.domain(), move || {
+        build_estimator_from_prepared(&col, kind)
+    })
 }
 
 /// The statistics catalog: `(relation, column) -> ColumnStatistics`.
+///
+/// Every write path — batch, single-column and incremental ANALYZE,
+/// import, staleness refresh, partition and shard merge, checkpoint
+/// restore — builds each column in a panic-isolated engine task and
+/// installs the results in input order, so the catalog (every byte of its
+/// exported evidence included) is identical for any worker count. A
+/// column whose build fails — degenerate sample, panicking constructor,
+/// abandoned task — is quarantined with its [`BuildFailure`] instead of
+/// failing the call; its earlier entry, if any, keeps serving, and the
+/// next successful build clears the record.
 #[derive(Default)]
 pub struct StatisticsCatalog {
     entries: HashMap<(String, String), ColumnStatistics>,
-    /// Columns whose last bulkheaded ANALYZE/import failed, with the
-    /// typed reason. A quarantined column has no serving entry (or a
-    /// stale one from an earlier successful ANALYZE, which keeps
-    /// serving); a later successful build clears the record. BTreeMap so
-    /// health reports list columns in a stable order.
+    /// BTreeMap so health reports list columns in a stable order.
     quarantine: BTreeMap<(String, String), BuildFailure>,
 }
 
@@ -328,7 +391,7 @@ pub struct BuildFailure {
     pub error: EstimateError,
 }
 
-/// One column quarantined by a bulkheaded ANALYZE or import.
+/// One column whose last build failed.
 #[derive(Debug, Clone)]
 pub struct QuarantinedColumn {
     /// Relation name.
@@ -357,29 +420,28 @@ impl CatalogHealthReport {
     }
 }
 
-/// Lower a parallel-engine task failure onto the estimation-error
-/// vocabulary: a worker panic is a build-stage panic; a deadline expiry
-/// or engine invariant breach becomes [`EstimateError::TaskAbandoned`]
-/// carrying the engine's description.
-fn task_error_to_estimate_error(e: selest_par::TaskError) -> EstimateError {
-    match e.fault {
-        selest_par::TaskFault::Panicked { ref message } => EstimateError::Panicked {
-            stage: FaultStage::Build,
-            message: message.clone(),
-        },
-        _ => EstimateError::TaskAbandoned {
-            reason: e.to_string(),
-        },
-    }
+/// Flatten one bulkhead slot into the estimation-error vocabulary: a
+/// build's own error as is, a worker panic as a build-stage panic, and a
+/// deadline expiry or engine invariant breach as
+/// [`EstimateError::TaskAbandoned`] carrying the engine's description.
+fn settle<T>(
+    slot: Result<Result<T, EstimateError>, selest_par::TaskError>,
+) -> Result<T, EstimateError> {
+    slot.unwrap_or_else(|e| {
+        Err(match e.fault {
+            selest_par::TaskFault::Panicked { ref message } => EstimateError::Panicked {
+                stage: FaultStage::Build,
+                message: message.clone(),
+            },
+            _ => EstimateError::TaskAbandoned {
+                reason: e.to_string(),
+            },
+        })
+    })
 }
 
-/// Fallible core of per-column ANALYZE: draw the reservoir sample,
-/// sanitize it, build the configured estimator over a fresh
-/// [`PreparedColumn`], and hand back the assembled entry plus the
-/// sanitization audit — every failure as a typed error. The one place
-/// every ANALYZE funnels through; the bulkheaded batch paths additionally
-/// run it inside an isolated engine task so even an uncontained panic
-/// cannot take the sibling columns down.
+/// Fallible core of per-column ANALYZE: draw the reservoir sample and
+/// build the entry over it.
 pub(crate) fn try_column_statistics(
     relation_name: &str,
     column: &Column,
@@ -397,45 +459,22 @@ pub(crate) fn try_column_statistics(
             config.seed,
         )
     };
-    let domain = column.domain();
-    // Persist only the values the estimator is actually built over, so
-    // a later rebuild from disk sees the same clean evidence.
-    let (clean, audit) = sanitize_sample(&raw, &domain);
-    let (estimator, sample, prepared): (
-        Arc<dyn SelectivityEstimator + Send + Sync>,
-        Arc<[f64]>,
-        _,
-    ) = if config.kind == EstimatorKind::Uniform {
-        (Arc::new(UniformEstimator::new(domain)), clean.into(), None)
-    } else {
-        if clean.is_empty() {
-            return Err(EstimateError::EmptySample);
-        }
-        let col = Arc::new(PreparedColumn::prepare(&clean, domain));
-        // The prepared column retains the clean sample in draw order;
-        // share that allocation instead of keeping a copy.
-        let sample = col.values_arc();
-        (
-            Arc::from(try_build_estimator_from_prepared(&col, config.kind)?),
-            sample,
-            Some(col),
-        )
-    };
-    Ok((
-        ColumnStatistics {
-            relation: relation_name.into(),
-            column: column.name().into(),
-            estimator,
-            n_rows: column.len(),
-            sample_size: sample.len(),
-            kind: config.kind,
-            sample,
-            domain,
-            prepared,
-            incremental: None,
-        },
-        audit,
-    ))
+    let names = (relation_name.into(), column.name().into());
+    try_sample_statistics(names, config.kind, column.len(), column.domain(), &raw)
+}
+
+/// Build a batch entry over a raw sample, handing back the entry plus
+/// the sanitization audit.
+fn try_sample_statistics(
+    names: (Arc<str>, Arc<str>),
+    kind: EstimatorKind,
+    n_rows: usize,
+    domain: selest_core::Domain,
+    raw: &[f64],
+) -> Result<(ColumnStatistics, SampleAudit), EstimateError> {
+    let (estimator, prepared, audit) = try_build_sanitized(raw, domain, kind)?;
+    let stats = ColumnStatistics::new(names, kind, n_rows, domain, estimator, prepared, None);
+    Ok((stats, audit))
 }
 
 /// Per-column reservoir seed: decorrelates column reservoirs under one
@@ -449,32 +488,22 @@ fn incremental_seed(config_seed: u64, relation: &str, column: &str) -> u64 {
 /// few hundred summary entries, depth counts by rank difference — which is
 /// O(bins · log entries) instead of the O(n) scan a full re-ANALYZE pays.
 /// Every other kind builds from the reservoir snapshot in
-/// O(|reservoir| log |reservoir|). Construction panics and non-finite
-/// probes come back as typed errors, exactly as in
-/// [`try_build_estimator_from_prepared`].
+/// O(|reservoir| log |reservoir|). Both go through the one fault boundary
+/// and full-domain probe of every construction.
 fn try_build_incremental_estimator(
     snapshot: &Arc<PreparedColumn>,
     sketch: &GkSketch,
     kind: EstimatorKind,
-) -> Result<Arc<dyn SelectivityEstimator + Send + Sync>, EstimateError> {
+) -> Result<BoxedEstimator, EstimateError> {
     if kind != EstimatorKind::EquiDepth || sketch.is_empty() {
-        return Ok(Arc::from(try_build_estimator_from_prepared(
-            snapshot, kind,
-        )?));
+        return try_build_estimator_from_prepared(snapshot, kind);
     }
     let domain = snapshot.domain();
-    let k = NormalScaleBins.bins_prepared(snapshot);
-    let boundaries = sketch.equi_depth_boundaries(k, domain.lo(), domain.hi());
-    let n = sketch.len();
-    let (est, probe) = catch_fault(FaultStage::Build, move || {
-        let est = equi_depth_from_boundaries(boundaries, n, domain);
-        let probe = est.selectivity(&RangeQuery::new(domain.lo(), domain.hi()));
-        (est, probe)
-    })?;
-    if !probe.is_finite() {
-        return Err(EstimateError::NonFiniteEstimate { value: probe });
-    }
-    Ok(Arc::new(est))
+    try_probed(domain, || {
+        let k = NormalScaleBins.bins_prepared(snapshot);
+        let boundaries = sketch.equi_depth_boundaries(k, domain.lo(), domain.hi());
+        Box::new(equi_depth_from_boundaries(boundaries, sketch.len(), domain))
+    })
 }
 
 /// Fallible core of per-column incremental ANALYZE: sanitize the column,
@@ -502,30 +531,51 @@ fn try_incremental_statistics(
         sketch.try_insert(v)?;
     }
     let snapshot = incremental.snapshot();
-    let estimator = try_build_incremental_estimator(&snapshot, &sketch, config.kind)?;
-    let sample = snapshot.values_arc();
-    Ok((
-        ColumnStatistics {
-            relation: relation_name.into(),
-            column: column.name().into(),
-            estimator,
-            n_rows: column.len(),
-            sample_size: sample.len(),
-            kind: config.kind,
-            sample,
-            domain,
-            prepared: Some(snapshot),
-            incremental: Some(IncrementalState {
-                column: incremental,
-                sketch,
-                grid: CorrectionGrid::new(domain, DRIFT_BUCKETS, DRIFT_ALPHA),
-                updates_since_refresh: 0,
-                refreshes: 0,
-            }),
-        },
-        audit,
-    ))
+    let est = try_build_incremental_estimator(&snapshot, &sketch, config.kind)?;
+    let names = (relation_name.into(), column.name().into());
+    let state = IncrementalState::new(incremental, sketch, 0, 0);
+    let stats = ColumnStatistics::new(
+        names,
+        config.kind,
+        column.len(),
+        domain,
+        est,
+        Some(snapshot),
+        Some(state),
+    );
+    Ok((stats, audit))
 }
+
+/// Fallible core of checkpoint restore: validate and rebuild the
+/// reservoir and sketch, re-prepare the snapshot (deterministic — two
+/// restores of the same checkpoint are bit-identical), and rebuild the
+/// estimator.
+fn try_restored_statistics(cp: &SketchCheckpoint) -> Result<(ColumnStatistics, ()), EstimateError> {
+    let column = IncrementalColumn::from_parts(cp.column_state.clone())?;
+    let sketch = GkSketch::from_parts(cp.sketch.clone())?;
+    // `last_snapshot` keeps the pending counter intact: the restored
+    // estimator serves what the pre-crash estimator served, and the
+    // staleness sweep decides when to fold the pending updates in.
+    let snapshot = column.last_snapshot();
+    let est = try_build_incremental_estimator(&snapshot, &sketch, cp.kind)?;
+    let names = (cp.relation.as_str().into(), cp.column.as_str().into());
+    let (domain, n_rows) = (column.domain(), column.live_rows() as usize);
+    let state = IncrementalState::new(column, sketch, cp.updates_since_refresh, 0);
+    let stats = ColumnStatistics::new(
+        names,
+        cp.kind,
+        n_rows,
+        domain,
+        est,
+        Some(snapshot),
+        Some(state),
+    );
+    Ok((stats, ()))
+}
+
+/// Which per-column ANALYZE core a bulkheaded ANALYZE runs.
+type ColumnBuild =
+    fn(&str, &Column, &AnalyzeConfig) -> Result<(ColumnStatistics, SampleAudit), EstimateError>;
 
 impl StatisticsCatalog {
     /// Empty catalog.
@@ -533,44 +583,94 @@ impl StatisticsCatalog {
         Self::default()
     }
 
-    /// Fallible ANALYZE of one column: a missing column, a sample that
-    /// sanitizes to nothing, or a panicking constructor comes back as a
-    /// typed [`EstimateError`] (leaving any previous entry intact) instead
-    /// of crashing the serving process. Returns the sanitization audit on
-    /// success so callers can alert on poisoned inputs.
+    /// The one write step of every build path: install a built entry and
+    /// clear its quarantine record, or quarantine the failure. Hands back
+    /// what the build produced beside the entry, or the failure.
+    fn install<T>(
+        &mut self,
+        key: (String, String),
+        kind: EstimatorKind,
+        built: Result<(ColumnStatistics, T), EstimateError>,
+    ) -> Result<T, EstimateError> {
+        match built {
+            Ok((stats, extra)) => {
+                self.quarantine.remove(&key);
+                self.entries.insert(key, stats);
+                Ok(extra)
+            }
+            Err(error) => {
+                let failure = BuildFailure {
+                    kind,
+                    error: error.clone(),
+                };
+                self.quarantine.insert(key, failure);
+                Err(error)
+            }
+        }
+    }
+
+    /// Run `build` over the named columns of `relation` in the bulkhead
+    /// and install the results. A name the relation lacks fails as
+    /// [`EstimateError::UnknownColumn`].
+    fn analyze_columns(
+        &mut self,
+        relation: &Relation,
+        column_names: &[&str],
+        config: &AnalyzeConfig,
+        engine: &selest_par::TryConfig,
+        build: ColumnBuild,
+    ) -> Vec<Result<SampleAudit, EstimateError>> {
+        let columns: Vec<_> = column_names
+            .iter()
+            .map(|name| {
+                relation
+                    .column(name)
+                    .ok_or_else(|| EstimateError::UnknownColumn {
+                        relation: relation.name().to_owned(),
+                        column: (*name).to_owned(),
+                    })
+            })
+            .collect();
+        let outcome = selest_par::try_parallel_map(&columns, engine, |column| {
+            build(relation.name(), column.clone()?, config)
+        });
+        column_names
+            .iter()
+            .zip(columns)
+            .zip(outcome)
+            .map(|((name, column), slot)| {
+                let key = (relation.name().to_owned(), (*name).to_owned());
+                // A missing column fails as such even when the engine
+                // abandoned its task.
+                self.install(key, config.kind, column.and_then(|_| settle(slot)))
+            })
+            .collect()
+    }
+
+    /// ANALYZE one column. Returns the sanitization audit, so callers can
+    /// alert on poisoned inputs, or the typed failure it quarantined.
     pub fn try_analyze_column(
         &mut self,
         relation: &Relation,
         column_name: &str,
         config: &AnalyzeConfig,
     ) -> Result<SampleAudit, EstimateError> {
-        let column = relation
-            .column(column_name)
-            .ok_or_else(|| EstimateError::UnknownColumn {
-                relation: relation.name().to_owned(),
-                column: column_name.to_owned(),
-            })?;
-        let (stats, audit) = try_column_statistics(relation.name(), column, config)?;
-        let key = (relation.name().to_owned(), column_name.to_owned());
-        self.quarantine.remove(&key);
-        self.entries.insert(key, stats);
-        Ok(audit)
+        let engine = selest_par::TryConfig::jobs(1);
+        let mut outcome = self.analyze_columns(
+            relation,
+            &[column_name],
+            config,
+            &engine,
+            try_column_statistics,
+        );
+        outcome.pop().expect("one column, one outcome")
     }
 
     /// ANALYZE every column of a relation, replacing previous entries,
-    /// across [`selest_par::configured_jobs`] workers.
-    ///
-    /// Each column builds in a panic-isolated engine task, and a poisoned
-    /// column — degenerate sample, panicking constructor, even a panic
-    /// escaping the per-column containment — is quarantined with its
-    /// [`BuildFailure`] instead of aborting the batch. The surviving
-    /// columns form a servable partial catalog whose exported evidence is
-    /// byte-identical to what a fault-free ANALYZE of just those columns
-    /// would produce. Each column's sample draw and build is independent
-    /// (the reservoir seed is fixed by `config.seed`) and results land in
-    /// the relation's column order, so the catalog — every serialized
-    /// byte of its exported evidence included — is identical for any
-    /// worker count or `SELEST_JOBS` setting.
+    /// across [`selest_par::configured_jobs`] workers. Each column's
+    /// sample draw is fixed by `config.seed`, so the surviving columns of
+    /// a partly poisoned relation export byte-identically to a fault-free
+    /// ANALYZE of just those columns, for any `SELEST_JOBS` setting.
     pub fn try_analyze(
         &mut self,
         relation: &Relation,
@@ -616,62 +716,14 @@ impl StatisticsCatalog {
         config: &AnalyzeConfig,
         engine: &selest_par::TryConfig,
     ) -> CatalogHealthReport {
-        let columns: Vec<Option<&Column>> = column_names
-            .iter()
-            .map(|name| relation.column(name))
-            .collect();
-        let outcome = selest_par::try_parallel_map(&columns, engine, |column| match column {
-            Some(column) => try_column_statistics(relation.name(), column, config),
-            None => Err(EstimateError::EmptySample), // name resolved below
-        });
-        // Insertions and quarantine decisions happen in column order for
-        // every worker count.
-        for ((name, column), slot) in column_names.iter().zip(&columns).zip(outcome) {
-            let key = (relation.name().to_owned(), (*name).to_owned());
-            let error = match (column, slot) {
-                (None, _) => EstimateError::UnknownColumn {
-                    relation: relation.name().to_owned(),
-                    column: (*name).to_owned(),
-                },
-                (Some(_), Ok(Ok((stats, _audit)))) => {
-                    self.quarantine.remove(&key);
-                    self.entries.insert(key, stats);
-                    continue;
-                }
-                (Some(_), Ok(Err(build_error))) => build_error,
-                (Some(_), Err(task_error)) => task_error_to_estimate_error(task_error),
-            };
-            self.quarantine.insert(
-                key,
-                BuildFailure {
-                    kind: config.kind,
-                    error,
-                },
-            );
-        }
+        self.analyze_columns(
+            relation,
+            column_names,
+            config,
+            engine,
+            try_column_statistics,
+        );
         self.health()
-    }
-
-    /// Absorb every entry and quarantine record of `other`, replacing any
-    /// same-key records here. Shard-parallel rebuilds analyze disjoint
-    /// column subsets into per-shard catalogs and merge them — because the
-    /// subsets are disjoint and per-column builds are independent, the
-    /// merged catalog (and every byte of its exported evidence) is
-    /// identical to a single-catalog ANALYZE of the same columns,
-    /// regardless of shard count or merge order.
-    pub fn merge(&mut self, other: StatisticsCatalog) {
-        for (key, stats) in other.entries {
-            self.quarantine.remove(&key);
-            self.entries.insert(key, stats);
-        }
-        for (key, failure) in other.quarantine {
-            // A quarantine record never shadows a servable entry absorbed
-            // in the same merge sweep (disjoint shards cannot disagree;
-            // same-key merges keep the freshest verdict per map).
-            if !self.entries.contains_key(&key) {
-                self.quarantine.insert(key, failure);
-            }
-        }
     }
 
     /// Snapshot catalog health: servable entry count plus every column a
@@ -738,62 +790,27 @@ impl StatisticsCatalog {
     }
 
     /// Import persisted evidence, rebuilding each estimator
-    /// deterministically and replacing any existing entries. Rebuilds fan
-    /// out over [`selest_par::configured_jobs`] workers; the catalog ends
-    /// up identical for every worker count because each estimator depends
-    /// only on its own entry and insertions happen in entry order.
-    ///
-    /// Entries whose estimator cannot be rebuilt (degenerate evidence
-    /// that passed its checksum, a panicking constructor) are skipped,
-    /// quarantined in the health report, and reported as `(relation,
-    /// column, error)` instead of aborting the whole load: one bad entry
-    /// costs one column's statistics, not the catalog. Each rebuild runs
-    /// in a panic-isolated engine task (the bulkhead of
-    /// [`StatisticsCatalog::try_analyze`]), so even a panic escaping the
-    /// per-entry containment only loses that entry; failures are reported
-    /// in entry order regardless of worker count.
+    /// deterministically over [`selest_par::configured_jobs`] workers and
+    /// replacing any existing entries. An entry whose estimator cannot be
+    /// rebuilt (degenerate evidence that passed its checksum, a panicking
+    /// constructor) is quarantined and reported as `(relation, column,
+    /// error)`, in entry order: one bad entry costs one column's
+    /// statistics, not the catalog.
     pub fn try_import(
         &mut self,
         entries: Vec<crate::persist::PersistedStatistics>,
     ) -> Vec<(String, String, EstimateError)> {
         let engine = selest_par::TryConfig::jobs(selest_par::configured_jobs());
         let outcome = selest_par::try_parallel_map(&entries, &engine, |e| {
-            try_build_estimator_from_sample(&e.sample, e.domain, e.kind)
+            let names = (Arc::clone(&e.relation), Arc::clone(&e.column));
+            try_sample_statistics(names, e.kind, e.n_rows, e.domain, &e.sample)
         });
         let mut failures = Vec::new();
-        for (e, slot) in entries.into_iter().zip(outcome) {
+        for (e, slot) in entries.iter().zip(outcome) {
             let key = (e.relation.to_string(), e.column.to_string());
-            let err = match slot {
-                Ok(Ok((estimator, _audit))) => {
-                    self.quarantine.remove(&key);
-                    self.entries.insert(
-                        key,
-                        ColumnStatistics {
-                            estimator: Arc::from(estimator),
-                            n_rows: e.n_rows,
-                            sample_size: e.sample.len(),
-                            kind: e.kind,
-                            relation: e.relation,
-                            column: e.column,
-                            sample: e.sample,
-                            domain: e.domain,
-                            prepared: None,
-                            incremental: None,
-                        },
-                    );
-                    continue;
-                }
-                Ok(Err(err)) => err,
-                Err(task_error) => task_error_to_estimate_error(task_error),
-            };
-            self.quarantine.insert(
-                key.clone(),
-                BuildFailure {
-                    kind: e.kind,
-                    error: err.clone(),
-                },
-            );
-            failures.push((key.0, key.1, err));
+            if let Err(error) = self.install(key.clone(), e.kind, settle(slot)) {
+                failures.push((key.0, key.1, error));
+            }
         }
         failures
     }
@@ -822,95 +839,76 @@ impl StatisticsCatalog {
         config: &AnalyzeConfig,
         engine: &selest_par::TryConfig,
     ) -> CatalogHealthReport {
-        let columns: Vec<&Column> = relation.columns().iter().collect();
-        let outcome = selest_par::try_parallel_map(&columns, engine, |column| {
-            try_incremental_statistics(relation.name(), column, config)
-        });
-        for (column, slot) in columns.iter().zip(outcome) {
-            let key = (relation.name().to_owned(), column.name().to_owned());
-            let error = match slot {
-                Ok(Ok((stats, _audit))) => {
-                    self.quarantine.remove(&key);
-                    self.entries.insert(key, stats);
-                    continue;
-                }
-                Ok(Err(build_error)) => build_error,
-                Err(task_error) => task_error_to_estimate_error(task_error),
-            };
-            self.quarantine.insert(
-                key,
-                BuildFailure {
-                    kind: config.kind,
-                    error,
-                },
-            );
-        }
+        let names: Vec<&str> = relation.columns().iter().map(|c| c.name()).collect();
+        self.analyze_columns(relation, &names, config, engine, try_incremental_statistics);
         self.health()
     }
 
-    /// Route per-column update batches through the PR 5 bulkhead: each
-    /// delta validates and absorbs in an isolated engine task against a
-    /// copy of its column's incremental state, and only a fully-absorbed
-    /// batch is written back — a poisoned batch (NaN anywhere, missing
-    /// statistics, a panic in absorption) fails that column atomically
-    /// and leaves its state untouched. Estimators are *not* rebuilt here;
-    /// that is the [`StalenessPolicy`]'s call (see
-    /// [`StatisticsCatalog::try_refresh_stale`]).
+    /// Route per-column update batches through the bulkhead: each
+    /// column's deltas fold, in order, onto one copy of its incremental
+    /// state, and only a fully absorbed batch is written back — a poisoned
+    /// delta (NaN anywhere, missing statistics, a panic in absorption)
+    /// fails its whole column and leaves the state untouched. Columns
+    /// report in the order they first appear in `deltas`. Estimators are
+    /// *not* rebuilt here; that is [`StatisticsCatalog::try_refresh_stale`]'s
+    /// call.
     pub fn try_apply_updates(
         &mut self,
         relation: &str,
         deltas: &[ColumnDelta],
         engine: &selest_par::TryConfig,
     ) -> UpdateReport {
-        let work: Vec<(&ColumnDelta, Option<IncrementalState>)> = deltas
-            .iter()
-            .map(|d| {
-                let state = self
-                    .entries
-                    .get(&(relation.to_owned(), d.column.clone()))
-                    .and_then(|e| e.incremental.clone());
-                (d, state)
-            })
-            .collect();
-        let outcome = selest_par::try_parallel_map(&work, engine, |(delta, state)| {
-            let mut state = state
-                .clone()
+        let mut work: Vec<(&str, Vec<&ColumnDelta>)> = Vec::new();
+        for delta in deltas {
+            match work.iter_mut().find(|(column, _)| *column == delta.column) {
+                Some((_, batch)) => batch.push(delta),
+                None => work.push((&delta.column, vec![delta])),
+            }
+        }
+        let outcome = selest_par::try_parallel_map(&work, engine, |(column, batch)| {
+            let mut state = self
+                .entries
+                .get(&(relation.to_owned(), (*column).to_owned()))
+                .and_then(|e| e.incremental.clone())
                 .ok_or_else(|| EstimateError::MissingStatistics {
                     relation: relation.to_owned(),
-                    column: delta.column.clone(),
+                    column: (*column).to_owned(),
                 })?;
-            let audit = state.column.apply(&delta.inserts, &delta.deletes)?;
-            // The sketch summarizes the in-domain insert stream (the same
-            // values the reservoir may retain); deletes are tombstoned.
-            for &v in &delta.inserts {
-                if state.column.domain().contains(v) {
-                    state.sketch.try_insert(v)?;
+            let mut total = UpdateAudit::default();
+            for delta in batch {
+                let audit = state.column.apply(&delta.inserts, &delta.deletes)?;
+                // The sketch summarizes the in-domain insert stream (the
+                // same values the reservoir may retain); deletes are
+                // tombstoned.
+                for &v in &delta.inserts {
+                    if state.column.domain().contains(v) {
+                        state.sketch.try_insert(v)?;
+                    }
                 }
+                for _ in &delta.deletes {
+                    state.sketch.note_delete();
+                }
+                state.updates_since_refresh += (delta.inserts.len() + delta.deletes.len()) as u64;
+                total.inserted += audit.inserted;
+                total.out_of_domain += audit.out_of_domain;
+                total.deleted += audit.deleted;
             }
-            for _ in &delta.deletes {
-                state.sketch.note_delete();
-            }
-            state.updates_since_refresh += (delta.inserts.len() + delta.deletes.len()) as u64;
-            Ok((state, audit))
+            Ok((state, total))
         });
         let mut report = UpdateReport::default();
-        for (delta, slot) in deltas.iter().zip(outcome) {
-            match slot {
-                Ok(Ok((state, audit))) => {
-                    let key = (relation.to_owned(), delta.column.clone());
+        for ((column, _), slot) in work.iter().zip(outcome) {
+            match settle(slot) {
+                Ok((state, audit)) => {
+                    let key = (relation.to_owned(), (*column).to_owned());
                     let entry = self
                         .entries
                         .get_mut(&key)
                         .expect("absorbed state came from this entry");
                     entry.n_rows = state.column.live_rows() as usize;
                     entry.incremental = Some(state);
-                    report.applied.push((delta.column.clone(), audit));
+                    report.applied.push(((*column).to_owned(), audit));
                 }
-                Ok(Err(error)) => report.failed.push((delta.column.clone(), error)),
-                Err(task_error) => report.failed.push((
-                    delta.column.clone(),
-                    task_error_to_estimate_error(task_error),
-                )),
+                Err(error) => report.failed.push(((*column).to_owned(), error)),
             }
         }
         report
@@ -920,68 +918,45 @@ impl StatisticsCatalog {
     /// with incremental state on both sides *merge* — reservoirs combine
     /// to exactly the single-pass sample, GK summaries merge within the
     /// documented 2ε rank bound, tombstones add — and their estimators
-    /// rebuild through the bulkhead; disjoint or batch-only entries
-    /// replace wholesale as in [`StatisticsCatalog::merge`]. A merge
-    /// incompatibility (domain, reservoir capacity, or seed mismatch)
-    /// quarantines that column while the existing entry keeps serving.
+    /// rebuild through the bulkhead. Other entries replace wholesale (so
+    /// disjoint shard catalogs combine into exactly one catalog's
+    /// ANALYZE), and a part's quarantine records carry over, so the latest
+    /// verdict per column wins. A merge incompatibility (domain, reservoir
+    /// capacity, or seed mismatch) quarantines the column.
     pub fn try_merge_partitions(
         &mut self,
         parts: Vec<StatisticsCatalog>,
         engine: &selest_par::TryConfig,
     ) -> CatalogHealthReport {
-        enum Action {
-            Merged,
-            Failed,
-            Replace,
-        }
-        let mut touched: Vec<(String, String)> = Vec::new();
+        let mut touched = BTreeSet::new();
         for part in parts {
             for (key, stats) in part.entries {
-                let action = match (self.entries.get_mut(&key), stats.incremental.as_ref()) {
-                    (Some(existing), Some(theirs)) if existing.incremental.is_some() => {
-                        let mine = existing.incremental.as_mut().expect("checked");
-                        match mine.column.merge(&theirs.column) {
-                            Ok(()) => {
-                                mine.sketch.merge(&theirs.sketch);
-                                mine.updates_since_refresh +=
-                                    theirs.column.live_rows().max(1) + theirs.updates_since_refresh;
-                                Action::Merged
-                            }
-                            Err(error) => {
-                                self.quarantine.insert(
-                                    key.clone(),
-                                    BuildFailure {
-                                        kind: stats.kind,
-                                        error,
-                                    },
-                                );
-                                Action::Failed
-                            }
+                let kind = stats.kind;
+                let mine = self
+                    .entries
+                    .get_mut(&key)
+                    .and_then(|e| e.incremental.as_mut());
+                let built = match (mine, stats.incremental.as_ref()) {
+                    (Some(mine), Some(theirs)) => match mine.column.merge(&theirs.column) {
+                        Ok(()) => {
+                            mine.sketch.merge(&theirs.sketch);
+                            mine.updates_since_refresh +=
+                                theirs.column.live_rows().max(1) + theirs.updates_since_refresh;
+                            touched.insert(key);
+                            continue;
                         }
-                    }
-                    _ => Action::Replace,
+                        Err(error) => Err(error),
+                    },
+                    _ => Ok((stats, ())),
                 };
-                match action {
-                    Action::Merged => {
-                        if !touched.contains(&key) {
-                            touched.push(key);
-                        }
-                    }
-                    Action::Failed => {}
-                    Action::Replace => {
-                        self.quarantine.remove(&key);
-                        self.entries.insert(key, stats);
-                    }
-                }
+                // The outcome shows in the health report.
+                let _ = self.install(key, kind, built);
             }
-            for (key, failure) in part.quarantine {
-                if !self.entries.contains_key(&key) {
-                    self.quarantine.insert(key, failure);
-                }
-            }
+            // A part's failure record carries over even where an entry
+            // serves: that column's latest build failed.
+            self.quarantine.extend(part.quarantine);
         }
         // Merged columns re-snapshot and rebuild through the bulkhead.
-        touched.sort();
         let stale: Vec<_> = touched
             .into_iter()
             .map(|key| (key, StalenessReason::UpdateVolume))
@@ -1034,69 +1009,43 @@ impl StatisticsCatalog {
         stale: Vec<((String, String), StalenessReason)>,
         engine: &selest_par::TryConfig,
     ) -> RefreshReport {
-        let mut report = RefreshReport::default();
-        if stale.is_empty() {
-            return report;
-        }
         // Snapshots are cheap (reservoir-sized) and mutate the writer
         // state, so they run serially; the estimator builds fan out.
-        type WorkItem = (
-            (String, String),
-            StalenessReason,
-            Arc<PreparedColumn>,
-            GkSketch,
-            EstimatorKind,
-        );
-        let mut work: Vec<WorkItem> = Vec::with_capacity(stale.len());
-        for (key, reason) in stale {
-            let entry = self
-                .entries
-                .get_mut(&key)
-                .expect("stale keys come from entries");
-            let kind = entry.kind;
-            let state = entry
-                .incremental
-                .as_mut()
-                .expect("stale columns are incremental");
-            let snapshot = state.column.snapshot();
-            work.push((key, reason, snapshot, state.sketch.clone(), kind));
-        }
-        let outcome =
-            selest_par::try_parallel_map(&work, engine, |(_, _, snapshot, sketch, kind)| {
-                try_build_incremental_estimator(snapshot, sketch, *kind)
-            });
-        for ((key, reason, snapshot, _, kind), slot) in work.into_iter().zip(outcome) {
-            let error = match slot {
-                Ok(Ok(estimator)) => {
-                    let entry = self.entries.get_mut(&key).expect("refreshed entry exists");
-                    entry.estimator = estimator;
-                    entry.sample = snapshot.values_arc();
-                    entry.sample_size = snapshot.len();
-                    entry.prepared = Some(snapshot);
-                    let domain = entry.domain;
-                    let state = entry.incremental.as_mut().expect("incremental");
-                    entry.n_rows = state.column.live_rows() as usize;
-                    state.updates_since_refresh = 0;
-                    state.refreshes += 1;
-                    // Corrections were learned against the replaced
-                    // estimator; they do not transfer (same contract as
-                    // durable publish resetting the feedback journal).
-                    state.grid = CorrectionGrid::new(domain, DRIFT_BUCKETS, DRIFT_ALPHA);
-                    self.quarantine.remove(&key);
-                    report.refreshed.push((key.0, key.1, reason));
-                    continue;
-                }
-                Ok(Err(error)) => error,
-                Err(task_error) => task_error_to_estimate_error(task_error),
-            };
-            self.quarantine.insert(
-                key.clone(),
-                BuildFailure {
+        let work: Vec<_> = stale
+            .iter()
+            .map(|(key, _)| {
+                let entry = self.entries.get_mut(key).expect("stale keys are entries");
+                let state = entry.incremental.as_mut().expect("stale are incremental");
+                (state.column.snapshot(), state.sketch.clone(), entry.kind)
+            })
+            .collect();
+        let outcome = selest_par::try_parallel_map(&work, engine, |(snapshot, sketch, kind)| {
+            try_build_incremental_estimator(snapshot, sketch, *kind)
+        });
+        let mut report = RefreshReport::default();
+        for (((key, reason), (snapshot, _, kind)), slot) in stale.into_iter().zip(work).zip(outcome)
+        {
+            let entry = self.entries.get_mut(&key).expect("stale keys are entries");
+            let built = settle(slot).map(|est| {
+                let names = (Arc::clone(&entry.relation), Arc::clone(&entry.column));
+                let old = entry.incremental.take().expect("stale are incremental");
+                let n_rows = old.column.live_rows() as usize;
+                let state = IncrementalState::new(old.column, old.sketch, 0, old.refreshes + 1);
+                let stats = ColumnStatistics::new(
+                    names,
                     kind,
-                    error: error.clone(),
-                },
-            );
-            report.failed.push((key.0, key.1, error));
+                    n_rows,
+                    entry.domain,
+                    est,
+                    Some(snapshot),
+                    Some(state),
+                );
+                (stats, ())
+            });
+            match self.install(key.clone(), kind, built) {
+                Ok(()) => report.refreshed.push((key.0, key.1, reason)),
+                Err(error) => report.failed.push((key.0, key.1, error)),
+            }
         }
         report
     }
@@ -1157,50 +1106,21 @@ impl StatisticsCatalog {
         out
     }
 
-    /// Restore one incremental column from a journaled checkpoint:
-    /// validate and rebuild the reservoir and sketch, re-prepare the
-    /// snapshot (deterministic — two restores of the same checkpoint are
-    /// bit-identical), rebuild the estimator, and install the entry.
-    /// Pending update pressure is preserved so the staleness policy still
-    /// sees pre-crash debt; the feedback grid restarts empty (corrections
-    /// are generation-scoped, as in durable recovery).
+    /// Restore one incremental column from a journaled checkpoint; one
+    /// that cannot be restored is quarantined. Pending update pressure is
+    /// preserved; the feedback grid restarts empty (the journaled grids of
+    /// [`crate::durable::FeedbackState`] are not read back).
     pub fn try_restore_incremental(
         &mut self,
         checkpoint: &SketchCheckpoint,
     ) -> Result<(), EstimateError> {
-        let column = IncrementalColumn::from_parts(checkpoint.column_state.clone())?;
-        let sketch = GkSketch::from_parts(checkpoint.sketch.clone())?;
-        // `last_snapshot` keeps the pending counter intact: the restored
-        // estimator serves what the pre-crash estimator served, and the
-        // staleness sweep decides when to fold the pending updates in.
-        let snapshot = column.last_snapshot();
-        let estimator = try_build_incremental_estimator(&snapshot, &sketch, checkpoint.kind)?;
-        let domain = column.domain();
-        let sample = snapshot.values_arc();
+        let engine = selest_par::TryConfig::jobs(1);
+        let checkpoints = std::slice::from_ref(checkpoint);
+        let slot = selest_par::try_parallel_map(checkpoints, &engine, try_restored_statistics)
+            .pop()
+            .expect("one checkpoint, one outcome");
         let key = (checkpoint.relation.clone(), checkpoint.column.clone());
-        self.quarantine.remove(&key);
-        self.entries.insert(
-            key,
-            ColumnStatistics {
-                relation: checkpoint.relation.as_str().into(),
-                column: checkpoint.column.as_str().into(),
-                estimator,
-                n_rows: column.live_rows() as usize,
-                sample_size: sample.len(),
-                kind: checkpoint.kind,
-                sample,
-                domain,
-                prepared: Some(snapshot),
-                incremental: Some(IncrementalState {
-                    column,
-                    sketch,
-                    grid: CorrectionGrid::new(domain, DRIFT_BUCKETS, DRIFT_ALPHA),
-                    updates_since_refresh: checkpoint.updates_since_refresh,
-                    refreshes: 0,
-                }),
-            },
-        );
-        Ok(())
+        self.install(key, checkpoint.kind, settle(slot))
     }
 }
 
@@ -1222,7 +1142,6 @@ pub struct SketchCheckpoint {
     /// time — preserved across restore so staleness pressure survives.
     pub updates_since_refresh: u64,
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1383,19 +1302,19 @@ mod tests {
     fn try_build_surfaces_empty_and_poisoned_samples() {
         let d = Domain::new(0.0, 100.0);
         assert_eq!(
-            try_build_estimator_from_sample(&[], d, EstimatorKind::Kernel).err(),
+            try_build_sanitized(&[], d, EstimatorKind::Kernel).err(),
             Some(EstimateError::EmptySample)
         );
         // Entirely poisoned: sanitizes to nothing.
         let bad = [f64::NAN, f64::INFINITY, -7.0, 1e9];
         assert_eq!(
-            try_build_estimator_from_sample(&bad, d, EstimatorKind::MaxDiff).err(),
+            try_build_sanitized(&bad, d, EstimatorKind::MaxDiff).err(),
             Some(EstimateError::EmptySample)
         );
         // Partially poisoned: builds over the clean remainder and says so.
         let mixed = [10.0, f64::NAN, 20.0, 1e9, 30.0];
-        let (est, audit) =
-            try_build_estimator_from_sample(&mixed, d, EstimatorKind::Sampling).expect("builds");
+        let (est, _, audit) =
+            try_build_sanitized(&mixed, d, EstimatorKind::Sampling).expect("builds");
         assert_eq!(audit.kept, 3);
         assert_eq!(audit.non_finite, 1);
         assert_eq!(audit.out_of_domain, 1);
@@ -1836,5 +1755,253 @@ mod tests {
         resumed.try_restore_incremental(&cps[0]).expect("restore 2");
         let signals = resumed.staleness_signals();
         assert_eq!(signals[0].2.pending_updates, 102);
+    }
+
+    #[test]
+    fn deltas_naming_one_column_fold_in_order() {
+        let mut cat = incremental_catalog(EstimatorKind::EquiDepth, 1_000);
+        let delta = |inserts: Vec<f64>| ColumnDelta {
+            column: "v".into(),
+            inserts,
+            deletes: vec![],
+        };
+        let batch = [
+            delta((1_000..1_040).map(golden).collect()),
+            delta((1_040..1_042).map(golden).collect()),
+        ];
+        let report = cat.try_apply_updates("inc", &batch, &selest_par::TryConfig::jobs(1));
+        let st = cat.statistics("inc", "v").unwrap();
+        let state = st.incremental.as_ref().unwrap();
+        assert_eq!(state.column.live_rows(), 1_042, "both deltas absorbed");
+        assert_eq!(state.sketch.len(), 1_042);
+        assert_eq!(state.updates_since_refresh, 42);
+        assert_eq!(st.n_rows, 1_042);
+        assert!(report.is_clean());
+        assert_eq!(report.applied.len(), 1, "one column, one report line");
+        assert_eq!(report.applied[0].1.inserted, 42);
+        // All or nothing per column: a poisoned delta rejects the
+        // column's earlier deltas of the same call too.
+        let batch = [delta(vec![1.0, 2.0]), delta(vec![f64::NAN])];
+        let report = cat.try_apply_updates("inc", &batch, &selest_par::TryConfig::jobs(1));
+        assert!(report.applied.is_empty());
+        assert_eq!(report.failed.len(), 1);
+        let state = cat.statistics("inc", "v").unwrap().incremental.as_ref();
+        assert_eq!(state.unwrap().column.live_rows(), 1_042);
+    }
+
+    /// One write path, one failure rule: every way a column enters the
+    /// catalog records exactly one typed quarantine record for a failed
+    /// build, leaves an earlier entry serving, and clears the record on
+    /// the next success.
+    #[test]
+    fn every_write_path_quarantines_a_failed_build_the_same_way() {
+        use selest_par::{Deadline, TryConfig};
+        type Step = fn(&mut StatisticsCatalog);
+        struct Path {
+            name: &'static str,
+            /// The earlier entry the failed build must leave serving.
+            before: Step,
+            fail: Step,
+            heal: Step,
+            error: fn(&EstimateError) -> bool,
+        }
+        const EW: EstimatorKind = EstimatorKind::EquiWidth;
+        fn ew() -> AnalyzeConfig {
+            AnalyzeConfig {
+                kind: EW,
+                ..Default::default()
+            }
+        }
+        // A constant column breaks the normal-scale bin rule (a caught
+        // build panic); `golden` rows build.
+        fn constant() -> Relation {
+            let mut r = Relation::new("t");
+            let d = Domain::new(0.0, 1_000.0);
+            r.add_column(Column::new("v", d, vec![500.0; 2_000]));
+            r
+        }
+        fn good() -> Relation {
+            incremental_relation("t", 0..2_000)
+        }
+        fn persisted(sample: Vec<f64>) -> crate::persist::PersistedStatistics {
+            crate::persist::PersistedStatistics {
+                relation: "t".into(),
+                column: "v".into(),
+                kind: EW,
+                n_rows: 2_000,
+                domain: Domain::new(0.0, 1_000.0),
+                sample: sample.into(),
+            }
+        }
+        fn incremental_part(range: std::ops::Range<usize>, seed: u64) -> StatisticsCatalog {
+            let mut part = StatisticsCatalog::new();
+            let r = incremental_relation("t", range);
+            let cfg = AnalyzeConfig { seed, ..ew() };
+            part.try_analyze_incremental(&r, &cfg, &TryConfig::jobs(1));
+            part
+        }
+        fn batch_part(relation: &Relation) -> StatisticsCatalog {
+            let mut part = StatisticsCatalog::new();
+            part.try_analyze_jobs(relation, &ew(), 1);
+            part
+        }
+        fn checkpoint() -> SketchCheckpoint {
+            let part = incremental_part(0..2_000, ew().seed);
+            part.incremental_checkpoints().remove(0)
+        }
+        fn refresh(cat: &mut StatisticsCatalog, engine: &TryConfig) {
+            let policy = StalenessPolicy {
+                max_updates: 1,
+                min_updates: 1,
+                ..Default::default()
+            };
+            cat.try_refresh_stale(&policy, engine);
+        }
+        fn expired() -> TryConfig {
+            TryConfig::jobs(1).with_deadline(Deadline::already_expired())
+        }
+        let panicked = |e: &EstimateError| {
+            matches!(
+                e,
+                EstimateError::Panicked {
+                    stage: FaultStage::Build,
+                    ..
+                }
+            )
+        };
+        let paths = [
+            Path {
+                name: "batch ANALYZE",
+                before: |cat| drop(cat.try_analyze_jobs(&good(), &ew(), 2)),
+                fail: |cat| drop(cat.try_analyze_jobs(&constant(), &ew(), 2)),
+                heal: |cat| drop(cat.try_analyze_jobs(&good(), &ew(), 2)),
+                error: panicked,
+            },
+            Path {
+                name: "single-column ANALYZE",
+                before: |cat| drop(cat.try_analyze_column(&good(), "v", &ew())),
+                fail: |cat| drop(cat.try_analyze_column(&constant(), "v", &ew())),
+                heal: |cat| drop(cat.try_analyze_column(&good(), "v", &ew())),
+                error: panicked,
+            },
+            Path {
+                name: "incremental ANALYZE",
+                before: |cat| {
+                    drop(cat.try_analyze_incremental(&good(), &ew(), &TryConfig::jobs(2)))
+                },
+                fail: |cat| {
+                    drop(cat.try_analyze_incremental(&constant(), &ew(), &TryConfig::jobs(2)))
+                },
+                heal: |cat| drop(cat.try_analyze_incremental(&good(), &ew(), &TryConfig::jobs(2))),
+                error: panicked,
+            },
+            Path {
+                name: "import",
+                before: |cat| drop(cat.try_import(vec![persisted((0..50).map(golden).collect())])),
+                fail: |cat| drop(cat.try_import(vec![persisted(vec![500.0; 50])])),
+                heal: |cat| drop(cat.try_import(vec![persisted((0..50).map(golden).collect())])),
+                error: panicked,
+            },
+            Path {
+                name: "staleness refresh",
+                before: |cat| {
+                    *cat = incremental_part(0..2_000, ew().seed);
+                    let delta = ColumnDelta {
+                        column: "v".into(),
+                        inserts: (2_000..2_100).map(golden).collect(),
+                        deletes: vec![],
+                    };
+                    cat.try_apply_updates("t", &[delta], &TryConfig::jobs(1));
+                },
+                fail: |cat| refresh(cat, &expired()),
+                heal: |cat| refresh(cat, &TryConfig::jobs(1)),
+                error: |e| matches!(e, EstimateError::TaskAbandoned { .. }),
+            },
+            Path {
+                name: "partition merge",
+                before: |cat| *cat = incremental_part(0..1_000, ew().seed),
+                // A part under another seed cannot merge.
+                fail: |cat| {
+                    drop(cat.try_merge_partitions(
+                        vec![incremental_part(1_000..2_000, 99)],
+                        &TryConfig::jobs(1),
+                    ))
+                },
+                heal: |cat| {
+                    drop(cat.try_merge_partitions(
+                        vec![incremental_part(1_000..2_000, ew().seed)],
+                        &TryConfig::jobs(1),
+                    ))
+                },
+                error: |e| matches!(e, EstimateError::CorruptEntry { .. }),
+            },
+            Path {
+                // What a shard-parallel rebuild does: absorb batch-built
+                // parts.
+                name: "shard merge",
+                before: |cat| {
+                    drop(cat.try_merge_partitions(vec![batch_part(&good())], &TryConfig::jobs(1)))
+                },
+                fail: |cat| {
+                    drop(
+                        cat.try_merge_partitions(
+                            vec![batch_part(&constant())],
+                            &TryConfig::jobs(1),
+                        ),
+                    )
+                },
+                heal: |cat| {
+                    drop(cat.try_merge_partitions(vec![batch_part(&good())], &TryConfig::jobs(1)))
+                },
+                error: panicked,
+            },
+            Path {
+                name: "checkpoint restore",
+                before: |cat| drop(cat.try_restore_incremental(&checkpoint())),
+                fail: |cat| {
+                    let mut broken = checkpoint();
+                    broken.column_state.reservoir.slots.clear();
+                    drop(cat.try_restore_incremental(&broken));
+                },
+                heal: |cat| drop(cat.try_restore_incremental(&checkpoint())),
+                error: |e| *e == EstimateError::EmptySample,
+            },
+        ];
+        for path in &paths {
+            let mut cat = StatisticsCatalog::new();
+            (path.before)(&mut cat);
+            assert!(cat.statistics("t", "v").is_some(), "{}", path.name);
+            assert!(cat.health().is_healthy(), "{}", path.name);
+            let serving = |cat: &StatisticsCatalog| {
+                cat.statistics("t", "v").map(|st| {
+                    let q = RangeQuery::new(100.0, 400.0);
+                    (st.kind, st.n_rows, st.estimator.selectivity(&q).to_bits())
+                })
+            };
+            let previous = serving(&cat);
+            (path.fail)(&mut cat);
+            let health = cat.health();
+            assert_eq!(health.quarantined.len(), 1, "{}: {health:?}", path.name);
+            let record = &health.quarantined[0];
+            assert_eq!(
+                (record.relation.as_str(), record.column.as_str()),
+                ("t", "v")
+            );
+            assert_eq!(record.failure.kind, EW, "{}", path.name);
+            assert!(
+                (path.error)(&record.failure.error),
+                "{}: {record:?}",
+                path.name
+            );
+            assert_eq!(
+                serving(&cat),
+                previous,
+                "{}: the earlier entry serves",
+                path.name
+            );
+            (path.heal)(&mut cat);
+            assert!(cat.health().is_healthy(), "{}: success clears", path.name);
+            assert!(cat.statistics("t", "v").is_some(), "{}", path.name);
+        }
     }
 }

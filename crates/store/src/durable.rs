@@ -6,9 +6,12 @@
 //! the catalog in a directory of **immutable, numbered generations** with
 //! a checksummed `MANIFEST` naming the active one, plus an append-only
 //! **feedback journal** recording what happened *between* snapshots —
-//! `CorrectionGrid` observations, drift-monitor alarms, and online-scan
-//! checkpoints — so learned corrections survive restarts instead of being
-//! relearned from scratch:
+//! `CorrectionGrid` observations, drift-monitor alarms, online-scan and
+//! incremental-sketch checkpoints. A restart reads back the scan and
+//! sketch checkpoints ([`DurableStore::restore_incremental`]), but not the
+//! folded grids and alarm counters: [`FeedbackState::grid`] and
+//! [`FeedbackState::alarm`] have no caller, so learned corrections are
+//! relearned after a restart:
 //!
 //! ```text
 //! store/

@@ -28,10 +28,10 @@ pub mod serving;
 pub mod staleness;
 
 pub use catalog::{
-    build_estimator_from_prepared, try_build_estimator_from_prepared,
-    try_build_estimator_from_sample, AnalyzeConfig, BuildFailure, CatalogHealthReport, ColumnDelta,
-    ColumnStatistics, EstimatorKind, IncrementalState, QuarantinedColumn, RefreshReport,
-    SketchCheckpoint, StatisticsCatalog, UpdateReport, SKETCH_EPSILON,
+    build_estimator_from_prepared, try_build_estimator_from_prepared, AnalyzeConfig, BuildFailure,
+    CatalogHealthReport, ColumnDelta, ColumnStatistics, EstimatorKind, IncrementalState,
+    QuarantinedColumn, RefreshReport, SketchCheckpoint, StatisticsCatalog, UpdateReport,
+    SKETCH_EPSILON,
 };
 pub use conjunctive::{CorrelationModel, PairStatistics};
 pub use durable::{

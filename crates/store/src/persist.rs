@@ -27,7 +27,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use selest_core::fault::EstimateError;
-use selest_core::{Domain, SelectivityEstimator};
+use selest_core::Domain;
 
 use crate::catalog::EstimatorKind;
 
@@ -52,17 +52,6 @@ pub struct PersistedStatistics {
     pub domain: Domain,
     /// The retained sample.
     pub sample: Arc<[f64]>,
-}
-
-impl PersistedStatistics {
-    /// Rebuild the estimator from the persisted evidence: sanitizes the
-    /// sample and converts construction failures into typed errors.
-    pub fn try_rebuild(
-        &self,
-    ) -> Result<Box<dyn SelectivityEstimator + Send + Sync>, EstimateError> {
-        crate::catalog::try_build_estimator_from_sample(&self.sample, self.domain, self.kind)
-            .map(|(est, _audit)| est)
-    }
 }
 
 /// The checksum of every file the store writes. It is FNV-1a with the
@@ -416,7 +405,23 @@ pub fn decode(text: &str) -> Result<Vec<PersistedStatistics>, EstimateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selest_core::RangeQuery;
+    use selest_core::{RangeQuery, SelectivityEstimator};
+
+    /// Rebuild an entry's estimator the way the store does: by import.
+    fn rebuild(
+        e: &PersistedStatistics,
+    ) -> Result<Arc<dyn SelectivityEstimator + Send + Sync>, EstimateError> {
+        let mut catalog = crate::catalog::StatisticsCatalog::new();
+        match catalog.try_import(vec![e.clone()]).pop() {
+            Some((_, _, error)) => Err(error),
+            None => Ok(Arc::clone(
+                &catalog
+                    .statistics(&e.relation, &e.column)
+                    .unwrap()
+                    .estimator,
+            )),
+        }
+    }
 
     fn entry() -> PersistedStatistics {
         PersistedStatistics {
@@ -518,8 +523,8 @@ mod tests {
         let e = entry();
         let text = encode(std::slice::from_ref(&e));
         let back = decode(&text).expect("decode");
-        let est_a = e.try_rebuild().expect("clean evidence rebuilds");
-        let est_b = back[0].try_rebuild().expect("clean evidence rebuilds");
+        let est_a = rebuild(&e).expect("clean evidence rebuilds");
+        let est_b = rebuild(&back[0]).expect("clean evidence rebuilds");
         for (a, b) in [(0.0, 100.0), (250.0, 600.0), (990.0, 1_000.0)] {
             let q = RangeQuery::new(a, b);
             assert_eq!(est_a.selectivity(&q), est_b.selectivity(&q), "[{a},{b}]");
@@ -530,7 +535,7 @@ mod tests {
     fn rebuild_reproduces_the_original_estimator() {
         // Persist -> rebuild must equal building directly from the sample.
         let e = entry();
-        let rebuilt = e.try_rebuild().expect("clean evidence rebuilds");
+        let rebuilt = rebuild(&e).expect("clean evidence rebuilds");
         let direct = selest_histogram::equi_width(
             &e.sample,
             e.domain,
@@ -548,11 +553,11 @@ mod tests {
     fn try_rebuild_survives_degenerate_evidence() {
         let mut e = entry();
         e.sample = vec![f64::NAN, f64::INFINITY].into();
-        assert_eq!(e.try_rebuild().err(), Some(EstimateError::EmptySample));
+        assert_eq!(rebuild(&e).err(), Some(EstimateError::EmptySample));
         // A zero-variance sample breaks the normal-scale bin rule; the
         // construction panic must come back as a typed error, not unwind.
         e.sample = vec![500.0; 10].into();
-        match e.try_rebuild() {
+        match rebuild(&e) {
             Err(EstimateError::Panicked { stage, message }) => {
                 assert_eq!(stage, selest_core::fault::FaultStage::Build);
                 assert!(message.contains("constant"), "{message:?}");
@@ -562,7 +567,7 @@ mod tests {
         // The sampling kind digests the same evidence fine — a rebuild
         // under a cheaper kind is the way back to real statistics.
         e.kind = EstimatorKind::Sampling;
-        assert!(e.try_rebuild().is_ok());
+        assert!(rebuild(&e).is_ok());
     }
 
     #[test]

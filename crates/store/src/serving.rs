@@ -75,16 +75,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use selest_core::fault::{catch_fault, EstimateError, FaultStage};
+use selest_core::fault::{catch_fault, sanitize_sample, EstimateError, FaultStage};
 use selest_core::{
     BatchScratch, Domain, PreparedColumn, RangeQuery, SelectivityEstimator, UniformEstimator,
 };
 use selest_par::{shard_for, try_parallel_map, Deadline, TryConfig};
 
 use crate::catalog::{
-    try_build_estimator_from_prepared, try_build_estimator_from_sample, AnalyzeConfig,
-    CatalogHealthReport, ColumnStatistics, EstimatorKind, QuarantinedColumn, RefreshReport,
-    StatisticsCatalog,
+    try_build_estimator_from_prepared, AnalyzeConfig, CatalogHealthReport, ColumnStatistics,
+    EstimatorKind, QuarantinedColumn, RefreshReport, StatisticsCatalog,
 };
 use crate::durable::DurableStore;
 use crate::overload::{
@@ -123,7 +122,6 @@ pub struct ServingColumn {
 fn degradation_rungs(
     kind: EstimatorKind,
     domain: Domain,
-    sample: &[f64],
     prepared: Option<&Arc<PreparedColumn>>,
 ) -> (
     Option<Arc<dyn SelectivityEstimator + Send + Sync>>,
@@ -139,20 +137,12 @@ fn degradation_rungs(
             | EstimatorKind::EquiDepth
             | EstimatorKind::MaxDiff
     );
-    if cheap {
-        return (None, floor);
-    }
-    let built = match prepared {
-        Some(col) => try_build_estimator_from_prepared(col, EstimatorKind::EquiDepth)
-            .or_else(|_| try_build_estimator_from_prepared(col, EstimatorKind::Sampling)),
-        None => try_build_estimator_from_sample(sample, domain, EstimatorKind::EquiDepth)
-            .map(|(est, _)| est)
-            .or_else(|_| {
-                try_build_estimator_from_sample(sample, domain, EstimatorKind::Sampling)
-                    .map(|(est, _)| est)
-            }),
-    };
-    (built.ok().map(Arc::from), floor)
+    let brownout = prepared.filter(|_| !cheap).and_then(|col| {
+        try_build_estimator_from_prepared(col, EstimatorKind::EquiDepth)
+            .or_else(|_| try_build_estimator_from_prepared(col, EstimatorKind::Sampling))
+            .ok()
+    });
+    (brownout.map(Arc::from), floor)
 }
 
 /// The construction-time breaker of a snapshot column. The engine
@@ -172,8 +162,8 @@ impl ServingColumn {
     /// Assemble a servable column directly — the test/chaos entry point
     /// for snapshots built without a [`StatisticsCatalog`] (see
     /// [`CatalogSnapshot::from_columns`]). The brownout rung and uniform
-    /// floor are derived from `kind` and `sample` exactly as the catalog
-    /// paths derive them.
+    /// floor are derived from `kind` and the sanitized, prepared `sample`
+    /// exactly as the catalog paths derive them.
     pub fn new(
         relation: &str,
         column: &str,
@@ -183,8 +173,19 @@ impl ServingColumn {
         domain: Domain,
         sample: Arc<[f64]>,
     ) -> Self {
+        let (clean, _) = sanitize_sample(&sample, &domain);
+        let prepared =
+            (!clean.is_empty()).then(|| Arc::new(PreparedColumn::prepare(&clean, domain)));
         let names = (relation.into(), column.into());
-        Self::assemble(names, Some(estimator), n_rows, kind, domain, sample, None)
+        Self::assemble(
+            names,
+            Some(estimator),
+            n_rows,
+            kind,
+            domain,
+            sample,
+            prepared.as_ref(),
+        )
     }
 
     /// Serve a catalog entry, sharing its names, estimator and evidence.
@@ -213,7 +214,7 @@ impl ServingColumn {
         sample: Arc<[f64]>,
         prepared: Option<&Arc<PreparedColumn>>,
     ) -> Self {
-        let (brownout, floor) = degradation_rungs(kind, domain, &sample, prepared);
+        let (brownout, floor) = degradation_rungs(kind, domain, prepared);
         ServingColumn {
             relation,
             column,
@@ -353,7 +354,9 @@ impl CatalogSnapshot {
         let quarantined = catalog.health().quarantined;
         if let Some(r) = relation {
             for q in quarantined.iter().filter(|q| q.relation == r.name()) {
-                if let Some(c) = r.column(&q.column) {
+                // A failed re-ANALYZE keeps serving the earlier entry.
+                let entry = catalog.statistics(&q.relation, &q.column);
+                if let (Some(c), None) = (r.column(&q.column), entry) {
                     columns.push(ServingColumn::assemble(
                         (q.relation.as_str().into(), q.column.as_str().into()),
                         None,
@@ -1025,10 +1028,11 @@ impl ServingEngine {
     /// Background rebuild: shard `relation`'s columns ([`shard_for`]
     /// assignment — deterministic, no coordination), run the bulkheaded
     /// ANALYZE of each shard's columns on a scoped worker of its own,
-    /// merge the per-shard catalogs (shards partition the columns, so the
-    /// merged catalog is bit-identical to a sequential ANALYZE for every
-    /// shard count), degrade quarantined columns to their uniform floor,
-    /// and publish atomically.
+    /// absorb the per-shard catalogs with
+    /// [`StatisticsCatalog::try_merge_partitions`] (shards partition the
+    /// columns, so the result is bit-identical to a sequential ANALYZE for
+    /// every shard count), degrade quarantined columns to their uniform
+    /// floor, and publish atomically.
     ///
     /// `engine`'s deadline applies to each shard's per-column builds, not
     /// to the shard fan-out: every shard runs, and columns the deadline
@@ -1064,19 +1068,21 @@ impl ServingEngine {
             cat.try_analyze_columns_with(relation, names, config, &per_shard);
             cat
         });
-        let mut merged = StatisticsCatalog::new();
+        let mut parts = Vec::new();
         let mut failed_shards = Vec::new();
         for ((shard, _), slot) in items.iter().zip(results) {
             let state = &self.shard_states[*shard];
             state.rebuild_jobs.fetch_add(1, Ordering::Relaxed);
             match slot {
-                Ok(cat) => merged.merge(cat),
+                Ok(cat) => parts.push(cat),
                 Err(e) => {
                     state.rebuild_panics.fetch_add(1, Ordering::Relaxed);
                     failed_shards.push((*shard, e.to_string()));
                 }
             }
         }
+        let mut merged = StatisticsCatalog::new();
+        merged.try_merge_partitions(parts, engine);
         let snapshot = CatalogSnapshot::from_catalog_for(relation, merged, 0);
         let health = snapshot.health();
         let generation = self.publish_snapshot(snapshot);
@@ -1830,6 +1836,31 @@ mod tests {
         );
         let plain = CatalogSnapshot::from_catalog(cat, 0);
         assert!(plain.find("mixed", "poisoned").is_none());
+    }
+
+    #[test]
+    fn a_failed_reanalyze_keeps_serving_the_earlier_entry_once() {
+        let d = Domain::new(0.0, 100.0);
+        let mut r = Relation::new("t");
+        let values: Vec<f64> = (0..500).map(|i| (i as f64 + 0.5) / 5.0).collect();
+        r.add_column(Column::new("v", d, values));
+        let mut cat = StatisticsCatalog::new();
+        let cfg = AnalyzeConfig {
+            kind: EstimatorKind::EquiDepth,
+            ..Default::default()
+        };
+        assert!(cat.try_analyze(&r, &cfg).is_healthy());
+        let failed = AnalyzeConfig {
+            sample_size: 0,
+            ..cfg
+        };
+        assert_eq!(cat.try_analyze(&r, &failed).quarantined.len(), 1);
+        let snap = CatalogSnapshot::from_catalog_for(&r, cat, 1);
+        assert_eq!(snap.len(), 1, "one column, one serving entry");
+        let (_, col) = snap.find("t", "v").expect("served");
+        assert_eq!(col.kind(), EstimatorKind::EquiDepth);
+        assert!(!col.quarantined());
+        assert_eq!(snap.health().quarantined.len(), 1);
     }
 
     #[test]
