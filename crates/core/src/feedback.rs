@@ -26,8 +26,8 @@ use crate::traits::SelectivityEstimator;
 const MIN_BASE_SELECTIVITY: f64 = 1e-9;
 
 /// Per-bucket multiplicative corrections over a domain — the learning core
-/// shared by [`FeedbackEstimator`] and the store's per-column drift
-/// monitors (the catalog's feedback grids and the durable store's journal).
+/// shared by [`FeedbackEstimator`] and the store catalog's per-column drift
+/// monitors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrectionGrid {
     domain: Domain,
@@ -53,43 +53,9 @@ impl CorrectionGrid {
         }
     }
 
-    /// Rebuild a grid from persisted state (the durable store's feedback
-    /// files) — the restore counterpart of reading back
-    /// [`CorrectionGrid::corrections`] and [`CorrectionGrid::observations`].
-    /// Rejects, with a typed error, state no live grid could have reached:
-    /// an empty bucket vector, an out-of-range learning rate, or a
-    /// non-finite/negative correction factor.
-    pub fn from_parts(
-        domain: Domain,
-        corrections: Vec<f64>,
-        alpha: f64,
-        observations: usize,
-    ) -> Result<Self, EstimateError> {
-        if corrections.is_empty() {
-            return Err(EstimateError::EmptySample);
-        }
-        if !alpha.is_finite() || alpha <= 0.0 || alpha > 1.0 {
-            return Err(EstimateError::NonFiniteEstimate { value: alpha });
-        }
-        if let Some(&bad) = corrections.iter().find(|c| !c.is_finite() || **c < 0.0) {
-            return Err(EstimateError::NonFiniteEstimate { value: bad });
-        }
-        Ok(CorrectionGrid {
-            domain,
-            corrections,
-            alpha,
-            observations,
-        })
-    }
-
     /// The domain the grid spans.
     pub fn domain(&self) -> Domain {
         self.domain
-    }
-
-    /// The learning rate (weight of the newest observation).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Current correction factor of each bucket.
@@ -374,34 +340,6 @@ mod tests {
         let q = RangeQuery::new(0.0, 100.0);
         let s = grid.corrected(&q, |_| f64::NAN);
         assert_eq!(s, 0.0, "NaN base pieces must not escape the grid");
-    }
-
-    #[test]
-    fn from_parts_round_trips_live_state_and_rejects_garbage() {
-        let d = Domain::new(0.0, 100.0);
-        let mut grid = CorrectionGrid::new(d, 4, 0.5);
-        grid.try_observe(&RangeQuery::new(0.0, 50.0), 0.2, 0.6)
-            .unwrap();
-        let restored = CorrectionGrid::from_parts(
-            grid.domain(),
-            grid.corrections().to_vec(),
-            grid.alpha(),
-            grid.observations(),
-        )
-        .expect("valid state restores");
-        assert_eq!(restored, grid);
-        // A restored grid keeps learning exactly like the original.
-        let q = RangeQuery::new(25.0, 75.0);
-        let (mut a, mut b) = (grid.clone(), restored);
-        a.try_observe(&q, 0.3, 0.9).unwrap();
-        b.try_observe(&q, 0.3, 0.9).unwrap();
-        assert_eq!(a, b);
-        // States no live grid could reach are typed errors, not panics.
-        assert!(CorrectionGrid::from_parts(d, vec![], 0.5, 0).is_err());
-        assert!(CorrectionGrid::from_parts(d, vec![1.0], 0.0, 0).is_err());
-        assert!(CorrectionGrid::from_parts(d, vec![1.0], 1.5, 0).is_err());
-        assert!(CorrectionGrid::from_parts(d, vec![f64::NAN], 0.5, 0).is_err());
-        assert!(CorrectionGrid::from_parts(d, vec![-0.1], 0.5, 0).is_err());
     }
 
     #[test]

@@ -374,13 +374,10 @@ pub struct StatisticsCatalog {
     quarantine: BTreeMap<(String, String), BuildFailure>,
 }
 
-/// Feedback buckets of the per-column drift monitor. Public so the durable
-/// store can rebuild journaled correction grids with the exact same
-/// geometry.
-pub const DRIFT_BUCKETS: usize = 16;
-/// Learning rate of the drift monitor (shared with the durable store for
-/// the same reason).
-pub const DRIFT_ALPHA: f64 = 0.3;
+/// Feedback buckets of the per-column drift monitor.
+const DRIFT_BUCKETS: usize = 16;
+/// Learning rate of the drift monitor.
+const DRIFT_ALPHA: f64 = 0.3;
 
 /// Why a bulkheaded build gave up on a column.
 #[derive(Debug, Clone)]
@@ -780,7 +777,7 @@ impl StatisticsCatalog {
 
     /// Publish the catalog's entries to a [`crate::durable::DurableStore`]
     /// as a new crash-safe generation. Returns the committed generation
-    /// number. The store's feedback journal resets: corrections learned
+    /// number. The store's feedback journal resets: checkpoints taken
     /// against the previous statistics do not transfer.
     pub fn publish_to(
         &self,
@@ -1108,8 +1105,8 @@ impl StatisticsCatalog {
 
     /// Restore one incremental column from a journaled checkpoint; one
     /// that cannot be restored is quarantined. Pending update pressure is
-    /// preserved; the feedback grid restarts empty (the journaled grids of
-    /// [`crate::durable::FeedbackState`] are not read back).
+    /// preserved; the feedback grid restarts empty (the durable store does
+    /// not persist it).
     pub fn try_restore_incremental(
         &mut self,
         checkpoint: &SketchCheckpoint,

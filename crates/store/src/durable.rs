@@ -5,18 +5,18 @@
 //! torn write costs a full re-ANALYZE of every column. This module keeps
 //! the catalog in a directory of **immutable, numbered generations** with
 //! a checksummed `MANIFEST` naming the active one, plus an append-only
-//! **feedback journal** recording what happened *between* snapshots —
-//! `CorrectionGrid` observations, drift-monitor alarms, online-scan and
-//! incremental-sketch checkpoints. A restart reads back the scan and
-//! sketch checkpoints ([`DurableStore::restore_incremental`]), but not the
-//! folded grids and alarm counters: [`FeedbackState::grid`] and
-//! [`FeedbackState::alarm`] have no caller, so learned corrections are
-//! relearned after a restart:
+//! **feedback journal** recording what happened *between* snapshots:
+//! online-scan and incremental-sketch checkpoints, which a restart reads
+//! back ([`FeedbackState::online`], [`DurableStore::restore_incremental`]),
+//! and query-feedback observations. An observation is validated and
+//! counted but folds into nothing: the store keeps no correction state
+//! until something reads it after a restart (ROADMAP item 1 decides what
+//! that reader is).
 //!
 //! ```text
 //! store/
 //!   MANIFEST            active generation + whole-file checksums
-//!   gen-000007.stats    immutable snapshot (persist v2 format)
+//!   gen-000007.stats    immutable snapshot (persist v3 format)
 //!   gen-000007.feedback folded feedback state at snapshot time
 //!   journal.log         append-only records since generation 7
 //!   quarantine/         damaged files moved aside by recovery
@@ -40,22 +40,23 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use selest_core::fault::EstimateError;
-use selest_core::{CorrectionGrid, Domain, RangeQuery};
+use selest_core::RangeQuery;
+use selest_par::fnv1a_64;
 
 use selest_core::incremental::{IncrementalColumn, IncrementalParts, ReservoirParts};
 use selest_data::{GkParts, GkSketch};
 
-use crate::catalog::{SketchCheckpoint, StatisticsCatalog, DRIFT_ALPHA, DRIFT_BUCKETS};
+use crate::catalog::{SketchCheckpoint, StatisticsCatalog};
 use crate::faultinject::{CrashPlan, CrashPoint};
 use crate::online::OnlineSelectivity;
-use crate::persist::{self, checksum, corrupt, kind_token, Fields, PersistedStatistics};
+use crate::persist::{self, corrupt, kind_token, Fields, PersistedStatistics};
 
 /// Manifest header line.
-const MANIFEST_HEADER: &str = "selest-manifest v1";
+const MANIFEST_HEADER: &str = "selest-manifest v2";
 /// Journal header prefix (followed by `gen <N>`).
-const JOURNAL_HEADER: &str = "selest-journal v1";
+const JOURNAL_HEADER: &str = "selest-journal v2";
 /// Feedback-file header line.
-const FEEDBACK_HEADER: &str = "selest-feedback v1";
+const FEEDBACK_HEADER: &str = "selest-feedback v2";
 /// Manifest file name inside the store directory.
 const MANIFEST_FILE: &str = "MANIFEST";
 /// Journal file name inside the store directory.
@@ -90,9 +91,12 @@ impl RetentionPolicy {
 /// One record of the append-only feedback journal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
-    /// A query-feedback observation folded into the column's
-    /// [`CorrectionGrid`]: the executed query, the estimate served, and
-    /// the true selectivity observed.
+    /// A query-feedback observation: the executed query, the estimate
+    /// served, and the true selectivity observed. It is validated (the
+    /// column exists in the active generation, the query is valid, the
+    /// truth is finite and in `[0, 1]`, the base is finite) and counted as
+    /// applied on replay, but folds into no state: nothing reads learned
+    /// corrections after a restart yet (ROADMAP item 1 decides the reader).
     Observation {
         /// Relation name (whitespace-free).
         relation: String,
@@ -106,16 +110,6 @@ pub enum JournalRecord {
         base: f64,
         /// True selectivity observed at execution.
         truth: f64,
-    },
-    /// A drift-monitor alarm: the column's feedback drift crossed the
-    /// operator's staleness threshold.
-    DriftAlarm {
-        /// Relation name (whitespace-free).
-        relation: String,
-        /// Column name (whitespace-free).
-        column: String,
-        /// Drift value at alarm time.
-        drift: f64,
     },
     /// A progressive-scan checkpoint: the counters of an
     /// [`OnlineSelectivity`] mid-scan, so the scan resumes after a crash.
@@ -142,15 +136,6 @@ pub enum JournalRecord {
     Sketch(SketchCheckpoint),
 }
 
-/// Folded drift-alarm history of one column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftAlarm {
-    /// Alarms raised since the last snapshot reset.
-    pub count: usize,
-    /// Drift value of the most recent alarm.
-    pub last_drift: f64,
-}
-
 /// Folded progressive-scan checkpoint of one column.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineCheckpoint {
@@ -175,38 +160,21 @@ impl OnlineCheckpoint {
     }
 }
 
-/// The journal's effects folded into queryable state: per-column
-/// correction grids, drift-alarm history, and online-scan checkpoints.
-/// Deterministic by construction — `BTreeMap` ordering everywhere, and
-/// replay is a sequential fold — so encoding it is bit-identical across
+/// The journal's effects folded into the state a restart reads back: the
+/// latest online-scan checkpoint and incremental-sketch checkpoint of each
+/// column. Deterministic by construction — `BTreeMap` ordering everywhere,
+/// and replay is a sequential fold — so encoding it is bit-identical across
 /// `SELEST_JOBS` settings.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FeedbackState {
-    grids: BTreeMap<(String, String), CorrectionGrid>,
-    alarms: BTreeMap<(String, String), DriftAlarm>,
     online: BTreeMap<(String, String), OnlineCheckpoint>,
     sketches: BTreeMap<(String, String), SketchCheckpoint>,
 }
 
 impl FeedbackState {
-    /// Whether any feedback has been folded in.
+    /// Whether any checkpoint has been folded in.
     pub fn is_empty(&self) -> bool {
-        self.grids.is_empty()
-            && self.alarms.is_empty()
-            && self.online.is_empty()
-            && self.sketches.is_empty()
-    }
-
-    /// The correction grid learned for a column, if any.
-    pub fn grid(&self, relation: &str, column: &str) -> Option<&CorrectionGrid> {
-        self.grids.get(&(relation.to_owned(), column.to_owned()))
-    }
-
-    /// The drift-alarm history of a column, if any.
-    pub fn alarm(&self, relation: &str, column: &str) -> Option<DriftAlarm> {
-        self.alarms
-            .get(&(relation.to_owned(), column.to_owned()))
-            .copied()
+        self.online.is_empty() && self.sketches.is_empty()
     }
 
     /// The latest online-scan checkpoint of a column, if any.
@@ -227,65 +195,25 @@ impl FeedbackState {
         self.sketches.values()
     }
 
-    /// Validate `rec` against the active entries and fold it in. The
-    /// state is only mutated when the whole record is acceptable.
+    /// Validate `rec` against the active entries and fold it in — the one
+    /// journal fold, shared by replay in [`DurableStore::open`] and by
+    /// [`fsck`]. The state is only mutated when the whole record is
+    /// acceptable.
     fn apply(
         &mut self,
         rec: &JournalRecord,
         entries: &[PersistedStatistics],
     ) -> Result<(), EstimateError> {
-        let domain_of = |relation: &str, column: &str| -> Result<Domain, EstimateError> {
-            entries
-                .iter()
-                .find(|e| &*e.relation == relation && &*e.column == column)
-                .map(|e| e.domain)
-                .ok_or_else(|| EstimateError::MissingStatistics {
-                    relation: relation.to_owned(),
-                    column: column.to_owned(),
-                })
-        };
+        check_record(rec, entries)?;
+        self.fold(rec);
+        Ok(())
+    }
+
+    /// Fold a record [`check_record`] accepted.
+    fn fold(&mut self, rec: &JournalRecord) {
+        let key = |relation: &str, column: &str| (relation.to_owned(), column.to_owned());
         match rec {
-            JournalRecord::Observation {
-                relation,
-                column,
-                a,
-                b,
-                base,
-                truth,
-            } => {
-                let domain = domain_of(relation, column)?;
-                let q = RangeQuery::unchecked(*a, *b);
-                q.validate()?;
-                let key = (relation.clone(), column.clone());
-                let mut grid = self
-                    .grids
-                    .get(&key)
-                    .cloned()
-                    .unwrap_or_else(|| CorrectionGrid::new(domain, DRIFT_BUCKETS, DRIFT_ALPHA));
-                grid.try_observe(&q, *base, *truth)?;
-                self.grids.insert(key, grid);
-                Ok(())
-            }
-            JournalRecord::DriftAlarm {
-                relation,
-                column,
-                drift,
-            } => {
-                domain_of(relation, column)?;
-                if !drift.is_finite() || *drift < 0.0 {
-                    return Err(EstimateError::NonFiniteEstimate { value: *drift });
-                }
-                let entry = self
-                    .alarms
-                    .entry((relation.clone(), column.clone()))
-                    .or_insert(DriftAlarm {
-                        count: 0,
-                        last_drift: 0.0,
-                    });
-                entry.count += 1;
-                entry.last_drift = *drift;
-                Ok(())
-            }
+            JournalRecord::Observation { .. } => {}
             JournalRecord::OnlineCheckpoint {
                 relation,
                 column,
@@ -295,27 +223,75 @@ impl FeedbackState {
                 matched,
                 skipped_nonfinite,
             } => {
-                domain_of(relation, column)?;
-                let checkpoint = OnlineCheckpoint {
+                let cp = OnlineCheckpoint {
                     a: *a,
                     b: *b,
                     seen: *seen,
                     matched: *matched,
                     skipped_nonfinite: *skipped_nonfinite,
                 };
-                checkpoint.resume()?; // validates query + counters
-                self.online
-                    .insert((relation.clone(), column.clone()), checkpoint);
-                Ok(())
+                self.online.insert(key(relation, column), cp);
             }
             JournalRecord::Sketch(cp) => {
-                domain_of(&cp.relation, &cp.column)?;
-                validate_sketch(cp)?;
                 self.sketches
-                    .insert((cp.relation.clone(), cp.column.clone()), cp.clone());
-                Ok(())
+                    .insert(key(&cp.relation, &cp.column), cp.clone());
             }
         }
+    }
+}
+
+/// Whether `rec` may enter the journal of a generation holding `entries`:
+/// its column must exist there and its payload must be valid.
+fn check_record(rec: &JournalRecord, entries: &[PersistedStatistics]) -> Result<(), EstimateError> {
+    let (relation, column) = match rec {
+        JournalRecord::Observation {
+            relation, column, ..
+        }
+        | JournalRecord::OnlineCheckpoint {
+            relation, column, ..
+        } => (relation, column),
+        JournalRecord::Sketch(cp) => (&cp.relation, &cp.column),
+    };
+    if !entries
+        .iter()
+        .any(|e| *e.relation == **relation && *e.column == **column)
+    {
+        return Err(EstimateError::MissingStatistics {
+            relation: relation.clone(),
+            column: column.clone(),
+        });
+    }
+    match rec {
+        JournalRecord::Observation {
+            a, b, base, truth, ..
+        } => {
+            RangeQuery::unchecked(*a, *b).validate()?;
+            if !truth.is_finite() || !(0.0..=1.0).contains(truth) {
+                return Err(EstimateError::NonFiniteEstimate { value: *truth });
+            }
+            if !base.is_finite() {
+                return Err(EstimateError::NonFiniteEstimate { value: *base });
+            }
+            Ok(())
+        }
+        JournalRecord::OnlineCheckpoint {
+            a,
+            b,
+            seen,
+            matched,
+            skipped_nonfinite,
+            ..
+        } => {
+            let cp = OnlineCheckpoint {
+                a: *a,
+                b: *b,
+                seen: *seen,
+                matched: *matched,
+                skipped_nonfinite: *skipped_nonfinite,
+            };
+            cp.resume().map(drop) // validates the query and the counters
+        }
+        JournalRecord::Sketch(cp) => validate_sketch(cp),
     }
 }
 
@@ -349,7 +325,9 @@ pub struct RecoveryReport {
     pub generation: u64,
     /// Journal records replayed into the feedback state.
     pub journal_applied: usize,
-    /// Journal records skipped because their column is gone.
+    /// Journal records the active generation refused (their column is
+    /// gone or their payload is invalid). Any refusal makes recovery
+    /// re-commit a generation, which empties the journal.
     pub journal_orphaned: usize,
     /// Whether a torn journal tail was truncated away.
     pub journal_truncated: bool,
@@ -406,7 +384,8 @@ pub struct FsckReport {
     /// Valid journal records on disk.
     pub journal_records: usize,
     /// Columns with journaled incremental sketch state (the feedback
-    /// snapshot overlaid with journal records; latest per column wins).
+    /// snapshot with the journal folded in as recovery replays it; latest
+    /// per column wins).
     pub sketch_columns: usize,
     /// Updates pending an estimator refresh, summed over that sketch
     /// state — the staleness pressure a restart would resume under.
@@ -555,7 +534,7 @@ struct Manifest {
 
 fn encode_manifest(active: u64, stats_fnv: u64, feedback_fnv: u64) -> String {
     let body = format!("{MANIFEST_HEADER}\nactive {active} {stats_fnv:016x} {feedback_fnv:016x}");
-    format!("{body}\ncheck {:016x}\n", checksum(body.as_bytes()))
+    format!("{body}\ncheck {:016x}\n", fnv1a_64(body.as_bytes()))
 }
 
 fn decode_manifest(text: &str) -> Result<Manifest, EstimateError> {
@@ -573,7 +552,7 @@ fn decode_manifest(text: &str) -> Result<Manifest, EstimateError> {
     let active_line = line(1)?;
     let mut check = Fields::new(line(2)?, 3);
     check.tag("check")?;
-    if check.hex("manifest checksum")? != checksum(format!("{header}\n{active_line}").as_bytes()) {
+    if check.hex("manifest checksum")? != fnv1a_64(format!("{header}\n{active_line}").as_bytes()) {
         return Err(corrupt(3, "manifest checksum mismatch"));
     }
     let mut f = Fields::new(active_line, 2);
@@ -712,36 +691,17 @@ fn decode_online(f: &mut Fields<'_>) -> Result<OnlineCheckpoint, EstimateError> 
 }
 
 fn encode_feedback(state: &FeedbackState) -> String {
-    let mut lines = Vec::new();
-    for ((rel, col), grid) in &state.grids {
-        let mut line = format!(
-            "grid {rel} {col} {} {} {} {} {}",
-            grid.domain().lo(),
-            grid.domain().hi(),
-            grid.alpha(),
-            grid.observations(),
-            grid.corrections().len()
-        );
-        for c in grid.corrections() {
-            let _ = write!(line, " {c}");
-        }
-        lines.push(line);
-    }
-    for ((rel, col), alarm) in &state.alarms {
-        lines.push(format!(
-            "alarm {rel} {col} {} {}",
-            alarm.count, alarm.last_drift
-        ));
-    }
-    for ((rel, col), cp) in &state.online {
-        lines.push(encode_online(rel, col, cp));
-    }
-    for ((rel, col), cp) in &state.sketches {
-        lines.push(format!("sketch {rel} {col} {}", encode_sketch_fields(cp)));
-    }
     let mut out = format!("{FEEDBACK_HEADER}\n");
-    for line in lines {
-        let _ = writeln!(out, "{line}\ncheck {:016x}", checksum(line.as_bytes()));
+    let online = state
+        .online
+        .iter()
+        .map(|((rel, col), cp)| encode_online(rel, col, cp));
+    let sketches = state
+        .sketches
+        .iter()
+        .map(|((rel, col), cp)| format!("sketch {rel} {col} {}", encode_sketch_fields(cp)));
+    for line in online.chain(sketches) {
+        let _ = writeln!(out, "{line}\ncheck {:016x}", fnv1a_64(line.as_bytes()));
     }
     out
 }
@@ -758,30 +718,13 @@ fn decode_feedback(text: &str) -> Result<FeedbackState, EstimateError> {
         let line = i + 1;
         let mut check = Fields::new(lines.next().map_or("", |(_, c)| c), line + 1);
         check.tag("check")?;
-        if check.hex("checksum")? != checksum(payload.as_bytes()) {
+        if check.hex("checksum")? != fnv1a_64(payload.as_bytes()) {
             return Err(corrupt(line, "feedback checksum mismatch"));
         }
         let mut f = Fields::new(payload, line);
         let tag = f.next("record tag")?;
         let key = (f.next("relation")?.to_owned(), f.next("column")?.to_owned());
         match tag {
-            "grid" => {
-                let domain = f.domain()?;
-                let alpha = f.parse("alpha")?;
-                let observations = f.parse("observations")?;
-                let count = f.parse("bucket count")?;
-                let corrections = f.repeat(count, "grid corrections", |f| f.parse("correction"))?;
-                let grid = CorrectionGrid::from_parts(domain, corrections, alpha, observations)?;
-                state.grids.insert(key, grid);
-            }
-            "alarm" => {
-                let count = f.parse("alarm count")?;
-                let last_drift: f64 = f.parse("alarm drift")?;
-                if !last_drift.is_finite() || last_drift < 0.0 {
-                    return Err(corrupt(line, format!("bad alarm drift {last_drift}")));
-                }
-                state.alarms.insert(key, DriftAlarm { count, last_drift });
-            }
             "online" => {
                 let cp = decode_online(&mut f)?;
                 cp.resume()?;
@@ -818,11 +761,6 @@ fn encode_record_payload(rec: &JournalRecord) -> String {
             base,
             truth,
         } => format!("obs {relation} {column} {a} {b} {base} {truth}"),
-        JournalRecord::DriftAlarm {
-            relation,
-            column,
-            drift,
-        } => format!("drift {relation} {column} {drift}"),
         JournalRecord::OnlineCheckpoint {
             relation,
             column,
@@ -865,11 +803,6 @@ fn decode_record_payload(line: usize, payload: &str) -> Result<JournalRecord, Es
             base: f.parse("base")?,
             truth: f.parse("truth")?,
         },
-        "drift" => JournalRecord::DriftAlarm {
-            relation,
-            column,
-            drift: f.parse("drift")?,
-        },
         "online" => {
             let cp = decode_online(&mut f)?;
             JournalRecord::OnlineCheckpoint {
@@ -894,7 +827,7 @@ fn encode_record_line(rec: &JournalRecord) -> String {
     format!(
         "rec {} {:016x} {}\n",
         payload.len(),
-        checksum(payload.as_bytes()),
+        fnv1a_64(payload.as_bytes()),
         payload
     )
 }
@@ -954,7 +887,7 @@ fn scan_journal(text: &str) -> Result<JournalScan, EstimateError> {
                 ),
             ));
         }
-        if checksum(payload.as_bytes()) != want {
+        if fnv1a_64(payload.as_bytes()) != want {
             return Err(corrupt(line, "record checksum mismatch"));
         }
         decode_record_payload(line, payload)
@@ -1084,7 +1017,7 @@ fn read_generation(
             message: "file missing".to_owned(),
         })?;
         match want {
-            Some(want) if checksum(text.as_bytes()) != want => {
+            Some(want) if fnv1a_64(text.as_bytes()) != want => {
                 Err(corrupt(1, "checksum mismatch vs manifest").with_path(&path))
             }
             _ => Ok((path, text)),
@@ -1163,17 +1096,17 @@ impl DurableStore {
                     report.rung = RecoveryRung::Active;
                     report.generation = m.active;
                     report.feedback_reset = feedback_reset;
-                    if feedback_reset {
-                        // Stats are fine but the feedback snapshot is
-                        // gone: salvage what the journal still holds,
-                        // then re-commit so the manifest checksums
-                        // verify again.
-                        store.recover_journal(&mut report)?;
+                    store.recover_journal(&mut report)?;
+                    if feedback_reset || report.journal_orphaned > 0 {
+                        // The feedback snapshot is gone, or the journal
+                        // holds records the active generation refuses:
+                        // re-commit what replay salvaged, so the manifest
+                        // checksums verify again and the journal starts
+                        // empty.
                         let (entries, feedback) = (store.entries.clone(), store.feedback.clone());
                         let next = store.next_generation(&gens, Some(m.active));
                         store.commit_generation(next, entries, feedback, &mut report)?;
                     } else {
-                        store.recover_journal(&mut report)?;
                         store.prune_beyond(&gens, m.active, &mut report);
                     }
                 }
@@ -1232,7 +1165,7 @@ impl DurableStore {
     }
 
     /// Publish freshly ANALYZE'd entries as a new generation. The
-    /// feedback state resets — corrections learned against the old
+    /// feedback state resets — checkpoints taken against the old
     /// statistics do not transfer to new ones. An entry whose relation or
     /// column name is empty or contains whitespace is refused with
     /// [`EstimateError::UnpersistableName`] before any file is written, and
@@ -1258,8 +1191,7 @@ impl DurableStore {
     /// write ahead to the journal (fsync), then fold into the in-memory
     /// state. On error nothing is folded.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), EstimateError> {
-        let mut staged = self.feedback.clone();
-        staged.apply(rec, &self.entries)?;
+        check_record(rec, &self.entries)?;
         let line = encode_record_line(rec);
         let jpath = self.journal_path();
         let mut f = std::fs::OpenOptions::new()
@@ -1281,7 +1213,7 @@ impl DurableStore {
         }
         f.sync_all()
             .map_err(|e| io_error(&jpath, "fsync journal", e))?;
-        self.feedback = staged;
+        self.feedback.fold(rec);
         self.journal_records += 1;
         Ok(())
     }
@@ -1426,7 +1358,7 @@ impl DurableStore {
         report: &mut RecoveryReport,
     ) -> Result<(), EstimateError> {
         // The journal belonged to the damaged generation; its records
-        // were observations against statistics we can no longer trust.
+        // were taken against statistics we can no longer trust.
         report.journal_stale = true;
         self.quarantine_if_exists(&self.journal_path(), report);
         if let Some(g) = damaged_active {
@@ -1487,8 +1419,8 @@ impl DurableStore {
         if let Some(e) = scan.midfile_corrupt {
             // Damage with valid records after it: the valid prefix cannot
             // be trusted either (the file was rewritten or bit-rotted,
-            // not torn) — discard wholesale rather than serve corrections
-            // of unknown provenance.
+            // not torn) — discard wholesale rather than restore
+            // checkpoints of unknown provenance.
             report.errors.push(e);
             report.journal_stale = true;
             return self.reset_journal();
@@ -1562,8 +1494,8 @@ impl DurableStore {
         )?;
         let manifest = encode_manifest(
             generation,
-            checksum(stats_text.as_bytes()),
-            checksum(feedback_text.as_bytes()),
+            fnv1a_64(stats_text.as_bytes()),
+            fnv1a_64(feedback_text.as_bytes()),
         );
         write_atomic_crashable(&mut self.plan, &mpath, manifest.as_bytes(), MANIFEST_SITES)?;
         // Commit point passed.
@@ -1604,8 +1536,9 @@ impl DurableStore {
 /// Read-only integrity check of a store directory: verifies the
 /// manifest, the active generation's checksums, the feedback file, and
 /// the journal through the same reads [`DurableStore::open`] recovers
-/// with, without modifying anything. Repair is spelled
-/// [`DurableStore::open`] — run it and `fsck` again.
+/// with, and replays the journal through the same fold, without
+/// modifying anything: a record `open` would refuse is a finding. Repair
+/// is spelled [`DurableStore::open`] — run it and `fsck` again.
 pub fn fsck(dir: &Path) -> FsckReport {
     let mut report = FsckReport {
         healthy: false,
@@ -1616,9 +1549,6 @@ pub fn fsck(dir: &Path) -> FsckReport {
         sketch_pending_updates: 0,
         findings: Vec::new(),
     };
-    // Latest sketch pressure per column: feedback snapshot first, then
-    // journal records overlay it (replay order).
-    let mut sketch_pressure: BTreeMap<(String, String), u64> = BTreeMap::new();
     if !dir.is_dir() {
         report
             .findings
@@ -1657,30 +1587,38 @@ pub fn fsck(dir: &Path) -> FsckReport {
             ));
         }
     }
-    match read_generation(dir, m.active, Some(&m)).and_then(|g| g.feedback) {
-        Ok(feedback) => {
-            for ((rel, col), cp) in &feedback.sketches {
-                sketch_pressure.insert((rel.clone(), col.clone()), cp.updates_since_refresh);
-            }
+    // The state `open` would replay onto: the feedback snapshot, or an
+    // empty one when the snapshot is damaged (as `open` resets it).
+    let (entries, mut feedback) = match read_generation(dir, m.active, Some(&m)) {
+        Ok(Generation { entries, feedback }) => {
+            let feedback = feedback.unwrap_or_else(|e| {
+                report.findings.push(e.to_string());
+                FeedbackState::default()
+            });
+            (Some(entries), feedback)
         }
-        Err(e) => report.findings.push(e.to_string()),
-    }
+        Err(e) => {
+            report.findings.push(e.to_string());
+            (None, FeedbackState::default())
+        }
+    };
     match read_journal(dir) {
         Ok(Some(scan)) => {
             report.journal_records = scan.records.len();
-            for rec in &scan.records {
-                if let JournalRecord::Sketch(cp) = rec {
-                    sketch_pressure.insert(
-                        (cp.relation.clone(), cp.column.clone()),
-                        cp.updates_since_refresh,
-                    );
-                }
-            }
             if scan.gen != m.active {
                 report.findings.push(format!(
                     "journal generation {} does not match active {}",
                     scan.gen, m.active
                 ));
+            } else if let (Some(entries), None) = (&entries, &scan.midfile_corrupt) {
+                // The journal `open` would replay: fold it the same way.
+                for rec in &scan.records {
+                    if let Err(e) = feedback.apply(rec, entries) {
+                        report
+                            .findings
+                            .push(format!("orphaned journal record: {e}"));
+                    }
+                }
             }
             if scan.torn_tail {
                 report.findings.push("journal has a torn tail".to_owned());
@@ -1692,8 +1630,8 @@ pub fn fsck(dir: &Path) -> FsckReport {
         Ok(None) => report.findings.push("journal missing".to_owned()),
         Err(e) => report.findings.push(e.to_string()),
     }
-    report.sketch_columns = sketch_pressure.len();
-    report.sketch_pending_updates = sketch_pressure.values().sum();
+    report.sketch_columns = feedback.sketches.len();
+    report.sketch_pending_updates = feedback.sketches().map(|cp| cp.updates_since_refresh).sum();
     report.healthy = report.findings.is_empty();
     report
 }
@@ -1702,6 +1640,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
 mod tests {
     use super::*;
     use crate::catalog::EstimatorKind;
+    use selest_core::Domain;
     use std::sync::Arc;
 
     fn scratch(name: &str) -> PathBuf {
@@ -1741,6 +1680,18 @@ mod tests {
         }
     }
 
+    fn online(col: &str, b: f64, seen: usize) -> JournalRecord {
+        JournalRecord::OnlineCheckpoint {
+            relation: "t".to_owned(),
+            column: col.to_owned(),
+            a: 0.0,
+            b,
+            seen,
+            matched: seen / 4,
+            skipped_nonfinite: 1,
+        }
+    }
+
     #[test]
     fn fresh_open_commits_generation_zero() {
         let dir = scratch("fresh");
@@ -1761,12 +1712,8 @@ mod tests {
         assert_eq!(generation, 1);
         store.append(&obs("t", "v", 0.5)).expect("append");
         store
-            .append(&JournalRecord::DriftAlarm {
-                relation: "t".into(),
-                column: "v".into(),
-                drift: 1.5,
-            })
-            .expect("append alarm");
+            .checkpoint_sketch(&sketch_checkpoint())
+            .expect("append sketch");
         store
             .append(&JournalRecord::OnlineCheckpoint {
                 relation: "t".into(),
@@ -1807,8 +1754,8 @@ mod tests {
         let dir = scratch("replay");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         store.publish(vec![entry("t", "v")]).expect("publish");
-        store.append(&obs("t", "v", 0.5)).expect("append");
-        store.append(&obs("t", "v", 0.5)).expect("append");
+        store.append(&online("v", 25.0, 100)).expect("append");
+        store.append(&online("v", 25.0, 200)).expect("append");
         let feedback = store.feedback().clone();
         drop(store);
         let (reopened, report) = DurableStore::open(&dir).expect("reopen");
@@ -1818,17 +1765,89 @@ mod tests {
     }
 
     #[test]
-    fn append_rejects_orphans_and_garbage() {
-        let dir = scratch("validate");
+    fn observations_are_validated_and_counted_but_fold_nothing() {
+        let dir = scratch("obscontract");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         store.publish(vec![entry("t", "v")]).expect("publish");
+        let low_base = JournalRecord::Observation {
+            relation: "t".to_owned(),
+            column: "v".to_owned(),
+            a: 0.0,
+            b: 25.0,
+            base: 1e-12, // below any informative feedback ratio
+            truth: 0.5,
+        };
+        let records = [obs("t", "v", 0.5), low_base, obs("t", "v", 0.0)];
+        for rec in &records {
+            store.append(rec).expect("append");
+        }
+        assert!(store.feedback().is_empty(), "observations fold nothing");
+        // Refused before the write: an unknown column, a NaN truth, an
+        // out-of-range truth, a non-finite base and an inverted query.
         assert!(matches!(
             store.append(&obs("t", "missing", 0.5)),
             Err(EstimateError::MissingStatistics { .. })
         ));
         assert!(store.append(&obs("t", "v", f64::NAN)).is_err());
-        assert_eq!(store.journal_len(), 0, "rejected records never hit disk");
-        assert!(store.feedback().is_empty());
+        assert!(store.append(&obs("t", "v", 1.5)).is_err());
+        let mut bad_base = obs("t", "v", 0.5);
+        if let JournalRecord::Observation { base, .. } = &mut bad_base {
+            *base = f64::INFINITY;
+        }
+        assert!(store.append(&bad_base).is_err());
+        let mut inverted = obs("t", "v", 0.5);
+        if let JournalRecord::Observation { a, .. } = &mut inverted {
+            *a = 30.0;
+        }
+        assert!(store.append(&inverted).is_err());
+        assert_eq!(
+            store.journal_len(),
+            records.len(),
+            "refusals never hit disk"
+        );
+        drop(store);
+        let (mut reopened, report) = DurableStore::open(&dir).expect("reopen");
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.journal_applied, records.len());
+        reopened.compact().expect("compact");
+        let feedback =
+            std::fs::read_to_string(dir.join(gen_feedback_name(reopened.active_generation())))
+                .expect("read feedback");
+        assert_eq!(
+            feedback,
+            format!("{FEEDBACK_HEADER}\n"),
+            "no grid or alarm line"
+        );
+    }
+
+    #[test]
+    fn orphaned_journal_record_is_reported_then_healed() {
+        let dir = scratch("orphan");
+        let (mut store, _) = DurableStore::open(&dir).expect("open");
+        store.publish(vec![entry("t", "v")]).expect("publish");
+        drop(store);
+        // A checksum-valid record for a column generation 1 never had.
+        let line = encode_record_line(&obs("t", "ghost", 0.3));
+        let jpath = dir.join(JOURNAL_FILE);
+        let mut journal = std::fs::read_to_string(&jpath).expect("read journal");
+        journal.push_str(&line);
+        std::fs::write(&jpath, journal).expect("write journal");
+        let check = fsck(&dir);
+        assert!(!check.healthy, "fsck must see the orphan");
+        assert!(
+            check.findings.iter().any(|f| f.contains("ghost")),
+            "{:?}",
+            check.findings
+        );
+        let (_, report) = DurableStore::open(&dir).expect("repair");
+        assert_eq!(report.journal_orphaned, 1);
+        assert!(!report.is_clean());
+        let (healed, report) = DurableStore::open(&dir).expect("reopen");
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(healed.journal_len(), 0);
+        assert_eq!(healed.entries(), &[entry("t", "v")]);
+        let check = fsck(&dir);
+        assert!(check.healthy, "findings: {:?}", check.findings);
     }
 
     #[test]
@@ -1904,9 +1923,9 @@ mod tests {
         let dir = scratch("torntail");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         store.publish(vec![entry("t", "v")]).expect("publish");
-        store.append(&obs("t", "v", 0.5)).expect("append");
+        store.append(&online("v", 25.0, 100)).expect("append");
         let feedback = store.feedback().clone();
-        store.append(&obs("t", "v", 0.9)).expect("append 2");
+        store.append(&online("v", 25.0, 200)).expect("append 2");
         drop(store);
         // Tear the last record in half.
         let jpath = dir.join(JOURNAL_FILE);
@@ -1933,8 +1952,8 @@ mod tests {
         let dir = scratch("midfile");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         store.publish(vec![entry("t", "v")]).expect("publish");
-        store.append(&obs("t", "v", 0.5)).expect("append");
-        store.append(&obs("t", "v", 0.9)).expect("append 2");
+        store.append(&online("v", 25.0, 100)).expect("append");
+        store.append(&online("v", 25.0, 200)).expect("append 2");
         drop(store);
         // Corrupt the FIRST record; the second stays valid -> not a tail.
         let jpath = dir.join(JOURNAL_FILE);
@@ -1958,10 +1977,13 @@ mod tests {
         store
             .publish(vec![entry("t", "v"), entry("t", "w")])
             .expect("publish");
-        for truth in [0.5, 0.31, 0.7754321098765432, 1e-9] {
-            store.append(&obs("t", "v", truth)).expect("append");
+        for b in [50.0, 31.0, 77.54321098765432, 1e-9] {
+            store.append(&online("v", b, 400)).expect("append");
         }
-        store.append(&obs("t", "w", 0.125)).expect("append w");
+        store.append(&online("w", 12.5, 8)).expect("append w");
+        store
+            .checkpoint_sketch(&sketch_checkpoint())
+            .expect("append sketch");
         let encoded = encode_feedback(store.feedback());
         let decoded = decode_feedback(&encoded).expect("decode");
         assert_eq!(&decoded, store.feedback());
@@ -1969,13 +1991,13 @@ mod tests {
     }
 
     #[test]
-    fn feedback_bucket_count_from_the_file_cannot_exhaust_memory() {
-        // A well-checksummed grid line claiming 2^40 buckets: the decoder
-        // must refuse it, not reserve 8 TiB for the corrections.
-        let line = "grid r c 0 1 0.5 0 1099511627776";
+    fn feedback_entry_count_from_the_file_cannot_exhaust_memory() {
+        // A well-checksummed sketch line claiming 2^40 summary entries:
+        // the decoder must refuse it, not reserve 24 TiB for them.
+        let line = "sketch r c sampling 0 0.01 0 0 1099511627776";
         let text = format!(
             "{FEEDBACK_HEADER}\n{line}\ncheck {:016x}\n",
-            checksum(line.as_bytes())
+            fnv1a_64(line.as_bytes())
         );
         match decode_feedback(&text) {
             Err(EstimateError::CorruptEntry { line, message, .. }) => {
@@ -2133,14 +2155,14 @@ mod tests {
         let dir = scratch("reset");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         store.publish(vec![entry("t", "v")]).expect("gen 1");
-        store.append(&obs("t", "v", 0.5)).expect("append");
+        store.append(&online("v", 25.0, 100)).expect("append");
         assert!(!store.feedback().is_empty());
         store.compact().expect("compact");
-        assert!(!store.feedback().is_empty(), "compact keeps corrections");
+        assert!(!store.feedback().is_empty(), "compact keeps checkpoints");
         store.publish(vec![entry("t", "v")]).expect("gen 3");
         assert!(
             store.feedback().is_empty(),
-            "fresh statistics invalidate old corrections"
+            "fresh statistics invalidate old checkpoints"
         );
     }
 }

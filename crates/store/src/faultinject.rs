@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn truncation_shortens_and_bitflip_preserves_length() {
-        let text = "selest-statistics v2\nstat t v kernel 10 0 1\n";
+        let text = "selest-statistics v3\nstat t v kernel 10 0 1\n";
         let mut inj = FaultInjector::new(3);
         let cut = inj.truncate_text(text);
         assert!(cut.len() < text.len());

@@ -35,8 +35,8 @@ pub use catalog::{
 };
 pub use conjunctive::{CorrelationModel, PairStatistics};
 pub use durable::{
-    fsck, DriftAlarm, DurableStore, FeedbackState, FsckReport, JournalRecord, OnlineCheckpoint,
-    RecoveryReport, RecoveryRung, RetentionPolicy,
+    fsck, DurableStore, FeedbackState, FsckReport, JournalRecord, OnlineCheckpoint, RecoveryReport,
+    RecoveryRung, RetentionPolicy,
 };
 pub use faultinject::{
     CrashPlan, CrashPoint, FailingEstimator, FailureMode, FaultInjector, InjectionReport,

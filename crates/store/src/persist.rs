@@ -8,7 +8,7 @@
 //! detected at the damaged entry, not smeared across the whole catalog:
 //!
 //! ```text
-//! selest-statistics v2
+//! selest-statistics v3
 //! stat <relation> <column> <kind> <n_rows> <domain_lo> <domain_hi>
 //! sample <len> v1 v2 ... vlen
 //! check <checksum-hex-of-the-two-lines-above>
@@ -28,11 +28,12 @@ use std::sync::Arc;
 
 use selest_core::fault::EstimateError;
 use selest_core::Domain;
+use selest_par::fnv1a_64;
 
 use crate::catalog::EstimatorKind;
 
 /// Header of the statistics format.
-pub const HEADER_V2: &str = "selest-statistics v2";
+pub const HEADER_V3: &str = "selest-statistics v3";
 
 /// One persisted statistics entry: everything needed to rebuild the
 /// estimator. Name and sample fields are `Arc`-backed so catalog exports
@@ -52,19 +53,6 @@ pub struct PersistedStatistics {
     pub domain: Domain,
     /// The retained sample.
     pub sample: Arc<[f64]>,
-}
-
-/// The checksum of every file the store writes. It is FNV-1a with the
-/// 64-bit offset basis but a multiplier of 2^48 + 0x1b3, where FNV's
-/// prime (and `selest_par::fnv1a_64`) has 2^40 + 0x1b3. The checksums
-/// already on disk were computed with it, so the formats keep it.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
 }
 
 pub(crate) fn kind_token(kind: EstimatorKind) -> &'static str {
@@ -171,7 +159,7 @@ pub(crate) fn check_names(entries: &[PersistedStatistics]) -> Result<(), Estimat
 /// whitespace; `DurableStore::publish` returns
 /// [`EstimateError::UnpersistableName`] for such entries instead.
 pub fn encode(entries: &[PersistedStatistics]) -> String {
-    let mut out = String::from(HEADER_V2);
+    let mut out = String::from(HEADER_V3);
     out.push('\n');
     for e in entries {
         assert!(
@@ -179,7 +167,7 @@ pub fn encode(entries: &[PersistedStatistics]) -> String {
             "relation/column names must be nonempty and contain no whitespace"
         );
         let (stat, sample) = entry_lines(e);
-        let check = checksum(format!("{stat}\n{sample}\n").as_bytes());
+        let check = fnv1a_64(format!("{stat}\n{sample}\n").as_bytes());
         let _ = writeln!(out, "{stat}\n{sample}\ncheck {check:016x}");
     }
     out
@@ -356,7 +344,7 @@ fn parse_entry(lines: &[&str], i: usize) -> Result<(PersistedStatistics, usize),
     let mut check = Fields::new(check_line, i + 3);
     check.tag("check")?;
     let stored = check.hex("checksum")?;
-    let actual = checksum(format!("{stat_line}\n{sample_line}\n").as_bytes());
+    let actual = fnv1a_64(format!("{stat_line}\n{sample_line}\n").as_bytes());
     if stored != actual {
         return Err(corrupt(
             i + 3,
@@ -384,7 +372,7 @@ pub fn decode(text: &str) -> Result<Vec<PersistedStatistics>, EstimateError> {
     let offsets = line_offsets(text);
     let stamp = |e| stamp_offset(e, &offsets, text.len());
     match lines.first() {
-        Some(&h) if h == HEADER_V2 => {}
+        Some(&h) if h == HEADER_V3 => {}
         Some(&h) => return Err(stamp(corrupt(1, format!("bad header: {h:?}")))),
         None => return Err(stamp(corrupt(1, "empty statistics file"))),
     }
@@ -513,7 +501,7 @@ mod tests {
     fn round_trip_preserves_everything() {
         let entries = vec![entry(), second_entry()];
         let text = encode(&entries);
-        assert!(text.starts_with(HEADER_V2));
+        assert!(text.starts_with(HEADER_V3));
         let back = decode(&text).expect("decode");
         assert_eq!(back, entries);
     }
@@ -589,39 +577,45 @@ mod tests {
             1,
             "bad header",
         );
-        expect_line("selest-statistics v2\nstat only three", 2, "missing kind");
+        // Nor is v2, whose checksums were not FNV-1a.
         expect_line(
-            "selest-statistics v2\nstat r c warp 10 0 1\nsample 1 1",
+            "selest-statistics v2\nstat r c kernel 10 0 1\nsample 0",
+            1,
+            "bad header",
+        );
+        expect_line("selest-statistics v3\nstat only three", 2, "missing kind");
+        expect_line(
+            "selest-statistics v3\nstat r c warp 10 0 1\nsample 1 1",
             2,
             "unknown estimator kind",
         );
         expect_line(
-            "selest-statistics v2\nstat r c kernel 10 0 1\nsample 3 1 2",
+            "selest-statistics v3\nstat r c kernel 10 0 1\nsample 3 1 2",
             3,
             "length mismatch",
         );
         expect_line(
-            "selest-statistics v2\nstat r c kernel 10 0 1",
+            "selest-statistics v3\nstat r c kernel 10 0 1",
             3,
             "truncated",
         );
         expect_line(
-            "selest-statistics v2\nstat r c kernel ten 0 1\nsample 0",
+            "selest-statistics v3\nstat r c kernel ten 0 1\nsample 0",
             2,
             "bad n_rows",
         );
         expect_line(
-            "selest-statistics v2\nstat r c kernel 10 5 1\nsample 0",
+            "selest-statistics v3\nstat r c kernel 10 5 1\nsample 0",
             2,
             "invalid domain",
         );
         expect_line(
-            "selest-statistics v2\nstat r c kernel 10 0 1\nsample 1 oops",
+            "selest-statistics v3\nstat r c kernel 10 0 1\nsample 1 oops",
             3,
             "bad sample value",
         );
         expect_line(
-            "selest-statistics v2\nstat r c kernel 10 0 1 extra\nsample 0",
+            "selest-statistics v3\nstat r c kernel 10 0 1 extra\nsample 0",
             2,
             "trailing token",
         );

@@ -43,7 +43,7 @@ cargo test --release -q --test build_engine --test batch_engine --test prepared_
 cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram --lib
 
 echo "==> selbench tests (the benchmark builds against the workspace crates)"
-cargo test --release --manifest-path selbench/Cargo.toml
+cargo test --release --locked --manifest-path selbench/Cargo.toml
 
 echo "==> cargo doc (intra-doc links must resolve)"
 # A dangling or private intra-doc link is a warning, and warnings fail the

@@ -161,7 +161,7 @@ fn exercise_crash_point(point: CrashPoint, tag: &str) {
     twin.append(&checkpoint(1000)).expect("twin checkpoint");
     let pre = twin.export_bytes();
     if journal_point(point) {
-        twin.append(&observation(0.55)).expect("twin obs 2");
+        twin.append(&checkpoint(1500)).expect("twin checkpoint 2");
     } else {
         twin.publish(catalog(2, 1).export()).expect("twin gen 2");
     }
@@ -175,7 +175,7 @@ fn exercise_crash_point(point: CrashPoint, tag: &str) {
     store.append(&checkpoint(1000)).expect("checkpoint");
     store.set_crash_plan(CrashPlan::at(point));
     let crashed = if journal_point(point) {
-        store.append(&observation(0.55)).expect_err("must crash")
+        store.append(&checkpoint(1500)).expect_err("must crash")
     } else {
         store
             .publish(catalog(2, 1).export())
@@ -343,13 +343,7 @@ fn store_lifecycle_is_byte_identical_across_worker_counts() {
                 .append(&observation(0.2 + 0.1 * i as f64))
                 .expect("obs");
         }
-        store
-            .append(&JournalRecord::DriftAlarm {
-                relation: "t".to_owned(),
-                column: "v".to_owned(),
-                drift: 2.5,
-            })
-            .expect("alarm");
+        store.append(&sketch_record(3)).expect("sketch");
         store.append(&checkpoint(4321)).expect("checkpoint");
         store.compact().expect("compact");
         let (stats, feedback) = store.export_bytes();
@@ -391,16 +385,7 @@ fn sketch_record(variant: u64) -> JournalRecord {
 
 /// One of each journal record kind, against `variant`'s columns.
 fn every_record_kind(variant: u64, truth: f64, seen: usize) -> Vec<JournalRecord> {
-    vec![
-        observation(truth),
-        JournalRecord::DriftAlarm {
-            relation: "t".to_owned(),
-            column: "v".to_owned(),
-            drift: 1.25,
-        },
-        checkpoint(seen),
-        sketch_record(variant),
-    ]
+    vec![observation(truth), checkpoint(seen), sketch_record(variant)]
 }
 
 #[test]
@@ -420,10 +405,10 @@ fn store_files_are_byte_pinned() {
         store.append(&rec).expect("append after compact");
     }
     let pins: [(&str, u64); 4] = [
-        ("MANIFEST", 0x4036_4998_a5f3_502c),
-        ("gen-000002.stats", 0x9efe_581a_7ecd_b87c),
-        ("gen-000002.feedback", 0x2b89_2b8d_0981_3e29),
-        ("journal.log", 0xf861_6a61_d537_c283),
+        ("MANIFEST", 0xb1d1_f0a1_19b7_0e51),
+        ("gen-000002.stats", 0xfe7f_3209_d8b9_981e),
+        ("gen-000002.feedback", 0xe945_1375_9e0f_a045),
+        ("journal.log", 0xbaec_e5cf_decf_1cc6),
     ];
     for (name, want) in pins {
         let bytes = std::fs::read(dir.join(name)).expect("read store file");
