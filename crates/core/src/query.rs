@@ -109,44 +109,10 @@ impl RangeQuery {
     /// contract every estimator in the workspace obeys — bit-identical to
     /// the estimate the other would receive. A cache that tags entries
     /// with these bits (plus the snapshot generation and column identity)
-    /// can therefore never serve an approximate answer; see
-    /// [`RangeQuery::quantized_key`] for the companion *placement* hint.
+    /// can therefore never serve an approximate answer, wherever its
+    /// placement puts the query.
     pub fn bounds_bits(&self) -> (u64, u64) {
         (self.a.to_bits(), self.b.to_bits())
-    }
-
-    /// Quantized cache key: both bounds mapped onto a `2^grid_bits`-cell
-    /// grid over `domain` and packed into one `u64` (`a`-cell in the high
-    /// half, `b`-cell in the low half). `grid_bits` must be in `1..=32`.
-    ///
-    /// The key is a **placement hint only** — it decides which slot of a
-    /// fixed-size direct-mapped estimate cache a query hashes to, so
-    /// near-identical ranges contend for the same slot instead of
-    /// spraying across the table. It is deliberately lossy; correctness
-    /// never depends on it. The error-free guarantee of the serving cache
-    /// comes from comparing [`RangeQuery::bounds_bits`] exactly on every
-    /// probe: a quantization collision costs a cache miss (or an
-    /// eviction), never a wrong answer.
-    ///
-    /// Bounds outside the domain clamp to the edge cells, so the key is
-    /// total over all validated queries. Pure IEEE-754 arithmetic on
-    /// fixed inputs: the key for a given `(query, domain, grid_bits)` is
-    /// identical across runs, worker counts, and platforms.
-    pub fn quantized_key(&self, domain: &Domain, grid_bits: u32) -> u64 {
-        assert!(
-            (1..=32).contains(&grid_bits),
-            "quantized_key needs 1..=32 grid bits, got {grid_bits}"
-        );
-        let cells = (1u64 << grid_bits) as f64;
-        let w = domain.width();
-        let cell = |x: f64| -> u64 {
-            if w <= 0.0 {
-                return 0;
-            }
-            let rel = ((x - domain.lo()) / w).clamp(0.0, 1.0);
-            ((rel * cells) as u64).min((1u64 << grid_bits) - 1)
-        };
-        (cell(self.a) << grid_bits) | cell(self.b)
     }
 }
 
@@ -201,45 +167,6 @@ mod tests {
     #[should_panic(expected = "finite a <= b")]
     fn rejects_inverted_range() {
         let _ = RangeQuery::new(5.0, 4.0);
-    }
-
-    #[test]
-    fn quantized_key_buckets_and_bounds_bits_identify() {
-        let d = Domain::new(0.0, 100.0);
-        let q = RangeQuery::new(10.0, 30.0);
-        // Identity is exact: equal queries share bounds bits, and a 1-ulp
-        // perturbation changes them.
-        assert_eq!(q.bounds_bits(), RangeQuery::new(10.0, 30.0).bounds_bits());
-        let nudged = RangeQuery::new(f64::from_bits(10.0f64.to_bits() + 1), 30.0);
-        assert_ne!(q.bounds_bits(), nudged.bounds_bits());
-        // The placement key is stable for equal queries and coarse for
-        // nearby ones: the 1-ulp nudge lands in the same grid cell.
-        for bits in [1, 8, 16, 32] {
-            assert_eq!(
-                q.quantized_key(&d, bits),
-                RangeQuery::new(10.0, 30.0).quantized_key(&d, bits)
-            );
-            assert_eq!(q.quantized_key(&d, bits), nudged.quantized_key(&d, bits));
-        }
-        // Distinct ranges separate once the grid is fine enough.
-        let far = RangeQuery::new(60.0, 90.0);
-        assert_ne!(q.quantized_key(&d, 8), far.quantized_key(&d, 8));
-        // Cells stay inside the packed halves.
-        let edge = RangeQuery::new(100.0, 100.0);
-        let k = edge.quantized_key(&d, 16);
-        assert_eq!(k >> 16, 0xFFFF);
-        assert_eq!(k & 0xFFFF, 0xFFFF);
-        // Out-of-domain bounds clamp instead of overflowing the grid.
-        let outside = RangeQuery::new(-50.0, 250.0);
-        let k = outside.quantized_key(&d, 8);
-        assert_eq!(k >> 8, 0);
-        assert_eq!(k & 0xFF, 0xFF);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=32 grid bits")]
-    fn quantized_key_rejects_oversized_grids() {
-        let _ = RangeQuery::new(0.0, 1.0).quantized_key(&Domain::unit(), 33);
     }
 
     #[test]

@@ -10,18 +10,25 @@
 //!   no longer change.
 //! * **Epoch publication** ([`ServingEngine`]) — the one mutable cell is
 //!   `Mutex<Arc<CatalogSnapshot>>` plus an `AtomicU64` epoch. The steady-
-//!   state read path is one `Acquire` load of the epoch and a thread-local
-//!   lookup; the mutex is touched only on the first read after a publish.
+//!   state read path is one `Acquire` load of the epoch, a thread-local
+//!   lookup and the returned `Arc`'s refcount increment; the mutex is
+//!   touched only on the first read after a publish.
 //!   Writers build a full replacement snapshot off to the side (through
 //!   the bulkheaded ANALYZE, one scoped worker per shard) and swap it in
 //!   with a strictly increasing generation number.
 //! * **Estimate cache** ([`EstimateCache`]) — a fixed-size direct-mapped
 //!   array of seqlock slots keyed by *quantized* query bounds but guarded
-//!   by *exact* ones: [`RangeQuery::quantized_key`] picks the slot,
+//!   by *exact* ones. A batch computes its column's placement grid once;
+//!   each query's bounds then become two grid cells (one multiply and a
+//!   clamp each), and one multiply–xorshift word mix of the cells with
+//!   the column index picks the slot. A miss keeps that slot index and
+//!   fills the same slot without hashing again.
 //!   [`RangeQuery::bounds_bits`] plus the snapshot generation and column
 //!   index decide whether the slot answers. A collision costs a miss,
 //!   never a wrong value, and a snapshot swap invalidates the whole cache
-//!   wholesale because no old-generation tag can match again.
+//!   wholesale because no old-generation tag can match again. A batch
+//!   tallies its hits, misses, inserts and conflicts locally and adds
+//!   them to the shared counters once, at its end.
 //!
 //! Everything here preserves the workspace determinism contract: a served
 //! *full-precision* estimate — cached, batched, sharded, or republished —
@@ -494,15 +501,16 @@ impl CacheSlot {
 
 /// A read-through estimate cache: fixed-size, direct-mapped, lock-free.
 ///
-/// **Placement** is lossy: [`RangeQuery::quantized_key`] (bounds snapped
-/// to a `2^quantize_bits` grid over the column domain) hashed with the
-/// column index picks the slot. **Identity** is exact: a probe answers
-/// only if the slot's `(generation, column, a_bits, b_bits)` tag equals
-/// the query's — so the cache can serve a *wrong-slot* miss but never a
-/// wrong *value* (the error-free guarantee), and an epoch publish
-/// invalidates every entry wholesale because generations are strictly
-/// increasing and old tags can never match again. Memory is bounded by
-/// construction: `2^cache_bits` slots of six words each, allocated once.
+/// **Placement** is lossy: both bounds snap to a `2^quantize_bits`-cell
+/// grid over the column domain, and a multiply–xorshift word mix of the
+/// two cells with the column index picks the slot. **Identity** is
+/// exact: a probe answers only if the slot's `(generation, column,
+/// a_bits, b_bits)` tag equals the query's — so the cache can serve a
+/// *wrong-slot* miss but never a wrong *value* (the error-free
+/// guarantee), and an epoch publish invalidates every entry wholesale
+/// because generations are strictly increasing and old tags can never
+/// match again. Memory is bounded by construction: `2^cache_bits` slots
+/// of six words each, allocated once.
 pub struct EstimateCache {
     slots: Vec<CacheSlot>,
     quantize_bits: u32,
@@ -510,6 +518,38 @@ pub struct EstimateCache {
     misses: AtomicU64,
     inserts: AtomicU64,
     conflicts: AtomicU64,
+}
+
+/// Where one column's queries land in an [`EstimateCache`]. Computed once
+/// per batch, so a query's slot costs two multiplies for its grid cells
+/// and one word mix.
+struct Placement {
+    /// The domain's low edge: cell 0 starts here.
+    lo: f64,
+    /// Cells per unit of the domain, `2^bits / width`, or 0 when the
+    /// width is not positive, which puts every bound in cell 0.
+    scale: f64,
+    bits: u32,
+    /// The column index, premixed so columns with equal cells spread.
+    salt: u64,
+    /// `64 - cache_bits`: the mix's top bits index the slot array.
+    shift: u32,
+}
+
+impl Placement {
+    /// Both bounds' grid cells packed into one word, `a`'s above `b`'s.
+    /// A bound outside the domain clamps to the edge cell (the saturating
+    /// float-to-int cast takes the low side, `min` the high side).
+    fn key(&self, q: &RangeQuery) -> u64 {
+        let last = (1u64 << self.bits) - 1;
+        let cell = |x: f64| (((x - self.lo) * self.scale) as u64).min(last);
+        (cell(q.a()) << self.bits) | cell(q.b())
+    }
+
+    /// The query's slot index.
+    fn slot(&self, q: &RangeQuery) -> usize {
+        (crate::overload::splitmix64(self.key(q) ^ self.salt) >> self.shift) as usize
+    }
 }
 
 impl EstimateCache {
@@ -548,7 +588,10 @@ impl EstimateCache {
         self.quantize_bits
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot. A serving batch tallies its probes and fills
+    /// locally and adds them here when it ends, so the totals are exact
+    /// whenever no batch is in flight; while batches run, they lag by
+    /// the counts of those batches.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -558,29 +601,39 @@ impl EstimateCache {
         }
     }
 
-    fn slot_index(&self, domain: &Domain, q: &RangeQuery, column: usize) -> usize {
-        let key = q.quantized_key(domain, self.quantize_bits);
-        let mut bytes = [0u8; 16];
-        bytes[..8].copy_from_slice(&key.to_le_bytes());
-        bytes[8..].copy_from_slice(&(column as u64).to_le_bytes());
-        (selest_par::fnv1a_64(&bytes) as usize) & (self.slots.len() - 1)
+    /// The placement of `column`'s queries over `domain`.
+    fn placement(&self, domain: &Domain, column: usize) -> Placement {
+        let width = domain.width();
+        Placement {
+            lo: domain.lo(),
+            scale: if width > 0.0 {
+                (1u64 << self.quantize_bits) as f64 / width
+            } else {
+                0.0
+            },
+            bits: self.quantize_bits,
+            salt: crate::overload::splitmix64(column as u64),
+            shift: 64 - self.slots.len().trailing_zeros(),
+        }
     }
 
-    /// Probe for an exact-identity hit. Generation 0 (the empty
+    /// Probe `slot` (from [`Placement::slot`]) for an exact-identity hit,
+    /// counting a hit or a miss in `tally`. Generation 0 (the empty
     /// placeholder snapshot) is never cached, so the all-zero initial
     /// slot state cannot masquerade as an entry.
-    pub fn get(
+    fn probe(
         &self,
+        slot: usize,
         generation: u64,
         column: usize,
-        domain: &Domain,
         q: &RangeQuery,
+        tally: &mut CacheStats,
     ) -> Option<f64> {
         if generation == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            tally.misses += 1;
             return None;
         }
-        let slot = &self.slots[self.slot_index(domain, q, column)];
+        let slot = &self.slots[slot];
         let v1 = slot.version.load(Ordering::Acquire);
         if v1 & 1 == 0 {
             let tag = (
@@ -594,30 +647,33 @@ impl EstimateCache {
             if slot.version.load(Ordering::Acquire) == v1
                 && tag == (generation, column as u64, qa, qb)
             {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                tally.hits += 1;
                 return Some(f64::from_bits(value));
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        tally.misses += 1;
         None
     }
 
-    /// Write a computed estimate into the query's slot, evicting whatever
-    /// was there. Best-effort: if another writer holds the slot's seqlock
-    /// the insert is skipped (the value is already on its way to that
-    /// slot or the caller; dropping a cache fill is always safe).
-    pub fn insert(
+    /// Write a computed estimate into `slot` — the one its probe read —
+    /// evicting whatever was there, and count the insert in `tally`.
+    /// Best-effort: if another writer holds the slot's seqlock the fill
+    /// is skipped and counted as a conflict (the value is already on its
+    /// way to that slot or the caller; dropping a cache fill is always
+    /// safe).
+    fn fill(
         &self,
+        slot: usize,
         generation: u64,
         column: usize,
-        domain: &Domain,
         q: &RangeQuery,
         value: f64,
+        tally: &mut CacheStats,
     ) {
         if generation == 0 {
             return;
         }
-        let slot = &self.slots[self.slot_index(domain, q, column)];
+        let slot = &self.slots[slot];
         let v = slot.version.load(Ordering::Relaxed);
         if v & 1 == 1
             || slot
@@ -625,7 +681,7 @@ impl EstimateCache {
                 .compare_exchange(v, v | 1, Ordering::Acquire, Ordering::Relaxed)
                 .is_err()
         {
-            self.conflicts.fetch_add(1, Ordering::Relaxed);
+            tally.conflicts += 1;
             return;
         }
         let (qa, qb) = q.bounds_bits();
@@ -635,7 +691,22 @@ impl EstimateCache {
         slot.b_bits.store(qb, Ordering::Release);
         slot.value_bits.store(value.to_bits(), Ordering::Release);
         slot.version.store(v.wrapping_add(2), Ordering::Release);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        tally.inserts += 1;
+    }
+
+    /// Add a batch's tally to the shared counters: one `fetch_add` per
+    /// nonzero count.
+    fn count(&self, tally: CacheStats) {
+        for (counter, n) in [
+            (&self.hits, tally.hits),
+            (&self.misses, tally.misses),
+            (&self.inserts, tally.inserts),
+            (&self.conflicts, tally.conflicts),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -832,7 +903,10 @@ impl Drop for AdmissionGuard<'_> {
 pub struct ServingScratch {
     batch: BatchScratch,
     miss_queries: Vec<RangeQuery>,
+    /// Each miss's position in the batch.
     miss_slots: Vec<usize>,
+    /// Each miss's cache slot, computed by its probe and reused by its fill.
+    miss_cache_slots: Vec<usize>,
     miss_tried: Vec<Result<f64, EstimateError>>,
     served: Vec<Result<ServedEstimate, EstimateError>>,
 }
@@ -844,6 +918,7 @@ impl ServingScratch {
             batch: BatchScratch::new(),
             miss_queries: Vec::new(),
             miss_slots: Vec::new(),
+            miss_cache_slots: Vec::new(),
             miss_tried: Vec::new(),
             served: Vec::new(),
         }
@@ -876,9 +951,10 @@ const TL_SNAPSHOT_CAP: usize = 8;
 ///
 /// Readers call [`ServingEngine::try_estimate`] /
 /// [`ServingEngine::estimate_batch_into`] from any thread; the steady
-/// state costs one atomic load (the epoch) plus a thread-local vector
-/// probe to reach the snapshot — no lock, no reference-count contention
-/// on the hot path. Publishes ([`ServingEngine::publish_catalog`],
+/// state costs one atomic load (the epoch), a thread-local vector probe
+/// and an `Arc` clone (one atomic increment of the snapshot's shared
+/// refcount, and one decrement when it is dropped) to reach the snapshot
+/// — no lock on the hot path. Publishes ([`ServingEngine::publish_catalog`],
 /// [`ServingEngine::rebuild_and_publish`]) build the new snapshot
 /// entirely off to the side and swap it in under the engine's one mutex;
 /// in-flight readers keep their `Arc` to the old snapshot and finish
@@ -951,8 +1027,10 @@ impl ServingEngine {
     }
 
     /// The snapshot currently serving. Wait-free in the steady state:
-    /// one `Acquire` epoch load plus a thread-local probe; the engine
-    /// mutex is locked only on this thread's first call after a publish.
+    /// one `Acquire` epoch load, a thread-local probe and an `Arc`
+    /// clone (an atomic increment of the refcount every reader of this
+    /// snapshot shares); the engine mutex is locked only on this
+    /// thread's first call after a publish.
     pub fn snapshot(&self) -> Arc<CatalogSnapshot> {
         let epoch = self.epoch.load(Ordering::Acquire);
         SNAPSHOTS.with(|cell| {
@@ -1352,13 +1430,17 @@ impl ServingEngine {
         };
         let started = Instant::now();
         let generation = snap.generation();
+        let placement = self.cache.placement(&col.domain, idx);
+        let mut tally = CacheStats::default();
         scratch.miss_queries.clear();
         scratch.miss_slots.clear();
+        scratch.miss_cache_slots.clear();
         for (i, (slot, q)) in out.iter_mut().zip(queries).enumerate() {
             if slot.is_err() {
                 continue;
             }
-            match self.cache.get(generation, idx, &col.domain, q) {
+            let cache_slot = placement.slot(q);
+            match self.cache.probe(cache_slot, generation, idx, q, &mut tally) {
                 Some(v) => {
                     *slot = Ok(ServedEstimate {
                         value: v,
@@ -1367,6 +1449,7 @@ impl ServingEngine {
                 }
                 None => {
                     scratch.miss_slots.push(i);
+                    scratch.miss_cache_slots.push(cache_slot);
                     scratch.miss_queries.push(*q);
                 }
             }
@@ -1374,13 +1457,17 @@ impl ServingEngine {
         if !scratch.miss_queries.is_empty() {
             let brownout = self.overload.brownout && col.brownout.is_some();
             let rung = route(self.tier.tier(), brownout, &col.breaker);
-            self.serve_misses(&snap, idx, rung, deadline, scratch, out);
+            self.serve_misses(&snap, idx, rung, deadline, scratch, &mut tally, out);
         }
+        self.cache.count(tally);
         self.note_latency(shard, started);
     }
 
     /// Answer a batch's compacted cache misses from `rung` and finish
     /// every slot by the one rule of [`ServingEngine::estimate_batch_with`].
+    /// Primary answers fill the cache slots their probes read, counted in
+    /// the batch's `tally`.
+    #[allow(clippy::too_many_arguments)]
     fn serve_misses(
         &self,
         snap: &CatalogSnapshot,
@@ -1388,6 +1475,7 @@ impl ServingEngine {
         rung: ServeRung,
         deadline: Option<&Deadline>,
         scratch: &mut ServingScratch,
+        tally: &mut CacheStats,
         out: &mut [Result<ServedEstimate, EstimateError>],
     ) {
         let col = &snap.columns[idx];
@@ -1414,16 +1502,18 @@ impl ServingEngine {
         // Every slot is counted once: by its rung if that rung answered,
         // as floored if it faulted, as refused if its deadline expired.
         let (mut faulted, mut refused) = (0u64, 0u64);
-        for (k, (&i, q)) in scratch
+        for (k, ((&i, &cache_slot), q)) in scratch
             .miss_slots
             .iter()
+            .zip(&scratch.miss_cache_slots)
             .zip(&scratch.miss_queries)
             .enumerate()
         {
             out[i] = match tried.get(k) {
                 Some(Ok(v)) if v.is_finite() => {
                     if rung == ServeRung::Full {
-                        self.cache.insert(snap.generation, idx, &col.domain, q, *v);
+                        self.cache
+                            .fill(cache_slot, snap.generation, idx, q, *v, tally);
                     }
                     Ok(ServedEstimate { value: *v, rung })
                 }
@@ -1871,20 +1961,161 @@ mod tests {
         let cache = EstimateCache::new(1, 16);
         assert_eq!(cache.slots(), 2);
         let qs = queries(64);
+        let mut tally = CacheStats::default();
         for round in 0..3 {
             for (i, q) in qs.iter().enumerate() {
                 let truth = q.width() / d.width();
-                if let Some(v) = cache.get(7, i, &d, q) {
+                let slot = cache.placement(&d, i).slot(q);
+                if let Some(v) = cache.probe(slot, 7, i, q, &mut tally) {
                     assert_eq!(v.to_bits(), truth.to_bits(), "round {round} query {i}");
                 }
-                cache.insert(7, i, &d, q, truth);
+                cache.fill(slot, 7, i, q, truth, &mut tally);
             }
         }
+        cache.count(tally);
         let stats = cache.stats();
         assert!(stats.inserts > 0);
         assert!(stats.misses > 0, "2 slots cannot hold 64 queries");
         // Memory is bounded by construction: the slot array never grows.
         assert_eq!(cache.slots(), 2);
+    }
+
+    #[test]
+    fn placement_cells_are_coarse_and_clamp_to_the_domain_edges() {
+        let d = Domain::new(0.0, 100.0);
+        let q = RangeQuery::new(10.0, 30.0);
+        let nudged = RangeQuery::new(f64::from_bits(10.0f64.to_bits() + 1), 30.0);
+        assert_eq!(q.bounds_bits(), RangeQuery::new(10.0, 30.0).bounds_bits());
+        assert_ne!(q.bounds_bits(), nudged.bounds_bits());
+        for bits in [1, 8, 16, 32] {
+            let cache = EstimateCache::new(12, bits);
+            let at = cache.placement(&d, 3);
+            // Equal queries share a slot, and the 1-ulp nudge stays in
+            // its cell: placement is coarse, identity is exact.
+            assert_eq!(at.slot(&q), at.slot(&RangeQuery::new(10.0, 30.0)));
+            assert_eq!(at.key(&q), at.key(&nudged));
+            // Bounds on or beyond the edges clamp to the edge cells.
+            let last = (1u64 << bits) - 1;
+            let k = at.key(&RangeQuery::new(100.0, 100.0));
+            assert_eq!((k >> bits, k & last), (last, last), "{bits} bits");
+            let k = at.key(&RangeQuery::new(-50.0, 250.0));
+            assert_eq!((k >> bits, k & last), (0, last), "{bits} bits");
+        }
+        // Distinct ranges separate once the grid is fine enough.
+        let at = EstimateCache::new(12, 8).placement(&d, 3);
+        assert_ne!(at.key(&q), at.key(&RangeQuery::new(60.0, 90.0)));
+        // A domain too wide for an f64 width puts every bound in cell 0.
+        let huge = EstimateCache::new(12, 16).placement(&Domain::new(-f64::MAX, f64::MAX), 0);
+        assert_eq!(huge.key(&RangeQuery::new(-1.0, 9.0)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=32 quantize bits")]
+    fn estimate_cache_rejects_oversized_grids() {
+        let _ = EstimateCache::new(12, 33);
+    }
+
+    #[test]
+    fn placement_spreads_equal_cells_of_different_columns() {
+        // serve-hot's shape: affine copies of one column put the same
+        // queries into the same grid cells. 512 distinct queries through
+        // 8 such columns are 4 096 probes into 4 096 slots, which a
+        // uniform hash spreads over 4096·(1 − 1/e) ≈ 2 589 slots. A mix
+        // that ignored the column index would occupy at most 512.
+        let cache = EstimateCache::new(12, 16);
+        let cells = 1u64 << 16;
+        let cell_queries: Vec<(u64, u64)> = (0..512u64)
+            .map(|i| {
+                let a = 37 * i % (cells / 2);
+                (a, a + 1 + crate::overload::splitmix64(i) % (cells / 2 - 1))
+            })
+            .collect();
+        let mut occupied = vec![false; cache.slots()];
+        for c in 0..8usize {
+            let (lo, width) = (-300.0 + 170.0 * c as f64, 250.0 * (1 + c % 3) as f64);
+            let d = Domain::new(lo, lo + width);
+            let at = cache.placement(&d, c);
+            let mid = |cell: u64| lo + (cell as f64 + 0.5) * width / cells as f64;
+            for &(a, b) in &cell_queries {
+                let q = RangeQuery::new(mid(a), mid(b));
+                assert_eq!(at.key(&q), (a << 16) | b, "column {c}: equal cells");
+                occupied[at.slot(&q)] = true;
+            }
+        }
+        let occupied = occupied.iter().filter(|&&o| o).count();
+        let uniform = 4096.0 * (1.0 - (-1.0f64).exp());
+        assert!(
+            occupied as f64 >= 0.95 * uniform,
+            "{occupied} of 4096 slots occupied, uniform expects {uniform:.0}"
+        );
+    }
+
+    #[test]
+    fn cache_counters_are_exact_after_concurrent_batches() {
+        let r = test_relation();
+        let engine = ServingEngine::with_defaults();
+        engine.publish_catalog(analyzed(&r, EstimatorKind::MaxDiff));
+        // Each batch mixes 16 repeats from a hot pool, 16 fresh queries
+        // and one invalid slot; both threads serve the same batches.
+        let pool = queries(16 + 16 * 40);
+        let (hot, fresh) = pool.split_at(16);
+        let batches: Vec<Vec<RangeQuery>> = fresh
+            .chunks(16)
+            .map(|chunk| {
+                let mut batch: Vec<RangeQuery> = hot.iter().chain(chunk).copied().collect();
+                batch.push(RangeQuery::unchecked(2.0, 1.0));
+                batch
+            })
+            .collect();
+        let served: u64 = std::thread::scope(|s| {
+            let serve = || {
+                let (mut scratch, mut out) = (ServingScratch::new(), Vec::new());
+                let mut ok = 0u64;
+                for (k, batch) in batches.iter().enumerate() {
+                    let column = ["a", "b"][k % 2];
+                    engine.estimate_batch_into("serve", column, batch, &mut scratch, &mut out);
+                    ok += out.iter().filter(|v| v.is_ok()).count() as u64;
+                }
+                ok
+            };
+            let threads = [s.spawn(serve), s.spawn(serve)];
+            threads.map(|t| t.join().expect("client")).iter().sum()
+        });
+        let valid = 2 * batches.len() as u64 * 32;
+        assert_eq!(served, valid, "every valid slot serves");
+        let health = engine.health();
+        assert_eq!(
+            (
+                health.floor_served,
+                health.brownout_served,
+                health.deadline_refused
+            ),
+            (0, 0, 0),
+            "every miss is a full-rung fill"
+        );
+        let stats = health.cache;
+        assert_eq!(stats.hits + stats.misses, valid, "{stats:?}");
+        assert_eq!(stats.inserts + stats.conflicts, stats.misses, "{stats:?}");
+        assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
+
+        // Replay one batch of distinct queries on a fresh engine whose
+        // cache dwarfs it: the second pass hits every slot the first
+        // filled, so each fill landed in the slot its probe read.
+        let engine = ServingEngine::new(ServingOptions {
+            cache_bits: 16,
+            quantize_bits: 32,
+            ..Default::default()
+        });
+        engine.publish_catalog(analyzed(&r, EstimatorKind::MaxDiff));
+        let batch = &fresh[..64];
+        let (mut scratch, mut out) = (ServingScratch::new(), Vec::new());
+        engine.estimate_batch_into("serve", "b", batch, &mut scratch, &mut out);
+        let first = engine.cache().stats();
+        assert_eq!((first.hits, first.misses), (0, 64));
+        engine.estimate_batch_into("serve", "b", batch, &mut scratch, &mut out);
+        let second = engine.cache().stats();
+        assert_eq!(second.hits, first.inserts);
+        assert_eq!(second.misses, first.misses);
     }
 
     #[test]

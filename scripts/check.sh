@@ -54,6 +54,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> selbench clippy and doc (its own package, outside the workspace gates)"
+cargo clippy --locked --manifest-path selbench/Cargo.toml --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --manifest-path selbench/Cargo.toml --no-deps
+
 echo "==> chaos gate (fixed-seed chaos tests under SELEST_JOBS=1 and SELEST_JOBS=7)"
 # The chaos suite (tests/chaos_parallel.rs) already ran once above under the
 # default worker count; the gate pins the two interesting extremes — inline
