@@ -1,11 +1,11 @@
 //! Confidence intervals for sample-based selectivity estimates.
 //!
 //! A sampling-based selectivity estimate is a binomial proportion, so the
-//! classical intervals apply: the Wald interval (simple, poor near 0/1)
-//! and the Wilson score interval (the practical default). Both support the
-//! finite-population correction for sampling *without replacement* from a
-//! relation of known size — exactly the paper's setting (n = 2 000 of
-//! N = 100 000).
+//! classical intervals apply. This module provides the Wilson score
+//! interval (the practical default; the Wald interval `p ± z·sqrt(p(1−p)/n)`
+//! is simple but poor near 0/1), with the finite-population correction for
+//! sampling *without replacement* from a relation of known size — exactly
+//! the paper's setting (n = 2 000 of N = 100 000).
 //!
 //! For kernel and histogram estimators these intervals are a conservative
 //! proxy: smoothing reduces variance at the price of bias, so the true
@@ -47,32 +47,9 @@ fn fpc(n: usize, population: Option<usize>) -> f64 {
     }
 }
 
-/// Wald (normal-approximation) interval for a proportion estimated as
-/// `p_hat` from `n` samples at the given confidence level, optionally with
-/// the finite-population correction for a population of the given size.
-pub fn wald_interval(
-    p_hat: f64,
-    n: usize,
-    confidence: f64,
-    population: Option<usize>,
-) -> ConfidenceInterval {
-    assert!((0.0..=1.0).contains(&p_hat), "p_hat out of [0,1]: {p_hat}");
-    assert!(n > 0, "wald_interval needs samples");
-    assert!(
-        (0.0..1.0).contains(&confidence),
-        "confidence out of [0,1): {confidence}"
-    );
-    let z = normal_quantile(0.5 + confidence / 2.0);
-    let se = (p_hat * (1.0 - p_hat) / n as f64).sqrt() * fpc(n, population);
-    ConfidenceInterval {
-        lo: (p_hat - z * se).max(0.0),
-        hi: (p_hat + z * se).min(1.0),
-    }
-}
-
 /// Wilson score interval: well-behaved near 0 and 1 and for small `n`; the
 /// recommended default. The finite-population correction shrinks the
-/// effective variance as in the Wald case.
+/// effective variance by inflating the effective sample size.
 ///
 /// # Examples
 ///
@@ -125,31 +102,25 @@ pub fn wilson_interval(
 mod tests {
     use super::*;
 
-    #[test]
-    fn wald_matches_hand_computation() {
-        // p = 0.5, n = 100, 95%: se = 0.05, z = 1.96 -> +- 0.098.
-        let ci = wald_interval(0.5, 100, 0.95, None);
-        assert!((ci.lo - (0.5 - 0.098)).abs() < 1e-3, "lo {}", ci.lo);
-        assert!((ci.hi - (0.5 + 0.098)).abs() < 1e-3, "hi {}", ci.hi);
-        assert!(ci.contains(0.5));
-        assert!(!ci.contains(0.7));
+    /// The Wald half-width `z·sqrt(p(1−p)/n)` Wilson is compared against.
+    fn wald_half_width(p: f64, n: usize, confidence: f64) -> f64 {
+        normal_quantile(0.5 + confidence / 2.0) * (p * (1.0 - p) / n as f64).sqrt()
     }
 
     #[test]
     fn intervals_shrink_with_n_and_confidence() {
-        let wide = wald_interval(0.3, 100, 0.95, None);
-        let narrow = wald_interval(0.3, 10_000, 0.95, None);
+        let wide = wilson_interval(0.3, 100, 0.95, None);
+        let narrow = wilson_interval(0.3, 10_000, 0.95, None);
         assert!(narrow.width() < 0.15 * wide.width());
-        let low_conf = wald_interval(0.3, 100, 0.80, None);
+        let low_conf = wilson_interval(0.3, 100, 0.80, None);
         assert!(low_conf.width() < wide.width());
     }
 
     #[test]
     fn wilson_behaves_at_the_extremes() {
         // p_hat = 0 with Wald collapses to a point; Wilson does not.
-        let wald = wald_interval(0.0, 50, 0.95, None);
         let wilson = wilson_interval(0.0, 50, 0.95, None);
-        assert_eq!(wald.width(), 0.0);
+        assert_eq!(wald_half_width(0.0, 50, 0.95), 0.0);
         assert!(wilson.width() > 0.0, "Wilson must keep uncertainty at p=0");
         assert!(wilson.hi < 0.15);
         // Symmetric at the other end.
@@ -159,18 +130,18 @@ mod tests {
 
     #[test]
     fn wilson_and_wald_agree_for_large_n_mid_p() {
-        let a = wald_interval(0.4, 100_000, 0.95, None);
+        let half = wald_half_width(0.4, 100_000, 0.95);
         let b = wilson_interval(0.4, 100_000, 0.95, None);
-        assert!((a.lo - b.lo).abs() < 1e-4);
-        assert!((a.hi - b.hi).abs() < 1e-4);
+        assert!((0.4 - half - b.lo).abs() < 1e-4);
+        assert!((0.4 + half - b.hi).abs() < 1e-4);
     }
 
     #[test]
     fn finite_population_correction_tightens_intervals() {
         // Sampling 2 000 of 100 000 barely matters; 2 000 of 2 500 does.
-        let free = wald_interval(0.3, 2_000, 0.95, None);
-        let big = wald_interval(0.3, 2_000, 0.95, Some(100_000));
-        let small = wald_interval(0.3, 2_000, 0.95, Some(2_500));
+        let free = wilson_interval(0.3, 2_000, 0.95, None);
+        let big = wilson_interval(0.3, 2_000, 0.95, Some(100_000));
+        let small = wilson_interval(0.3, 2_000, 0.95, Some(2_500));
         assert!(big.width() < free.width());
         assert!(big.width() > 0.95 * free.width());
         assert!(small.width() < 0.5 * free.width());
@@ -218,6 +189,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "sample larger than population")]
     fn oversized_sample_panics() {
-        let _ = wald_interval(0.5, 200, 0.95, Some(100));
+        let _ = wilson_interval(0.5, 200, 0.95, Some(100));
     }
 }

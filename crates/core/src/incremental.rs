@@ -240,8 +240,8 @@ impl ReservoirSketch {
     /// over a disjoint index range: the result retains the top-`capacity`
     /// rows of the union by priority — exactly what a single pass over
     /// the combined stream retains. Panics on a capacity or seed
-    /// mismatch; the catalog's partition-merge path checks compatibility
-    /// first and reports a typed error instead.
+    /// mismatch; [`IncrementalColumn::merge`] checks compatibility first
+    /// and reports a typed error instead.
     pub fn merge(&mut self, other: &ReservoirSketch) {
         assert_eq!(
             self.capacity, other.capacity,
@@ -746,6 +746,20 @@ mod tests {
             left.snapshot().sorted(),
             "merged partitions must retain the sequential sample"
         );
+        // A partition under another seed or domain is refused, typed,
+        // and leaves the column as it was.
+        let other_seed = IncrementalColumn::from_values(&values[..10], d, 64, 4).unwrap();
+        assert!(matches!(
+            left.merge(&other_seed),
+            Err(EstimateError::CorruptEntry { .. })
+        ));
+        let wide = Domain::new(0.0, 200.0);
+        let other_domain = IncrementalColumn::from_values(&values[..10], wide, 64, 3).unwrap();
+        assert!(matches!(
+            left.merge(&other_domain),
+            Err(EstimateError::InvalidDomain { .. })
+        ));
+        assert_eq!(left.live_rows(), 3_000);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod scratch;
 pub mod traits;
 pub mod uniform;
 
-pub use confidence::{wald_interval, wilson_interval, ConfidenceInterval};
+pub use confidence::{wilson_interval, ConfidenceInterval};
 pub use domain::Domain;
 pub use ecdf::Ecdf;
 pub use errors::{absolute_error, integrated_squared_error, relative_error, ErrorStats};

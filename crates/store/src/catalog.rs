@@ -3,7 +3,7 @@
 //! paper's estimators play inside a query optimizer (its opening
 //! motivation, from System R onward).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use selest_core::fault::{catch_fault, sanitize_sample, EstimateError, FaultStage, SampleAudit};
@@ -359,8 +359,7 @@ pub fn try_build_estimator_from_prepared(
 /// The statistics catalog: `(relation, column) -> ColumnStatistics`.
 ///
 /// Every write path — batch, single-column and incremental ANALYZE,
-/// import, staleness refresh, partition and shard merge, checkpoint
-/// restore — builds each column in a panic-isolated engine task and
+/// import, staleness refresh, checkpoint restore — builds each column in a panic-isolated engine task and
 /// installs the results in input order, so the catalog (every byte of its
 /// exported evidence included) is identical for any worker count. A
 /// column whose build fails — degenerate sample, panicking constructor,
@@ -700,12 +699,11 @@ impl StatisticsCatalog {
         self.try_analyze_columns_with(relation, &names, config, engine)
     }
 
-    /// Bulkheaded ANALYZE of a named subset of `relation`'s columns — the
-    /// building block shard-parallel rebuilds use to analyze each shard's
-    /// columns on the worker that owns them. Column names the relation
-    /// does not have quarantine as [`EstimateError::UnknownColumn`];
-    /// otherwise identical per-column semantics (and byte-identical
-    /// per-column results) to [`StatisticsCatalog::try_analyze_with`].
+    /// Bulkheaded ANALYZE of a named subset of `relation`'s columns.
+    /// Column names the relation does not have quarantine as
+    /// [`EstimateError::UnknownColumn`]; otherwise identical per-column
+    /// semantics (and byte-identical per-column results) to
+    /// [`StatisticsCatalog::try_analyze_with`].
     pub fn try_analyze_columns_with(
         &mut self,
         relation: &Relation,
@@ -909,57 +907,6 @@ impl StatisticsCatalog {
             }
         }
         report
-    }
-
-    /// Absorb partition catalogs built by independent shards: columns
-    /// with incremental state on both sides *merge* — reservoirs combine
-    /// to exactly the single-pass sample, GK summaries merge within the
-    /// documented 2ε rank bound, tombstones add — and their estimators
-    /// rebuild through the bulkhead. Other entries replace wholesale (so
-    /// disjoint shard catalogs combine into exactly one catalog's
-    /// ANALYZE), and a part's quarantine records carry over, so the latest
-    /// verdict per column wins. A merge incompatibility (domain, reservoir
-    /// capacity, or seed mismatch) quarantines the column.
-    pub fn try_merge_partitions(
-        &mut self,
-        parts: Vec<StatisticsCatalog>,
-        engine: &selest_par::TryConfig,
-    ) -> CatalogHealthReport {
-        let mut touched = BTreeSet::new();
-        for part in parts {
-            for (key, stats) in part.entries {
-                let kind = stats.kind;
-                let mine = self
-                    .entries
-                    .get_mut(&key)
-                    .and_then(|e| e.incremental.as_mut());
-                let built = match (mine, stats.incremental.as_ref()) {
-                    (Some(mine), Some(theirs)) => match mine.column.merge(&theirs.column) {
-                        Ok(()) => {
-                            mine.sketch.merge(&theirs.sketch);
-                            mine.updates_since_refresh +=
-                                theirs.column.live_rows().max(1) + theirs.updates_since_refresh;
-                            touched.insert(key);
-                            continue;
-                        }
-                        Err(error) => Err(error),
-                    },
-                    _ => Ok((stats, ())),
-                };
-                // The outcome shows in the health report.
-                let _ = self.install(key, kind, built);
-            }
-            // A part's failure record carries over even where an entry
-            // serves: that column's latest build failed.
-            self.quarantine.extend(part.quarantine);
-        }
-        // Merged columns re-snapshot and rebuild through the bulkhead.
-        let stale: Vec<_> = touched
-            .into_iter()
-            .map(|key| (key, StalenessReason::UpdateVolume))
-            .collect();
-        self.refresh_columns(stale, engine);
-        self.health()
     }
 
     /// Every incremental column's freshness evidence, in `(relation,
@@ -1572,68 +1519,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_partitions_combine_counts_and_respect_the_rank_bound() {
-        let n = 4_000;
-        let mut merged = StatisticsCatalog::new();
-        let cfg = AnalyzeConfig {
-            kind: EstimatorKind::EquiDepth,
-            ..Default::default()
-        };
-        let parts: Vec<StatisticsCatalog> = [0..2_000, 2_000..4_000]
-            .into_iter()
-            .map(|range| {
-                let r = incremental_relation("inc", range);
-                let mut cat = StatisticsCatalog::new();
-                let report = cat.try_analyze_incremental(&r, &cfg, &selest_par::TryConfig::jobs(1));
-                assert!(report.is_healthy());
-                cat
-            })
-            .collect();
-        let report = merged.try_merge_partitions(parts, &selest_par::TryConfig::jobs(1));
-        assert!(report.is_healthy(), "{report:?}");
-        let st = merged.statistics("inc", "v").expect("merged entry");
-        assert_eq!(st.n_rows, n);
-        let state = st.incremental.as_ref().unwrap();
-        assert_eq!(state.column.live_rows(), n as u64);
-        assert_eq!(state.sketch.len(), n as u64);
-        // The documented merge guarantee: realized rank error within 2εn.
-        let bound = state.sketch.rank_error_bound();
-        let budget = (2.0 * SKETCH_EPSILON * n as f64).ceil() as u64;
-        assert!(bound <= budget, "rank bound {bound} over budget {budget}");
-        assert_eq!(state.refreshes, 1, "merge refreshes the estimator");
-        assert_eq!(state.updates_since_refresh, 0);
-        // The refreshed estimator serves the combined distribution.
-        let q = RangeQuery::new(0.0, 250.0);
-        let s = st.estimator.selectivity(&q);
-        assert!((s - 0.25).abs() < 0.05, "quarter-domain, got {s}");
-    }
-
-    #[test]
-    fn merge_incompatibility_quarantines_without_killing_the_survivor() {
-        let cfg = AnalyzeConfig {
-            kind: EstimatorKind::EquiDepth,
-            ..Default::default()
-        };
-        let mut merged = StatisticsCatalog::new();
-        let r = incremental_relation("inc", 0..1_000);
-        merged.try_analyze_incremental(&r, &cfg, &selest_par::TryConfig::jobs(1));
-        // A partition analyzed under a different seed derives a different
-        // reservoir seed: merging would break determinism, so it must
-        // refuse and quarantine.
-        let mut part = StatisticsCatalog::new();
-        part.try_analyze_incremental(
-            &incremental_relation("inc", 1_000..2_000),
-            &AnalyzeConfig { seed: 99, ..cfg },
-            &selest_par::TryConfig::jobs(1),
-        );
-        let report = merged.try_merge_partitions(vec![part], &selest_par::TryConfig::jobs(1));
-        assert_eq!(report.quarantined.len(), 1);
-        // The pre-merge entry keeps serving.
-        let st = merged.statistics("inc", "v").expect("survivor");
-        assert_eq!(st.n_rows, 1_000);
-    }
-
-    #[test]
     fn staleness_sweep_refreshes_and_resets_pressure() {
         let mut cat = incremental_catalog(EstimatorKind::EquiDepth, 2_000);
         let policy = StalenessPolicy {
@@ -1837,11 +1722,6 @@ mod tests {
             part.try_analyze_incremental(&r, &cfg, &TryConfig::jobs(1));
             part
         }
-        fn batch_part(relation: &Relation) -> StatisticsCatalog {
-            let mut part = StatisticsCatalog::new();
-            part.try_analyze_jobs(relation, &ew(), 1);
-            part
-        }
         fn checkpoint() -> SketchCheckpoint {
             let part = incremental_part(0..2_000, ew().seed);
             part.incremental_checkpoints().remove(0)
@@ -1913,44 +1793,6 @@ mod tests {
                 fail: |cat| refresh(cat, &expired()),
                 heal: |cat| refresh(cat, &TryConfig::jobs(1)),
                 error: |e| matches!(e, EstimateError::TaskAbandoned { .. }),
-            },
-            Path {
-                name: "partition merge",
-                before: |cat| *cat = incremental_part(0..1_000, ew().seed),
-                // A part under another seed cannot merge.
-                fail: |cat| {
-                    drop(cat.try_merge_partitions(
-                        vec![incremental_part(1_000..2_000, 99)],
-                        &TryConfig::jobs(1),
-                    ))
-                },
-                heal: |cat| {
-                    drop(cat.try_merge_partitions(
-                        vec![incremental_part(1_000..2_000, ew().seed)],
-                        &TryConfig::jobs(1),
-                    ))
-                },
-                error: |e| matches!(e, EstimateError::CorruptEntry { .. }),
-            },
-            Path {
-                // What a shard-parallel rebuild does: absorb batch-built
-                // parts.
-                name: "shard merge",
-                before: |cat| {
-                    drop(cat.try_merge_partitions(vec![batch_part(&good())], &TryConfig::jobs(1)))
-                },
-                fail: |cat| {
-                    drop(
-                        cat.try_merge_partitions(
-                            vec![batch_part(&constant())],
-                            &TryConfig::jobs(1),
-                        ),
-                    )
-                },
-                heal: |cat| {
-                    drop(cat.try_merge_partitions(vec![batch_part(&good())], &TryConfig::jobs(1)))
-                },
-                error: panicked,
             },
             Path {
                 name: "checkpoint restore",

@@ -43,10 +43,7 @@ pub use faultinject::{
 };
 pub use index::SortedIndex;
 pub use online::{OnlineSelectivity, Snapshot};
-pub use overload::{
-    splitmix64, BreakerRoute, BreakerState, ColumnBreaker, LoadTier, OverloadOptions,
-    ShedController, TierController,
-};
+pub use overload::{splitmix64, BreakerState, LoadTier, OverloadOptions};
 pub use persist::{decode as decode_statistics, encode as encode_statistics, PersistedStatistics};
 pub use planner::{
     execute_range_query, plan_range_query, try_plan_range_query, AccessPath, Execution, Plan,
@@ -54,8 +51,8 @@ pub use planner::{
 pub use query::{ChosenPath, Database, Explanation, QueryResult, RangePredicate, SelectQuery};
 pub use relation::{Column, Relation};
 pub use serving::{
-    route, BreakerHealth, CacheStats, CatalogSnapshot, EstimateCache, ServeRung, ServedEstimate,
-    ServingColumn, ServingEngine, ServingHealthReport, ServingOptions, ServingPublishReport,
-    ServingScratch, ShardHealth, StaleRepublishReport,
+    BreakerHealth, CacheStats, CatalogSnapshot, EstimateCache, ServeRung, ServedEstimate,
+    ServingColumn, ServingEngine, ServingHealthReport, ServingOptions, ServingScratch, ShardHealth,
+    StaleRepublishReport,
 };
 pub use staleness::{StalenessPolicy, StalenessReason, StalenessSignal};

@@ -1,5 +1,5 @@
 //! Overload control for the serving engine: adaptive shedding, circuit
-//! breakers, and brownout tiers.
+//! breakers, and a brownout tier.
 //!
 //! The paper's cost ranking (kernels are orders of magnitude more
 //! expensive than sampling or an equi-depth histogram, yet only somewhat
@@ -10,25 +10,28 @@
 //! lives in [`crate::serving`].
 //!
 //! Three cooperating mechanisms, all engineered to be **deterministic for
-//! a fixed seed** so overload behaviour can be asserted in tests:
+//! a fixed seed** so overload behaviour can be asserted in tests. They
+//! are crate-private; [`OverloadOptions`] configures them and
+//! [`crate::serving::ServingHealthReport`] reports them.
 //!
-//! * [`ShedController`] — one per shard. Tracks a latency EWMA against the
+//! * `ShedController` — one per shard. Tracks a latency EWMA against the
 //!   configured SLO; *pressure* is their ratio. Above pressure 1 it sheds
 //!   probabilistically (probability ramping with both pressure and queue
 //!   occupancy), using a counted [`splitmix64`] stream instead of a
 //!   thread-local RNG, and prices the `retry_after_us` hint stamped into
 //!   [`selest_core::EstimateError::Overloaded`] from the same EWMA.
-//! * [`ColumnBreaker`] — one per serving column. Consecutive
+//! * `ColumnBreaker` — one per serving column. Consecutive
 //!   failures/timeouts trip it open: the failing estimator stops being
 //!   called and the column serves its ladder floor. After a cooldown
 //!   measured in *calls* (wall clocks are nondeterministic) the breaker
 //!   half-opens and probes; a probe success closes it, a failure re-opens
 //!   it with doubled, seed-jittered backoff.
-//! * [`TierController`] — engine level. Folds the worst shard pressure
-//!   into a [`LoadTier`] (`Normal → Brownout → Shed`) with hysteresis so
-//!   the tier doesn't flap at a threshold.
+//! * `TierController` — engine level. Folds the worst shard pressure
+//!   into a [`LoadTier`] (`Normal` or `Brownout`) with one hysteresis
+//!   band (enter at pressure 1.0, leave at 0.7) so the tier doesn't flap
+//!   at a threshold.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// Fixed-point step of the splitmix64 sequence: a statistically solid
 /// 64-bit mixer whose output is a pure function of its input, which is
@@ -40,28 +43,17 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Engine-level load tier, derived from shard pressure with hysteresis.
+/// Engine-level load tier, derived from the worst shard pressure with one
+/// hysteresis band: pressure ≥ 1.0 enters `Brownout`, and only pressure
+/// ≤ 0.7 returns to `Normal`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum LoadTier {
     /// Pressure under control: serve full precision.
-    Normal = 0,
+    Normal,
     /// SLO at risk: cache hits still serve full precision, misses serve a
     /// cheaper pre-built rung (equi-depth/sampling) instead of the
     /// preferred estimator.
-    Brownout = 1,
-    /// Past saturation: brownout plus aggressive admission shedding.
-    Shed = 2,
-}
-
-impl LoadTier {
-    fn from_u8(v: u8) -> LoadTier {
-        match v {
-            0 => LoadTier::Normal,
-            1 => LoadTier::Brownout,
-            _ => LoadTier::Shed,
-        }
-    }
+    Brownout,
 }
 
 impl std::fmt::Display for LoadTier {
@@ -69,47 +61,42 @@ impl std::fmt::Display for LoadTier {
         match self {
             LoadTier::Normal => write!(f, "normal"),
             LoadTier::Brownout => write!(f, "brownout"),
-            LoadTier::Shed => write!(f, "shed"),
         }
     }
 }
 
+/// EWMA smoothing factor of the shard latency (higher reacts faster).
+const EWMA_ALPHA: f64 = 0.2;
+/// Pressure at which `Normal` escalates to `Brownout`.
+const BROWNOUT_ENTER: f64 = 1.0;
+/// Pressure at or below which `Brownout` relaxes to `Normal`; the gap to
+/// [`BROWNOUT_ENTER`] is the hysteresis band.
+const BROWNOUT_EXIT: f64 = 0.7;
+
 /// Tunables of the overload subsystem. The default SLO is infinite —
 /// pressure stays 0, so adaptive shedding and brownout never engage and
 /// the engine behaves exactly like its pre-overload self (breakers still
-/// arm: they count failures, not latency). Serving deployments and the
-/// overload benchmark set `slo_us` from their latency budget to arm the
-/// pressure machinery.
+/// arm: they count failures, not latency). Serving deployments set
+/// `slo_us` from their latency budget to arm the pressure machinery.
 #[derive(Debug, Clone, Copy)]
 pub struct OverloadOptions {
     /// Per-request latency SLO in microseconds; pressure = EWMA / SLO.
     /// `f64::INFINITY` (the default) disarms shedding and brownout.
     pub slo_us: f64,
-    /// EWMA smoothing factor in `(0, 1]` (higher = reacts faster).
-    pub ewma_alpha: f64,
     /// Seed of every probabilistic decision (shed draws, breaker jitter).
     pub seed: u64,
-    /// Whether brownout routing is enabled; `false` degenerates to the
-    /// refuse-only baseline the benchmark compares against.
+    /// Whether brownout routing is enabled; `false` keeps every cache
+    /// miss on the primary (or the floor) whatever the load tier.
     pub brownout: bool,
-    /// Pressure at which `Normal` escalates to `Brownout`.
-    pub brownout_enter: f64,
-    /// Pressure at or below which `Brownout` relaxes to `Normal`
-    /// (hysteresis: strictly less than `brownout_enter`).
-    pub brownout_exit: f64,
-    /// Pressure at which any tier escalates to `Shed`.
-    pub shed_enter: f64,
-    /// Pressure at or below which `Shed` relaxes (hysteresis again).
-    pub shed_exit: f64,
     /// Consecutive failures that trip a column breaker open.
     pub breaker_threshold: u32,
     /// Base breaker cooldown, in calls routed to the column (doubles per
     /// consecutive trip, with seeded jitter).
     pub breaker_cooldown_calls: u64,
     /// Feed measured wall-clock request latencies into the shard EWMAs.
-    /// `true` for real serving; determinism tests set `false` and inject
-    /// latencies explicitly so pressure (and thus every shed/tier
-    /// decision) is exactly scripted.
+    /// `true` for real serving; with `false` no wall-clock latency moves
+    /// pressure, so shedding and the tier depend only on the latencies
+    /// the engine's own tests inject.
     pub auto_observe: bool,
 }
 
@@ -117,13 +104,8 @@ impl Default for OverloadOptions {
     fn default() -> Self {
         OverloadOptions {
             slo_us: f64::INFINITY,
-            ewma_alpha: 0.2,
             seed: 0x0005_E1E5_70AD,
             brownout: true,
-            brownout_enter: 1.0,
-            brownout_exit: 0.7,
-            shed_enter: 2.0,
-            shed_exit: 1.4,
             breaker_threshold: 5,
             breaker_cooldown_calls: 64,
             auto_observe: true,
@@ -134,9 +116,8 @@ impl Default for OverloadOptions {
 /// Per-shard adaptive shedding: latency EWMA vs. SLO, deterministic
 /// probabilistic refusal, and the `retry_after_us` price of a refusal.
 #[derive(Debug)]
-pub struct ShedController {
+pub(crate) struct ShedController {
     slo_us: f64,
-    alpha: f64,
     seed: u64,
     /// `f64::to_bits` of the EWMA; `0` doubles as "no history yet".
     ewma_bits: AtomicU64,
@@ -148,12 +129,10 @@ pub struct ShedController {
 
 impl ShedController {
     /// A controller with no latency history (pressure 0, never sheds).
-    pub fn new(slo_us: f64, alpha: f64, seed: u64) -> Self {
+    pub(crate) fn new(slo_us: f64, seed: u64) -> Self {
         assert!(slo_us > 0.0, "SLO must be positive");
-        assert!((0.0..=1.0).contains(&alpha) && alpha > 0.0);
         ShedController {
             slo_us,
-            alpha,
             seed,
             ewma_bits: AtomicU64::new(0),
             draws: AtomicU64::new(0),
@@ -162,7 +141,7 @@ impl ShedController {
     }
 
     /// Fold one observed request latency into the EWMA.
-    pub fn observe(&self, latency_us: f64) {
+    pub(crate) fn observe(&self, latency_us: f64) {
         if !latency_us.is_finite() || latency_us < 0.0 {
             return;
         }
@@ -175,7 +154,7 @@ impl ShedController {
             let next = if cur == 0 {
                 latency_us
             } else {
-                self.alpha * latency_us + (1.0 - self.alpha) * old
+                EWMA_ALPHA * latency_us + (1.0 - EWMA_ALPHA) * old
             };
             match self.ewma_bits.compare_exchange_weak(
                 cur,
@@ -190,13 +169,13 @@ impl ShedController {
     }
 
     /// The smoothed latency in microseconds (`0` before any observation).
-    pub fn ewma_us(&self) -> f64 {
+    pub(crate) fn ewma_us(&self) -> f64 {
         f64::from_bits(self.ewma_bits.load(Ordering::Relaxed))
     }
 
     /// SLO pressure: smoothed latency over the SLO. `1.0` means requests
     /// take exactly their budget; above that the SLO is being missed.
-    pub fn pressure(&self) -> f64 {
+    pub(crate) fn pressure(&self) -> f64 {
         self.ewma_us() / self.slo_us
     }
 
@@ -207,7 +186,7 @@ impl ShedController {
     /// history, is what the arrival would wait behind), a full queue under
     /// missed SLO sheds almost surely. The randomness is a counted
     /// splitmix64 stream: same seed, same arrival order, same decisions.
-    pub fn should_shed(&self, in_flight: usize, limit: usize) -> bool {
+    pub(crate) fn should_shed(&self, in_flight: usize, limit: usize) -> bool {
         let pressure = self.pressure();
         if pressure <= 1.0 {
             return false;
@@ -229,7 +208,7 @@ impl ShedController {
     /// The `retry_after_us` hint for a refusal: the queue's estimated
     /// drain time (EWMA × depth), clamped to a sane band. `0` when the
     /// shard has no latency history yet.
-    pub fn retry_after_us(&self, in_flight: usize) -> u64 {
+    pub(crate) fn retry_after_us(&self, in_flight: usize) -> u64 {
         let ewma = self.ewma_us();
         if ewma == 0.0 {
             return 0;
@@ -238,14 +217,14 @@ impl ShedController {
     }
 
     /// Requests this controller has shed.
-    pub fn shed_count(&self) -> u64 {
+    pub(crate) fn shed_count(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 }
 
 /// Where a breaker routes an arriving call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerRoute {
+pub(crate) enum BreakerRoute {
     /// Breaker closed: call the column's primary estimator.
     Primary,
     /// Breaker half-open: call the primary as a probe — its outcome
@@ -286,7 +265,7 @@ const BREAKER_HALF_OPEN: u8 = 2;
 /// per consecutive trip (capped) with seed-derived jitter so sibling
 /// breakers tripped together don't all probe on the same call.
 #[derive(Debug)]
-pub struct ColumnBreaker {
+pub(crate) struct ColumnBreaker {
     threshold: u32,
     cooldown_calls: u64,
     seed: u64,
@@ -302,7 +281,7 @@ pub struct ColumnBreaker {
 
 impl ColumnBreaker {
     /// A closed breaker.
-    pub fn new(threshold: u32, cooldown_calls: u64, seed: u64) -> Self {
+    pub(crate) fn new(threshold: u32, cooldown_calls: u64, seed: u64) -> Self {
         assert!(threshold > 0, "breaker threshold must be positive");
         assert!(cooldown_calls > 0, "breaker cooldown must be positive");
         ColumnBreaker {
@@ -319,7 +298,7 @@ impl ColumnBreaker {
     }
 
     /// Route one arriving call; counts it toward the cooldown clock.
-    pub fn route(&self) -> BreakerRoute {
+    pub(crate) fn route(&self) -> BreakerRoute {
         let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
         match self.state.load(Ordering::Relaxed) {
             BREAKER_CLOSED => BreakerRoute::Primary,
@@ -337,7 +316,7 @@ impl ColumnBreaker {
 
     /// Record a successful primary (or probe) outcome. A probe success
     /// closes the breaker and resets the backoff streak.
-    pub fn on_success(&self) {
+    pub(crate) fn on_success(&self) {
         self.consecutive.store(0, Ordering::Relaxed);
         if self.state.load(Ordering::Relaxed) == BREAKER_HALF_OPEN {
             self.streak.store(0, Ordering::Relaxed);
@@ -349,7 +328,7 @@ impl ColumnBreaker {
     /// deadline timeout attributed to the estimator). A probe failure
     /// re-opens immediately; in the closed state, `threshold` consecutive
     /// failures trip the breaker.
-    pub fn on_failure(&self) {
+    pub(crate) fn on_failure(&self) {
         match self.state.load(Ordering::Relaxed) {
             BREAKER_HALF_OPEN => self.trip(),
             BREAKER_CLOSED => {
@@ -376,7 +355,7 @@ impl ColumnBreaker {
     }
 
     /// Current state.
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         match self.state.load(Ordering::Relaxed) {
             BREAKER_CLOSED => BreakerState::Closed,
             BREAKER_OPEN => BreakerState::Open,
@@ -385,77 +364,41 @@ impl ColumnBreaker {
     }
 
     /// Cumulative trips.
-    pub fn trips(&self) -> u32 {
+    pub(crate) fn trips(&self) -> u32 {
         self.trips.load(Ordering::Relaxed)
     }
 }
 
-/// Engine-level tier state machine with hysteresis: escalation thresholds
-/// (`brownout_enter`, `shed_enter`) sit strictly above the matching exit
-/// thresholds, so pressure noise at a boundary can't flap the tier.
-#[derive(Debug)]
-pub struct TierController {
-    tier: AtomicU8,
-    brownout_enter: f64,
-    brownout_exit: f64,
-    shed_enter: f64,
-    shed_exit: f64,
+/// Engine-level tier state machine with one hysteresis band: pressure
+/// at or above [`BROWNOUT_ENTER`] enters [`LoadTier::Brownout`], and only
+/// pressure at or below [`BROWNOUT_EXIT`] leaves it, so pressure noise at
+/// a threshold can't flap the tier.
+#[derive(Debug, Default)]
+pub(crate) struct TierController {
+    brownout: AtomicBool,
 }
 
 impl TierController {
-    /// A controller starting at [`LoadTier::Normal`].
-    pub fn new(opts: &OverloadOptions) -> Self {
-        assert!(opts.brownout_exit < opts.brownout_enter);
-        assert!(opts.shed_exit < opts.shed_enter);
-        assert!(opts.brownout_enter <= opts.shed_enter);
-        TierController {
-            tier: AtomicU8::new(LoadTier::Normal as u8),
-            brownout_enter: opts.brownout_enter,
-            brownout_exit: opts.brownout_exit,
-            shed_enter: opts.shed_enter,
-            shed_exit: opts.shed_exit,
-        }
-    }
-
     /// Fold the current worst-shard pressure into the tier.
-    pub fn update(&self, pressure: f64) -> LoadTier {
-        let cur = self.tier();
-        let next = match cur {
-            LoadTier::Normal => {
-                if pressure >= self.shed_enter {
-                    LoadTier::Shed
-                } else if pressure >= self.brownout_enter {
-                    LoadTier::Brownout
-                } else {
-                    LoadTier::Normal
-                }
-            }
-            LoadTier::Brownout => {
-                if pressure >= self.shed_enter {
-                    LoadTier::Shed
-                } else if pressure <= self.brownout_exit {
-                    LoadTier::Normal
-                } else {
-                    LoadTier::Brownout
-                }
-            }
-            LoadTier::Shed => {
-                if pressure <= self.brownout_exit {
-                    LoadTier::Normal
-                } else if pressure <= self.shed_exit {
-                    LoadTier::Brownout
-                } else {
-                    LoadTier::Shed
-                }
-            }
+    pub(crate) fn update(&self, pressure: f64) -> LoadTier {
+        let brownout = if pressure >= BROWNOUT_ENTER {
+            true
+        } else if pressure <= BROWNOUT_EXIT {
+            false
+        } else {
+            self.brownout.load(Ordering::Relaxed)
         };
-        self.tier.store(next as u8, Ordering::Relaxed);
-        next
+        self.brownout.store(brownout, Ordering::Relaxed);
+        self.tier()
     }
 
     /// Current tier.
-    pub fn tier(&self) -> LoadTier {
-        LoadTier::from_u8(self.tier.load(Ordering::Relaxed))
+    pub(crate) fn tier(&self) -> LoadTier {
+        if self.brownout.load(Ordering::Relaxed) {
+            LoadTier::Brownout
+        } else {
+            LoadTier::Normal
+        }
     }
 }
 
@@ -477,7 +420,7 @@ mod tests {
 
     #[test]
     fn shed_controller_never_sheds_without_pressure() {
-        let c = ShedController::new(1_000.0, 0.2, 7);
+        let c = ShedController::new(1_000.0, 7);
         // No history: pressure 0.
         assert!(!c.should_shed(100, 100));
         assert_eq!(c.retry_after_us(10), 0);
@@ -493,7 +436,7 @@ mod tests {
     #[test]
     fn shed_controller_sheds_deterministically_under_pressure() {
         let mk = || {
-            let c = ShedController::new(1_000.0, 0.2, 42);
+            let c = ShedController::new(1_000.0, 42);
             for _ in 0..50 {
                 c.observe(2_500.0); // pressure ~2.5
             }
@@ -589,7 +532,7 @@ mod tests {
 
     #[test]
     fn tier_controller_has_hysteresis() {
-        let t = TierController::new(&OverloadOptions::default());
+        let t = TierController::default();
         assert_eq!(t.tier(), LoadTier::Normal);
         assert_eq!(t.update(0.5), LoadTier::Normal);
         assert_eq!(t.update(1.1), LoadTier::Brownout);
@@ -597,10 +540,55 @@ mod tests {
         assert_eq!(t.update(0.9), LoadTier::Brownout);
         // ...only crossing the exit threshold does.
         assert_eq!(t.update(0.7), LoadTier::Normal);
-        // Straight to shed on a pressure spike, relax in stages.
-        assert_eq!(t.update(3.0), LoadTier::Shed);
-        assert_eq!(t.update(1.6), LoadTier::Shed);
+        // A pressure spike is still brownout; it relaxes at the exit.
+        assert_eq!(t.update(3.0), LoadTier::Brownout);
         assert_eq!(t.update(1.3), LoadTier::Brownout);
         assert_eq!(t.update(0.2), LoadTier::Normal);
+    }
+
+    /// The three-state tier machine the two-state one replaced, with its
+    /// default thresholds (brownout enter 1.0 / exit 0.7, shed enter 2.0 /
+    /// exit 1.4): 0 = normal, 1 = brownout, 2 = shed.
+    fn three_state_update(tier: u8, pressure: f64) -> u8 {
+        match tier {
+            0 if pressure >= 2.0 => 2,
+            0 if pressure >= 1.0 => 1,
+            0 => 0,
+            1 if pressure >= 2.0 => 2,
+            1 if pressure <= 0.7 => 0,
+            1 => 1,
+            _ if pressure <= 0.7 => 0,
+            _ if pressure <= 1.4 => 1,
+            _ => 2,
+        }
+    }
+
+    #[test]
+    fn two_state_tier_routes_like_the_three_state_machine() {
+        // Routing reads only `tier != Normal`, so the two machines must
+        // agree on that after every update. A third of the draws sit on
+        // the 0.1 grid, so every threshold is hit exactly; one step in
+        // 64 is NaN, which neither machine may leave its state on.
+        let t = TierController::default();
+        let mut reference = 0u8;
+        let mut visited = [0usize; 3];
+        for i in 0..20_000u64 {
+            let draw = splitmix64(0x71E2 ^ i);
+            let pressure = match draw % 64 {
+                0 => f64::NAN,
+                1..=21 => (draw >> 8) as f64 % 31.0 / 10.0,
+                _ => 3.0 * ((draw >> 11) as f64 / (1u64 << 53) as f64),
+            };
+            reference = three_state_update(reference, pressure);
+            visited[usize::from(reference)] += 1;
+            let tier = t.update(pressure);
+            assert_eq!(tier, t.tier());
+            assert_eq!(
+                tier != LoadTier::Normal,
+                reference != 0,
+                "step {i}: pressure {pressure}"
+            );
+        }
+        assert!(visited.iter().all(|&n| n > 1_000), "{visited:?}");
     }
 }

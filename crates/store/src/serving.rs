@@ -1,5 +1,5 @@
 //! Long-lived serving: epoch-published catalog snapshots, a read-through
-//! estimate cache, and shard-parallel background rebuilds.
+//! estimate cache, and per-shard admission control.
 //!
 //! The batch APIs of PR 7 made one estimate cheap; this module makes a
 //! *process* of them serve concurrently. The design splits three concerns:
@@ -13,9 +13,11 @@
 //!   state read path is one `Acquire` load of the epoch, a thread-local
 //!   lookup and the returned `Arc`'s refcount increment; the mutex is
 //!   touched only on the first read after a publish.
-//!   Writers build a full replacement snapshot off to the side (through
-//!   the bulkheaded ANALYZE, one scoped worker per shard) and swap it in
-//!   with a strictly increasing generation number.
+//!   Writers build a full replacement snapshot off to the side (from a
+//!   catalog the bulkheaded ANALYZE filled) and hand it to
+//!   [`ServingEngine::publish_snapshot`], the one way a snapshot enters
+//!   the engine, which swaps it in with a strictly increasing generation
+//!   number.
 //! * **Estimate cache** ([`EstimateCache`]) — a fixed-size direct-mapped
 //!   array of seqlock slots keyed by *quantized* query bounds but guarded
 //!   by *exact* ones. A batch computes its column's placement grid once;
@@ -39,7 +41,7 @@
 //! The engine degrades instead of falling over. Every column carries
 //! three pre-built rungs — its primary estimator, an optional cheap
 //! brownout rung, and the uniform floor — and one routing decision,
-//! [`route`], picks the rung that answers a batch's cache misses (see
+//! `route`, picks the rung that answers a batch's cache misses (see
 //! [`crate::overload`] for the control machinery):
 //!
 //! * **Deadlines** — callers may attach a [`Deadline`] to a request
@@ -51,16 +53,17 @@
 //!   finished slots keep their unhurried bits (partial results, never
 //!   hurried arithmetic).
 //! * **Adaptive shedding** — each shard folds its request latencies into
-//!   an EWMA; above SLO pressure 1 the [`ShedController`] refuses
+//!   an EWMA; above SLO pressure 1 its shed controller refuses
 //!   admissions probabilistically (seeded, replayable), stamping
 //!   [`EstimateError::Overloaded`] with a `retry_after_us` drain hint.
 //!   The fixed `admission_limit` remains as the hard ceiling.
-//! * **Brownout** — under SLO pressure the engine's [`LoadTier`] moves
-//!   `Normal → Brownout → Shed`; off `Normal`, [`route`] sends misses to
-//!   the column's brownout rung (equi-depth or sampling, the paper's own
-//!   cost ranking) when it has one, without consulting the breaker.
-//! * **Circuit breakers** — otherwise [`route`] asks the column's
-//!   [`ColumnBreaker`]: open routes to the floor without touching the
+//! * **Brownout** — the engine's [`LoadTier`] enters `Brownout` when the
+//!   worst shard pressure reaches 1.0 and returns to `Normal` only at 0.7
+//!   or below; in `Brownout`, `route` sends misses to the column's
+//!   brownout rung (equi-depth or sampling, the paper's own cost ranking)
+//!   when it has one, without consulting the breaker.
+//! * **Circuit breakers** — otherwise `route` asks the column's
+//!   circuit breaker: open routes to the floor without touching the
 //!   primary; closed or half-open (a probe on a seeded call-count
 //!   backoff) routes to the primary. Consecutive primary failures
 //!   (panics, non-finite answers, deadline timeouts) trip it. Breaker
@@ -86,11 +89,11 @@ use selest_core::fault::{catch_fault, sanitize_sample, EstimateError, FaultStage
 use selest_core::{
     BatchScratch, Domain, PreparedColumn, RangeQuery, SelectivityEstimator, UniformEstimator,
 };
-use selest_par::{shard_for, try_parallel_map, Deadline, TryConfig};
+use selest_par::{shard_for, Deadline, TryConfig};
 
 use crate::catalog::{
-    try_build_estimator_from_prepared, AnalyzeConfig, CatalogHealthReport, ColumnStatistics,
-    EstimatorKind, QuarantinedColumn, RefreshReport, StatisticsCatalog,
+    try_build_estimator_from_prepared, CatalogHealthReport, ColumnStatistics, EstimatorKind,
+    QuarantinedColumn, RefreshReport, StatisticsCatalog,
 };
 use crate::durable::DurableStore;
 use crate::overload::{
@@ -108,7 +111,6 @@ pub struct ServingColumn {
     n_rows: usize,
     kind: EstimatorKind,
     domain: Domain,
-    sample: Arc<[f64]>,
     quarantined: bool,
     /// Cheaper pre-built rung served on cache misses in brownout (`None`
     /// when the primary is already cheap — histograms, sampling, uniform).
@@ -116,8 +118,7 @@ pub struct ServingColumn {
     /// The floor rung: uniform over the column domain. Never fails.
     floor: Arc<dyn SelectivityEstimator + Send + Sync>,
     /// Per-column circuit breaker. Re-seeded (or state-grafted) by the
-    /// engine at publish time; the construction default only matters for
-    /// snapshots used outside an engine.
+    /// engine at publish time, before the snapshot serves.
     breaker: Arc<ColumnBreaker>,
 }
 
@@ -154,8 +155,8 @@ fn degradation_rungs(
 
 /// The construction-time breaker of a snapshot column. The engine
 /// replaces it at publish time (grafting live state for columns that
-/// survive the publish, re-seeding new ones from its own options), so
-/// this default only governs snapshots probed outside an engine.
+/// survive the publish, re-seeding new ones from its own options), so no
+/// serving path reads this default.
 fn default_breaker() -> Arc<ColumnBreaker> {
     let opts = OverloadOptions::default();
     Arc::new(ColumnBreaker::new(
@@ -190,7 +191,6 @@ impl ServingColumn {
             n_rows,
             kind,
             domain,
-            sample,
             prepared.as_ref(),
         )
     }
@@ -203,7 +203,6 @@ impl ServingColumn {
             st.n_rows,
             st.kind,
             st.domain,
-            Arc::clone(&st.sample),
             st.prepared.as_ref(),
         )
     }
@@ -218,7 +217,6 @@ impl ServingColumn {
         n_rows: usize,
         kind: EstimatorKind,
         domain: Domain,
-        sample: Arc<[f64]>,
         prepared: Option<&Arc<PreparedColumn>>,
     ) -> Self {
         let (brownout, floor) = degradation_rungs(kind, domain, prepared);
@@ -230,7 +228,6 @@ impl ServingColumn {
             n_rows,
             kind,
             domain,
-            sample,
             brownout,
             floor,
             breaker: default_breaker(),
@@ -293,11 +290,6 @@ impl ServingColumn {
     pub fn brownout_rung(&self) -> Option<&(dyn SelectivityEstimator + Send + Sync)> {
         self.brownout.as_deref()
     }
-
-    /// This column's circuit breaker.
-    pub fn breaker(&self) -> &ColumnBreaker {
-        &self.breaker
-    }
 }
 
 /// An immutable, generation-numbered view of a statistics catalog:
@@ -322,15 +314,6 @@ impl CatalogSnapshot {
         }
     }
 
-    /// Freeze a catalog into a snapshot. Quarantined columns have no
-    /// serving entry — lookups answer
-    /// [`EstimateError::MissingStatistics`] — because without the source
-    /// relation there is no trustworthy domain to degrade over; see
-    /// [`CatalogSnapshot::from_catalog_for`].
-    pub fn from_catalog(catalog: StatisticsCatalog, generation: u64) -> Self {
-        Self::freeze(None, &catalog, generation)
-    }
-
     /// Freeze a catalog into a snapshot, degrading quarantined columns of
     /// `relation` instead of dropping them: each serves its uniform floor
     /// (over the relation's column domain) as its primary, tagged
@@ -338,19 +321,20 @@ impl CatalogSnapshot {
     /// (uniformly) rather than erroring.
     pub fn from_catalog_for(
         relation: &Relation,
-        catalog: StatisticsCatalog,
+        catalog: &StatisticsCatalog,
         generation: u64,
     ) -> Self {
-        Self::freeze(Some(relation), &catalog, generation)
+        Self::freeze(Some(relation), catalog, generation)
     }
 
-    /// Freeze a *shared view* of the catalog into a snapshot without
-    /// consuming it: every entry's `Arc`s (names, estimator, sample) are
-    /// cloned, so the writer catalog keeps absorbing updates through
+    /// Freeze a *shared view* of the catalog into a snapshot: every
+    /// entry's `Arc`s (names, estimator) are cloned, so the writer catalog
+    /// keeps absorbing updates through
     /// [`StatisticsCatalog::try_apply_updates`] while the published
-    /// snapshot stays immutable. This is the republish path of the
-    /// incremental substrate — quarantined columns have no serving entry,
-    /// as in [`CatalogSnapshot::from_catalog`].
+    /// snapshot stays immutable. Quarantined columns have no serving entry
+    /// — lookups answer [`EstimateError::MissingStatistics`] — because
+    /// without the source relation there is no trustworthy domain to
+    /// degrade over; see [`CatalogSnapshot::from_catalog_for`].
     pub fn from_catalog_ref(catalog: &StatisticsCatalog, generation: u64) -> Self {
         Self::freeze(None, catalog, generation)
     }
@@ -370,7 +354,6 @@ impl CatalogSnapshot {
                         c.len(),
                         EstimatorKind::Uniform,
                         c.domain(),
-                        Vec::new().into(),
                         None,
                     ));
                 }
@@ -438,24 +421,6 @@ impl CatalogSnapshot {
             entries: self.columns.len(),
             quarantined: self.quarantined.clone(),
         }
-    }
-
-    /// Export the snapshot's honest evidence as persistable statistics
-    /// (degraded quarantined columns carry none and are skipped), sorted
-    /// by `(relation, column)` like [`StatisticsCatalog::export`].
-    pub fn export(&self) -> Vec<crate::persist::PersistedStatistics> {
-        self.columns
-            .iter()
-            .filter(|c| !c.quarantined)
-            .map(|c| crate::persist::PersistedStatistics {
-                relation: Arc::clone(&c.relation),
-                column: Arc::clone(&c.column),
-                kind: c.kind,
-                n_rows: c.n_rows,
-                domain: c.domain,
-                sample: Arc::clone(&c.sample),
-            })
-            .collect()
     }
 }
 
@@ -714,9 +679,9 @@ impl EstimateCache {
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
     /// Shards: columns are assigned by [`shard_for`]; each shard has its
-    /// own admission counter and shed controller, and
-    /// [`ServingEngine::rebuild_and_publish`] builds each shard's columns
-    /// on one scoped worker of its own. Must be at least 1.
+    /// own admission counter, latency EWMA and shed controller, and the
+    /// worst shard's pressure drives the engine's [`LoadTier`]. Must be at
+    /// least 1.
     pub shards: usize,
     /// Per-shard admission limit: concurrent estimate calls beyond this
     /// are refused with [`EstimateError::Overloaded`] instead of queuing
@@ -742,14 +707,11 @@ impl Default for ServingOptions {
     }
 }
 
-/// Per-shard serving and rebuild counters plus the shard's shed
-/// controller.
+/// Per-shard admission counters plus the shard's shed controller.
 struct ShardState {
     in_flight: AtomicUsize,
     admitted: AtomicU64,
     rejected: AtomicU64,
-    rebuild_jobs: AtomicUsize,
-    rebuild_panics: AtomicUsize,
     shed_ctl: ShedController,
 }
 
@@ -764,11 +726,6 @@ pub struct ShardHealth {
     pub rejected: u64,
     /// Calls currently in flight.
     pub in_flight: usize,
-    /// Background rebuild jobs run for this shard (one per
-    /// [`ServingEngine::rebuild_and_publish`] that gave it columns).
-    pub rebuild_jobs: usize,
-    /// Rebuild jobs that panicked (contained by the engine's isolation).
-    pub rebuild_panics: usize,
     /// Smoothed request latency (microseconds; 0 = no history yet).
     pub ewma_us: f64,
     /// SLO pressure (EWMA / SLO).
@@ -803,7 +760,7 @@ pub struct ServingHealthReport {
     pub cache: CacheStats,
     /// Catalog-shaped health of the serving snapshot.
     pub catalog: CatalogHealthReport,
-    /// Per-shard admission and rebuild counters.
+    /// Per-shard admission counters and pressure.
     pub shards: Vec<ShardHealth>,
     /// Engine load tier.
     pub tier: LoadTier,
@@ -832,13 +789,17 @@ pub enum ServeRung {
 }
 
 /// The serving path's one routing decision: which of a column's rungs
-/// answers a batch's cache misses. Brownout is decided first — off
-/// [`LoadTier::Normal`], a column with a brownout rung serves it and the
-/// primary is never consulted, so its breaker is neither asked nor
+/// answers a batch's cache misses. Brownout is decided first — in
+/// [`LoadTier::Brownout`], a column with a brownout rung serves it and
+/// the primary is never consulted, so its breaker is neither asked nor
 /// charged. Otherwise the breaker decides: open routes to the floor,
 /// closed or half-open (a probe) to the primary. Asking the breaker
 /// ticks its call-count cooldown clock, the only state this touches.
-pub fn route(tier: LoadTier, brownout_rung_present: bool, breaker: &ColumnBreaker) -> ServeRung {
+pub(crate) fn route(
+    tier: LoadTier,
+    brownout_rung_present: bool,
+    breaker: &ColumnBreaker,
+) -> ServeRung {
     if tier != LoadTier::Normal && brownout_rung_present {
         return ServeRung::Brownout;
     }
@@ -857,19 +818,6 @@ pub struct ServedEstimate {
     pub value: f64,
     /// What produced it.
     pub rung: ServeRung,
-}
-
-/// Outcome of a sharded background rebuild-and-publish.
-#[derive(Debug, Clone)]
-pub struct ServingPublishReport {
-    /// Generation the rebuilt snapshot was published as.
-    pub generation: u64,
-    /// Catalog health of the published snapshot.
-    pub health: CatalogHealthReport,
-    /// Shards whose whole rebuild job was lost (worker panic escaping
-    /// the per-column bulkhead), with the engine's description. Columns
-    /// of a failed shard are absent from the published snapshot.
-    pub failed_shards: Vec<(usize, String)>,
 }
 
 /// Outcome of a staleness-driven refresh-and-republish
@@ -946,17 +894,19 @@ const TL_SNAPSHOT_CAP: usize = 8;
 
 /// A long-lived serving engine: wait-free concurrent reads of an
 /// epoch-published [`CatalogSnapshot`], a read-through [`EstimateCache`],
-/// per-shard admission control, and shard-parallel background rebuilds
-/// that publish replacement snapshots atomically.
+/// and per-shard admission control, with replacement snapshots published
+/// atomically.
 ///
 /// Readers call [`ServingEngine::try_estimate`] /
 /// [`ServingEngine::estimate_batch_into`] from any thread; the steady
 /// state costs one atomic load (the epoch), a thread-local vector probe
 /// and an `Arc` clone (one atomic increment of the snapshot's shared
 /// refcount, and one decrement when it is dropped) to reach the snapshot
-/// — no lock on the hot path. Publishes ([`ServingEngine::publish_catalog`],
-/// [`ServingEngine::rebuild_and_publish`]) build the new snapshot
-/// entirely off to the side and swap it in under the engine's one mutex;
+/// — no lock on the hot path. A writer builds the new snapshot entirely
+/// off to the side, and [`ServingEngine::publish_snapshot`] (which
+/// [`ServingEngine::load_durable`] and
+/// [`ServingEngine::republish_if_stale`] call) swaps it in under the
+/// engine's one mutex;
 /// in-flight readers keep their `Arc` to the old snapshot and finish
 /// undisturbed, so a reader can never observe a torn catalog — only the
 /// complete old one or the complete new one.
@@ -990,13 +940,10 @@ impl ServingEngine {
                     in_flight: AtomicUsize::new(0),
                     admitted: AtomicU64::new(0),
                     rejected: AtomicU64::new(0),
-                    rebuild_jobs: AtomicUsize::new(0),
-                    rebuild_panics: AtomicUsize::new(0),
                     // Stream-split the seed so sibling shards draw
                     // independent (but replayable) shed sequences.
                     shed_ctl: ShedController::new(
                         ov.slo_us,
-                        ov.ewma_alpha,
                         crate::overload::splitmix64(ov.seed ^ s as u64),
                     ),
                 })
@@ -1004,7 +951,7 @@ impl ServingEngine {
             admission_limit: options.admission_limit,
             publishes: AtomicU64::new(0),
             overload: ov,
-            tier: TierController::new(&ov),
+            tier: TierController::default(),
             brownout_served: AtomicU64::new(0),
             floor_served: AtomicU64::new(0),
             deadline_refused: AtomicU64::new(0),
@@ -1097,80 +1044,6 @@ impl ServingEngine {
         generation
     }
 
-    /// Freeze `catalog` and publish it ([`CatalogSnapshot::from_catalog`]
-    /// semantics: quarantined columns answer `MissingStatistics`).
-    pub fn publish_catalog(&self, catalog: StatisticsCatalog) -> u64 {
-        self.publish_snapshot(CatalogSnapshot::from_catalog(catalog, 0))
-    }
-
-    /// Background rebuild: shard `relation`'s columns ([`shard_for`]
-    /// assignment — deterministic, no coordination), run the bulkheaded
-    /// ANALYZE of each shard's columns on a scoped worker of its own,
-    /// absorb the per-shard catalogs with
-    /// [`StatisticsCatalog::try_merge_partitions`] (shards partition the
-    /// columns, so the result is bit-identical to a sequential ANALYZE for
-    /// every shard count), degrade quarantined columns to their uniform
-    /// floor, and publish atomically.
-    ///
-    /// `engine`'s deadline applies to each shard's per-column builds, not
-    /// to the shard fan-out: every shard runs, and columns the deadline
-    /// abandons quarantine as [`EstimateError::TaskAbandoned`].
-    ///
-    /// Safe to call from a background thread while readers serve: they
-    /// keep the old snapshot until the swap, then see the new one whole.
-    pub fn rebuild_and_publish(
-        &self,
-        relation: &Relation,
-        config: &AnalyzeConfig,
-        engine: &TryConfig,
-    ) -> ServingPublishReport {
-        let shards = self.shards();
-        let mut groups: Vec<Vec<&str>> = vec![Vec::new(); shards];
-        for c in relation.columns() {
-            groups[shard_for(relation.name(), c.name(), shards)].push(c.name());
-        }
-        let items: Vec<(usize, Vec<&str>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect();
-        // Each shard analyzes its columns single-threaded: the shard
-        // fan-out *is* the parallelism, and per-column builds are already
-        // independent, so nesting another fan-out gains nothing.
-        let per_shard = TryConfig {
-            jobs: 1,
-            ..engine.clone()
-        };
-        let results = try_parallel_map(&items, &TryConfig::jobs(shards), |(_, names)| {
-            let mut cat = StatisticsCatalog::new();
-            cat.try_analyze_columns_with(relation, names, config, &per_shard);
-            cat
-        });
-        let mut parts = Vec::new();
-        let mut failed_shards = Vec::new();
-        for ((shard, _), slot) in items.iter().zip(results) {
-            let state = &self.shard_states[*shard];
-            state.rebuild_jobs.fetch_add(1, Ordering::Relaxed);
-            match slot {
-                Ok(cat) => parts.push(cat),
-                Err(e) => {
-                    state.rebuild_panics.fetch_add(1, Ordering::Relaxed);
-                    failed_shards.push((*shard, e.to_string()));
-                }
-            }
-        }
-        let mut merged = StatisticsCatalog::new();
-        merged.try_merge_partitions(parts, engine);
-        let snapshot = CatalogSnapshot::from_catalog_for(relation, merged, 0);
-        let health = snapshot.health();
-        let generation = self.publish_snapshot(snapshot);
-        ServingPublishReport {
-            generation,
-            health,
-            failed_shards,
-        }
-    }
-
     /// Load the active durable generation into the engine: rebuild the
     /// catalog from the store's evidence and publish it requesting the
     /// store's generation number (so a fresh engine's serving generation
@@ -1182,15 +1055,9 @@ impl ServingEngine {
         store: &DurableStore,
     ) -> (u64, Vec<(String, String, EstimateError)>) {
         let (catalog, failures) = store.load_catalog();
-        let snapshot = CatalogSnapshot::from_catalog(catalog, store.active_generation());
+        let snapshot = CatalogSnapshot::from_catalog_ref(&catalog, store.active_generation());
         let generation = self.publish_snapshot(snapshot);
         (generation, failures)
-    }
-
-    /// Publish the serving snapshot's evidence to a [`DurableStore`] as a
-    /// new crash-safe generation; returns the durable generation number.
-    pub fn publish_durable(&self, store: &mut DurableStore) -> Result<u64, EstimateError> {
-        store.publish(self.snapshot().export())
     }
 
     /// The staleness-driven republish loop in one call: judge every
@@ -1261,12 +1128,12 @@ impl ServingEngine {
     }
 
     /// Fold one observed request latency into `shard`'s EWMA and refresh
-    /// the engine load tier from the worst shard pressure. Called
-    /// automatically after every admitted request when
-    /// [`OverloadOptions::auto_observe`] is set; public so tests, chaos
-    /// harnesses, and the overload benchmark can script exact pressure
-    /// trajectories (set `auto_observe: false` and inject).
-    pub fn observe_shard_latency(&self, shard: usize, latency_us: f64) {
+    /// the engine load tier from the worst shard pressure. Called after
+    /// every admitted request when [`OverloadOptions::auto_observe`] is
+    /// set; the engine's tests set it `false` and call this directly to
+    /// script exact pressure trajectories. `shard` must be below
+    /// [`ServingEngine::shards`].
+    fn observe_shard_latency(&self, shard: usize, latency_us: f64) {
         self.shard_states[shard].shed_ctl.observe(latency_us);
         let worst = self
             .shard_states
@@ -1274,11 +1141,6 @@ impl ServingEngine {
             .map(|st| st.shed_ctl.pressure())
             .fold(0.0, f64::max);
         self.tier.update(worst);
-    }
-
-    /// The engine's current load tier.
-    pub fn load_tier(&self) -> LoadTier {
-        self.tier.tier()
     }
 
     fn note_latency(&self, shard: usize, started: Instant) {
@@ -1370,7 +1232,7 @@ impl ServingEngine {
     /// Serve a whole batch with full overload semantics. Invalid queries
     /// answer `InvalidQuery`; an already-expired `deadline` refuses every
     /// valid slot before any work. Cache hits serve [`ServeRung::Full`];
-    /// the misses go, in one batch call, to the rung [`route`] picks, with
+    /// the misses go, in one batch call, to the rung `route` picks, with
     /// the deadline armed in the scratch's [`BatchScratch`] so the rung
     /// can cancel cooperatively mid-scan. Each miss slot then ends one
     /// way, whichever rung answered:
@@ -1565,8 +1427,9 @@ impl ServingEngine {
     }
 
     /// Point-in-time engine health: serving generation and epoch, publish
-    /// count, cache counters, the snapshot's catalog health, and
-    /// per-shard admission/rebuild counters.
+    /// count, cache counters, the snapshot's catalog health, per-shard
+    /// admission counters and pressure, the load tier, the per-rung
+    /// serve counters and every column's breaker.
     pub fn health(&self) -> ServingHealthReport {
         let snap = self.snapshot();
         ServingHealthReport {
@@ -1584,8 +1447,6 @@ impl ServingEngine {
                     admitted: st.admitted.load(Ordering::Relaxed),
                     rejected: st.rejected.load(Ordering::Relaxed),
                     in_flight: st.in_flight.load(Ordering::Acquire),
-                    rebuild_jobs: st.rebuild_jobs.load(Ordering::Relaxed),
-                    rebuild_panics: st.rebuild_panics.load(Ordering::Relaxed),
                     ewma_us: st.shed_ctl.ewma_us(),
                     pressure: st.shed_ctl.pressure(),
                     shed: st.shed_ctl.shed_count(),
@@ -1612,6 +1473,7 @@ impl ServingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::AnalyzeConfig;
     use crate::relation::Column;
 
     fn test_relation() -> Arc<Relation> {
@@ -1651,6 +1513,10 @@ mod tests {
         cat
     }
 
+    fn publish(engine: &ServingEngine, catalog: &StatisticsCatalog) -> u64 {
+        engine.publish_snapshot(CatalogSnapshot::from_catalog_ref(catalog, 0))
+    }
+
     #[test]
     fn empty_engine_serves_missing_statistics() {
         let engine = ServingEngine::with_defaults();
@@ -1685,7 +1551,7 @@ mod tests {
             })
             .collect();
         let engine = ServingEngine::with_defaults();
-        let generation = engine.publish_catalog(cat);
+        let generation = publish(&engine, &cat);
         assert_eq!(generation, 1);
         for pass in 0..2 {
             for (name, expect) in &reference {
@@ -1709,7 +1575,7 @@ mod tests {
     fn batch_path_matches_single_path_and_reports_invalid_slots() {
         let r = test_relation();
         let engine = ServingEngine::with_defaults();
-        engine.publish_catalog(analyzed(&r, EstimatorKind::MaxDiff));
+        publish(&engine, &analyzed(&r, EstimatorKind::MaxDiff));
         let mut qs = queries(32);
         qs[7] = RangeQuery::unchecked(5.0, 1.0);
         qs[20] = RangeQuery::unchecked(f64::NAN, 2.0);
@@ -1741,7 +1607,7 @@ mod tests {
     fn publish_renumbers_generations_monotonically_and_invalidates_the_cache() {
         let r = test_relation();
         let engine = ServingEngine::with_defaults();
-        engine.publish_catalog(analyzed(&r, EstimatorKind::EquiDepth));
+        publish(&engine, &analyzed(&r, EstimatorKind::EquiDepth));
         let q = queries(1)[0];
         let old = engine.try_estimate("serve", "a", &q).unwrap();
         let warm = engine.try_estimate("serve", "a", &q).unwrap();
@@ -1750,8 +1616,8 @@ mod tests {
         // generation: the engine renumbers past the current one, and the
         // very next read serves the new statistics — a cached entry from
         // the old snapshot can never answer again.
-        let gen2 = engine.publish_snapshot(CatalogSnapshot::from_catalog(
-            analyzed(&r, EstimatorKind::Uniform),
+        let gen2 = engine.publish_snapshot(CatalogSnapshot::from_catalog_ref(
+            &analyzed(&r, EstimatorKind::Uniform),
             1,
         ));
         assert_eq!(gen2, 2, "requested generation 1 must renumber to 2");
@@ -1778,7 +1644,7 @@ mod tests {
             admission_limit: 2,
             ..Default::default()
         });
-        engine.publish_catalog(analyzed(&r, EstimatorKind::Sampling));
+        publish(&engine, &analyzed(&r, EstimatorKind::Sampling));
         let shard = shard_for("serve", "a", engine.shards());
         let g1 = engine.admit(shard).expect("first");
         let g2 = engine.admit(shard).expect("second");
@@ -1812,69 +1678,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_rebuild_is_bit_identical_to_sequential_analyze_for_every_shard_count() {
-        let r = test_relation();
-        let cfg = AnalyzeConfig::default();
-        let reference = analyzed(&r, cfg.kind);
-        let qs = queries(48);
-        for shards in [1, 2, 4, 7] {
-            let engine = ServingEngine::new(ServingOptions {
-                shards,
-                ..Default::default()
-            });
-            let report = engine.rebuild_and_publish(&r, &cfg, &TryConfig::jobs(1));
-            assert!(report.failed_shards.is_empty());
-            assert!(report.health.is_healthy());
-            assert_eq!(report.health.entries, 5);
-            for c in r.columns() {
-                let st = reference.statistics("serve", c.name()).unwrap();
-                for q in &qs {
-                    let served = engine.try_estimate("serve", c.name(), q).unwrap();
-                    assert_eq!(
-                        served.to_bits(),
-                        st.estimator.selectivity(q).to_bits(),
-                        "shards={shards} column={}",
-                        c.name()
-                    );
-                }
-            }
-            // One rebuild job per shard that owns a column, none panicked.
-            let health = engine.health();
-            for s in &health.shards {
-                let owns = r
-                    .columns()
-                    .iter()
-                    .any(|c| shard_for("serve", c.name(), shards) == s.shard);
-                assert_eq!(s.rebuild_jobs, usize::from(owns), "shards={shards}");
-                assert_eq!(s.rebuild_panics, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn expired_engine_deadline_abandons_columns_not_shards() {
-        // The caller's deadline rides on each shard's per-column builds,
-        // never on the shard fan-out: every shard runs and reports its
-        // columns as abandoned, and no shard counts as failed.
+    fn expired_deadline_columns_serve_their_floor() {
+        // Every column the deadline abandons quarantines as
+        // `TaskAbandoned` and, frozen with its relation, serves its floor.
         let r = test_relation();
         let engine = ServingEngine::new(ServingOptions {
             shards: 4,
             ..Default::default()
         });
         let expired = TryConfig::jobs(1).with_deadline(Deadline::already_expired());
-        let report = engine.rebuild_and_publish(&r, &AnalyzeConfig::default(), &expired);
-        assert!(
-            report.failed_shards.is_empty(),
-            "{:?}",
-            report.failed_shards
-        );
-        assert_eq!(report.health.quarantined.len(), r.columns().len());
+        let mut cat = StatisticsCatalog::new();
+        cat.try_analyze_with(&r, &AnalyzeConfig::default(), &expired);
+        let snapshot = CatalogSnapshot::from_catalog_for(&r, &cat, 0);
+        let health = snapshot.health();
+        engine.publish_snapshot(snapshot);
+        assert_eq!(health.quarantined.len(), r.columns().len());
         let snap = engine.snapshot();
         for c in r.columns() {
             let (_, col) = snap.find("serve", c.name()).expect("degraded entry");
             assert!(col.quarantined(), "{} serves its floor", c.name());
         }
-        for q in &report.health.quarantined {
+        for q in &health.quarantined {
             assert!(
                 matches!(q.failure.error, EstimateError::TaskAbandoned { .. }),
                 "{}: {:?}",
@@ -1894,7 +1718,8 @@ mod tests {
         r.add_column(Column::new_unchecked("poisoned", d, garbage));
         let r = Arc::new(r);
         let engine = ServingEngine::with_defaults();
-        let report = engine.rebuild_and_publish(
+        let mut cat = StatisticsCatalog::new();
+        cat.try_analyze_with(
             &r,
             &AnalyzeConfig {
                 kind: EstimatorKind::Sampling,
@@ -1902,8 +1727,11 @@ mod tests {
             },
             &TryConfig::jobs(1),
         );
-        assert_eq!(report.health.quarantined.len(), 1);
-        assert_eq!(report.health.quarantined[0].column, "poisoned");
+        let snapshot = CatalogSnapshot::from_catalog_for(&r, &cat, 0);
+        let health = snapshot.health();
+        engine.publish_snapshot(snapshot);
+        assert_eq!(health.quarantined.len(), 1);
+        assert_eq!(health.quarantined[0].column, "poisoned");
         // The quarantined column still serves — uniformly.
         let snap = engine.snapshot();
         let (_, col) = snap.find("mixed", "poisoned").expect("degraded entry");
@@ -1912,19 +1740,11 @@ mod tests {
         let q = RangeQuery::new(0.0, 50.0);
         let v = engine.try_estimate("mixed", "poisoned", &q).unwrap();
         assert!((v - 0.5).abs() < 1e-12, "uniform overlap, got {v}");
-        // Degraded entries export no evidence; honest ones do.
-        assert_eq!(snap.export().len(), 1);
+        // Degraded entries carry no evidence; honest ones do.
+        assert_eq!(cat.export().len(), 1);
         // Without the relation, the same catalog would simply not serve
         // the column.
-        let mut cat = StatisticsCatalog::new();
-        cat.try_analyze(
-            &r,
-            &AnalyzeConfig {
-                kind: EstimatorKind::Sampling,
-                ..Default::default()
-            },
-        );
-        let plain = CatalogSnapshot::from_catalog(cat, 0);
+        let plain = CatalogSnapshot::from_catalog_ref(&cat, 0);
         assert!(plain.find("mixed", "poisoned").is_none());
     }
 
@@ -1945,7 +1765,7 @@ mod tests {
             ..cfg
         };
         assert_eq!(cat.try_analyze(&r, &failed).quarantined.len(), 1);
-        let snap = CatalogSnapshot::from_catalog_for(&r, cat, 1);
+        let snap = CatalogSnapshot::from_catalog_for(&r, &cat, 1);
         assert_eq!(snap.len(), 1, "one column, one serving entry");
         let (_, col) = snap.find("t", "v").expect("served");
         assert_eq!(col.kind(), EstimatorKind::EquiDepth);
@@ -2054,7 +1874,7 @@ mod tests {
     fn cache_counters_are_exact_after_concurrent_batches() {
         let r = test_relation();
         let engine = ServingEngine::with_defaults();
-        engine.publish_catalog(analyzed(&r, EstimatorKind::MaxDiff));
+        publish(&engine, &analyzed(&r, EstimatorKind::MaxDiff));
         // Each batch mixes 16 repeats from a hot pool, 16 fresh queries
         // and one invalid slot; both threads serve the same batches.
         let pool = queries(16 + 16 * 40);
@@ -2106,7 +1926,7 @@ mod tests {
             quantize_bits: 32,
             ..Default::default()
         });
-        engine.publish_catalog(analyzed(&r, EstimatorKind::MaxDiff));
+        publish(&engine, &analyzed(&r, EstimatorKind::MaxDiff));
         let batch = &fresh[..64];
         let (mut scratch, mut out) = (ServingScratch::new(), Vec::new());
         engine.estimate_batch_into("serve", "b", batch, &mut scratch, &mut out);
@@ -2125,8 +1945,9 @@ mod tests {
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         let r = test_relation();
         let engine = ServingEngine::with_defaults();
-        engine.publish_catalog(analyzed(&r, EstimatorKind::EquiWidth));
-        let durable_gen = engine.publish_durable(&mut store).expect("publish");
+        let cat = analyzed(&r, EstimatorKind::EquiWidth);
+        publish(&engine, &cat);
+        let durable_gen = cat.publish_to(&mut store).expect("publish");
         assert_eq!(durable_gen, store.active_generation());
         // A fresh engine loading the store serves under the durable
         // generation number and bit-identical statistics.
@@ -2269,14 +2090,12 @@ mod tests {
         breaker.on_failure();
         assert_eq!(breaker.state(), BreakerState::Open);
         assert_eq!(route(LoadTier::Normal, true, &breaker), ServeRung::Floor);
-        assert_eq!(route(LoadTier::Shed, false, &breaker), ServeRung::Floor);
         // Off `Normal`, a column with a brownout rung serves it even while
         // its breaker is open: the primary is not in the decision at all.
         assert_eq!(
             route(LoadTier::Brownout, true, &breaker),
             ServeRung::Brownout
         );
-        assert_eq!(route(LoadTier::Shed, true, &breaker), ServeRung::Brownout);
     }
 
     #[test]
@@ -2299,7 +2118,7 @@ mod tests {
         engine.publish_snapshot(CatalogSnapshot::from_columns(vec![col], 0));
         let shard = shard_for("t", "k", engine.shards());
         engine.observe_shard_latency(shard, 1.5 * engine.overload.slo_us);
-        assert_eq!(engine.load_tier(), LoadTier::Brownout);
+        assert_eq!(engine.tier.tier(), LoadTier::Brownout);
         let uniform = UniformEstimator::new(d);
         let q = RangeQuery::new(10.0, 30.0);
         let s = engine.try_estimate_with("t", "k", &q, None).unwrap();
@@ -2434,7 +2253,7 @@ mod tests {
     fn brownout_routes_misses_to_the_cheap_rung_and_recovers() {
         let r = test_relation();
         let engine = scripted_engine();
-        engine.publish_catalog(analyzed(&r, EstimatorKind::Kernel));
+        publish(&engine, &analyzed(&r, EstimatorKind::Kernel));
         let shard = shard_for("serve", "a", engine.shards());
         let qs = queries(8);
         let (q_hit, q_miss) = (qs[0], qs[1]);
@@ -2445,7 +2264,7 @@ mod tests {
         assert_eq!(full_hit.rung, ServeRung::Full);
         // Scripted pressure 1.5: above brownout_enter, below shed_enter.
         engine.observe_shard_latency(shard, 1.5 * engine.overload.slo_us);
-        assert_eq!(engine.load_tier(), LoadTier::Brownout);
+        assert_eq!(engine.tier.tier(), LoadTier::Brownout);
         // Cache hits still serve full precision…
         let hit = engine
             .try_estimate_with("serve", "a", &q_hit, None)
@@ -2490,7 +2309,7 @@ mod tests {
         for _ in 0..50 {
             engine.observe_shard_latency(shard, 0.05 * engine.overload.slo_us);
         }
-        assert_eq!(engine.load_tier(), LoadTier::Normal);
+        assert_eq!(engine.tier.tier(), LoadTier::Normal);
         let back = engine
             .try_estimate_with("serve", "a", &q_miss, None)
             .unwrap();
@@ -2505,7 +2324,7 @@ mod tests {
     fn deadlines_refuse_typed_before_any_work() {
         let r = test_relation();
         let engine = scripted_engine();
-        engine.publish_catalog(analyzed(&r, EstimatorKind::MaxDiff));
+        publish(&engine, &analyzed(&r, EstimatorKind::MaxDiff));
         let qs = {
             let mut qs = queries(6);
             qs[2] = RangeQuery::unchecked(9.0, 1.0);
@@ -2568,7 +2387,7 @@ mod tests {
                 ..Default::default()
             });
             let r = test_relation();
-            engine.publish_catalog(analyzed(&r, EstimatorKind::Sampling));
+            publish(&engine, &analyzed(&r, EstimatorKind::Sampling));
             let shard = shard_for("serve", "a", engine.shards());
             // Scripted pressure 1.8 and a half-occupied shard: shed
             // probability (1.8 - 1) * (2/4) = 0.4 per arrival.
@@ -2620,7 +2439,7 @@ mod tests {
             admission_limit: 2,
             ..Default::default()
         });
-        engine.publish_catalog(analyzed(&r, EstimatorKind::Sampling));
+        publish(&engine, &analyzed(&r, EstimatorKind::Sampling));
         let q = queries(1)[0];
         // Success, then a cache hit.
         engine.try_estimate("serve", "a", &q).unwrap();

@@ -81,7 +81,7 @@ fn analyzed(sample: &[f64], domain: Domain, config: &AnalyzeConfig) -> (Relation
     let mut catalog = StatisticsCatalog::new();
     catalog.try_analyze(&relation, config);
     let engine = engine(5);
-    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&relation, catalog, 0));
+    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&relation, &catalog, 0));
     (relation, engine)
 }
 

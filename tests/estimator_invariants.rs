@@ -191,7 +191,7 @@ fn served(sample: &[f64], kind: EstimatorKind) -> ServingEngine {
         },
         ..Default::default()
     });
-    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&relation, catalog, 0));
+    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&relation, &catalog, 0));
     engine
 }
 

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use selest::par::TryConfig;
-use selest::store::{AnalyzeConfig, Column, Relation, StatisticsCatalog};
+use selest::store::{AnalyzeConfig, CatalogHealthReport, Column, Relation, StatisticsCatalog};
 use selest::{CatalogSnapshot, Domain, RangeQuery, ServingEngine, ServingOptions, ServingScratch};
 
 const DOMAIN: (f64, f64) = (0.0, 1_000.0);
@@ -107,7 +107,7 @@ fn config() -> AnalyzeConfig {
 fn reference_bits(rel: &Arc<Relation>) -> HashMap<&'static str, Vec<u64>> {
     let mut cat = StatisticsCatalog::new();
     cat.try_analyze_jobs(rel, &config(), 1);
-    let snap = CatalogSnapshot::from_catalog_for(rel, cat, 1);
+    let snap = CatalogSnapshot::from_catalog_for(rel, &cat, 1);
     let qs = queries();
     COLUMNS
         .iter()
@@ -120,6 +120,22 @@ fn reference_bits(rel: &Arc<Relation>) -> HashMap<&'static str, Vec<u64>> {
             (name, bits)
         })
         .collect()
+}
+
+/// ANALYZE `rel` into a fresh catalog on `engine`'s workers, freeze it
+/// with its relation (quarantined columns serve their floor) and publish
+/// it. Returns the published generation and the snapshot's health.
+fn analyze_and_publish(
+    engine: &ServingEngine,
+    rel: &Relation,
+    config: &AnalyzeConfig,
+    jobs: &TryConfig,
+) -> (u64, CatalogHealthReport) {
+    let mut cat = StatisticsCatalog::new();
+    cat.try_analyze_with(rel, config, jobs);
+    let snapshot = CatalogSnapshot::from_catalog_for(rel, &cat, 0);
+    let health = snapshot.health();
+    (engine.publish_snapshot(snapshot), health)
 }
 
 // -------------------------------------------------------------------------
@@ -161,9 +177,8 @@ fn concurrent_readers_never_observe_torn_or_stale_estimates() {
     let qs = queries();
 
     // Publish a first snapshot so readers never see the empty catalog.
-    let report = engine.rebuild_and_publish(&clean, &config(), &TryConfig::default());
-    assert!(report.failed_shards.is_empty());
-    published.lock().unwrap().insert(report.generation, false);
+    let (generation, _) = analyze_and_publish(&engine, &clean, &config(), &TryConfig::default());
+    published.lock().unwrap().insert(generation, false);
 
     thread::scope(|scope| {
         let publisher = scope.spawn(|| {
@@ -171,18 +186,14 @@ fn concurrent_readers_never_observe_torn_or_stale_estimates() {
             for round in 0..12 {
                 let poison = round % 2 == 1;
                 let rel = if poison { &poisoned } else { &clean };
-                let report = engine.rebuild_and_publish(rel, &config(), &TryConfig::default());
-                assert!(
-                    report.failed_shards.is_empty(),
-                    "shard builds must not panic: {:?}",
-                    report.failed_shards
-                );
+                let (generation, health) =
+                    analyze_and_publish(&engine, rel, &config(), &TryConfig::default());
                 assert_eq!(
-                    report.health.quarantined.len(),
+                    health.quarantined.len(),
                     usize::from(poison),
                     "poisoned rebuilds quarantine exactly column x"
                 );
-                published.lock().unwrap().insert(report.generation, poison);
+                published.lock().unwrap().insert(generation, poison);
                 publishes += 1;
             }
             stop.store(true, Ordering::Release);
@@ -253,12 +264,7 @@ fn concurrent_readers_never_observe_torn_or_stale_estimates() {
     assert_eq!(map.len(), 13);
     let newest = *map.keys().max().unwrap();
     assert_eq!(engine.snapshot().generation(), newest);
-    let health = engine.health();
-    assert_eq!(health.publishes, 13);
-    assert!(
-        health.shards.iter().all(|s| s.rebuild_panics == 0),
-        "no shard worker panicked"
-    );
+    assert_eq!(engine.health().publishes, 13);
 }
 
 #[test]
@@ -268,15 +274,13 @@ fn served_bits_match_the_sequential_reference_at_every_client_count() {
     let qs = queries();
     for clients in [1, 2, 4, 8, 16] {
         let engine = ServingEngine::new(ServingOptions::default());
-        let report = engine.rebuild_and_publish(&clean, &config(), &TryConfig::jobs(1));
-        assert!(report.failed_shards.is_empty());
+        analyze_and_publish(&engine, &clean, &config(), &TryConfig::jobs(1));
         let stop = AtomicBool::new(false);
         thread::scope(|scope| {
             // Every publish swaps in a snapshot built from the same data and
             // config under a new generation, so the reference bits hold.
             scope.spawn(|| loop {
-                let report = engine.rebuild_and_publish(&clean, &config(), &TryConfig::jobs(1));
-                assert!(report.failed_shards.is_empty());
+                analyze_and_publish(&engine, &clean, &config(), &TryConfig::jobs(1));
                 if stop.load(Ordering::Acquire) {
                     break;
                 }
@@ -319,8 +323,7 @@ fn cache_hits_repeat_cold_results_bit_for_bit() {
         cache_bits: 10,
         ..Default::default()
     });
-    let report = engine.rebuild_and_publish(&rel, &config(), &TryConfig::default());
-    assert!(report.failed_shards.is_empty());
+    analyze_and_publish(&engine, &rel, &config(), &TryConfig::default());
     let qs = queries();
     let cold: Vec<u64> = COLUMNS
         .iter()
@@ -369,7 +372,7 @@ fn snapshot_swap_invalidates_the_cache_wholesale() {
     old_cat.try_analyze_jobs(&rel, &old_cfg, 1);
     let mut new_cat = StatisticsCatalog::new();
     new_cat.try_analyze_jobs(&rel, &new_cfg, 1);
-    let new_snap = CatalogSnapshot::from_catalog_for(&rel, new_cat, 0);
+    let new_snap = CatalogSnapshot::from_catalog_for(&rel, &new_cat, 0);
     let new_bits: HashMap<&str, Vec<u64>> = COLUMNS
         .iter()
         .map(|&name| {
@@ -384,7 +387,7 @@ fn snapshot_swap_invalidates_the_cache_wholesale() {
         })
         .collect();
 
-    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&rel, old_cat, 0));
+    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&rel, &old_cat, 0));
     let qs = queries();
     // Warm the cache on the old snapshot, twice so hits are certain.
     let mut old_bits: HashMap<&str, Vec<u64>> = HashMap::new();
@@ -424,8 +427,7 @@ fn adversarial_unique_queries_cannot_grow_the_cache() {
         cache_bits: 4,
         ..Default::default()
     });
-    let report = engine.rebuild_and_publish(&rel, &config(), &TryConfig::default());
-    assert!(report.failed_shards.is_empty());
+    analyze_and_publish(&engine, &rel, &config(), &TryConfig::default());
     let slots = engine.cache().slots();
     assert_eq!(slots, 16);
     let d = domain();
@@ -718,8 +720,7 @@ fn boundary_kernel_columns_serve_the_direct_estimator_bit_for_bit() {
         let rel = Arc::new(rel);
 
         let engine = ServingEngine::with_defaults();
-        let report = engine.rebuild_and_publish(&rel, &config, &TryConfig::default());
-        assert!(report.failed_shards.is_empty());
+        analyze_and_publish(&engine, &rel, &config, &TryConfig::default());
 
         let mut catalog = StatisticsCatalog::new();
         catalog.try_analyze_jobs(&rel, &config, 1);
