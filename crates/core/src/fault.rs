@@ -85,11 +85,12 @@ pub enum EstimateError {
         retry_after_us: u64,
     },
     /// The request's end-to-end deadline expired before the estimate
-    /// completed. Cooperative: the serving path polls the deadline at
-    /// checkpoints (admission, and every 16 valid slots of the fallible
-    /// batch) and abandons only the *remaining* work, so a batch returns
-    /// partial results — finished slots keep their bit-exact values and
-    /// unfinished slots carry this error.
+    /// completed. Cooperative: the serving engine checks the deadline
+    /// before any work and then before a batch's first cache miss and
+    /// every 16 misses after it (the fallible batch default polls every
+    /// 16 valid slots the same way), and abandons only the *remaining*
+    /// work, so a batch returns partial results — finished slots keep
+    /// their bit-exact values and unfinished slots carry this error.
     DeadlineExceeded {
         /// Microseconds elapsed when the expiry was observed.
         elapsed_us: u64,

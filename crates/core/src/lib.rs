@@ -48,5 +48,5 @@ pub use prepared::{ColumnSummary, PreparedColumn};
 pub use query::RangeQuery;
 pub use sampling::SamplingEstimator;
 pub use scratch::BatchScratch;
-pub use traits::{DensityEstimator, SelectivityEstimator};
+pub use traits::{isolated_selectivity, DensityEstimator, SelectivityEstimator, DEADLINE_STRIDE};
 pub use uniform::UniformEstimator;

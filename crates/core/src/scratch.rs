@@ -15,9 +15,10 @@ use selest_par::Deadline;
 /// Create one per serving thread (or per harness worker) and reuse it
 /// across calls. `Default`/`new` make an unarmed bag and never allocate.
 ///
-/// The serving engine arms the request's [`Deadline`] before a fallible
-/// batch call and clears it after, so every estimator cancels
-/// cooperatively without the trait surface changing.
+/// A caller arms a request's [`Deadline`] before a fallible batch call
+/// and clears it after, so every estimator cancels cooperatively without
+/// the trait surface changing. (The serving engine polls its request
+/// deadline itself, in its single pass over a batch.)
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     deadline: Option<Deadline>,

@@ -5,15 +5,21 @@ use crate::fault::{catch_fault, EstimateError, FaultStage};
 use crate::query::RangeQuery;
 use crate::scratch::BatchScratch;
 
-/// How many valid slots the fallible batch default evaluates between
-/// deadline polls. Small enough that an expired budget is noticed within
-/// a few microseconds of work, large enough that the atomic load never
-/// shows up in profiles.
-const DEADLINE_STRIDE: usize = 16;
+/// How many valid slots a fallible batch evaluates between deadline
+/// polls: the trait's fallible default polls before its first valid slot
+/// and then every this many, and the serving engine polls the same way
+/// over a batch's cache misses. Small enough that an expired budget is
+/// noticed within a few microseconds of work, large enough that the
+/// atomic load never shows up in profiles.
+pub const DEADLINE_STRIDE: usize = 16;
 
-/// One valid query through the fault-isolated path: catch panics, reject
-/// non-finite answers.
-fn isolated<E: SelectivityEstimator + ?Sized>(
+/// One valid query through the fault-isolated path: a panic comes back as
+/// [`EstimateError::Panicked`], a NaN/±Inf answer as
+/// [`EstimateError::NonFiniteEstimate`], and any other answer is exactly
+/// [`SelectivityEstimator::selectivity`]'s. The one per-slot rule of every
+/// fallible batch: [`SelectivityEstimator::try_selectivity_batch_into`]
+/// and the serving engine both answer each slot through it.
+pub fn isolated_selectivity<E: SelectivityEstimator + ?Sized>(
     est: &E,
     q: &RangeQuery,
 ) -> Result<f64, EstimateError> {
@@ -93,9 +99,9 @@ pub trait SelectivityEstimator {
     ///
     /// A [`selest_par::Deadline`] armed in `scratch` cancels the batch
     /// cooperatively: it is polled before the first valid slot and then
-    /// every 16 valid slots. Once it has expired, every remaining valid
-    /// slot reports [`EstimateError::DeadlineExceeded`]; slots already
-    /// evaluated keep their bits, and invalid queries keep
+    /// every [`DEADLINE_STRIDE`] valid slots. Once it has expired, every
+    /// remaining valid slot reports [`EstimateError::DeadlineExceeded`];
+    /// slots already evaluated keep their bits, and invalid queries keep
     /// [`EstimateError::InvalidQuery`].
     fn try_selectivity_batch_into(
         &self,
@@ -115,7 +121,7 @@ pub trait SelectivityEstimator {
             valid += 1;
             match expired {
                 Some(d) => Err(EstimateError::deadline_exceeded(d)),
-                None => isolated(self, q),
+                None => isolated_selectivity(self, q),
             }
         }));
     }

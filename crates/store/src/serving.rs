@@ -24,7 +24,8 @@
 //!   each query's bounds then become two grid cells (one multiply and a
 //!   clamp each), and one multiply–xorshift word mix of the cells with
 //!   the column index picks the slot. A miss keeps that slot index and
-//!   fills the same slot without hashing again.
+//!   fills the same slot without hashing again, before the batch probes
+//!   its next query, so a query repeated later in the batch hits.
 //!   [`RangeQuery::bounds_bits`] plus the snapshot generation and column
 //!   index decide whether the slot answers. A collision costs a miss,
 //!   never a wrong value, and a snapshot swap invalidates the whole cache
@@ -41,17 +42,22 @@
 //! The engine degrades instead of falling over. Every column carries
 //! three pre-built rungs — its primary estimator, an optional cheap
 //! brownout rung, and the uniform floor — and one routing decision,
-//! `route`, picks the rung that answers a batch's cache misses (see
-//! [`crate::overload`] for the control machinery):
+//! `route`, taken at a batch's first cache miss, picks the rung that
+//! answers all of the batch's misses (see [`crate::overload`] for the
+//! control machinery). A batch is served in one pass: each valid query is
+//! probed and, on a miss, answered there and then by that rung, one slot
+//! at a time under the per-slot fault rule of
+//! [`selest_core::isolated_selectivity`].
 //!
 //! * **Deadlines** — callers may attach a [`Deadline`] to a request
 //!   ([`ServingEngine::try_estimate_with`] /
 //!   [`ServingEngine::estimate_batch_with`]). An expired one refuses
-//!   before any work; a live one rides inside the [`BatchScratch`] to the
-//!   rung's fallible batch, which polls it every 16 valid slots. Expired work
-//!   comes back as typed [`EstimateError::DeadlineExceeded`] slots;
-//!   finished slots keep their unhurried bits (partial results, never
-//!   hurried arithmetic).
+//!   before any work; a live one is polled before a batch's first miss
+//!   and then every [`DEADLINE_STRIDE`] misses. Once it has expired, the
+//!   remaining misses come back as typed
+//!   [`EstimateError::DeadlineExceeded`] slots, while finished slots keep
+//!   their unhurried bits and cache hits still serve (partial results,
+//!   never hurried arithmetic).
 //! * **Adaptive shedding** — each shard folds its request latencies into
 //!   an EWMA; above SLO pressure 1 its shed controller refuses
 //!   admissions probabilistically (seeded, replayable), stamping
@@ -80,14 +86,14 @@
 //! same code.
 
 use std::cell::RefCell;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use selest_core::fault::{catch_fault, sanitize_sample, EstimateError, FaultStage};
+use selest_core::fault::{sanitize_sample, EstimateError};
 use selest_core::{
-    BatchScratch, Domain, PreparedColumn, RangeQuery, SelectivityEstimator, UniformEstimator,
+    isolated_selectivity, Domain, PreparedColumn, RangeQuery, SelectivityEstimator,
+    UniformEstimator, DEADLINE_STRIDE,
 };
 use selest_par::{shard_for, Deadline, TryConfig};
 
@@ -117,9 +123,6 @@ pub struct ServingColumn {
     brownout: Option<Arc<dyn SelectivityEstimator + Send + Sync>>,
     /// The floor rung: uniform over the column domain. Never fails.
     floor: Arc<dyn SelectivityEstimator + Send + Sync>,
-    /// Per-column circuit breaker. Re-seeded (or state-grafted) by the
-    /// engine at publish time, before the snapshot serves.
-    breaker: Arc<ColumnBreaker>,
 }
 
 /// Build a column's degradation rungs: the uniform floor plus, for
@@ -151,19 +154,6 @@ fn degradation_rungs(
             .ok()
     });
     (brownout.map(Arc::from), floor)
-}
-
-/// The construction-time breaker of a snapshot column. The engine
-/// replaces it at publish time (grafting live state for columns that
-/// survive the publish, re-seeding new ones from its own options), so no
-/// serving path reads this default.
-fn default_breaker() -> Arc<ColumnBreaker> {
-    let opts = OverloadOptions::default();
-    Arc::new(ColumnBreaker::new(
-        opts.breaker_threshold,
-        opts.breaker_cooldown_calls,
-        opts.seed,
-    ))
 }
 
 impl ServingColumn {
@@ -230,7 +220,6 @@ impl ServingColumn {
             domain,
             brownout,
             floor,
-            breaker: default_breaker(),
         }
     }
 
@@ -300,6 +289,10 @@ impl ServingColumn {
 pub struct CatalogSnapshot {
     generation: u64,
     columns: Vec<ServingColumn>,
+    /// One circuit breaker per column, in `columns` order. Engine state,
+    /// not statistics: empty until [`ServingEngine::publish_snapshot`]
+    /// grafts or seeds them, before the snapshot serves.
+    breakers: Vec<Arc<ColumnBreaker>>,
     quarantined: Vec<QuarantinedColumn>,
 }
 
@@ -310,6 +303,7 @@ impl CatalogSnapshot {
         CatalogSnapshot {
             generation: 0,
             columns: Vec::new(),
+            breakers: Vec::new(),
             quarantined: Vec::new(),
         }
     }
@@ -376,6 +370,7 @@ impl CatalogSnapshot {
         CatalogSnapshot {
             generation,
             columns,
+            breakers: Vec::new(),
             quarantined: Vec::new(),
         }
     }
@@ -844,33 +839,150 @@ impl Drop for AdmissionGuard<'_> {
     }
 }
 
-/// Reusable per-thread scratch for [`ServingEngine::estimate_batch_into`]:
-/// the estimator's [`BatchScratch`] plus the miss-compaction buffers.
-/// Allocation-free once warm, like every `_into` path in the workspace.
+/// The per-thread handle callers pass to
+/// [`ServingEngine::estimate_batch_into`] and
+/// [`ServingEngine::estimate_batch_with`]. A batch is served in one pass
+/// that writes each answer straight into the caller's output, so the
+/// handle holds no buffers and the warm path allocates nothing.
 #[derive(Default)]
-pub struct ServingScratch {
-    batch: BatchScratch,
-    miss_queries: Vec<RangeQuery>,
-    /// Each miss's position in the batch.
-    miss_slots: Vec<usize>,
-    /// Each miss's cache slot, computed by its probe and reused by its fill.
-    miss_cache_slots: Vec<usize>,
-    miss_tried: Vec<Result<f64, EstimateError>>,
-    served: Vec<Result<ServedEstimate, EstimateError>>,
-}
+pub struct ServingScratch;
 
 impl ServingScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
+    /// A scratch handle; never allocates.
     pub const fn new() -> Self {
-        ServingScratch {
-            batch: BatchScratch::new(),
-            miss_queries: Vec::new(),
-            miss_slots: Vec::new(),
-            miss_cache_slots: Vec::new(),
-            miss_tried: Vec::new(),
-            served: Vec::new(),
+        ServingScratch
+    }
+}
+
+/// One batch's single pass over its queries against one column: each
+/// valid query is probed, a miss is answered by the routed rung and a
+/// primary answer fills the slot its probe read. The pass keeps the
+/// batch's tallies until [`BatchPass::finish`] adds them to the engine.
+struct BatchPass<'a> {
+    engine: &'a ServingEngine,
+    col: &'a ServingColumn,
+    breaker: &'a ColumnBreaker,
+    idx: usize,
+    generation: u64,
+    placement: Placement,
+    deadline: Option<&'a Deadline>,
+    /// The deadline, once a poll has found it expired.
+    expired: Option<&'a Deadline>,
+    /// The rung `route` picked at the batch's first miss.
+    rung: Option<ServeRung>,
+    tally: CacheStats,
+    /// Valid cache misses so far (the deadline's poll clock).
+    misses: usize,
+    /// Misses whose rung faulted, answered by the floor.
+    faulted: u64,
+    /// Misses refused with `DeadlineExceeded`.
+    refused: u64,
+}
+
+impl BatchPass<'_> {
+    /// Serve one query by the rules of
+    /// [`ServingEngine::estimate_batch_with`].
+    fn serve(&mut self, q: &RangeQuery) -> Result<ServedEstimate, EstimateError> {
+        q.validate()?;
+        let (cache, slot) = (&self.engine.cache, self.placement.slot(q));
+        match cache.probe(slot, self.generation, self.idx, q, &mut self.tally) {
+            Some(value) => Ok(ServedEstimate {
+                value,
+                rung: ServeRung::Full,
+            }),
+            None => self.miss(slot, q),
         }
     }
+
+    /// Answer a cache miss from the batch's rung.
+    fn miss(&mut self, slot: usize, q: &RangeQuery) -> Result<ServedEstimate, EstimateError> {
+        let rung = *self.rung.get_or_insert_with(|| {
+            let brownout = self.engine.overload.brownout && self.col.brownout.is_some();
+            route(self.engine.tier.tier(), brownout, self.breaker)
+        });
+        if self.expired.is_none() && self.misses.is_multiple_of(DEADLINE_STRIDE) {
+            self.expired = self.deadline.filter(|d| d.expired());
+        }
+        self.misses += 1;
+        if let Some(d) = self.expired {
+            self.refused += 1;
+            return Err(EstimateError::deadline_exceeded(d));
+        }
+        match isolated_selectivity(self.col.rung(rung), q) {
+            Ok(value) => {
+                if rung == ServeRung::Full {
+                    let cache = &self.engine.cache;
+                    cache.fill(slot, self.generation, self.idx, q, value, &mut self.tally);
+                }
+                Ok(ServedEstimate { value, rung })
+            }
+            Err(_) => {
+                self.faulted += 1;
+                Ok(ServedEstimate {
+                    value: self.col.floor.selectivity(q),
+                    rung: ServeRung::Floor,
+                })
+            }
+        }
+    }
+
+    /// Add the batch's tallies to the engine and charge the primary's
+    /// breaker. Each miss is counted by its rung if that rung answered,
+    /// as floored if it faulted, as refused if its deadline expired.
+    fn finish(self) {
+        let engine = self.engine;
+        engine.cache.count(self.tally);
+        let Some(rung) = self.rung else {
+            return;
+        };
+        let (faulted, refused) = (self.faulted, self.refused);
+        let answered = self.misses as u64 - refused - faulted;
+        let (brownout, floored) = match rung {
+            ServeRung::Full => (0, faulted),
+            ServeRung::Brownout => (answered, faulted),
+            ServeRung::Floor => (0, faulted + answered),
+        };
+        for (counter, n) in [
+            (&engine.brownout_served, brownout),
+            (&engine.floor_served, floored),
+            (&engine.deadline_refused, refused),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        if rung == ServeRung::Full {
+            // A timeout is one slow call, charged once.
+            let charges = if faulted > 0 {
+                faulted
+            } else {
+                u64::from(refused > 0)
+            };
+            if charges == 0 {
+                self.breaker.on_success();
+            }
+            for _ in 0..charges {
+                self.breaker.on_failure();
+            }
+        }
+    }
+}
+
+/// Answer every valid query with `err()` and every invalid one with its
+/// `InvalidQuery`: a refusal before any work. Returns the refused count.
+fn refuse_all(
+    queries: &[RangeQuery],
+    err: impl Fn() -> EstimateError,
+    emit: &mut impl FnMut(Result<ServedEstimate, EstimateError>),
+) -> u64 {
+    let mut refused = 0;
+    for q in queries {
+        emit(q.validate().and_then(|()| {
+            refused += 1;
+            Err(err())
+        }));
+    }
+    refused
 }
 
 /// Engine-id source for the thread-local snapshot cache: every engine
@@ -883,9 +995,6 @@ type TlSnapshots = Vec<(u64, u64, Arc<CatalogSnapshot>)>;
 
 thread_local! {
     static SNAPSHOTS: RefCell<TlSnapshots> = const { RefCell::new(Vec::new()) };
-    /// The scratch [`ServingEngine::try_estimate_with`] serves its batch
-    /// of one through, warm after the thread's first request.
-    static SINGLE_SCRATCH: RefCell<ServingScratch> = const { RefCell::new(ServingScratch::new()) };
 }
 
 /// How many engines one thread caches snapshots for before evicting the
@@ -1020,22 +1129,24 @@ impl ServingEngine {
         // because statistics were republished); a new column gets a
         // breaker seeded from the engine's options and its own name, so
         // half-open probe timing is deterministic per column.
-        for col in &mut snapshot.columns {
-            match cur.find(&col.relation, &col.column) {
-                Some((_, old)) => col.breaker = Arc::clone(&old.breaker),
+        snapshot.breakers = snapshot
+            .columns
+            .iter()
+            .map(|col| match cur.find(&col.relation, &col.column) {
+                Some((i, _)) => Arc::clone(&cur.breakers[i]),
                 None => {
                     let mut name = Vec::with_capacity(col.relation.len() + col.column.len() + 1);
                     name.extend_from_slice(col.relation.as_bytes());
                     name.push(0);
                     name.extend_from_slice(col.column.as_bytes());
-                    col.breaker = Arc::new(ColumnBreaker::new(
+                    Arc::new(ColumnBreaker::new(
                         self.overload.breaker_threshold,
                         self.overload.breaker_cooldown_calls,
                         self.overload.seed ^ selest_par::fnv1a_64(&name),
-                    ));
+                    ))
                 }
-            }
-        }
+            })
+            .collect();
         *cur = Arc::new(snapshot);
         self.publishes.fetch_add(1, Ordering::Relaxed);
         // Bump the epoch while still holding the lock so a reader that
@@ -1175,10 +1286,9 @@ impl ServingEngine {
     }
 
     /// Serve one estimate with full overload semantics: a batch of one
-    /// through [`ServingEngine::estimate_batch_with`] on a thread-local
-    /// scratch, so it shares every rule of the batch path — including a
-    /// live deadline reaching the estimator's cooperative checkpoints —
-    /// and allocates nothing once the thread is warm.
+    /// through the pass [`ServingEngine::estimate_batch_with`] makes, so
+    /// it shares every rule of the batch path and allocates nothing once
+    /// the thread's snapshot entry is warm.
     pub fn try_estimate_with(
         &self,
         relation: &str,
@@ -1186,30 +1296,22 @@ impl ServingEngine {
         q: &RangeQuery,
         deadline: Option<&Deadline>,
     ) -> Result<ServedEstimate, EstimateError> {
-        // Taken, not borrowed: a re-entrant call (an estimator serving
-        // through the engine) gets a fresh scratch instead of a panic.
-        let mut scratch = SINGLE_SCRATCH.take();
-        let mut served = std::mem::take(&mut scratch.served);
-        self.estimate_batch_with(
+        let mut answer = None;
+        self.serve(
             relation,
             column,
             std::slice::from_ref(q),
             deadline,
-            &mut scratch,
-            &mut served,
+            |slot| answer = Some(slot),
         );
-        let slot = served.pop().expect("one slot per query");
-        scratch.served = served;
-        SINGLE_SCRATCH.set(scratch);
-        slot
+        answer.expect("one answer per query")
     }
 
-    /// Serve a whole batch against one column, allocation-free once
-    /// `scratch` is warm: invalid queries come back as per-slot errors,
-    /// cache hits answer directly, and the misses are compacted and
-    /// evaluated through the estimator's batch path — so the mixed
-    /// hit/miss result is still bit-identical to the sequential batch path
-    /// (every batch entry point answers each query through `selectivity`).
+    /// Serve a whole batch against one column, allocation-free once `out`
+    /// has grown to the batch: the values of
+    /// [`ServingEngine::estimate_batch_with`] without a deadline, written
+    /// straight into `out`. Every answer is bit-identical to the
+    /// sequential path whenever the engine is healthy, hit or miss.
     pub fn estimate_batch_into(
         &self,
         relation: &str,
@@ -1218,35 +1320,33 @@ impl ServingEngine {
         scratch: &mut ServingScratch,
         out: &mut Vec<Result<f64, EstimateError>>,
     ) {
-        let mut served = std::mem::take(&mut scratch.served);
-        self.estimate_batch_with(relation, column, queries, None, scratch, &mut served);
+        let _ = scratch;
         out.clear();
-        out.extend(
-            served
-                .iter()
-                .map(|slot| slot.as_ref().map(|s| s.value).map_err(Clone::clone)),
-        );
-        scratch.served = served;
+        out.reserve(queries.len());
+        self.serve(relation, column, queries, None, |slot| {
+            out.push(slot.map(|s| s.value))
+        });
     }
 
-    /// Serve a whole batch with full overload semantics. Invalid queries
-    /// answer `InvalidQuery`; an already-expired `deadline` refuses every
-    /// valid slot before any work. Cache hits serve [`ServeRung::Full`];
-    /// the misses go, in one batch call, to the rung `route` picks, with
-    /// the deadline armed in the scratch's [`BatchScratch`] so the rung
-    /// can cancel cooperatively mid-scan. Each miss slot then ends one
-    /// way, whichever rung answered:
+    /// Serve a whole batch with full overload semantics, in one pass.
+    /// Invalid queries answer `InvalidQuery`; an already-expired
+    /// `deadline` refuses every valid slot before any work. Each valid
+    /// query is then probed, and a hit serves [`ServeRung::Full`]. The
+    /// batch's first miss asks `route` for the rung that answers all its
+    /// misses, and each miss ends one way:
     ///
-    /// * a finite answer serves, tagged with the rung (and is cached only
-    ///   if the rung is the primary);
-    /// * `DeadlineExceeded` refuses the slot — finished slots keep their
-    ///   unhurried bits, and degrading an unfinished one would hand back a
-    ///   worse answer than the caller's budget asked for;
-    /// * anything else (a fault, a non-finite answer, a panic of the whole
-    ///   call) is answered by the floor.
+    /// * a finite answer serves, tagged with the rung; a primary answer
+    ///   fills the cache slot its probe read, so a query repeated later
+    ///   in the batch hits;
+    /// * once the deadline has expired — it is polled before the first
+    ///   miss and every 16 misses — the miss is refused with
+    ///   `DeadlineExceeded` (degrading it would hand back a worse answer
+    ///   than the caller's budget asked for), while finished slots keep
+    ///   their unhurried bits and later hits still serve;
+    /// * a panic or a non-finite answer is answered by the floor.
     ///
     /// Only the primary charges the breaker: once per faulted slot, once
-    /// for a whole-call panic or a timeout, otherwise a success.
+    /// for a timeout, otherwise a success.
     pub fn estimate_batch_with(
         &self,
         relation: &str,
@@ -1256,174 +1356,63 @@ impl ServingEngine {
         scratch: &mut ServingScratch,
         out: &mut Vec<Result<ServedEstimate, EstimateError>>,
     ) {
+        let _ = scratch;
         out.clear();
-        out.extend(queries.iter().map(|q| {
-            q.validate().map(|()| ServedEstimate {
-                value: f64::NAN,
-                rung: ServeRung::Full,
-            })
-        }));
+        out.reserve(queries.len());
+        self.serve(relation, column, queries, deadline, |slot| out.push(slot));
+    }
+
+    /// The one serving path: refuse before any work (expired deadline,
+    /// unknown column, admission), or make one [`BatchPass`] over
+    /// `queries`, handing each slot's answer to `emit` in input order.
+    fn serve(
+        &self,
+        relation: &str,
+        column: &str,
+        queries: &[RangeQuery],
+        deadline: Option<&Deadline>,
+        mut emit: impl FnMut(Result<ServedEstimate, EstimateError>),
+    ) {
         if let Some(d) = deadline.filter(|d| d.expired()) {
-            let mut refused = 0u64;
-            for slot in out.iter_mut().filter(|s| s.is_ok()) {
-                *slot = Err(EstimateError::deadline_exceeded(d));
-                refused += 1;
-            }
+            let refused = refuse_all(queries, || EstimateError::deadline_exceeded(d), &mut emit);
             self.deadline_refused.fetch_add(refused, Ordering::Relaxed);
             return;
         }
         let snap = self.snapshot();
         let Some((idx, col)) = snap.find(relation, column) else {
             let err = Self::missing(relation, column);
-            for slot in out.iter_mut().filter(|s| s.is_ok()) {
-                *slot = Err(err.clone());
-            }
+            refuse_all(queries, || err.clone(), &mut emit);
             return;
         };
         let shard = shard_for(relation, column, self.shards());
         let _guard = match self.admit(shard) {
             Ok(g) => g,
             Err(e) => {
-                for slot in out.iter_mut().filter(|s| s.is_ok()) {
-                    *slot = Err(e.clone());
-                }
+                refuse_all(queries, || e.clone(), &mut emit);
                 return;
             }
         };
         let started = Instant::now();
-        let generation = snap.generation();
-        let placement = self.cache.placement(&col.domain, idx);
-        let mut tally = CacheStats::default();
-        scratch.miss_queries.clear();
-        scratch.miss_slots.clear();
-        scratch.miss_cache_slots.clear();
-        for (i, (slot, q)) in out.iter_mut().zip(queries).enumerate() {
-            if slot.is_err() {
-                continue;
-            }
-            let cache_slot = placement.slot(q);
-            match self.cache.probe(cache_slot, generation, idx, q, &mut tally) {
-                Some(v) => {
-                    *slot = Ok(ServedEstimate {
-                        value: v,
-                        rung: ServeRung::Full,
-                    })
-                }
-                None => {
-                    scratch.miss_slots.push(i);
-                    scratch.miss_cache_slots.push(cache_slot);
-                    scratch.miss_queries.push(*q);
-                }
-            }
+        let mut pass = BatchPass {
+            engine: self,
+            col,
+            breaker: &snap.breakers[idx],
+            idx,
+            generation: snap.generation,
+            placement: self.cache.placement(&col.domain, idx),
+            deadline,
+            expired: None,
+            rung: None,
+            tally: CacheStats::default(),
+            misses: 0,
+            faulted: 0,
+            refused: 0,
+        };
+        for q in queries {
+            emit(pass.serve(q));
         }
-        if !scratch.miss_queries.is_empty() {
-            let brownout = self.overload.brownout && col.brownout.is_some();
-            let rung = route(self.tier.tier(), brownout, &col.breaker);
-            self.serve_misses(&snap, idx, rung, deadline, scratch, &mut tally, out);
-        }
-        self.cache.count(tally);
+        pass.finish();
         self.note_latency(shard, started);
-    }
-
-    /// Answer a batch's compacted cache misses from `rung` and finish
-    /// every slot by the one rule of [`ServingEngine::estimate_batch_with`].
-    /// Primary answers fill the cache slots their probes read, counted in
-    /// the batch's `tally`.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_misses(
-        &self,
-        snap: &CatalogSnapshot,
-        idx: usize,
-        rung: ServeRung,
-        deadline: Option<&Deadline>,
-        scratch: &mut ServingScratch,
-        tally: &mut CacheStats,
-        out: &mut [Result<ServedEstimate, EstimateError>],
-    ) {
-        let col = &snap.columns[idx];
-        if let Some(d) = deadline {
-            scratch.batch.set_deadline(d.clone());
-        }
-        let est = col.rung(rung);
-        let (queries, batch, tried) = (
-            &scratch.miss_queries,
-            &mut scratch.batch,
-            &mut scratch.miss_tried,
-        );
-        let call = catch_fault(
-            FaultStage::Estimate,
-            AssertUnwindSafe(|| est.try_selectivity_batch_into(queries, batch, tried)),
-        );
-        scratch.batch.clear_deadline();
-        // After a whole-call panic no slot's result can be trusted.
-        let tried: &[_] = if call.is_ok() {
-            &scratch.miss_tried
-        } else {
-            &[]
-        };
-        // Every slot is counted once: by its rung if that rung answered,
-        // as floored if it faulted, as refused if its deadline expired.
-        let (mut faulted, mut refused) = (0u64, 0u64);
-        for (k, ((&i, &cache_slot), q)) in scratch
-            .miss_slots
-            .iter()
-            .zip(&scratch.miss_cache_slots)
-            .zip(&scratch.miss_queries)
-            .enumerate()
-        {
-            out[i] = match tried.get(k) {
-                Some(Ok(v)) if v.is_finite() => {
-                    if rung == ServeRung::Full {
-                        self.cache
-                            .fill(cache_slot, snap.generation, idx, q, *v, tally);
-                    }
-                    Ok(ServedEstimate { value: *v, rung })
-                }
-                Some(Err(e @ EstimateError::DeadlineExceeded { .. })) => {
-                    refused += 1;
-                    Err(e.clone())
-                }
-                _ => {
-                    faulted += 1;
-                    Ok(ServedEstimate {
-                        value: col.floor.selectivity(q),
-                        rung: ServeRung::Floor,
-                    })
-                }
-            };
-        }
-        let answered = scratch.miss_slots.len() as u64 - refused - faulted;
-        let (brownout, floored) = match rung {
-            ServeRung::Full => (0, faulted),
-            ServeRung::Brownout => (answered, faulted),
-            ServeRung::Floor => (0, faulted + answered),
-        };
-        for (counter, n) in [
-            (&self.brownout_served, brownout),
-            (&self.floor_served, floored),
-            (&self.deadline_refused, refused),
-        ] {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        if rung == ServeRung::Full {
-            // One charge per faulted slot; a whole-call panic or a
-            // timeout is one slow or broken call, charged once.
-            let charges = if call.is_err() {
-                1
-            } else if faulted > 0 {
-                faulted
-            } else {
-                u64::from(refused > 0)
-            };
-            if charges == 0 {
-                col.breaker.on_success();
-            }
-            for _ in 0..charges {
-                col.breaker.on_failure();
-            }
-        }
     }
 
     /// Point-in-time engine health: serving generation and epoch, publish
@@ -1459,11 +1448,12 @@ impl ServingEngine {
             breakers: snap
                 .columns()
                 .iter()
-                .map(|c| BreakerHealth {
+                .zip(&snap.breakers)
+                .map(|(c, breaker)| BreakerHealth {
                     relation: c.relation().to_owned(),
                     column: c.column().to_owned(),
-                    state: c.breaker.state(),
-                    trips: c.breaker.trips(),
+                    state: breaker.state(),
+                    trips: breaker.trips(),
                 })
                 .collect(),
         }
@@ -2374,6 +2364,122 @@ mod tests {
         }
     }
 
+    /// A uniform primary that expires `deadline` during its `expire_on`-th
+    /// call (counting from 1), then keeps answering.
+    struct ExpiringPrimary {
+        inner: UniformEstimator,
+        calls: AtomicUsize,
+        expire_on: usize,
+        deadline: Deadline,
+    }
+
+    impl SelectivityEstimator for ExpiringPrimary {
+        fn selectivity(&self, q: &RangeQuery) -> f64 {
+            if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.expire_on {
+                self.deadline.expire();
+            }
+            self.inner.selectivity(q)
+        }
+        fn domain(&self) -> Domain {
+            self.inner.domain()
+        }
+        fn name(&self) -> String {
+            "ExpiringPrimary".into()
+        }
+    }
+
+    #[test]
+    fn deadline_is_polled_every_16_misses_while_hits_keep_serving() {
+        let d = Domain::new(0.0, 100.0);
+        let uniform = UniformEstimator::new(d);
+        let deadline = Deadline::never();
+        // 16 hot queries warm the cache (16 primary calls); the primary
+        // then expires the deadline during the 20th miss of the batch.
+        let primary = Arc::new(ExpiringPrimary {
+            inner: UniformEstimator::new(d),
+            calls: AtomicUsize::new(0),
+            expire_on: 16 + 20,
+            deadline: deadline.clone(),
+        });
+        let engine = ServingEngine::new(ServingOptions {
+            cache_bits: 16,
+            quantize_bits: 32,
+            overload: OverloadOptions {
+                auto_observe: false,
+                breaker_threshold: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let col = ServingColumn::new(
+            "t",
+            "v",
+            Arc::clone(&primary) as Arc<dyn SelectivityEstimator + Send + Sync>,
+            1_000,
+            EstimatorKind::Sampling,
+            d,
+            Vec::new().into(),
+        );
+        engine.publish_snapshot(CatalogSnapshot::from_columns(vec![col], 0));
+        let hot: Vec<RangeQuery> = (0..16)
+            .map(|i| RangeQuery::new(i as f64, 50.0 + i as f64))
+            .collect();
+        let mut scratch = ServingScratch::new();
+        let mut served = Vec::new();
+        engine.estimate_batch_with("t", "v", &hot, None, &mut scratch, &mut served);
+        assert_eq!(primary.calls.load(Ordering::Relaxed), 16);
+        // 48 distinct misses with a hot query after every third one.
+        let mut batch = Vec::new();
+        let mut miss_no = Vec::new();
+        for i in 0..48 {
+            batch.push(RangeQuery::new(0.5 + i as f64, 60.25 + i as f64));
+            miss_no.push(Some(i + 1));
+            if i % 3 == 2 {
+                batch.push(hot[i / 3]);
+                miss_no.push(None);
+            }
+        }
+        let before = engine.cache().stats();
+        engine.estimate_batch_with("t", "v", &batch, Some(&deadline), &mut scratch, &mut served);
+        assert!(deadline.expired());
+        // Polls before misses 1, 17 and 33: the expiry during miss 20 is
+        // seen at the third poll, so misses 1-32 are answered.
+        assert_eq!(primary.calls.load(Ordering::Relaxed), 16 + 32);
+        let mut refused = 0;
+        for ((q, slot), miss) in batch.iter().zip(&served).zip(&miss_no) {
+            let label = format!("{q} miss {miss:?}");
+            match (miss, slot) {
+                (Some(m), Err(EstimateError::DeadlineExceeded { .. })) if *m > 32 => refused += 1,
+                (_, Ok(s)) if miss.is_none_or(|m| m <= 32) => {
+                    assert_eq!(s.rung, ServeRung::Full, "{label}");
+                    assert_eq!(
+                        s.value.to_bits(),
+                        uniform.selectivity(q).to_bits(),
+                        "{label}"
+                    );
+                }
+                other => panic!("{label}: {other:?}"),
+            }
+        }
+        assert_eq!(refused, 16);
+        let stats = engine.cache().stats();
+        assert_eq!(
+            (stats.hits - before.hits, stats.misses - before.misses),
+            (16, 48),
+            "every hot query hits, the six after the expiry included"
+        );
+        assert_eq!(stats.inserts - before.inserts, 32);
+        assert_eq!(engine.health().deadline_refused, refused);
+        assert_counted_once(&engine, 16 + 32 + 16, 16 + 48 + 16);
+        // The timeout charged the threshold-2 breaker once: still closed,
+        // and one more failure opens it.
+        let snap = engine.snapshot();
+        let breaker = &snap.breakers[0];
+        assert_eq!(breaker.state(), BreakerState::Closed);
+        breaker.on_failure();
+        assert_eq!(breaker.state(), BreakerState::Open);
+    }
+
     #[test]
     fn adaptive_shedding_is_seeded_and_prices_retry_hints() {
         let run = || {
@@ -2478,7 +2584,7 @@ mod tests {
         let before = drained(&engine);
         assert_eq!(before, 0);
         let guard = engine.admit(shard).unwrap();
-        let unwound = std::panic::catch_unwind(AssertUnwindSafe(move || {
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _held = guard;
             panic!("unwind through the admission guard");
         }));

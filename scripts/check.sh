@@ -37,9 +37,12 @@ echo "==> bit-identity pins in an optimized build"
 # the pinned build-publish bits (tests/build_engine.rs), the pinned
 # query-file checksums (tests/batch_engine.rs), the raw-vs-prepared
 # equivalence pins (tests/prepared_column.rs and the kernel and histogram
-# unit tests) and the math and change-point bit-identity tests also run
-# against release code.
-cargo test --release -q --test build_engine --test batch_engine --test prepared_column
+# unit tests), the serving engine's served-bits pins (tests/serving_engine.rs:
+# boundary-kernel columns serve the direct estimator's bits, the single
+# query is the one-slot batch) and the math and change-point bit-identity
+# tests also run against release code.
+cargo test --release -q --test build_engine --test batch_engine --test prepared_column \
+    --test serving_engine
 cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram --lib
 
 echo "==> selbench tests (the benchmark builds against the workspace crates)"

@@ -11,8 +11,8 @@
 //! - the `Vec`-returning `selectivity_batch` performs at most **one**
 //!   allocation per call: the output vector its signature requires;
 //! - the serving engine over a kernel column — `estimate_batch_into` with
-//!   a warm `ServingScratch`, and `try_estimate` (a batch of one through a
-//!   thread-local scratch) — performs **zero** heap allocations per call,
+//!   a warm output vector, and `try_estimate` (a batch of one that needs
+//!   no buffer) — performs **zero** heap allocations per call,
 //!   on cache misses and on cache hits.
 //!
 //! Everything runs inside a single `#[test]` — the counter is
@@ -195,8 +195,8 @@ fn batch_path_is_allocation_free_after_warmup() {
     let (batch_cold, singles) = rest.split_at(50);
     let mut serving = ServingScratch::new();
     let mut served = Vec::new();
-    // Warm-up: thread-local snapshot entry, serving scratch for a
-    // 50-query batch, and the single path's thread-local scratch.
+    // Warm-up: the thread-local snapshot entry and the output vector of
+    // a 50-query batch.
     engine.estimate_batch_into("t", "k", batch_warm, &mut serving, &mut served);
     engine.try_estimate("t", "k", &singles[0]).expect("served");
     let stats = engine.cache().stats();

@@ -20,7 +20,7 @@
 //!    over the paper's files answer through the engine bit-for-bit like a
 //!    kernel estimator built directly from the column's sample, and the
 //!    single-query path is the one-slot batch path — same bits, same rung,
-//!    same counters.
+//!    same counters. A query repeated inside one batch is evaluated once.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -837,6 +837,71 @@ fn single_query_path_is_the_one_slot_batch_path() {
             }
             let hits = single.cache().stats().hits;
             assert!(hits >= qs.len() as u64 / 2, "{}: repeats hit", file.name());
+        }
+    }
+}
+
+/// A uniform estimator that counts its `selectivity` calls.
+struct CountingUniform {
+    inner: selest::UniformEstimator,
+    calls: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl selest::SelectivityEstimator for CountingUniform {
+    fn selectivity(&self, q: &RangeQuery) -> f64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.selectivity(q)
+    }
+    fn domain(&self) -> Domain {
+        self.inner.domain()
+    }
+    fn name(&self) -> String {
+        "CountingUniform".into()
+    }
+}
+
+/// A batch is served in one pass, so a query repeated `k` times in one
+/// batch on a fresh engine misses once, fills the slot its probe read,
+/// and hits that entry `k - 1` times: the primary runs once, and every
+/// slot carries the direct estimator's bits.
+#[test]
+fn a_query_repeated_in_one_batch_is_evaluated_once() {
+    use selest::store::{EstimatorKind, ServingColumn};
+    use selest::{SelectivityEstimator, UniformEstimator};
+
+    let d = domain();
+    let q = RangeQuery::new(120.5, 480.25);
+    let want = UniformEstimator::new(d).selectivity(&q).to_bits();
+    for k in [1u64, 2, 7, 256] {
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let primary = CountingUniform {
+            inner: UniformEstimator::new(d),
+            calls: Arc::clone(&calls),
+        };
+        let col = ServingColumn::new(
+            "rep",
+            "v",
+            Arc::new(primary),
+            1_000,
+            EstimatorKind::Sampling,
+            d,
+            Arc::from(Vec::<f64>::new()),
+        );
+        let engine = ServingEngine::with_defaults();
+        engine.publish_snapshot(CatalogSnapshot::from_columns(vec![col], 0));
+        let batch = vec![q; k as usize];
+        let mut out = Vec::new();
+        engine.estimate_batch_into("rep", "v", &batch, &mut ServingScratch::new(), &mut out);
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "k = {k}");
+        let stats = engine.cache().stats();
+        assert_eq!(
+            (stats.misses, stats.hits, stats.inserts),
+            (1, k - 1, 1),
+            "k = {k}"
+        );
+        assert_eq!(out.len(), batch.len());
+        for slot in &out {
+            assert_eq!(slot.as_ref().expect("served").to_bits(), want, "k = {k}");
         }
     }
 }
