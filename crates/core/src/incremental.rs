@@ -1,5 +1,5 @@
-//! Incremental estimator inputs: a mergeable, deterministic reservoir and
-//! the updatable column substrate built on it.
+//! Incremental estimator inputs: a deterministic reservoir and the
+//! updatable column substrate built on it.
 //!
 //! Every estimator in the workspace is a *plug-in* method: it is built
 //! from a maintained sample, not from the base data. Batch ANALYZE pays
@@ -14,11 +14,7 @@
 //!   the top-k of deterministic per-row hash keys (the "A-Res" weighted
 //!   reservoir with hashed priorities). Because a row's key depends only
 //!   on `(seed, global row index)`, the retained set is a pure function
-//!   of the offered rows: partitions sketching disjoint index ranges and
-//!   merging produce *exactly* the sample a single sequential pass
-//!   produces, for any partitioning — the same fixed-chunk determinism
-//!   contract `selest-par` gives reductions. Merge is associative and
-//!   commutative on the nose, not just within an error bound.
+//!   of the offered rows, never of the order they arrive in.
 //! * [`IncrementalColumn`] — the updatable sibling of
 //!   [`PreparedColumn`]: absorbs inserts and (tombstoned) deletes,
 //!   tracks how stale its last snapshot is, and rebuilds a fresh
@@ -28,7 +24,7 @@
 //!   prepare over the same sample.
 //!
 //! The quantile-sketch half of the incremental substrate (`GkSketch`,
-//! with summary merge and equi-depth boundary extraction) lives in
+//! with equi-depth boundary extraction) lives in
 //! `selest-data`, which re-exports [`ReservoirSketch`] so the two sketch
 //! types share a home in the public API.
 
@@ -63,58 +59,32 @@ fn priority(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Serializable state of a [`ReservoirSketch`] (see
-/// [`ReservoirSketch::to_parts`]); the durable store journals this.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReservoirParts {
-    /// Maximum retained sample size.
-    pub capacity: usize,
-    /// Priority seed.
-    pub seed: u64,
-    /// Global index the next observed row will take.
-    pub next_index: u64,
-    /// Total rows offered (across merges).
-    pub seen: u64,
-    /// Retained `(key, index, value)` rows in unspecified order.
-    pub slots: Vec<(u64, u64, f64)>,
-}
-
-/// A mergeable uniform reservoir: retains the `capacity` offered rows
-/// with the largest deterministic hash priorities.
+/// A uniform reservoir: retains the `capacity` offered rows with the
+/// largest deterministic hash priorities.
 ///
 /// Determinism contract: the retained set is a pure function of
 /// `(seed, {(index, value)})` — the set of offered rows with their global
-/// indexes. Any partitioning of the stream into sketches built with
-/// [`ReservoirSketch::with_offset`] at the partition's start index merges
-/// (in any order or grouping) to exactly the sequential result.
+/// indexes.
 ///
 /// # Examples
 ///
 /// ```
 /// use selest_core::ReservoirSketch;
 ///
-/// let values: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-/// let mut whole = ReservoirSketch::new(16, 42);
-/// for &v in &values {
-///     whole.observe(v);
+/// let mut reservoir = ReservoirSketch::new(16, 42);
+/// for i in 0..1000 {
+///     reservoir.observe(i as f64);
 /// }
-/// // Two partitions over fixed boundaries, merged in reverse order.
-/// let mut left = ReservoirSketch::with_offset(16, 42, 0);
-/// let mut right = ReservoirSketch::with_offset(16, 42, 600);
-/// for &v in &values[..600] {
-///     left.observe(v);
-/// }
-/// for &v in &values[600..] {
-///     right.observe(v);
-/// }
-/// right.merge(&left);
-/// assert_eq!(whole.sample(), right.sample());
+/// assert_eq!(reservoir.len(), 16);
+/// assert_eq!(reservoir.seen(), 1000);
+/// let sample = reservoir.sample(); // in stream order
+/// assert!(sample.windows(2).all(|w| w[0] < w[1]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReservoirSketch {
     capacity: usize,
     seed: u64,
-    next_index: u64,
+    /// Rows offered so far; also the global index the next row takes.
     seen: u64,
     /// Min-heap by `(key, index)`: the root is the first row evicted.
     heap: Vec<Slot>,
@@ -125,39 +95,26 @@ impl PartialEq for ReservoirSketch {
     /// layout — two reservoirs that kept the same rows are the same
     /// reservoir, however their heaps happen to be arranged.
     fn eq(&self, other: &Self) -> bool {
-        self.to_parts() == other.to_parts()
+        let retained = |r: &Self| {
+            let mut slots = r.heap.clone();
+            slots.sort_by_key(|s| s.index);
+            slots
+        };
+        (self.capacity, self.seed, self.seen) == (other.capacity, other.seed, other.seen)
+            && retained(self) == retained(other)
     }
 }
 
 impl ReservoirSketch {
     /// An empty reservoir retaining at most `capacity` rows.
     pub fn new(capacity: usize, seed: u64) -> Self {
-        Self::with_offset(capacity, seed, 0)
-    }
-
-    /// An empty reservoir whose first observed row takes global index
-    /// `offset` — the partition entry point: give each partition the
-    /// index where its chunk starts and merged results match the
-    /// sequential pass exactly.
-    pub fn with_offset(capacity: usize, seed: u64, offset: u64) -> Self {
         assert!(capacity > 0, "ReservoirSketch needs a positive capacity");
         ReservoirSketch {
             capacity,
             seed,
-            next_index: offset,
             seen: 0,
             heap: Vec::with_capacity(capacity.min(4096)),
         }
-    }
-
-    /// Maximum retained sample size.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Priority seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Rows currently retained.
@@ -170,14 +127,9 @@ impl ReservoirSketch {
         self.heap.is_empty()
     }
 
-    /// Total rows offered, across merges.
+    /// Total rows offered.
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// Global index the next [`ReservoirSketch::observe`] will assign.
-    pub fn next_index(&self) -> u64 {
-        self.next_index
     }
 
     /// Offer one row. Panics on non-finite values — the fallible
@@ -185,8 +137,7 @@ impl ReservoirSketch {
     /// with a typed error before they reach the sketch.
     pub fn observe(&mut self, v: f64) {
         assert!(v.is_finite(), "ReservoirSketch cannot ingest {v}");
-        let index = self.next_index;
-        self.next_index += 1;
+        let index = self.seen;
         self.seen += 1;
         let slot = Slot {
             key: priority(self.seed, index),
@@ -236,28 +187,6 @@ impl ReservoirSketch {
         }
     }
 
-    /// Absorb another reservoir built with the same `(capacity, seed)`
-    /// over a disjoint index range: the result retains the top-`capacity`
-    /// rows of the union by priority — exactly what a single pass over
-    /// the combined stream retains. Panics on a capacity or seed
-    /// mismatch; [`IncrementalColumn::merge`] checks compatibility first
-    /// and reports a typed error instead.
-    pub fn merge(&mut self, other: &ReservoirSketch) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "ReservoirSketch merge: capacity mismatch"
-        );
-        assert_eq!(
-            self.seed, other.seed,
-            "ReservoirSketch merge: seed mismatch"
-        );
-        for slot in &other.heap {
-            self.admit(*slot);
-        }
-        self.seen += other.seen;
-        self.next_index = self.next_index.max(other.next_index);
-    }
-
     /// The retained sample in stream (index) order — the deterministic
     /// draw order downstream [`PreparedColumn`] builds consume.
     pub fn sample(&self) -> Vec<f64> {
@@ -265,77 +194,6 @@ impl ReservoirSketch {
         slots.sort_by_key(|s| s.index);
         slots.into_iter().map(|s| s.value).collect()
     }
-
-    /// Serialize into plain parts (for the durable journal).
-    pub fn to_parts(&self) -> ReservoirParts {
-        let mut slots: Vec<(u64, u64, f64)> = self
-            .heap
-            .iter()
-            .map(|s| (s.key, s.index, s.value))
-            .collect();
-        slots.sort_by_key(|&(_, index, _)| index);
-        ReservoirParts {
-            capacity: self.capacity,
-            seed: self.seed,
-            next_index: self.next_index,
-            seen: self.seen,
-            slots,
-        }
-    }
-
-    /// Rebuild from serialized parts, validating state no live reservoir
-    /// could have reached (zero capacity, overfull, non-finite values,
-    /// priorities that do not match the seed).
-    pub fn from_parts(parts: ReservoirParts) -> Result<Self, EstimateError> {
-        if parts.capacity == 0 || parts.slots.len() > parts.capacity {
-            return Err(EstimateError::CorruptEntry {
-                path: None,
-                line: 1,
-                offset: 0,
-                message: format!(
-                    "reservoir holds {} rows against capacity {}",
-                    parts.slots.len(),
-                    parts.capacity
-                ),
-            });
-        }
-        let mut out = ReservoirSketch::with_offset(parts.capacity, parts.seed, 0);
-        for &(key, index, value) in &parts.slots {
-            if !value.is_finite() {
-                return Err(EstimateError::NonFiniteUpdate { value });
-            }
-            if key != priority(parts.seed, index) {
-                return Err(EstimateError::CorruptEntry {
-                    path: None,
-                    line: 1,
-                    offset: 0,
-                    message: format!("reservoir priority {key:#x} does not match seed/index"),
-                });
-            }
-            out.admit(Slot { key, index, value });
-        }
-        out.next_index = parts.next_index;
-        out.seen = parts.seen;
-        Ok(out)
-    }
-}
-
-/// Serializable state of an [`IncrementalColumn`] (see
-/// [`IncrementalColumn::to_parts`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalParts {
-    /// Column domain.
-    pub domain: Domain,
-    /// Reservoir state.
-    pub reservoir: ReservoirParts,
-    /// Live rows (inserts minus tombstoned deletes).
-    pub live_rows: u64,
-    /// Total values absorbed (initial load plus inserts).
-    pub inserted: u64,
-    /// Tombstoned deletes.
-    pub deleted: u64,
-    /// Updates absorbed since the last snapshot rebuild.
-    pub pending: u64,
 }
 
 /// What one update batch did (the incremental sibling of
@@ -530,79 +388,6 @@ impl IncrementalColumn {
         }
         Arc::clone(&self.base)
     }
-
-    /// The snapshot as of the last rebuild, without absorbing pending
-    /// updates — what a reader sees while the column is dirty.
-    pub fn last_snapshot(&self) -> Arc<PreparedColumn> {
-        Arc::clone(&self.base)
-    }
-
-    /// Absorb a partition's column: reservoirs combine exactly (same
-    /// top-k as a single pass), counters add, and the merged column is
-    /// dirty until the next snapshot. Partitions must agree on domain,
-    /// reservoir capacity, and seed; mismatches come back as typed
-    /// errors.
-    pub fn merge(&mut self, other: &IncrementalColumn) -> Result<(), EstimateError> {
-        if self.domain != other.domain {
-            return Err(EstimateError::InvalidDomain {
-                lo: other.domain.lo(),
-                hi: other.domain.hi(),
-            });
-        }
-        if self.reservoir.capacity() != other.reservoir.capacity()
-            || self.reservoir.seed() != other.reservoir.seed()
-        {
-            return Err(EstimateError::CorruptEntry {
-                path: None,
-                line: 1,
-                offset: 0,
-                message: "incremental merge: reservoir capacity/seed mismatch".to_owned(),
-            });
-        }
-        self.reservoir.merge(&other.reservoir);
-        self.live_rows += other.live_rows;
-        self.inserted += other.inserted;
-        self.deleted += other.deleted;
-        // Everything the partition held is new to this side's snapshot.
-        self.pending += (other.inserted + other.deleted).max(1);
-        Ok(())
-    }
-
-    /// Serialize into plain parts (for the durable journal). The base
-    /// snapshot is not serialized: it is a pure function of the
-    /// reservoir, rebuilt on restore.
-    pub fn to_parts(&self) -> IncrementalParts {
-        IncrementalParts {
-            domain: self.domain,
-            reservoir: self.reservoir.to_parts(),
-            live_rows: self.live_rows,
-            inserted: self.inserted,
-            deleted: self.deleted,
-            pending: self.pending,
-        }
-    }
-
-    /// Rebuild from serialized parts. The snapshot is re-prepared from
-    /// the restored reservoir (deterministic, so two restores of the same
-    /// parts are bit-identical); `pending` is preserved so the staleness
-    /// policy still sees pre-crash update pressure.
-    pub fn from_parts(parts: IncrementalParts) -> Result<Self, EstimateError> {
-        let reservoir = ReservoirSketch::from_parts(parts.reservoir)?;
-        if reservoir.is_empty() {
-            return Err(EstimateError::EmptySample);
-        }
-        let base = Arc::new(PreparedColumn::prepare(&reservoir.sample(), parts.domain));
-        Ok(IncrementalColumn {
-            domain: parts.domain,
-            reservoir,
-            base,
-            live_rows: parts.live_rows,
-            inserted: parts.inserted,
-            deleted: parts.deleted,
-            pending: parts.pending,
-            rebuilds: 0,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -613,32 +398,6 @@ mod tests {
         (0..n)
             .map(|i| 100.0 * ((i as f64 * 0.618_033_988_749).fract()))
             .collect()
-    }
-
-    #[test]
-    fn reservoir_is_partition_independent() {
-        let values = stream(5_000);
-        let mut whole = ReservoirSketch::new(64, 7);
-        for &v in &values {
-            whole.observe(v);
-        }
-        for parts in [2usize, 3, 7] {
-            let chunk = values.len().div_ceil(parts);
-            let mut merged: Option<ReservoirSketch> = None;
-            for (p, piece) in values.chunks(chunk).enumerate() {
-                let mut r = ReservoirSketch::with_offset(64, 7, (p * chunk) as u64);
-                for &v in piece {
-                    r.observe(v);
-                }
-                match merged.as_mut() {
-                    Some(m) => m.merge(&r),
-                    None => merged = Some(r),
-                }
-            }
-            let merged = merged.unwrap();
-            assert_eq!(whole.sample(), merged.sample(), "parts={parts}");
-            assert_eq!(whole.seen(), merged.seen());
-        }
     }
 
     #[test]
@@ -656,17 +415,17 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_round_trips_through_parts() {
-        let mut r = ReservoirSketch::new(32, 99);
+    fn reservoir_equality_is_over_the_retained_set() {
+        let mut a = ReservoirSketch::new(32, 99);
         for &v in &stream(500) {
-            r.observe(v);
+            a.observe(v);
         }
-        let back = ReservoirSketch::from_parts(r.to_parts()).expect("valid parts");
-        assert_eq!(r, back);
-        // Tampered priorities are rejected.
-        let mut parts = r.to_parts();
-        parts.slots[0].0 ^= 1;
-        assert!(ReservoirSketch::from_parts(parts).is_err());
+        let mut b = a.clone();
+        assert_eq!(a, b);
+        // The stream position moves on whether or not the row is kept.
+        b.observe(1.0);
+        assert_ne!(a, b);
+        assert_ne!(a, ReservoirSketch::new(32, 98));
     }
 
     #[test]
@@ -704,73 +463,29 @@ mod tests {
     fn non_finite_updates_are_typed_errors_and_atomic() {
         let d = Domain::new(0.0, 100.0);
         let mut col = IncrementalColumn::from_values(&stream(100), d, 32, 1).unwrap();
-        let before = col.to_parts();
+        let before = (
+            col.reservoir().clone(),
+            col.live_rows(),
+            col.pending_updates(),
+        );
         assert!(matches!(
             col.insert(f64::NAN),
             Err(EstimateError::NonFiniteUpdate { value }) if value.is_nan()
         ));
         let err = col.apply(&[1.0, 2.0, f64::INFINITY], &[3.0]);
         assert!(matches!(err, Err(EstimateError::NonFiniteUpdate { .. })));
-        assert_eq!(col.to_parts(), before, "failed batch must not mutate");
+        assert_eq!(
+            (
+                col.reservoir().clone(),
+                col.live_rows(),
+                col.pending_updates()
+            ),
+            before,
+            "failed batch must not mutate"
+        );
         let audit = col.apply(&[1.0, 500.0], &[2.0]).unwrap();
         assert_eq!(audit.inserted, 2);
         assert_eq!(audit.out_of_domain, 1);
         assert_eq!(audit.deleted, 1);
-    }
-
-    #[test]
-    fn merge_combines_partitions_exactly() {
-        let values = stream(3_000);
-        let d = Domain::new(0.0, 100.0);
-        let mut whole = IncrementalColumn::from_values(&values, d, 64, 3).unwrap();
-        let mut left = IncrementalColumn::from_values(&values[..1_500], d, 64, 3).unwrap();
-        // The right partition starts at the left's index offset.
-        let mut right_res = ReservoirSketch::with_offset(64, 3, 1_500);
-        for &v in &values[1_500..] {
-            right_res.observe(v);
-        }
-        let right = IncrementalColumn::from_parts(IncrementalParts {
-            domain: d,
-            reservoir: right_res.to_parts(),
-            live_rows: 1_500,
-            inserted: 1_500,
-            deleted: 0,
-            pending: 0,
-        })
-        .unwrap();
-        left.merge(&right).unwrap();
-        assert_eq!(left.live_rows(), 3_000);
-        assert!(left.is_dirty());
-        assert_eq!(
-            whole.snapshot().sorted(),
-            left.snapshot().sorted(),
-            "merged partitions must retain the sequential sample"
-        );
-        // A partition under another seed or domain is refused, typed,
-        // and leaves the column as it was.
-        let other_seed = IncrementalColumn::from_values(&values[..10], d, 64, 4).unwrap();
-        assert!(matches!(
-            left.merge(&other_seed),
-            Err(EstimateError::CorruptEntry { .. })
-        ));
-        let wide = Domain::new(0.0, 200.0);
-        let other_domain = IncrementalColumn::from_values(&values[..10], wide, 64, 3).unwrap();
-        assert!(matches!(
-            left.merge(&other_domain),
-            Err(EstimateError::InvalidDomain { .. })
-        ));
-        assert_eq!(left.live_rows(), 3_000);
-    }
-
-    #[test]
-    fn incremental_column_round_trips_through_parts() {
-        let d = Domain::new(0.0, 100.0);
-        let mut col = IncrementalColumn::from_values(&stream(800), d, 48, 11).unwrap();
-        col.apply(&[1.0, 2.0, 3.0], &[4.0]).unwrap();
-        let parts = col.to_parts();
-        let back = IncrementalColumn::from_parts(parts.clone()).unwrap();
-        assert_eq!(back.to_parts(), parts);
-        assert_eq!(back.pending_updates(), col.pending_updates());
-        assert_eq!(back.live_rows(), col.live_rows());
     }
 }

@@ -41,9 +41,7 @@ pub use errors::{absolute_error, integrated_squared_error, relative_error, Error
 pub use exact::ExactSelectivity;
 pub use fault::{catch_fault, sanitize_sample, EstimateError, FaultStage, SampleAudit};
 pub use feedback::{CorrectionGrid, FeedbackEstimator};
-pub use incremental::{
-    IncrementalColumn, IncrementalParts, ReservoirParts, ReservoirSketch, UpdateAudit,
-};
+pub use incremental::{IncrementalColumn, ReservoirSketch, UpdateAudit};
 pub use prepared::{ColumnSummary, PreparedColumn};
 pub use query::RangeQuery;
 pub use sampling::SamplingEstimator;

@@ -12,10 +12,12 @@ use crate::dataset::DataFile;
 
 /// Read a data file from one-value-per-line text.
 ///
-/// Returns an error message describing the first offending line; the
-/// integer-in-domain contract itself is enforced by
-/// [`DataFile::from_values`] (panics there indicate a `p` mismatch, which
-/// we convert into an error beforehand).
+/// Returns an error message describing the first offending line, or a
+/// `p` outside `1..=52` (the domains [`DataFile`] can hold exactly),
+/// before any input is read. Every value is checked against the
+/// integer-in-domain contract [`DataFile::from_values`] asserts, so a bad
+/// input is an `Err`, never a panic.
+///
 /// # Examples
 ///
 /// ```
@@ -26,6 +28,9 @@ use crate::dataset::DataFile;
 /// assert_eq!(data.values(), &[42.0, 7.0, 255.0]);
 /// ```
 pub fn read_values<R: Read>(reader: R, name: &str, p: u32) -> Result<DataFile, String> {
+    if !(1..=52).contains(&p) {
+        return Err(format!("p = {p} is outside 1..=52"));
+    }
     let max = (1u64 << p) as f64 - 1.0;
     let mut values = Vec::new();
     for (lineno, line) in BufReader::new(reader).lines().enumerate() {
@@ -110,6 +115,23 @@ mod tests {
             read_values("".as_bytes(), "t", 8).unwrap_err(),
             "no values in input"
         );
+    }
+
+    #[test]
+    fn p_outside_the_exact_domains_is_an_error_not_a_panic() {
+        for p in [0, 53, 64] {
+            let err = read_values("1".as_bytes(), "t", p).unwrap_err();
+            assert_eq!(err, format!("p = {p} is outside 1..=52"));
+        }
+        // The check comes before any input is read.
+        struct Unreadable;
+        impl Read for Unreadable {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                panic!("read_values read input for an invalid p");
+            }
+        }
+        assert!(read_values(Unreadable, "t", 0).is_err());
+        assert_eq!(read_values("1".as_bytes(), "t", 52).unwrap().p(), 52);
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub use io::{read_values, write_values};
 pub use paper::{paper_data_files, PaperFile};
 pub use queries::{positional_sweep, QueryFile};
 pub use sampling::{reservoir_sample, sample_without_replacement};
-pub use selest_core::incremental::{ReservoirParts, ReservoirSketch};
-pub use sketch::{GkParts, GkSketch};
+pub use selest_core::incremental::ReservoirSketch;
+pub use sketch::GkSketch;
 pub use tiger::{ArapahoeConfig, RailRiverConfig};

@@ -1,4 +1,4 @@
-//! Greenwald–Khanna ε-approximate quantile sketch — the mergeable half of
+//! Greenwald–Khanna ε-approximate quantile sketch — the quantile half of
 //! the incremental statistics substrate (DESIGN.md §15).
 //!
 //! Reservoir sampling (the paper's setting) retains whole records; a GK
@@ -8,11 +8,6 @@
 //! one pass without remembering any sample. Since PR 9 the sketch is a
 //! production structure rather than a figure-only extension:
 //!
-//! * [`GkSketch::merge`] combines two summaries with the standard
-//!   delta-inflation rule, so partitions sketch independently and combine
-//!   — the merged summary answers rank queries within
-//!   `εa·na + εb·nb ≤ ε·(na+nb)` for `ε = max(εa, εb)` (callers assert
-//!   the conservative `2ε` bound).
 //! * Deletes are **tombstone-compensated**: [`GkSketch::note_delete`]
 //!   counts them without touching the summary (GK entries cannot be
 //!   unwound), [`GkSketch::live_n`] reports the live cardinality, and the
@@ -23,9 +18,6 @@
 //!   callers can assert the `≤ ⌈εn⌉` guarantee instead of trusting the
 //!   clamp; the `_with_bound` query variants return it alongside their
 //!   answers.
-//! * [`GkSketch::to_parts`] / [`GkSketch::from_parts`] serialize the
-//!   summary for the durable journal, with restore-side validation that
-//!   rejects state no live sketch could have reached.
 //!
 //! `GkSketch::equi_depth_boundaries` feeds directly into
 //! `selest_histogram::equi_depth_from_boundaries` — the one shared
@@ -43,37 +35,20 @@ struct Entry {
     delta: u64,
 }
 
-/// Serializable state of a [`GkSketch`] (see [`GkSketch::to_parts`]); the
-/// durable store journals this.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GkParts {
-    /// Rank-error parameter.
-    pub epsilon: f64,
-    /// Stream values consumed.
-    pub n: u64,
-    /// Tombstoned deletes.
-    pub tombstones: u64,
-    /// Summary tuples `(v, g, delta)` in ascending `v` order.
-    pub entries: Vec<(f64, u64, u64)>,
-}
-
 /// Greenwald–Khanna streaming quantile summary with error parameter `ε`.
 /// # Examples
 ///
 /// ```
 /// use selest_data::GkSketch;
 ///
-/// let mut left = GkSketch::new(0.01);
-/// let mut right = GkSketch::new(0.01);
+/// let mut sketch = GkSketch::new(0.01);
 /// for i in 0..10_000 {
-///     let v = ((i * 37) % 1_000) as f64;
-///     if i % 2 == 0 { left.insert(v) } else { right.insert(v) }
+///     sketch.insert(((i * 37) % 1_000) as f64);
 /// }
-/// left.merge(&right); // partitions sketch independently and combine
-/// let (median, bound) = left.quantile_with_bound(0.5);
+/// let (median, bound) = sketch.quantile_with_bound(0.5);
 /// assert!((median - 500.0).abs() < 30.0);
-/// assert!(bound <= (2.0 * 0.01 * 10_000.0) as u64); // realized ≤ 2εn
-/// assert!(left.entries() < 500); // bounded memory
+/// assert!(bound <= (0.01 * 10_000.0) as u64 + 1); // realized ≤ ⌈εn⌉
+/// assert!(sketch.entries() < 500); // bounded memory
 /// ```
 #[derive(Debug, Clone)]
 pub struct GkSketch {
@@ -210,71 +185,11 @@ impl GkSketch {
         self.entries = out;
     }
 
-    /// Absorb another summary (the other sketch is unchanged). The merged
-    /// summary covers both streams: entry lists merge-sort by value, and
-    /// each entry's uncertainty inflates by the rank slack of the other
-    /// summary around it (`g' + δ' − 1` of the other side's successor) —
-    /// so `max(g+δ) ≤ 2εa·na + 2εb·nb`, and rank queries on the result
-    /// stay within `ε·n` of the truth for `ε = max(εa, εb)`,
-    /// `n = na + nb`. Repeated/unbalanced merges are associative in the
-    /// bound (each stream's slack is counted once), so partition trees of
-    /// any shape stay within the same guarantee; callers assert the
-    /// conservative `2ε` rank bound. Tombstones add.
-    pub fn merge(&mut self, other: &GkSketch) {
-        self.epsilon = self.epsilon.max(other.epsilon);
-        self.tombstones += other.tombstones;
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            self.entries = other.entries.clone();
-            self.n = other.n;
-            self.since_compress = 0;
-            return;
-        }
-        let a = &self.entries;
-        let b = &other.entries;
-        let mut merged: Vec<Entry> = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() || j < b.len() {
-            // Ties take self's entry first; either order satisfies the
-            // bound, this one makes merge deterministic.
-            let take_a = j >= b.len() || (i < a.len() && a[i].v <= b[j].v);
-            let mut e = if take_a {
-                let mut e = a[i];
-                i += 1;
-                // The other summary's not-yet-consumed successor brackets
-                // this value: its rank there is uncertain by g' + δ' − 1.
-                if j < b.len() {
-                    e.delta += (b[j].g + b[j].delta).saturating_sub(1);
-                }
-                e
-            } else {
-                let mut e = b[j];
-                j += 1;
-                if i < a.len() {
-                    e.delta += (a[i].g + a[i].delta).saturating_sub(1);
-                }
-                e
-            };
-            // The global extremes are exact in the merged stream.
-            if merged.is_empty() || (i >= a.len() && j >= b.len()) {
-                e.delta = 0;
-            }
-            merged.push(e);
-        }
-        self.entries = merged;
-        self.n += other.n;
-        self.since_compress = 0;
-        self.compress();
-    }
-
     /// The *realized* rank-error bound of this summary's answers,
     /// `max(⌊εn⌋, max(g+δ) − ⌊εn⌋)`: a query returns the entry before the
     /// first whose maximum rank exceeds its target plus `⌊εn⌋`, so its rank
     /// is at most `⌊εn⌋` above the target and less than `max(g+δ) − ⌊εn⌋`
-    /// below. The GK invariant `max(g+δ) ≤ ⌊2εn⌋` keeps this `≤ ⌈εn⌉` for a
-    /// single-stream sketch; callers assert `2εn` after merges.
+    /// below. The GK invariant `max(g+δ) ≤ ⌊2εn⌋` keeps this `≤ ⌈εn⌉`.
     pub fn rank_error_bound(&self) -> u64 {
         let widest = self.entries.iter().fold(0, |m, e| m.max(e.g + e.delta));
         let slack = self.search_slack();
@@ -344,83 +259,6 @@ impl GkSketch {
             }
         }
         (b, self.rank_error_bound())
-    }
-
-    /// Serialize into plain parts (for the durable journal).
-    pub fn to_parts(&self) -> GkParts {
-        GkParts {
-            epsilon: self.epsilon,
-            n: self.n,
-            tombstones: self.tombstones,
-            entries: self.entries.iter().map(|e| (e.v, e.g, e.delta)).collect(),
-        }
-    }
-
-    /// Rebuild from serialized parts, validating every GK invariant a
-    /// live sketch maintains: ε in range, values finite and ascending
-    /// (`total_cmp` — a NaN surfaces as a typed error, never a panic),
-    /// gaps positive and summing to `n`, the first entry exact, and every
-    /// `g + δ` within the (post-merge) uncertainty cap.
-    pub fn from_parts(parts: GkParts) -> Result<Self, EstimateError> {
-        let corrupt = |message: String| EstimateError::CorruptEntry {
-            path: None,
-            line: 1,
-            offset: 0,
-            message,
-        };
-        if !(parts.epsilon > 0.0 && parts.epsilon < 0.5) {
-            return Err(corrupt(format!(
-                "sketch epsilon out of (0, 0.5): {}",
-                parts.epsilon
-            )));
-        }
-        if (parts.n == 0) != parts.entries.is_empty() {
-            return Err(corrupt(format!(
-                "sketch holds {} entries for n={}",
-                parts.entries.len(),
-                parts.n
-            )));
-        }
-        let mut entries = Vec::with_capacity(parts.entries.len());
-        let mut total_g = 0u64;
-        // Merged summaries carry up to 2εa·na + 2εb·nb ≤ 2εn uncertainty;
-        // +2 absorbs the floor/ceil slack at tiny n.
-        let cap = (2.0 * parts.epsilon * parts.n as f64).floor() as u64 + 2;
-        for (i, &(v, g, delta)) in parts.entries.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(EstimateError::NonFiniteUpdate { value: v });
-            }
-            if i > 0 && parts.entries[i - 1].0.total_cmp(&v) == std::cmp::Ordering::Greater {
-                return Err(corrupt(format!("sketch entries out of order at {i}")));
-            }
-            if g == 0 {
-                return Err(corrupt(format!("sketch entry {i} has zero gap")));
-            }
-            if i == 0 && delta != 0 {
-                return Err(corrupt("sketch first entry is not exact".to_owned()));
-            }
-            if g + delta > cap.max(g) {
-                return Err(corrupt(format!(
-                    "sketch entry {i} uncertainty {} exceeds cap {cap}",
-                    g + delta
-                )));
-            }
-            total_g += g;
-            entries.push(Entry { v, g, delta });
-        }
-        if total_g != parts.n {
-            return Err(corrupt(format!(
-                "sketch gaps sum to {total_g}, n is {}",
-                parts.n
-            )));
-        }
-        Ok(GkSketch {
-            epsilon: parts.epsilon,
-            entries,
-            n: parts.n,
-            tombstones: parts.tombstones,
-            since_compress: 0,
-        })
     }
 }
 
@@ -520,46 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_partitions_stay_within_twice_epsilon() {
-        let stream: Vec<f64> = (0..30_000).map(|i| ((i * 7_919) % 30_000) as f64).collect();
-        for parts in [2usize, 4, 7] {
-            let chunk = stream.len().div_ceil(parts);
-            let mut merged: Option<GkSketch> = None;
-            for piece in stream.chunks(chunk) {
-                let mut sk = GkSketch::new(0.005);
-                for &v in piece {
-                    sk.insert(v);
-                }
-                match merged.as_mut() {
-                    Some(m) => m.merge(&sk),
-                    None => merged = Some(sk),
-                }
-            }
-            let merged = merged.unwrap();
-            assert_eq!(merged.len(), stream.len() as u64);
-            check_sketch_rank_errors(&merged, &stream, 0.005);
-            // Merged memory stays summary-sized.
-            assert!(merged.entries() < 4_000, "{} entries", merged.entries());
-        }
-    }
-
-    #[test]
-    fn merge_handles_empty_sides() {
-        let mut a = GkSketch::new(0.01);
-        let mut b = GkSketch::new(0.02);
-        for i in 0..1_000 {
-            b.insert(i as f64);
-        }
-        a.merge(&b); // empty ← full adopts the stream
-        assert_eq!(a.len(), 1_000);
-        assert_eq!(a.epsilon(), 0.02);
-        let before = a.len();
-        a.merge(&GkSketch::new(0.01)); // full ← empty is a no-op
-        assert_eq!(a.len(), before);
-        assert!((a.quantile(0.5) - 500.0).abs() < 50.0);
-    }
-
-    #[test]
     fn tombstones_compensate_deletes() {
         let mut sk = GkSketch::new(0.01);
         for i in 0..1_000 {
@@ -572,13 +370,6 @@ mod tests {
         assert_eq!(sk.live_n(), 750);
         assert_eq!(sk.tombstones(), 250);
         assert!((sk.tombstone_fraction() - 0.25).abs() < 1e-12);
-        // Tombstones survive merges additively.
-        let mut other = GkSketch::new(0.01);
-        other.insert(1.0);
-        other.note_delete();
-        sk.merge(&other);
-        assert_eq!(sk.tombstones(), 251);
-        assert_eq!(sk.live_n(), 1_001 - 251);
     }
 
     #[test]
@@ -595,40 +386,6 @@ mod tests {
         assert!(sk.is_empty(), "rejected values must not count");
         sk.try_insert(3.5).unwrap();
         assert_eq!(sk.len(), 1);
-    }
-
-    #[test]
-    fn parts_round_trip_and_reject_corruption() {
-        let mut sk = GkSketch::new(0.01);
-        for i in 0..5_000 {
-            sk.insert(((i * 37) % 500) as f64);
-        }
-        sk.note_delete();
-        let parts = sk.to_parts();
-        let back = GkSketch::from_parts(parts.clone()).expect("valid parts");
-        assert_eq!(back.to_parts(), parts);
-        assert_eq!(back.quantile(0.5), sk.quantile(0.5));
-        assert_eq!(back.tombstones(), 1);
-
-        // Reordered entries are rejected.
-        let mut bad = parts.clone();
-        bad.entries.swap(0, 1);
-        assert!(GkSketch::from_parts(bad).is_err());
-        // A gap-sum mismatch is rejected.
-        let mut bad = parts.clone();
-        bad.n += 7;
-        assert!(GkSketch::from_parts(bad).is_err());
-        // A NaN value surfaces as the typed non-finite error, not a panic.
-        let mut bad = parts.clone();
-        bad.entries[2].0 = f64::NAN;
-        assert!(matches!(
-            GkSketch::from_parts(bad),
-            Err(EstimateError::NonFiniteUpdate { .. })
-        ));
-        // Epsilon out of range is rejected.
-        let mut bad = parts;
-        bad.epsilon = 0.7;
-        assert!(GkSketch::from_parts(bad).is_err());
     }
 
     #[test]

@@ -106,21 +106,16 @@ pub struct IncrementalState {
 }
 
 impl IncrementalState {
-    /// The one way a state is made (incremental ANALYZE, refresh, restore):
-    /// always with an empty feedback grid, since corrections learned
-    /// against a replaced estimator do not transfer.
-    fn new(
-        column: IncrementalColumn,
-        sketch: GkSketch,
-        updates_since_refresh: u64,
-        refreshes: u64,
-    ) -> Self {
+    /// The one way a state is made (incremental ANALYZE, refresh): always
+    /// with no update debt and an empty feedback grid, since corrections
+    /// learned against a replaced estimator do not transfer.
+    fn new(column: IncrementalColumn, sketch: GkSketch, refreshes: u64) -> Self {
         let grid = CorrectionGrid::new(column.domain(), DRIFT_BUCKETS, DRIFT_ALPHA);
         IncrementalState {
             column,
             sketch,
             grid,
-            updates_since_refresh,
+            updates_since_refresh: 0,
             refreshes,
         }
     }
@@ -359,8 +354,8 @@ pub fn try_build_estimator_from_prepared(
 /// The statistics catalog: `(relation, column) -> ColumnStatistics`.
 ///
 /// Every write path — batch, single-column and incremental ANALYZE,
-/// import, staleness refresh, checkpoint restore — builds each column in a panic-isolated engine task and
-/// installs the results in input order, so the catalog (every byte of its
+/// import, staleness refresh — builds each column in a panic-isolated
+/// engine task and installs the results in input order, so the catalog (every byte of its
 /// exported evidence included) is identical for any worker count. A
 /// column whose build fails — degenerate sample, panicking constructor,
 /// abandoned task — is quarantined with its [`BuildFailure`] instead of
@@ -529,7 +524,7 @@ fn try_incremental_statistics(
     let snapshot = incremental.snapshot();
     let est = try_build_incremental_estimator(&snapshot, &sketch, config.kind)?;
     let names = (relation_name.into(), column.name().into());
-    let state = IncrementalState::new(incremental, sketch, 0, 0);
+    let state = IncrementalState::new(incremental, sketch, 0);
     let stats = ColumnStatistics::new(
         names,
         config.kind,
@@ -540,33 +535,6 @@ fn try_incremental_statistics(
         Some(state),
     );
     Ok((stats, audit))
-}
-
-/// Fallible core of checkpoint restore: validate and rebuild the
-/// reservoir and sketch, re-prepare the snapshot (deterministic — two
-/// restores of the same checkpoint are bit-identical), and rebuild the
-/// estimator.
-fn try_restored_statistics(cp: &SketchCheckpoint) -> Result<(ColumnStatistics, ()), EstimateError> {
-    let column = IncrementalColumn::from_parts(cp.column_state.clone())?;
-    let sketch = GkSketch::from_parts(cp.sketch.clone())?;
-    // `last_snapshot` keeps the pending counter intact: the restored
-    // estimator serves what the pre-crash estimator served, and the
-    // staleness sweep decides when to fold the pending updates in.
-    let snapshot = column.last_snapshot();
-    let est = try_build_incremental_estimator(&snapshot, &sketch, cp.kind)?;
-    let names = (cp.relation.as_str().into(), cp.column.as_str().into());
-    let (domain, n_rows) = (column.domain(), column.live_rows() as usize);
-    let state = IncrementalState::new(column, sketch, cp.updates_since_refresh, 0);
-    let stats = ColumnStatistics::new(
-        names,
-        cp.kind,
-        n_rows,
-        domain,
-        est,
-        Some(snapshot),
-        Some(state),
-    );
-    Ok((stats, ()))
 }
 
 /// Which per-column ANALYZE core a bulkheaded ANALYZE runs.
@@ -775,8 +743,8 @@ impl StatisticsCatalog {
 
     /// Publish the catalog's entries to a [`crate::durable::DurableStore`]
     /// as a new crash-safe generation. Returns the committed generation
-    /// number. The store's feedback journal resets: checkpoints taken
-    /// against the previous statistics do not transfer.
+    /// number. The store's journal resets: observations taken against the
+    /// previous statistics do not transfer.
     pub fn publish_to(
         &self,
         store: &mut crate::durable::DurableStore,
@@ -974,7 +942,7 @@ impl StatisticsCatalog {
                 let names = (Arc::clone(&entry.relation), Arc::clone(&entry.column));
                 let old = entry.incremental.take().expect("stale are incremental");
                 let n_rows = old.column.live_rows() as usize;
-                let state = IncrementalState::new(old.column, old.sketch, 0, old.refreshes + 1);
+                let state = IncrementalState::new(old.column, old.sketch, old.refreshes + 1);
                 let stats = ColumnStatistics::new(
                     names,
                     kind,
@@ -1026,66 +994,8 @@ impl StatisticsCatalog {
             .grid
             .corrected(q, |piece| estimator.selectivity(piece)))
     }
-
-    /// Serialize every incremental column's live substrate (reservoir,
-    /// sketch, counters) for the durable journal, in `(relation, column)`
-    /// order. The estimator itself is not serialized — it is a pure
-    /// function of this state and rebuilds on restore.
-    pub fn incremental_checkpoints(&self) -> Vec<SketchCheckpoint> {
-        let mut out: Vec<_> = self
-            .entries
-            .iter()
-            .filter_map(|((r, c), e)| {
-                e.incremental.as_ref().map(|s| SketchCheckpoint {
-                    relation: r.clone(),
-                    column: c.clone(),
-                    kind: e.kind,
-                    sketch: s.sketch.to_parts(),
-                    column_state: s.column.to_parts(),
-                    updates_since_refresh: s.updates_since_refresh,
-                })
-            })
-            .collect();
-        out.sort_by(|a, b| (&a.relation, &a.column).cmp(&(&b.relation, &b.column)));
-        out
-    }
-
-    /// Restore one incremental column from a journaled checkpoint; one
-    /// that cannot be restored is quarantined. Pending update pressure is
-    /// preserved; the feedback grid restarts empty (the durable store does
-    /// not persist it).
-    pub fn try_restore_incremental(
-        &mut self,
-        checkpoint: &SketchCheckpoint,
-    ) -> Result<(), EstimateError> {
-        let engine = selest_par::TryConfig::jobs(1);
-        let checkpoints = std::slice::from_ref(checkpoint);
-        let slot = selest_par::try_parallel_map(checkpoints, &engine, try_restored_statistics)
-            .pop()
-            .expect("one checkpoint, one outcome");
-        let key = (checkpoint.relation.clone(), checkpoint.column.clone());
-        self.install(key, checkpoint.kind, settle(slot))
-    }
 }
 
-/// Serialized incremental column state: what `store::durable` journals so
-/// the updatable substrate survives crashes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SketchCheckpoint {
-    /// Relation name.
-    pub relation: String,
-    /// Column name.
-    pub column: String,
-    /// Estimator kind the column serves.
-    pub kind: EstimatorKind,
-    /// GK quantile summary state.
-    pub sketch: selest_data::GkParts,
-    /// Reservoir column state (reservoir slots + live/tombstone counters).
-    pub column_state: selest_core::incremental::IncrementalParts,
-    /// Updates absorbed since the last estimator refresh at checkpoint
-    /// time — preserved across restore so staleness pressure survives.
-    pub updates_since_refresh: u64,
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1589,57 +1499,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_round_trips_the_substrate() {
-        let mut cat = incremental_catalog(EstimatorKind::EquiDepth, 2_000);
-        let deltas = vec![ColumnDelta {
-            column: "v".into(),
-            inserts: (2_000..2_100).map(golden).collect(),
-            deletes: vec![golden(0), golden(1)],
-        }];
-        cat.try_apply_updates("inc", &deltas, &selest_par::TryConfig::jobs(1));
-        // Fold the batch in so the live estimator and the substrate agree
-        // (a checkpoint mid-debt restores the substrate exactly but
-        // rebuilds its estimator from the *current* reservoir).
-        let policy = StalenessPolicy {
-            max_updates: 1,
-            min_updates: 1,
-            ..Default::default()
-        };
-        assert_eq!(
-            cat.try_refresh_stale(&policy, &selest_par::TryConfig::jobs(1))
-                .refreshed
-                .len(),
-            1
-        );
-        let cps = cat.incremental_checkpoints();
-        assert_eq!(cps.len(), 1);
-        let mut restored = StatisticsCatalog::new();
-        restored.try_restore_incremental(&cps[0]).expect("restore");
-        let a = cat.statistics("inc", "v").unwrap();
-        let b = restored.statistics("inc", "v").unwrap();
-        assert_eq!(a.n_rows, b.n_rows);
-        // Same substrate, same checkpoints: the round trip is lossless.
-        assert_eq!(restored.incremental_checkpoints(), cps);
-        // And the restored estimator answers bit-identically.
-        for i in 0..32 {
-            let lo = golden(i).min(990.0);
-            let q = RangeQuery::new(lo, lo + 10.0);
-            assert_eq!(
-                a.estimator.selectivity(&q).to_bits(),
-                b.estimator.selectivity(&q).to_bits()
-            );
-        }
-        // A checkpoint taken mid-debt still restores with its staleness
-        // pressure intact.
-        cat.try_apply_updates("inc", &deltas, &selest_par::TryConfig::jobs(1));
-        let cps = cat.incremental_checkpoints();
-        let mut resumed = StatisticsCatalog::new();
-        resumed.try_restore_incremental(&cps[0]).expect("restore 2");
-        let signals = resumed.staleness_signals();
-        assert_eq!(signals[0].2.pending_updates, 102);
-    }
-
-    #[test]
     fn deltas_naming_one_column_fold_in_order() {
         let mut cat = incremental_catalog(EstimatorKind::EquiDepth, 1_000);
         let delta = |inserts: Vec<f64>| ColumnDelta {
@@ -1722,10 +1581,6 @@ mod tests {
             part.try_analyze_incremental(&r, &cfg, &TryConfig::jobs(1));
             part
         }
-        fn checkpoint() -> SketchCheckpoint {
-            let part = incremental_part(0..2_000, ew().seed);
-            part.incremental_checkpoints().remove(0)
-        }
         fn refresh(cat: &mut StatisticsCatalog, engine: &TryConfig) {
             let policy = StalenessPolicy {
                 max_updates: 1,
@@ -1793,17 +1648,6 @@ mod tests {
                 fail: |cat| refresh(cat, &expired()),
                 heal: |cat| refresh(cat, &TryConfig::jobs(1)),
                 error: |e| matches!(e, EstimateError::TaskAbandoned { .. }),
-            },
-            Path {
-                name: "checkpoint restore",
-                before: |cat| drop(cat.try_restore_incremental(&checkpoint())),
-                fail: |cat| {
-                    let mut broken = checkpoint();
-                    broken.column_state.reservoir.slots.clear();
-                    drop(cat.try_restore_incremental(&broken));
-                },
-                heal: |cat| drop(cat.try_restore_incremental(&checkpoint())),
-                error: |e| *e == EstimateError::EmptySample,
             },
         ];
         for path in &paths {

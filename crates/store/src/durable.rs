@@ -5,20 +5,16 @@
 //! torn write costs a full re-ANALYZE of every column. This module keeps
 //! the catalog in a directory of **immutable, numbered generations** with
 //! a checksummed `MANIFEST` naming the active one, plus an append-only
-//! **feedback journal** recording what happened *between* snapshots:
-//! online-scan and incremental-sketch checkpoints, which a restart reads
-//! back ([`FeedbackState::online`], [`DurableStore::restore_incremental`]),
-//! and query-feedback observations. An observation is validated and
-//! counted but folds into nothing: the store keeps no correction state
-//! until something reads it after a restart (ROADMAP item 1 decides what
-//! that reader is).
+//! **journal** of the query-feedback observations taken since that
+//! snapshot. A restart reads back exactly the snapshot. An observation is
+//! validated and counted on replay but folds into no state: nothing reads
+//! learned corrections after a restart yet.
 //!
 //! ```text
 //! store/
-//!   MANIFEST            active generation + whole-file checksums
+//!   MANIFEST            active generation + its snapshot's checksum
 //!   gen-000007.stats    immutable snapshot (persist v3 format)
-//!   gen-000007.feedback folded feedback state at snapshot time
-//!   journal.log         append-only records since generation 7
+//!   journal.log         append-only observations since generation 7
 //!   quarantine/         damaged files moved aside by recovery
 //! ```
 //!
@@ -34,8 +30,6 @@
 //! is hardened by consulting a [`CrashPlan`] at each I/O boundary, so the
 //! chaos suite can simulate a crash at every point and assert recovery.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -43,20 +37,14 @@ use selest_core::fault::EstimateError;
 use selest_core::RangeQuery;
 use selest_par::fnv1a_64;
 
-use selest_core::incremental::{IncrementalColumn, IncrementalParts, ReservoirParts};
-use selest_data::{GkParts, GkSketch};
-
-use crate::catalog::{SketchCheckpoint, StatisticsCatalog};
+use crate::catalog::StatisticsCatalog;
 use crate::faultinject::{CrashPlan, CrashPoint};
-use crate::online::OnlineSelectivity;
-use crate::persist::{self, corrupt, kind_token, Fields, PersistedStatistics};
+use crate::persist::{self, corrupt, Fields, PersistedStatistics};
 
 /// Manifest header line.
-const MANIFEST_HEADER: &str = "selest-manifest v2";
+const MANIFEST_HEADER: &str = "selest-manifest v3";
 /// Journal header prefix (followed by `gen <N>`).
-const JOURNAL_HEADER: &str = "selest-journal v2";
-/// Feedback-file header line.
-const FEEDBACK_HEADER: &str = "selest-feedback v2";
+const JOURNAL_HEADER: &str = "selest-journal v3";
 /// Manifest file name inside the store directory.
 const MANIFEST_FILE: &str = "MANIFEST";
 /// Journal file name inside the store directory.
@@ -88,7 +76,7 @@ impl RetentionPolicy {
     }
 }
 
-/// One record of the append-only feedback journal.
+/// One record of the append-only journal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A query-feedback observation: the executed query, the estimate
@@ -96,7 +84,7 @@ pub enum JournalRecord {
     /// column exists in the active generation, the query is valid, the
     /// truth is finite and in `[0, 1]`, the base is finite) and counted as
     /// applied on replay, but folds into no state: nothing reads learned
-    /// corrections after a restart yet (ROADMAP item 1 decides the reader).
+    /// corrections after a restart yet.
     Observation {
         /// Relation name (whitespace-free).
         relation: String,
@@ -111,147 +99,20 @@ pub enum JournalRecord {
         /// True selectivity observed at execution.
         truth: f64,
     },
-    /// A progressive-scan checkpoint: the counters of an
-    /// [`OnlineSelectivity`] mid-scan, so the scan resumes after a crash.
-    OnlineCheckpoint {
-        /// Relation name (whitespace-free).
-        relation: String,
-        /// Column name (whitespace-free).
-        column: String,
-        /// Query left endpoint.
-        a: f64,
-        /// Query right endpoint.
-        b: f64,
-        /// Rows consumed.
-        seen: usize,
-        /// Rows matched.
-        matched: usize,
-        /// Non-finite rows skipped.
-        skipped_nonfinite: usize,
-    },
-    /// A full incremental-substrate checkpoint of one column — GK summary,
-    /// reservoir, and update counters — so a restart resumes ingest from
-    /// the journaled state instead of re-ANALYZing the relation. The
-    /// latest record per column wins on replay.
-    Sketch(SketchCheckpoint),
-}
-
-/// Folded progressive-scan checkpoint of one column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineCheckpoint {
-    /// Query left endpoint.
-    pub a: f64,
-    /// Query right endpoint.
-    pub b: f64,
-    /// Rows consumed.
-    pub seen: usize,
-    /// Rows matched.
-    pub matched: usize,
-    /// Non-finite rows skipped.
-    pub skipped_nonfinite: usize,
-}
-
-impl OnlineCheckpoint {
-    /// Resume the progressive scan from these counters.
-    pub fn resume(&self) -> Result<OnlineSelectivity, EstimateError> {
-        let q = RangeQuery::unchecked(self.a, self.b);
-        q.validate()?;
-        OnlineSelectivity::from_parts(q, self.seen, self.matched, self.skipped_nonfinite)
-    }
-}
-
-/// The journal's effects folded into the state a restart reads back: the
-/// latest online-scan checkpoint and incremental-sketch checkpoint of each
-/// column. Deterministic by construction — `BTreeMap` ordering everywhere,
-/// and replay is a sequential fold — so encoding it is bit-identical across
-/// `SELEST_JOBS` settings.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FeedbackState {
-    online: BTreeMap<(String, String), OnlineCheckpoint>,
-    sketches: BTreeMap<(String, String), SketchCheckpoint>,
-}
-
-impl FeedbackState {
-    /// Whether any checkpoint has been folded in.
-    pub fn is_empty(&self) -> bool {
-        self.online.is_empty() && self.sketches.is_empty()
-    }
-
-    /// The latest online-scan checkpoint of a column, if any.
-    pub fn online(&self, relation: &str, column: &str) -> Option<OnlineCheckpoint> {
-        self.online
-            .get(&(relation.to_owned(), column.to_owned()))
-            .copied()
-    }
-
-    /// The latest incremental-substrate checkpoint of a column, if any.
-    pub fn sketch(&self, relation: &str, column: &str) -> Option<&SketchCheckpoint> {
-        self.sketches.get(&(relation.to_owned(), column.to_owned()))
-    }
-
-    /// Every journaled incremental checkpoint, in `(relation, column)`
-    /// order.
-    pub fn sketches(&self) -> impl Iterator<Item = &SketchCheckpoint> {
-        self.sketches.values()
-    }
-
-    /// Validate `rec` against the active entries and fold it in — the one
-    /// journal fold, shared by replay in [`DurableStore::open`] and by
-    /// [`fsck`]. The state is only mutated when the whole record is
-    /// acceptable.
-    fn apply(
-        &mut self,
-        rec: &JournalRecord,
-        entries: &[PersistedStatistics],
-    ) -> Result<(), EstimateError> {
-        check_record(rec, entries)?;
-        self.fold(rec);
-        Ok(())
-    }
-
-    /// Fold a record [`check_record`] accepted.
-    fn fold(&mut self, rec: &JournalRecord) {
-        let key = |relation: &str, column: &str| (relation.to_owned(), column.to_owned());
-        match rec {
-            JournalRecord::Observation { .. } => {}
-            JournalRecord::OnlineCheckpoint {
-                relation,
-                column,
-                a,
-                b,
-                seen,
-                matched,
-                skipped_nonfinite,
-            } => {
-                let cp = OnlineCheckpoint {
-                    a: *a,
-                    b: *b,
-                    seen: *seen,
-                    matched: *matched,
-                    skipped_nonfinite: *skipped_nonfinite,
-                };
-                self.online.insert(key(relation, column), cp);
-            }
-            JournalRecord::Sketch(cp) => {
-                self.sketches
-                    .insert(key(&cp.relation, &cp.column), cp.clone());
-            }
-        }
-    }
 }
 
 /// Whether `rec` may enter the journal of a generation holding `entries`:
-/// its column must exist there and its payload must be valid.
+/// its column must exist there and its payload must be valid. Replay in
+/// [`DurableStore::open`] and [`fsck`] both apply this one check.
 fn check_record(rec: &JournalRecord, entries: &[PersistedStatistics]) -> Result<(), EstimateError> {
-    let (relation, column) = match rec {
-        JournalRecord::Observation {
-            relation, column, ..
-        }
-        | JournalRecord::OnlineCheckpoint {
-            relation, column, ..
-        } => (relation, column),
-        JournalRecord::Sketch(cp) => (&cp.relation, &cp.column),
-    };
+    let JournalRecord::Observation {
+        relation,
+        column,
+        a,
+        b,
+        base,
+        truth,
+    } = rec;
     if !entries
         .iter()
         .any(|e| *e.relation == **relation && *e.column == **column)
@@ -261,38 +122,14 @@ fn check_record(rec: &JournalRecord, entries: &[PersistedStatistics]) -> Result<
             column: column.clone(),
         });
     }
-    match rec {
-        JournalRecord::Observation {
-            a, b, base, truth, ..
-        } => {
-            RangeQuery::unchecked(*a, *b).validate()?;
-            if !truth.is_finite() || !(0.0..=1.0).contains(truth) {
-                return Err(EstimateError::NonFiniteEstimate { value: *truth });
-            }
-            if !base.is_finite() {
-                return Err(EstimateError::NonFiniteEstimate { value: *base });
-            }
-            Ok(())
-        }
-        JournalRecord::OnlineCheckpoint {
-            a,
-            b,
-            seen,
-            matched,
-            skipped_nonfinite,
-            ..
-        } => {
-            let cp = OnlineCheckpoint {
-                a: *a,
-                b: *b,
-                seen: *seen,
-                matched: *matched,
-                skipped_nonfinite: *skipped_nonfinite,
-            };
-            cp.resume().map(drop) // validates the query and the counters
-        }
-        JournalRecord::Sketch(cp) => validate_sketch(cp),
+    RangeQuery::unchecked(*a, *b).validate()?;
+    if !truth.is_finite() || !(0.0..=1.0).contains(truth) {
+        return Err(EstimateError::NonFiniteEstimate { value: *truth });
     }
+    if !base.is_finite() {
+        return Err(EstimateError::NonFiniteEstimate { value: *base });
+    }
+    Ok(())
 }
 
 /// Which rung of the recovery ladder [`DurableStore::open`] landed on.
@@ -323,7 +160,7 @@ pub struct RecoveryReport {
     pub rung: RecoveryRung,
     /// The active generation after recovery.
     pub generation: u64,
-    /// Journal records replayed into the feedback state.
+    /// Journal records replayed (validated against the active generation).
     pub journal_applied: usize,
     /// Journal records the active generation refused (their column is
     /// gone or their payload is invalid). Any refusal makes recovery
@@ -333,8 +170,6 @@ pub struct RecoveryReport {
     pub journal_truncated: bool,
     /// Whether a stale or unusable journal was discarded wholesale.
     pub journal_stale: bool,
-    /// Whether the feedback state had to be reset (damaged feedback file).
-    pub feedback_reset: bool,
     /// Files removed as debris or beyond retention (names).
     pub pruned: Vec<String>,
     /// Damaged files moved into `quarantine/` (names).
@@ -352,7 +187,6 @@ impl RecoveryReport {
             journal_orphaned: 0,
             journal_truncated: false,
             journal_stale: false,
-            feedback_reset: false,
             pruned: Vec::new(),
             quarantined: Vec::new(),
             errors: Vec::new(),
@@ -364,7 +198,6 @@ impl RecoveryReport {
         matches!(self.rung, RecoveryRung::Active | RecoveryRung::Fresh)
             && !self.journal_truncated
             && !self.journal_stale
-            && !self.feedback_reset
             && self.journal_orphaned == 0
             && self.quarantined.is_empty()
             && self.errors.is_empty()
@@ -374,8 +207,7 @@ impl RecoveryReport {
 /// Read-only health verdict of [`fsck`].
 #[derive(Debug, Clone)]
 pub struct FsckReport {
-    /// No findings: manifest, active generation, feedback, and journal
-    /// all verify.
+    /// No findings: manifest, active generation and journal all verify.
     pub healthy: bool,
     /// Active generation per the manifest, if it parsed.
     pub active: Option<u64>,
@@ -383,13 +215,6 @@ pub struct FsckReport {
     pub generations: Vec<u64>,
     /// Valid journal records on disk.
     pub journal_records: usize,
-    /// Columns with journaled incremental sketch state (the feedback
-    /// snapshot with the journal folded in as recovery replays it; latest
-    /// per column wins).
-    pub sketch_columns: usize,
-    /// Updates pending an estimator refresh, summed over that sketch
-    /// state — the staleness pressure a restart would resume under.
-    pub sketch_pending_updates: u64,
     /// Human-readable findings, one per problem.
     pub findings: Vec<String>,
 }
@@ -425,7 +250,6 @@ pub struct DurableStore {
     dir: PathBuf,
     active: u64,
     entries: Vec<PersistedStatistics>,
-    feedback: FeedbackState,
     retention: RetentionPolicy,
     plan: CrashPlan,
     journal_records: usize,
@@ -443,11 +267,6 @@ const SNAPSHOT_SITES: CrashSites = CrashSites {
     partial: CrashPoint::SnapshotPartialWrite,
     pre_rename: CrashPoint::SnapshotPreRename,
     post_rename: CrashPoint::SnapshotPostRename,
-};
-const FEEDBACK_SITES: CrashSites = CrashSites {
-    partial: CrashPoint::FeedbackPartialWrite,
-    pre_rename: CrashPoint::FeedbackPreRename,
-    post_rename: CrashPoint::FeedbackPostRename,
 };
 const MANIFEST_SITES: CrashSites = CrashSites {
     partial: CrashPoint::ManifestPartialWrite,
@@ -529,11 +348,10 @@ fn write_atomic_crashable(
 struct Manifest {
     active: u64,
     stats_fnv: u64,
-    feedback_fnv: u64,
 }
 
-fn encode_manifest(active: u64, stats_fnv: u64, feedback_fnv: u64) -> String {
-    let body = format!("{MANIFEST_HEADER}\nactive {active} {stats_fnv:016x} {feedback_fnv:016x}");
+fn encode_manifest(active: u64, stats_fnv: u64) -> String {
+    let body = format!("{MANIFEST_HEADER}\nactive {active} {stats_fnv:016x}");
     format!("{body}\ncheck {:016x}\n", fnv1a_64(body.as_bytes()))
 }
 
@@ -560,276 +378,42 @@ fn decode_manifest(text: &str) -> Result<Manifest, EstimateError> {
     let manifest = Manifest {
         active: f.parse("generation")?,
         stats_fnv: f.hex("stats checksum")?,
-        feedback_fnv: f.hex("feedback checksum")?,
     };
     f.end()?;
     Ok(manifest)
 }
 
-/// Encode everything after `sketch <relation> <column>` in a checkpoint
-/// line. Floats go through `Display`, which is shortest-round-trip in
-/// Rust, so `parse::<f64>()` recovers them bit-exactly.
-fn encode_sketch_fields(cp: &SketchCheckpoint) -> String {
-    let mut s = format!(
-        "{} {} {} {} {} {}",
-        kind_token(cp.kind),
-        cp.updates_since_refresh,
-        cp.sketch.epsilon,
-        cp.sketch.n,
-        cp.sketch.tombstones,
-        cp.sketch.entries.len()
-    );
-    for (v, g, d) in &cp.sketch.entries {
-        let _ = write!(s, " {v} {g} {d}");
-    }
-    let st = &cp.column_state;
-    let r = &st.reservoir;
-    let _ = write!(
-        s,
-        " {} {} {} {} {} {} {} {} {} {} {}",
-        st.domain.lo(),
-        st.domain.hi(),
-        r.capacity,
-        r.seed,
-        r.next_index,
-        r.seen,
-        st.live_rows,
-        st.inserted,
-        st.deleted,
-        st.pending,
-        r.slots.len()
-    );
-    for (key, index, value) in &r.slots {
-        let _ = write!(s, " {key} {index} {value}");
-    }
-    s
-}
-
-/// Decode the fields [`encode_sketch_fields`] wrote (the tag, relation,
-/// and column have already been consumed from `f`).
-fn decode_sketch_fields(
-    f: &mut Fields<'_>,
-    relation: String,
-    column: String,
-) -> Result<SketchCheckpoint, EstimateError> {
-    let kind = f.kind()?;
-    let updates_since_refresh = f.parse("updates since refresh")?;
-    let epsilon = f.parse("epsilon")?;
-    let n = f.parse("sketch n")?;
-    let tombstones = f.parse("sketch tombstones")?;
-    let count = f.parse("sketch entry count")?;
-    let entries = f.repeat(count, "sketch entries", |f| {
-        Ok((
-            f.parse("entry v")?,
-            f.parse("entry g")?,
-            f.parse("entry delta")?,
-        ))
-    })?;
-    let domain = f.domain()?;
-    let capacity = f.parse("reservoir capacity")?;
-    let seed = f.parse("seed")?;
-    let next_index = f.parse("next index")?;
-    let seen = f.parse("seen")?;
-    let live_rows = f.parse("live rows")?;
-    let inserted = f.parse("inserted")?;
-    let deleted = f.parse("deleted")?;
-    let pending = f.parse("pending")?;
-    let count = f.parse("slot count")?;
-    let slots = f.repeat(count, "reservoir slots", |f| {
-        Ok((
-            f.parse("slot key")?,
-            f.parse("slot index")?,
-            f.parse("slot value")?,
-        ))
-    })?;
-    Ok(SketchCheckpoint {
+fn encode_record_line(rec: &JournalRecord) -> String {
+    let JournalRecord::Observation {
         relation,
         column,
-        kind,
-        sketch: GkParts {
-            epsilon,
-            n,
-            tombstones,
-            entries,
-        },
-        column_state: IncrementalParts {
-            domain,
-            reservoir: ReservoirParts {
-                capacity,
-                seed,
-                next_index,
-                seen,
-                slots,
-            },
-            live_rows,
-            inserted,
-            deleted,
-            pending,
-        },
-        updates_since_refresh,
-    })
-}
-
-/// The `online` line, the same in the feedback file and the journal.
-fn encode_online(relation: &str, column: &str, cp: &OnlineCheckpoint) -> String {
-    format!(
-        "online {relation} {column} {} {} {} {} {}",
-        cp.a, cp.b, cp.seen, cp.matched, cp.skipped_nonfinite
-    )
-}
-
-/// Decode the fields [`encode_online`] wrote after the relation and
-/// column.
-fn decode_online(f: &mut Fields<'_>) -> Result<OnlineCheckpoint, EstimateError> {
-    Ok(OnlineCheckpoint {
-        a: f.parse("query a")?,
-        b: f.parse("query b")?,
-        seen: f.parse("seen")?,
-        matched: f.parse("matched")?,
-        skipped_nonfinite: f.parse("skipped")?,
-    })
-}
-
-fn encode_feedback(state: &FeedbackState) -> String {
-    let mut out = format!("{FEEDBACK_HEADER}\n");
-    let online = state
-        .online
-        .iter()
-        .map(|((rel, col), cp)| encode_online(rel, col, cp));
-    let sketches = state
-        .sketches
-        .iter()
-        .map(|((rel, col), cp)| format!("sketch {rel} {col} {}", encode_sketch_fields(cp)));
-    for line in online.chain(sketches) {
-        let _ = writeln!(out, "{line}\ncheck {:016x}", fnv1a_64(line.as_bytes()));
-    }
-    out
-}
-
-fn decode_feedback(text: &str) -> Result<FeedbackState, EstimateError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, header)) if header == FEEDBACK_HEADER => {}
-        Some((_, header)) => return Err(corrupt(1, format!("bad feedback header {header:?}"))),
-        None => return Err(corrupt(1, "empty feedback file")),
-    }
-    let mut state = FeedbackState::default();
-    while let Some((i, payload)) = lines.next() {
-        let line = i + 1;
-        let mut check = Fields::new(lines.next().map_or("", |(_, c)| c), line + 1);
-        check.tag("check")?;
-        if check.hex("checksum")? != fnv1a_64(payload.as_bytes()) {
-            return Err(corrupt(line, "feedback checksum mismatch"));
-        }
-        let mut f = Fields::new(payload, line);
-        let tag = f.next("record tag")?;
-        let key = (f.next("relation")?.to_owned(), f.next("column")?.to_owned());
-        match tag {
-            "online" => {
-                let cp = decode_online(&mut f)?;
-                cp.resume()?;
-                state.online.insert(key, cp);
-            }
-            "sketch" => {
-                let cp = decode_sketch_fields(&mut f, key.0.clone(), key.1.clone())?;
-                validate_sketch(&cp)?;
-                state.sketches.insert(key, cp);
-            }
-            other => return Err(corrupt(line, format!("unknown record tag {other:?}"))),
-        }
-        f.end()?;
-    }
-    Ok(state)
-}
-
-/// Both substrate halves of a sketch checkpoint must reconstruct — the
-/// same validation a restore pays, so a checkpoint accepted here can
-/// never fail later.
-fn validate_sketch(cp: &SketchCheckpoint) -> Result<(), EstimateError> {
-    GkSketch::from_parts(cp.sketch.clone())?;
-    IncrementalColumn::from_parts(cp.column_state.clone())?;
-    Ok(())
-}
-
-fn encode_record_payload(rec: &JournalRecord) -> String {
-    match rec {
-        JournalRecord::Observation {
-            relation,
-            column,
-            a,
-            b,
-            base,
-            truth,
-        } => format!("obs {relation} {column} {a} {b} {base} {truth}"),
-        JournalRecord::OnlineCheckpoint {
-            relation,
-            column,
-            a,
-            b,
-            seen,
-            matched,
-            skipped_nonfinite,
-        } => encode_online(
-            relation,
-            column,
-            &OnlineCheckpoint {
-                a: *a,
-                b: *b,
-                seen: *seen,
-                matched: *matched,
-                skipped_nonfinite: *skipped_nonfinite,
-            },
-        ),
-        JournalRecord::Sketch(cp) => format!(
-            "sketch {} {} {}",
-            cp.relation,
-            cp.column,
-            encode_sketch_fields(cp)
-        ),
-    }
-}
-
-fn decode_record_payload(line: usize, payload: &str) -> Result<JournalRecord, EstimateError> {
-    let mut f = Fields::new(payload, line);
-    let tag = f.next("record tag")?;
-    let relation = f.next("relation")?.to_owned();
-    let column = f.next("column")?.to_owned();
-    let rec = match tag {
-        "obs" => JournalRecord::Observation {
-            relation,
-            column,
-            a: f.parse("a")?,
-            b: f.parse("b")?,
-            base: f.parse("base")?,
-            truth: f.parse("truth")?,
-        },
-        "online" => {
-            let cp = decode_online(&mut f)?;
-            JournalRecord::OnlineCheckpoint {
-                relation,
-                column,
-                a: cp.a,
-                b: cp.b,
-                seen: cp.seen,
-                matched: cp.matched,
-                skipped_nonfinite: cp.skipped_nonfinite,
-            }
-        }
-        "sketch" => JournalRecord::Sketch(decode_sketch_fields(&mut f, relation, column)?),
-        other => return Err(corrupt(line, format!("unknown journal tag {other:?}"))),
-    };
-    f.end()?;
-    Ok(rec)
-}
-
-fn encode_record_line(rec: &JournalRecord) -> String {
-    let payload = encode_record_payload(rec);
+        a,
+        b,
+        base,
+        truth,
+    } = rec;
+    let payload = format!("obs {relation} {column} {a} {b} {base} {truth}");
     format!(
         "rec {} {:016x} {}\n",
         payload.len(),
         fnv1a_64(payload.as_bytes()),
         payload
     )
+}
+
+fn decode_record_payload(line: usize, payload: &str) -> Result<JournalRecord, EstimateError> {
+    let mut f = Fields::new(payload, line);
+    f.tag("obs")?;
+    let rec = JournalRecord::Observation {
+        relation: f.next("relation")?.to_owned(),
+        column: f.next("column")?.to_owned(),
+        a: f.parse("a")?,
+        b: f.parse("b")?,
+        base: f.parse("base")?,
+        truth: f.parse("truth")?,
+    };
+    f.end()?;
+    Ok(rec)
 }
 
 /// What reading a journal file found.
@@ -941,8 +525,11 @@ fn gen_stats_name(generation: u64) -> String {
     format!("gen-{generation:06}.stats")
 }
 
-fn gen_feedback_name(generation: u64) -> String {
-    format!("gen-{generation:06}.feedback")
+/// Whether `name` in a store directory is debris [`DurableStore::open`]
+/// removes: the temp file of an interrupted write, or a `gen-*.feedback`
+/// file, which older versions of the store wrote and nothing reads.
+fn is_debris(name: &str) -> bool {
+    name.ends_with(".tmp") || (name.starts_with("gen-") && name.ends_with(".feedback"))
 }
 
 /// Generation numbers with a `.stats` file present, ascending.
@@ -992,45 +579,25 @@ fn read_manifest(dir: &Path) -> Result<Option<Manifest>, EstimateError> {
         .transpose()
 }
 
-/// One generation as read from disk.
-struct Generation {
-    entries: Vec<PersistedStatistics>,
-    /// The feedback state, or why the feedback file is unusable: damage
-    /// there costs the learned feedback, not the statistics.
-    feedback: Result<FeedbackState, EstimateError>,
-}
-
-/// Read generation `generation`. With a manifest the whole-file checksums
-/// are verified first; without one (the previous-generation hunt) the
-/// per-entry and per-line checksums carry the verification. Damaged stats
-/// fail the read.
+/// Read generation `generation`'s statistics. With a manifest the
+/// whole-file checksum is verified first; without one (the
+/// previous-generation hunt) the per-entry checksums carry the
+/// verification.
 fn read_generation(
     dir: &Path,
     generation: u64,
     manifest: Option<&Manifest>,
-) -> Result<Generation, EstimateError> {
-    let read = |name: String, want: Option<u64>| {
-        let path = dir.join(name);
-        let text = read_text(&path)?.ok_or_else(|| EstimateError::Io {
-            path: path.display().to_string(),
-            op: "read".to_owned(),
-            message: "file missing".to_owned(),
-        })?;
-        match want {
-            Some(want) if fnv1a_64(text.as_bytes()) != want => {
-                Err(corrupt(1, "checksum mismatch vs manifest").with_path(&path))
-            }
-            _ => Ok((path, text)),
-        }
-    };
-    let (spath, stats) = read(gen_stats_name(generation), manifest.map(|m| m.stats_fnv))?;
-    let entries = persist::decode(&stats).map_err(|e| e.with_path(&spath))?;
-    let feedback = read(
-        gen_feedback_name(generation),
-        manifest.map(|m| m.feedback_fnv),
-    )
-    .and_then(|(fpath, text)| decode_feedback(&text).map_err(|e| e.with_path(&fpath)));
-    Ok(Generation { entries, feedback })
+) -> Result<Vec<PersistedStatistics>, EstimateError> {
+    let path = dir.join(gen_stats_name(generation));
+    let text = read_text(&path)?.ok_or_else(|| EstimateError::Io {
+        path: path.display().to_string(),
+        op: "read".to_owned(),
+        message: "file missing".to_owned(),
+    })?;
+    if manifest.is_some_and(|m| fnv1a_64(text.as_bytes()) != m.stats_fnv) {
+        return Err(corrupt(1, "checksum mismatch vs manifest").with_path(&path));
+    }
+    persist::decode(&text).map_err(|e| e.with_path(&path))
 }
 
 /// The scanned journal, `None` when there is none.
@@ -1063,13 +630,12 @@ impl DurableStore {
             dir: dir.to_path_buf(),
             active: 0,
             entries: Vec::new(),
-            feedback: FeedbackState::default(),
             retention,
             plan,
             journal_records: 0,
         };
         let mut report = RecoveryReport::new(RecoveryRung::Active);
-        store.sweep_tmp_debris(&mut report)?;
+        store.sweep_debris(&mut report)?;
 
         let manifest_path = store.manifest_path();
         let manifest = match read_manifest(dir) {
@@ -1086,26 +652,22 @@ impl DurableStore {
                 // Nothing here: a brand-new store.
                 report.rung = RecoveryRung::Fresh;
                 store.quarantine_if_exists(&store.journal_path(), &mut report);
-                store.commit_generation(0, Vec::new(), FeedbackState::default(), &mut report)?;
+                store.commit_generation(0, Vec::new(), &mut report)?;
             }
-            Some(Ok(m)) => match store.load_generation(m.active, Some(&m), &mut report) {
-                Ok((entries, feedback, feedback_reset)) => {
+            Some(Ok(m)) => match read_generation(dir, m.active, Some(&m)) {
+                Ok(entries) => {
                     store.active = m.active;
                     store.entries = entries;
-                    store.feedback = feedback;
                     report.rung = RecoveryRung::Active;
                     report.generation = m.active;
-                    report.feedback_reset = feedback_reset;
                     store.recover_journal(&mut report)?;
-                    if feedback_reset || report.journal_orphaned > 0 {
-                        // The feedback snapshot is gone, or the journal
-                        // holds records the active generation refuses:
-                        // re-commit what replay salvaged, so the manifest
-                        // checksums verify again and the journal starts
-                        // empty.
-                        let (entries, feedback) = (store.entries.clone(), store.feedback.clone());
+                    if report.journal_orphaned > 0 {
+                        // The journal holds records the active generation
+                        // refuses: re-commit the generation, so the
+                        // journal starts empty and `fsck` passes.
+                        let entries = store.entries.clone();
                         let next = store.next_generation(&gens, Some(m.active));
-                        store.commit_generation(next, entries, feedback, &mut report)?;
+                        store.commit_generation(next, entries, &mut report)?;
                     } else {
                         store.prune_beyond(&gens, m.active, &mut report);
                     }
@@ -1154,42 +716,22 @@ impl DurableStore {
         &self.entries
     }
 
-    /// The current feedback state (snapshot + replayed/appended journal).
-    pub fn feedback(&self) -> &FeedbackState {
-        &self.feedback
-    }
-
-    /// Journal records on disk since the last snapshot.
-    pub fn journal_len(&self) -> usize {
-        self.journal_records
-    }
-
-    /// Publish freshly ANALYZE'd entries as a new generation. The
-    /// feedback state resets — checkpoints taken against the old
-    /// statistics do not transfer to new ones. An entry whose relation or
+    /// Publish freshly ANALYZE'd entries as a new generation. The journal
+    /// resets — observations taken against the old statistics do not
+    /// transfer to new ones. An entry whose relation or
     /// column name is empty or contains whitespace is refused with
     /// [`EstimateError::UnpersistableName`] before any file is written, and
     /// the store stays on its current generation.
     pub fn publish(&mut self, entries: Vec<PersistedStatistics>) -> Result<u64, EstimateError> {
         let gen = self.active + 1;
         let mut report = RecoveryReport::new(RecoveryRung::Active);
-        self.commit_generation(gen, entries, FeedbackState::default(), &mut report)?;
+        self.commit_generation(gen, entries, &mut report)?;
         Ok(gen)
     }
 
-    /// Fold the journal into a new generation: same entries, feedback
-    /// preserved, journal reset, old generations pruned per retention.
-    pub fn compact(&mut self) -> Result<u64, EstimateError> {
-        let gen = self.active + 1;
-        let (entries, feedback) = (self.entries.clone(), self.feedback.clone());
-        let mut report = RecoveryReport::new(RecoveryRung::Active);
-        self.commit_generation(gen, entries, feedback, &mut report)?;
-        Ok(gen)
-    }
-
-    /// Append one feedback record: validate against the active entries,
-    /// write ahead to the journal (fsync), then fold into the in-memory
-    /// state. On error nothing is folded.
+    /// Append one record: validate it against the active entries, then
+    /// write it to the journal and fsync. A refused record never reaches
+    /// the disk.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), EstimateError> {
         check_record(rec, &self.entries)?;
         let line = encode_record_line(rec);
@@ -1213,7 +755,6 @@ impl DurableStore {
         }
         f.sync_all()
             .map_err(|e| io_error(&jpath, "fsync journal", e))?;
-        self.feedback.fold(rec);
         self.journal_records += 1;
         Ok(())
     }
@@ -1227,42 +768,11 @@ impl DurableStore {
         (catalog, failures)
     }
 
-    /// Journal one column's incremental substrate (write-ahead, fsynced,
-    /// validated like any record). The latest checkpoint per column wins
-    /// on replay, so periodic checkpointing bounds replay work to one
-    /// record per column.
-    pub fn checkpoint_sketch(
-        &mut self,
-        checkpoint: &SketchCheckpoint,
-    ) -> Result<(), EstimateError> {
-        self.append(&JournalRecord::Sketch(checkpoint.clone()))
-    }
-
-    /// Rebuild the incremental substrate of every journaled checkpoint
-    /// into `catalog` ([`StatisticsCatalog::try_restore_incremental`] per
-    /// column). Returns per-column failures; successes resume ingest with
-    /// their staleness pressure intact.
-    pub fn restore_incremental(
-        &self,
-        catalog: &mut StatisticsCatalog,
-    ) -> Vec<(String, String, EstimateError)> {
-        let mut failures = Vec::new();
-        for cp in self.feedback.sketches() {
-            if let Err(e) = catalog.try_restore_incremental(cp) {
-                failures.push((cp.relation.clone(), cp.column.clone(), e));
-            }
-        }
-        failures
-    }
-
     /// Byte-exact representation of the committed state: the encoded
-    /// active snapshot and folded feedback. Used by the determinism and
-    /// crash-consistency suites.
-    pub fn export_bytes(&self) -> (String, String) {
-        (
-            persist::encode(&self.entries),
-            encode_feedback(&self.feedback),
-        )
+    /// active snapshot and the number of journal records since it. Used
+    /// by the determinism and crash-consistency suites.
+    pub fn export_bytes(&self) -> (String, usize) {
+        (persist::encode(&self.entries), self.journal_records)
     }
 
     fn manifest_path(&self) -> PathBuf {
@@ -1277,10 +787,6 @@ impl DurableStore {
         self.dir.join(gen_stats_name(generation))
     }
 
-    fn feedback_path(&self, generation: u64) -> PathBuf {
-        self.dir.join(gen_feedback_name(generation))
-    }
-
     fn next_generation(&self, gens: &[u64], active: Option<u64>) -> u64 {
         gens.iter()
             .copied()
@@ -1289,14 +795,14 @@ impl DurableStore {
             .map_or(0, |g| g + 1)
     }
 
-    /// Remove `*.tmp` debris left by interrupted writes.
-    fn sweep_tmp_debris(&self, report: &mut RecoveryReport) -> Result<(), EstimateError> {
+    /// Remove the debris [`is_debris`] names.
+    fn sweep_debris(&self, report: &mut RecoveryReport) -> Result<(), EstimateError> {
         let rd =
             std::fs::read_dir(&self.dir).map_err(|e| io_error(&self.dir, "read store dir", e))?;
         for entry in rd {
             let entry = entry.map_err(|e| io_error(&self.dir, "read store dir entry", e))?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".tmp") {
+            if is_debris(&name) {
                 let _ = std::fs::remove_file(entry.path());
                 report.pruned.push(name);
             }
@@ -1328,26 +834,6 @@ impl DurableStore {
         }
     }
 
-    /// [`read_generation`] for recovery: a damaged feedback file is
-    /// quarantined and degrades to an empty state (`true` in the result);
-    /// damaged stats fail the load.
-    fn load_generation(
-        &self,
-        generation: u64,
-        manifest: Option<&Manifest>,
-        report: &mut RecoveryReport,
-    ) -> Result<(Vec<PersistedStatistics>, FeedbackState, bool), EstimateError> {
-        let Generation { entries, feedback } = read_generation(&self.dir, generation, manifest)?;
-        match feedback {
-            Ok(state) => Ok((entries, state, false)),
-            Err(e) => {
-                report.errors.push(e);
-                self.quarantine_if_exists(&self.feedback_path(generation), report);
-                Ok((entries, FeedbackState::default(), true))
-            }
-        }
-    }
-
     /// The lower rungs of the ladder: quarantine the damaged active
     /// generation, hunt older generations descending, and re-commit the
     /// best one found as a fresh generation — or rebuild empty.
@@ -1363,7 +849,6 @@ impl DurableStore {
         self.quarantine_if_exists(&self.journal_path(), report);
         if let Some(g) = damaged_active {
             self.quarantine_if_exists(&self.stats_path(g), report);
-            self.quarantine_if_exists(&self.feedback_path(g), report);
         }
         let next = self.next_generation(gens, damaged_active);
         let mut candidates: Vec<u64> = gens
@@ -1373,11 +858,10 @@ impl DurableStore {
             .collect();
         candidates.sort_unstable();
         for g in candidates.iter().rev() {
-            match self.load_generation(*g, None, report) {
-                Ok((entries, feedback, feedback_reset)) => {
+            match read_generation(&self.dir, *g, None) {
+                Ok(entries) => {
                     report.rung = RecoveryRung::PreviousGeneration;
-                    report.feedback_reset = feedback_reset;
-                    self.commit_generation(next, entries, feedback, report)?;
+                    self.commit_generation(next, entries, report)?;
                     // The older files that were recovered from stay until
                     // retention prunes them on a later commit; files we
                     // failed on were quarantined above.
@@ -1386,12 +870,11 @@ impl DurableStore {
                 Err(e) => {
                     report.errors.push(e);
                     self.quarantine_if_exists(&self.stats_path(*g), report);
-                    self.quarantine_if_exists(&self.feedback_path(*g), report);
                 }
             }
         }
         report.rung = RecoveryRung::Rebuild;
-        self.commit_generation(next, Vec::new(), FeedbackState::default(), report)?;
+        self.commit_generation(next, Vec::new(), report)?;
         Ok(())
     }
 
@@ -1402,8 +885,8 @@ impl DurableStore {
         let scan = match read_journal(&self.dir) {
             Ok(Some(scan)) if scan.gen == self.active => scan,
             Ok(Some(_)) => {
-                // Left over from before the last commit: its records are
-                // already folded into the active feedback file.
+                // Left over from before the last commit: its records were
+                // taken against statistics that are no longer active.
                 report.journal_stale = true;
                 return self.reset_journal();
             }
@@ -1419,14 +902,14 @@ impl DurableStore {
         if let Some(e) = scan.midfile_corrupt {
             // Damage with valid records after it: the valid prefix cannot
             // be trusted either (the file was rewritten or bit-rotted,
-            // not torn) — discard wholesale rather than restore
-            // checkpoints of unknown provenance.
+            // not torn) — discard wholesale rather than replay records
+            // of unknown provenance.
             report.errors.push(e);
             report.journal_stale = true;
             return self.reset_journal();
         }
         for rec in &scan.records {
-            match self.feedback.apply(rec, &self.entries) {
+            match check_record(rec, &self.entries) {
                 Ok(()) => report.journal_applied += 1,
                 Err(e) => {
                     report.journal_orphaned += 1;
@@ -1471,14 +954,11 @@ impl DurableStore {
         &mut self,
         generation: u64,
         entries: Vec<PersistedStatistics>,
-        feedback: FeedbackState,
         report: &mut RecoveryReport,
     ) -> Result<(), EstimateError> {
         persist::check_names(&entries)?;
         let stats_text = persist::encode(&entries);
-        let feedback_text = encode_feedback(&feedback);
         let spath = self.stats_path(generation);
-        let fpath = self.feedback_path(generation);
         let mpath = self.manifest_path();
         write_atomic_crashable(
             &mut self.plan,
@@ -1486,22 +966,11 @@ impl DurableStore {
             stats_text.as_bytes(),
             SNAPSHOT_SITES,
         )?;
-        write_atomic_crashable(
-            &mut self.plan,
-            &fpath,
-            feedback_text.as_bytes(),
-            FEEDBACK_SITES,
-        )?;
-        let manifest = encode_manifest(
-            generation,
-            fnv1a_64(stats_text.as_bytes()),
-            fnv1a_64(feedback_text.as_bytes()),
-        );
+        let manifest = encode_manifest(generation, fnv1a_64(stats_text.as_bytes()));
         write_atomic_crashable(&mut self.plan, &mpath, manifest.as_bytes(), MANIFEST_SITES)?;
         // Commit point passed.
         self.active = generation;
         self.entries = entries;
-        self.feedback = feedback;
         report.generation = generation;
         self.reset_journal()?;
         let gens = list_generations(&self.dir)?;
@@ -1522,31 +991,26 @@ impl DurableStore {
             .filter(|g| *g > active)
             .chain(committed[..cutoff].iter().copied());
         for g in doomed {
-            for path in [self.stats_path(g), self.feedback_path(g)] {
-                if path.exists() && std::fs::remove_file(&path).is_ok() {
-                    report
-                        .pruned
-                        .push(path.file_name().unwrap().to_string_lossy().into_owned());
-                }
+            if std::fs::remove_file(self.stats_path(g)).is_ok() {
+                report.pruned.push(gen_stats_name(g));
             }
         }
     }
 }
 
 /// Read-only integrity check of a store directory: verifies the
-/// manifest, the active generation's checksums, the feedback file, and
-/// the journal through the same reads [`DurableStore::open`] recovers
-/// with, and replays the journal through the same fold, without
-/// modifying anything: a record `open` would refuse is a finding. Repair
-/// is spelled [`DurableStore::open`] — run it and `fsck` again.
+/// manifest, the active generation's checksum and the journal through
+/// the same reads [`DurableStore::open`] recovers with, and replays the
+/// journal through the same record check, without modifying anything:
+/// a record `open` would refuse is a finding, and so is debris `open`
+/// would remove. Repair is spelled [`DurableStore::open`] — run it and
+/// `fsck` again.
 pub fn fsck(dir: &Path) -> FsckReport {
     let mut report = FsckReport {
         healthy: false,
         active: None,
         generations: Vec::new(),
         journal_records: 0,
-        sketch_columns: 0,
-        sketch_pending_updates: 0,
         findings: Vec::new(),
     };
     if !dir.is_dir() {
@@ -1562,8 +1026,8 @@ pub fn fsck(dir: &Path) -> FsckReport {
     if let Ok(rd) = std::fs::read_dir(dir) {
         for entry in rd.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".tmp") {
-                report.findings.push(format!("temp debris {name}"));
+            if is_debris(&name) {
+                report.findings.push(format!("debris {name}"));
             }
         }
     }
@@ -1587,21 +1051,9 @@ pub fn fsck(dir: &Path) -> FsckReport {
             ));
         }
     }
-    // The state `open` would replay onto: the feedback snapshot, or an
-    // empty one when the snapshot is damaged (as `open` resets it).
-    let (entries, mut feedback) = match read_generation(dir, m.active, Some(&m)) {
-        Ok(Generation { entries, feedback }) => {
-            let feedback = feedback.unwrap_or_else(|e| {
-                report.findings.push(e.to_string());
-                FeedbackState::default()
-            });
-            (Some(entries), feedback)
-        }
-        Err(e) => {
-            report.findings.push(e.to_string());
-            (None, FeedbackState::default())
-        }
-    };
+    let entries = read_generation(dir, m.active, Some(&m))
+        .map_err(|e| report.findings.push(e.to_string()))
+        .ok();
     match read_journal(dir) {
         Ok(Some(scan)) => {
             report.journal_records = scan.records.len();
@@ -1611,9 +1063,9 @@ pub fn fsck(dir: &Path) -> FsckReport {
                     scan.gen, m.active
                 ));
             } else if let (Some(entries), None) = (&entries, &scan.midfile_corrupt) {
-                // The journal `open` would replay: fold it the same way.
+                // The journal `open` would replay: check it the same way.
                 for rec in &scan.records {
-                    if let Err(e) = feedback.apply(rec, entries) {
+                    if let Err(e) = check_record(rec, entries) {
                         report
                             .findings
                             .push(format!("orphaned journal record: {e}"));
@@ -1630,8 +1082,6 @@ pub fn fsck(dir: &Path) -> FsckReport {
         Ok(None) => report.findings.push("journal missing".to_owned()),
         Err(e) => report.findings.push(e.to_string()),
     }
-    report.sketch_columns = feedback.sketches.len();
-    report.sketch_pending_updates = feedback.sketches().map(|cp| cp.updates_since_refresh).sum();
     report.healthy = report.findings.is_empty();
     report
 }
@@ -1680,18 +1130,6 @@ mod tests {
         }
     }
 
-    fn online(col: &str, b: f64, seen: usize) -> JournalRecord {
-        JournalRecord::OnlineCheckpoint {
-            relation: "t".to_owned(),
-            column: col.to_owned(),
-            a: 0.0,
-            b,
-            seen,
-            matched: seen / 4,
-            skipped_nonfinite: 1,
-        }
-    }
-
     #[test]
     fn fresh_open_commits_generation_zero() {
         let dir = scratch("fresh");
@@ -1705,67 +1143,46 @@ mod tests {
     }
 
     #[test]
-    fn publish_append_compact_round_trip() {
+    fn publish_append_reopen_round_trip() {
         let dir = scratch("roundtrip");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         let generation = store.publish(vec![entry("t", "v")]).expect("publish");
         assert_eq!(generation, 1);
         store.append(&obs("t", "v", 0.5)).expect("append");
-        store
-            .checkpoint_sketch(&sketch_checkpoint())
-            .expect("append sketch");
-        store
-            .append(&JournalRecord::OnlineCheckpoint {
-                relation: "t".into(),
-                column: "v".into(),
-                a: 0.0,
-                b: 25.0,
-                seen: 100,
-                matched: 26,
-                skipped_nonfinite: 1,
-            })
-            .expect("append checkpoint");
-        assert_eq!(store.journal_len(), 3);
-        let feedback_before = store.feedback().clone();
-        let g2 = store.compact().expect("compact");
-        assert_eq!(g2, 2);
-        assert_eq!(store.journal_len(), 0, "journal folded away");
-        assert_eq!(
-            store.feedback(),
-            &feedback_before,
-            "compaction preserves feedback"
-        );
-        // Reopen: clean Active rung, identical state.
+        store.append(&obs("t", "v", 0.2)).expect("append 2");
+        let exported = store.export_bytes();
+        assert_eq!(exported.1, 2, "the export counts the journal");
+        drop(store);
+        // Reopen: clean Active rung, every record replayed, same state.
         let (reopened, report) = DurableStore::open(&dir).expect("reopen");
         assert_eq!(report.rung, RecoveryRung::Active);
         assert!(report.is_clean(), "{report:?}");
-        assert_eq!(reopened.feedback(), &feedback_before);
-        assert_eq!(reopened.entries(), store.entries());
-        assert!(fsck(&dir).healthy);
-        // The checkpoint resumes into a live scanner.
-        let cp = reopened.feedback().online("t", "v").expect("checkpoint");
-        let online = cp.resume().expect("resume");
-        assert_eq!(online.seen(), 100);
-        assert_eq!(online.matched(), 26);
-    }
-
-    #[test]
-    fn journal_replays_on_reopen() {
-        let dir = scratch("replay");
-        let (mut store, _) = DurableStore::open(&dir).expect("open");
-        store.publish(vec![entry("t", "v")]).expect("publish");
-        store.append(&online("v", 25.0, 100)).expect("append");
-        store.append(&online("v", 25.0, 200)).expect("append");
-        let feedback = store.feedback().clone();
-        drop(store);
-        let (reopened, report) = DurableStore::open(&dir).expect("reopen");
         assert_eq!(report.journal_applied, 2);
-        assert_eq!(reopened.feedback(), &feedback);
-        assert_eq!(reopened.journal_len(), 2);
+        assert_eq!(reopened.export_bytes(), exported);
+        assert_eq!(reopened.entries(), &[entry("t", "v")]);
+        let check = fsck(&dir);
+        assert!(check.healthy, "findings: {:?}", check.findings);
+        assert_eq!(check.journal_records, 2);
+        // The store writes the manifest, one snapshot per retained
+        // generation and the journal: nothing else.
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "MANIFEST",
+                "gen-000000.stats",
+                "gen-000001.stats",
+                "journal.log"
+            ]
+        );
     }
 
     #[test]
-    fn observations_are_validated_and_counted_but_fold_nothing() {
+    fn observations_are_validated_and_counted() {
         let dir = scratch("obscontract");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         store.publish(vec![entry("t", "v")]).expect("publish");
@@ -1781,7 +1198,6 @@ mod tests {
         for rec in &records {
             store.append(rec).expect("append");
         }
-        assert!(store.feedback().is_empty(), "observations fold nothing");
         // Refused before the write: an unknown column, a NaN truth, an
         // out-of-range truth, a non-finite base and an inverted query.
         assert!(matches!(
@@ -1791,33 +1207,47 @@ mod tests {
         assert!(store.append(&obs("t", "v", f64::NAN)).is_err());
         assert!(store.append(&obs("t", "v", 1.5)).is_err());
         let mut bad_base = obs("t", "v", 0.5);
-        if let JournalRecord::Observation { base, .. } = &mut bad_base {
-            *base = f64::INFINITY;
-        }
+        let JournalRecord::Observation { base, .. } = &mut bad_base;
+        *base = f64::INFINITY;
         assert!(store.append(&bad_base).is_err());
         let mut inverted = obs("t", "v", 0.5);
-        if let JournalRecord::Observation { a, .. } = &mut inverted {
-            *a = 30.0;
-        }
+        let JournalRecord::Observation { a, .. } = &mut inverted;
+        *a = 30.0;
         assert!(store.append(&inverted).is_err());
         assert_eq!(
-            store.journal_len(),
+            store.export_bytes().1,
             records.len(),
             "refusals never hit disk"
         );
         drop(store);
-        let (mut reopened, report) = DurableStore::open(&dir).expect("reopen");
+        let (_, report) = DurableStore::open(&dir).expect("reopen");
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(report.journal_applied, records.len());
-        reopened.compact().expect("compact");
-        let feedback =
-            std::fs::read_to_string(dir.join(gen_feedback_name(reopened.active_generation())))
-                .expect("read feedback");
-        assert_eq!(
-            feedback,
-            format!("{FEEDBACK_HEADER}\n"),
-            "no grid or alarm line"
-        );
+    }
+
+    #[test]
+    fn journal_records_round_trip_exactly() {
+        let awkward = [0.1, 77.54321098765432, 1e-9, 5e-324, 99.99999999999999];
+        let records: Vec<JournalRecord> = awkward
+            .iter()
+            .map(|&x| JournalRecord::Observation {
+                relation: "t".to_owned(),
+                column: "v".to_owned(),
+                a: x,
+                b: 100.0 - x,
+                base: x / 7.0,
+                truth: x / 100.0,
+            })
+            .collect();
+        let mut text = format!("{JOURNAL_HEADER} gen 3\n");
+        for rec in &records {
+            text.push_str(&encode_record_line(rec));
+        }
+        let scan = scan_journal(&text).expect("scan");
+        assert_eq!(scan.gen, 3);
+        assert_eq!(scan.records, records, "floats round-trip bit-exactly");
+        assert_eq!(scan.valid_len, text.len() as u64);
+        assert!(!scan.torn_tail && scan.midfile_corrupt.is_none());
     }
 
     #[test]
@@ -1844,7 +1274,7 @@ mod tests {
         assert!(!report.is_clean());
         let (healed, report) = DurableStore::open(&dir).expect("reopen");
         assert!(report.is_clean(), "{report:?}");
-        assert_eq!(healed.journal_len(), 0);
+        assert_eq!(healed.export_bytes().1, 0);
         assert_eq!(healed.entries(), &[entry("t", "v")]);
         let check = fsck(&dir);
         assert!(check.healthy, "findings: {:?}", check.findings);
@@ -1861,6 +1291,23 @@ mod tests {
         let gens = list_generations(&dir).expect("list");
         assert_eq!(gens, vec![4, 5], "keep_generations=2");
         assert!(fsck(&dir).healthy);
+    }
+
+    #[test]
+    fn publish_resets_the_journal() {
+        let dir = scratch("reset");
+        let (mut store, _) = DurableStore::open(&dir).expect("open");
+        store.publish(vec![entry("t", "v")]).expect("gen 1");
+        store.append(&obs("t", "v", 0.5)).expect("append");
+        assert_eq!(store.export_bytes().1, 1);
+        store.publish(vec![entry("t", "v")]).expect("gen 2");
+        assert_eq!(
+            store.export_bytes().1,
+            0,
+            "observations of old statistics do not transfer"
+        );
+        let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read journal");
+        assert_eq!(text, format!("{JOURNAL_HEADER} gen 2\n"));
     }
 
     #[test]
@@ -1923,9 +1370,9 @@ mod tests {
         let dir = scratch("torntail");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         store.publish(vec![entry("t", "v")]).expect("publish");
-        store.append(&online("v", 25.0, 100)).expect("append");
-        let feedback = store.feedback().clone();
-        store.append(&online("v", 25.0, 200)).expect("append 2");
+        store.append(&obs("t", "v", 0.1)).expect("append");
+        let before = store.export_bytes();
+        store.append(&obs("t", "v", 0.2)).expect("append 2");
         drop(store);
         // Tear the last record in half.
         let jpath = dir.join(JOURNAL_FILE);
@@ -1938,8 +1385,8 @@ mod tests {
         assert!(report.journal_truncated);
         assert_eq!(report.journal_applied, 1);
         assert_eq!(
-            reopened.feedback(),
-            &feedback,
+            reopened.export_bytes(),
+            before,
             "state is exactly the pre-torn-append state"
         );
         let check = fsck(&dir);
@@ -1952,8 +1399,8 @@ mod tests {
         let dir = scratch("midfile");
         let (mut store, _) = DurableStore::open(&dir).expect("open");
         store.publish(vec![entry("t", "v")]).expect("publish");
-        store.append(&online("v", 25.0, 100)).expect("append");
-        store.append(&online("v", 25.0, 200)).expect("append 2");
+        store.append(&obs("t", "v", 0.1)).expect("append");
+        store.append(&obs("t", "v", 0.2)).expect("append 2");
         drop(store);
         // Corrupt the FIRST record; the second stays valid -> not a tail.
         let jpath = dir.join(JOURNAL_FILE);
@@ -1963,49 +1410,12 @@ mod tests {
         let (reopened, report) = DurableStore::open(&dir).expect("reopen");
         assert!(report.journal_stale);
         assert_eq!(report.journal_applied, 0);
-        assert!(
-            reopened.feedback().is_empty(),
+        assert_eq!(
+            reopened.export_bytes().1,
+            0,
             "untrustworthy journal discarded wholesale"
         );
         assert!(fsck(&dir).healthy);
-    }
-
-    #[test]
-    fn feedback_encoding_round_trips_exactly() {
-        let dir = scratch("fbroundtrip");
-        let (mut store, _) = DurableStore::open(&dir).expect("open");
-        store
-            .publish(vec![entry("t", "v"), entry("t", "w")])
-            .expect("publish");
-        for b in [50.0, 31.0, 77.54321098765432, 1e-9] {
-            store.append(&online("v", b, 400)).expect("append");
-        }
-        store.append(&online("w", 12.5, 8)).expect("append w");
-        store
-            .checkpoint_sketch(&sketch_checkpoint())
-            .expect("append sketch");
-        let encoded = encode_feedback(store.feedback());
-        let decoded = decode_feedback(&encoded).expect("decode");
-        assert_eq!(&decoded, store.feedback());
-        assert_eq!(encode_feedback(&decoded), encoded, "fixed point");
-    }
-
-    #[test]
-    fn feedback_entry_count_from_the_file_cannot_exhaust_memory() {
-        // A well-checksummed sketch line claiming 2^40 summary entries:
-        // the decoder must refuse it, not reserve 24 TiB for them.
-        let line = "sketch r c sampling 0 0.01 0 0 1099511627776";
-        let text = format!(
-            "{FEEDBACK_HEADER}\n{line}\ncheck {:016x}\n",
-            fnv1a_64(line.as_bytes())
-        );
-        match decode_feedback(&text) {
-            Err(EstimateError::CorruptEntry { line, message, .. }) => {
-                assert_eq!(line, 2);
-                assert!(message.contains("wants 1099511627776"), "{message}");
-            }
-            other => panic!("expected CorruptEntry, got {other:?}"),
-        }
     }
 
     #[test]
@@ -2054,12 +1464,19 @@ mod tests {
         store.publish(vec![entry("t", "v")]).expect("publish");
         drop(store);
         std::fs::write(dir.join("gen-000001.stats.tmp"), "debris").expect("tmp");
+        std::fs::write(dir.join("gen-000001.feedback"), "old format").expect("feedback");
         let spath = dir.join(gen_stats_name(1));
         let text = std::fs::read_to_string(&spath).expect("read");
         std::fs::write(&spath, format!("{text}x")).expect("damage");
         let check = fsck(&dir);
         assert!(!check.healthy);
-        assert!(check.findings.iter().any(|f| f.contains("temp debris")));
+        for name in ["gen-000001.stats.tmp", "gen-000001.feedback"] {
+            assert!(
+                check.findings.contains(&format!("debris {name}")),
+                "{:?}",
+                check.findings
+            );
+        }
         assert!(check
             .findings
             .iter()
@@ -2067,102 +1484,108 @@ mod tests {
         // Repair = open + re-check.
         let (_, report) = DurableStore::open(&dir).expect("repair");
         assert_ne!(report.rung, RecoveryRung::Active);
+        assert!(report.pruned.contains(&"gen-000001.feedback".to_owned()));
         let check = fsck(&dir);
         assert!(check.healthy, "findings: {:?}", check.findings);
     }
 
-    fn sketch_checkpoint() -> SketchCheckpoint {
-        use crate::catalog::{AnalyzeConfig, StatisticsCatalog};
-        use crate::relation::{Column, Relation};
-        let d = Domain::new(0.0, 100.0);
-        let values: Vec<f64> = (0..500)
-            .map(|i| (i as f64 * 0.618_033_988_749).fract() * 100.0)
-            .collect();
-        let mut r = Relation::new("t");
-        r.add_column(Column::new("v", d, values));
-        let mut cat = StatisticsCatalog::new();
-        let report = cat.try_analyze_incremental(
-            &r,
-            &AnalyzeConfig::default(),
-            &selest_par::TryConfig::jobs(1),
-        );
-        assert!(report.is_healthy());
-        cat.incremental_checkpoints().remove(0)
+    /// Seeded byte mutations of a valid `text`, without end: a bit flip, a
+    /// truncation, or a numeric token spliced over the token at a random
+    /// byte.
+    fn mutations(text: &str, seed: u64) -> impl Iterator<Item = Vec<u8>> + '_ {
+        use crate::overload::splitmix64;
+        const SPLICES: [&str; 9] = [
+            "0",
+            "-1",
+            "0.5",
+            "18446744073709551616",
+            "1e309",
+            "NaN",
+            "inf",
+            "99999999999999999999",
+            "-0",
+        ];
+        let bytes = text.as_bytes();
+        (0u64..).map(move |case| {
+            let r = splitmix64(seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let at = (r >> 8) as usize % bytes.len();
+            let mut out = bytes.to_vec();
+            match r % 3 {
+                0 => out[at] ^= 1 << ((r >> 4) % 8),
+                1 => out.truncate(at),
+                _ => {
+                    let start = at
+                        - bytes[..at]
+                            .iter()
+                            .rev()
+                            .take_while(|b| b.is_ascii_alphanumeric() || **b == b'.' || **b == b'-')
+                            .count();
+                    let end = at
+                        + bytes[at..]
+                            .iter()
+                            .take_while(|b| b.is_ascii_alphanumeric() || **b == b'.' || **b == b'-')
+                            .count();
+                    let splice = SPLICES[(r >> 32) as usize % SPLICES.len()];
+                    out.splice(start..end, splice.bytes());
+                }
+            }
+            out
+        })
     }
 
-    #[test]
-    fn sketch_checkpoints_survive_restart_and_latest_wins() {
-        let dir = scratch("sketchjournal");
-        let (mut store, _) = DurableStore::open(&dir).expect("open");
-        store.publish(vec![entry("t", "v")]).expect("publish");
-        let mut cp = sketch_checkpoint();
-        store.checkpoint_sketch(&cp).expect("checkpoint");
-        cp.updates_since_refresh = 7;
-        store.checkpoint_sketch(&cp).expect("checkpoint 2");
-        assert_eq!(store.journal_len(), 2);
-        assert_eq!(store.feedback().sketch("t", "v"), Some(&cp), "latest wins");
-        drop(store);
-        let (mut reopened, report) = DurableStore::open(&dir).expect("reopen");
-        assert_eq!(report.journal_applied, 2);
-        assert_eq!(reopened.feedback().sketch("t", "v"), Some(&cp));
-        let check = fsck(&dir);
-        assert!(check.healthy, "findings: {:?}", check.findings);
-        assert_eq!(check.sketch_columns, 1);
-        assert_eq!(check.sketch_pending_updates, 7);
-        // Compact folds the journal into the feedback snapshot; the
-        // checkpoint (and its staleness pressure) survives the fold.
-        reopened.compact().expect("compact");
-        assert_eq!(reopened.journal_len(), 0);
-        assert_eq!(reopened.feedback().sketch("t", "v"), Some(&cp));
-        let check = fsck(&dir);
-        assert!(check.healthy, "findings: {:?}", check.findings);
-        assert_eq!(check.sketch_columns, 1);
-        assert_eq!(check.sketch_pending_updates, 7);
-        // Restore resumes ingest: the rebuilt catalog reports exactly the
-        // checkpointed staleness pressure.
-        let (mut catalog, _) = reopened.load_catalog();
-        let failures = reopened.restore_incremental(&mut catalog);
-        assert!(failures.is_empty(), "{failures:?}");
-        let signals = catalog.staleness_signals();
-        assert_eq!(signals.len(), 1);
-        assert_eq!((signals[0].0.as_str(), signals[0].1.as_str()), ("t", "v"));
-        assert_eq!(signals[0].2.pending_updates, 7);
-    }
-
-    #[test]
-    fn invalid_sketch_checkpoints_never_reach_the_journal() {
-        let dir = scratch("sketchreject");
-        let (mut store, _) = DurableStore::open(&dir).expect("open");
-        store.publish(vec![entry("t", "v")]).expect("publish");
-        let good = sketch_checkpoint();
-        // Orphan: no statistics entry for the column.
-        let mut orphan = good.clone();
-        orphan.column = "missing".to_owned();
-        assert!(matches!(
-            store.checkpoint_sketch(&orphan),
-            Err(EstimateError::MissingStatistics { .. })
-        ));
-        // Internally inconsistent GK state (Σg must equal n).
-        let mut torn = good.clone();
-        torn.sketch.n += 1;
-        assert!(store.checkpoint_sketch(&torn).is_err());
-        assert_eq!(store.journal_len(), 0, "rejected records never hit disk");
-        assert!(store.feedback().is_empty());
-    }
-
-    #[test]
-    fn publish_resets_feedback_but_compact_keeps_it() {
-        let dir = scratch("reset");
-        let (mut store, _) = DurableStore::open(&dir).expect("open");
-        store.publish(vec![entry("t", "v")]).expect("gen 1");
-        store.append(&online("v", 25.0, 100)).expect("append");
-        assert!(!store.feedback().is_empty());
-        store.compact().expect("compact");
-        assert!(!store.feedback().is_empty(), "compact keeps checkpoints");
-        store.publish(vec![entry("t", "v")]).expect("gen 3");
+    /// Run `decode` on 2 000 seeded mutations of `text` that are still
+    /// UTF-8 (the store reads its files as text, so bit rot outside UTF-8
+    /// is refused before any decoder runs). Every outcome must be `Ok` or
+    /// a typed error, never a panic, and at least a fifth of the mutations
+    /// must change the outcome, so the battery bites.
+    fn battery<T: PartialEq, E: core::fmt::Debug>(
+        name: &str,
+        text: &str,
+        seed: u64,
+        decode: impl Fn(&str) -> Result<T, E> + std::panic::RefUnwindSafe,
+    ) {
+        let pristine = decode(text);
+        assert!(pristine.is_ok(), "{name}: the pristine text decodes");
+        let mut noticed = 0;
+        let utf8 = mutations(text, seed).filter_map(|bytes| String::from_utf8(bytes).ok());
+        for (case, mutated) in utf8.take(2_000).enumerate() {
+            let mutated = mutated.as_str();
+            match std::panic::catch_unwind(|| decode(mutated)) {
+                Ok(Ok(decoded)) => noticed += usize::from(Some(&decoded) != pristine.as_ref().ok()),
+                Ok(Err(_)) => noticed += 1,
+                Err(_) => panic!("{name} case {case} panicked on {mutated:?}"),
+            }
+        }
         assert!(
-            store.feedback().is_empty(),
-            "fresh statistics invalidate old checkpoints"
+            noticed >= 400,
+            "{name}: only {noticed} of 2000 mutations noticed"
         );
+    }
+
+    #[test]
+    fn decoders_never_panic_on_mutated_bytes() {
+        let mut journal = format!("{JOURNAL_HEADER} gen 12\n");
+        for truth in [0.25, 0.5, 0.125] {
+            journal.push_str(&encode_record_line(&obs("orders", "amount", truth)));
+        }
+        battery("journal", &journal, 0xF022_0001, |t| {
+            scan_journal(t).map(|s| {
+                let damage = s.midfile_corrupt.map(|e| e.to_string());
+                (s.gen, s.records, s.valid_len, s.torn_tail, damage)
+            })
+        });
+        let manifest = encode_manifest(12, 0x0123_4567_89ab_cdef);
+        battery("manifest", &manifest, 0xF022_0002, |t| {
+            decode_manifest(t).map(|m| (m.active, m.stats_fnv))
+        });
+        let mut skewed = entry("orders", "amount");
+        skewed.kind = EstimatorKind::Kernel;
+        skewed.sample = (0..40).map(|i| (i as f64 * 0.37).exp()).collect();
+        let stats = persist::encode(&[entry("t", "v"), skewed]);
+        battery("persist", &stats, 0xF022_0003, persist::decode);
+        let values = "# extract\n42\n7\n\n255\n0\n# end\n";
+        battery("read_values", values, 0xF022_0004, |t| {
+            selest_data::read_values(t.as_bytes(), "t", 8).map(|d| d.values().to_vec())
+        });
     }
 }

@@ -186,8 +186,8 @@ impl FaultInjector {
 }
 
 /// One I/O boundary in the durable store's write/commit path where a
-/// simulated crash can strike. The four atomic-write sites (snapshot,
-/// feedback file, manifest, journal reset) each expose three boundaries —
+/// simulated crash can strike. The three atomic-write sites (snapshot,
+/// manifest, journal reset) each expose three boundaries —
 /// a torn partial write of the temp file, a completed-but-unrenamed temp
 /// file, and a renamed file whose directory entry was never synced — and
 /// the append-only journal adds a mid-record tear and a pre-fsync loss.
@@ -199,12 +199,6 @@ pub enum CrashPoint {
     SnapshotPreRename,
     /// Snapshot renamed but the directory entry never synced.
     SnapshotPostRename,
-    /// Torn write of the feedback file's temp file.
-    FeedbackPartialWrite,
-    /// Feedback temp written+synced but the rename never happened.
-    FeedbackPreRename,
-    /// Feedback file renamed but the directory entry never synced.
-    FeedbackPostRename,
     /// Torn write of the manifest's temp file.
     ManifestPartialWrite,
     /// Manifest temp written+synced but the rename never happened.
@@ -226,13 +220,10 @@ pub enum CrashPoint {
 impl CrashPoint {
     /// Every crash point, in write-path order — the sweep domain for the
     /// chaos gate (`scripts/chaos_sweep.sh --crash`).
-    pub const ALL: [CrashPoint; 14] = [
+    pub const ALL: [CrashPoint; 11] = [
         CrashPoint::SnapshotPartialWrite,
         CrashPoint::SnapshotPreRename,
         CrashPoint::SnapshotPostRename,
-        CrashPoint::FeedbackPartialWrite,
-        CrashPoint::FeedbackPreRename,
-        CrashPoint::FeedbackPostRename,
         CrashPoint::ManifestPartialWrite,
         CrashPoint::ManifestPreRename,
         CrashPoint::ManifestPostRename,

@@ -22,7 +22,6 @@ pub mod online;
 pub mod overload;
 pub mod persist;
 pub mod planner;
-pub mod query;
 pub mod relation;
 pub mod serving;
 pub mod staleness;
@@ -30,13 +29,11 @@ pub mod staleness;
 pub use catalog::{
     build_estimator_from_prepared, try_build_estimator_from_prepared, AnalyzeConfig, BuildFailure,
     CatalogHealthReport, ColumnDelta, ColumnStatistics, EstimatorKind, IncrementalState,
-    QuarantinedColumn, RefreshReport, SketchCheckpoint, StatisticsCatalog, UpdateReport,
-    SKETCH_EPSILON,
+    QuarantinedColumn, RefreshReport, StatisticsCatalog, UpdateReport, SKETCH_EPSILON,
 };
 pub use conjunctive::{CorrelationModel, PairStatistics};
 pub use durable::{
-    fsck, DurableStore, FeedbackState, FsckReport, JournalRecord, OnlineCheckpoint, RecoveryReport,
-    RecoveryRung, RetentionPolicy,
+    fsck, DurableStore, FsckReport, JournalRecord, RecoveryReport, RecoveryRung, RetentionPolicy,
 };
 pub use faultinject::{
     CrashPlan, CrashPoint, FailingEstimator, FailureMode, FaultInjector, InjectionReport,
@@ -48,7 +45,6 @@ pub use persist::{decode as decode_statistics, encode as encode_statistics, Pers
 pub use planner::{
     execute_range_query, plan_range_query, try_plan_range_query, AccessPath, Execution, Plan,
 };
-pub use query::{ChosenPath, Database, Explanation, QueryResult, RangePredicate, SelectQuery};
 pub use relation::{Column, Relation};
 pub use serving::{
     BreakerHealth, CacheStats, CatalogSnapshot, EstimateCache, ServeRung, ServedEstimate,

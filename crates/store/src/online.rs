@@ -77,32 +77,6 @@ impl OnlineSelectivity {
         }
     }
 
-    /// Rebuild a progressive estimate from checkpointed counters (the
-    /// durable store's journal logs them so a scan can resume after a
-    /// restart). Rejects impossible counter combinations — more matches
-    /// than rows would poison every later estimate — with a typed error.
-    pub fn from_parts(
-        query: RangeQuery,
-        seen: usize,
-        matched: usize,
-        skipped_nonfinite: usize,
-    ) -> Result<Self, selest_core::fault::EstimateError> {
-        if matched > seen {
-            return Err(selest_core::fault::EstimateError::CorruptEntry {
-                path: None,
-                line: 1,
-                offset: 0,
-                message: format!("online checkpoint has matched {matched} > seen {seen}"),
-            });
-        }
-        Ok(OnlineSelectivity {
-            query,
-            seen,
-            matched,
-            skipped_nonfinite,
-        })
-    }
-
     /// The range predicate being estimated.
     pub fn query(&self) -> RangeQuery {
         self.query
@@ -261,23 +235,6 @@ mod tests {
         assert!(est.try_snapshot(1.0).is_err());
         assert!(est.try_snapshot(-0.1).is_err());
         assert!(est.try_snapshot(0.95).is_ok());
-    }
-
-    #[test]
-    fn from_parts_resumes_a_checkpointed_scan() {
-        let q = RangeQuery::new(0.0, 50.0);
-        let mut live = OnlineSelectivity::new(q);
-        live.update_batch([10.0, 60.0, f64::NAN, 30.0]);
-        let resumed = OnlineSelectivity::from_parts(
-            live.query(),
-            live.seen(),
-            live.matched(),
-            live.skipped_nonfinite(),
-        )
-        .expect("valid counters");
-        assert_eq!(resumed.estimate(), live.estimate());
-        assert_eq!(resumed.snapshot(0.95), live.snapshot(0.95));
-        assert!(OnlineSelectivity::from_parts(q, 3, 5, 0).is_err());
     }
 
     #[test]

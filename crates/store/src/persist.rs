@@ -55,7 +55,7 @@ pub struct PersistedStatistics {
     pub sample: Arc<[f64]>,
 }
 
-pub(crate) fn kind_token(kind: EstimatorKind) -> &'static str {
+fn kind_token(kind: EstimatorKind) -> &'static str {
     match kind {
         EstimatorKind::Uniform => "uniform",
         EstimatorKind::Sampling => "sampling",
@@ -240,28 +240,6 @@ impl<'a> Fields<'a> {
     pub(crate) fn domain(&mut self) -> Result<Domain, EstimateError> {
         let (lo, hi) = (self.parse("domain lo")?, self.parse("domain hi")?);
         Domain::try_new(lo, hi).map_err(|e| corrupt(self.line, format!("invalid domain: {e}")))
-    }
-
-    /// `count` values of `what`, read one `parse` at a time.
-    pub(crate) fn repeat<T>(
-        &mut self,
-        count: usize,
-        what: &str,
-        mut parse: impl FnMut(&mut Self) -> Result<T, EstimateError>,
-    ) -> Result<Vec<T>, EstimateError> {
-        // The count comes from the file: cap the reservation so a damaged
-        // count cannot ask the allocator for more than the line holds.
-        let mut out = Vec::with_capacity(count.min(1 << 20));
-        for found in 0..count {
-            if self.at_end() {
-                return Err(corrupt(
-                    self.line,
-                    format!("{what}: wants {count}, found {found}"),
-                ));
-            }
-            out.push(parse(self)?);
-        }
-        Ok(out)
     }
 
     /// Whether every token has been consumed.

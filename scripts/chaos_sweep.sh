@@ -15,9 +15,11 @@
 #
 # --crash switches the sweep to the durability suite (tests/durability.rs):
 # each SELEST_CRASH_SEED arms a CrashPlan at one of the write path's I/O
-# boundaries, and the sweep test itself additionally walks every
-# enumerated crash point, so the seed range here mostly varies the
-# corruption-property cases (truncation cuts, bit-flip sites).
+# boundaries (snapshot, MANIFEST, journal reset, journal append), and the
+# sweep test itself additionally walks every enumerated crash point, so
+# the seed range here mostly varies the corruption-property cases
+# (truncation cuts, bit-flip sites in the snapshot, MANIFEST and
+# journal).
 #
 # --overload switches the sweep to the overload chaos test
 # (tests/serving_engine.rs): each (SELEST_OVERLOAD_SEED,

@@ -74,7 +74,7 @@ SELEST_JOBS=7 cargo test -q --test chaos_parallel
 echo "==> crash-recovery gate (fixed-seed durability tests under SELEST_JOBS=1 and SELEST_JOBS=7)"
 # tests/durability.rs walks every CrashPlan injection point and asserts
 # reopen lands on a committed state with a healthy fsck; the two worker
-# counts pin the byte-determinism of snapshot/journal/compaction output.
+# counts pin the byte-determinism of snapshot/journal/republish output.
 # scripts/chaos_sweep.sh --crash widens the seed coverage on demand.
 SELEST_JOBS=1 cargo test -q --test durability
 SELEST_JOBS=7 cargo test -q --test durability

@@ -391,12 +391,6 @@ fn print_fsck(report: &selest::store::FsckReport) {
     let gens: Vec<String> = report.generations.iter().map(u64::to_string).collect();
     println!("on disk     [{}]", gens.join(", "));
     println!("journal     {} records", report.journal_records);
-    if report.sketch_columns > 0 {
-        println!(
-            "sketches    {} columns journaled, {} updates pending at restore",
-            report.sketch_columns, report.sketch_pending_updates
-        );
-    }
     for finding in &report.findings {
         println!("finding     {finding}");
     }
@@ -427,28 +421,6 @@ fn cmd_fsck(args: &[String]) {
             );
             for (relation, column, error) in &failures {
                 println!("            unservable {relation}.{column}: {error}");
-            }
-            // Journaled sketch state carries staleness pressure across
-            // restarts: judge each restored column with the default
-            // policy so operators see whether the active generation is
-            // serving stale statistics.
-            let mut catalog = StatisticsCatalog::new();
-            let sketch_failures = store.restore_incremental(&mut catalog);
-            let policy = selest::store::StalenessPolicy::default();
-            for (relation, column, signal) in catalog.staleness_signals() {
-                match policy.verdict(&signal) {
-                    Some(reason) => println!(
-                        "staleness   {relation}.{column}: STALE ({reason}, {} updates pending)",
-                        signal.pending_updates
-                    ),
-                    None => println!(
-                        "staleness   {relation}.{column}: fresh ({} updates pending)",
-                        signal.pending_updates
-                    ),
-                }
-            }
-            for (relation, column, error) in &sketch_failures {
-                println!("            unrestorable sketch {relation}.{column}: {error}");
             }
         }
         return;

@@ -11,9 +11,12 @@
 //! 2. any prefix truncation or single-byte flip of a snapshot or
 //!    manifest recovers a prior good generation (typed, never a panic)
 //!    whose bytes match a fault-free build of the same columns, and one
-//!    of a feedback file or the journal keeps the intact statistics;
-//! 3. snapshot → journal appends → compact exports byte-identically for
-//!    any worker count and equals a direct fault-free build.
+//!    of the journal keeps the intact statistics;
+//! 3. snapshot → journal appends → republish exports byte-identically
+//!    for any worker count and equals a direct fault-free build;
+//! 4. a store in the previous on-disk layout (v2 `MANIFEST` and journal,
+//!    a `gen-*.feedback` file per generation) opens onto its newest
+//!    snapshot, bit for bit, and keeps no feedback file.
 //!
 //! Seeds come from `SELEST_CRASH_SEED` (default `0xC4A5`), so a failing
 //! seed is a repro command (`scripts/chaos_sweep.sh --crash` sweeps
@@ -23,10 +26,10 @@ use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selest::par::{fnv1a_64, TryConfig};
+use selest::par::fnv1a_64;
 use selest::store::{
     fsck, AnalyzeConfig, Column, CrashPlan, CrashPoint, DurableStore, EstimatorKind, JournalRecord,
-    Relation, RetentionPolicy, StatisticsCatalog,
+    RecoveryRung, Relation, RetentionPolicy, StatisticsCatalog,
 };
 use selest::{Domain, EstimateError};
 
@@ -100,18 +103,6 @@ fn observation(truth: f64) -> JournalRecord {
     }
 }
 
-fn checkpoint(seen: usize) -> JournalRecord {
-    JournalRecord::OnlineCheckpoint {
-        relation: "t".to_owned(),
-        column: "w".to_owned(),
-        a: 0.0,
-        b: 500.0,
-        seen,
-        matched: seen / 2,
-        skipped_nonfinite: 1,
-    }
-}
-
 fn copy_dir(src: &Path, dst: &Path) {
     std::fs::create_dir_all(dst).expect("create copy dir");
     for entry in std::fs::read_dir(src).expect("read src") {
@@ -158,10 +149,10 @@ fn exercise_crash_point(point: CrashPoint, tag: &str) {
     let (mut twin, _) = DurableStore::open(&twin_dir).expect("open twin");
     twin.publish(catalog(1, 1).export()).expect("twin gen 1");
     twin.append(&observation(0.42)).expect("twin obs");
-    twin.append(&checkpoint(1000)).expect("twin checkpoint");
+    twin.append(&observation(0.1)).expect("twin obs 2");
     let pre = twin.export_bytes();
     if journal_point(point) {
-        twin.append(&checkpoint(1500)).expect("twin checkpoint 2");
+        twin.append(&observation(0.15)).expect("twin obs 3");
     } else {
         twin.publish(catalog(2, 1).export()).expect("twin gen 2");
     }
@@ -172,10 +163,10 @@ fn exercise_crash_point(point: CrashPoint, tag: &str) {
     let (mut store, _) = DurableStore::open(&dir).expect("open");
     store.publish(catalog(1, 1).export()).expect("gen 1");
     store.append(&observation(0.42)).expect("obs");
-    store.append(&checkpoint(1000)).expect("checkpoint");
+    store.append(&observation(0.1)).expect("obs 2");
     store.set_crash_plan(CrashPlan::at(point));
     let crashed = if journal_point(point) {
-        store.append(&checkpoint(1500)).expect_err("must crash")
+        store.append(&observation(0.15)).expect_err("must crash")
     } else {
         store
             .publish(catalog(2, 1).export())
@@ -228,9 +219,8 @@ fn seeded_crash_plan_recovers_like_the_sweep() {
 
 /// Build a pristine two-generation store and return
 /// `(dir, gen1_stats_bytes, gen2_stats_bytes)` where generation 2 is
-/// active, with an observation, an online checkpoint and a sketch
-/// checkpoint in its journal, and generation 1 is the recovery rung below
-/// it.
+/// active, with observations of both columns in its journal, and
+/// generation 1 is the recovery rung below it.
 fn pristine_store(tag: &str) -> (PathBuf, String, String) {
     let dir = scratch(tag);
     let (mut store, _) = DurableStore::open_with(
@@ -246,7 +236,7 @@ fn pristine_store(tag: &str) -> (PathBuf, String, String) {
     store.publish(catalog(2, 1).export()).expect("gen 2");
     let gen2 = store.export_bytes().0;
     assert_ne!(gen1, gen2, "variants must differ for the test to bite");
-    for rec in [observation(0.3), checkpoint(700), sketch_record(2)] {
+    for rec in journal_records(0.3) {
         store.append(&rec).expect("journal");
     }
     (dir, gen1, gen2)
@@ -304,25 +294,22 @@ fn snapshot_corruption_recovers_previous_generation_bytes() {
         );
         assert!(fsck(&dir).healthy, "manifest case {case}");
     }
-    // A damaged feedback file or journal: the statistics are intact, so
-    // whatever recovery does with the learned feedback, it keeps serving
-    // generation 2's bytes.
-    for name in ["gen-000002.feedback", "journal.log"] {
-        let bytes = std::fs::read(pristine.join(name)).expect("read pristine file");
-        for case in 0..24u32 {
-            let dir = scratch(&format!("property-{name}-{case}"));
-            copy_dir(&pristine, &dir);
-            std::fs::write(dir.join(name), damage(&mut rng, &bytes, case)).expect("damage");
-            let (recovered, report) = DurableStore::open(&dir).expect("recovery must succeed");
-            assert_eq!(
-                recovered.export_bytes().0,
-                gen2,
-                "{name} case {case}: statistics drifted (rung {:?})",
-                report.rung
-            );
-            let check = fsck(&dir);
-            assert!(check.healthy, "{name} case {case}: {:?}", check.findings);
-        }
+    // A damaged journal: the statistics are intact, so whatever recovery
+    // does with the observations, it keeps serving generation 2's bytes.
+    let journal = std::fs::read(pristine.join("journal.log")).expect("read journal");
+    for case in 0..24u32 {
+        let dir = scratch(&format!("property-journal-{case}"));
+        copy_dir(&pristine, &dir);
+        std::fs::write(dir.join("journal.log"), damage(&mut rng, &journal, case)).expect("damage");
+        let (recovered, report) = DurableStore::open(&dir).expect("recovery must succeed");
+        assert_eq!(
+            recovered.export_bytes().0,
+            gen2,
+            "journal case {case}: statistics drifted (rung {:?})",
+            report.rung
+        );
+        let check = fsck(&dir);
+        assert!(check.healthy, "journal case {case}: {:?}", check.findings);
     }
 }
 
@@ -343,10 +330,15 @@ fn store_lifecycle_is_byte_identical_across_worker_counts() {
                 .append(&observation(0.2 + 0.1 * i as f64))
                 .expect("obs");
         }
-        store.append(&sketch_record(3)).expect("sketch");
-        store.append(&checkpoint(4321)).expect("checkpoint");
-        store.compact().expect("compact");
-        let (stats, feedback) = store.export_bytes();
+        cat.publish_to(&mut store).expect("republish");
+        for rec in journal_records(0.6) {
+            store.append(&rec).expect("obs after republish");
+        }
+        let (stats, journal_len) = store.export_bytes();
+        assert_eq!(
+            journal_len, 2,
+            "jobs={jobs}: the republish reset the journal"
+        );
         // The on-disk snapshot is exactly the exported encoding, and the
         // export is exactly a direct fault-free build of the same columns.
         let on_disk = std::fs::read_to_string(dir.join("gen-000002.stats")).expect("read snapshot");
@@ -358,57 +350,50 @@ fn store_lifecycle_is_byte_identical_across_worker_counts() {
         );
         let manifest = std::fs::read_to_string(dir.join("MANIFEST")).expect("read manifest");
         let journal = std::fs::read_to_string(dir.join("journal.log")).expect("read journal");
-        outputs.push((jobs, stats, feedback, manifest, journal));
+        outputs.push((jobs, stats, manifest, journal));
     }
-    let (_, stats1, feedback1, manifest1, journal1) = &outputs[0];
-    for (jobs, stats, feedback, manifest, journal) in &outputs[1..] {
+    let (_, stats1, manifest1, journal1) = &outputs[0];
+    for (jobs, stats, manifest, journal) in &outputs[1..] {
         assert_eq!(stats, stats1, "jobs={jobs}: stats drifted");
-        assert_eq!(feedback, feedback1, "jobs={jobs}: feedback drifted");
         assert_eq!(manifest, manifest1, "jobs={jobs}: manifest drifted");
         assert_eq!(journal, journal1, "jobs={jobs}: journal drifted");
     }
 }
 
-/// A sketch checkpoint of column `t.v` of `variant`'s relation.
-fn sketch_record(variant: u64) -> JournalRecord {
-    let mut cat = StatisticsCatalog::new();
-    assert!(cat
-        .try_analyze_incremental(&relation(variant), &config(), &TryConfig::jobs(1))
-        .is_healthy());
-    let cp = cat
-        .incremental_checkpoints()
-        .into_iter()
-        .find(|cp| cp.column == "v")
-        .expect("t.v checkpoint");
-    JournalRecord::Sketch(cp)
-}
-
-/// One of each journal record kind, against `variant`'s columns.
-fn every_record_kind(variant: u64, truth: f64, seen: usize) -> Vec<JournalRecord> {
-    vec![observation(truth), checkpoint(seen), sketch_record(variant)]
+/// One observation of each of the relation's columns.
+fn journal_records(truth: f64) -> Vec<JournalRecord> {
+    ["v", "w"]
+        .map(|column| JournalRecord::Observation {
+            relation: "t".to_owned(),
+            column: column.to_owned(),
+            a: 100.0,
+            b: 400.0,
+            base: 0.3,
+            truth,
+        })
+        .into()
 }
 
 #[test]
 fn store_files_are_byte_pinned() {
-    // Publish, journal every record kind, compact (folding them into the
-    // feedback file), journal again: every file format the store writes
-    // is on disk at the end. The constants pin the bytes, so a change to
-    // any encoder or to the checksum function shows up here.
+    // Publish, journal, republish the same columns, journal again: every
+    // file format the store writes is on disk at the end. The constants
+    // pin the bytes, so a change to any encoder or to the checksum
+    // function shows up here.
     let dir = scratch("golden");
     let (mut store, _) = DurableStore::open(&dir).expect("open");
     assert_eq!(store.publish(catalog(3, 1).export()).expect("publish"), 1);
-    for rec in every_record_kind(3, 0.35, 1234) {
+    for rec in journal_records(0.35) {
         store.append(&rec).expect("append");
     }
-    assert_eq!(store.compact().expect("compact"), 2);
-    for rec in every_record_kind(3, 0.6, 2500) {
-        store.append(&rec).expect("append after compact");
+    assert_eq!(store.publish(catalog(3, 1).export()).expect("republish"), 2);
+    for rec in journal_records(0.6) {
+        store.append(&rec).expect("append after republish");
     }
-    let pins: [(&str, u64); 4] = [
-        ("MANIFEST", 0xb1d1_f0a1_19b7_0e51),
+    let pins: [(&str, u64); 3] = [
+        ("MANIFEST", 0x1e3b_2c1f_4339_1f2d),
         ("gen-000002.stats", 0xfe7f_3209_d8b9_981e),
-        ("gen-000002.feedback", 0xe945_1375_9e0f_a045),
-        ("journal.log", 0xbaec_e5cf_decf_1cc6),
+        ("journal.log", 0x7755_d410_97ba_994c),
     ];
     for (name, want) in pins {
         let bytes = std::fs::read(dir.join(name)).expect("read store file");
@@ -418,37 +403,7 @@ fn store_files_are_byte_pinned() {
 }
 
 // -------------------------------------------------------------------------
-// 4. End to end: crash mid-append, resume the online scan after reopen
-// -------------------------------------------------------------------------
-
-#[test]
-fn online_scan_resumes_from_the_last_durable_checkpoint() {
-    let dir = scratch("resume");
-    let (mut store, _) = DurableStore::open(&dir).expect("open");
-    store.publish(catalog(1, 1).export()).expect("publish");
-    store.append(&checkpoint(2000)).expect("checkpoint");
-    // Crash while checkpointing further progress.
-    store.set_crash_plan(CrashPlan::at(CrashPoint::JournalMidRecord));
-    store.append(&checkpoint(5000)).expect_err("crash");
-    drop(store);
-    let (reopened, report) = DurableStore::open(&dir).expect("reopen");
-    assert!(report.journal_truncated, "torn record must be dropped");
-    let cp = reopened
-        .feedback()
-        .online("t", "w")
-        .expect("durable checkpoint survives");
-    let scan = cp.resume().expect("resume");
-    assert_eq!(scan.seen(), 2000, "resumes from the last durable point");
-    assert_eq!(scan.matched(), 1000);
-    // The serving catalog rebuilds from the recovered entries.
-    let (catalog, failures) = reopened.load_catalog();
-    assert!(failures.is_empty());
-    assert!(catalog.statistics("t", "v").is_some());
-    assert!(catalog.statistics("t", "w").is_some());
-}
-
-// -------------------------------------------------------------------------
-// 5. Names the format cannot hold are refused before any write
+// 4. Names the format cannot hold are refused before any write
 // -------------------------------------------------------------------------
 
 /// Every file name in `dir` with its bytes, sorted by name.
@@ -470,7 +425,7 @@ fn unpersistable_names_are_refused_and_the_store_keeps_its_generation() {
     let dir = scratch("whitespace-names");
     let (mut store, _) = DurableStore::open(&dir).expect("open");
     store.publish(catalog(1, 1).export()).expect("gen 1");
-    let (stats, feedback) = store.export_bytes();
+    let exported = store.export_bytes();
     let before = dir_snapshot(&dir);
 
     for (relation_name, column_name) in [("orders 2024", "v"), ("orders", "unit\tprice"), ("", "v")]
@@ -491,7 +446,7 @@ fn unpersistable_names_are_refused_and_the_store_keeps_its_generation() {
     }
 
     assert_eq!(store.active_generation(), 1);
-    assert_eq!(store.export_bytes(), (stats, feedback));
+    assert_eq!(store.export_bytes(), exported);
     assert_eq!(
         dir_snapshot(&dir),
         before,
@@ -505,6 +460,79 @@ fn unpersistable_names_are_refused_and_the_store_keeps_its_generation() {
     );
     assert_eq!(report.active, Some(1));
     // The store still takes well-formed work.
-    assert_eq!(store.compact().expect("compact"), 2);
+    assert_eq!(store.publish(catalog(1, 1).export()).expect("publish"), 2);
     assert!(fsck(&dir).healthy);
+}
+
+// -------------------------------------------------------------------------
+// 5. A store in the previous on-disk layout migrates on open
+// -------------------------------------------------------------------------
+
+/// `payload` followed by its `check` line, as the previous layout's
+/// feedback file wrote each record.
+fn checked(payload: &str) -> String {
+    format!("{payload}\ncheck {:016x}\n", fnv1a_64(payload.as_bytes()))
+}
+
+#[test]
+fn a_store_in_the_previous_layout_opens_on_its_newest_snapshot() {
+    // The previous layout, written by hand: v3 snapshots (unchanged), a
+    // v2 feedback file per generation holding an online-scan checkpoint,
+    // a v2 MANIFEST that checksums both, and a v2 journal with one
+    // observation.
+    let dir = scratch("previous-layout");
+    std::fs::create_dir_all(&dir).expect("create store dir");
+    let gen1 = selest::store::encode_statistics(&catalog(1, 1).export());
+    let gen2 = selest::store::encode_statistics(&catalog(2, 1).export());
+    let feedback = format!(
+        "selest-feedback v2\n{}",
+        checked("online t w 0 500 700 350 1")
+    );
+    for (g, stats) in [(1, &gen1), (2, &gen2)] {
+        std::fs::write(dir.join(format!("gen-00000{g}.stats")), stats).expect("stats");
+        std::fs::write(dir.join(format!("gen-00000{g}.feedback")), &feedback).expect("feedback");
+    }
+    let active = format!(
+        "selest-manifest v2\nactive 2 {:016x} {:016x}",
+        fnv1a_64(gen2.as_bytes()),
+        fnv1a_64(feedback.as_bytes())
+    );
+    std::fs::write(dir.join("MANIFEST"), checked(&active)).expect("manifest");
+    let obs = "obs t v 100 400 0.3 0.42";
+    let journal = format!(
+        "selest-journal v2 gen 2\nrec {} {:016x} {obs}\n",
+        obs.len(),
+        fnv1a_64(obs.as_bytes())
+    );
+    std::fs::write(dir.join("journal.log"), journal).expect("journal");
+
+    let (store, report) = DurableStore::open(&dir).expect("open the previous layout");
+    assert_eq!(report.rung, RecoveryRung::PreviousGeneration, "{report:?}");
+    assert_eq!(store.export_bytes(), (gen2.clone(), 0));
+    assert_eq!(
+        store.entries(),
+        selest::store::decode_statistics(&gen2)
+            .expect("decode")
+            .as_slice()
+    );
+    // The old MANIFEST and journal are quarantined; the feedback files are
+    // pruned as debris, and reported.
+    for name in ["MANIFEST", "journal.log"] {
+        assert!(report.quarantined.iter().any(|q| q == name), "{report:?}");
+    }
+    for name in ["gen-000001.feedback", "gen-000002.feedback"] {
+        assert!(report.pruned.iter().any(|p| p == name), "{report:?}");
+    }
+    let feedback_left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read store dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".feedback"))
+        .collect();
+    assert!(feedback_left.is_empty(), "{feedback_left:?}");
+    let check = fsck(&dir);
+    assert!(check.healthy, "{:?}", check.findings);
+    // The migrated store reopens clean on the same bytes.
+    let (reopened, report) = DurableStore::open(&dir).expect("reopen");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(reopened.export_bytes(), (gen2, 0));
 }
