@@ -246,16 +246,20 @@ impl MomentTable {
         }
     }
 
-    /// End of the piece that starts at sample `a`, in cell `j`: the end of
-    /// the cell when the cell holds the checkpoint at or before `a`, else
-    /// the next checkpoint. A piece that ends there holds no checkpoint
-    /// pair, so it is summed directly around `j`'s centre whichever cells
-    /// its samples lie in (inside a strip every `|w|` stays below 5/2).
+    /// End of the piece that starts at sample `a`: the end of `a`'s cell
+    /// when that cell holds the checkpoint `g` at or before `a`, else the
+    /// next checkpoint. Cells ascend with the sorted sample, so `a`
+    /// shares checkpoint `g`'s cell exactly when it starts before that
+    /// cell's end, and `cell_end[g]` alone decides. A piece that ends at
+    /// the next checkpoint holds no checkpoint pair, so it is summed
+    /// directly around the centre of `a`'s cell whichever cells its
+    /// samples lie in (inside a strip every `|w|` stays below 5/2).
     #[inline]
-    fn piece_end(&self, xs: &[f64], a: usize, j: i64) -> usize {
+    fn piece_end(&self, a: usize) -> usize {
         let g = a / STRIDE;
-        if self.cell(xs[g * STRIDE]) == j {
-            self.cell_end[g] as usize
+        let end = self.cell_end[g] as usize;
+        if end > a {
+            end
         } else {
             (g + 1) * STRIDE
         }
@@ -295,7 +299,7 @@ impl MomentTable {
         let mut a = i;
         while a < k {
             let j = self.cell(xs[a]);
-            let b = self.piece_end(xs, a, j).min(k);
+            let b = self.piece_end(a).min(k);
             let m = self.centre(j);
             let d = (reference - m) * self.inv_h;
             let [s1, s2, s3] = self.powers(xs, a, b, m);
@@ -447,7 +451,7 @@ impl BandZone {
 mod tests {
     use selest_core::{Domain, RangeQuery, SelectivityEstimator};
 
-    use super::MomentTable;
+    use super::{MomentTable, STRIDE};
     use crate::boundary::{left_boundary_integral, BoundaryPolicy};
     use crate::{KernelEstimator, KernelFn};
 
@@ -711,6 +715,27 @@ mod tests {
                 table.heap_bytes(),
                 xs.len()
             );
+        }
+    }
+
+    /// `piece_end` decides from `cell_end` alone; this is the definition
+    /// it stands for: sample `a` shares the cell of checkpoint
+    /// `g = a / STRIDE` exactly when their cells are equal.
+    #[test]
+    fn piece_end_matches_the_cell_comparison_it_replaces() {
+        for f in fixtures() {
+            let mut xs = f.samples.clone();
+            xs.sort_by(f64::total_cmp);
+            let table = MomentTable::build(&xs, f.domain.lo(), f.domain.hi(), f.h, false);
+            for a in 0..xs.len() {
+                let g = a / STRIDE;
+                let want = if table.cell(xs[a]) == table.cell(xs[g * STRIDE]) {
+                    table.cell_end[g] as usize
+                } else {
+                    (g + 1) * STRIDE
+                };
+                assert_eq!(table.piece_end(a), want, "{} sample {a}", f.name);
+            }
         }
     }
 

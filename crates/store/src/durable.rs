@@ -669,7 +669,10 @@ impl DurableStore {
                         let next = store.next_generation(&gens, Some(m.active));
                         store.commit_generation(next, entries, &mut report)?;
                     } else {
-                        store.prune_beyond(&gens, m.active, &mut report);
+                        // Only an uncommitted newer generation goes:
+                        // retention prunes when a publish commits, so
+                        // opening a healthy store changes no file.
+                        store.prune_beyond(&gens, m.active, usize::MAX, &mut report);
                     }
                 }
                 Err(e) => {
@@ -974,14 +977,13 @@ impl DurableStore {
         report.generation = generation;
         self.reset_journal()?;
         let gens = list_generations(&self.dir)?;
-        self.prune_beyond(&gens, generation, report);
+        self.prune_beyond(&gens, generation, self.retention.keep(), report);
         Ok(())
     }
 
     /// Remove generations newer than `active` (uncommitted leftovers) and
-    /// older ones beyond the retention window.
-    fn prune_beyond(&self, gens: &[u64], active: u64, report: &mut RecoveryReport) {
-        let keep = self.retention.keep();
+    /// all but the newest `keep` of the others.
+    fn prune_beyond(&self, gens: &[u64], active: u64, keep: usize, report: &mut RecoveryReport) {
         let mut committed: Vec<u64> = gens.iter().copied().filter(|g| *g <= active).collect();
         committed.sort_unstable();
         let cutoff = committed.len().saturating_sub(keep);
@@ -1291,6 +1293,41 @@ mod tests {
         let gens = list_generations(&dir).expect("list");
         assert_eq!(gens, vec![4, 5], "keep_generations=2");
         assert!(fsck(&dir).healthy);
+    }
+
+    #[test]
+    fn opening_a_healthy_store_changes_no_file() {
+        let dir = scratch("open-reads-only");
+        let keep3 = RetentionPolicy {
+            keep_generations: 3,
+        };
+        let (mut store, _) =
+            DurableStore::open_with(&dir, keep3, CrashPlan::inert()).expect("open");
+        for _ in 0..3 {
+            store.publish(vec![entry("t", "v")]).expect("publish");
+        }
+        let listing = || {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .expect("list")
+                .map(|e| {
+                    let e = e.expect("entry");
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, std::fs::read(e.path()).expect("read"))
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = listing();
+        // Three generations under the default retention of two: opening
+        // prunes none of them.
+        let (mut reopened, report) = DurableStore::open(&dir).expect("reopen");
+        assert!(report.is_clean() && report.pruned.is_empty(), "{report:?}");
+        assert_eq!(listing(), before);
+        assert_eq!(list_generations(&dir).expect("list"), vec![1, 2, 3]);
+        // The next commit applies the retention it was opened with.
+        reopened.publish(vec![entry("t", "v")]).expect("publish");
+        assert_eq!(list_generations(&dir).expect("list"), vec![3, 4]);
     }
 
     #[test]

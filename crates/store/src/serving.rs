@@ -25,13 +25,22 @@
 //!   clamp each), and one multiply–xorshift word mix of the cells with
 //!   the column index picks the slot. A miss keeps that slot index and
 //!   fills the same slot without hashing again, before the batch probes
-//!   its next query, so a query repeated later in the batch hits.
+//!   its next query, so on a warm column a query repeated later in the
+//!   batch hits.
 //!   [`RangeQuery::bounds_bits`] plus the snapshot generation and column
 //!   index decide whether the slot answers. A collision costs a miss,
 //!   never a wrong value, and a snapshot swap invalidates the whole cache
 //!   wholesale because no old-generation tag can match again. A batch
-//!   tallies its hits, misses, inserts and conflicts locally and adds
-//!   them to the shared counters once, at its end.
+//!   tallies its hits, misses, inserts, conflicts and bypasses locally
+//!   and adds them to the shared counters once, at its end.
+//! * **Cache admission** — a column whose last 1 024 probed queries
+//!   (`COLD_AFTER_MISSES`) all missed goes *cold*: its batches skip the
+//!   probe and the fill and go straight to the routed rung (each such
+//!   query counts as a miss and as `bypassed`), except one batch in 16
+//!   (`COLD_RECHECK_BATCHES`), which probes and fills as before. Any hit
+//!   puts the column back on the cache. The choice is made once per
+//!   batch, and the state lives beside the column's breaker, so it
+//!   survives republishes the same way.
 //!
 //! Everything here preserves the workspace determinism contract: a served
 //! *full-precision* estimate — cached, batched, sharded, or republished —
@@ -289,10 +298,11 @@ impl ServingColumn {
 pub struct CatalogSnapshot {
     generation: u64,
     columns: Vec<ServingColumn>,
-    /// One circuit breaker per column, in `columns` order. Engine state,
-    /// not statistics: empty until [`ServingEngine::publish_snapshot`]
-    /// grafts or seeds them, before the snapshot serves.
-    breakers: Vec<Arc<ColumnBreaker>>,
+    /// One engine state (circuit breaker and cache admission) per column,
+    /// in `columns` order. Not statistics: empty until
+    /// [`ServingEngine::publish_snapshot`] grafts or seeds them, before
+    /// the snapshot serves.
+    states: Vec<Arc<ColumnState>>,
     quarantined: Vec<QuarantinedColumn>,
 }
 
@@ -303,7 +313,7 @@ impl CatalogSnapshot {
         CatalogSnapshot {
             generation: 0,
             columns: Vec::new(),
-            breakers: Vec::new(),
+            states: Vec::new(),
             quarantined: Vec::new(),
         }
     }
@@ -370,7 +380,7 @@ impl CatalogSnapshot {
         CatalogSnapshot {
             generation,
             columns,
-            breakers: Vec::new(),
+            states: Vec::new(),
             quarantined: Vec::new(),
         }
     }
@@ -419,17 +429,25 @@ impl CatalogSnapshot {
     }
 }
 
-/// Running totals of an [`EstimateCache`].
+/// Running totals of an [`EstimateCache`]. Every valid query a batch
+/// serves is a hit or a miss, so `hits + misses` counts the valid slots
+/// served. A miss of a healthy primary ends in exactly one of an insert,
+/// a conflict or a bypass, so then `inserts + conflicts + bypassed ==
+/// misses`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Probes answered from a slot (exact-identity match).
     pub hits: u64,
-    /// Probes that fell through to the estimator.
+    /// Queries answered by the estimator: probes that fell through, and
+    /// bypassed queries.
     pub misses: u64,
     /// Values written into a slot.
     pub inserts: u64,
     /// Inserts skipped because another writer held the slot's seqlock.
     pub conflicts: u64,
+    /// Misses of a cold column's batch, which neither probed nor filled
+    /// (see [`ServingEngine::estimate_batch_with`]).
+    pub bypassed: u64,
 }
 
 /// One direct-mapped cache slot: a seqlock version word plus the entry's
@@ -470,7 +488,9 @@ impl CacheSlot {
 /// guarantee), and an epoch publish invalidates every entry wholesale
 /// because generations are strictly increasing and old tags can never
 /// match again. Memory is bounded by construction: `2^cache_bits` slots
-/// of six words each, allocated once.
+/// of six words each, allocated once. The engine consults it only for a
+/// column's warm batches: a cold column's batches bypass it (counted in
+/// [`CacheStats::bypassed`]), because none of their queries would hit.
 pub struct EstimateCache {
     slots: Vec<CacheSlot>,
     quantize_bits: u32,
@@ -478,6 +498,7 @@ pub struct EstimateCache {
     misses: AtomicU64,
     inserts: AtomicU64,
     conflicts: AtomicU64,
+    bypassed: AtomicU64,
 }
 
 /// Where one column's queries land in an [`EstimateCache`]. Computed once
@@ -535,6 +556,7 @@ impl EstimateCache {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             conflicts: AtomicU64::new(0),
+            bypassed: AtomicU64::new(0),
         }
     }
 
@@ -558,6 +580,7 @@ impl EstimateCache {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             conflicts: self.conflicts.load(Ordering::Relaxed),
+            bypassed: self.bypassed.load(Ordering::Relaxed),
         }
     }
 
@@ -662,10 +685,67 @@ impl EstimateCache {
             (&self.misses, tally.misses),
             (&self.inserts, tally.inserts),
             (&self.conflicts, tally.conflicts),
+            (&self.bypassed, tally.bypassed),
         ] {
             if n > 0 {
                 counter.fetch_add(n, Ordering::Relaxed);
             }
+        }
+    }
+}
+
+/// Probed queries that must all miss before a column goes cold: four
+/// 256-query batches. A column whose traffic repeats at all hits long
+/// before this; one whose queries never repeat (serve-cold's shape) only
+/// pays a probe and a fill per query for nothing.
+const COLD_AFTER_MISSES: u64 = 1_024;
+
+/// While a column is cold, one batch in this many still probes and
+/// fills, so traffic that turns hot is back on the cache within this
+/// many batches.
+const COLD_RECHECK_BATCHES: u64 = 16;
+
+/// A column's engine state: what the serving path learns about a column
+/// while it serves, carried across publishes by column name (see
+/// [`ServingEngine::publish_snapshot`]).
+struct ColumnState {
+    breaker: ColumnBreaker,
+    cache: CacheAdmission,
+}
+
+/// Whether a column's batches use the estimate cache: warm until
+/// [`COLD_AFTER_MISSES`] probed queries in a row have missed, then cold,
+/// re-checked by one batch in [`COLD_RECHECK_BATCHES`]. Racing batches
+/// may lose an update, which moves when a column turns cold or warm,
+/// never a served value or a counter.
+#[derive(Default)]
+struct CacheAdmission {
+    /// Probed queries that missed since the column's last batch with a
+    /// hit.
+    miss_run: AtomicU64,
+    /// Batches begun while cold; the last of every
+    /// [`COLD_RECHECK_BATCHES`] probes.
+    cold_batches: AtomicU64,
+}
+
+impl CacheAdmission {
+    /// Whether the next batch probes (and fills) the cache.
+    fn probes(&self) -> bool {
+        self.miss_run.load(Ordering::Relaxed) < COLD_AFTER_MISSES
+            || self.cold_batches.fetch_add(1, Ordering::Relaxed) % COLD_RECHECK_BATCHES
+                == COLD_RECHECK_BATCHES - 1
+    }
+
+    /// Fold in a probing batch's tally: a hit puts the column back on
+    /// the cache, misses lengthen its run. A warm column's batches only
+    /// read the shared word.
+    fn record(&self, tally: &CacheStats) {
+        if tally.hits > 0 {
+            if self.miss_run.load(Ordering::Relaxed) != 0 {
+                self.miss_run.store(0, Ordering::Relaxed);
+            }
+        } else if tally.misses > 0 {
+            self.miss_run.fetch_add(tally.misses, Ordering::Relaxed);
         }
     }
 }
@@ -855,13 +935,15 @@ impl ServingScratch {
 }
 
 /// One batch's single pass over its queries against one column: each
-/// valid query is probed, a miss is answered by the routed rung and a
-/// primary answer fills the slot its probe read. The pass keeps the
-/// batch's tallies until [`BatchPass::finish`] adds them to the engine.
+/// valid query is probed ([`BatchPass::serve`]) or, on a cold column,
+/// bypasses the cache ([`BatchPass::bypass`]); a miss is answered by the
+/// routed rung and, when probed, a primary answer fills the slot its
+/// probe read. The pass keeps the batch's tallies until
+/// [`BatchPass::finish`] adds them to the engine.
 struct BatchPass<'a> {
     engine: &'a ServingEngine,
     col: &'a ServingColumn,
-    breaker: &'a ColumnBreaker,
+    state: &'a ColumnState,
     idx: usize,
     generation: u64,
     placement: Placement,
@@ -880,7 +962,7 @@ struct BatchPass<'a> {
 }
 
 impl BatchPass<'_> {
-    /// Serve one query by the rules of
+    /// Serve one query of a probing batch by the rules of
     /// [`ServingEngine::estimate_batch_with`].
     fn serve(&mut self, q: &RangeQuery) -> Result<ServedEstimate, EstimateError> {
         q.validate()?;
@@ -890,15 +972,29 @@ impl BatchPass<'_> {
                 value,
                 rung: ServeRung::Full,
             }),
-            None => self.miss(slot, q),
+            None => self.miss(Some(slot), q),
         }
     }
 
-    /// Answer a cache miss from the batch's rung.
-    fn miss(&mut self, slot: usize, q: &RangeQuery) -> Result<ServedEstimate, EstimateError> {
+    /// Serve one query of a cold column's batch: a miss that neither
+    /// probes nor fills.
+    fn bypass(&mut self, q: &RangeQuery) -> Result<ServedEstimate, EstimateError> {
+        q.validate()?;
+        self.tally.misses += 1;
+        self.tally.bypassed += 1;
+        self.miss(None, q)
+    }
+
+    /// Answer a cache miss from the batch's rung; a primary answer fills
+    /// `slot`, the one a probing batch's probe read.
+    fn miss(
+        &mut self,
+        slot: Option<usize>,
+        q: &RangeQuery,
+    ) -> Result<ServedEstimate, EstimateError> {
         let rung = *self.rung.get_or_insert_with(|| {
             let brownout = self.engine.overload.brownout && self.col.brownout.is_some();
-            route(self.engine.tier.tier(), brownout, self.breaker)
+            route(self.engine.tier.tier(), brownout, &self.state.breaker)
         });
         if self.expired.is_none() && self.misses.is_multiple_of(DEADLINE_STRIDE) {
             self.expired = self.deadline.filter(|d| d.expired());
@@ -910,7 +1006,7 @@ impl BatchPass<'_> {
         }
         match isolated_selectivity(self.col.rung(rung), q) {
             Ok(value) => {
-                if rung == ServeRung::Full {
+                if let (ServeRung::Full, Some(slot)) = (rung, slot) {
                     let cache = &self.engine.cache;
                     cache.fill(slot, self.generation, self.idx, q, value, &mut self.tally);
                 }
@@ -926,12 +1022,16 @@ impl BatchPass<'_> {
         }
     }
 
-    /// Add the batch's tallies to the engine and charge the primary's
+    /// Add the batch's tallies to the engine, tell the column's cache
+    /// admission what a probing batch found, and charge the primary's
     /// breaker. Each miss is counted by its rung if that rung answered,
     /// as floored if it faulted, as refused if its deadline expired.
-    fn finish(self) {
+    fn finish(self, probed: bool) {
         let engine = self.engine;
         engine.cache.count(self.tally);
+        if probed {
+            self.state.cache.record(&self.tally);
+        }
         let Some(rung) = self.rung else {
             return;
         };
@@ -959,10 +1059,10 @@ impl BatchPass<'_> {
                 u64::from(refused > 0)
             };
             if charges == 0 {
-                self.breaker.on_success();
+                self.state.breaker.on_success();
             }
             for _ in 0..charges {
-                self.breaker.on_failure();
+                self.state.breaker.on_failure();
             }
         }
     }
@@ -1124,26 +1224,30 @@ impl ServingEngine {
         let mut cur = self.current.lock().expect("publisher never panics");
         let generation = snapshot.generation.max(cur.generation + 1);
         snapshot.generation = generation;
-        // Graft breaker state across the publish: a column that survives
+        // Graft column state across the publish: a column that survives
         // keeps its live breaker (an open breaker must not silently close
-        // because statistics were republished); a new column gets a
+        // because statistics were republished) and its cache admission (a
+        // cold column stays cold); a new column starts warm, with a
         // breaker seeded from the engine's options and its own name, so
         // half-open probe timing is deterministic per column.
-        snapshot.breakers = snapshot
+        snapshot.states = snapshot
             .columns
             .iter()
             .map(|col| match cur.find(&col.relation, &col.column) {
-                Some((i, _)) => Arc::clone(&cur.breakers[i]),
+                Some((i, _)) => Arc::clone(&cur.states[i]),
                 None => {
                     let mut name = Vec::with_capacity(col.relation.len() + col.column.len() + 1);
                     name.extend_from_slice(col.relation.as_bytes());
                     name.push(0);
                     name.extend_from_slice(col.column.as_bytes());
-                    Arc::new(ColumnBreaker::new(
-                        self.overload.breaker_threshold,
-                        self.overload.breaker_cooldown_calls,
-                        self.overload.seed ^ selest_par::fnv1a_64(&name),
-                    ))
+                    Arc::new(ColumnState {
+                        breaker: ColumnBreaker::new(
+                            self.overload.breaker_threshold,
+                            self.overload.breaker_cooldown_calls,
+                            self.overload.seed ^ selest_par::fnv1a_64(&name),
+                        ),
+                        cache: CacheAdmission::default(),
+                    })
                 }
             })
             .collect();
@@ -1330,14 +1434,20 @@ impl ServingEngine {
 
     /// Serve a whole batch with full overload semantics, in one pass.
     /// Invalid queries answer `InvalidQuery`; an already-expired
-    /// `deadline` refuses every valid slot before any work. Each valid
-    /// query is then probed, and a hit serves [`ServeRung::Full`]. The
-    /// batch's first miss asks `route` for the rung that answers all its
-    /// misses, and each miss ends one way:
+    /// `deadline` refuses every valid slot before any work. On a warm
+    /// column each valid query is then probed, and a hit serves
+    /// [`ServeRung::Full`]. On a cold one — whose last 1 024 probed
+    /// queries all missed — the batch skips the cache: every valid query
+    /// is a miss, counted in [`CacheStats::bypassed`], except in one batch
+    /// of 16, which probes and fills to re-check; any hit makes the column
+    /// warm again. The choice is made once per batch and never changes a
+    /// served value, since the cache only holds what the miss path
+    /// computed. The batch's first miss asks `route` for the rung that
+    /// answers all its misses, and each miss ends one way:
     ///
-    /// * a finite answer serves, tagged with the rung; a primary answer
-    ///   fills the cache slot its probe read, so a query repeated later
-    ///   in the batch hits;
+    /// * a finite answer serves, tagged with the rung; in a probing batch
+    ///   a primary answer fills the cache slot its probe read, so a query
+    ///   repeated later in the batch hits;
     /// * once the deadline has expired — it is polled before the first
     ///   miss and every 16 misses — the miss is refused with
     ///   `DeadlineExceeded` (degrading it would hand back a worse answer
@@ -1364,7 +1474,9 @@ impl ServingEngine {
 
     /// The one serving path: refuse before any work (expired deadline,
     /// unknown column, admission), or make one [`BatchPass`] over
-    /// `queries`, handing each slot's answer to `emit` in input order.
+    /// `queries` — probing or bypassing the cache, as the column's
+    /// [`CacheAdmission`] decides — handing each slot's answer to `emit`
+    /// in input order.
     fn serve(
         &self,
         relation: &str,
@@ -1393,10 +1505,11 @@ impl ServingEngine {
             }
         };
         let started = Instant::now();
+        let state = &*snap.states[idx];
         let mut pass = BatchPass {
             engine: self,
             col,
-            breaker: &snap.breakers[idx],
+            state,
             idx,
             generation: snap.generation,
             placement: self.cache.placement(&col.domain, idx),
@@ -1408,10 +1521,17 @@ impl ServingEngine {
             faulted: 0,
             refused: 0,
         };
-        for q in queries {
-            emit(pass.serve(q));
+        let probed = state.cache.probes();
+        if probed {
+            for q in queries {
+                emit(pass.serve(q));
+            }
+        } else {
+            for q in queries {
+                emit(pass.bypass(q));
+            }
         }
-        pass.finish();
+        pass.finish(probed);
         self.note_latency(shard, started);
     }
 
@@ -1448,12 +1568,12 @@ impl ServingEngine {
             breakers: snap
                 .columns()
                 .iter()
-                .zip(&snap.breakers)
-                .map(|(c, breaker)| BreakerHealth {
+                .zip(&snap.states)
+                .map(|(c, st)| BreakerHealth {
                     relation: c.relation().to_owned(),
                     column: c.column().to_owned(),
-                    state: breaker.state(),
-                    trips: breaker.trips(),
+                    state: st.breaker.state(),
+                    trips: st.breaker.trips(),
                 })
                 .collect(),
         }
@@ -2474,7 +2594,7 @@ mod tests {
         // The timeout charged the threshold-2 breaker once: still closed,
         // and one more failure opens it.
         let snap = engine.snapshot();
-        let breaker = &snap.breakers[0];
+        let breaker = &snap.states[0].breaker;
         assert_eq!(breaker.state(), BreakerState::Closed);
         breaker.on_failure();
         assert_eq!(breaker.state(), BreakerState::Open);

@@ -39,8 +39,11 @@ echo "==> bit-identity pins in an optimized build"
 # equivalence pins (tests/prepared_column.rs and the kernel and histogram
 # unit tests), the serving engine's served-bits pins (tests/serving_engine.rs:
 # boundary-kernel columns serve the direct estimator's bits, the single
-# query is the one-slot batch) and the math and change-point bit-identity
-# tests also run against release code.
+# query is the one-slot batch, and
+# an_all_distinct_stream_bypasses_the_cache_and_serves_the_direct_bits:
+# a cold column's bypassed slots serve the same bits as probed ones) and
+# the math and change-point bit-identity tests also run against release
+# code.
 cargo test --release -q --test build_engine --test batch_engine --test prepared_column \
     --test serving_engine
 cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram --lib

@@ -328,22 +328,29 @@ fn cmd_snapshot(args: &[String]) {
 
 /// `selest serve --status [DIR]`: spin an engine (loading the durable
 /// store at DIR when given, else the empty snapshot) and print its
-/// overload-facing health — load tier, per-shard pressure/shed counters,
-/// and every column breaker — the same report a long-lived process would
-/// expose. `--status` is the only mode; without it, or with a DIR that
-/// does not exist, the command prints an error and exits 2.
+/// health — load tier, estimate-cache counters, per-shard pressure/shed
+/// counters, and every column breaker — the same report a long-lived
+/// process would expose. `--status` is the only mode; without it, or
+/// with a DIR that does not exist or that `fsck` finds damaged, the
+/// command prints an error and exits 2. It changes no file.
 fn cmd_serve(args: &[String]) {
-    use selest::store::DurableStore;
+    use selest::store::{fsck, DurableStore};
     let args = parse_args("serve", args, &["--status"], 0..=1);
     if args.flag("--status").is_none() {
         die("serve: run `selest serve --status [DIR]`");
     }
     let engine = selest::ServingEngine::with_defaults();
     if let Some(dir) = args.positional.first() {
-        // Opening creates a store; a status report must not.
+        // Opening creates a missing store and repairs a damaged one; a
+        // status report must do neither.
         let path = std::path::Path::new(dir);
         if !path.is_dir() {
             die(&format!("serve: no store directory {dir}"));
+        }
+        if !fsck(path).healthy {
+            die(&format!(
+                "serve: store {dir} is damaged; run `selest fsck {dir}`"
+            ));
         }
         match DurableStore::open(path) {
             Ok((store, _)) => {
@@ -359,6 +366,11 @@ fn cmd_serve(args: &[String]) {
     let health = engine.health();
     println!("tier        {}", health.tier);
     println!("generation  {}", health.generation);
+    let c = health.cache;
+    println!(
+        "cache       hits {} misses {} inserts {} conflicts {} bypassed {}",
+        c.hits, c.misses, c.inserts, c.conflicts, c.bypassed
+    );
     println!(
         "served      brownout {} / floor {} / deadline-refused {}",
         health.brownout_served, health.floor_served, health.deadline_refused
@@ -410,6 +422,7 @@ fn cmd_fsck(args: &[String]) {
         // would publish from this store: a fresh load serves under the
         // durable generation number ([`CatalogSnapshot::generation`]), so
         // operators can match a live engine's health report to the disk.
+        // Opening a store `fsck` found healthy changes no file.
         if let Ok((store, _)) = selest::store::DurableStore::open(path) {
             let engine = selest::ServingEngine::with_defaults();
             let (_, failures) = engine.load_durable(&store);

@@ -2,7 +2,8 @@
 //! flag missing its value, a wrong number of positionals, an unknown
 //! experiment id, a non-finite range bound, a missing store directory or a
 //! column ANALYZE cannot build prints `error: …` and exits 2 before any
-//! work — never a panic (exit 101), and never a half-written store. Also:
+//! work — never a panic (exit 101), and never a half-written store.
+//! `selest fsck` and `selest serve --status` change no file. Also:
 //! `selest repro` prints the same bytes for every worker count, and
 //! `selest repro all` reproduces the committed `results/` byte for byte.
 
@@ -126,6 +127,62 @@ fn serve_status_of_a_missing_store_creates_nothing() {
     let stderr = assert_input_error(&["serve", "--status", dir.to_str().unwrap()]);
     assert!(stderr.contains(dir.to_str().unwrap()), "{stderr}");
     assert!(!dir.exists(), "a status report must not create its store");
+}
+
+/// Every file of a store directory with its bytes, sorted by name.
+fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("list the store")
+        .map(|e| {
+            let e = e.expect("store entry");
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).expect("read a store file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Inspection changes no file: `fsck` without `--repair` and `serve
+/// --status` of a healthy store that holds an older generation than the
+/// default retention keeps leave it in place, and `serve --status`
+/// refuses a damaged store rather than repair it.
+#[test]
+fn fsck_and_serve_status_leave_the_store_untouched() {
+    let dir = store_dir("inspect");
+    let path = dir.to_str().unwrap();
+    for _ in 0..2 {
+        let out = selest(&["snapshot", path, "u(15)", "--sample", "64"]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+    }
+    // An older generation a store with `keep_generations: 3` keeps.
+    std::fs::copy(dir.join("gen-000001.stats"), dir.join("gen-000000.stats")).unwrap();
+    let before = store_files(&dir);
+    for args in [vec!["fsck", path], vec!["serve", "--status", path]] {
+        let out = selest(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        assert_eq!(store_files(&dir), before, "{args:?} changed the store");
+        if args[0] == "serve" {
+            assert!(
+                stdout.contains("cache       hits 0 misses 0 inserts 0 conflicts 0 bypassed 0"),
+                "{stdout}"
+            );
+        }
+    }
+    let manifest = dir.join("MANIFEST");
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    let last = bytes.len() - 2;
+    bytes[last] ^= 1;
+    std::fs::write(&manifest, bytes).unwrap();
+    let damaged = store_files(&dir);
+    let stderr = assert_input_error(&["serve", "--status", path]);
+    assert!(stderr.contains("damaged"), "{stderr}");
+    assert_eq!(
+        store_files(&dir),
+        damaged,
+        "serve --status repaired the store"
+    );
 }
 
 #[test]

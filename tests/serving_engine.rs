@@ -29,7 +29,9 @@ use std::thread;
 
 use selest::par::TryConfig;
 use selest::store::{AnalyzeConfig, CatalogHealthReport, Column, Relation, StatisticsCatalog};
-use selest::{CatalogSnapshot, Domain, RangeQuery, ServingEngine, ServingOptions, ServingScratch};
+use selest::{
+    CatalogSnapshot, Domain, PaperFile, RangeQuery, ServingEngine, ServingOptions, ServingScratch,
+};
 
 const DOMAIN: (f64, f64) = (0.0, 1_000.0);
 const COLUMNS: [&str; 4] = ["w", "x", "y", "z"];
@@ -700,40 +702,19 @@ fn overload_chaos_every_estimate_is_valid_or_a_typed_refusal() {
 /// retained sample and its direct plug-in bandwidth.
 #[test]
 fn boundary_kernel_columns_serve_the_direct_estimator_bit_for_bit() {
-    use selest::kernel::{BandwidthSelector, DirectPlugIn};
-    use selest::{
-        BoundaryPolicy, KernelEstimator, KernelFn, PaperFile, QueryFile, SelectivityEstimator,
-    };
+    use selest::{QueryFile, SelectivityEstimator};
 
-    let files = [
-        PaperFile::Normal { p: 20 },
-        PaperFile::Exponential { p: 20 },
-        PaperFile::Arapahoe1,
-        PaperFile::InstanceWeight,
-    ];
-    let config = AnalyzeConfig::default();
-    for file in files {
+    for file in SERVE_COLD_FILES {
         let data = file.generate();
         let d = data.domain();
-        let mut rel = Relation::new("paper");
-        rel.add_column(Column::new("v", d, data.values().to_vec()));
-        let rel = Arc::new(rel);
+        let (rel, direct) = paper_kernel_column(file);
 
         let engine = ServingEngine::with_defaults();
-        analyze_and_publish(&engine, &rel, &config, &TryConfig::default());
-
-        let mut catalog = StatisticsCatalog::new();
-        catalog.try_analyze_jobs(&rel, &config, 1);
-        let stats = catalog.statistics("paper", "v").expect("column analyzed");
-        let h = DirectPlugIn::two_stage()
-            .bandwidth(&stats.sample, KernelFn::Epanechnikov)
-            .min(0.5 * d.width());
-        let direct = KernelEstimator::new(
-            &stats.sample,
-            d,
-            KernelFn::Epanechnikov,
-            h,
-            BoundaryPolicy::BoundaryKernel,
+        analyze_and_publish(
+            &engine,
+            &rel,
+            &AnalyzeConfig::default(),
+            &TryConfig::default(),
         );
 
         let mut qs = QueryFile::generate(&data, 0.01, 64, 7).queries().to_vec();
@@ -758,6 +739,42 @@ fn boundary_kernel_columns_serve_the_direct_estimator_bit_for_bit() {
     }
 }
 
+/// The paper files of the serve-cold workload, whose columns serve the
+/// paper's best kernel configuration.
+const SERVE_COLD_FILES: [PaperFile; 4] = [
+    PaperFile::Normal { p: 20 },
+    PaperFile::Exponential { p: 20 },
+    PaperFile::Arapahoe1,
+    PaperFile::InstanceWeight,
+];
+
+/// `file` as the one column `paper.v`, and the kernel estimator built
+/// directly from that column's default ANALYZE sample: Epanechnikov with
+/// boundary kernels at the direct plug-in bandwidth.
+fn paper_kernel_column(file: PaperFile) -> (Arc<Relation>, selest::KernelEstimator) {
+    use selest::kernel::{BandwidthSelector, DirectPlugIn};
+    use selest::{BoundaryPolicy, KernelEstimator, KernelFn};
+
+    let data = file.generate();
+    let d = data.domain();
+    let mut rel = Relation::new("paper");
+    rel.add_column(Column::new("v", d, data.values().to_vec()));
+    let mut catalog = StatisticsCatalog::new();
+    catalog.try_analyze_jobs(&rel, &AnalyzeConfig::default(), 1);
+    let stats = catalog.statistics("paper", "v").expect("column analyzed");
+    let h = DirectPlugIn::two_stage()
+        .bandwidth(&stats.sample, KernelFn::Epanechnikov)
+        .min(0.5 * d.width());
+    let direct = KernelEstimator::new(
+        &stats.sample,
+        d,
+        KernelFn::Epanechnikov,
+        h,
+        BoundaryPolicy::BoundaryKernel,
+    );
+    (Arc::new(rel), direct)
+}
+
 /// `try_estimate_with` is a batch of one through `estimate_batch_with`.
 /// On the kernel column of each serve-cold paper file — with no deadline
 /// and with an unexpired manual one — a single request answers the same
@@ -769,16 +786,10 @@ fn boundary_kernel_columns_serve_the_direct_estimator_bit_for_bit() {
 fn single_query_path_is_the_one_slot_batch_path() {
     use selest::par::Deadline;
     use selest::store::{OverloadOptions, ServeRung, ServingHealthReport};
-    use selest::{PaperFile, QueryFile};
+    use selest::QueryFile;
 
     let admitted = |h: &ServingHealthReport| h.shards.iter().map(|s| s.admitted).sum::<u64>();
-    let files = [
-        PaperFile::Normal { p: 20 },
-        PaperFile::Exponential { p: 20 },
-        PaperFile::Arapahoe1,
-        PaperFile::InstanceWeight,
-    ];
-    for file in files {
+    for file in SERVE_COLD_FILES {
         let data = file.generate();
         let d = data.domain();
         let mut rel = Relation::new("paper");
@@ -830,8 +841,8 @@ fn single_query_path_is_the_one_slot_batch_path() {
                 assert_eq!(admitted(&hs), admitted(&hb), "{label}");
                 let (cs, cb) = (hs.cache, hb.cache);
                 assert_eq!(
-                    (cs.hits, cs.misses, cs.inserts, cs.conflicts),
-                    (cb.hits, cb.misses, cb.inserts, cb.conflicts),
+                    (cs.hits, cs.misses, cs.inserts, cs.conflicts, cs.bypassed),
+                    (cb.hits, cb.misses, cb.inserts, cb.conflicts, cb.bypassed),
                     "{label}"
                 );
             }
@@ -904,4 +915,228 @@ fn a_query_repeated_in_one_batch_is_evaluated_once() {
             assert_eq!(slot.as_ref().expect("served").to_bits(), want, "k = {k}");
         }
     }
+}
+
+// -------------------------------------------------------------------------
+// 4. Cache admission: a column whose queries never repeat skips the cache
+// -------------------------------------------------------------------------
+
+/// Queries per batch in the admission tests, as in selbench's workloads.
+const BATCH: usize = 256;
+
+/// `n` distinct queries over `d`, the `first`-th onward of one sequence:
+/// golden-ratio starts, so no two share their bounds.
+fn distinct_queries(d: &Domain, first: usize, n: usize) -> Vec<RangeQuery> {
+    (first..first + n)
+        .map(|i| {
+            let a = d.lo() + 0.9 * d.width() * (i as f64 * 0.618_033_988_749_894_9).fract();
+            RangeQuery::new(
+                a,
+                a + d.width() * (0.001 + 0.09 * (i as f64 * 0.317).fract()),
+            )
+        })
+        .collect()
+}
+
+/// An engine with no wall-clock load tiers, so every miss is served by
+/// the primary.
+fn unhurried_engine() -> ServingEngine {
+    ServingEngine::new(ServingOptions {
+        overload: selest::store::OverloadOptions {
+            auto_observe: false,
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+}
+
+/// A fresh [`unhurried_engine`] serving a uniform column `t.<name>` over
+/// the test domain for each of `names`.
+fn uniform_engine(names: &[&str]) -> ServingEngine {
+    use selest::store::{EstimatorKind, ServingColumn};
+    let d = domain();
+    let cols = names
+        .iter()
+        .map(|name| {
+            ServingColumn::new(
+                "t",
+                name,
+                Arc::new(selest::UniformEstimator::new(d)),
+                1_000,
+                EstimatorKind::Sampling,
+                d,
+                Arc::from(Vec::<f64>::new()),
+            )
+        })
+        .collect();
+    let engine = unhurried_engine();
+    engine.publish_snapshot(CatalogSnapshot::from_columns(cols, 0));
+    engine
+}
+
+/// serve-cold's shape on each of its paper kernel columns: 24 batches of
+/// 256 distinct queries. The first four batches probe and miss 1 024
+/// times, which takes the column cold; after that only the 16th cold
+/// batch probes, and a republish in between keeps the column cold. Every
+/// slot, probed or bypassed, carries the direct estimator's bits, and
+/// the counters are exact: `hits + misses` is every slot and `inserts +
+/// conflicts + bypassed == misses`.
+#[test]
+fn an_all_distinct_stream_bypasses_the_cache_and_serves_the_direct_bits() {
+    use selest::store::ServeRung;
+    use selest::SelectivityEstimator;
+
+    const BATCHES: usize = 24;
+    for file in SERVE_COLD_FILES {
+        let (rel, direct) = paper_kernel_column(file);
+        let d = rel.column("v").expect("column").domain();
+        let engine = unhurried_engine();
+        analyze_and_publish(
+            &engine,
+            &rel,
+            &AnalyzeConfig::default(),
+            &TryConfig::default(),
+        );
+        let qs = distinct_queries(&d, 0, BATCHES * BATCH);
+        let (mut scratch, mut out) = (ServingScratch::new(), Vec::new());
+        let mut probed = Vec::new();
+        for (k, batch) in qs.chunks(BATCH).enumerate() {
+            if k == 8 {
+                analyze_and_publish(
+                    &engine,
+                    &rel,
+                    &AnalyzeConfig::default(),
+                    &TryConfig::jobs(1),
+                );
+            }
+            let before = engine.cache().stats();
+            engine.estimate_batch_with("paper", "v", batch, None, &mut scratch, &mut out);
+            for (q, slot) in batch.iter().zip(&out) {
+                let slot = slot.as_ref().expect("valid queries are answered");
+                let label = format!("{} batch {k} {q}", file.name());
+                assert_eq!(slot.rung, ServeRung::Full, "{label}");
+                assert_eq!(
+                    slot.value.to_bits(),
+                    direct.selectivity(q).to_bits(),
+                    "{label}"
+                );
+            }
+            let bypassed = engine.cache().stats().bypassed - before.bypassed;
+            assert!(bypassed == 0 || bypassed == BATCH as u64, "{bypassed}");
+            probed.push(bypassed == 0);
+        }
+        let expect: Vec<bool> = (0..BATCHES).map(|k| k < 4 || k == 4 + 15).collect();
+        assert_eq!(probed, expect, "{}", file.name());
+        let stats = engine.cache().stats();
+        let (all, probes) = ((BATCHES * BATCH) as u64, (5 * BATCH) as u64);
+        assert_eq!((stats.hits, stats.misses), (0, all), "{}", file.name());
+        assert_eq!(stats.bypassed, all - probes, "{}", file.name());
+        assert_eq!(stats.inserts + stats.conflicts, probes, "{}", file.name());
+    }
+}
+
+/// A cold column whose traffic turns hot — each batch 32 queries asked
+/// 8 times — is back on the cache within 16 batches: the re-checking
+/// batch hits its own repeats, and every batch after it probes and hits.
+#[test]
+fn a_column_whose_traffic_turns_hot_is_back_on_the_cache_within_16_batches() {
+    let engine = uniform_engine(&["v"]);
+    let d = domain();
+    let (mut scratch, mut out) = (ServingScratch::new(), Vec::new());
+    let mut serve = |batch: &[RangeQuery]| {
+        let before = engine.cache().stats();
+        engine.estimate_batch_into("t", "v", batch, &mut scratch, &mut out);
+        assert!(out.iter().all(|s| s.is_ok()));
+        let after = engine.cache().stats();
+        (after.hits - before.hits, after.bypassed - before.bypassed)
+    };
+    let cold = distinct_queries(&d, 0, 5 * BATCH);
+    for (k, batch) in cold.chunks(BATCH).enumerate() {
+        let expect = if k < 4 { 0 } else { BATCH as u64 };
+        assert_eq!(serve(batch), (0, expect), "cold batch {k}");
+    }
+    let hot: Vec<RangeQuery> = distinct_queries(&d, 5 * BATCH, 32)
+        .iter()
+        .cycle()
+        .take(BATCH)
+        .copied()
+        .collect();
+    let back = (1..=16)
+        .find(|_| serve(&hot).1 == 0)
+        .expect("a re-check within 16 batches");
+    assert!(back <= 16);
+    for k in 0..4 {
+        let (hits, bypassed) = serve(&hot);
+        assert_eq!(bypassed, 0, "hot batch {k} after the re-check");
+        assert!(hits >= (BATCH - 32) as u64, "hot batch {k}: {hits} hits");
+    }
+}
+
+/// One query per call with reuse: 512 distinct queries asked 8 times
+/// each through `try_estimate`. Repeats hit long before 1 024 misses in
+/// a row, so the column never goes cold.
+#[test]
+fn single_query_callers_with_reuse_never_go_cold() {
+    use selest::SelectivityEstimator;
+
+    let engine = uniform_engine(&["v"]);
+    let d = domain();
+    let uniform = selest::UniformEstimator::new(d);
+    let pool = distinct_queries(&d, 0, 512);
+    for q in pool.iter().cycle().take(8 * pool.len()) {
+        let v = engine.try_estimate("t", "v", q).expect("served");
+        assert_eq!(v.to_bits(), uniform.selectivity(q).to_bits(), "{q}");
+    }
+    let stats = engine.cache().stats();
+    assert_eq!(stats.bypassed, 0, "{stats:?}");
+    assert_eq!(stats.hits + stats.misses, 8 * 512, "{stats:?}");
+    assert_eq!(stats.inserts + stats.conflicts, stats.misses, "{stats:?}");
+    assert!(stats.hits > 4 * 512, "{stats:?}");
+}
+
+/// Two threads share one engine: on the uniform column both stream
+/// distinct queries (which takes it cold), on a twin column both ask a
+/// hot pool. Whatever order their batches interleave in, each slot
+/// carries the uniform bits and the counter identities hold exactly.
+#[test]
+fn cache_counters_stay_exact_while_two_threads_bypass_and_probe() {
+    use selest::SelectivityEstimator;
+
+    let d = domain();
+    let uniform = selest::UniformEstimator::new(d);
+    let engine = uniform_engine(&["cold", "hot"]);
+    const ROUNDS: usize = 12;
+    let hot: Vec<RangeQuery> = distinct_queries(&d, 1 << 20, 64)
+        .iter()
+        .cycle()
+        .take(BATCH)
+        .copied()
+        .collect();
+    thread::scope(|s| {
+        for t in 0..2 {
+            let (engine, hot, uniform) = (&engine, &hot, &uniform);
+            s.spawn(move || {
+                let (mut scratch, mut out) = (ServingScratch::new(), Vec::new());
+                let fresh = distinct_queries(&d, t * ROUNDS * BATCH, ROUNDS * BATCH);
+                for batch in fresh.chunks(BATCH) {
+                    for (column, qs) in [("cold", batch), ("hot", &hot[..])] {
+                        engine.estimate_batch_into("t", column, qs, &mut scratch, &mut out);
+                        for (q, v) in qs.iter().zip(&out) {
+                            let v = v.as_ref().expect("served");
+                            assert_eq!(v.to_bits(), uniform.selectivity(q).to_bits());
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let stats = engine.cache().stats();
+    let valid = (2 * ROUNDS * 2 * BATCH) as u64;
+    assert_eq!(stats.hits + stats.misses, valid, "{stats:?}");
+    assert_eq!(
+        stats.inserts + stats.conflicts + stats.bypassed,
+        stats.misses,
+        "{stats:?}"
+    );
+    assert!(stats.bypassed > 0 && stats.hits > 0, "{stats:?}");
 }
