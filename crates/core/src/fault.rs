@@ -87,10 +87,9 @@ pub enum EstimateError {
     /// The request's end-to-end deadline expired before the estimate
     /// completed. Cooperative: the serving engine checks the deadline
     /// before any work and then before a batch's first cache miss and
-    /// every 16 misses after it (the fallible batch default polls every
-    /// 16 valid slots the same way), and abandons only the *remaining*
-    /// work, so a batch returns partial results — finished slots keep
-    /// their bit-exact values and unfinished slots carry this error.
+    /// every 16 misses after it, and abandons only the *remaining* work,
+    /// so a batch returns partial results — finished slots keep their
+    /// bit-exact values and unfinished slots carry this error.
     DeadlineExceeded {
         /// Microseconds elapsed when the expiry was observed.
         elapsed_us: u64,
@@ -333,15 +332,9 @@ pub fn catch_fault<T>(
     stage: FaultStage,
     f: impl FnOnce() -> T + std::panic::UnwindSafe,
 ) -> Result<T, EstimateError> {
-    std::panic::catch_unwind(f).map_err(|payload| {
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_owned()
-        };
-        EstimateError::Panicked { stage, message }
+    std::panic::catch_unwind(f).map_err(|payload| EstimateError::Panicked {
+        stage,
+        message: selest_par::panic_payload_text(&*payload),
     })
 }
 

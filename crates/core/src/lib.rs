@@ -18,6 +18,14 @@
 //! fraction in a concrete relation instance and is estimated as
 //! `N * sigma(a,b)`. All estimators in the workspace implement
 //! [`SelectivityEstimator`] and return distribution selectivities.
+//!
+//! The trait is the function `sigma(a,b)` itself
+//! ([`SelectivityEstimator::selectivity`]) plus one batch helper,
+//! [`SelectivityEstimator::selectivity_batch_into`], a loop over it.
+//! Fault isolation and deadlines are not estimator concerns: the serving
+//! engine (`selest-store`) owns the one fault-isolated, deadline-polled
+//! batch path, and [`catch_fault`] is the containment boundary it and the
+//! catalog use.
 
 pub mod confidence;
 pub mod domain;
@@ -46,5 +54,5 @@ pub use prepared::{ColumnSummary, PreparedColumn};
 pub use query::RangeQuery;
 pub use sampling::SamplingEstimator;
 pub use scratch::BatchScratch;
-pub use traits::{isolated_selectivity, DensityEstimator, SelectivityEstimator, DEADLINE_STRIDE};
+pub use traits::{DensityEstimator, SelectivityEstimator};
 pub use uniform::UniformEstimator;

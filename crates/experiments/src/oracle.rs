@@ -23,7 +23,7 @@ use crate::methods;
 /// every per-`k` invariant is hoisted out of the rebuild loop: the
 /// ground-truth counts (binary searches over the full data file) and the
 /// record count are computed once, and each candidate histogram answers
-/// the whole file through `selectivity_batch`. The EWH build itself has no
+/// the whole file through `selectivity`. The EWH build itself has no
 /// sort to hoist — it is a single O(n) counting pass — which leaves the
 /// truth lookups as the dominant rebuild-loop invariant.
 pub fn oracle_bins(ctx: &FileContext, queries: &[RangeQuery], max_bins: usize) -> (usize, f64) {
@@ -31,10 +31,10 @@ pub fn oracle_bins(ctx: &FileContext, queries: &[RangeQuery], max_bins: usize) -
     let truths: Vec<f64> = queries.iter().map(|q| ctx.exact.count(q) as f64).collect();
     let n_records = ctx.exact.total();
     let mre_at = |k: usize| {
-        let sels = methods::ewh(ctx, k).selectivity_batch(queries);
+        let est = methods::ewh(ctx, k);
         let mut stats = ErrorStats::new();
-        for (&truth, sel) in truths.iter().zip(sels) {
-            stats.record(truth, sel * n_records as f64);
+        for (&truth, q) in truths.iter().zip(queries) {
+            stats.record(truth, est.selectivity(q) * n_records as f64);
         }
         stats.mean_relative_error()
     };

@@ -286,16 +286,25 @@ fn install_capture_hook() {
     });
 }
 
-/// Render a caught panic payload (plus the location the hook captured)
-/// into the `TaskFault::Panicked` message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    let text = if let Some(s) = payload.downcast_ref::<&'static str>() {
+/// The text of a caught panic payload: the message of a `panic!` with a
+/// literal (`&'static str`) or a formatted one (`String`), and
+/// `"non-string panic payload"` for anything else. The one renderer of
+/// payloads in the workspace: fault-isolated tasks here and
+/// `selest_core::catch_fault` both use it.
+pub fn panic_payload_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    };
+    }
+}
+
+/// Render a caught panic payload (plus the location the hook captured)
+/// into the `TaskFault::Panicked` message.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    let text = panic_payload_text(&*payload);
     match LAST_PANIC_LOCATION.with(|slot| slot.borrow_mut().take()) {
         Some(location) => format!("{text} (at {location})"),
         None => text,
@@ -629,6 +638,16 @@ mod tests {
         assert!(text.contains("selest-par worker panicked"), "{text}");
         assert!(text.contains("original payload 5"), "{text}");
         assert!(text.contains("task 5"), "{text}");
+    }
+
+    #[test]
+    fn panic_payload_text_renders_every_payload_kind() {
+        let literal: Box<dyn std::any::Any + Send> = Box::new("literal");
+        let formatted: Box<dyn std::any::Any + Send> = Box::new(format!("formatted {}", 7));
+        let other: Box<dyn std::any::Any + Send> = Box::new(7u32);
+        assert_eq!(panic_payload_text(&*literal), "literal");
+        assert_eq!(panic_payload_text(&*formatted), "formatted 7");
+        assert_eq!(panic_payload_text(&*other), "non-string panic payload");
     }
 
     #[test]

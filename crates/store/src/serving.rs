@@ -55,14 +55,15 @@
 //! answers all of the batch's misses (see [`crate::overload`] for the
 //! control machinery). A batch is served in one pass: each valid query is
 //! probed and, on a miss, answered there and then by that rung, one slot
-//! at a time under the per-slot fault rule of
-//! [`selest_core::isolated_selectivity`].
+//! at a time under the per-slot fault rule, `isolated_selectivity`. This
+//! pass is the workspace's one fault-isolated, deadline-polled batch
+//! path: the rule and the deadline stride are private to this module.
 //!
 //! * **Deadlines** — callers may attach a [`Deadline`] to a request
 //!   ([`ServingEngine::try_estimate_with`] /
 //!   [`ServingEngine::estimate_batch_with`]). An expired one refuses
 //!   before any work; a live one is polled before a batch's first miss
-//!   and then every [`DEADLINE_STRIDE`] misses. Once it has expired, the
+//!   and then every `DEADLINE_STRIDE` (16) misses. Once it has expired, the
 //!   remaining misses come back as typed
 //!   [`EstimateError::DeadlineExceeded`] slots, while finished slots keep
 //!   their unhurried bits and cache hits still serve (partial results,
@@ -99,11 +100,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use selest_core::fault::{sanitize_sample, EstimateError};
-use selest_core::{
-    isolated_selectivity, Domain, PreparedColumn, RangeQuery, SelectivityEstimator,
-    UniformEstimator, DEADLINE_STRIDE,
-};
+use selest_core::fault::{catch_fault, sanitize_sample, EstimateError, FaultStage};
+use selest_core::{Domain, PreparedColumn, RangeQuery, SelectivityEstimator, UniformEstimator};
 use selest_par::{shard_for, Deadline, TryConfig};
 
 use crate::catalog::{
@@ -931,6 +929,32 @@ impl ServingScratch {
     /// A scratch handle; never allocates.
     pub const fn new() -> Self {
         ServingScratch
+    }
+}
+
+/// How many cache misses a batch answers between deadline polls: the
+/// pass polls before its first miss and then every this many. Small
+/// enough that an expired budget is noticed within a few microseconds of
+/// work, large enough that the atomic load never shows up in profiles.
+const DEADLINE_STRIDE: usize = 16;
+
+/// One valid query through the fault-isolated path: a panic comes back as
+/// [`EstimateError::Panicked`], a NaN/±Inf answer as
+/// [`EstimateError::NonFiniteEstimate`], and any other answer is exactly
+/// [`SelectivityEstimator::selectivity`]'s. The per-slot rule of the one
+/// fallible batch path, [`BatchPass::miss`].
+fn isolated_selectivity(
+    est: &dyn SelectivityEstimator,
+    q: &RangeQuery,
+) -> Result<f64, EstimateError> {
+    let v = catch_fault(
+        FaultStage::Estimate,
+        std::panic::AssertUnwindSafe(|| est.selectivity(q)),
+    )?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(EstimateError::NonFiniteEstimate { value: v })
     }
 }
 

@@ -32,20 +32,22 @@ echo "==> cargo test -q --workspace"
 # editing this line.
 cargo test -q --workspace
 
-echo "==> bit-identity pins in an optimized build"
+echo "==> bit-identity pins and the zero-allocation check in an optimized build"
 # The compile-time Hermite orders are only unrolled with optimization, so
 # the pinned build-publish bits (tests/build_engine.rs), the pinned
 # query-file checksums (tests/batch_engine.rs), the raw-vs-prepared
 # equivalence pins (tests/prepared_column.rs and the kernel and histogram
 # unit tests), the serving engine's served-bits pins (tests/serving_engine.rs:
 # boundary-kernel columns serve the direct estimator's bits, the single
-# query is the one-slot batch, and
+# query is the one-slot batch,
 # an_all_distinct_stream_bypasses_the_cache_and_serves_the_direct_bits:
-# a cold column's bypassed slots serve the same bits as probed ones) and
-# the math and change-point bit-identity tests also run against release
-# code.
+# a cold column's bypassed slots serve the same bits as probed ones, and
+# a deadline tripped mid-batch leaves the finished slots' bits) and the
+# math and change-point bit-identity tests also run against release
+# code. The zero-allocation claim (tests/alloc_free.rs) is about the
+# optimized engine path that selbench measures, so it runs here too.
 cargo test --release -q --test build_engine --test batch_engine --test prepared_column \
-    --test serving_engine
+    --test serving_engine --test alloc_free
 cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram --lib
 
 echo "==> selbench tests (the benchmark builds against the workspace crates)"

@@ -5,15 +5,14 @@
 //! `alloc_zeroed`; the test warms each estimator's output buffers once, then
 //! asserts:
 //!
-//! - `selectivity_batch_into` and `try_selectivity_batch_into` perform
-//!   **zero** heap allocations per call — the whole point of the
-//!   caller-provided-buffer variants;
-//! - the `Vec`-returning `selectivity_batch` performs at most **one**
-//!   allocation per call: the output vector its signature requires;
-//! - the serving engine over a kernel column — `estimate_batch_into` with
-//!   a warm output vector, and `try_estimate` (a batch of one that needs
-//!   no buffer) — performs **zero** heap allocations per call,
-//!   on cache misses and on cache hits.
+//! - the batch helper `selectivity_batch_into` performs **zero** heap
+//!   allocations per call — the whole point of a caller-provided buffer;
+//! - the serving engine over a kernel column — `estimate_batch_into` and
+//!   the fallible `estimate_batch_with` under a live `Deadline` (built
+//!   outside the counted call), each with a warm output vector, and
+//!   `try_estimate` (a batch of one that needs no buffer) — performs
+//!   **zero** heap allocations per call, on cache misses and on cache
+//!   hits.
 //!
 //! Everything runs inside a single `#[test]` — the counter is
 //! process-global, and cargo runs sibling tests on concurrent threads.
@@ -22,7 +21,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use selest::store::{EstimatorKind, OverloadOptions, ServingColumn};
+use selest::par::Deadline;
+use selest::store::{CacheStats, EstimatorKind, OverloadOptions, ServeRung, ServingColumn};
 use selest::{
     equi_depth, equi_width, BatchScratch, BoundaryPolicy, CatalogSnapshot, HybridEstimator,
     KernelEstimator, KernelFn, PaperFile, QueryFile, SamplingEstimator, SelectivityEstimator,
@@ -108,59 +108,28 @@ fn batch_path_is_allocation_free_after_warmup() {
 
     let mut scratch = BatchScratch::new();
     let mut out = vec![0.0f64; queries.len()];
-    let mut try_out = Vec::new();
 
     for (name, est) in &estimators {
         let est = est.as_ref();
+        let reference: Vec<f64> = queries.iter().map(|q| est.selectivity(q)).collect();
 
-        // Warm-up: first calls may grow `try_out` to the batch size.
-        est.selectivity_batch_into(&queries, &mut scratch, &mut out);
-        try_out.clear();
-        try_out.resize(queries.len(), Ok(0.0));
-        est.try_selectivity_batch_into(&queries, &mut scratch, &mut try_out);
-        let warm_reference = est.selectivity_batch(&queries);
-
-        // Warm `_into` calls: zero allocations, bit-identical answers.
+        // The batch helper: zero allocations, bit-identical answers.
         for round in 0..3 {
             let (n, ()) = allocs_during(|| {
                 est.selectivity_batch_into(&queries, &mut scratch, &mut out);
             });
             assert_eq!(
                 n, 0,
-                "{name}: selectivity_batch_into allocated {n} times on warm round {round}"
-            );
-            let (n, ()) = allocs_during(|| {
-                est.try_selectivity_batch_into(&queries, &mut scratch, &mut try_out);
-            });
-            assert_eq!(
-                n, 0,
-                "{name}: try_selectivity_batch_into allocated {n} times on warm round {round}"
+                "{name}: selectivity_batch_into allocated {n} times on round {round}"
             );
         }
-        for (i, (&got, want)) in out.iter().zip(&warm_reference).enumerate() {
+        for (i, (&got, want)) in out.iter().zip(&reference).enumerate() {
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "{name}: warm _into answer drifted at query {i}"
+                "{name}: batch answer drifted at query {i}"
             );
         }
-        for (i, (got, want)) in try_out.iter().zip(&warm_reference).enumerate() {
-            let got = got.as_ref().expect("finite fixture queries");
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "{name}: warm try answer drifted at query {i}"
-            );
-        }
-
-        // The Vec-returning form: exactly the one output allocation its
-        // signature forces, nothing hidden.
-        let (n, answers) = allocs_during(|| est.selectivity_batch(&queries));
-        assert!(
-            n <= 1,
-            "{name}: selectivity_batch allocated {n} times (only the output Vec is allowed)"
-        );
-        drop(answers);
     }
 
     // The serving engine over a kernel column. An SLO far above any
@@ -192,26 +161,65 @@ fn batch_path_is_allocation_free_after_warmup() {
     });
     engine.publish_snapshot(CatalogSnapshot::from_columns(vec![column], 1));
     let (batch_warm, rest) = queries.split_at(50);
-    let (batch_cold, singles) = rest.split_at(50);
+    let (batch_cold, rest) = rest.split_at(40);
+    let (batch_deadline, singles) = rest.split_at(40);
+    let deadline = Deadline::never();
     let mut serving = ServingScratch::new();
     let mut served = Vec::new();
-    // Warm-up: the thread-local snapshot entry and the output vector of
+    let mut served_with = Vec::new();
+    // Warm-up: the thread-local snapshot entry and the output vectors of
     // a 50-query batch.
     engine.estimate_batch_into("t", "k", batch_warm, &mut serving, &mut served);
+    engine.estimate_batch_with(
+        "t",
+        "k",
+        batch_warm,
+        Some(&deadline),
+        &mut serving,
+        &mut served_with,
+    );
     engine.try_estimate("t", "k", &singles[0]).expect("served");
-    let stats = engine.cache().stats();
+    // Whether the call since `before` missed (first pass) or hit (second).
+    let counted = |before: CacheStats, expect_misses: bool| {
+        let after = engine.cache().stats();
+        if expect_misses {
+            after.misses > before.misses
+        } else {
+            after.hits > before.hits
+        }
+    };
     for (pass, expect_misses) in [("miss", true), ("hit", false)] {
+        let before = engine.cache().stats();
         let (n, ()) = allocs_during(|| {
             engine.estimate_batch_into("t", "k", batch_cold, &mut serving, &mut served);
         });
         assert_eq!(n, 0, "engine batch ({pass} pass) allocated {n} times");
         assert!(served.iter().all(|s| s.is_ok()));
-        let after = engine.cache().stats();
-        if expect_misses {
-            assert!(after.misses > stats.misses, "first pass must miss");
-        } else {
-            assert!(after.hits > stats.hits, "second pass must hit");
-        }
+        assert!(counted(before, expect_misses), "engine batch: {pass} pass");
+        // The fallible batch under a live deadline: the pass polls it
+        // and still allocates nothing.
+        let before = engine.cache().stats();
+        let (n, ()) = allocs_during(|| {
+            engine.estimate_batch_with(
+                "t",
+                "k",
+                batch_deadline,
+                Some(&deadline),
+                &mut serving,
+                &mut served_with,
+            );
+        });
+        assert_eq!(
+            n, 0,
+            "engine batch under a deadline ({pass} pass) allocated {n} times"
+        );
+        assert!(served_with
+            .iter()
+            .all(|s| s.as_ref().is_ok_and(|s| s.rung == ServeRung::Full)));
+        assert!(
+            counted(before, expect_misses),
+            "engine batch under a deadline: {pass} pass"
+        );
     }
     for q in &singles[1..12] {
         let before = engine.cache().stats();

@@ -1,23 +1,21 @@
 //! Cross-crate contract tests for the batch-estimation engine.
 //!
-//! Four guarantees are pinned here, at the workspace level, over every
+//! Three guarantees are pinned here, at the workspace level, over every
 //! estimator the facade exports:
 //!
-//! 1. `selectivity_batch` returns bit-identical values to the per-query
-//!    `selectivity` loop.
+//! 1. The batch helper `selectivity_batch_into` returns bit-identical
+//!    values to the per-query `selectivity` loop.
 //! 2. `harness::evaluate` produces bit-identical `ErrorStats` regardless
 //!    of the worker count, so `selest repro --jobs N` output never
 //!    depends on the machine it ran on.
 //! 3. On the pinned fixtures (n(20) and u(20) at scale 20, 1 000-value
 //!    sample, 200 queries at 1 %), every estimator — and every
 //!    strip-scanned kernel, untreated and reflected — answers the query
-//!    file with pinned Kahan-checksum bits through the per-query loop,
-//!    `selectivity_batch` and `selectivity_batch_into`.
-//! 4. A deadline armed in the `BatchScratch` cancels the fallible batch
-//!    the same way for every estimator: finished slots keep their bits,
-//!    the rest report `DeadlineExceeded`, invalid queries `InvalidQuery`.
-
-use std::cell::Cell;
+//!    file with pinned Kahan-checksum bits through the per-query loop and
+//!    `selectivity_batch_into`.
+//!
+//! Deadlines and per-slot fault isolation belong to the serving engine's
+//! batch path; `tests/serving_engine.rs` pins them.
 
 use selest::core::BatchScratch;
 use selest::data::sample_without_replacement;
@@ -25,12 +23,11 @@ use selest::experiments::harness::{evaluate, evaluate_jobs};
 use selest::histogram::{BinRule, NormalScaleBins};
 use selest::kernel::{AdaptiveBoundary, BandwidthSelector, DirectPlugIn, NormalScale};
 use selest::math::kahan_sum;
-use selest::par::Deadline;
 use selest::{
     equi_depth, equi_width, max_diff, v_optimal, AdaptiveKernelEstimator, AverageShiftedHistogram,
-    BoundaryPolicy, Domain, EstimateError, ExactSelectivity, HybridEstimator, KernelEstimator,
-    KernelFn, PaperFile, QueryFile, RangeQuery, SamplingEstimator, SelectivityEstimator,
-    UniformEstimator, WaveletHistogram,
+    BoundaryPolicy, Domain, ExactSelectivity, HybridEstimator, KernelEstimator, KernelFn,
+    PaperFile, QueryFile, RangeQuery, SamplingEstimator, SelectivityEstimator, UniformEstimator,
+    WaveletHistogram,
 };
 
 const LO: f64 = 0.0;
@@ -157,9 +154,9 @@ fn all_estimators(samples: &[f64]) -> Vec<(&'static str, Box<dyn SelectivityEsti
 fn batch_is_bit_identical_to_per_query_for_every_estimator() {
     let samples = sample();
     let qs = queries();
+    let mut batch = vec![f64::NAN; qs.len()];
     for (name, est) in all_estimators(&samples) {
-        let batch = est.selectivity_batch(&qs);
-        assert_eq!(batch.len(), qs.len(), "{name}: batch length mismatch");
+        est.selectivity_batch_into(&qs, &mut BatchScratch::new(), &mut batch);
         for (i, (q, got)) in qs.iter().zip(&batch).enumerate() {
             let want = est.selectivity(q);
             assert_eq!(
@@ -347,12 +344,6 @@ fn fixture_query_file_checksums_are_pinned_for_every_estimator_and_path() {
                 pinned,
                 "{fixture} {name}: per-query checksum {seq}"
             );
-            let batch = kahan_sum(est.selectivity_batch(&queries));
-            assert_eq!(
-                batch.to_bits(),
-                pinned,
-                "{fixture} {name}: batch checksum {batch}"
-            );
             out.clear();
             out.resize(queries.len(), 0.0);
             est.selectivity_batch_into(&queries, &mut scratch, &mut out);
@@ -362,172 +353,6 @@ fn fixture_query_file_checksums_are_pinned_for_every_estimator_and_path() {
                 pinned,
                 "{fixture} {name}: batch_into checksum {into}"
             );
-        }
-    }
-}
-
-/// The estimators the deadline contract is checked over: a kernel, a
-/// max-diff histogram and the hybrid.
-fn deadline_estimators(samples: &[f64]) -> Vec<(&'static str, Box<dyn SelectivityEstimator>)> {
-    let domain = Domain::new(LO, HI);
-    vec![
-        (
-            "kernel-refl",
-            Box::new(KernelEstimator::new(
-                samples,
-                domain,
-                KernelFn::Epanechnikov,
-                25.0,
-                BoundaryPolicy::Reflection,
-            )) as _,
-        ),
-        ("mdh", Box::new(max_diff(samples, domain, 16)) as _),
-        (
-            "hybrid",
-            Box::new(HybridEstimator::new(samples, domain)) as _,
-        ),
-    ]
-}
-
-/// The query mix with one degenerate query, which must keep its own
-/// error class under any deadline.
-fn queries_with_invalid() -> Vec<RangeQuery> {
-    let mut qs = queries();
-    qs.insert(3, RangeQuery::unchecked(9.0, 4.0));
-    qs
-}
-
-/// A spent deadline in the scratch turns every valid slot into a typed
-/// `DeadlineExceeded` (validation errors keep their own class), and the
-/// infallible path ignores the deadline entirely.
-#[test]
-fn expired_deadline_yields_typed_refusals_not_garbage() {
-    let samples = sample();
-    let qs = queries_with_invalid();
-    let good = queries();
-    for (name, est) in deadline_estimators(&samples) {
-        let mut scratch = BatchScratch::new();
-        scratch.set_deadline(Deadline::already_expired());
-        let mut tried = Vec::new();
-        est.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
-        assert_eq!(tried.len(), qs.len());
-        for (i, slot) in tried.iter().enumerate() {
-            match slot {
-                Err(EstimateError::DeadlineExceeded { .. }) if i != 3 => {}
-                Err(EstimateError::InvalidQuery { .. }) if i == 3 => {}
-                other => panic!("{name} slot {i}: expected a typed refusal, got {other:?}"),
-            }
-        }
-        // The infallible contract has no partial-result channel: a stale
-        // armed deadline must not bend its answers.
-        let mut good_out = vec![0.0; good.len()];
-        est.selectivity_batch_into(&good, &mut scratch, &mut good_out);
-        for (i, (got, q)) in good_out.iter().zip(&good).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                est.selectivity(q).to_bits(),
-                "{name} query {i}"
-            );
-        }
-    }
-}
-
-/// An armed but unexpired deadline is free: the try path's `Ok` slots
-/// stay bit-identical to the per-query path.
-#[test]
-fn unexpired_deadline_is_bit_transparent() {
-    let samples = sample();
-    let qs = queries();
-    for (name, est) in deadline_estimators(&samples) {
-        let mut scratch = BatchScratch::new();
-        scratch.set_deadline(Deadline::never());
-        let mut tried = Vec::new();
-        est.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
-        assert_eq!(tried.len(), qs.len());
-        for (i, (slot, q)) in tried.iter().zip(&qs).enumerate() {
-            assert_eq!(
-                slot.as_ref().expect("unexpired deadline").to_bits(),
-                est.selectivity(q).to_bits(),
-                "{name} query {i}"
-            );
-        }
-    }
-}
-
-/// Trips a manual deadline during its `trip_at`-th evaluation.
-struct TripAfter<'a> {
-    inner: &'a dyn SelectivityEstimator,
-    deadline: Deadline,
-    calls: Cell<usize>,
-    trip_at: usize,
-}
-
-impl SelectivityEstimator for TripAfter<'_> {
-    fn selectivity(&self, q: &RangeQuery) -> f64 {
-        self.calls.set(self.calls.get() + 1);
-        if self.calls.get() == self.trip_at {
-            self.deadline.expire();
-        }
-        self.inner.selectivity(q)
-    }
-    fn domain(&self) -> Domain {
-        self.inner.domain()
-    }
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-}
-
-/// A deadline that expires mid-batch is noticed at the next poll (every
-/// 16 valid slots): the slots evaluated before it keep their exact bits,
-/// every later valid slot is `DeadlineExceeded`, and the invalid query
-/// stays `InvalidQuery` on either side of the cut.
-#[test]
-fn deadline_expiring_mid_batch_keeps_finished_slots_bit_identical() {
-    const STRIDE: usize = 16;
-    let samples = sample();
-    for invalid_at in [3, 40] {
-        let mut qs = queries();
-        qs.insert(invalid_at, RangeQuery::unchecked(9.0, 4.0));
-        let n_valid = qs.len() - 1;
-        for (name, est) in deadline_estimators(&samples) {
-            for trip_at in [1, 5, 16, 17, 33, n_valid] {
-                let deadline = Deadline::never();
-                let tripping = TripAfter {
-                    inner: est.as_ref(),
-                    deadline: deadline.clone(),
-                    calls: Cell::new(0),
-                    trip_at,
-                };
-                let mut scratch = BatchScratch::new();
-                scratch.set_deadline(deadline);
-                let mut tried = Vec::new();
-                tripping.try_selectivity_batch_into(&qs, &mut scratch, &mut tried);
-                assert_eq!(tried.len(), qs.len());
-                let finished = trip_at.div_ceil(STRIDE) * STRIDE;
-                assert_eq!(tripping.calls.get(), finished.min(n_valid));
-                let mut valid = 0;
-                for (i, (slot, q)) in tried.iter().zip(&qs).enumerate() {
-                    let label = format!("{name} trip_at={trip_at} slot {i}");
-                    if i == invalid_at {
-                        assert!(
-                            matches!(slot, Err(EstimateError::InvalidQuery { .. })),
-                            "{label}: {slot:?}"
-                        );
-                        continue;
-                    }
-                    if valid < finished {
-                        let got = slot.as_ref().expect("finished before the poll");
-                        assert_eq!(got.to_bits(), est.selectivity(q).to_bits(), "{label}");
-                    } else {
-                        assert!(
-                            matches!(slot, Err(EstimateError::DeadlineExceeded { .. })),
-                            "{label}: {slot:?}"
-                        );
-                    }
-                    valid += 1;
-                }
-            }
         }
     }
 }

@@ -4,8 +4,8 @@
 //! `0xC0FFEE`) through the seeded `FaultInjector`, so a failing seed is a
 //! repro command, not a flake (`scripts/chaos_sweep.sh` sweeps seeds and
 //! prints exactly that command). Three guarantees are pinned across the
-//! engine (`try_parallel_map` over fixed chunks), the estimator API
-//! (`try_selectivity_batch`), the serving engine's rungs, and the catalog
+//! engine (`try_parallel_map` over fixed chunks), the serving engine's
+//! batch path (`estimate_batch_with`) and its rungs, and the catalog
 //! bulkhead (`try_analyze`):
 //!
 //! 1. surviving results are bit-identical to a fault-free run for any
@@ -16,8 +16,8 @@
 
 use selest::par::{parallel_chunks_jobs, try_parallel_map, Deadline, TaskFault, TryConfig};
 use selest::store::{
-    AnalyzeConfig, BreakerState, CatalogSnapshot, Column, EstimatorKind, FailingEstimator,
-    FailureMode, FaultInjector, Relation, ServeRung, ServedEstimate, ServingColumn, ServingEngine,
+    AnalyzeConfig, BreakerState, CatalogSnapshot, Column, EstimatorKind, FailureMode,
+    FaultInjector, Relation, ServeRung, ServedEstimate, ServingColumn, ServingEngine,
     ServingHealthReport, ServingScratch, StatisticsCatalog,
 };
 use selest::{
@@ -159,21 +159,25 @@ fn expired_deadline_returns_typed_partial_results_not_a_hang() {
 }
 
 // -------------------------------------------------------------------------
-// 3. Estimator API: try_selectivity_batch isolates poisoned queries
+// 3. Served batches: poisoned queries are isolated per slot
 // -------------------------------------------------------------------------
 
+/// A poisoned batch served from a kernel column: each degenerate query
+/// comes back `InvalidQuery`, and every survivor is the kernel's own
+/// per-query answer, bit for bit.
 #[test]
 fn kernel_try_batch_survivors_match_fault_free_batch() {
+    let d = Domain::new(0.0, 1000.0);
     let sample = data(600);
     let est = KernelEstimator::new(
         &sample,
-        Domain::new(0.0, 1000.0),
+        d,
         KernelFn::Epanechnikov,
         25.0,
         BoundaryPolicy::Reflection,
     );
     let clean = queries(80);
-    let reference = est.selectivity_batch(&clean);
+    let reference: Vec<f64> = clean.iter().map(|q| est.selectivity(q)).collect();
     let victims = FaultInjector::new(chaos_seed()).fault_plan(clean.len(), 4);
     let degenerate = [
         RangeQuery::unchecked(f64::NAN, 1.0),
@@ -185,7 +189,7 @@ fn kernel_try_batch_survivors_match_fault_free_batch() {
     for (k, &i) in victims.iter().enumerate() {
         poisoned[i] = degenerate[k % degenerate.len()];
     }
-    let out = est.try_selectivity_batch(&poisoned);
+    let (out, _) = serve_through_engine(est, EstimatorKind::Kernel, &sample, d, &poisoned);
     assert_eq!(out.len(), poisoned.len());
     for (i, slot) in out.iter().enumerate() {
         if victims.contains(&i) {
@@ -194,11 +198,12 @@ fn kernel_try_batch_survivors_match_fault_free_batch() {
                 "query {i} should be rejected, got {slot:?}"
             );
         } else {
-            let v = slot.as_ref().unwrap_or_else(|e| panic!("query {i}: {e}"));
+            let s = slot.as_ref().unwrap_or_else(|e| panic!("query {i}: {e}"));
+            assert_eq!(s.rung, ServeRung::Full, "query {i}");
             assert_eq!(
-                v.to_bits(),
+                s.value.to_bits(),
                 reference[i].to_bits(),
-                "query {i}: survivor drifted from fault-free batch"
+                "query {i}: survivor drifted from the per-query estimate"
             );
         }
     }
@@ -208,10 +213,12 @@ fn kernel_try_batch_survivors_match_fault_free_batch() {
 // 4. Serving rungs: a seeded panicking primary floors, batch completes
 // -------------------------------------------------------------------------
 
-/// Serve one batch from `failing`, published as the primary of a
-/// cheap-kind column (no brownout rung) through the production engine.
+/// Serve one batch from `primary`, published with `kind` and `sample`
+/// as the primary of a fresh column, through the production engine.
 fn serve_through_engine(
-    failing: FailingEstimator,
+    primary: impl SelectivityEstimator + Send + Sync + 'static,
+    kind: EstimatorKind,
+    sample: &[f64],
     d: Domain,
     qs: &[RangeQuery],
 ) -> (
@@ -221,11 +228,11 @@ fn serve_through_engine(
     let column = ServingColumn::new(
         "chaos",
         "x",
-        std::sync::Arc::new(failing),
+        std::sync::Arc::new(primary),
         1_000,
-        EstimatorKind::Sampling,
+        kind,
         d,
-        Vec::new().into(),
+        sample.into(),
     );
     let engine = ServingEngine::with_defaults();
     engine.publish_snapshot(CatalogSnapshot::from_columns(vec![column], 1));
@@ -242,7 +249,8 @@ fn panicking_rung_degrades_mid_batch_and_every_query_still_answers() {
         panic!("seeded draw must be a PanicAfter estimator");
     };
     let qs = queries(40);
-    let (out, health) = serve_through_engine(failing, d, &qs);
+    // A cheap-kind column with no sample has no brownout rung.
+    let (out, health) = serve_through_engine(failing, EstimatorKind::Sampling, &[], d, &qs);
     assert_eq!(out.len(), qs.len());
     for (i, (q, slot)) in qs.iter().zip(&out).enumerate() {
         // The primary (while healthy) and the floor both serve the
@@ -337,7 +345,8 @@ fn seeded_chaos_run_completes_batch_and_catalog_with_typed_faults() {
     let mut inj = FaultInjector::new(chaos_seed());
     // One panicking estimator in a served batch...
     let failing = inj.panicking_estimator(d, 3);
-    let (answers, health) = serve_through_engine(failing, d, &queries(30));
+    let (answers, health) =
+        serve_through_engine(failing, EstimatorKind::Sampling, &[], d, &queries(30));
     assert!(answers.iter().all(|s| s.is_ok()), "batch completes");
     assert!(health.floor_served > 0, "the dead primary's slots floor");
     assert_eq!(health.breakers[0].trips, 1, "and charge its breaker");

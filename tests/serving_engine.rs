@@ -1140,3 +1140,241 @@ fn cache_counters_stay_exact_while_two_threads_bypass_and_probe() {
     );
     assert!(stats.bypassed > 0 && stats.hits > 0, "{stats:?}");
 }
+
+// -------------------------------------------------------------------------
+// 5. Deadlines: the engine's batch pass is the one that polls them
+// -------------------------------------------------------------------------
+
+/// A served primary that trips `deadline` during its `trip_at`-th
+/// evaluation (never, for 0) and counts its calls (atomically: a served
+/// primary is `Send + Sync`).
+struct TripAfter {
+    inner: Arc<dyn selest::SelectivityEstimator + Send + Sync>,
+    deadline: selest::par::Deadline,
+    calls: std::sync::atomic::AtomicUsize,
+    trip_at: usize,
+}
+
+impl selest::SelectivityEstimator for TripAfter {
+    fn selectivity(&self, q: &RangeQuery) -> f64 {
+        if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.trip_at {
+            self.deadline.expire();
+        }
+        self.inner.selectivity(q)
+    }
+    fn domain(&self) -> Domain {
+        self.inner.domain()
+    }
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+}
+
+/// Valid queries per deadline batch; one invalid query rides along.
+const DEADLINE_VALID: usize = 63;
+
+/// A primary as a served column holds it.
+type Primary = Arc<dyn selest::SelectivityEstimator + Send + Sync>;
+
+/// The primaries the deadline contract is checked over, each with the
+/// kind it is published as: a reflected kernel, a max-diff histogram and
+/// the hybrid, all over the clustered sample `rows(0)`.
+fn deadline_primaries() -> Vec<(&'static str, selest::store::EstimatorKind, Primary)> {
+    use selest::store::EstimatorKind;
+    use selest::{max_diff, BoundaryPolicy, HybridEstimator, KernelEstimator, KernelFn};
+    let (d, s) = (domain(), rows(0));
+    let kernel = KernelEstimator::new(
+        &s,
+        d,
+        KernelFn::Epanechnikov,
+        25.0,
+        BoundaryPolicy::Reflection,
+    );
+    vec![
+        (
+            "kernel-refl",
+            EstimatorKind::Kernel,
+            Arc::new(kernel) as Primary,
+        ),
+        (
+            "mdh",
+            EstimatorKind::MaxDiff,
+            Arc::new(max_diff(&s, d, 16)) as _,
+        ),
+        (
+            "hybrid",
+            EstimatorKind::Hybrid,
+            Arc::new(HybridEstimator::new(&s, d)) as _,
+        ),
+    ]
+}
+
+/// [`DEADLINE_VALID`] distinct queries with one degenerate query inserted
+/// at `invalid_at`, which must keep its own error class under any
+/// deadline.
+fn queries_with_invalid(invalid_at: usize) -> Vec<RangeQuery> {
+    let mut qs = distinct_queries(&domain(), 0, DEADLINE_VALID);
+    qs.insert(invalid_at, RangeQuery::unchecked(9.0, 4.0));
+    qs
+}
+
+/// What one deadline-bound batch left behind.
+struct DeadlineRun {
+    out: Vec<Result<selest::store::ServedEstimate, selest::EstimateError>>,
+    /// How many times the primary was evaluated.
+    calls: usize,
+    /// The engine's `deadline_refused` counter.
+    refused: u64,
+}
+
+/// Serve `qs` under `deadline` through `estimate_batch_with` on a fresh
+/// engine — each timeout charges the breaker once, so cases must not
+/// share one — whose primary is `inner` wrapped to trip `deadline` at its
+/// `trip_at`-th call. The queries are distinct, so every valid slot
+/// misses and reaches the primary.
+fn serve_under_deadline(
+    (inner, kind): (&Primary, selest::store::EstimatorKind),
+    deadline: &selest::par::Deadline,
+    trip_at: usize,
+    qs: &[RangeQuery],
+) -> DeadlineRun {
+    use selest::store::ServingColumn;
+    let primary = Arc::new(TripAfter {
+        inner: Arc::clone(inner),
+        deadline: deadline.clone(),
+        calls: Default::default(),
+        trip_at,
+    });
+    let col = ServingColumn::new(
+        "t",
+        "v",
+        primary.clone(),
+        1_500,
+        kind,
+        domain(),
+        rows(0).into(),
+    );
+    let engine = unhurried_engine();
+    engine.publish_snapshot(CatalogSnapshot::from_columns(vec![col], 0));
+    let mut out = Vec::new();
+    let scratch = &mut ServingScratch::new();
+    engine.estimate_batch_with("t", "v", qs, Some(deadline), scratch, &mut out);
+    assert_eq!(out.len(), qs.len());
+    DeadlineRun {
+        out,
+        calls: primary.calls.load(Ordering::Relaxed),
+        refused: engine.health().deadline_refused,
+    }
+}
+
+/// A spent deadline refuses the batch before any work: every valid slot
+/// is a typed `DeadlineExceeded`, the invalid query keeps
+/// `InvalidQuery`, and the primary is never called.
+#[test]
+fn expired_deadline_yields_typed_refusals_not_garbage() {
+    use selest::par::Deadline;
+    use selest::EstimateError;
+
+    for invalid_at in [3, 40] {
+        let qs = queries_with_invalid(invalid_at);
+        for (name, kind, est) in deadline_primaries() {
+            let run = serve_under_deadline((&est, kind), &Deadline::already_expired(), 0, &qs);
+            for (i, slot) in run.out.iter().enumerate() {
+                match slot {
+                    Err(EstimateError::DeadlineExceeded { .. }) if i != invalid_at => {}
+                    Err(EstimateError::InvalidQuery { .. }) if i == invalid_at => {}
+                    other => panic!("{name} slot {i}: expected a typed refusal, got {other:?}"),
+                }
+            }
+            assert_eq!(run.calls, 0, "{name}");
+            assert_eq!(run.refused, DEADLINE_VALID as u64, "{name}");
+        }
+    }
+}
+
+/// A live deadline that never expires is free: every valid slot is the
+/// primary's own answer, bit for bit, and the invalid query keeps
+/// `InvalidQuery`.
+#[test]
+fn unexpired_deadline_is_bit_transparent() {
+    use selest::par::Deadline;
+    use selest::store::ServeRung;
+    use selest::EstimateError;
+
+    for invalid_at in [3, 40] {
+        let qs = queries_with_invalid(invalid_at);
+        for (name, kind, est) in deadline_primaries() {
+            let run = serve_under_deadline((&est, kind), &Deadline::never(), 0, &qs);
+            for (i, (slot, q)) in run.out.iter().zip(&qs).enumerate() {
+                if i == invalid_at {
+                    assert!(
+                        matches!(slot, Err(EstimateError::InvalidQuery { .. })),
+                        "{name} slot {i}: {slot:?}"
+                    );
+                    continue;
+                }
+                let served = slot.as_ref().expect("unexpired deadline");
+                assert_eq!(served.rung, ServeRung::Full, "{name} slot {i}");
+                assert_eq!(
+                    served.value.to_bits(),
+                    est.selectivity(q).to_bits(),
+                    "{name} slot {i}"
+                );
+            }
+            assert_eq!(run.calls, DEADLINE_VALID, "{name}");
+            assert_eq!(run.refused, 0, "{name}");
+        }
+    }
+}
+
+/// A deadline that expires mid-batch is noticed at the pass's next poll
+/// (before the first miss and every 16 misses after it): the slots
+/// evaluated before it keep the primary's exact bits, every later valid
+/// slot is `DeadlineExceeded`, the invalid query stays `InvalidQuery` on
+/// either side of the cut, and the primary ran `ceil(trip_at / 16) · 16`
+/// times, capped at the valid count.
+#[test]
+fn deadline_expiring_mid_batch_keeps_finished_slots_bit_identical() {
+    use selest::par::Deadline;
+    use selest::store::ServeRung;
+    use selest::EstimateError;
+
+    const STRIDE: usize = 16;
+    for invalid_at in [3, 40] {
+        let qs = queries_with_invalid(invalid_at);
+        for (name, kind, est) in deadline_primaries() {
+            for trip_at in [1, 5, 16, 17, 33, DEADLINE_VALID] {
+                let run = serve_under_deadline((&est, kind), &Deadline::never(), trip_at, &qs);
+                let finished = (trip_at.div_ceil(STRIDE) * STRIDE).min(DEADLINE_VALID);
+                let label = format!("{name} invalid_at={invalid_at} trip_at={trip_at}");
+                assert_eq!(run.calls, finished, "{label}");
+                assert_eq!(run.refused, (DEADLINE_VALID - finished) as u64, "{label}");
+                let mut valid = 0;
+                for (i, (slot, q)) in run.out.iter().zip(&qs).enumerate() {
+                    if i == invalid_at {
+                        assert!(
+                            matches!(slot, Err(EstimateError::InvalidQuery { .. })),
+                            "{label} slot {i}: {slot:?}"
+                        );
+                        continue;
+                    }
+                    if valid < finished {
+                        let served = slot.as_ref().expect("finished before the poll");
+                        assert_eq!(served.rung, ServeRung::Full, "{label} slot {i}");
+                        assert_eq!(
+                            served.value.to_bits(),
+                            est.selectivity(q).to_bits(),
+                            "{label} slot {i}"
+                        );
+                    } else {
+                        assert!(
+                            matches!(slot, Err(EstimateError::DeadlineExceeded { .. })),
+                            "{label} slot {i}: {slot:?}"
+                        );
+                    }
+                    valid += 1;
+                }
+            }
+        }
+    }
+}

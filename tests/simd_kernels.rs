@@ -20,8 +20,8 @@ use selest::data::{sample_without_replacement, Zipf};
 use selest::experiments::harness::evaluate;
 use selest::par as selest_par;
 use selest::{
-    BoundaryPolicy, DataFile, Domain, ExactSelectivity, KernelEstimator, KernelFn, PaperFile,
-    QueryFile, RangeQuery, SelectivityEstimator,
+    BatchScratch, BoundaryPolicy, DataFile, Domain, ExactSelectivity, KernelEstimator, KernelFn,
+    PaperFile, QueryFile, RangeQuery, SelectivityEstimator,
 };
 
 /// One prepared workload: name, sample, domain, queries, exact answers.
@@ -111,11 +111,9 @@ fn jobs_sweep_is_byte_identical() {
 
             for jobs in [1usize, 7] {
                 selest_par::set_jobs(jobs);
-                let got: Vec<u64> = est
-                    .selectivity_batch(&w.queries)
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect();
+                let mut batch = vec![f64::NAN; w.queries.len()];
+                est.selectivity_batch_into(&w.queries, &mut BatchScratch::new(), &mut batch);
+                let got: Vec<u64> = batch.iter().map(|s| s.to_bits()).collect();
                 assert_eq!(
                     got, ref_seq,
                     "{label}: batch bits differ from per-query at jobs={jobs}"
