@@ -1,7 +1,8 @@
 //! Property battery for the incremental statistics substrate
 //! (DESIGN.md §15): a GK summary of a random stream with heavy duplicates
-//! stays within the conservative `2·ε·n` rank cap, and zero-update
-//! snapshots are bit-identical to a from-scratch prepare.
+//! stays within the conservative `2·ε·n` rank cap, absorbing a stream in
+//! any chunking yields the one-value-at-a-time summary bit for bit, and
+//! zero-update snapshots are bit-identical to a from-scratch prepare.
 
 use std::sync::Arc;
 
@@ -18,6 +19,8 @@ fn values(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
         prop_oneof![
             (0u32..=1_024_000).prop_map(|v| v as f64 / 1_000.0),
             Just(512.0), // heavy duplicate
+            Just(-0.0),  // equal to +0.0 under `<`, not in bits
+            Just(0.0),
         ],
         1..max_len,
     )
@@ -25,9 +28,7 @@ fn values(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
 
 fn sketch_over(vs: &[f64]) -> GkSketch {
     let mut s = GkSketch::new(EPS);
-    for &v in vs {
-        s.insert(v);
-    }
+    s.try_insert_all(vs).expect("finite stream");
     s
 }
 
@@ -77,6 +78,31 @@ proptest! {
         let mut sorted = vs.clone();
         sorted.sort_by(f64::total_cmp);
         assert_within_two_epsilon(&sketch_over(&vs), &sorted, "sequential");
+    }
+
+    /// Absorbing a stream in randomly split `try_insert_all` calls, the
+    /// compress phase carried across them, yields the summary that
+    /// one-value calls yield: the same tuples, count and phase.
+    #[test]
+    fn chunked_absorb_equals_one_value_calls(
+        vs in values(900),
+        cuts in prop::collection::vec(0usize..900, 0..12),
+        epsilon in prop::sample::select(vec![0.005, 0.05, 0.3, 0.49]),
+    ) {
+        let mut one_by_one = GkSketch::new(epsilon);
+        for &v in &vs {
+            one_by_one.insert(v);
+        }
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (vs.len() + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(vs.len());
+        let mut chunked = GkSketch::new(epsilon);
+        let mut at = 0;
+        for cut in cuts {
+            chunked.try_insert_all(&vs[at..cut]).expect("finite stream");
+            at = cut;
+        }
+        prop_assert!(chunked == one_by_one, "ε = {}: chunked absorb diverged", epsilon);
     }
 
     /// With zero updates absorbed, `snapshot()` returns the previous

@@ -52,9 +52,9 @@ pub fn run_with_files(scale: &Scale, files: &[PaperFile]) -> ExperimentReport {
         //    the rank error is well below a bin's depth.
         let epsilon = (0.1 / k as f64).clamp(1e-4, 0.01);
         let mut sketch = GkSketch::new(epsilon);
-        for &v in ctx.data.values() {
-            sketch.insert(v);
-        }
+        sketch
+            .try_insert_all(ctx.data.values())
+            .expect("paper files are finite");
         let boundaries = sketch.equi_depth_boundaries(k, domain.lo(), domain.hi());
         // The one shared sketch→histogram path (also the catalog's
         // incremental ANALYZE route).

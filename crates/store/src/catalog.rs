@@ -518,9 +518,7 @@ fn try_incremental_statistics(
     let seed = incremental_seed(config.seed, relation_name, column.name());
     let mut incremental = IncrementalColumn::from_values(&clean, domain, config.sample_size, seed)?;
     let mut sketch = GkSketch::new(SKETCH_EPSILON);
-    for &v in &clean {
-        sketch.try_insert(v)?;
-    }
+    sketch.try_insert_all(&clean)?;
     let snapshot = incremental.snapshot();
     let est = try_build_incremental_estimator(&snapshot, &sketch, config.kind)?;
     let names = (relation_name.into(), column.name().into());
@@ -838,19 +836,22 @@ impl StatisticsCatalog {
                     column: (*column).to_owned(),
                 })?;
             let mut total = UpdateAudit::default();
+            let mut in_domain = Vec::new();
             for delta in batch {
                 let audit = state.column.apply(&delta.inserts, &delta.deletes)?;
                 // The sketch summarizes the in-domain insert stream (the
-                // same values the reservoir may retain); deletes are
-                // tombstoned.
-                for &v in &delta.inserts {
-                    if state.column.domain().contains(v) {
-                        state.sketch.try_insert(v)?;
-                    }
-                }
-                for _ in &delta.deletes {
-                    state.sketch.note_delete();
-                }
+                // same values the reservoir may retain); deletes never
+                // reach it.
+                let domain = state.column.domain();
+                in_domain.clear();
+                in_domain.extend(
+                    delta
+                        .inserts
+                        .iter()
+                        .copied()
+                        .filter(|&v| domain.contains(v)),
+                );
+                state.sketch.try_insert_all(&in_domain)?;
                 state.updates_since_refresh += (delta.inserts.len() + delta.deletes.len()) as u64;
                 total.inserted += audit.inserted;
                 total.out_of_domain += audit.out_of_domain;

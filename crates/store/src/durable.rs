@@ -416,12 +416,14 @@ fn decode_record_payload(line: usize, payload: &str) -> Result<JournalRecord, Es
     Ok(rec)
 }
 
-/// What reading a journal file found.
+/// What reading a journal file found. The valid records themselves go
+/// to the scan's visitor one at a time, so replay holds no more than the
+/// file's text however long the journal has grown.
 struct JournalScan {
     /// Generation the journal belongs to (per its header).
     gen: u64,
-    /// Valid records, in append order.
-    records: Vec<JournalRecord>,
+    /// Valid records (each was passed to the visitor, in append order).
+    records: usize,
     /// Byte length of the valid prefix (header + valid record lines).
     valid_len: u64,
     /// Content after the valid prefix was a torn tail (tolerated).
@@ -430,15 +432,20 @@ struct JournalScan {
     midfile_corrupt: Option<EstimateError>,
 }
 
-fn scan_journal(text: &str) -> Result<JournalScan, EstimateError> {
-    let mut pos = 0usize;
-    let mut lines: Vec<(usize, &str, bool)> = Vec::new(); // (start, content, complete)
-    for piece in text.split_inclusive('\n') {
-        let complete = piece.ends_with('\n');
-        lines.push((pos, piece.trim_end_matches('\n'), complete));
-        pos += piece.len();
-    }
-    let Some(&(_, header, header_complete)) = lines.first() else {
+fn scan_journal(
+    text: &str,
+    mut visit: impl FnMut(JournalRecord),
+) -> Result<JournalScan, EstimateError> {
+    // (index, (start, content, complete)) per line, read lazily.
+    let mut lines = text
+        .split_inclusive('\n')
+        .scan(0usize, |pos, piece| {
+            let start = *pos;
+            *pos += piece.len();
+            Some((start, piece.trim_end_matches('\n'), piece.ends_with('\n')))
+        })
+        .enumerate();
+    let Some((_, (_, header, header_complete))) = lines.next() else {
         return Err(corrupt(1, "empty journal"));
     };
     if !header_complete {
@@ -477,11 +484,11 @@ fn scan_journal(text: &str) -> Result<JournalScan, EstimateError> {
         decode_record_payload(line, payload)
     };
 
-    let mut records = Vec::new();
-    let mut valid_len = lines[0].1.len() as u64 + 1;
+    let mut records = 0;
+    let mut valid_len = header.len() as u64 + 1;
     let mut torn_tail = false;
     let mut midfile_corrupt = None;
-    for (idx, &(start, content, complete)) in lines.iter().enumerate().skip(1) {
+    while let Some((idx, (start, content, complete))) = lines.next() {
         if content.is_empty() && !complete {
             break; // trailing EOF after final newline
         }
@@ -492,17 +499,15 @@ fn scan_journal(text: &str) -> Result<JournalScan, EstimateError> {
         };
         match parsed {
             Ok(rec) => {
-                records.push(rec);
+                visit(rec);
+                records += 1;
                 valid_len = (start + content.len() + 1) as u64;
             }
             Err(e) => {
                 // Is anything after this line a valid record? Then the
                 // damage is mid-file, not a torn tail.
                 let later_valid = lines
-                    .iter()
-                    .enumerate()
-                    .skip(idx + 1)
-                    .any(|(j, &(_, c, comp))| comp && !c.is_empty() && parse_line(j, c).is_ok());
+                    .any(|(j, (_, c, comp))| comp && !c.is_empty() && parse_line(j, c).is_ok());
                 if later_valid {
                     midfile_corrupt = Some(e);
                 } else {
@@ -600,13 +605,17 @@ fn read_generation(
     persist::decode(&text).map_err(|e| e.with_path(&path))
 }
 
-/// The scanned journal, `None` when there is none.
-fn read_journal(dir: &Path) -> Result<Option<JournalScan>, EstimateError> {
+/// The scanned journal, `None` when there is none; `visit` sees each
+/// valid record.
+fn read_journal(
+    dir: &Path,
+    visit: impl FnMut(JournalRecord),
+) -> Result<Option<JournalScan>, EstimateError> {
     let path = dir.join(JOURNAL_FILE);
     let Some(text) = read_text(&path)? else {
         return Ok(None);
     };
-    let mut scan = scan_journal(&text).map_err(|e| e.with_path(&path))?;
+    let mut scan = scan_journal(&text, visit).map_err(|e| e.with_path(&path))?;
     scan.midfile_corrupt = scan.midfile_corrupt.map(|e| e.with_path(&path));
     Ok(Some(scan))
 }
@@ -885,7 +894,15 @@ impl DurableStore {
     /// repairing it in place (truncate a torn tail, reset a stale or
     /// corrupt journal) so `fsck` passes afterward.
     fn recover_journal(&mut self, report: &mut RecoveryReport) -> Result<(), EstimateError> {
-        let scan = match read_journal(&self.dir) {
+        // Each record is checked as it is read; the verdicts count only
+        // if the journal turns out to be this generation's and intact.
+        let (mut applied, mut orphans) = (0, Vec::new());
+        let entries = &self.entries;
+        let scanned = read_journal(&self.dir, |rec| match check_record(&rec, entries) {
+            Ok(()) => applied += 1,
+            Err(e) => orphans.push(e),
+        });
+        let scan = match scanned {
             Ok(Some(scan)) if scan.gen == self.active => scan,
             Ok(Some(_)) => {
                 // Left over from before the last commit: its records were
@@ -911,16 +928,10 @@ impl DurableStore {
             report.journal_stale = true;
             return self.reset_journal();
         }
-        for rec in &scan.records {
-            match check_record(rec, &self.entries) {
-                Ok(()) => report.journal_applied += 1,
-                Err(e) => {
-                    report.journal_orphaned += 1;
-                    report.errors.push(e);
-                }
-            }
-        }
-        self.journal_records = scan.records.len();
+        report.journal_applied += applied;
+        report.journal_orphaned += orphans.len();
+        report.errors.extend(orphans);
+        self.journal_records = scan.records;
         if scan.torn_tail {
             report.journal_truncated = true;
             let jpath = self.journal_path();
@@ -1056,23 +1067,23 @@ pub fn fsck(dir: &Path) -> FsckReport {
     let entries = read_generation(dir, m.active, Some(&m))
         .map_err(|e| report.findings.push(e.to_string()))
         .ok();
-    match read_journal(dir) {
+    let mut orphans = Vec::new();
+    let scanned = read_journal(dir, |rec| {
+        if let Some(Err(e)) = entries.as_ref().map(|entries| check_record(&rec, entries)) {
+            orphans.push(format!("orphaned journal record: {e}"));
+        }
+    });
+    match scanned {
         Ok(Some(scan)) => {
-            report.journal_records = scan.records.len();
+            report.journal_records = scan.records;
             if scan.gen != m.active {
                 report.findings.push(format!(
                     "journal generation {} does not match active {}",
                     scan.gen, m.active
                 ));
-            } else if let (Some(entries), None) = (&entries, &scan.midfile_corrupt) {
-                // The journal `open` would replay: check it the same way.
-                for rec in &scan.records {
-                    if let Err(e) = check_record(rec, entries) {
-                        report
-                            .findings
-                            .push(format!("orphaned journal record: {e}"));
-                    }
-                }
+            } else if scan.midfile_corrupt.is_none() {
+                // The journal `open` would replay: checked the same way.
+                report.findings.extend(orphans);
             }
             if scan.torn_tail {
                 report.findings.push("journal has a torn tail".to_owned());
@@ -1245,9 +1256,11 @@ mod tests {
         for rec in &records {
             text.push_str(&encode_record_line(rec));
         }
-        let scan = scan_journal(&text).expect("scan");
+        let mut seen = Vec::new();
+        let scan = scan_journal(&text, |rec| seen.push(rec)).expect("scan");
         assert_eq!(scan.gen, 3);
-        assert_eq!(scan.records, records, "floats round-trip bit-exactly");
+        assert_eq!(scan.records, records.len());
+        assert_eq!(seen, records, "floats round-trip bit-exactly");
         assert_eq!(scan.valid_len, text.len() as u64);
         assert!(!scan.torn_tail && scan.midfile_corrupt.is_none());
     }
@@ -1606,9 +1619,10 @@ mod tests {
             journal.push_str(&encode_record_line(&obs("orders", "amount", truth)));
         }
         battery("journal", &journal, 0xF022_0001, |t| {
-            scan_journal(t).map(|s| {
+            let mut seen = Vec::new();
+            scan_journal(t, |rec| seen.push(rec)).map(|s| {
                 let damage = s.midfile_corrupt.map(|e| e.to_string());
-                (s.gen, s.records, s.valid_len, s.torn_tail, damage)
+                (s.gen, seen, s.valid_len, s.torn_tail, damage)
             })
         });
         let manifest = encode_manifest(12, 0x0123_4567_89ab_cdef);

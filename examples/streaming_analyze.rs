@@ -23,9 +23,9 @@ fn main() {
 
     // One pass, bounded memory.
     let mut sketch = GkSketch::new(0.002);
-    for &v in data.values() {
-        sketch.insert(v);
-    }
+    sketch
+        .try_insert_all(data.values())
+        .expect("paper files are finite");
     println!(
         "GK sketch: {} entries for {} rows ({}x compression)",
         sketch.entries(),

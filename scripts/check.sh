@@ -44,11 +44,14 @@ echo "==> bit-identity pins and the zero-allocation check in an optimized build"
 # a cold column's bypassed slots serve the same bits as probed ones, and
 # a deadline tripped mid-batch leaves the finished slots' bits) and the
 # math and change-point bit-identity tests also run against release
-# code. The zero-allocation claim (tests/alloc_free.rs) is about the
-# optimized engine path that selbench measures, so it runs here too.
+# code, as does the GK sketch's batch-absorb-vs-per-value differential
+# test (selest-data). The zero-allocation claim (tests/alloc_free.rs) is
+# about the optimized engine path that selbench measures, so it runs here
+# too.
 cargo test --release -q --test build_engine --test batch_engine --test prepared_column \
     --test serving_engine --test alloc_free
-cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram --lib
+cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram \
+    -p selest-data --lib
 
 echo "==> selbench tests (the benchmark builds against the workspace crates)"
 cargo test --release --locked --manifest-path selbench/Cargo.toml

@@ -242,9 +242,9 @@ fn gk_sketch_answers_within_its_reported_rank_bound_on_the_paper_files() {
             ("descending", &descending[..]),
         ] {
             let mut sketch = GkSketch::new(SKETCH_EPSILON);
-            for &v in stream {
-                sketch.insert(v);
-            }
+            sketch
+                .try_insert_all(stream)
+                .expect("paper files are finite");
             let label = format!("{} {order}", file.name());
             let bound = sketch.rank_error_bound();
             assert!(bound <= cap, "{label}: bound {bound} exceeds ⌈εn⌉ = {cap}");
