@@ -56,82 +56,62 @@ impl Entry {
     };
 }
 
-/// Searches run in lockstep by [`Scratch::find_gaps`].
+/// Searches run in lockstep by [`find_gaps`].
 const LANES: usize = 4;
 
-/// Working memory of [`GkSketch::try_insert_all`] for one compress
-/// period. It is empty between calls, so a clone of the sketch copies
-/// none of it, and a call allocates only when a period outgrows it.
-#[derive(Debug, Clone, Default)]
-struct Scratch {
-    /// The period's new tuples with their gaps (how many current tuples
-    /// are `<` the value), in arrival order.
-    arrived: Vec<(Entry, usize)>,
-    /// Per gap `g`: how many new tuples sit in the gaps below `g`.
-    below: Vec<usize>,
+/// A period's new tuples with their gaps (how many current tuples are
+/// `<` the value), in arrival order.
+type Arrived = Vec<(Entry, usize)>;
+
+/// Each arrived value's gap among `entries`, [`LANES`] branchless lower
+/// bounds at a time: the probe sequence depends only on `entries.len()`,
+/// so the lanes step together.
+fn find_gaps(entries: &[Entry], arrived: &mut [(Entry, usize)]) {
+    if entries.is_empty() {
+        return;
+    }
+    let mut groups = arrived.chunks_exact_mut(LANES);
+    for group in &mut groups {
+        lower_bounds::<LANES>(entries, group);
+    }
+    for one in groups.into_remainder().chunks_mut(1) {
+        lower_bounds::<1>(entries, one);
+    }
 }
 
-impl Scratch {
-    /// Each arrived value's gap among `entries`, [`LANES`] branchless
-    /// lower bounds at a time: the probe sequence depends only on
-    /// `entries.len()`, so the lanes step together.
-    fn find_gaps(&mut self, entries: &[Entry]) {
-        if entries.is_empty() {
-            return;
-        }
-        let mut groups = self.arrived.chunks_exact_mut(LANES);
-        for group in &mut groups {
-            lower_bounds::<LANES>(entries, group);
-        }
-        for one in groups.into_remainder().chunks_mut(1) {
-            lower_bounds::<1>(entries, one);
-        }
+/// Merge the arrived tuples into `entries` in place, each where the
+/// per-value insert puts it: after the tuples `<` it, before the rest,
+/// and inside its gap by value, a later arrival before an earlier equal
+/// one. `below` is working memory: per gap `g`, how many new tuples sit
+/// in the gaps below `g`.
+fn merge_into(entries: &mut Vec<Entry>, arrived: &[(Entry, usize)], below: &mut Vec<usize>) {
+    let old = entries.len();
+    below.clear();
+    below.resize(old + 2, 0);
+    for &(_, gap) in arrived {
+        below[gap + 1] += 1;
     }
-
-    /// Merge the arrived tuples into `entries` in place, each where the
-    /// per-value insert puts it: after the tuples `<` it, before the
-    /// rest, and inside its gap by value, a later arrival before an
-    /// earlier equal one.
-    fn merge_into(&mut self, entries: &mut Vec<Entry>) {
-        // One tuple (a one-value call): the per-value insert itself.
-        if let [(x, gap)] = self.arrived[..] {
-            entries.insert(gap, x);
-            return;
-        }
-        let old = entries.len();
-        let below = &mut self.below;
-        below.clear();
-        below.resize(old + 2, 0);
-        for &(_, gap) in &self.arrived {
-            below[gap + 1] += 1;
-        }
-        for g in 1..below.len() {
-            below[g] += below[g - 1];
-        }
-        entries.resize(old + self.arrived.len(), Entry::FILLER);
-        // Old tuple `t` moves up past the new tuples of gaps `0..=t`;
-        // back to front, so none is overwritten before it moves.
-        for t in (0..old).rev() {
-            entries[t + below[t + 1]] = entries[t];
-        }
-        // Gap `g`'s new tuples fill the slots from `g + below[g]` on,
-        // which old tuple `g − 1` (`<` all of them) precedes. Later
-        // arrivals go first, and an earlier one goes after every placed
-        // tuple it is not `<` (so `-0.0` and `+0.0` are one value).
-        for &(x, gap) in self.arrived.iter().rev() {
-            let mut i = gap + below[gap];
-            below[gap] += 1;
-            while i > 0 && x.v < entries[i - 1].v {
-                entries[i] = entries[i - 1];
-                i -= 1;
-            }
-            entries[i] = x;
-        }
+    for g in 1..below.len() {
+        below[g] += below[g - 1];
     }
-
-    fn clear(&mut self) {
-        self.arrived.clear();
-        self.below.clear();
+    entries.resize(old + arrived.len(), Entry::FILLER);
+    // Old tuple `t` moves up past the new tuples of gaps `0..=t`; back to
+    // front, so none is overwritten before it moves.
+    for t in (0..old).rev() {
+        entries[t + below[t + 1]] = entries[t];
+    }
+    // Gap `g`'s new tuples fill the slots from `g + below[g]` on, which
+    // old tuple `g − 1` (`<` all of them) precedes. Later arrivals go
+    // first, and an earlier one goes after every placed tuple it is not
+    // `<` (so `-0.0` and `+0.0` are one value).
+    for &(x, gap) in arrived.iter().rev() {
+        let mut i = gap + below[gap];
+        below[gap] += 1;
+        while i > 0 && x.v < entries[i - 1].v {
+            entries[i] = entries[i - 1];
+            i -= 1;
+        }
+        entries[i] = x;
     }
 }
 
@@ -185,7 +165,6 @@ pub struct GkSketch {
     entries: Vec<Entry>,
     n: u64,
     since_compress: u64,
-    scratch: Scratch,
 }
 
 impl PartialEq for GkSketch {
@@ -216,7 +195,6 @@ impl GkSketch {
             entries: Vec::new(),
             n: 0,
             since_compress: 0,
-            scratch: Scratch::default(),
         }
     }
 
@@ -266,25 +244,26 @@ impl GkSketch {
         // A compress runs when `since_compress as f64 >= 1/(2ε)`, which
         // for an integer count is `since_compress >= ⌈1/(2ε)⌉`.
         let period = (1.0 / (2.0 * self.epsilon)).ceil() as u64;
+        // Working memory reused by every period of this call.
+        let (mut arrived, mut below) = (Arrived::new(), Vec::new());
         let mut rest = values;
         while !rest.is_empty() {
             let take = (period - self.since_compress).min(rest.len() as u64) as usize;
             let (chunk, tail) = rest.split_at(take);
             self.since_compress += take as u64;
-            self.absorb_period(chunk);
+            self.absorb_period(chunk, &mut arrived, &mut below);
             if self.since_compress == period {
                 self.compress();
                 self.since_compress = 0;
             }
             rest = tail;
         }
-        self.scratch.clear();
         Ok(())
     }
 
     /// Absorb values no compress falls between, as the per-value insert
     /// would: each value's `δ` in arrival order, then one merge.
-    fn absorb_period(&mut self, chunk: &[f64]) {
+    fn absorb_period(&mut self, chunk: &[f64], arrived: &mut Arrived, below: &mut Vec<usize>) {
         // A value lands before every tuple `≥` it: at the front when none
         // is `<` it, at the back when all are, and both ends keep `δ = 0`.
         // Compress never drops the first or last tuple, so the ends are
@@ -295,8 +274,8 @@ impl GkSketch {
         };
         let epsilon = self.epsilon;
         let mut n = self.n;
-        self.scratch.arrived.clear();
-        self.scratch.arrived.extend(chunk.iter().map(|&v| {
+        arrived.clear();
+        arrived.extend(chunk.iter().map(|&v| {
             n += 1;
             let front = v <= lo;
             let back = hi < v;
@@ -310,8 +289,8 @@ impl GkSketch {
             (Entry { v, g: 1, delta }, 0)
         }));
         self.n = n;
-        self.scratch.find_gaps(&self.entries);
-        self.scratch.merge_into(&mut self.entries);
+        find_gaps(&self.entries, arrived);
+        merge_into(&mut self.entries, arrived, below);
     }
 
     /// Merge each tuple into its successor, left to right and in place,
@@ -540,10 +519,6 @@ mod tests {
                 first_difference(&batch, &oracle)
             );
         }
-        assert!(
-            batch.scratch.arrived.is_empty() && batch.scratch.below.is_empty(),
-            "{label}: scratch left behind"
-        );
     }
 
     const EPSILONS: [f64; 5] = [0.001, 0.005, 0.05, 0.3, 0.49];

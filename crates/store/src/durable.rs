@@ -417,8 +417,9 @@ fn decode_record_payload(line: usize, payload: &str) -> Result<JournalRecord, Es
 }
 
 /// What reading a journal file found. The valid records themselves go
-/// to the scan's visitor one at a time, so replay holds no more than the
-/// file's text however long the journal has grown.
+/// to the scan's visitor one at a time, with the header's generation, so
+/// replay holds no more than the file's text however long the journal
+/// has grown, and a visitor can pass over a stale journal's records.
 struct JournalScan {
     /// Generation the journal belongs to (per its header).
     gen: u64,
@@ -434,7 +435,7 @@ struct JournalScan {
 
 fn scan_journal(
     text: &str,
-    mut visit: impl FnMut(JournalRecord),
+    mut visit: impl FnMut(u64, JournalRecord),
 ) -> Result<JournalScan, EstimateError> {
     // (index, (start, content, complete)) per line, read lazily.
     let mut lines = text
@@ -499,7 +500,7 @@ fn scan_journal(
         };
         match parsed {
             Ok(rec) => {
-                visit(rec);
+                visit(gen, rec);
                 records += 1;
                 valid_len = (start + content.len() + 1) as u64;
             }
@@ -606,10 +607,10 @@ fn read_generation(
 }
 
 /// The scanned journal, `None` when there is none; `visit` sees each
-/// valid record.
+/// valid record with the journal's generation.
 fn read_journal(
     dir: &Path,
-    visit: impl FnMut(JournalRecord),
+    visit: impl FnMut(u64, JournalRecord),
 ) -> Result<Option<JournalScan>, EstimateError> {
     let path = dir.join(JOURNAL_FILE);
     let Some(text) = read_text(&path)? else {
@@ -894,13 +895,19 @@ impl DurableStore {
     /// repairing it in place (truncate a torn tail, reset a stale or
     /// corrupt journal) so `fsck` passes afterward.
     fn recover_journal(&mut self, report: &mut RecoveryReport) -> Result<(), EstimateError> {
-        // Each record is checked as it is read; the verdicts count only
-        // if the journal turns out to be this generation's and intact.
+        // Each record of this generation's journal is checked as it is
+        // read (a stale journal's are passed over); the verdicts count
+        // only if the journal turns out to be intact, so mid-file damage
+        // costs at most the orphans an intact journal would report.
         let (mut applied, mut orphans) = (0, Vec::new());
-        let entries = &self.entries;
-        let scanned = read_journal(&self.dir, |rec| match check_record(&rec, entries) {
-            Ok(()) => applied += 1,
-            Err(e) => orphans.push(e),
+        let (entries, active) = (&self.entries, self.active);
+        let scanned = read_journal(&self.dir, |gen, rec| {
+            if gen == active {
+                match check_record(&rec, entries) {
+                    Ok(()) => applied += 1,
+                    Err(e) => orphans.push(e),
+                }
+            }
         });
         let scan = match scanned {
             Ok(Some(scan)) if scan.gen == self.active => scan,
@@ -1068,8 +1075,9 @@ pub fn fsck(dir: &Path) -> FsckReport {
         .map_err(|e| report.findings.push(e.to_string()))
         .ok();
     let mut orphans = Vec::new();
-    let scanned = read_journal(dir, |rec| {
-        if let Some(Err(e)) = entries.as_ref().map(|entries| check_record(&rec, entries)) {
+    let scanned = read_journal(dir, |gen, rec| {
+        let checked = entries.as_ref().filter(|_| gen == m.active);
+        if let Some(Err(e)) = checked.map(|entries| check_record(&rec, entries)) {
             orphans.push(format!("orphaned journal record: {e}"));
         }
     });
@@ -1257,7 +1265,7 @@ mod tests {
             text.push_str(&encode_record_line(rec));
         }
         let mut seen = Vec::new();
-        let scan = scan_journal(&text, |rec| seen.push(rec)).expect("scan");
+        let scan = scan_journal(&text, |_, rec| seen.push(rec)).expect("scan");
         assert_eq!(scan.gen, 3);
         assert_eq!(scan.records, records.len());
         assert_eq!(seen, records, "floats round-trip bit-exactly");
@@ -1620,7 +1628,7 @@ mod tests {
         }
         battery("journal", &journal, 0xF022_0001, |t| {
             let mut seen = Vec::new();
-            scan_journal(t, |rec| seen.push(rec)).map(|s| {
+            scan_journal(t, |_, rec| seen.push(rec)).map(|s| {
                 let damage = s.midfile_corrupt.map(|e| e.to_string());
                 (s.gen, seen, s.valid_len, s.torn_tail, damage)
             })
