@@ -59,10 +59,6 @@ impl Entry {
 /// Searches run in lockstep by [`find_gaps`].
 const LANES: usize = 4;
 
-/// A period's new tuples with their gaps (how many current tuples are
-/// `<` the value), in arrival order.
-type Arrived = Vec<(Entry, usize)>;
-
 /// Each arrived value's gap among `entries`, [`LANES`] branchless lower
 /// bounds at a time: the probe sequence depends only on `entries.len()`,
 /// so the lanes step together.
@@ -245,7 +241,7 @@ impl GkSketch {
         // for an integer count is `since_compress >= ⌈1/(2ε)⌉`.
         let period = (1.0 / (2.0 * self.epsilon)).ceil() as u64;
         // Working memory reused by every period of this call.
-        let (mut arrived, mut below) = (Arrived::new(), Vec::new());
+        let (mut arrived, mut below) = (Vec::new(), Vec::new());
         let mut rest = values;
         while !rest.is_empty() {
             let take = (period - self.since_compress).min(rest.len() as u64) as usize;
@@ -263,7 +259,14 @@ impl GkSketch {
 
     /// Absorb values no compress falls between, as the per-value insert
     /// would: each value's `δ` in arrival order, then one merge.
-    fn absorb_period(&mut self, chunk: &[f64], arrived: &mut Arrived, below: &mut Vec<usize>) {
+    /// `arrived` receives the period's new tuples with their gaps (how
+    /// many current tuples are `<` the value), in arrival order.
+    fn absorb_period(
+        &mut self,
+        chunk: &[f64],
+        arrived: &mut Vec<(Entry, usize)>,
+        below: &mut Vec<usize>,
+    ) {
         // A value lands before every tuple `≥` it: at the front when none
         // is `<` it, at the back when all are, and both ends keep `δ = 0`.
         // Compress never drops the first or last tuple, so the ends are
