@@ -343,12 +343,21 @@ impl IncrementalColumn {
 
     /// Absorb a batch atomically: the batch is validated first, so a
     /// non-finite value anywhere rejects the whole batch with a typed
-    /// error and leaves the column untouched.
+    /// error and leaves the column untouched. One pass then offers the
+    /// in-domain inserts to the reservoir, and each counter moves once
+    /// for the batch, exactly as [`IncrementalColumn::insert`] for every
+    /// insert followed by [`IncrementalColumn::delete`] for every delete.
+    ///
+    /// `in_domain` is cleared, and on success holds the in-domain inserts
+    /// in arrival order: the values the reservoir was offered, which a
+    /// quantile sketch of the same stream takes next.
     pub fn apply(
         &mut self,
         inserts: &[f64],
         deletes: &[f64],
+        in_domain: &mut Vec<f64>,
     ) -> Result<UpdateAudit, EstimateError> {
+        in_domain.clear();
         if let Some(&bad) = inserts
             .iter()
             .chain(deletes.iter())
@@ -356,19 +365,22 @@ impl IncrementalColumn {
         {
             return Err(EstimateError::NonFiniteUpdate { value: bad });
         }
-        let mut audit = UpdateAudit::default();
         for &v in inserts {
-            if !self.domain.contains(v) {
-                audit.out_of_domain += 1;
+            if self.domain.contains(v) {
+                self.reservoir.observe(v);
+                in_domain.push(v);
             }
-            self.insert(v)?;
-            audit.inserted += 1;
         }
-        for &v in deletes {
-            self.delete(v)?;
-            audit.deleted += 1;
-        }
-        Ok(audit)
+        let (added, removed) = (inserts.len() as u64, deletes.len() as u64);
+        self.live_rows = (self.live_rows + added).saturating_sub(removed);
+        self.inserted += added;
+        self.deleted += removed;
+        self.pending += added + removed;
+        Ok(UpdateAudit {
+            inserted: inserts.len(),
+            out_of_domain: inserts.len() - in_domain.len(),
+            deleted: deletes.len(),
+        })
     }
 
     /// The estimator-input snapshot. With zero pending updates this is
@@ -472,7 +484,8 @@ mod tests {
             col.insert(f64::NAN),
             Err(EstimateError::NonFiniteUpdate { value }) if value.is_nan()
         ));
-        let err = col.apply(&[1.0, 2.0, f64::INFINITY], &[3.0]);
+        let mut in_domain = vec![7.0];
+        let err = col.apply(&[1.0, 2.0, f64::INFINITY], &[3.0], &mut in_domain);
         assert!(matches!(err, Err(EstimateError::NonFiniteUpdate { .. })));
         assert_eq!(
             (
@@ -483,9 +496,63 @@ mod tests {
             before,
             "failed batch must not mutate"
         );
-        let audit = col.apply(&[1.0, 500.0], &[2.0]).unwrap();
+        assert!(in_domain.is_empty(), "a refused batch offers nothing");
+        let audit = col.apply(&[1.0, 500.0], &[2.0], &mut in_domain).unwrap();
         assert_eq!(audit.inserted, 2);
         assert_eq!(audit.out_of_domain, 1);
         assert_eq!(audit.deleted, 1);
+        assert_eq!(in_domain, [1.0]);
+    }
+
+    #[test]
+    fn batch_apply_equals_per_value_inserts_and_deletes() {
+        let d = Domain::new(0.0, 100.0);
+        let seeded = IncrementalColumn::from_values(&stream(300), d, 64, 9).unwrap();
+        let (mut batched, mut per_value) = (seeded.clone(), seeded);
+        let mut in_domain = Vec::new();
+        // Mixed batches: out-of-domain inserts on both sides, more
+        // deletes than live rows in the last one, and an empty batch.
+        let batches: [(Vec<f64>, Vec<f64>); 4] = [
+            (
+                stream(150).iter().map(|v| 1.5 * v - 20.0).collect(),
+                stream(40),
+            ),
+            (vec![-0.5, 0.0, 100.0, 100.5, 42.0], vec![]),
+            (vec![], vec![]),
+            (stream(80), vec![3.0; 700]),
+        ];
+        for (k, (inserts, deletes)) in batches.iter().enumerate() {
+            let audit = batched.apply(inserts, deletes, &mut in_domain).unwrap();
+            let mut want = UpdateAudit::default();
+            for &v in inserts {
+                want.out_of_domain += usize::from(!d.contains(v));
+                per_value.insert(v).unwrap();
+                want.inserted += 1;
+            }
+            for &v in deletes {
+                per_value.delete(v).unwrap();
+                want.deleted += 1;
+            }
+            assert_eq!(audit, want, "batch {k}: audit");
+            let offered: Vec<f64> = inserts.iter().copied().filter(|&v| d.contains(v)).collect();
+            assert_eq!(in_domain, offered, "batch {k}: in-domain inserts");
+            assert_eq!(batched.reservoir(), per_value.reservoir(), "batch {k}");
+            assert_eq!(
+                (
+                    batched.live_rows(),
+                    batched.tombstones(),
+                    batched.pending_updates(),
+                    batched.tombstone_fraction().to_bits(),
+                ),
+                (
+                    per_value.live_rows(),
+                    per_value.tombstones(),
+                    per_value.pending_updates(),
+                    per_value.tombstone_fraction().to_bits(),
+                ),
+                "batch {k}: counters"
+            );
+        }
+        assert_eq!(batched.live_rows(), 0, "the last batch saturates at zero");
     }
 }

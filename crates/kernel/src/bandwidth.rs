@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn fast_plug_in_tracks_the_naive_oracle() {
-        // The Auto strategy (binned for n >= 512) must land within the
+        // The Auto strategy (binned) must land within the
         // documented tolerance of the seed's naive arithmetic; the
         // windowed strategy within 1e-12 relative.
         let xs = normal_sample(900, 2.0);

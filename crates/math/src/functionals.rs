@@ -177,20 +177,15 @@ pub enum PsiStrategy {
         bins: usize,
     },
     /// [`PsiStrategy::Binned`] with a per-stage [`default_psi_bins`] grid
-    /// for large samples, [`PsiStrategy::Windowed`] below 512 samples —
-    /// and also whenever [`default_psi_bins`] reports that no affordable
-    /// grid can meet the `g / 10` spacing target (heavy-tailed samples),
-    /// so the documented binned accuracy is never silently voided.
+    /// at every sample size, and [`PsiStrategy::Windowed`] for a stage
+    /// whose [`default_psi_bins`] reports that no affordable grid can
+    /// meet the `g / 10` spacing target (heavy-tailed samples), so the
+    /// documented binned accuracy is never silently voided.
     /// The default of every production build path. The choice depends
     /// only on the sample, never the worker count, so it is deterministic
     /// across `SELEST_JOBS` settings.
     Auto,
 }
-
-/// Sample sizes below this use the windowed path even under
-/// [`PsiStrategy::Auto`]: the `O(n^2)`-ish scan is already microseconds
-/// there, and the windowed path is the more accurate one.
-const AUTO_BINNED_MIN_N: usize = 512;
 
 /// Upper grid-size bound for [`default_psi_bins`]: bounds the `O(M * L)`
 /// lag sweep of [`estimate_psi_binned`] when the pilot bandwidth is tiny
@@ -527,10 +522,6 @@ pub fn psi_plug_in_sorted(
         sigma > 0.0,
         "psi_plug_in: sample scale is zero (constant sample); no functional estimate possible"
     );
-    let strategy = match strategy {
-        PsiStrategy::Auto if values.len() < AUTO_BINNED_MIN_N => PsiStrategy::Windowed,
-        other => other,
-    };
     let n = values.len();
     let range = sorted[n - 1] - sorted[0];
     let mut psi = psi_normal_scale(r + 2 * stages, sigma);
@@ -890,12 +881,6 @@ mod tests {
             rel_a < 2e-2,
             "auto (binned) plug-in drifted: rel {rel_a:.2e}"
         );
-        // Below the Auto cutover a small sample goes through the windowed
-        // path, bit-identically.
-        let small = &xs[..300].to_vec();
-        let auto_small = psi_plug_in_with(small, 4, 2, PsiStrategy::Auto, 1);
-        let win_small = psi_plug_in_with(small, 4, 2, PsiStrategy::Windowed, 1);
-        assert_eq!(auto_small.to_bits(), win_small.to_bits());
     }
 
     #[test]

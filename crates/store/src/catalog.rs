@@ -838,19 +838,12 @@ impl StatisticsCatalog {
             let mut total = UpdateAudit::default();
             let mut in_domain = Vec::new();
             for delta in batch {
-                let audit = state.column.apply(&delta.inserts, &delta.deletes)?;
+                let audit = state
+                    .column
+                    .apply(&delta.inserts, &delta.deletes, &mut in_domain)?;
                 // The sketch summarizes the in-domain insert stream (the
-                // same values the reservoir may retain); deletes never
+                // same values the reservoir was offered); deletes never
                 // reach it.
-                let domain = state.column.domain();
-                in_domain.clear();
-                in_domain.extend(
-                    delta
-                        .inserts
-                        .iter()
-                        .copied()
-                        .filter(|&v| domain.contains(v)),
-                );
                 state.sketch.try_insert_all(&in_domain)?;
                 state.updates_since_refresh += (delta.inserts.len() + delta.deletes.len()) as u64;
                 total.inserted += audit.inserted;

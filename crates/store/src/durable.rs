@@ -418,7 +418,7 @@ fn decode_record_payload(line: usize, payload: &str) -> Result<JournalRecord, Es
 
 /// What reading a journal file found. The valid records themselves go
 /// to the scan's visitor one at a time, with the header's generation, so
-/// replay holds no more than the file's text however long the journal
+/// replay holds no more than the longest line however long the journal
 /// has grown, and a visitor can pass over a stale journal's records.
 struct JournalScan {
     /// Generation the journal belongs to (per its header).
@@ -433,20 +433,54 @@ struct JournalScan {
     midfile_corrupt: Option<EstimateError>,
 }
 
+/// A journal read one line at a time into one reused buffer, so memory
+/// stays bounded by the longest line. `\n` cannot sit inside a multi-byte
+/// character, so each line is UTF-8 on its own when the file is.
+struct JournalLines<'p, R> {
+    reader: R,
+    path: &'p Path,
+    buf: Vec<u8>,
+    /// Index of the next line.
+    index: usize,
+    /// Byte offset of the next line.
+    offset: usize,
+}
+
+impl<R: std::io::BufRead> JournalLines<'_, R> {
+    /// The next line as `(index, offset, content, complete)`: `content`
+    /// without its newline, `complete` when the newline was there.
+    fn next_line(&mut self) -> Result<Option<(usize, usize, &str, bool)>, EstimateError> {
+        self.buf.clear();
+        let read = self
+            .reader
+            .read_until(b'\n', &mut self.buf)
+            .map_err(|e| io_error(self.path, "read", e))?;
+        if read == 0 {
+            return Ok(None);
+        }
+        let (index, offset) = (self.index, self.offset);
+        self.index += 1;
+        self.offset += read;
+        let complete = self.buf.ends_with(b"\n");
+        let bytes = &self.buf[..read - usize::from(complete)];
+        let content = std::str::from_utf8(bytes).map_err(|e| corrupt(index + 1, e.to_string()))?;
+        Ok(Some((index, offset, content, complete)))
+    }
+}
+
 fn scan_journal(
-    text: &str,
+    reader: impl std::io::BufRead,
+    path: &Path,
     mut visit: impl FnMut(u64, JournalRecord),
 ) -> Result<JournalScan, EstimateError> {
-    // (index, (start, content, complete)) per line, read lazily.
-    let mut lines = text
-        .split_inclusive('\n')
-        .scan(0usize, |pos, piece| {
-            let start = *pos;
-            *pos += piece.len();
-            Some((start, piece.trim_end_matches('\n'), piece.ends_with('\n')))
-        })
-        .enumerate();
-    let Some((_, (_, header, header_complete))) = lines.next() else {
+    let mut lines = JournalLines {
+        reader,
+        path,
+        buf: Vec::new(),
+        index: 0,
+        offset: 0,
+    };
+    let Some((_, _, header, header_complete)) = lines.next_line()? else {
         return Err(corrupt(1, "empty journal"));
     };
     if !header_complete {
@@ -489,10 +523,7 @@ fn scan_journal(
     let mut valid_len = header.len() as u64 + 1;
     let mut torn_tail = false;
     let mut midfile_corrupt = None;
-    while let Some((idx, (start, content, complete))) = lines.next() {
-        if content.is_empty() && !complete {
-            break; // trailing EOF after final newline
-        }
+    while let Some((idx, start, content, complete)) = lines.next_line()? {
         let parsed = if complete {
             parse_line(idx, content)
         } else {
@@ -507,8 +538,13 @@ fn scan_journal(
             Err(e) => {
                 // Is anything after this line a valid record? Then the
                 // damage is mid-file, not a torn tail.
-                let later_valid = lines
-                    .any(|(j, (_, c, comp))| comp && !c.is_empty() && parse_line(j, c).is_ok());
+                let mut later_valid = false;
+                while let Some((j, _, c, comp)) = lines.next_line()? {
+                    if comp && !c.is_empty() && parse_line(j, c).is_ok() {
+                        later_valid = true;
+                        break;
+                    }
+                }
                 if later_valid {
                     midfile_corrupt = Some(e);
                 } else {
@@ -607,18 +643,58 @@ fn read_generation(
 }
 
 /// The scanned journal, `None` when there is none; `visit` sees each
-/// valid record with the journal's generation.
+/// valid record with the journal's generation. Like [`read_text`], a
+/// journal with any byte outside UTF-8 is refused whole, before any
+/// record reaches `visit`: a first pass checks the file in fixed-size
+/// chunks, then the scan reads it line by line, so neither pass holds
+/// the whole file.
 fn read_journal(
     dir: &Path,
     visit: impl FnMut(u64, JournalRecord),
 ) -> Result<Option<JournalScan>, EstimateError> {
+    use std::io::Seek as _;
     let path = dir.join(JOURNAL_FILE);
-    let Some(text) = read_text(&path)? else {
-        return Ok(None);
+    let mut file = match std::fs::File::open(&path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_error(&path, "read", e)),
     };
-    let mut scan = scan_journal(&text, visit).map_err(|e| e.with_path(&path))?;
+    if !is_utf8(&mut file).map_err(|e| io_error(&path, "read", e))? {
+        return Err(corrupt(1, "stream did not contain valid UTF-8").with_path(&path));
+    }
+    file.rewind().map_err(|e| io_error(&path, "read", e))?;
+    let reader = std::io::BufReader::new(file);
+    let mut scan = scan_journal(reader, &path, visit).map_err(|e| e.with_path(&path))?;
     scan.midfile_corrupt = scan.midfile_corrupt.map(|e| e.with_path(&path));
     Ok(Some(scan))
+}
+
+/// Whether everything `reader` yields is UTF-8, read in fixed-size
+/// chunks; a character split across two chunks is carried into the next.
+fn is_utf8(mut reader: impl std::io::Read) -> std::io::Result<bool> {
+    let mut buf = [0u8; 8 * 1024];
+    let mut carried = 0;
+    loop {
+        let read = match reader.read(&mut buf[carried..]) {
+            Ok(read) => read,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if read == 0 {
+            return Ok(carried == 0);
+        }
+        let filled = carried + read;
+        carried = match std::str::from_utf8(&buf[..filled]) {
+            Ok(_) => 0,
+            // A truncated character at the chunk's end (at most three
+            // bytes): move it to the front and complete it next read.
+            Err(e) if e.error_len().is_none() => {
+                buf.copy_within(e.valid_up_to()..filled, 0);
+                filled - e.valid_up_to()
+            }
+            Err(_) => return Ok(false),
+        };
+    }
 }
 
 impl DurableStore {
@@ -1265,12 +1341,46 @@ mod tests {
             text.push_str(&encode_record_line(rec));
         }
         let mut seen = Vec::new();
-        let scan = scan_journal(&text, |_, rec| seen.push(rec)).expect("scan");
+        let scan = scan_journal(text.as_bytes(), Path::new(JOURNAL_FILE), |_, rec| {
+            seen.push(rec)
+        })
+        .expect("scan");
         assert_eq!(scan.gen, 3);
         assert_eq!(scan.records, records.len());
         assert_eq!(seen, records, "floats round-trip bit-exactly");
         assert_eq!(scan.valid_len, text.len() as u64);
         assert!(!scan.torn_tail && scan.midfile_corrupt.is_none());
+    }
+
+    #[test]
+    fn a_journal_outside_utf8_is_refused_whole_across_chunk_edges() {
+        // Characters of one to four bytes, repeated past several 8 KiB
+        // chunks, so characters straddle chunk edges.
+        let text = "a\u{e9}\u{20ac}\u{1f600}".repeat(3_000);
+        assert!(is_utf8(text.as_bytes()).expect("read"));
+        let mut truncated = text.as_bytes().to_vec();
+        truncated.pop();
+        assert!(!is_utf8(&truncated[..]).expect("read"));
+        let mut flipped = text.as_bytes().to_vec();
+        flipped[20_001] = 0xff;
+        assert!(!is_utf8(&flipped[..]).expect("read"));
+
+        // Valid records ahead of the damage never reach the visitor.
+        let dir = scratch("journal-not-utf8");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut journal = format!("{JOURNAL_HEADER} gen 1\n").into_bytes();
+        for truth in [0.25, 0.5] {
+            journal.extend(encode_record_line(&obs("t", "v", truth)).bytes());
+        }
+        journal.push(0xff);
+        std::fs::write(dir.join(JOURNAL_FILE), &journal).expect("write");
+        let mut visited = 0;
+        let refused = read_journal(&dir, |_, _| visited += 1);
+        assert!(matches!(
+            refused,
+            Err(EstimateError::CorruptEntry { line: 1, .. })
+        ));
+        assert_eq!(visited, 0);
     }
 
     #[test]
@@ -1628,7 +1738,10 @@ mod tests {
         }
         battery("journal", &journal, 0xF022_0001, |t| {
             let mut seen = Vec::new();
-            scan_journal(t, |_, rec| seen.push(rec)).map(|s| {
+            scan_journal(t.as_bytes(), Path::new(JOURNAL_FILE), |_, rec| {
+                seen.push(rec)
+            })
+            .map(|s| {
                 let damage = s.midfile_corrupt.map(|e| e.to_string());
                 (s.gen, seen, s.valid_len, s.torn_tail, damage)
             })

@@ -47,9 +47,14 @@ echo "==> bit-identity pins and the zero-allocation check in an optimized build"
 # code, as does the GK sketch's batch-absorb-vs-per-value differential
 # test (selest-data). The zero-allocation claim (tests/alloc_free.rs) is
 # about the optimized engine path that selbench measures, so it runs here
-# too.
+# too. The hybrid's bits are pinned where its algorithm last changed on
+# purpose (build_publish_hybrid_and_bandwidth_bits_are_pinned, the hybrid
+# rows of fixture_query_file_checksums_are_pinned_for_every_estimator_and_path
+# and changepoint's second_derivative_curve_bits_are_pinned); its gate is
+# the paper's accuracy, so the paper claims (tests/paper_claims.rs) must
+# also hold on this optimized build.
 cargo test --release -q --test build_engine --test batch_engine --test prepared_column \
-    --test serving_engine --test alloc_free
+    --test serving_engine --test alloc_free --test paper_claims
 cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram \
     -p selest-data --lib
 

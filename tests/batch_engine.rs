@@ -223,7 +223,7 @@ const PINNED_QUERY_FILE_BITS: [(&str, &str, u64); 20] = [
     ("n(20)", "kernel-refl-dpi2", 4616479675081843307),
     ("n(20)", "kernel-bk-dpi2-naive", 4616479691194467509),
     ("n(20)", "kernel-refl-dpi2-naive", 4616479691194467509),
-    ("n(20)", "hybrid", 4616513157739073896),
+    ("n(20)", "hybrid", 4616513159638352915),
     ("u(20)", "sampling", 4611782845819376370),
     ("u(20)", "ewh-ns", 4611707609441849218),
     ("u(20)", "edh-ns", 4611710645733506387),
@@ -233,7 +233,7 @@ const PINNED_QUERY_FILE_BITS: [(&str, &str, u64); 20] = [
     ("u(20)", "kernel-refl-dpi2", 4611692408884373775),
     ("u(20)", "kernel-bk-dpi2-naive", 4611718082916577445),
     ("u(20)", "kernel-refl-dpi2-naive", 4611692412924320486),
-    ("u(20)", "hybrid", 4611740162694723183),
+    ("u(20)", "hybrid", 4611730238815539115),
 ];
 
 /// Query-file checksum bits of the strip-scanned kernels per `(fixture,

@@ -12,23 +12,26 @@
 //!    recursion, and a full catalog ANALYZE produce bit-identical
 //!    (byte-identical, for serialized statistics) results for any worker
 //!    count, so `SELEST_JOBS ∈ {1, 2, 7}` can never change an estimate.
-//! 3. **Dispatch** — the `Auto` strategy resolves to the exact windowed
-//!    path below its size threshold, so small builds lose no precision.
+//! 3. **Dispatch** — the `Auto` strategy takes the per-stage binned grid
+//!    at every sample size, falls back to the exact windowed path only
+//!    when no affordable grid is fine enough, and keeps every hybrid
+//!    bin's h-DPI2 bandwidth within 5e-3 relative of the windowed one.
 //! 4. **Golden bits** — the hybrid's boundaries and probe selectivities
 //!    and the h-DPI2 bandwidth over the build-publish benchmark's
-//!    reservoirs equal bits pinned before the construction fast paths
-//!    went in.
+//!    reservoirs equal pinned bits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selest::data::Zipf;
+use selest::data::{reservoir_sample, Zipf};
 use selest::kernel::{lscv_score_jobs, BandwidthSelector, DirectPlugIn, KernelFn};
 use selest::math::{
     default_psi_bins, estimate_psi_binned, estimate_psi_naive, estimate_psi_windowed_jobs,
-    psi_plug_in_with, PsiStrategy,
+    pilot_bandwidth, psi_normal_scale, psi_plug_in_with, robust_scale_sorted, PsiStrategy,
 };
 use selest::store::{encode_statistics, Column};
-use selest::{AnalyzeConfig, Domain, PaperFile, RangeQuery, Relation, StatisticsCatalog};
+use selest::{
+    AnalyzeConfig, Domain, HybridEstimator, PaperFile, RangeQuery, Relation, StatisticsCatalog,
+};
 
 /// One sorted sample per fixture family of the paper: synthetic uniform
 /// and normal, the skewed/tied Zipf, and the TIGER Arapahoe geography.
@@ -285,15 +288,106 @@ fn catalog_build_is_byte_identical_for_any_worker_count() {
     }
 }
 
+/// The plug-in recursion of `psi_plug_in_sorted` with every stage on its
+/// own `default_psi_bins` grid, spelled out stage by stage.
+fn per_stage_binned_psi(sorted: &[f64], r: usize, stages: usize) -> f64 {
+    let n = sorted.len();
+    let sigma = robust_scale_sorted(sorted, sorted);
+    let mut psi = psi_normal_scale(r + 2 * stages, sigma);
+    for order in (r..r + 2 * stages).step_by(2).rev() {
+        let g = pilot_bandwidth(order, psi, n);
+        let bins = default_psi_bins(sample_range(sorted), g).expect("a fine enough grid");
+        psi = estimate_psi_binned(sorted, order, g, bins);
+        let expected_sign = if (order / 2).is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        };
+        if psi * expected_sign <= 0.0 {
+            psi = psi_normal_scale(order, sigma);
+        }
+    }
+    psi
+}
+
 #[test]
-fn auto_strategy_is_exact_below_the_binned_threshold() {
-    let small = thin(&fixtures()[1].1, 8); // 275 points < AUTO_BINNED_MIN_N
-    let auto = psi_plug_in_with(&small, 4, 2, PsiStrategy::Auto, 7);
-    let windowed = psi_plug_in_with(&small, 4, 2, PsiStrategy::Windowed, 1);
-    assert_eq!(
-        auto.to_bits(),
-        windowed.to_bits(),
-        "Auto must resolve to the exact windowed path for small samples"
+fn auto_strategy_is_binned_at_every_sample_size() {
+    let normal = &fixtures()[1].1;
+    for n in [8usize, 32, 275, 511, 2_000] {
+        let xs: Vec<f64> = normal
+            .iter()
+            .step_by(normal.len() / n)
+            .take(n)
+            .copied()
+            .collect();
+        assert_eq!(xs.len(), n);
+        for r in [2usize, 4] {
+            let want = per_stage_binned_psi(&xs, r, 2);
+            for jobs in [1usize, 7] {
+                let auto = psi_plug_in_with(&xs, r, 2, PsiStrategy::Auto, jobs);
+                assert_eq!(
+                    auto.to_bits(),
+                    want.to_bits(),
+                    "n={n} r={r} jobs={jobs}: Auto {auto:e} vs per-stage binned {want:e}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_hybrid_bin_bandwidth_tracks_the_windowed_sum() {
+    // The hybrid fits one h-DPI2 bandwidth per bin, and most bins hold
+    // fewer than 512 samples; binning their functionals must keep each
+    // bandwidth close to the exact windowed one on every paper file.
+    let windowed = DirectPlugIn::two_stage().with_strategy(PsiStrategy::Windowed);
+    let mut worst = (0.0f64, String::new());
+    for file in [
+        PaperFile::Uniform { p: 20 },
+        PaperFile::Normal { p: 20 },
+        PaperFile::Exponential { p: 20 },
+        PaperFile::Arapahoe1,
+        PaperFile::Arapahoe2,
+        PaperFile::InstanceWeight,
+    ] {
+        let data = file.generate();
+        for seed in [0x5e_1e_c7u64, 1, 2, 3] {
+            let mut sample = reservoir_sample(data.values().iter().copied(), 2_000, seed);
+            sample.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let bounds = HybridEstimator::new(&sample, data.domain()).boundaries();
+            for (i, edge) in bounds.windows(2).enumerate() {
+                // The hybrid's own bin membership: the first bin is
+                // closed at both ends, every later one open on the left.
+                let i0 = if i == 0 {
+                    0
+                } else {
+                    sample.partition_point(|&v| v <= edge[0])
+                };
+                let bin = &sample[i0..sample.partition_point(|&v| v <= edge[1])];
+                if bin.len() < 8 || robust_scale_sorted(bin, bin) <= 0.0 {
+                    continue; // a uniform or point-mass bin fits no bandwidth
+                }
+                let auto = DirectPlugIn::two_stage().bandwidth(bin, KernelFn::Epanechnikov);
+                let exact = windowed.bandwidth(bin, KernelFn::Epanechnikov);
+                let rel = rel_err(auto, exact);
+                if rel > worst.0 {
+                    worst = (
+                        rel,
+                        format!(
+                            "{} seed {seed:#x} bin {i} ({} samples)",
+                            data.name(),
+                            bin.len()
+                        ),
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        worst.0 < 5e-3,
+        "{}: h-DPI2 drifted {:.2e}",
+        worst.1,
+        worst.0
     );
 }
 
@@ -360,73 +454,73 @@ fn golden_probes(domain: Domain) -> Vec<RangeQuery> {
 }
 
 // Bits of the hybrid and the two-stage DPI bandwidth over the
-// build-publish evidence, captured before the even-order pair-weight
-// symmetry, the compile-time Hermite orders and the encoder's integer
-// fast path went in. Every fast path of estimator construction must
-// reproduce them exactly: a speedup that moves one bit fails here.
+// build-publish evidence. The bandwidth bits predate every construction
+// fast path; the hybrid's were re-pinned when its per-bin functionals and
+// its f'' curve moved to binned sums at every sample size. A speedup
+// that moves one bit fails here; only a change to an estimator re-pins.
 #[rustfmt::skip]
-const N20_BOUNDARIES: [u64; 6] = [
-    0x0000000000000000, 0x4121d7fee2800000, 0x412407febf800000,
-    0x412517feae800000, 0x4126b7fe94800000, 0x412ffffe00000000,
+const N20_BOUNDARIES: [u64; 7] = [
+    0x0000000000000000, 0x4121c7fee3800000, 0x412407febf800000,
+    0x412517feae800000, 0x4126b7fe94800000, 0x4127f7fe80800000,
+    0x412ffffe00000000,
 ];
 #[rustfmt::skip]
 const N20_PROBES: [u64; 64] = [
-    0x0000000000000000, 0x3fc0446183efca65, 0x3f976cc2a070034c,
-    0x3f9ff8148e8fe65e, 0x3fd52873ce804901, 0x3f423c6e74d68e67,
-    0x3fe09ee4dd6e4d98, 0x3fae85cfa6a43808, 0x3fa6c3209c86f90f,
-    0x3f9647ce96930d19, 0x3f87107de74a7b75, 0x3fd40b0c33ab1cf3,
-    0x0000000000000000, 0x3fd9198dd71eec45, 0x3fb3a39f156c1e2c,
-    0x3fb74eb5e1a1b238, 0x3f935e3b72702273, 0x3f63d2c2ef881c8e,
-    0x3fd0c55f247440f5, 0x0000000000000000, 0x3fd0d0ca84a36552,
-    0x3fb8085fb892ece8, 0x3fa576b26847ad86, 0x3fe2a9f2125f5f6e,
-    0x3f4739eca4a0e6eb, 0x3fc7fa1663834bd1, 0x3f50522920729afa,
-    0x3fc37951de0189d5, 0x3fbbe5879ca5e27f, 0x3f926b584592226f,
-    0x3fe288c3b1badf63, 0x3ee7b22b2d7f645a, 0x3fb82604e62b17c8,
-    0x3f610beffb900961, 0x3fb5a6bbc8e73a42, 0x3fbeb283750a3aab,
-    0x3f75230705409601, 0x3fe1428f92fd5aa3, 0x0000000000000000,
-    0x3fd645362d4ecd65, 0x3f63cc5a1ac498a4, 0x3fa425ac7a0b87e6,
-    0x3fbfba0263217592, 0x3f51b23afb7596b8, 0x3fdd879009165241,
-    0x3f8951d6777fc95a, 0x3fcb981d7daaa586, 0x3fd17f06fcaececd,
-    0x3f8989a9e6cc811a, 0x3fbb381bdeb2c46c, 0x3f27cd4ca994c31f,
-    0x3fd7325593b1c894, 0x3f9131a53ebaf154, 0x3fc08c26071d6c3c,
-    0x3fd355183677020b, 0x3f805ae231169b72, 0x3fb212f84666955e,
-    0x0000000000000000, 0x3fd00f55cc53bb68, 0x3f9537eeaefe8177,
-    0x3fb211751a58c2cc, 0x3fd4fb9b9eca73af, 0x3f589d48000f00a0,
-    0x3fe41e616a3b6c78,
+    0x0000000000000000, 0x3fc044e3154721c6, 0x3f976a17585ac03e,
+    0x3f9f771618291d7c, 0x3fd5289510269b9a, 0x3f425e380caf1863,
+    0x3fe09b94470936b1, 0x3fae83f9ad960269, 0x3fa6c3bd5ce9b7a2,
+    0x3f9645222c6a6ec6, 0x3f86d9eb3448755f, 0x3fd40b1eff031cca,
+    0x0000000000000000, 0x3fd912d678f964f3, 0x3fb3a36b92f37a19,
+    0x3fb74eb589781520, 0x3f935e77191cc885, 0x3f635b94c65ef346,
+    0x3fd0c5672c87e8b8, 0x0000000000000000, 0x3fd0f1e4c7bd2d2b,
+    0x3fb807d117c6d15d, 0x3fa507c8f59c40af, 0x3fe2a06679d37a60,
+    0x3f482ed0c0fa373a, 0x3fc7faca9d3d5efa, 0x3f50492ec3d4368b,
+    0x3fc3aa86ccac5567, 0x3fbbe5404287eb6d, 0x3f9256148a6dea9f,
+    0x3fe285a6e79d48d1, 0x3ed1d875c9c0fc6b, 0x3fb81cac3ff20474,
+    0x3f610c5b3e45330e, 0x3fb58b587f702f13, 0x3fbeb1fb33336888,
+    0x3f753a85478c00f2, 0x3fe1412f77c7d1d9, 0x0000000000000000,
+    0x3fd64be79708b22c, 0x3f63ccd38330cba3, 0x3fa3f46152e33b27,
+    0x3fbfb93b5b905a84, 0x3f5181b5eabc3979, 0x3fdd84bd77d45610,
+    0x3f895152d532eeb9, 0x3fcb88e70720722a, 0x3fd17f167f5eb3fc,
+    0x3f89a4fbfeac2bc2, 0x3fbb377ccbc69aff, 0x3f25a99a21f41b38,
+    0x3fd72f878cbf225c, 0x3f9132ada437059d, 0x3fc07ee638617e36,
+    0x3fd354d02090bf1b, 0x3f802d4bdb5f9d41, 0x3fb21423bf932d4e,
+    0x0000000000000000, 0x3fd00b297d349e6c, 0x3f95375f2eaf9bb5,
+    0x3fb1f729699b98cd, 0x3fd4fb982b31cb41, 0x3f57b328465fa571,
+    0x3fe41b1a81b77886,
 ];
 #[rustfmt::skip]
 const N20_BANDWIDTH: u64 = 0x40f093843accf5e9;
 #[rustfmt::skip]
-const E20_BOUNDARIES: [u64; 10] = [
+const E20_BOUNDARIES: [u64; 9] = [
     0x0000000000000000, 0x40f1bffee4000000, 0x40fabffe54000000,
-    0x40fe3ffe1c000000, 0x41029ffed6000000, 0x41049ffeb6000000,
-    0x410ddffe22000000, 0x41150ffeaf000000, 0x4118cffe73000000,
-    0x412ffffe00000000,
+    0x41029ffed6000000, 0x41049ffeb6000000, 0x410b1ffe4e000000,
+    0x41150ffeaf000000, 0x4118cffe73000000, 0x412ffffe00000000,
 ];
 #[rustfmt::skip]
 const E20_PROBES: [u64; 64] = [
-    0x3fca2e51c249ea83, 0x3f708fe354e10d73, 0x3fc4d9d42640e4a9,
-    0x3f4e2c3e0f1bb1cc, 0x3faa4a8aed79d6ac, 0x3f3791cd13c8874a,
-    0x3f95200e120d30de, 0x3fe38057a90cc832, 0x3f5956e3cea28484,
-    0x3fb3242880137c7e, 0x3f3fd67270a14798, 0x3fa1d1f8fc677e35,
-    0x3f1b728d67d18e0f, 0x3f88b54f8d3710a3, 0x3fda2a3e8d03fa59,
-    0x3f5f899e8c222103, 0x3fa13e3b2654632a, 0x3f2b622db41092e8,
-    0x3f9550c9dbb834fd, 0x0000000000000000, 0x3f7c29151fabc17b,
-    0x3fd1283e41c78b92, 0x3f5749056eeeca0c, 0x3fb3a962591cf760,
-    0x3f181c57c0f75668, 0x3f88af38696be295, 0x3fda82eab60a81d3,
-    0x3f6f36a77822e40b, 0x3fc4c483071b3b84, 0x3f503e3502f18758,
-    0x3faab005b68e690a, 0x3f2acbde800b400a, 0x3f73ae42e3d2c511,
-    0x3fcb670255925b5f, 0x3f5727f9a1c0485d, 0x3fb928da721f2cd6,
-    0x3f485d9d569442b5, 0x3fa1a83ee3f7a3ac, 0x0000000000000000,
-    0x3f828c5e2ece5c41, 0x3fb38ce86c856386, 0x3f46e7b5160025b3,
-    0x3fab78b471e68318, 0x3f3faf4ea0ddc20f, 0x3f97b08df8f934ae,
-    0x3fe63e08ccc5a0e2, 0x3f76aa6820a3c8dc, 0x3fcccf2bbb744ab3,
-    0x3f323176bd9def69, 0x3f984e4a414f34c5, 0x3f33489bb261ca84,
-    0x3f8d0d90ce579b24, 0x3fdc36f73fbd93f3, 0x3f65a3ac012a9793,
-    0x3fc223dd0c77e032, 0x3f4909ea10a9c14d, 0x3f872456e7a3abfc,
-    0x3edb0e15b13cc1ab, 0x3f7e9cd98a13630b, 0x3fd128e8c8dd35f4,
-    0x3f569d147aa38272, 0x3fb7c42b9c17c045, 0x3f3f5e77ada870b3,
-    0x3f9fc392bdb9a8a1,
+    0x3fca2e51c249ea83, 0x3f708f951062f0e4, 0x3fc4edd94e07c77c,
+    0x3f4e2bf375e5bd44, 0x3faa63a1287b4984, 0x3f378e93670edaa9,
+    0x3f952012fd8b4c46, 0x3fe38ccb498ed9b2, 0x3f59566e7b63f3f5,
+    0x3fb32742949095da, 0x3f3fd66331164528, 0x3fa1d1e686e207f6,
+    0x3f1b6a3c63965bd1, 0x3f88b5a3737e93ef, 0x3fda42240e935e08,
+    0x3f5f8adddb499579, 0x3fa13619ba55d2d5, 0x3f2b64f7087dc99c,
+    0x3f9550c52c8ff17d, 0x0000000000000000, 0x3f7c296cc587cbf5,
+    0x3fd12f419ff3c65e, 0x3f5748be198eeafe, 0x3fb3b1eab92a3d32,
+    0x3f182035e4476df4, 0x3f88af0f2106fdff, 0x3fda9b832faf5f0a,
+    0x3f6f36859c949a9e, 0x3fc4bd5c27305860, 0x3f503e5bb432a0f2,
+    0x3faaaff04e866fba, 0x3f2ac6516b4ebec6, 0x3f73adef0f432d56,
+    0x3fcb9532095916b2, 0x3f5728fad0bf5ebd, 0x3fb94b62fab8b6f1,
+    0x3f485d4d96b186c8, 0x3fa1a85c261d27f6, 0x0000000000000000,
+    0x3f828cacff4c099a, 0x3fb38376eeb2baaf, 0x3f46e644518b1d8a,
+    0x3fab81f4d9cc8ed4, 0x3f3fb20f3aa8bf72, 0x3f97b0ab9e8c86f4,
+    0x3fe64ab75da288ab, 0x3f76aa44e55d415e, 0x3fccd18598bc5914,
+    0x3f3232ed2029a9b2, 0x3f9866c5720f1d1e, 0x3f33455908bc9a21,
+    0x3f8d0db32ff57873, 0x3fdc48bde54b970d, 0x3f65a4574b6f9767,
+    0x3fc2366494b18ca7, 0x3f49087576a28426, 0x3f872403043665c3,
+    0x3edaa126accc1b43, 0x3f7e9d4c8c0bdfc5, 0x3fd13aac6a09866b,
+    0x3f569d24a7e9e181, 0x3fb7c7c7fc708538, 0x3f3f5d1f5bfdafc8,
+    0x3f9fc3a02b7ab687,
 ];
 #[rustfmt::skip]
 const E20_BANDWIDTH: u64 = 0x40d70d6e7ee53c53;
