@@ -74,9 +74,8 @@ impl SecondDerivativeDetector {
     /// binning strategy the plug-in functionals use (DESIGN.md §9), at
     /// every sample size. The bin width is held below `g / 8`, far inside
     /// the pilot bandwidth, so no sample moves by more than `g / 16` and
-    /// the peaks the detector reads stay in place; if the domain would
-    /// need more than `MAX_BINS` bins for that, the exact path runs
-    /// instead.
+    /// the peaks the detector reads stay in place. The pilot bandwidth is
+    /// never below two grid steps, so that takes at most `4 * grid` bins.
     fn second_derivative_grid(&self, sorted: &[f64], domain: &Domain) -> Vec<(f64, f64)> {
         let n = sorted.len();
         let scale = robust_scale_sorted(sorted, sorted);
@@ -91,22 +90,13 @@ impl SecondDerivativeDetector {
         let nf = n as f64;
         let (l, r) = (domain.lo(), domain.hi());
 
-        /// Bin-count cap for the binned path; a spikier-than-this pilot
-        /// bandwidth falls back to the exact sum.
-        const MAX_BINS: usize = 32_768;
-        let wanted_bins = (8.0 * domain.width() / g).ceil() as usize;
-        let bins = if wanted_bins <= MAX_BINS && domain.width() > 0.0 {
-            let b = wanted_bins.max(self.grid);
-            let delta = domain.width() / b as f64;
-            let mut counts = vec![0.0f64; b];
-            for &v in sorted {
-                let j = (((v - l) / delta) as usize).min(b - 1);
-                counts[j] += 1.0;
-            }
-            Some((counts, delta))
-        } else {
-            None
-        };
+        let bins = ((8.0 * domain.width() / g).ceil() as usize).max(self.grid);
+        let delta = domain.width() / bins as f64;
+        let mut counts = vec![0.0f64; bins];
+        for &v in sorted {
+            let j = (((v - l) / delta) as usize).min(bins - 1);
+            counts[j] += 1.0;
+        }
 
         let at = |i: usize| {
             let x = l + domain.width() * (i as f64 + 0.5) / self.grid as f64;
@@ -114,29 +104,17 @@ impl SecondDerivativeDetector {
             // Direct contributions plus mirror images at each boundary
             // within kernel reach.
             for center in [x, 2.0 * l - x, 2.0 * r - x] {
-                match &bins {
-                    Some((counts, delta)) => {
-                        let j0 = (((center - reach - l) / delta).floor().max(0.0)) as usize;
-                        let j1 = ((center + reach - l) / delta).ceil().max(0.0) as usize;
-                        for (j, &c) in counts
-                            .iter()
-                            .enumerate()
-                            .take(j1.min(counts.len()))
-                            .skip(j0.min(counts.len()))
-                        {
-                            if c > 0.0 {
-                                let xj = l + (j as f64 + 0.5) * delta;
-                                sum += c * normal_density_derivative_const::<2>((center - xj) / g);
-                            }
-                        }
-                    }
-                    None => {
-                        let lo = sorted.partition_point(|&v| v < center - reach);
-                        let hi = sorted.partition_point(|&v| v <= center + reach);
-                        sum += sorted[lo..hi]
-                            .iter()
-                            .map(|&v| normal_density_derivative_const::<2>((center - v) / g))
-                            .sum::<f64>();
+                let j0 = (((center - reach - l) / delta).floor().max(0.0)) as usize;
+                let j1 = ((center + reach - l) / delta).ceil().max(0.0) as usize;
+                for (j, &c) in counts
+                    .iter()
+                    .enumerate()
+                    .take(j1.min(bins))
+                    .skip(j0.min(bins))
+                {
+                    if c > 0.0 {
+                        let xj = l + (j as f64 + 0.5) * delta;
+                        sum += c * normal_density_derivative_const::<2>((center - xj) / g);
                     }
                 }
             }
