@@ -13,9 +13,10 @@
 //!
 //! Power sums of raw `x` cancel catastrophically on wide domains (`x^3`
 //! on `[0, 2^21]` is `~1e19`). The table therefore works in cells of width
-//! `h` anchored at the domain's low edge `l`: sample `x` lies in cell
-//! `j = floor((x - l)/h)` with centre `m_j = l + (j + 1/2) h`, and its
-//! stored coordinate is `w = (x - m_j)/h`, which lies in `[-1/2, 1/2)` up
+//! `M h`, `M = CELL_WIDTH = 4`, anchored at the domain's low edge `l`:
+//! sample `x` lies in cell `j = floor((x - l)/(M h))` with centre
+//! `m_j = l + (j + 1/2) M h`, and its stored coordinate is
+//! `w = (x - m_j)/h`, still in bandwidths, which lies in `[-M/2, M/2)` up
 //! to rounding. For a query reference point `c` and `d = (c - m_j)/h`,
 //! Taylor expansion at `d` gives, over any run of `k` samples of one cell,
 //!
@@ -25,14 +26,16 @@
 //! S_r = sum w^r.
 //! ```
 //!
-//! A strip `(c - h, c + h)` meets at most three cells and is summed one
-//! piece per cell, plus a short piece up to the next checkpoint where a
-//! cell begins between two checkpoints (its few samples are summed
-//! directly, around the centre of its first sample's cell). Every
-//! quantity in the expansion is `O(1)` per sample (`|d| <= 3/2`,
-//! `|w| <= 1/2`, below `5/2` in the short pieces), so the absolute error
-//! of a strip is a few ulps per sample — `O(eps)` in selectivity,
-//! independent of the domain's offset or width.
+//! A strip `(c - h, c + h)` meets at most two cells (one in half the
+//! placements) and is summed one piece per cell: a piece runs from its
+//! first sample to the end of that sample's cell. Only a cell that begins
+//! and ends between two checkpoints (at most three samples) is summed
+//! differently: directly, around its own centre, together with the
+//! samples up to the next checkpoint whichever cells they lie in. Every
+//! quantity in the expansion is `O(1)` per sample (`|d| < 1 + M/2 = 3`,
+//! `|w| <= M/2 = 2`, below `M/2 + 2 = 4` in the short pieces), so the
+//! absolute error of a strip is a few tens of ulps per sample — `O(eps)`
+//! in selectivity, independent of the domain's offset or width.
 //!
 //! # Layout
 //!
@@ -41,7 +44,9 @@
 //! [`STRIDE`]-th sample: a run `[p, q)` reads the two checkpoints inside
 //! it and sums the at most `2 (STRIDE - 1)` samples outside them directly.
 //! One `u32` per checkpoint holds the end of the cell of the sample there,
-//! which splits a strip into its pieces without a search. Boundary-kernel
+//! which splits a strip into its pieces without a search: a piece's end is
+//! read at the checkpoint at or before its first sample, or at the next
+//! one when its cell begins after the first. Boundary-kernel
 //! estimators add one checkpointed prefix of `ln c` per band zone
 //! `1 < c < 2`. In all, at most `(4 + 24 + 2 * 8) / 4 = 11` bytes per
 //! sample, built once and shared by every clone; the sample itself is not
@@ -55,6 +60,13 @@ use selest_simd::KahanSum;
 /// group of four inside one cell as a tree.
 const STRIDE: usize = 4;
 const _: () = assert!(STRIDE == 4);
+
+/// Width of a cell in bandwidths: an open strip `2h` wide meets at most
+/// two cells. Wider cells would save few pieces while `|d|` and `|w|`,
+/// and with them the rounding of the expansion, keep growing. A power of
+/// two, so `cell_width` and `inv_cell` are exact scalings of `h` and
+/// `1/h`.
+const CELL_WIDTH: f64 = 4.0;
 
 /// Samples per compensated update of the power prefix sums.
 const BLOCK: usize = 16 * STRIDE;
@@ -73,6 +85,9 @@ pub(crate) struct MomentTable {
     hi: f64,
     h: f64,
     inv_h: f64,
+    /// Cell width `CELL_WIDTH * h` and its reciprocal.
+    cell_width: f64,
+    inv_cell: f64,
     /// `cell_end[g]`: one past the last sample of the cell that holds
     /// sample `STRIDE * g`.
     cell_end: Box<[u32]>,
@@ -110,6 +125,8 @@ impl MomentTable {
             hi: r,
             h,
             inv_h: 1.0 / h,
+            cell_width: CELL_WIDTH * h,
+            inv_cell: 1.0 / (CELL_WIDTH * h),
             cell_end: Box::default(),
             ckpt: Box::default(),
             edges: None,
@@ -191,12 +208,12 @@ impl MomentTable {
     /// precision, not memory safety.
     #[inline]
     fn cell(&self, x: f64) -> i64 {
-        ((x - self.lo) * self.inv_h) as i64
+        ((x - self.lo) * self.inv_cell) as i64
     }
 
     #[inline]
     fn centre(&self, j: i64) -> f64 {
-        self.lo + (j as f64 + 0.5) * self.h
+        self.lo + (j as f64 + 0.5) * self.cell_width
     }
 
     /// Edge distance `c` of `x` in bandwidths, computed exactly as the
@@ -246,22 +263,26 @@ impl MomentTable {
         }
     }
 
-    /// End of the piece that starts at sample `a`: the end of `a`'s cell
-    /// when that cell holds the checkpoint `g` at or before `a`, else the
-    /// next checkpoint. Cells ascend with the sorted sample, so `a`
-    /// shares checkpoint `g`'s cell exactly when it starts before that
-    /// cell's end, and `cell_end[g]` alone decides. A piece that ends at
-    /// the next checkpoint holds no checkpoint pair, so it is summed
-    /// directly around the centre of `a`'s cell whichever cells its
-    /// samples lie in (inside a strip every `|w|` stays below 5/2).
+    /// End of the piece that starts at sample `a`, of cell `j`: the end
+    /// of that cell, read at the checkpoint `g` at or before `a` when the
+    /// cell holds it, else at checkpoint `g + 1` when the cell holds that
+    /// one. Cells ascend with the sorted sample, so `a` shares checkpoint
+    /// `g`'s cell exactly when it starts before that cell's end. A cell
+    /// that holds neither begins and ends between the two checkpoints;
+    /// its piece runs on to checkpoint `g + 1`, holds no checkpoint pair
+    /// and is summed directly around the centre of `j` whichever cells
+    /// its samples lie in.
     #[inline]
-    fn piece_end(&self, a: usize) -> usize {
+    fn piece_end(&self, xs: &[f64], a: usize, j: i64) -> usize {
         let g = a / STRIDE;
         let end = self.cell_end[g] as usize;
         if end > a {
-            end
-        } else {
-            (g + 1) * STRIDE
+            return end;
+        }
+        let next = (g + 1) * STRIDE;
+        match xs.get(next) {
+            Some(&x) if self.cell(x) == j => self.cell_end[g + 1] as usize,
+            _ => next,
         }
     }
 
@@ -299,7 +320,7 @@ impl MomentTable {
         let mut a = i;
         while a < k {
             let j = self.cell(xs[a]);
-            let b = self.piece_end(a).min(k);
+            let b = self.piece_end(xs, a, j).min(k);
             let m = self.centre(j);
             let d = (reference - m) * self.inv_h;
             let [s1, s2, s3] = self.powers(xs, a, b, m);
@@ -450,10 +471,11 @@ impl BandZone {
 #[cfg(test)]
 mod tests {
     use selest_core::{Domain, RangeQuery, SelectivityEstimator};
+    use selest_data::{reservoir_sample, PaperFile};
 
     use super::{MomentTable, STRIDE};
     use crate::boundary::{left_boundary_integral, BoundaryPolicy};
-    use crate::{KernelEstimator, KernelFn};
+    use crate::{BandwidthSelector, DirectPlugIn, KernelEstimator, KernelFn};
 
     const POLICIES: [BoundaryPolicy; 3] = [
         BoundaryPolicy::NoTreatment,
@@ -484,7 +506,8 @@ mod tests {
     /// Every combination of domain offset (`[0, 2^20]` and
     /// `[1e9, 1e9 + 2^20]`), `W/h` in {2, 15, 1e4}, and three sample
     /// shapes: skewed spread, iw-like heavy duplicates (edges included),
-    /// and samples exactly on cell edges `l + k h`.
+    /// and samples exactly on bandwidth multiples `l + k h`, every
+    /// `CELL_WIDTH`-th of them a cell edge.
     fn fixtures() -> Vec<Fixture> {
         let mut out = Vec::new();
         let w = (1u64 << 20) as f64;
@@ -506,8 +529,8 @@ mod tests {
                     .iter()
                     .map(|&u| levels[(u * u * 24.0) as usize])
                     .collect();
-                // Cell edges near both domain edges and in the middle,
-                // each repeated.
+                // Bandwidth multiples near both domain edges and in the
+                // middle, each repeated.
                 let cells = ratio as usize;
                 let ks: Vec<usize> = (0..=cells.min(6))
                     .chain(cells / 2..=(cells / 2 + 3).min(cells))
@@ -635,9 +658,39 @@ mod tests {
         s.clamp(0.0, 1.0)
     }
 
+    /// The four `serve-cold` columns as ANALYZE builds them: the paper's
+    /// n(20), e(20), arap1 and iw files through the catalog's 2 000-row
+    /// reservoir and the h-DPI2 bandwidth. Their `W/h` of 15 to 110 lies
+    /// between the fixtures' ratios.
+    fn serve_cold_fixtures() -> Vec<Fixture> {
+        let files = [
+            PaperFile::Normal { p: 20 },
+            PaperFile::Exponential { p: 20 },
+            PaperFile::Arapahoe1,
+            PaperFile::InstanceWeight,
+        ];
+        files
+            .iter()
+            .map(|file| {
+                let data = file.generate();
+                let domain = data.domain();
+                let samples = reservoir_sample(data.values().iter().copied(), 2_000, 0x5e_1e_c7);
+                let h = DirectPlugIn::two_stage()
+                    .bandwidth(&samples, KernelFn::Epanechnikov)
+                    .min(0.5 * domain.width());
+                Fixture {
+                    name: format!("{} W/h={:.1}", data.name(), domain.width() / h),
+                    samples,
+                    domain,
+                    h,
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn moment_path_matches_the_linear_oracle_under_every_policy() {
-        for f in fixtures() {
+        for f in fixtures().into_iter().chain(serve_cold_fixtures()) {
             for policy in POLICIES {
                 let est =
                     KernelEstimator::new(&f.samples, f.domain, KernelFn::Epanechnikov, f.h, policy);
@@ -710,23 +763,46 @@ mod tests {
         }
     }
 
-    /// `piece_end` decides from `cell_end` alone; this is the definition
-    /// it stands for: sample `a` shares the cell of checkpoint
-    /// `g = a / STRIDE` exactly when their cells are equal.
+    /// Each piece of a strip is the strip's overlap with one cell: it
+    /// ends where the cell or the strip ends, and starts where that
+    /// overlap starts, or at a checkpoint when a short piece before it
+    /// ran on into the cell. The exception is a cell that begins and ends
+    /// between two checkpoints: its piece runs on to the next checkpoint
+    /// or the strip's end.
     #[test]
-    fn piece_end_matches_the_cell_comparison_it_replaces() {
+    fn every_piece_is_one_cell_of_its_strip() {
         for f in fixtures() {
             let mut xs = f.samples.clone();
             xs.sort_by(f64::total_cmp);
             let table = MomentTable::build(&xs, f.domain.lo(), f.domain.hi(), f.h, false);
-            for a in 0..xs.len() {
-                let g = a / STRIDE;
-                let want = if table.cell(xs[a]) == table.cell(xs[g * STRIDE]) {
-                    table.cell_end[g] as usize
-                } else {
-                    (g + 1) * STRIDE
-                };
-                assert_eq!(table.piece_end(a), want, "{} sample {a}", f.name);
+            let cell_run = |j: i64| {
+                let start = xs.partition_point(|&x| table.cell(x) < j);
+                start..xs.partition_point(|&x| table.cell(x) <= j)
+            };
+            let strip_centres = queries(&f)
+                .iter()
+                .flat_map(|q| [q.a(), q.b()])
+                .chain(xs.iter().copied())
+                .collect::<Vec<_>>();
+            for c in strip_centres {
+                let i = xs.partition_point(|&x| x <= c - f.h);
+                let k = xs.partition_point(|&x| x < c + f.h);
+                let (mut a, mut after_short) = (i, false);
+                while a < k {
+                    let j = table.cell(xs[a]);
+                    let b = table.piece_end(&xs, a, j).min(k);
+                    let run = cell_run(j);
+                    let short = run.start.next_multiple_of(STRIDE) >= run.end;
+                    let want = if short {
+                        a..((a / STRIDE + 1) * STRIDE).min(k)
+                    } else if after_short {
+                        a..run.end.min(k)
+                    } else {
+                        run.start.max(i)..run.end.min(k)
+                    };
+                    assert_eq!(a..b, want, "{} strip {i}..{k}, cell {j}", f.name);
+                    (a, after_short) = (b, short);
+                }
             }
         }
     }

@@ -52,7 +52,15 @@ echo "==> bit-identity pins and the zero-allocation check in an optimized build"
 # rows of fixture_query_file_checksums_are_pinned_for_every_estimator_and_path
 # and changepoint's second_derivative_curve_bits_are_pinned); its gate is
 # the paper's accuracy, so the paper claims (tests/paper_claims.rs) must
-# also hold on this optimized build.
+# also hold on this optimized build. The Epanechnikov kernel rows of
+# fixture_query_file_checksums_are_pinned_for_every_estimator_and_path,
+# its hybrid rows and the probes of
+# build_publish_hybrid_and_bandwidth_bits_are_pinned were re-pinned on
+# purpose when the kernel moment table's cells widened to four bandwidths
+# (a rounding-level move); the hybrid boundaries and h-DPI2 bandwidth
+# bits did not move. The moment path's 1e-12 oracle tests (the kernel
+# unit tests below, the serve-cold columns included) are its accuracy
+# gate.
 cargo test --release -q --test build_engine --test batch_engine --test prepared_column \
     --test serving_engine --test alloc_free --test paper_claims
 cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram \

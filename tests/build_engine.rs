@@ -456,8 +456,11 @@ fn golden_probes(domain: Domain) -> Vec<RangeQuery> {
 // Bits of the hybrid and the two-stage DPI bandwidth over the
 // build-publish evidence. The bandwidth bits predate every construction
 // fast path; the hybrid's were re-pinned when its per-bin functionals and
-// its f'' curve moved to binned sums at every sample size. A speedup
-// that moves one bit fails here; only a change to an estimator re-pins.
+// its f'' curve moved to binned sums at every sample size, and its probes
+// again when the per-bin kernels' moment table widened its cells to four
+// bandwidths (rounding only; boundaries and bandwidths kept their bits).
+// A speedup that moves one bit fails here; only a change to an estimator
+// re-pins.
 #[rustfmt::skip]
 const N20_BOUNDARIES: [u64; 7] = [
     0x0000000000000000, 0x4121c7fee3800000, 0x412407febf800000,
@@ -466,28 +469,28 @@ const N20_BOUNDARIES: [u64; 7] = [
 ];
 #[rustfmt::skip]
 const N20_PROBES: [u64; 64] = [
-    0x0000000000000000, 0x3fc044e3154721c6, 0x3f976a17585ac03e,
-    0x3f9f771618291d7c, 0x3fd5289510269b9a, 0x3f425e380caf1863,
-    0x3fe09b94470936b1, 0x3fae83f9ad960269, 0x3fa6c3bd5ce9b7a2,
-    0x3f9645222c6a6ec6, 0x3f86d9eb3448755f, 0x3fd40b1eff031cca,
-    0x0000000000000000, 0x3fd912d678f964f3, 0x3fb3a36b92f37a19,
-    0x3fb74eb589781520, 0x3f935e77191cc885, 0x3f635b94c65ef346,
+    0x0000000000000000, 0x3fc044e3154721c5, 0x3f976a17585ac045,
+    0x3f9f771618291d7c, 0x3fd5289510269b99, 0x3f425e380caf1863,
+    0x3fe09b94470936b1, 0x3fae83f9ad96026a, 0x3fa6c3bd5ce9b7a5,
+    0x3f9645222c6a6ec4, 0x3f86d9eb3448755c, 0x3fd40b1eff031ccc,
+    0x0000000000000000, 0x3fd912d678f964f2, 0x3fb3a36b92f37a19,
+    0x3fb74eb589781520, 0x3f935e77191cc881, 0x3f635b94c65ef346,
     0x3fd0c5672c87e8b8, 0x0000000000000000, 0x3fd0f1e4c7bd2d2b,
-    0x3fb807d117c6d15d, 0x3fa507c8f59c40af, 0x3fe2a06679d37a60,
-    0x3f482ed0c0fa373a, 0x3fc7faca9d3d5efa, 0x3f50492ec3d4368b,
-    0x3fc3aa86ccac5567, 0x3fbbe5404287eb6d, 0x3f9256148a6dea9f,
-    0x3fe285a6e79d48d1, 0x3ed1d875c9c0fc6b, 0x3fb81cac3ff20474,
-    0x3f610c5b3e45330e, 0x3fb58b587f702f13, 0x3fbeb1fb33336888,
-    0x3f753a85478c00f2, 0x3fe1412f77c7d1d9, 0x0000000000000000,
-    0x3fd64be79708b22c, 0x3f63ccd38330cba3, 0x3fa3f46152e33b27,
-    0x3fbfb93b5b905a84, 0x3f5181b5eabc3979, 0x3fdd84bd77d45610,
-    0x3f895152d532eeb9, 0x3fcb88e70720722a, 0x3fd17f167f5eb3fc,
-    0x3f89a4fbfeac2bc2, 0x3fbb377ccbc69aff, 0x3f25a99a21f41b38,
-    0x3fd72f878cbf225c, 0x3f9132ada437059d, 0x3fc07ee638617e36,
-    0x3fd354d02090bf1b, 0x3f802d4bdb5f9d41, 0x3fb21423bf932d4e,
-    0x0000000000000000, 0x3fd00b297d349e6c, 0x3f95375f2eaf9bb5,
-    0x3fb1f729699b98cd, 0x3fd4fb982b31cb41, 0x3f57b328465fa571,
-    0x3fe41b1a81b77886,
+    0x3fb807d117c6d15d, 0x3fa507c8f59c40b0, 0x3fe2a06679d37a5f,
+    0x3f482ed0c0fa373a, 0x3fc7faca9d3d5efc, 0x3f50492ec3d4368b,
+    0x3fc3aa86ccac5563, 0x3fbbe5404287eb6d, 0x3f9256148a6dea9d,
+    0x3fe285a6e79d48d2, 0x3ed1d875c9c0fc6b, 0x3fb81cac3ff20479,
+    0x3f610c5b3e45330a, 0x3fb58b587f702f10, 0x3fbeb1fb33336880,
+    0x3f753a85478c00f4, 0x3fe1412f77c7d1da, 0x0000000000000000,
+    0x3fd64be79708b22a, 0x3f63ccd38330cb9e, 0x3fa3f46152e33b26,
+    0x3fbfb93b5b905a81, 0x3f5181b5eabc3978, 0x3fdd84bd77d45612,
+    0x3f895152d532eeb7, 0x3fcb88e707207225, 0x3fd17f167f5eb3fb,
+    0x3f89a4fbfeac2bb5, 0x3fbb377ccbc69af8, 0x3f25a99a21f41b3c,
+    0x3fd72f878cbf225c, 0x3f9132ada437059d, 0x3fc07ee638617e34,
+    0x3fd354d02090bf1c, 0x3f802d4bdb5f9d41, 0x3fb21423bf932d54,
+    0x0000000000000000, 0x3fd00b297d349e68, 0x3f95375f2eaf9bb5,
+    0x3fb1f729699b98cd, 0x3fd4fb982b31cb41, 0x3f57b328465fa569,
+    0x3fe41b1a81b77887,
 ];
 #[rustfmt::skip]
 const N20_BANDWIDTH: u64 = 0x40f093843accf5e9;
@@ -499,28 +502,28 @@ const E20_BOUNDARIES: [u64; 9] = [
 ];
 #[rustfmt::skip]
 const E20_PROBES: [u64; 64] = [
-    0x3fca2e51c249ea83, 0x3f708f951062f0e4, 0x3fc4edd94e07c77c,
-    0x3f4e2bf375e5bd44, 0x3faa63a1287b4984, 0x3f378e93670edaa9,
-    0x3f952012fd8b4c46, 0x3fe38ccb498ed9b2, 0x3f59566e7b63f3f5,
-    0x3fb32742949095da, 0x3f3fd66331164528, 0x3fa1d1e686e207f6,
-    0x3f1b6a3c63965bd1, 0x3f88b5a3737e93ef, 0x3fda42240e935e08,
-    0x3f5f8adddb499579, 0x3fa13619ba55d2d5, 0x3f2b64f7087dc99c,
-    0x3f9550c52c8ff17d, 0x0000000000000000, 0x3f7c296cc587cbf5,
-    0x3fd12f419ff3c65e, 0x3f5748be198eeafe, 0x3fb3b1eab92a3d32,
-    0x3f182035e4476df4, 0x3f88af0f2106fdff, 0x3fda9b832faf5f0a,
-    0x3f6f36859c949a9e, 0x3fc4bd5c27305860, 0x3f503e5bb432a0f2,
-    0x3faaaff04e866fba, 0x3f2ac6516b4ebec6, 0x3f73adef0f432d56,
-    0x3fcb9532095916b2, 0x3f5728fad0bf5ebd, 0x3fb94b62fab8b6f1,
-    0x3f485d4d96b186c8, 0x3fa1a85c261d27f6, 0x0000000000000000,
-    0x3f828cacff4c099a, 0x3fb38376eeb2baaf, 0x3f46e644518b1d8a,
-    0x3fab81f4d9cc8ed4, 0x3f3fb20f3aa8bf72, 0x3f97b0ab9e8c86f4,
-    0x3fe64ab75da288ab, 0x3f76aa44e55d415e, 0x3fccd18598bc5914,
-    0x3f3232ed2029a9b2, 0x3f9866c5720f1d1e, 0x3f33455908bc9a21,
-    0x3f8d0db32ff57873, 0x3fdc48bde54b970d, 0x3f65a4574b6f9767,
-    0x3fc2366494b18ca7, 0x3f49087576a28426, 0x3f872403043665c3,
-    0x3edaa126accc1b43, 0x3f7e9d4c8c0bdfc5, 0x3fd13aac6a09866b,
-    0x3f569d24a7e9e181, 0x3fb7c7c7fc708538, 0x3f3f5d1f5bfdafc8,
-    0x3f9fc3a02b7ab687,
+    0x3fca2e51c249ea82, 0x3f708f951062f0da, 0x3fc4edd94e07c77e,
+    0x3f4e2bf375e5bd44, 0x3faa63a1287b4986, 0x3f378e93670edaa5,
+    0x3f952012fd8b4c48, 0x3fe38ccb498ed9b5, 0x3f59566e7b63f3fa,
+    0x3fb32742949095de, 0x3f3fd66331164527, 0x3fa1d1e686e207f8,
+    0x3f1b6a3c63965bc1, 0x3f88b5a3737e93f1, 0x3fda42240e935e0a,
+    0x3f5f8adddb499578, 0x3fa13619ba55d2d8, 0x3f2b64f7087dc9a0,
+    0x3f9550c52c8ff17b, 0x0000000000000000, 0x3f7c296cc587cbe8,
+    0x3fd12f419ff3c65f, 0x3f5748be198eeafe, 0x3fb3b1eab92a3d37,
+    0x3f182035e4476df4, 0x3f88af0f2106fdfd, 0x3fda9b832faf5f0c,
+    0x3f6f36859c949ab0, 0x3fc4bd5c27305861, 0x3f503e5bb432a0f1,
+    0x3faaaff04e866fbe, 0x3f2ac6516b4ebebe, 0x3f73adef0f432d5f,
+    0x3fcb9532095916b0, 0x3f5728fad0bf5ec8, 0x3fb94b62fab8b6f4,
+    0x3f485d4d96b186c7, 0x3fa1a85c261d27f5, 0x0000000000000000,
+    0x3f828cacff4c0998, 0x3fb38376eeb2bab0, 0x3f46e644518b1d8a,
+    0x3fab81f4d9cc8ed7, 0x3f3fb20f3aa8bf73, 0x3f97b0ab9e8c86f3,
+    0x3fe64ab75da288ae, 0x3f76aa44e55d4167, 0x3fccd18598bc5916,
+    0x3f3232ed2029a9b2, 0x3f9866c5720f1d22, 0x3f33455908bc9a1f,
+    0x3f8d0db32ff57872, 0x3fdc48bde54b9710, 0x3f65a4574b6f9773,
+    0x3fc2366494b18caa, 0x3f49087576a28425, 0x3f872403043665c8,
+    0x3edaa126accc1a5f, 0x3f7e9d4c8c0bdfbc, 0x3fd13aac6a09866d,
+    0x3f569d24a7e9e182, 0x3fb7c7c7fc70853b, 0x3f3f5d1f5bfdafc8,
+    0x3f9fc3a02b7ab689,
 ];
 #[rustfmt::skip]
 const E20_BANDWIDTH: u64 = 0x40d70d6e7ee53c53;
