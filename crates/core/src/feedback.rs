@@ -1,19 +1,15 @@
 //! Query-feedback refinement (extension; the paper's future-work item \[1\],
 //! after Chen & Roussopoulos, SIGMOD 1994).
 //!
-//! [`CorrectionGrid`] is the reusable core: the domain is divided into `m`
-//! equal feedback buckets; whenever the true result of a query becomes
-//! known, every overlapped bucket's correction factor moves toward the
-//! observed ratio `true / estimated` by an exponentially weighted average.
-//! Estimates decompose a query across buckets, apply each bucket's
-//! correction to the base estimate of the overlapped piece, and sum. The
-//! grid also exposes a [`CorrectionGrid::drift`] metric — how far the
-//! corrections have moved from 1 — which the store's resilience layer uses
-//! as a staleness health signal.
-//!
-//! [`FeedbackEstimator`] wraps any base [`SelectivityEstimator`] with a
-//! grid. This keeps the base estimator's shape where no feedback exists and
-//! bends it toward reality where the workload has revealed systematic bias.
+//! [`FeedbackEstimator`] wraps any base [`SelectivityEstimator`] with `m`
+//! equal feedback buckets over its domain. Whenever the true result of a
+//! query becomes known, every overlapped bucket's correction factor moves
+//! toward the observed ratio `true / estimated` by an exponentially
+//! weighted average. Estimates decompose a query across buckets, apply
+//! each bucket's correction to the base estimate of the overlapped piece,
+//! and sum. This keeps the base estimator's shape where no feedback exists
+//! and bends it toward reality where the workload has revealed systematic
+//! bias.
 
 use crate::domain::Domain;
 use crate::fault::EstimateError;
@@ -24,135 +20,6 @@ use crate::traits::SelectivityEstimator;
 /// feedback ratio; below this the observation is ignored to avoid unbounded
 /// corrections.
 const MIN_BASE_SELECTIVITY: f64 = 1e-9;
-
-/// Per-bucket multiplicative corrections over a domain — the learning core
-/// shared by [`FeedbackEstimator`] and the store catalog's per-column drift
-/// monitors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorrectionGrid {
-    domain: Domain,
-    corrections: Vec<f64>,
-    alpha: f64,
-    observations: usize,
-}
-
-impl CorrectionGrid {
-    /// A grid of `buckets` equal-width buckets over `domain`, learning rate
-    /// `alpha` in `(0, 1]` (weight of the newest observation).
-    pub fn new(domain: Domain, buckets: usize, alpha: f64) -> Self {
-        assert!(buckets >= 1, "CorrectionGrid needs at least one bucket");
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "CorrectionGrid: alpha must be in (0, 1], got {alpha}"
-        );
-        CorrectionGrid {
-            domain,
-            corrections: vec![1.0; buckets],
-            alpha,
-            observations: 0,
-        }
-    }
-
-    /// The domain the grid spans.
-    pub fn domain(&self) -> Domain {
-        self.domain
-    }
-
-    /// Current correction factor of each bucket.
-    pub fn corrections(&self) -> &[f64] {
-        &self.corrections
-    }
-
-    /// Number of accepted observations.
-    pub fn observations(&self) -> usize {
-        self.observations
-    }
-
-    /// How far the workload has bent the corrections away from the base
-    /// estimator: the largest `|c - 1|` over the buckets. Zero means the
-    /// base estimator still matches observed truths; large values mean the
-    /// stored statistics are stale and a re-ANALYZE is overdue.
-    pub fn drift(&self) -> f64 {
-        self.corrections
-            .iter()
-            .map(|c| (c - 1.0).abs())
-            .fold(0.0, f64::max)
-    }
-
-    fn bucket_bounds(&self, i: usize) -> (f64, f64) {
-        let w = self.domain.width() / self.corrections.len() as f64;
-        let lo = self.domain.lo() + i as f64 * w;
-        // Close the last bucket exactly at the domain boundary.
-        let hi = if i + 1 == self.corrections.len() {
-            self.domain.hi()
-        } else {
-            lo + w
-        };
-        (lo, hi)
-    }
-
-    /// Learn from one executed query: the base estimator said
-    /// `base_estimate`, execution revealed `true_selectivity`. Rejects (with
-    /// a typed error, never a panic) non-finite or out-of-range inputs —
-    /// the serving path feeds this from execution counters and must not be
-    /// crashable by a corrupted counter. Ignores observations whose base
-    /// estimate is too small to form a meaningful ratio.
-    pub fn try_observe(
-        &mut self,
-        q: &RangeQuery,
-        base_estimate: f64,
-        true_selectivity: f64,
-    ) -> Result<(), EstimateError> {
-        if !true_selectivity.is_finite() || !(0.0..=1.0).contains(&true_selectivity) {
-            return Err(EstimateError::NonFiniteEstimate {
-                value: true_selectivity,
-            });
-        }
-        if !base_estimate.is_finite() {
-            return Err(EstimateError::NonFiniteEstimate {
-                value: base_estimate,
-            });
-        }
-        if base_estimate < MIN_BASE_SELECTIVITY {
-            return Ok(());
-        }
-        let ratio = true_selectivity / base_estimate;
-        let m = self.corrections.len();
-        for i in 0..m {
-            let (lo, hi) = self.bucket_bounds(i);
-            let overlap = (q.b().min(hi) - q.a().max(lo)).max(0.0);
-            if overlap > 0.0 {
-                // Weight the update by how much of the query lies in this
-                // bucket, so wide queries spread their evidence thinly.
-                let weight = self.alpha * (overlap / q.width().max(f64::MIN_POSITIVE)).min(1.0);
-                self.corrections[i] = (1.0 - weight) * self.corrections[i] + weight * ratio;
-            }
-        }
-        self.observations += 1;
-        Ok(())
-    }
-
-    /// Corrected selectivity of `q`: decompose across buckets, scale the
-    /// base estimate of each piece (provided by `base_piece`) by the
-    /// bucket's correction, sum, and clamp to `[0, 1]`.
-    pub fn corrected(&self, q: &RangeQuery, base_piece: impl Fn(&RangeQuery) -> f64) -> f64 {
-        let mut total = 0.0;
-        for i in 0..self.corrections.len() {
-            let (lo, hi) = self.bucket_bounds(i);
-            let a = q.a().max(lo);
-            let b = q.b().min(hi);
-            if b > a {
-                let piece = RangeQuery::new(a, b);
-                total += self.corrections[i] * base_piece(&piece);
-            }
-        }
-        if total.is_finite() {
-            total.clamp(0.0, 1.0)
-        } else {
-            0.0
-        }
-    }
-}
 
 /// A selectivity estimator that refines a base estimator with query
 /// feedback.
@@ -174,36 +41,53 @@ impl CorrectionGrid {
 /// ```
 pub struct FeedbackEstimator<E> {
     base: E,
-    grid: CorrectionGrid,
+    /// The base estimator's domain, which the buckets divide.
+    domain: Domain,
+    /// Multiplicative correction of each equal-width bucket.
+    corrections: Vec<f64>,
+    /// Weight of the newest observation, in `(0, 1]`.
+    alpha: f64,
+    observations: usize,
 }
 
 impl<E: SelectivityEstimator> FeedbackEstimator<E> {
     /// Wrap `base` with `buckets` feedback buckets and learning rate
     /// `alpha` in `(0, 1]` (weight of the newest observation).
     pub fn new(base: E, buckets: usize, alpha: f64) -> Self {
-        let grid = CorrectionGrid::new(base.domain(), buckets, alpha);
-        FeedbackEstimator { base, grid }
-    }
-
-    /// The wrapped base estimator.
-    pub fn base(&self) -> &E {
-        &self.base
+        assert!(buckets >= 1, "FeedbackEstimator needs at least one bucket");
+        assert!(
+            alpha > 0.0 && alpha <= 1.0,
+            "FeedbackEstimator: alpha must be in (0, 1], got {alpha}"
+        );
+        FeedbackEstimator {
+            domain: base.domain(),
+            base,
+            corrections: vec![1.0; buckets],
+            alpha,
+            observations: 0,
+        }
     }
 
     /// Number of feedback observations applied so far.
     pub fn observations(&self) -> usize {
-        self.grid.observations()
+        self.observations
     }
 
     /// Current correction factor of each bucket.
     pub fn corrections(&self) -> &[f64] {
-        self.grid.corrections()
+        &self.corrections
     }
 
-    /// Largest deviation of any bucket's correction from 1 — see
-    /// [`CorrectionGrid::drift`].
-    pub fn drift(&self) -> f64 {
-        self.grid.drift()
+    fn bucket_bounds(&self, i: usize) -> (f64, f64) {
+        let w = self.domain.width() / self.corrections.len() as f64;
+        let lo = self.domain.lo() + i as f64 * w;
+        // Close the last bucket exactly at the domain boundary.
+        let hi = if i + 1 == self.corrections.len() {
+            self.domain.hi()
+        } else {
+            lo + w
+        };
+        (lo, hi)
     }
 
     /// Feed back the true selectivity of an executed query. Updates every
@@ -214,25 +98,69 @@ impl<E: SelectivityEstimator> FeedbackEstimator<E> {
             true_selectivity.is_finite() && (0.0..=1.0).contains(&true_selectivity),
             "true selectivity out of [0,1]: {true_selectivity}"
         );
-        let est = self.base.selectivity(q);
-        let _ = self.grid.try_observe(q, est, true_selectivity);
+        // The truth is valid, so only a non-finite base estimate can be
+        // refused; that observation is skipped.
+        let _ = self.try_observe(q, true_selectivity);
     }
 
-    /// Fallible feedback: rejects non-finite or out-of-range truths with a
-    /// typed error instead of panicking.
+    /// Fallible feedback: rejects a non-finite or out-of-range truth, or a
+    /// non-finite base estimate, with a typed error instead of panicking.
+    /// Ignores observations whose base estimate is too small to form a
+    /// meaningful ratio.
     pub fn try_observe(
         &mut self,
         q: &RangeQuery,
         true_selectivity: f64,
     ) -> Result<(), EstimateError> {
-        let est = self.base.selectivity(q);
-        self.grid.try_observe(q, est, true_selectivity)
+        if !true_selectivity.is_finite() || !(0.0..=1.0).contains(&true_selectivity) {
+            return Err(EstimateError::NonFiniteEstimate {
+                value: true_selectivity,
+            });
+        }
+        let base_estimate = self.base.selectivity(q);
+        if !base_estimate.is_finite() {
+            return Err(EstimateError::NonFiniteEstimate {
+                value: base_estimate,
+            });
+        }
+        if base_estimate < MIN_BASE_SELECTIVITY {
+            return Ok(());
+        }
+        let ratio = true_selectivity / base_estimate;
+        for i in 0..self.corrections.len() {
+            let (lo, hi) = self.bucket_bounds(i);
+            let overlap = (q.b().min(hi) - q.a().max(lo)).max(0.0);
+            if overlap > 0.0 {
+                // Weight the update by how much of the query lies in this
+                // bucket, so wide queries spread their evidence thinly.
+                let weight = self.alpha * (overlap / q.width().max(f64::MIN_POSITIVE)).min(1.0);
+                self.corrections[i] = (1.0 - weight) * self.corrections[i] + weight * ratio;
+            }
+        }
+        self.observations += 1;
+        Ok(())
     }
 }
 
 impl<E: SelectivityEstimator> SelectivityEstimator for FeedbackEstimator<E> {
+    /// Decompose `q` across the buckets, scale the base estimate of each
+    /// piece by its bucket's correction, sum, and clamp to `[0, 1]`.
     fn selectivity(&self, q: &RangeQuery) -> f64 {
-        self.grid.corrected(q, |piece| self.base.selectivity(piece))
+        let mut total = 0.0;
+        for i in 0..self.corrections.len() {
+            let (lo, hi) = self.bucket_bounds(i);
+            let a = q.a().max(lo);
+            let b = q.b().min(hi);
+            if b > a {
+                let piece = RangeQuery::new(a, b);
+                total += self.corrections[i] * self.base.selectivity(&piece);
+            }
+        }
+        if total.is_finite() {
+            total.clamp(0.0, 1.0)
+        } else {
+            0.0
+        }
     }
 
     fn domain(&self) -> Domain {
@@ -264,7 +192,6 @@ mod tests {
         let q = RangeQuery::new(10.0, 30.0);
         assert!((fb.selectivity(&q) - base.selectivity(&q)).abs() < 1e-12);
         assert_eq!(fb.observations(), 0);
-        assert_eq!(fb.drift(), 0.0);
     }
 
     #[test]
@@ -283,7 +210,10 @@ mod tests {
             "feedback should shrink the error: before={before}, after={after}"
         );
         assert_eq!(fb.observations(), 30);
-        assert!(fb.drift() > 0.1, "bias correction must register as drift");
+        assert!(
+            fb.corrections().iter().any(|c| (c - 1.0).abs() > 0.1),
+            "bias correction must move a bucket's correction"
+        );
     }
 
     #[test]
@@ -334,24 +264,37 @@ mod tests {
         assert_eq!(fb.observations(), 1);
     }
 
-    #[test]
-    fn grid_corrected_neutralizes_nonfinite_base_pieces() {
-        let grid = CorrectionGrid::new(Domain::new(0.0, 100.0), 4, 0.5);
-        let q = RangeQuery::new(0.0, 100.0);
-        let s = grid.corrected(&q, |_| f64::NAN);
-        assert_eq!(s, 0.0, "NaN base pieces must not escape the grid");
+    /// A base estimator whose every answer is NaN.
+    struct NanBase;
+
+    impl SelectivityEstimator for NanBase {
+        fn selectivity(&self, _q: &RangeQuery) -> f64 {
+            f64::NAN
+        }
+        fn domain(&self) -> Domain {
+            Domain::new(0.0, 100.0)
+        }
+        fn name(&self) -> String {
+            "NaN".into()
+        }
     }
 
     #[test]
-    fn drift_tracks_correction_magnitude() {
-        let mut grid = CorrectionGrid::new(Domain::new(0.0, 100.0), 2, 1.0);
-        assert_eq!(grid.drift(), 0.0);
-        // One observation with truth 3x the base estimate in bucket 0.
-        grid.try_observe(&RangeQuery::new(0.0, 50.0), 0.2, 0.6)
-            .unwrap();
-        assert!(
-            (grid.drift() - 2.0).abs() < 1e-12,
-            "ratio 3 -> correction 3 -> drift 2"
-        );
+    fn nonfinite_base_pieces_are_neutralized() {
+        let mut fb = FeedbackEstimator::new(NanBase, 4, 0.5);
+        let q = RangeQuery::new(0.0, 100.0);
+        assert_eq!(fb.selectivity(&q), 0.0, "NaN base pieces must not escape");
+        assert!(fb.try_observe(&q, 0.5).is_err(), "a NaN base is refused");
+        fb.observe(&q, 0.5);
+        assert_eq!(fb.observations(), 0, "a NaN base teaches nothing");
+    }
+
+    #[test]
+    fn a_full_weight_observation_sets_its_bucket_to_the_ratio() {
+        let base = UniformEstimator::new(Domain::new(0.0, 100.0));
+        let mut fb = FeedbackEstimator::new(base, 2, 1.0);
+        // Truth 2x the base estimate of 0.5 over bucket 0 only.
+        fb.try_observe(&RangeQuery::new(0.0, 50.0), 1.0).unwrap();
+        assert_eq!(fb.corrections(), &[2.0, 1.0]);
     }
 }

@@ -48,7 +48,7 @@ pub use ecdf::Ecdf;
 pub use errors::{absolute_error, integrated_squared_error, relative_error, ErrorStats};
 pub use exact::ExactSelectivity;
 pub use fault::{catch_fault, sanitize_sample, EstimateError, FaultStage, SampleAudit};
-pub use feedback::{CorrectionGrid, FeedbackEstimator};
+pub use feedback::FeedbackEstimator;
 pub use incremental::{IncrementalColumn, ReservoirSketch, UpdateAudit};
 pub use prepared::{ColumnSummary, PreparedColumn};
 pub use query::RangeQuery;

@@ -9,8 +9,7 @@ use std::sync::Arc;
 use selest_core::fault::{catch_fault, sanitize_sample, EstimateError, FaultStage, SampleAudit};
 use selest_core::incremental::{IncrementalColumn, UpdateAudit};
 use selest_core::{
-    CorrectionGrid, PreparedColumn, RangeQuery, SamplingEstimator, SelectivityEstimator,
-    UniformEstimator,
+    PreparedColumn, RangeQuery, SamplingEstimator, SelectivityEstimator, UniformEstimator,
 };
 use selest_data::{reservoir_sample, GkSketch};
 use selest_histogram::{
@@ -86,7 +85,7 @@ impl Default for AnalyzeConfig {
 }
 
 /// The live, updatable side of a column entry: the maintained reservoir
-/// column, its quantile sketch, the feedback grid, and refresh counters.
+/// column, its quantile sketch, and refresh counters.
 /// Present only for entries built by
 /// [`StatisticsCatalog::try_analyze_incremental`].
 #[derive(Debug, Clone)]
@@ -96,9 +95,6 @@ pub struct IncrementalState {
     /// GK quantile summary over the full insert stream (not just the
     /// reservoir) — the equi-depth boundary source.
     pub sketch: GkSketch,
-    /// Observed-selectivity corrections since the last refresh; its
-    /// drift reading feeds the [`StalenessPolicy`].
-    pub grid: CorrectionGrid,
     /// Updates absorbed since the estimator was last rebuilt.
     pub updates_since_refresh: u64,
     /// Estimator refreshes performed over this state's lifetime.
@@ -107,14 +103,12 @@ pub struct IncrementalState {
 
 impl IncrementalState {
     /// The one way a state is made (incremental ANALYZE, refresh): always
-    /// with no update debt and an empty feedback grid, since corrections
-    /// learned against a replaced estimator do not transfer.
+    /// with no update debt, since the estimator it sits beside was just
+    /// built from `column` and `sketch`.
     fn new(column: IncrementalColumn, sketch: GkSketch, refreshes: u64) -> Self {
-        let grid = CorrectionGrid::new(column.domain(), DRIFT_BUCKETS, DRIFT_ALPHA);
         IncrementalState {
             column,
             sketch,
-            grid,
             updates_since_refresh: 0,
             refreshes,
         }
@@ -126,8 +120,6 @@ impl IncrementalState {
             pending_updates: self.updates_since_refresh,
             live_rows: self.column.live_rows(),
             tombstone_fraction: self.column.tombstone_fraction(),
-            drift: self.grid.drift(),
-            drift_observations: self.grid.observations() as u64,
         }
     }
 }
@@ -200,8 +192,8 @@ pub struct ColumnStatistics {
     /// serving snapshot's brownout rung, ad-hoc estimator builds — reuse
     /// the one sort the build already paid for.
     pub prepared: Option<Arc<PreparedColumn>>,
-    /// Live incremental substrate (reservoir column + quantile sketch +
-    /// feedback grid), present only for entries built by
+    /// Live incremental substrate (reservoir column + quantile sketch),
+    /// present only for entries built by
     /// [`StatisticsCatalog::try_analyze_incremental`]. Batch-analyzed
     /// entries are immutable and carry `None`.
     pub incremental: Option<IncrementalState>,
@@ -367,11 +359,6 @@ pub struct StatisticsCatalog {
     /// BTreeMap so health reports list columns in a stable order.
     quarantine: BTreeMap<(String, String), BuildFailure>,
 }
-
-/// Feedback buckets of the per-column drift monitor.
-const DRIFT_BUCKETS: usize = 16;
-/// Learning rate of the drift monitor.
-const DRIFT_ALPHA: f64 = 0.3;
 
 /// Why a bulkheaded build gave up on a column.
 #[derive(Debug, Clone)]
@@ -872,8 +859,7 @@ impl StatisticsCatalog {
     }
 
     /// Every incremental column's freshness evidence, in `(relation,
-    /// column)` order — the input [`StalenessPolicy::verdict`] judges and
-    /// `selest fsck` reports.
+    /// column)` order — the input [`StalenessPolicy::verdict`] judges.
     pub fn staleness_signals(&self) -> Vec<(String, String, StalenessSignal)> {
         let mut out: Vec<_> = self
             .entries
@@ -892,7 +878,7 @@ impl StatisticsCatalog {
     /// stale ones: snapshot the reservoir (O(|reservoir| log |reservoir|),
     /// or a free `Arc` clone if nothing changed), rebuild the estimator
     /// through the bulkhead (the EquiDepth kind straight from the GK
-    /// sketch), reset the update and feedback counters. A column whose
+    /// sketch), reset the update counter. A column whose
     /// rebuild fails keeps serving its previous estimator and is
     /// quarantined with the typed reason; its update pressure is retained
     /// so the next sweep retries.
@@ -910,11 +896,15 @@ impl StatisticsCatalog {
     }
 
     /// Rebuild the named incremental columns from their live substrate.
+    /// Every named column lands in the report's `refreshed` or `failed`.
     fn refresh_columns(
         &mut self,
         stale: Vec<((String, String), StalenessReason)>,
         engine: &selest_par::TryConfig,
     ) -> RefreshReport {
+        if stale.is_empty() {
+            return RefreshReport::default();
+        }
         // Snapshots are cheap (reservoir-sized) and mutate the writer
         // state, so they run serially; the estimator builds fan out.
         let work: Vec<_> = stale
@@ -954,39 +944,6 @@ impl StatisticsCatalog {
             }
         }
         report
-    }
-
-    /// Fold one observed query result into the column's feedback grid and
-    /// return the corrected selectivity. The grid's drift reading feeds
-    /// the [`StalenessPolicy`], so systematic estimate error triggers the
-    /// same republish loop as raw update volume.
-    pub fn observe(
-        &mut self,
-        relation: &str,
-        column: &str,
-        q: &RangeQuery,
-        true_selectivity: f64,
-    ) -> Result<f64, EstimateError> {
-        let entry = self
-            .entries
-            .get_mut(&(relation.to_owned(), column.to_owned()))
-            .ok_or_else(|| EstimateError::MissingStatistics {
-                relation: relation.to_owned(),
-                column: column.to_owned(),
-            })?;
-        let estimator = Arc::clone(&entry.estimator);
-        let base = estimator.selectivity(q);
-        let state = entry
-            .incremental
-            .as_mut()
-            .ok_or_else(|| EstimateError::MissingStatistics {
-                relation: relation.to_owned(),
-                column: column.to_owned(),
-            })?;
-        state.grid.try_observe(q, base, true_selectivity)?;
-        Ok(state
-            .grid
-            .corrected(q, |piece| estimator.selectivity(piece)))
     }
 }
 
@@ -1463,33 +1420,27 @@ mod tests {
     }
 
     #[test]
-    fn observed_drift_feeds_the_staleness_policy() {
-        let mut cat = incremental_catalog(EstimatorKind::EquiDepth, 2_000);
-        assert!(matches!(
-            cat.observe("inc", "ghost", &RangeQuery::new(0.0, 1.0), 0.5),
-            Err(EstimateError::MissingStatistics { .. })
-        ));
-        // Feed systematically biased truth: drift climbs.
-        for i in 0..64 {
-            let lo = 10.0 * (i % 50) as f64;
-            let q = RangeQuery::new(lo, lo + 100.0);
-            let corrected = cat.observe("inc", "v", &q, 0.02).expect("observe");
-            assert!(corrected.is_finite());
-        }
-        let signals = cat.staleness_signals();
-        assert!(signals[0].2.drift > 0.5, "drift {}", signals[0].2.drift);
-        assert_eq!(signals[0].2.drift_observations, 64);
+    fn tombstone_debt_refreshes_once_and_then_waits_for_updates() {
+        let mut cat = incremental_catalog(EstimatorKind::EquiDepth, 1_000);
         let policy = StalenessPolicy::default();
-        assert_eq!(
-            policy.verdict(&signals[0].2),
-            Some(crate::staleness::StalenessReason::DriftAlarm)
-        );
-        // The refresh resets the feedback grid along with the estimator.
+        // 300 deletes of 1 000 inserts: tombstone fraction 0.3 > 0.2.
+        let deltas = vec![ColumnDelta {
+            column: "v".into(),
+            inserts: vec![],
+            deletes: (0..300).map(golden).collect(),
+        }];
+        let report = cat.try_apply_updates("inc", &deltas, &selest_par::TryConfig::jobs(1));
+        assert!(report.is_clean());
         let report = cat.try_refresh_stale(&policy, &selest_par::TryConfig::jobs(1));
+        assert!(report.failed.is_empty());
         assert_eq!(report.refreshed.len(), 1);
+        assert_eq!(report.refreshed[0].2, StalenessReason::TombstoneDebt);
+        // The debt stays, but with no new updates there is nothing a
+        // rebuild could fold in.
         let signals = cat.staleness_signals();
-        assert_eq!(signals[0].2.drift_observations, 0);
-        assert_eq!(signals[0].2.drift, 0.0);
+        assert!(signals[0].2.tombstone_fraction > policy.max_tombstone_fraction);
+        let report = cat.try_refresh_stale(&policy, &selest_par::TryConfig::jobs(1));
+        assert!(report.refreshed.is_empty() && report.failed.is_empty());
     }
 
     #[test]

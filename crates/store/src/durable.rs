@@ -6,9 +6,8 @@
 //! the catalog in a directory of **immutable, numbered generations** with
 //! a checksummed `MANIFEST` naming the active one, plus an append-only
 //! **journal** of the query-feedback observations taken since that
-//! snapshot. A restart reads back exactly the snapshot. An observation is
-//! validated and counted on replay but folds into no state: nothing reads
-//! learned corrections after a restart yet.
+//! snapshot. A restart reads back exactly the snapshot. No code folds an
+//! observation into any state: replay only validates and counts it.
 //!
 //! ```text
 //! store/
@@ -83,8 +82,8 @@ pub enum JournalRecord {
     /// served, and the true selectivity observed. It is validated (the
     /// column exists in the active generation, the query is valid, the
     /// truth is finite and in `[0, 1]`, the base is finite) and counted as
-    /// applied on replay, but folds into no state: nothing reads learned
-    /// corrections after a restart yet.
+    /// applied on replay. No code folds these records into any state:
+    /// replay only validates and counts them.
     Observation {
         /// Relation name (whitespace-free).
         relation: String,

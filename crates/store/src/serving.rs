@@ -1314,14 +1314,12 @@ impl ServingEngine {
         policy: &StalenessPolicy,
         engine: &TryConfig,
     ) -> Option<StaleRepublishReport> {
-        let any_stale = catalog
-            .staleness_signals()
-            .iter()
-            .any(|(_, _, s)| policy.verdict(s).is_some());
-        if !any_stale {
+        // Every stale column lands in `refreshed` or `failed`, so an
+        // empty report means every column was fresh.
+        let refresh = catalog.try_refresh_stale(policy, engine);
+        if refresh.refreshed.is_empty() && refresh.failed.is_empty() {
             return None;
         }
-        let refresh = catalog.try_refresh_stale(policy, engine);
         let generation = self.publish_snapshot(CatalogSnapshot::from_catalog_ref(catalog, 0));
         Some(StaleRepublishReport {
             generation,

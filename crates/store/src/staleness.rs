@@ -3,18 +3,14 @@
 //!
 //! The incremental substrate lets a column absorb updates indefinitely
 //! without rebuilding its estimator — which is exactly the failure mode
-//! of never refreshing. This policy combines the three freshness signals
-//! the store already tracks into one verdict:
+//! of never refreshing. This policy combines the two freshness signals
+//! the store produces into one verdict:
 //!
 //! * **update volume** — raw pending-update count since the last
 //!   snapshot, absolute or as a fraction of the live rows;
 //! * **tombstone debt** — the reservoir and sketch describe the insert
 //!   stream only, so deletes bias them by at most the tombstone
-//!   fraction; cap it;
-//! * **drift alarm** — the catalog drift monitor's
-//!   [`CorrectionGrid`](selest_core::CorrectionGrid) reports how far
-//!   observed selectivities have pulled away from the serving estimator
-//!   (`max |correction − 1|`), once enough observations back the signal.
+//!   fraction; cap it.
 //!
 //! [`crate::serving::ServingEngine::republish_if_stale`] evaluates the
 //! policy over every incremental column and, when any column is stale,
@@ -30,11 +26,6 @@ pub struct StalenessSignal {
     pub live_rows: u64,
     /// Tombstoned deletes as a fraction of all inserts.
     pub tombstone_fraction: f64,
-    /// Drift monitor reading: `max |correction − 1|` over the feedback
-    /// grid, `0.0` when no feedback has been folded in.
-    pub drift: f64,
-    /// Observations backing the drift reading.
-    pub drift_observations: u64,
 }
 
 /// Why a column was judged stale.
@@ -45,9 +36,6 @@ pub enum StalenessReason {
     TombstoneDebt,
     /// Pending update volume exceeded the absolute or fractional cap.
     UpdateVolume,
-    /// The feedback drift monitor reports the serving estimator has
-    /// pulled away from observed selectivities.
-    DriftAlarm,
 }
 
 impl std::fmt::Display for StalenessReason {
@@ -55,7 +43,6 @@ impl std::fmt::Display for StalenessReason {
         match self {
             StalenessReason::TombstoneDebt => write!(f, "tombstone-debt"),
             StalenessReason::UpdateVolume => write!(f, "update-volume"),
-            StalenessReason::DriftAlarm => write!(f, "drift-alarm"),
         }
     }
 }
@@ -75,10 +62,6 @@ pub struct StalenessPolicy {
     /// Cap on the tombstone fraction before the insert-only summaries
     /// are declared unrepresentative.
     pub max_tombstone_fraction: f64,
-    /// Drift reading (`max |correction − 1|`) that fires the alarm.
-    pub drift_threshold: f64,
-    /// Observations required before the drift reading is trusted.
-    pub min_drift_observations: u64,
 }
 
 impl Default for StalenessPolicy {
@@ -88,8 +71,6 @@ impl Default for StalenessPolicy {
             max_update_fraction: 0.05,
             min_updates: 64,
             max_tombstone_fraction: 0.2,
-            drift_threshold: 0.15,
-            min_drift_observations: 32,
         }
     }
 }
@@ -97,8 +78,11 @@ impl Default for StalenessPolicy {
 impl StalenessPolicy {
     /// Judge one column. `None` means fresh enough to keep serving the
     /// current snapshot; `Some(reason)` names the first rule that fired
-    /// (tombstone debt outranks volume outranks drift, so reports
-    /// surface the most structural problem).
+    /// (tombstone debt outranks volume, so reports surface the more
+    /// structural problem). Tombstone debt fires only while updates are
+    /// pending: a refresh resets the pending count but not the insert-only
+    /// summaries' debt, and rebuilding from the same substrate again
+    /// would change nothing.
     pub fn verdict(&self, s: &StalenessSignal) -> Option<StalenessReason> {
         if s.tombstone_fraction > self.max_tombstone_fraction && s.pending_updates > 0 {
             return Some(StalenessReason::TombstoneDebt);
@@ -110,11 +94,6 @@ impl StalenessPolicy {
             && s.pending_updates as f64 > self.max_update_fraction * s.live_rows.max(1) as f64
         {
             return Some(StalenessReason::UpdateVolume);
-        }
-        if s.drift_observations >= self.min_drift_observations.max(1)
-            && s.drift > self.drift_threshold
-        {
-            return Some(StalenessReason::DriftAlarm);
         }
         None
     }
@@ -129,8 +108,6 @@ mod tests {
             pending_updates: 0,
             live_rows: 100_000,
             tombstone_fraction: 0.0,
-            drift: 0.0,
-            drift_observations: 0,
         }
     }
 
@@ -188,19 +165,18 @@ mod tests {
     }
 
     #[test]
-    fn drift_alarm_requires_observations() {
+    fn tombstone_debt_waits_for_pending_updates() {
         let p = StalenessPolicy::default();
         let s = StalenessSignal {
-            drift: 0.3,
-            drift_observations: 5,
+            tombstone_fraction: 0.5,
             ..fresh()
         };
-        assert_eq!(p.verdict(&s), None, "unbacked drift must not fire");
+        assert_eq!(p.verdict(&s), None, "no pending updates: nothing to fold");
         let s = StalenessSignal {
-            drift: 0.3,
-            drift_observations: 32,
+            pending_updates: 1,
+            tombstone_fraction: 0.5,
             ..fresh()
         };
-        assert_eq!(p.verdict(&s), Some(StalenessReason::DriftAlarm));
+        assert_eq!(p.verdict(&s), Some(StalenessReason::TombstoneDebt));
     }
 }
