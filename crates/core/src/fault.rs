@@ -2,14 +2,17 @@
 //!
 //! The paper's motivating scenario — a query optimizer consuming
 //! selectivity numbers — requires that estimation *always* produces an
-//! answer: a degenerate sample, a failed bandwidth selection, or a corrupt
-//! statistics file must degrade the estimate, never crash the serving
-//! path. [`EstimateError`] is the typed vocabulary for everything that can
-//! go wrong between a raw sample and a served selectivity; the `try_*`
-//! constructors across the workspace return it instead of panicking, and
-//! the store's catalog and serving engine consume it: a column whose build
-//! fails is quarantined to the uniform floor, and a serving-time fault
-//! answers from that floor and charges the column's circuit breaker.
+//! answer or a typed reason why not: a degenerate sample, a failed
+//! bandwidth selection, or a corrupt statistics file must degrade the
+//! estimate or refuse it, never crash the serving path. [`EstimateError`]
+//! is the typed vocabulary for everything that can go wrong between a raw
+//! sample and a served selectivity; the `try_*` constructors across the
+//! workspace return it instead of panicking, and the store's catalog and
+//! serving engine consume it: a column whose build fails is quarantined
+//! (its earlier entry keeps serving, else lookups answer
+//! [`EstimateError::MissingStatistics`]), and a serving-time fault
+//! answers from the column's uniform floor and charges its circuit
+//! breaker.
 
 use crate::domain::Domain;
 

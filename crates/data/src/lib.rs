@@ -22,7 +22,7 @@ pub use dist::{ContinuousDistribution, Exponential, LogNormal, Mixture, Normal, 
 pub use io::{read_values, write_values};
 pub use paper::{paper_data_files, PaperFile};
 pub use queries::{positional_sweep, QueryFile};
-pub use sampling::{reservoir_sample, sample_without_replacement};
+pub use sampling::{reservoir_positions, reservoir_sample, sample_without_replacement};
 pub use selest_core::incremental::ReservoirSketch;
 pub use sketch::GkSketch;
 pub use tiger::{ArapahoeConfig, RailRiverConfig};

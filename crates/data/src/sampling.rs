@@ -4,8 +4,10 @@
 //!
 //! Two algorithms are provided: a partial Fisher–Yates shuffle for the
 //! common case where the data fits in memory, and reservoir sampling
-//! (Vitter's algorithm R) for single-pass streaming contexts such as the
-//! store's `ANALYZE`.
+//! (Vitter's algorithm R). Algorithm R draws row *positions*
+//! ([`reservoir_positions`]) from nothing but the row count, so the store's
+//! `ANALYZE` draws them once per relation and gathers every column's sample
+//! from the same rows, as the paper samples records rather than values.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -31,24 +33,39 @@ pub fn sample_without_replacement(values: &[f64], n: usize, seed: u64) -> Vec<f6
     out
 }
 
-/// Reservoir sampling (algorithm R): draw `n` values from a stream of
-/// unknown length, uniformly without replacement. Returns fewer than `n`
-/// values only if the stream is shorter than `n`.
-pub fn reservoir_sample<I: IntoIterator<Item = f64>>(stream: I, n: usize, seed: u64) -> Vec<f64> {
-    assert!(n > 0, "reservoir_sample needs n > 0");
+/// Reservoir sampling (algorithm R) over row positions: the positions
+/// `0..len` a one-pass reservoir of capacity `n` keeps, uniformly without
+/// replacement, in reservoir-slot order. Fewer than `n` positions only if
+/// `len < n` (then all of them, in order). The draw depends on nothing
+/// but `(len, n, seed)`, so every column of a relation can share it.
+///
+/// Panics if `n == 0` or if a position does not fit in `u32`.
+pub fn reservoir_positions(len: usize, n: usize, seed: u64) -> Vec<u32> {
+    assert!(n > 0, "reservoir_positions needs n > 0");
+    assert!(
+        u32::try_from(len).is_ok(),
+        "reservoir_positions: {len} rows do not fit u32 positions"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut reservoir: Vec<f64> = Vec::with_capacity(n);
-    for (i, v) in stream.into_iter().enumerate() {
-        if i < n {
-            reservoir.push(v);
-        } else {
-            let j = rng.random_range(0..=i);
-            if j < n {
-                reservoir[j] = v;
-            }
+    let mut reservoir: Vec<u32> = (0..len.min(n) as u32).collect();
+    for i in n..len {
+        let j = rng.random_range(0..=i);
+        if j < n {
+            reservoir[j] = i as u32;
         }
     }
     reservoir
+}
+
+/// Reservoir sample of `values`: the values at
+/// [`reservoir_positions`]`(values.len(), n, seed)`, in reservoir-slot
+/// order. Returns fewer than `n` values only if `values` is shorter than
+/// `n`.
+pub fn reservoir_sample(values: &[f64], n: usize, seed: u64) -> Vec<f64> {
+    reservoir_positions(values.len(), n, seed)
+        .iter()
+        .map(|&p| values[p as usize])
+        .collect()
 }
 
 #[cfg(test)]
@@ -116,13 +133,14 @@ mod tests {
 
     #[test]
     fn reservoir_short_stream_returns_everything() {
-        let r = reservoir_sample(vec![1.0, 2.0, 3.0], 10, 0);
+        let r = reservoir_sample(&[1.0, 2.0, 3.0], 10, 0);
         assert_eq!(r, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn reservoir_long_stream_keeps_n() {
-        let r = reservoir_sample((0..10_000).map(|i| i as f64), 100, 5);
+        let values: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
+        let r = reservoir_sample(&values, 100, 5);
         assert_eq!(r.len(), 100);
         let mut sorted = r.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -134,9 +152,10 @@ mod tests {
     fn reservoir_is_roughly_uniform() {
         // Probability any element survives should be n/N = 0.1.
         let n_trials = 600;
+        let values: Vec<f64> = (0..1_000).map(|i| i as f64).collect();
         let mut first_half = 0usize;
         for seed in 0..n_trials {
-            for v in reservoir_sample((0..1_000).map(|i| i as f64), 100, seed) {
+            for v in reservoir_sample(&values, 100, seed) {
                 if v < 500.0 {
                     first_half += 1;
                 }
@@ -144,5 +163,41 @@ mod tests {
         }
         let frac = first_half as f64 / (n_trials as usize * 100) as f64;
         assert!((frac - 0.5).abs() < 0.02, "first-half fraction {frac}");
+    }
+
+    /// Algorithm R as a one-pass stream sampler, as it ran before it drew
+    /// positions: the oracle the position draw must reproduce bit for bit.
+    fn stream_reservoir(values: &[f64], n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reservoir: Vec<f64> = Vec::with_capacity(n);
+        for (i, &v) in values.iter().enumerate() {
+            if i < n {
+                reservoir.push(v);
+            } else {
+                let j = rng.random_range(0..=i);
+                if j < n {
+                    reservoir[j] = v;
+                }
+            }
+        }
+        reservoir
+    }
+
+    #[test]
+    fn positions_reproduce_the_stream_sampler_bit_for_bit() {
+        for n in [1, 7, 100, 2_000] {
+            for len in [0, 1, n - 1, n, n + 1, 3 * n + 5, 20_000] {
+                let values: Vec<f64> = (0..len).map(|i| (i as f64).sqrt() - 3.5).collect();
+                for seed in [0, 1, 0x5e_1e_c7] {
+                    let got = reservoir_sample(&values, n, seed);
+                    let want = stream_reservoir(&values, n, seed);
+                    assert_eq!(
+                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "n {n} len {len} seed {seed}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -674,7 +674,7 @@ mod tests {
             .map(|file| {
                 let data = file.generate();
                 let domain = data.domain();
-                let samples = reservoir_sample(data.values().iter().copied(), 2_000, 0x5e_1e_c7);
+                let samples = reservoir_sample(data.values(), 2_000, 0x5e_1e_c7);
                 let h = DirectPlugIn::two_stage()
                     .bandwidth(&samples, KernelFn::Epanechnikov)
                     .min(0.5 * domain.width());

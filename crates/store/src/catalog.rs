@@ -1,5 +1,6 @@
-//! The statistics catalog: `ANALYZE` draws a sample of each column and
-//! builds the configured selectivity estimator over it — the role the
+//! The statistics catalog: `ANALYZE` samples a relation's rows once,
+//! gathers each column's values at those rows and builds the configured
+//! selectivity estimator over them — the role the
 //! paper's estimators play inside a query optimizer (its opening
 //! motivation, from System R onward).
 
@@ -11,7 +12,7 @@ use selest_core::incremental::{IncrementalColumn, UpdateAudit};
 use selest_core::{
     PreparedColumn, RangeQuery, SamplingEstimator, SelectivityEstimator, UniformEstimator,
 };
-use selest_data::{reservoir_sample, GkSketch};
+use selest_data::GkSketch;
 use selest_histogram::{
     equi_depth_from_boundaries, equi_depth_prepared, equi_width_prepared, max_diff_prepared,
     AverageShiftedHistogram, BinRule, NormalScaleBins,
@@ -66,11 +67,15 @@ impl EstimatorKind {
 /// ANALYZE configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct AnalyzeConfig {
-    /// Reservoir sample size (the paper's experiments use 2 000).
+    /// Rows sampled (the paper's experiments use 2 000 records). Every
+    /// column of a relation is sampled at the same rows
+    /// ([`Relation::sample_positions`]); the incremental path keeps a
+    /// reservoir of this capacity per column instead.
     pub sample_size: usize,
     /// Estimator to build.
     pub kind: EstimatorKind,
-    /// Seed for the reservoir sampler.
+    /// Seed of the relation's row draw, shared by all its columns. The
+    /// incremental path derives a per-column reservoir seed from it.
     pub seed: u64,
 }
 
@@ -418,25 +423,31 @@ fn settle<T>(
     })
 }
 
-/// Fallible core of per-column ANALYZE: draw the reservoir sample and
-/// build the entry over it.
+/// The rows a batch ANALYZE under `config` samples: the relation's
+/// memoized draw ([`Relation::sample_positions`]), or none when the kind
+/// samples nothing or the sample size is 0 (each column then fails as
+/// [`EstimateError::EmptySample`]).
+pub(crate) fn sampled_rows(relation: &Relation, config: &AnalyzeConfig) -> Arc<[u32]> {
+    if config.kind == EstimatorKind::Uniform || config.sample_size == 0 {
+        return Arc::new([]);
+    }
+    relation.sample_positions(config.sample_size, config.seed)
+}
+
+/// Fallible core of per-column ANALYZE: gather the column's values at the
+/// relation's sampled `rows` (see [`sampled_rows`]) and build the entry
+/// over them.
 pub(crate) fn try_column_statistics(
     relation_name: &str,
     column: &Column,
     config: &AnalyzeConfig,
+    rows: &[u32],
 ) -> Result<(ColumnStatistics, SampleAudit), EstimateError> {
     if config.sample_size == 0 {
         return Err(EstimateError::EmptySample);
     }
-    let raw = if config.kind == EstimatorKind::Uniform {
-        Vec::new()
-    } else {
-        reservoir_sample(
-            column.values().iter().copied(),
-            config.sample_size,
-            config.seed,
-        )
-    };
+    let values = column.values();
+    let raw: Vec<f64> = rows.iter().map(|&r| values[r as usize]).collect();
     let names = (relation_name.into(), column.name().into());
     try_sample_statistics(names, config.kind, column.len(), column.domain(), &raw)
 }
@@ -522,10 +533,6 @@ fn try_incremental_statistics(
     Ok((stats, audit))
 }
 
-/// Which per-column ANALYZE core a bulkheaded ANALYZE runs.
-type ColumnBuild =
-    fn(&str, &Column, &AnalyzeConfig) -> Result<(ColumnStatistics, SampleAudit), EstimateError>;
-
 impl StatisticsCatalog {
     /// Empty catalog.
     pub fn new() -> Self {
@@ -559,16 +566,19 @@ impl StatisticsCatalog {
     }
 
     /// Run `build` over the named columns of `relation` in the bulkhead
-    /// and install the results. A name the relation lacks fails as
-    /// [`EstimateError::UnknownColumn`].
-    fn analyze_columns(
+    /// and install the results as `kind` entries. A name the relation
+    /// lacks fails as [`EstimateError::UnknownColumn`].
+    fn analyze_columns<F>(
         &mut self,
         relation: &Relation,
         column_names: &[&str],
-        config: &AnalyzeConfig,
+        kind: EstimatorKind,
         engine: &selest_par::TryConfig,
-        build: ColumnBuild,
-    ) -> Vec<Result<SampleAudit, EstimateError>> {
+        build: F,
+    ) -> Vec<Result<SampleAudit, EstimateError>>
+    where
+        F: Fn(&Column) -> Result<(ColumnStatistics, SampleAudit), EstimateError> + Sync,
+    {
         let columns: Vec<_> = column_names
             .iter()
             .map(|name| {
@@ -580,9 +590,8 @@ impl StatisticsCatalog {
                     })
             })
             .collect();
-        let outcome = selest_par::try_parallel_map(&columns, engine, |column| {
-            build(relation.name(), column.clone()?, config)
-        });
+        let outcome =
+            selest_par::try_parallel_map(&columns, engine, |column| build(column.clone()?));
         column_names
             .iter()
             .zip(columns)
@@ -591,9 +600,25 @@ impl StatisticsCatalog {
                 let key = (relation.name().to_owned(), (*name).to_owned());
                 // A missing column fails as such even when the engine
                 // abandoned its task.
-                self.install(key, config.kind, column.and_then(|_| settle(slot)))
+                self.install(key, kind, column.and_then(|_| settle(slot)))
             })
             .collect()
+    }
+
+    /// Batch ANALYZE of the named columns: the relation's sampled rows are
+    /// fetched (drawn on first use) here, before the fan-out, so workers
+    /// only gather.
+    fn analyze_sampled(
+        &mut self,
+        relation: &Relation,
+        column_names: &[&str],
+        config: &AnalyzeConfig,
+        engine: &selest_par::TryConfig,
+    ) -> Vec<Result<SampleAudit, EstimateError>> {
+        let rows = sampled_rows(relation, config);
+        self.analyze_columns(relation, column_names, config.kind, engine, |column| {
+            try_column_statistics(relation.name(), column, config, &rows)
+        })
     }
 
     /// ANALYZE one column. Returns the sanitization audit, so callers can
@@ -605,21 +630,16 @@ impl StatisticsCatalog {
         config: &AnalyzeConfig,
     ) -> Result<SampleAudit, EstimateError> {
         let engine = selest_par::TryConfig::jobs(1);
-        let mut outcome = self.analyze_columns(
-            relation,
-            &[column_name],
-            config,
-            &engine,
-            try_column_statistics,
-        );
+        let mut outcome = self.analyze_sampled(relation, &[column_name], config, &engine);
         outcome.pop().expect("one column, one outcome")
     }
 
     /// ANALYZE every column of a relation, replacing previous entries,
-    /// across [`selest_par::configured_jobs`] workers. Each column's
-    /// sample draw is fixed by `config.seed`, so the surviving columns of
-    /// a partly poisoned relation export byte-identically to a fault-free
-    /// ANALYZE of just those columns, for any `SELEST_JOBS` setting.
+    /// across [`selest_par::configured_jobs`] workers. The sampled rows
+    /// are fixed by `config.seed` and shared by every column, so the
+    /// surviving columns of a partly poisoned relation export
+    /// byte-identically to a fault-free ANALYZE of just those columns, for
+    /// any `SELEST_JOBS` setting.
     pub fn try_analyze(
         &mut self,
         relation: &Relation,
@@ -664,13 +684,7 @@ impl StatisticsCatalog {
         config: &AnalyzeConfig,
         engine: &selest_par::TryConfig,
     ) -> CatalogHealthReport {
-        self.analyze_columns(
-            relation,
-            column_names,
-            config,
-            engine,
-            try_column_statistics,
-        );
+        self.analyze_sampled(relation, column_names, config, engine);
         self.health()
     }
 
@@ -788,7 +802,9 @@ impl StatisticsCatalog {
         engine: &selest_par::TryConfig,
     ) -> CatalogHealthReport {
         let names: Vec<&str> = relation.columns().iter().map(|c| c.name()).collect();
-        self.analyze_columns(relation, &names, config, engine, try_incremental_statistics);
+        self.analyze_columns(relation, &names, config.kind, engine, |column| {
+            try_incremental_statistics(relation.name(), column, config)
+        });
         self.health()
     }
 
@@ -1631,5 +1647,145 @@ mod tests {
             assert!(cat.health().is_healthy(), "{}: success clears", path.name);
             assert!(cat.statistics("t", "v").is_some(), "{}", path.name);
         }
+    }
+
+    /// A three-column relation of `rows` rows: a skewed clean column, a
+    /// column with ties, and a `new_unchecked` one holding NaN, ±inf and
+    /// out-of-domain values.
+    fn sampled_relation(rows: usize) -> Relation {
+        let d = Domain::new(0.0, 1_000.0);
+        let frac = |i: usize| (i as f64 * 0.618_033_988_749_895).fract();
+        let skewed: Vec<f64> = (0..rows).map(|i| 1_000.0 * frac(i).powi(2)).collect();
+        let ties: Vec<f64> = (0..rows)
+            .map(|i| (100.0 * frac(i + 7)).floor() * 10.0)
+            .collect();
+        let dirty: Vec<f64> = (0..rows)
+            .map(|i| match i % 41 {
+                3 => f64::NAN,
+                11 => 1_500.0,
+                19 => f64::NEG_INFINITY,
+                _ => 1_000.0 * frac(3 * i + 1),
+            })
+            .collect();
+        let mut r = Relation::new("diff");
+        r.add_column(Column::new("skewed", d, skewed));
+        r.add_column(Column::new("ties", d, ties));
+        r.add_column(Column::new_unchecked("dirty", d, dirty));
+        r
+    }
+
+    /// Everything a catalog serves and persists, bit for bit: the
+    /// evidence file, the quarantine, and each entry's probe answers.
+    fn fingerprint(cat: &StatisticsCatalog) -> (String, CatalogHealthReport, Vec<u64>) {
+        let probes: Vec<RangeQuery> = (0..40)
+            .map(|i| {
+                let a = 25.0 * i as f64;
+                RangeQuery::new(a, a + 7.5 * (1 + i % 9) as f64)
+            })
+            .chain([RangeQuery::new(0.0, 1_000.0), RangeQuery::new(500.0, 500.0)])
+            .collect();
+        let bits = cat
+            .export()
+            .iter()
+            .flat_map(|e| {
+                let st = cat.statistics(&e.relation, &e.column).unwrap();
+                probes.iter().map(|q| st.estimator.selectivity(q).to_bits())
+            })
+            .collect();
+        (crate::persist::encode(&cat.export()), cat.health(), bits)
+    }
+
+    #[test]
+    fn relation_row_sample_reproduces_the_per_column_draw() {
+        let n = AnalyzeConfig::default().sample_size;
+        let oracle_engine = selest_par::TryConfig::jobs(1);
+        for rows in [n - 1, n, n + 1, 100_000] {
+            let rel = sampled_relation(rows);
+            let names: Vec<&str> = rel.columns().iter().map(|c| c.name()).collect();
+            for kind in EstimatorKind::ALL {
+                for seed in [0x5e_1e_c7, 1, 0xdead_beef] {
+                    let config = AnalyzeConfig {
+                        sample_size: n,
+                        kind,
+                        seed,
+                    };
+                    // The oracle: each column draws its own reservoir, as
+                    // ANALYZE did before the relation kept one row sample.
+                    let mut oracle = StatisticsCatalog::new();
+                    let want_audits =
+                        oracle.analyze_columns(&rel, &names, kind, &oracle_engine, |column| {
+                            let raw = if kind == EstimatorKind::Uniform {
+                                Vec::new()
+                            } else {
+                                selest_data::reservoir_sample(column.values(), n, seed)
+                            };
+                            let names = (rel.name().into(), column.name().into());
+                            try_sample_statistics(names, kind, column.len(), column.domain(), &raw)
+                        });
+                    let want = fingerprint(&oracle);
+                    for jobs in [1, 2, 7] {
+                        let label = format!("rows {rows} {kind:?} seed {seed:#x} jobs {jobs}");
+                        let engine = selest_par::TryConfig::jobs(jobs);
+                        let mut cat = StatisticsCatalog::new();
+                        let audits = cat.analyze_sampled(&rel, &names, &config, &engine);
+                        assert_eq!(audits, want_audits, "{label}");
+                        let got = fingerprint(&cat);
+                        assert_eq!(got.0, want.0, "{label}: evidence bytes");
+                        assert_eq!(
+                            format!("{:?}", got.1),
+                            format!("{:?}", want.1),
+                            "{label}: health"
+                        );
+                        assert_eq!(got.2, want.2, "{label}: probe bits");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn analyze_draws_the_relation_sample_once_per_key() {
+        let rel = sampled_relation(5_000);
+        let engine = selest_par::TryConfig::jobs(2);
+        let config = |kind, seed| AnalyzeConfig {
+            sample_size: 300,
+            kind,
+            seed,
+        };
+        let mut cat = StatisticsCatalog::new();
+        // Uniform samples nothing, so it draws nothing.
+        cat.try_analyze_columns_with(
+            &rel,
+            &["skewed"],
+            &config(EstimatorKind::Uniform, 1),
+            &engine,
+        );
+        assert_eq!(rel.sample_memo_len(), 0);
+        cat.try_analyze_columns_with(
+            &rel,
+            &["skewed"],
+            &config(EstimatorKind::Kernel, 1),
+            &engine,
+        );
+        let first = rel.sample_positions(300, 1);
+        for kind in [EstimatorKind::EquiDepth, EstimatorKind::Hybrid] {
+            cat.try_analyze_columns_with(&rel, &["ties", "dirty"], &config(kind, 1), &engine);
+        }
+        cat.try_analyze_jobs(&rel, &config(EstimatorKind::MaxDiff, 1), 7);
+        assert!(Arc::ptr_eq(&first, &rel.sample_positions(300, 1)));
+        assert_eq!(rel.sample_memo_len(), 1, "one entry per key used");
+        // A new seed draws afresh, and its draw is algorithm R's.
+        cat.try_analyze_columns_with(
+            &rel,
+            &["ties"],
+            &config(EstimatorKind::Sampling, 2),
+            &engine,
+        );
+        assert_eq!(rel.sample_memo_len(), 2);
+        let second = rel.sample_positions(300, 2);
+        assert_eq!(*second, *selest_data::reservoir_positions(5_000, 300, 2));
+        let sampled = &cat.statistics("diff", "ties").unwrap().sample;
+        let oracle = selest_data::reservoir_sample(rel.column("ties").unwrap().values(), 300, 2);
+        assert_eq!(**sampled, *oracle);
     }
 }

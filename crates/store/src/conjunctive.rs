@@ -15,7 +15,7 @@ use rand::{RngExt, SeedableRng};
 use selest_core::{RangeQuery, SelectivityEstimator};
 use selest_kernel::{Boundary2d, KernelEstimator2d, KernelFn, RectQuery};
 
-use crate::catalog::{try_column_statistics, AnalyzeConfig};
+use crate::catalog::{sampled_rows, try_column_statistics, AnalyzeConfig};
 use crate::relation::Relation;
 
 /// How a conjunctive predicate's selectivity is estimated.
@@ -76,7 +76,8 @@ impl PairStatistics {
             KernelFn::Epanechnikov,
             Boundary2d::Reflection,
         );
-        let marginal = |c| match try_column_statistics(relation.name(), c, config) {
+        let rows = sampled_rows(relation, config);
+        let marginal = |c| match try_column_statistics(relation.name(), c, config, &rows) {
             Ok((stats, _audit)) => stats.estimator,
             Err(e) => panic!("ANALYZE of {}.{}: {e}", relation.name(), c.name()),
         };

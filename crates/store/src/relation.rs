@@ -3,10 +3,14 @@
 //! The substrate the paper's estimators live in: a relation `R` with named
 //! real-valued attributes over declared domains. Deliberately minimal — the
 //! pieces a query optimizer's statistics subsystem actually touches: full
-//! scans, per-column access, and exact range counts for validating
-//! estimates.
+//! scans, per-column access, exact range counts for validating
+//! estimates, and the row sample `ANALYZE` draws from.
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use selest_core::{Domain, RangeQuery};
+use selest_data::reservoir_positions;
 
 /// One metric attribute: a name, a declared domain, and its values.
 #[derive(Debug, Clone)]
@@ -77,11 +81,33 @@ impl Column {
     }
 }
 
+/// Sampled row positions by `(n_rows, sample_size, seed)`.
+type Positions = HashMap<(usize, usize, u64), Arc<[u32]>>;
+
+/// Memoized ANALYZE row samples, one per key drawn. A clone copies the
+/// map and shares its position arrays.
+#[derive(Debug, Default)]
+struct SampleMemo(Mutex<Positions>);
+
+impl SampleMemo {
+    fn lock(&self) -> MutexGuard<'_, Positions> {
+        // The draw panics before it inserts, so a poisoned map is intact.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for SampleMemo {
+    fn clone(&self) -> Self {
+        SampleMemo(Mutex::new(self.lock().clone()))
+    }
+}
+
 /// A relation: equal-length named columns.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     name: String,
     columns: Vec<Column>,
+    samples: SampleMemo,
 }
 
 impl Relation {
@@ -90,6 +116,7 @@ impl Relation {
         Relation {
             name: name.to_owned(),
             columns: Vec::new(),
+            samples: SampleMemo::default(),
         }
     }
 
@@ -133,6 +160,29 @@ impl Relation {
     /// Number of rows (0 for a relation without columns).
     pub fn n_rows(&self) -> usize {
         self.columns.first().map_or(0, Column::len)
+    }
+
+    /// The rows `ANALYZE` samples for `(sample_size, seed)`: Vitter's
+    /// algorithm R over the relation's row positions
+    /// ([`reservoir_positions`]), in reservoir-slot order. Every column has
+    /// the same rows, so the paper's one sample of records serves them all:
+    /// the positions are drawn on first use per `(n_rows, sample_size,
+    /// seed)` and kept, and later calls share them.
+    ///
+    /// Panics if `sample_size == 0`.
+    pub fn sample_positions(&self, sample_size: usize, seed: u64) -> Arc<[u32]> {
+        let n_rows = self.n_rows();
+        let mut memo = self.samples.lock();
+        let rows = memo
+            .entry((n_rows, sample_size, seed))
+            .or_insert_with(|| reservoir_positions(n_rows, sample_size, seed).into());
+        Arc::clone(rows)
+    }
+
+    /// Number of memoized row samples.
+    #[cfg(test)]
+    pub(crate) fn sample_memo_len(&self) -> usize {
+        self.samples.lock().len()
     }
 }
 
@@ -181,6 +231,38 @@ mod tests {
         let mut r = Relation::new("bad");
         r.add_column(Column::new("a", d, vec![1.0]));
         r.add_column(Column::new("a", d, vec![2.0]));
+    }
+
+    #[test]
+    fn sample_positions_are_drawn_once_per_key_and_shared_by_clones() {
+        let d = Domain::new(0.0, 1_000.0);
+        let mut r = Relation::new("memo");
+        r.add_column(Column::new("x", d, (0..1_000).map(f64::from).collect()));
+        let a = r.sample_positions(100, 7);
+        assert!(Arc::ptr_eq(&a, &r.sample_positions(100, 7)));
+        assert_eq!(r.sample_memo_len(), 1, "one entry per key used");
+        // A different key draws afresh: algorithm R over the row count.
+        let b = r.sample_positions(100, 8);
+        assert_eq!(*b, *reservoir_positions(1_000, 100, 8));
+        assert_ne!(*a, *b);
+        assert_eq!(r.sample_memo_len(), 2);
+        // Positions are distinct rows of the relation.
+        let mut sorted = a.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 100);
+        assert!(sorted.iter().all(|&p| (p as usize) < r.n_rows()));
+        // A clone gives the same positions without drawing again.
+        let c = r.clone();
+        assert!(Arc::ptr_eq(&a, &c.sample_positions(100, 7)));
+        // Adding the first column changes the row count, hence the key.
+        let mut empty = Relation::new("late");
+        assert!(empty.sample_positions(10, 7).is_empty());
+        empty.add_column(Column::new("x", d, (0..50).map(f64::from).collect()));
+        assert_eq!(
+            *empty.sample_positions(10, 7),
+            *reservoir_positions(50, 10, 7)
+        );
     }
 
     #[test]

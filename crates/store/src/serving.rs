@@ -113,7 +113,6 @@ use crate::overload::{
     BreakerRoute, BreakerState, ColumnBreaker, LoadTier, OverloadOptions, ShedController,
     TierController,
 };
-use crate::relation::Relation;
 use crate::staleness::StalenessPolicy;
 
 /// One servable column inside a [`CatalogSnapshot`].
@@ -124,7 +123,6 @@ pub struct ServingColumn {
     n_rows: usize,
     kind: EstimatorKind,
     domain: Domain,
-    quarantined: bool,
     /// Cheaper pre-built rung served on cache misses in brownout (`None`
     /// when the primary is already cheap — histograms, sampling, uniform).
     brownout: Option<Arc<dyn SelectivityEstimator + Send + Sync>>,
@@ -182,21 +180,14 @@ impl ServingColumn {
         let prepared =
             (!clean.is_empty()).then(|| Arc::new(PreparedColumn::prepare(&clean, domain)));
         let names = (relation.into(), column.into());
-        Self::assemble(
-            names,
-            Some(estimator),
-            n_rows,
-            kind,
-            domain,
-            prepared.as_ref(),
-        )
+        Self::assemble(names, estimator, n_rows, kind, domain, prepared.as_ref())
     }
 
     /// Serve a catalog entry, sharing its names, estimator and evidence.
     fn from_statistics(st: &ColumnStatistics) -> Self {
         Self::assemble(
             (Arc::clone(&st.relation), Arc::clone(&st.column)),
-            Some(Arc::clone(&st.estimator)),
+            Arc::clone(&st.estimator),
             st.n_rows,
             st.kind,
             st.domain,
@@ -206,11 +197,10 @@ impl ServingColumn {
 
     /// The one place a column is put together: derive its brownout rung
     /// and floor from `kind` and the evidence (the prepared column when
-    /// there is one, so no sample is re-sorted). A `primary` of `None`
-    /// marks a quarantined column, whose floor serves as its primary.
+    /// there is one, so no sample is re-sorted).
     fn assemble(
         (relation, column): (Arc<str>, Arc<str>),
-        primary: Option<Arc<dyn SelectivityEstimator + Send + Sync>>,
+        estimator: Arc<dyn SelectivityEstimator + Send + Sync>,
         n_rows: usize,
         kind: EstimatorKind,
         domain: Domain,
@@ -220,8 +210,7 @@ impl ServingColumn {
         ServingColumn {
             relation,
             column,
-            quarantined: primary.is_none(),
-            estimator: primary.unwrap_or_else(|| Arc::clone(&floor)),
+            estimator,
             n_rows,
             kind,
             domain,
@@ -263,8 +252,7 @@ impl ServingColumn {
         self.n_rows
     }
 
-    /// Which estimator kind serves (the uniform floor for quarantined
-    /// columns).
+    /// Which estimator kind serves.
     pub fn kind(&self) -> EstimatorKind {
         self.kind
     }
@@ -272,13 +260,6 @@ impl ServingColumn {
     /// The column domain.
     pub fn domain(&self) -> Domain {
         self.domain
-    }
-
-    /// Whether this column is serving degraded (its ANALYZE was
-    /// quarantined, so its uniform floor serves as the primary instead of
-    /// real statistics).
-    pub fn quarantined(&self) -> bool {
-        self.quarantined
     }
 
     /// The cheap brownout rung, when the primary is expensive enough to
@@ -316,53 +297,19 @@ impl CatalogSnapshot {
         }
     }
 
-    /// Freeze a catalog into a snapshot, degrading quarantined columns of
-    /// `relation` instead of dropping them: each serves its uniform floor
-    /// (over the relation's column domain) as its primary, tagged
-    /// [`ServeRung::Full`]. Reads of a quarantined column keep answering
-    /// (uniformly) rather than erroring.
-    pub fn from_catalog_for(
-        relation: &Relation,
-        catalog: &StatisticsCatalog,
-        generation: u64,
-    ) -> Self {
-        Self::freeze(Some(relation), catalog, generation)
-    }
-
     /// Freeze a *shared view* of the catalog into a snapshot: every
     /// entry's `Arc`s (names, estimator) are cloned, so the writer catalog
     /// keeps absorbing updates through
     /// [`StatisticsCatalog::try_apply_updates`] while the published
-    /// snapshot stays immutable. Quarantined columns have no serving entry
-    /// — lookups answer [`EstimateError::MissingStatistics`] — because
-    /// without the source relation there is no trustworthy domain to
-    /// degrade over; see [`CatalogSnapshot::from_catalog_for`].
+    /// snapshot stays immutable. A quarantined column serves its earlier
+    /// entry when a failed re-ANALYZE left one; otherwise it has no
+    /// serving entry and lookups answer
+    /// [`EstimateError::MissingStatistics`]. The quarantine records ride
+    /// along for [`CatalogSnapshot::health`].
     pub fn from_catalog_ref(catalog: &StatisticsCatalog, generation: u64) -> Self {
-        Self::freeze(None, catalog, generation)
-    }
-
-    fn freeze(relation: Option<&Relation>, catalog: &StatisticsCatalog, generation: u64) -> Self {
-        let mut columns: Vec<ServingColumn> =
-            catalog.iter().map(ServingColumn::from_statistics).collect();
-        let quarantined = catalog.health().quarantined;
-        if let Some(r) = relation {
-            for q in quarantined.iter().filter(|q| q.relation == r.name()) {
-                // A failed re-ANALYZE keeps serving the earlier entry.
-                let entry = catalog.statistics(&q.relation, &q.column);
-                if let (Some(c), None) = (r.column(&q.column), entry) {
-                    columns.push(ServingColumn::assemble(
-                        (q.relation.as_str().into(), q.column.as_str().into()),
-                        None,
-                        c.len(),
-                        EstimatorKind::Uniform,
-                        c.domain(),
-                        None,
-                    ));
-                }
-            }
-        }
+        let columns = catalog.iter().map(ServingColumn::from_statistics).collect();
         let mut snapshot = Self::from_columns(columns, generation);
-        snapshot.quarantined = quarantined;
+        snapshot.quarantined = catalog.health().quarantined;
         snapshot
     }
 
@@ -393,7 +340,7 @@ impl CatalogSnapshot {
         self.generation
     }
 
-    /// Number of servable columns (including degraded ones).
+    /// Number of servable columns.
     pub fn len(&self) -> usize {
         self.columns.len()
     }
@@ -1606,7 +1553,7 @@ impl ServingEngine {
 mod tests {
     use super::*;
     use crate::catalog::AnalyzeConfig;
-    use crate::relation::Column;
+    use crate::relation::{Column, Relation};
 
     fn test_relation() -> Arc<Relation> {
         let d = Domain::new(0.0, 1_000.0);
@@ -1809,10 +1756,20 @@ mod tests {
         assert!(health.shards[shard].admitted >= 3);
     }
 
+    /// Assert `column` of `relation` has no serving entry and answers
+    /// [`EstimateError::MissingStatistics`].
+    fn assert_missing(engine: &ServingEngine, relation: &str, column: &str) {
+        assert!(engine.snapshot().find(relation, column).is_none());
+        match engine.try_estimate(relation, column, &RangeQuery::new(0.0, 50.0)) {
+            Err(EstimateError::MissingStatistics { .. }) => {}
+            other => panic!("{relation}.{column}: expected MissingStatistics, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn expired_deadline_columns_serve_their_floor() {
+    fn expired_deadline_columns_answer_missing_statistics() {
         // Every column the deadline abandons quarantines as
-        // `TaskAbandoned` and, frozen with its relation, serves its floor.
+        // `TaskAbandoned`; with no earlier entry it does not serve.
         let r = test_relation();
         let engine = ServingEngine::new(ServingOptions {
             shards: 4,
@@ -1821,14 +1778,13 @@ mod tests {
         let expired = TryConfig::jobs(1).with_deadline(Deadline::already_expired());
         let mut cat = StatisticsCatalog::new();
         cat.try_analyze_with(&r, &AnalyzeConfig::default(), &expired);
-        let snapshot = CatalogSnapshot::from_catalog_for(&r, &cat, 0);
+        let snapshot = CatalogSnapshot::from_catalog_ref(&cat, 0);
         let health = snapshot.health();
         engine.publish_snapshot(snapshot);
+        assert_eq!(health.entries, 0);
         assert_eq!(health.quarantined.len(), r.columns().len());
-        let snap = engine.snapshot();
         for c in r.columns() {
-            let (_, col) = snap.find("serve", c.name()).expect("degraded entry");
-            assert!(col.quarantined(), "{} serves its floor", c.name());
+            assert_missing(&engine, "serve", c.name());
         }
         for q in &health.quarantined {
             assert!(
@@ -1841,14 +1797,13 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_columns_degrade_to_the_uniform_ladder_floor() {
+    fn a_quarantined_column_without_an_earlier_entry_answers_missing_statistics() {
         let d = Domain::new(0.0, 100.0);
         let mut r = Relation::new("mixed");
         let clean: Vec<f64> = (0..500).map(|i| (i as f64 + 0.5) / 5.0).collect();
         r.add_column(Column::new("ok", d, clean));
         let garbage: Vec<f64> = (0..500).map(|_| f64::NAN).collect();
         r.add_column(Column::new_unchecked("poisoned", d, garbage));
-        let r = Arc::new(r);
         let engine = ServingEngine::with_defaults();
         let mut cat = StatisticsCatalog::new();
         cat.try_analyze_with(
@@ -1859,25 +1814,18 @@ mod tests {
             },
             &TryConfig::jobs(1),
         );
-        let snapshot = CatalogSnapshot::from_catalog_for(&r, &cat, 0);
+        let snapshot = CatalogSnapshot::from_catalog_ref(&cat, 0);
         let health = snapshot.health();
         engine.publish_snapshot(snapshot);
+        assert_eq!(health.entries, 1);
         assert_eq!(health.quarantined.len(), 1);
         assert_eq!(health.quarantined[0].column, "poisoned");
-        // The quarantined column still serves — uniformly.
-        let snap = engine.snapshot();
-        let (_, col) = snap.find("mixed", "poisoned").expect("degraded entry");
-        assert!(col.quarantined());
-        assert_eq!(col.kind(), EstimatorKind::Uniform);
-        let q = RangeQuery::new(0.0, 50.0);
-        let v = engine.try_estimate("mixed", "poisoned", &q).unwrap();
-        assert!((v - 0.5).abs() < 1e-12, "uniform overlap, got {v}");
-        // Degraded entries carry no evidence; honest ones do.
+        assert_missing(&engine, "mixed", "poisoned");
+        // The healthy column serves, and only it carries evidence.
+        assert!(engine
+            .try_estimate("mixed", "ok", &RangeQuery::new(0.0, 50.0))
+            .is_ok());
         assert_eq!(cat.export().len(), 1);
-        // Without the relation, the same catalog would simply not serve
-        // the column.
-        let plain = CatalogSnapshot::from_catalog_ref(&cat, 0);
-        assert!(plain.find("mixed", "poisoned").is_none());
     }
 
     #[test]
@@ -1897,11 +1845,10 @@ mod tests {
             ..cfg
         };
         assert_eq!(cat.try_analyze(&r, &failed).quarantined.len(), 1);
-        let snap = CatalogSnapshot::from_catalog_for(&r, &cat, 1);
+        let snap = CatalogSnapshot::from_catalog_ref(&cat, 1);
         assert_eq!(snap.len(), 1, "one column, one serving entry");
         let (_, col) = snap.find("t", "v").expect("served");
         assert_eq!(col.kind(), EstimatorKind::EquiDepth);
-        assert!(!col.quarantined());
         assert_eq!(snap.health().quarantined.len(), 1);
     }
 

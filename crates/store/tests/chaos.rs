@@ -1,13 +1,15 @@
 //! Chaos tests: deterministic seeded fault injection against the serving
 //! path. The contract under test is the serving engine's promise —
-//! *every* query gets a finite selectivity in `[0, 1]`, no panic crosses
-//! the engine, and the health counters tell the truth about what was
-//! absorbed (floored slots, breaker trips, quarantined columns).
+//! every query of a served column gets a finite selectivity in `[0, 1]`,
+//! a quarantined column with no earlier entry answers a typed
+//! `MissingStatistics`, no panic crosses the engine, and the health
+//! counters tell the truth about what was absorbed (floored slots,
+//! breaker trips, quarantined columns).
 
 use std::sync::{Arc, Once};
 
 use selest_core::fault::EstimateError;
-use selest_core::{Domain, RangeQuery, SelectivityEstimator, UniformEstimator};
+use selest_core::{Domain, RangeQuery};
 use selest_store::catalog::{AnalyzeConfig, EstimatorKind, StatisticsCatalog};
 use selest_store::faultinject::{FailingEstimator, FailureMode, FaultInjector};
 use selest_store::persist;
@@ -73,16 +75,31 @@ fn assert_serves_everything(
 }
 
 /// ANALYZE column `t.x` holding `sample` through the catalog bulkhead and
-/// publish it the way production does, quarantined columns degraded to
-/// their uniform floor.
+/// publish it the way production does: a quarantined column has no
+/// serving entry.
 fn analyzed(sample: &[f64], domain: Domain, config: &AnalyzeConfig) -> (Relation, ServingEngine) {
     let mut relation = Relation::new("t");
     relation.add_column(Column::new_unchecked("x", domain, sample.to_vec()));
     let mut catalog = StatisticsCatalog::new();
     catalog.try_analyze(&relation, config);
     let engine = engine(5);
-    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&relation, &catalog, 0));
+    engine.publish_snapshot(CatalogSnapshot::from_catalog_ref(&catalog, 0));
     (relation, engine)
+}
+
+/// Assert `t.x` has no serving entry: a single query and every slot of
+/// a batch answer [`EstimateError::MissingStatistics`].
+fn assert_missing(engine: &ServingEngine, domain: &Domain, label: &str) {
+    let qs = workload(domain, 20);
+    fn missing<T>(r: &Result<T, EstimateError>) -> bool {
+        matches!(r, Err(EstimateError::MissingStatistics { relation, column })
+            if relation == "t" && column == "x")
+    }
+    assert!(missing(&engine.try_estimate("t", "x", &qs[0])), "{label}");
+    let mut out = Vec::new();
+    engine.estimate_batch_with("t", "x", &qs, None, &mut ServingScratch::new(), &mut out);
+    assert_eq!(out.len(), qs.len(), "{label}");
+    assert!(out.iter().all(missing), "{label}: {:?}", out.first());
 }
 
 /// Publish `primary` as the estimator of a cheap-kind column `t.x` (no
@@ -120,7 +137,6 @@ fn every_kind_survives_poisoned_samples_at_every_severity() {
             };
             let (relation, engine) = analyzed(&sample, domain, &config);
             let label = format!("{kind:?} seed {seed} fraction {fraction}");
-            assert_serves_everything(&engine, &domain, &label);
 
             // The audit must account exactly for the damage present in the
             // corrupted sample (injections can overwrite each other, so we
@@ -133,17 +149,20 @@ fn every_kind_survives_poisoned_samples_at_every_severity() {
             assert!(report.total() >= non_finite + out_of_domain, "{label}");
             let audit = StatisticsCatalog::new().try_analyze_column(&relation, "x", &config);
             match audit {
-                Ok(audit) if kind != EstimatorKind::Uniform => {
-                    assert_eq!(audit.non_finite, non_finite, "{label}");
-                    assert_eq!(audit.out_of_domain, out_of_domain, "{label}");
-                    assert_eq!(audit.kept, sample.len() - non_finite - out_of_domain);
+                Ok(audit) => {
+                    assert_serves_everything(&engine, &domain, &label);
+                    if kind != EstimatorKind::Uniform {
+                        assert_eq!(audit.non_finite, non_finite, "{label}");
+                        assert_eq!(audit.out_of_domain, out_of_domain, "{label}");
+                        assert_eq!(audit.kept, sample.len() - non_finite - out_of_domain);
+                    }
                 }
-                Ok(_) => {}
                 // Nothing survived sanitization: the column quarantined
-                // and the floor served it above.
+                // and, with no earlier entry, does not serve.
                 Err(e) => {
                     assert_eq!(e, EstimateError::EmptySample, "{label}");
                     assert_eq!(non_finite + out_of_domain, sample.len(), "{label}");
+                    assert_missing(&engine, &domain, &label);
                 }
             }
         }
@@ -151,7 +170,7 @@ fn every_kind_survives_poisoned_samples_at_every_severity() {
 }
 
 #[test]
-fn fully_poisoned_sample_degrades_to_uniform_and_reports_it() {
+fn fully_poisoned_sample_quarantines_and_answers_missing_statistics() {
     silence_panics();
     let domain = Domain::new(0.0, 100.0);
     let mut sample = vec![50.0; 500];
@@ -178,19 +197,8 @@ fn fully_poisoned_sample_degrades_to_uniform_and_reports_it() {
     let failure = &health.catalog.quarantined[0].failure;
     assert_eq!(failure.kind, EstimatorKind::Kernel);
     assert_eq!(failure.error, EstimateError::EmptySample);
-    let snap = engine.snapshot();
-    let (_, col) = snap.find("t", "x").expect("degraded entry serves");
-    assert!(col.quarantined());
-    assert_eq!(col.kind(), EstimatorKind::Uniform);
-    let uniform = UniformEstimator::new(domain);
-    for (q, s) in workload(&domain, 200).iter().zip(assert_serves_everything(
-        &engine,
-        &domain,
-        "fully poisoned",
-    )) {
-        assert_eq!(s.rung, ServeRung::Full, "the floor is the primary");
-        assert_eq!(s.value.to_bits(), uniform.selectivity(q).to_bits());
-    }
+    assert_eq!(health.catalog.entries, 0, "nothing serves");
+    assert_missing(&engine, &domain, "fully poisoned");
 }
 
 #[test]

@@ -60,11 +60,15 @@ echo "==> bit-identity pins and the zero-allocation check in an optimized build"
 # (a rounding-level move); the hybrid boundaries and h-DPI2 bandwidth
 # bits did not move. The moment path's 1e-12 oracle tests (the kernel
 # unit tests below, the serve-cold columns included) are its accuracy
-# gate.
+# gate. ANALYZE gathers every column's sample from the relation's one
+# row draw; selbench measures that optimized path, so the differential
+# test against the former per-column draw (evidence bytes, audits and
+# probe bits for every estimator kind and worker count) runs here too.
 cargo test --release -q --test build_engine --test batch_engine --test prepared_column \
     --test serving_engine --test alloc_free --test paper_claims
 cargo test --release -q -p selest-math -p selest-hybrid -p selest-kernel -p selest-histogram \
     -p selest-data --lib
+cargo test --release -q -p selest-store --lib relation_row_sample_reproduces_the_per_column_draw
 
 echo "==> selbench tests (the benchmark builds against the workspace crates)"
 cargo test --release --locked --manifest-path selbench/Cargo.toml

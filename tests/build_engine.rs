@@ -352,7 +352,7 @@ fn every_hybrid_bin_bandwidth_tracks_the_windowed_sum() {
     ] {
         let data = file.generate();
         for seed in [0x5e_1e_c7u64, 1, 2, 3] {
-            let mut sample = reservoir_sample(data.values().iter().copied(), 2_000, seed);
+            let mut sample = reservoir_sample(data.values(), 2_000, seed);
             sample.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let bounds = HybridEstimator::new(&sample, data.domain()).boundaries();
             for (i, edge) in bounds.windows(2).enumerate() {

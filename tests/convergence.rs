@@ -189,7 +189,7 @@ fn every_range_is_within_the_dkw_bound_for_both_samplers() {
             );
         };
         check("reservoir_sample", &|seed| {
-            reservoir_sample(data.values().iter().copied(), N, seed)
+            reservoir_sample(data.values(), N, seed)
         });
         check("sample_without_replacement", &|seed| {
             sample_without_replacement(data.values(), N, seed)

@@ -155,20 +155,25 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Resilient serving path: adversarial samples must degrade, never crash.
+// Resilient serving path: adversarial samples must degrade or refuse with
+// a typed error, never crash.
 // ---------------------------------------------------------------------------
 
+use selest::EstimateError;
 use selest_store::{
     AnalyzeConfig, CatalogSnapshot, Column, EstimatorKind, OverloadOptions, Relation,
     ServingEngine, ServingOptions, StatisticsCatalog,
 };
 
 /// Serve `kind` over a column holding `sample` the way production does:
-/// bulkheaded catalog ANALYZE, a snapshot that degrades a quarantined
-/// column to its uniform floor, and the serving engine (one shard, no
-/// wall-clock load tiers, so every answer comes from the column's own
-/// statistics or its floor).
-fn served(sample: &[f64], kind: EstimatorKind) -> ServingEngine {
+/// bulkheaded catalog ANALYZE, a snapshot frozen from the catalog, and
+/// the serving engine (one shard, no wall-clock load tiers, so every
+/// answer comes from the column's own statistics or its floor). `None`
+/// when the column quarantined — always when a sampling kind finds no
+/// clean value, and when a kind cannot build on what is left (one
+/// value, a constant sample) — and the engine then refuses the column
+/// with `MissingStatistics`.
+fn served(sample: &[f64], kind: EstimatorKind) -> Option<ServingEngine> {
     let mut relation = Relation::new("adv");
     relation.add_column(Column::new_unchecked(
         "x",
@@ -191,8 +196,23 @@ fn served(sample: &[f64], kind: EstimatorKind) -> ServingEngine {
         },
         ..Default::default()
     });
-    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&relation, &catalog, 0));
-    engine
+    engine.publish_snapshot(CatalogSnapshot::from_catalog_ref(&catalog, 0));
+    let domain = Domain::new(LO, HI);
+    let nothing_clean = sample
+        .iter()
+        .all(|&v| !v.is_finite() || !domain.contains(v));
+    let quarantined = !catalog.health().is_healthy();
+    assert!(
+        quarantined || !nothing_clean || kind == EstimatorKind::Uniform,
+        "{kind:?}: a sample with nothing clean quarantines"
+    );
+    if !quarantined {
+        return Some(engine);
+    }
+    match engine.try_estimate("adv", "x", &RangeQuery::new(LO, HI)) {
+        Err(EstimateError::MissingStatistics { .. }) => None,
+        other => panic!("{kind:?}: a quarantined column answered {other:?}"),
+    }
 }
 
 /// Deterministic worst-case samples: every degenerate shape the ANALYZE
@@ -224,7 +244,9 @@ fn adversarial_samples() -> Vec<(&'static str, Vec<f64>)> {
 fn resilient_path_survives_every_kind_on_every_adversarial_sample() {
     for kind in EstimatorKind::ALL {
         for (label, sample) in adversarial_samples() {
-            let engine = served(&sample, kind);
+            let Some(engine) = served(&sample, kind) else {
+                continue;
+            };
             // Finite, in [0, 1], and monotone in the query upper bound.
             let mut prev = 0.0;
             for i in 0..=80 {
@@ -281,7 +303,10 @@ proptest! {
         samples in dirty_sample_strategy(), a in 0.0f64..1_000.0, w in 0.0f64..500.0) {
         let q = RangeQuery::new(a, (a + w).min(HI));
         for kind in EstimatorKind::ALL {
-            let s = served(&samples, kind).try_estimate("adv", "x", &q).expect("must answer");
+            let Some(engine) = served(&samples, kind) else {
+                continue;
+            };
+            let s = engine.try_estimate("adv", "x", &q).expect("must answer");
             prop_assert!(s.is_finite() && (0.0..=1.0).contains(&s),
                 "{kind:?}: selectivity {s} on dirty sample");
         }
@@ -293,7 +318,9 @@ proptest! {
         let inner = RangeQuery::new(a, (a + w).min(HI));
         let outer = RangeQuery::new((a - 50.0).max(LO), (a + w + 100.0).min(HI));
         for kind in EstimatorKind::ALL {
-            let engine = served(&samples, kind);
+            let Some(engine) = served(&samples, kind) else {
+                continue;
+            };
             let si = engine.try_estimate("adv", "x", &inner).expect("inner");
             let so = engine.try_estimate("adv", "x", &outer).expect("outer");
             prop_assert!(so >= si - 1e-9,

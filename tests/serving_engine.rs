@@ -7,8 +7,8 @@
 //!    clean and poisoned rebuilds of the same relation. Every batch a
 //!    reader observes must be bit-identical to a sequential evaluation of
 //!    *one* published snapshot — never a hybrid of two generations — and
-//!    quarantined columns must serve their uniform floor, not an error
-//!    and not stale kernel estimates. At every client count from 1 to
+//!    a quarantined column answers `MissingStatistics` in every slot,
+//!    never stale kernel estimates. At every client count from 1 to
 //!    16, batches served while rebuilds of the same relation keep
 //!    publishing match the sequential reference bit for bit.
 //! 2. **The estimate cache is an invisible optimization.** Warm results
@@ -30,7 +30,8 @@ use std::thread;
 use selest::par::TryConfig;
 use selest::store::{AnalyzeConfig, CatalogHealthReport, Column, Relation, StatisticsCatalog};
 use selest::{
-    CatalogSnapshot, Domain, PaperFile, RangeQuery, ServingEngine, ServingOptions, ServingScratch,
+    CatalogSnapshot, Domain, EstimateError, PaperFile, RangeQuery, ServingEngine, ServingOptions,
+    ServingScratch,
 };
 
 const DOMAIN: (f64, f64) = (0.0, 1_000.0);
@@ -104,29 +105,48 @@ fn config() -> AnalyzeConfig {
 }
 
 /// Sequential per-column reference bits for one relation variant: a
-/// single-threaded bulkheaded ANALYZE followed by the same degradation
-/// the engine applies, evaluated per query with no cache and no pool.
-fn reference_bits(rel: &Arc<Relation>) -> HashMap<&'static str, Vec<u64>> {
+/// single-threaded bulkheaded ANALYZE frozen as the engine freezes it,
+/// evaluated per query with no cache and no pool. `None` for a column
+/// without a serving entry (quarantined).
+fn reference_bits(rel: &Arc<Relation>) -> HashMap<&'static str, Option<Vec<u64>>> {
     let mut cat = StatisticsCatalog::new();
     cat.try_analyze_jobs(rel, &config(), 1);
-    let snap = CatalogSnapshot::from_catalog_for(rel, &cat, 1);
+    let snap = CatalogSnapshot::from_catalog_ref(&cat, 1);
     let qs = queries();
     COLUMNS
         .iter()
         .map(|&name| {
-            let (_, col) = snap.find("chaos", name).expect("every column is servable");
-            let bits = qs
-                .iter()
-                .map(|q| col.estimator().selectivity(q).to_bits())
-                .collect();
+            let bits = snap.find("chaos", name).map(|(_, col)| {
+                qs.iter()
+                    .map(|q| col.estimator().selectivity(q).to_bits())
+                    .collect()
+            });
             (name, bits)
         })
         .collect()
 }
 
+/// What one served batch showed: `Some(bits)` when every slot answered,
+/// `None` when every slot refused as `MissingStatistics`. Any other
+/// mixture fails the test.
+fn observed(name: &str, out: &[Result<f64, EstimateError>]) -> Option<Vec<u64>> {
+    let missing = |r: &Result<f64, EstimateError>| matches!(r, Err(EstimateError::MissingStatistics { column, .. }) if column == name);
+    if out.iter().all(missing) {
+        return None;
+    }
+    Some(
+        out.iter()
+            .map(|r| match r {
+                Ok(v) => v.to_bits(),
+                Err(e) => panic!("{name}: a batch mixed answers with {e}"),
+            })
+            .collect(),
+    )
+}
+
 /// ANALYZE `rel` into a fresh catalog on `engine`'s workers, freeze it
-/// with its relation (quarantined columns serve their floor) and publish
-/// it. Returns the published generation and the snapshot's health.
+/// (a quarantined column has no serving entry) and publish it. Returns
+/// the published generation and the snapshot's health.
 fn analyze_and_publish(
     engine: &ServingEngine,
     rel: &Relation,
@@ -135,7 +155,7 @@ fn analyze_and_publish(
 ) -> (u64, CatalogHealthReport) {
     let mut cat = StatisticsCatalog::new();
     cat.try_analyze_with(rel, config, jobs);
-    let snapshot = CatalogSnapshot::from_catalog_for(rel, &cat, 0);
+    let snapshot = CatalogSnapshot::from_catalog_ref(&cat, 0);
     let health = snapshot.health();
     (engine.publish_snapshot(snapshot), health)
 }
@@ -155,10 +175,11 @@ fn concurrent_readers_never_observe_torn_or_stale_estimates() {
     // reference tables; the test below relies on that to attribute each
     // observed batch to exactly one variant.
     for name in COLUMNS {
+        assert!(clean_ref[name].is_some(), "{name} serves when clean");
         if name == "x" {
-            assert_ne!(
-                clean_ref[name], poisoned_ref[name],
-                "the poisoned column must degrade to different (uniform) estimates"
+            assert!(
+                poisoned_ref[name].is_none(),
+                "the poisoned column must stop serving"
             );
         } else {
             assert_eq!(clean_ref[name], poisoned_ref[name]);
@@ -217,14 +238,7 @@ fn concurrent_readers_never_observe_torn_or_stale_estimates() {
                     while !stop.load(Ordering::Acquire) || !i.is_multiple_of(COLUMNS.len()) {
                         let name = COLUMNS[(t + i) % COLUMNS.len()];
                         engine.estimate_batch_into("chaos", name, qs, &mut scratch, &mut out);
-                        let bits: Vec<u64> = out
-                            .iter()
-                            .map(|r| {
-                                r.as_ref()
-                                    .expect("valid queries on a servable column never error")
-                                    .to_bits()
-                            })
-                            .collect();
+                        let bits = observed(name, &out);
                         let generation = engine.snapshot().generation();
                         let variant = published.lock().unwrap().get(&generation).copied();
                         match variant {
@@ -296,8 +310,7 @@ fn served_bits_match_the_sequential_reference_at_every_client_count() {
                         for i in 0..24 {
                             let name = COLUMNS[(t + i) % COLUMNS.len()];
                             engine.estimate_batch_into("chaos", name, qs, &mut scratch, &mut out);
-                            let bits: Vec<u64> =
-                                out.iter().map(|r| r.as_ref().unwrap().to_bits()).collect();
+                            let bits = observed(name, &out);
                             assert_eq!(
                                 bits, reference[name],
                                 "{clients} clients: client {t} op {i} on {name} drifted"
@@ -354,7 +367,7 @@ fn cache_hits_repeat_cold_results_bit_for_bit() {
     let expect = reference_bits(&rel);
     let flat: Vec<u64> = COLUMNS
         .iter()
-        .flat_map(|name| expect[name].to_vec())
+        .flat_map(|name| expect[name].clone().expect("clean columns serve"))
         .collect();
     assert_eq!(cold, flat);
 }
@@ -374,7 +387,7 @@ fn snapshot_swap_invalidates_the_cache_wholesale() {
     old_cat.try_analyze_jobs(&rel, &old_cfg, 1);
     let mut new_cat = StatisticsCatalog::new();
     new_cat.try_analyze_jobs(&rel, &new_cfg, 1);
-    let new_snap = CatalogSnapshot::from_catalog_for(&rel, &new_cat, 0);
+    let new_snap = CatalogSnapshot::from_catalog_ref(&new_cat, 0);
     let new_bits: HashMap<&str, Vec<u64>> = COLUMNS
         .iter()
         .map(|&name| {
@@ -389,7 +402,7 @@ fn snapshot_swap_invalidates_the_cache_wholesale() {
         })
         .collect();
 
-    engine.publish_snapshot(CatalogSnapshot::from_catalog_for(&rel, &old_cat, 0));
+    engine.publish_snapshot(CatalogSnapshot::from_catalog_ref(&old_cat, 0));
     let qs = queries();
     // Warm the cache on the old snapshot, twice so hits are certain.
     let mut old_bits: HashMap<&str, Vec<u64>> = HashMap::new();
